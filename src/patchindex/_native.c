@@ -1,13 +1,15 @@
-/* Compiled inner loops for shard-local bit deletion.
+/* Compiled inner loops: shard-local bit deletion and column membership.
  *
- * The kernels operate on a flat uint64 word array and touch only the word
- * range of one shard per delete, so concurrent calls on disjoint shards are
- * safe. The Python side (patchindex._native) builds this file with the
+ * The shift kernels operate on a flat uint64 word array and touch only the
+ * word range of one shard per delete, so concurrent calls on disjoint shards
+ * are safe. The Python side (patchindex._native) builds this file with the
  * system C compiler and calls it through ctypes, which releases the GIL for
- * the duration of each call. All bounds are validated in Python first.
+ * the duration of each call. All bounds, dtypes and contiguity are validated
+ * in Python first.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Delete bits at descending in-shard offsets, one word at a time.
  *
@@ -125,4 +127,67 @@ void pi_delete_groups(uint64_t *words, const int64_t *offsets,
     for (int64_t g = g0; g < g1; g++)
         multi_delete(words, base[g], nwords[g], offsets + lo[g],
                      hi[g] - lo[g], lanes);
+}
+
+/* Membership filter: a bit array over a multiplicative hash of the keys,
+ * 64 bits per key, at least 2^12 and at most 2^22 bits (512 KiB). Past
+ * 2^16 keys the bits per key shrink, down to 8 at 2^19 keys; larger key
+ * sets saturate the filter, which costs speed but not exactness, because
+ * every hit is confirmed by binary search. */
+#define FILTER_MIN_LOG2 12
+#define FILTER_MAX_LOG2 22
+
+static inline uint64_t filter_slot(int64_t v, int shift)
+{
+    return ((uint64_t)v * 0x9E3779B97F4A7C15ull) >> shift;
+}
+
+/* Whether v occurs in the ascending keys[0:k], k > 0 (branch-free steps). */
+static inline int sorted_contains(const int64_t *keys, int64_t k, int64_t v)
+{
+    const int64_t *base = keys;
+    while (k > 1) {
+        const int64_t half = k >> 1;
+        base = base[half] <= v ? base + half : base;
+        k -= half;
+    }
+    return *base == v;
+}
+
+/* Ascending positions i in [0, n) whose col[i] occurs in keys[0:k], which
+ * must be sorted ascending. Writes them to out (room for n) and returns
+ * their count, or -1 when the filter cannot be allocated.
+ *
+ * Pass one writes every filter hit without a branch; pass two keeps the
+ * hits that the binary search confirms, compacting in place. */
+int64_t pi_in_positions(const int64_t *col, int64_t n, const int64_t *keys,
+                        int64_t k, int64_t *out)
+{
+    if (k == 0)
+        return 0;
+    int log2 = FILTER_MIN_LOG2;
+    while (log2 < FILTER_MAX_LOG2 && ((int64_t)1 << log2) < 64 * k)
+        log2++;
+    const int shift = 64 - log2;
+    uint64_t *filter = calloc((size_t)1 << (log2 - 6), sizeof *filter);
+    if (filter == NULL)
+        return -1;
+    for (int64_t j = 0; j < k; j++) {
+        const uint64_t h = filter_slot(keys[j], shift);
+        filter[h >> 6] |= (uint64_t)1 << (h & 63);
+    }
+    int64_t hits = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t h = filter_slot(col[i], shift);
+        out[hits] = i;
+        hits += (filter[h >> 6] >> (h & 63)) & 1;
+    }
+    free(filter);
+    int64_t count = 0;
+    for (int64_t t = 0; t < hits; t++) {
+        const int64_t i = out[t];
+        out[count] = i;
+        count += sorted_contains(keys, k, col[i]);
+    }
+    return count;
 }

@@ -1,17 +1,18 @@
-"""Loader for the compiled shard-shift kernels in ``_shift.c``.
+"""Loader for the compiled kernels in ``_native.c``.
 
 The C source ships with the package and is built once, at import, with the
 system C compiler. The shared library is cached per user under
 ``$XDG_CACHE_HOME/patchindex`` (default ``~/.cache/patchindex``), keyed by
 a hash of the source, the flags and the machine type, and loaded through
 ctypes, which releases the GIL during every call. When no compiler is found
-or the build fails, one RuntimeWarning is emitted and ``sharded_bitmap``
-uses its numpy reference shift instead.
+or the build fails, one RuntimeWarning is emitted and the callers use
+their numpy references instead: ``sharded_bitmap`` its shift and
+``column_store`` its membership test.
 
 Module attributes:
 
 - ``lib``: the loaded ``ctypes.CDLL``, or None when the kernels are missing;
-- ``BACKEND``: ``"c"`` or ``"numpy"``, the shift backend in use;
+- ``BACKEND``: ``"c"`` or ``"numpy"``, the kernel backend in use;
 - ``COMPILER``: path of the C compiler the loader uses, or None.
 """
 
@@ -25,7 +26,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_shift.c")
+SOURCE = Path(__file__).with_name("_native.c")
 CFLAGS = ("-O3", "-shared", "-fPIC")
 COMPILER = shutil.which("cc") or shutil.which("gcc")
 
@@ -41,10 +42,12 @@ class DeleteArgs(ctypes.Structure):
                 ("logical_len", _I), ("pos", _I)]
 
 
+# name -> (argtypes, restype)
 _SIGNATURES = {
-    "pi_shift": (_P, _I, _I, _I, ctypes.c_int),
-    "pi_delete": (ctypes.POINTER(DeleteArgs),),
-    "pi_delete_groups": (_P, _P, _P, _P, _P, _P, _I, _I, ctypes.c_int),
+    "pi_shift": ((_P, _I, _I, _I, ctypes.c_int), None),
+    "pi_delete": ((ctypes.POINTER(DeleteArgs),), None),
+    "pi_delete_groups": ((_P, _P, _P, _P, _P, _P, _I, _I, ctypes.c_int), None),
+    "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
 }
 
 
@@ -58,7 +61,7 @@ def _build():
     source = SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(CFLAGS).encode()
                          + platform.machine().encode()).hexdigest()[:16]
-    target = _cache_dir() / f"_shift-{key}.so"
+    target = _cache_dir() / f"{SOURCE.stem}-{key}.so"
     if target.exists():
         return target
     if COMPILER is None:
@@ -79,10 +82,10 @@ def _build():
 
 def _load():
     dll = ctypes.CDLL(str(_build()))
-    for name, argtypes in _SIGNATURES.items():
+    for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(dll, name)
         fn.argtypes = argtypes
-        fn.restype = None
+        fn.restype = restype
     return dll
 
 
@@ -90,9 +93,9 @@ try:
     lib = _load()
 except (OSError, subprocess.SubprocessError) as exc:
     # a failed compile carries the compiler's own message in stderr
-    warnings.warn(f"patchindex: compiled shard-shift kernels unavailable "
+    warnings.warn(f"patchindex: compiled kernels unavailable "
                   f"({getattr(exc, 'stderr', None) or exc}); "
-                  f"using the slower numpy shift", RuntimeWarning)
+                  f"using the slower numpy references", RuntimeWarning)
     lib = None
 
 BACKEND = "numpy" if lib is None else "c"

@@ -7,6 +7,7 @@ import argparse
 import sys
 import time
 
+from . import _native
 from . import bench as bench_mod
 from .bench import (SHARD_SWEEP_SIZES, UPDATE_GRANULARITIES, VerificationError,
                     WorkloadReport, bench_query, bench_query_suite,
@@ -158,6 +159,7 @@ def cmd_index(args):
         print(f"created in {build_s:.2f}s")
     for k, v in index.stats().items():
         print(f"{k}: {v}")
+    print(f"kernel_backend: {_native.BACKEND}")
     return 0
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
+
 MAGIC = b"PDX1"
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -54,6 +56,27 @@ class ScanRange:
 
     def is_empty(self):
         return not self.intervals
+
+
+def in_positions(values, keys):
+    """Ascending positions of the values that occur in keys.
+
+    keys must be a sorted, duplicate-free array (``np.unique``). int64
+    values with integer keys run the compiled kernel; anything else, or a
+    missing build, runs the numpy reference.
+    """
+    lib = _native.lib
+    if (lib is None or values.dtype != np.int64
+            or not np.can_cast(keys.dtype, np.int64)):
+        return np.flatnonzero(np.isin(values, keys))
+    values = np.ascontiguousarray(values)
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    out = np.empty(len(values), dtype=np.int64)
+    count = lib.pi_in_positions(values.ctypes.data, len(values),
+                                keys.ctypes.data, len(keys), out.ctypes.data)
+    if count < 0:
+        raise MemoryError("membership filter allocation failed")
+    return out[:count]
 
 
 def _block_minmax(values, block_size):
@@ -121,11 +144,18 @@ class Partition:
     def merge_delta(self):
         if not self.delta:
             return
+        # summaries change only from the old last (maybe partial) block on
+        first = self.nrows // self.block_size
         for c in self.columns:
             self.columns[c] = np.concatenate([self.columns[c], self.delta[c]])
+        for c in self.int_columns():
+            mins, maxs = self.minmax[c]
+            tail_mins, tail_maxs = _block_minmax(
+                self.columns[c][first * self.block_size:], self.block_size)
+            self.minmax[c] = (np.concatenate([mins[:first], tail_mins]),
+                              np.concatenate([maxs[:first], tail_maxs]))
         self.delta = {}
         self.delta_minmax = {}
-        self.rebuild_minmax()
 
 
 class ColumnTable:
@@ -162,10 +192,22 @@ class ColumnTable:
 
     # -- scans ---------------------------------------------------------------
 
-    def scan(self, columns=None, scan_range=None):
-        """Materialize rows (persisted then delta) as (rowids, column dict)."""
+    def scan(self, columns=None, scan_range=None, where=None):
+        """Materialize rows (persisted then delta) as (rowids, column dict).
+
+        where=("in", column, keys) keeps only the rows whose column value
+        occurs in keys. The filter runs on each segment before anything is
+        concatenated, so rowIDs and column copies are built for matching
+        rows only.
+        """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
+        if where is not None:
+            if where[0] != "in":
+                raise ValueError(f"unknown scan filter {where!r}")
+            _, where_col, keys = where
+            self._check_columns([where_col])
+            keys = np.unique(keys)
         ids_parts, col_parts = [], {c: [] for c in columns}
         offset = 0
         for p in self.partitions:
@@ -176,9 +218,15 @@ class ColumnTable:
                 spans = ([(offset, offset + nrows)] if scan_range is None
                          else scan_range.clip(offset, offset + nrows))
                 for lo, hi in spans:
-                    ids_parts.append(np.arange(lo, hi, dtype=np.int64))
+                    if where is None:
+                        rows = slice(lo - offset, hi - offset)
+                        ids_parts.append(np.arange(lo, hi, dtype=np.int64))
+                    else:
+                        rows = lo - offset + in_positions(
+                            source[where_col][lo - offset:hi - offset], keys)
+                        ids_parts.append(offset + rows)
                     for c in columns:
-                        col_parts[c].append(source[c][lo - offset:hi - offset])
+                        col_parts[c].append(source[c][rows])
                 offset += nrows
         if not ids_parts:
             empty_cols = {}

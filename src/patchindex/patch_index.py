@@ -82,6 +82,10 @@ class BitmapPatchStore:
     def patch_count(self):
         return self._bits.count_set()
 
+    def last_non_patch(self, row_count):
+        assert row_count == self._bits.logical_len
+        return self._bits.last_unset()
+
     def patch_rows(self):
         return np.flatnonzero(self._bits.to_bool_array())
 
@@ -129,6 +133,13 @@ class IdentifierPatchStore:
 
     def patch_count(self):
         return len(self._ids)
+
+    def last_non_patch(self, row_count):
+        # the ids are strictly increasing: walk down past the trailing run
+        row, i = row_count - 1, len(self._ids) - 1
+        while i >= 0 and row >= 0 and self._ids[i] == row:
+            row, i = row - 1, i - 1
+        return row if row >= 0 else None
 
     def patch_rows(self):
         return self._ids.copy()
@@ -250,6 +261,10 @@ class PatchIndex:
 
     def patch_mask(self):
         return self.store.mask(self.row_count)
+
+    def last_non_patch(self):
+        """Highest non-patch rowID, or None when every row is a patch."""
+        return self.store.last_non_patch(self.row_count)
 
     def add_patches(self, rows):
         self.store.add(rows)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .column_store import ScanRange
+from .column_store import ScanRange, in_positions
 from .patch_index import ConstraintKind, SortOrder
 
 _tag_counter = itertools.count()
@@ -54,7 +54,6 @@ class PlanNode:
     right_key: str = None
     build_side: str = "auto"
     tag: str = None
-    relation: object = None
     est_rows: int = None
 
 
@@ -114,11 +113,6 @@ def reuse_cache_node(tag, child):
 
 def reuse_load_node(tag):
     return PlanNode("reuse_load", tag=tag)
-
-
-def materialized_node(relation):
-    """Leaf wrapping an already-computed result (e.g. a scanned delta)."""
-    return PlanNode("materialized", relation=relation)
 
 
 def fresh_tag(prefix="reuse"):
@@ -185,9 +179,6 @@ class Executor:
 
     # row-wise operators
 
-    def _op_materialized(self, node):
-        return node.relation
-
     def _op_select(self, node):
         rel = self._exec(node.children[0])
         kind = node.predicate[0]
@@ -196,7 +187,7 @@ class Executor:
             mask = (rel.columns[col] >= lo) & (rel.columns[col] <= hi)
         elif kind == "in":
             _, col, values = node.predicate
-            mask = np.isin(rel.columns[col], values)
+            return rel.take(in_positions(rel.columns[col], np.unique(values)))
         elif kind == "==":
             _, col, v = node.predicate
             mask = rel.columns[col] == v
@@ -350,8 +341,6 @@ def annotate(plan):
         plan.est_rows = plan.children[0].est_rows
     elif op == "reuse_load":
         plan.est_rows = 0  # replays a cached result; cost carried by the cache node
-    elif op == "materialized":
-        plan.est_rows = plan.relation.nrows
     else:
         plan.est_rows = plan.children[0].est_rows
     return plan
@@ -372,7 +361,7 @@ def node_cost(plan):
         return _W_SCAN * plan.table.partitions[plan.partition].total_rows
     if op in ("select", "const_count", "reuse_cache"):
         return _W_SELECT * plan.children[0].est_rows
-    if op in ("project", "reuse_load", "materialized"):
+    if op in ("project", "reuse_load"):
         return 0.0
     if op in ("distinct", "group_count"):
         return _W_HASH * plan.children[0].est_rows
@@ -634,7 +623,6 @@ def explain(plan, cost=True):
             "merge_sorted": lambda: f"MergeSortedStreams({node.key})",
             "reuse_cache": lambda: f"ReuseCache({node.tag})",
             "reuse_load": lambda: f"ReuseLoad({node.tag})",
-            "materialized": lambda: "Materialized",
         }
         return label[node.op]()
 

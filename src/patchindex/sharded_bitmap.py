@@ -349,6 +349,26 @@ class ShardedBitmap:
             parts.append(allbits[base:base + self._live_bits(i)])
         return np.concatenate(parts).view(bool)
 
+    def last_unset(self):
+        """Highest logical position holding a zero bit, or None.
+
+        Scans the shards backwards, each over its live words only, so dead
+        slots left by deletes never count as zeros.
+        """
+        for i in range(len(self._starts) - 1, -1, -1):
+            live = self._live_bits(i)
+            if live == 0:
+                continue
+            base = i * self._wps
+            zeros = ~self._words[base:base + ((live + 63) >> 6)]
+            if live & 63:
+                zeros[-1] &= (_U1 << np.uint64(live & 63)) - _U1
+            nonzero = np.flatnonzero(zeros)
+            if nonzero.size:
+                w = int(nonzero[-1])
+                return int(self._starts[i]) + 64 * w + int(zeros[w]).bit_length() - 1
+        return None
+
     def count_set(self):
         return int(np.bitwise_count(self._words).sum())
 

@@ -1,22 +1,25 @@
 """Keeps patch indexes consistent under inserts, modifies, and deletes.
 
-The handlers never recompute an index and never scan the full table. The
-uniqueness constraint is maintained by joining the touched rows against the
-table (restricted by zone-map pruning over the touched value range, the
-dynamic-range-propagation trick) and patching both sides of every match;
-the sortedness constraint extends its sorted run for inserts and simply
-patches modified rows. Deletes drop the tracking state for the deleted
-rowIDs. The maintained patch set may grow beyond the minimal one, but the
-non-patch rows always satisfy the constraint.
+The handlers never recompute an index and never materialize the full
+table. The uniqueness constraint is maintained by a semijoin of the table
+with the touched values: zone-map pruning over the touched value range (the
+dynamic-range-propagation trick) restricts the scan to candidate blocks, the
+scan itself keeps only rows holding a touched value, and every returned row
+whose value occurs at least twice becomes a patch. That equals patching
+both sides of every match of a touched row with another row, since all rows
+holding a touched value lie in unpruned blocks and the touched rows are in
+the table themselves. The sortedness constraint extends its sorted run for
+inserts and simply patches modified rows. Deletes drop the tracking state
+for the deleted rowIDs. The maintained patch set may grow beyond the
+minimal one, but the non-patch rows always satisfy the constraint.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .patch_index import NULL_VALUE, ConstraintKind, SortOrder, lss_keep_mask
-from .query_engine import (Executor, Relation, fresh_tag, hash_join_node,
-                           materialized_node, reuse_cache_node, scan_node)
+from .patch_index import (NULL_VALUE, ConstraintKind, SortOrder, lss_keep_mask,
+                          nuc_patch_rows)
 
 
 @dataclass
@@ -32,10 +35,10 @@ class UpdateStats:
 
 
 def _duplicate_join(table, column, probe_ids, probe_values):
-    """Join touched rows against the pruned table; both match sides patch.
+    """Patch every row that shares a touched value with another row.
 
-    Returns (patch rowIDs, stats). Matches of a row with itself are
-    excluded: a touched row must not patch itself on its own value.
+    The touched rows must already hold probe_values in the table. Returns
+    (patch rowIDs, stats); NULL probe rows are patches too.
     """
     nulls = probe_ids[probe_values == NULL_VALUE]
     live = probe_values != NULL_VALUE
@@ -43,22 +46,16 @@ def _duplicate_join(table, column, probe_ids, probe_values):
                         new_patches=len(nulls))
     if not live.any():
         return nulls, stats
-    ids, values = probe_ids[live], probe_values[live]
+    values = probe_values[live]
 
     scan_range = table.prune_blocks(
         column, ("interval", int(values.min()), int(values.max())))
     stats.blocks_scanned = table.count_blocks(scan_range)
 
-    build = materialized_node(Relation({"rowid": ids, column: values}))
-    plan = hash_join_node(
-        reuse_cache_node(fresh_tag("touched"), build),
-        scan_node(table, [column], scan_range=scan_range),
-        column, column, build_side="left")
-    matches = Executor().run(plan)
-    not_self = matches.columns["rowid"] != matches.columns["rowid_r"]
-    patches = np.union1d(matches.columns["rowid"][not_self],
-                         matches.columns["rowid_r"][not_self])
-    patches = np.union1d(patches, nulls)
+    rowids, cols = table.scan([column], scan_range=scan_range,
+                              where=("in", column, values))
+    # the scan returns only rows holding a touched value, none of them NULL
+    patches = np.union1d(rowids[nuc_patch_rows(cols[column])], nulls)
     stats.new_patches = len(patches)
     return patches, stats
 
@@ -132,13 +129,11 @@ def handle_modify_nsc(table, index, modified_ids):
     new_patches = 0
     for p, local in index.split_global(modified_ids):
         pidx = index.partitions[p]
-        mask = pidx.patch_mask()
-        non_patch = np.flatnonzero(~mask)
-        tail = int(non_patch[-1]) if non_patch.size else None
+        tail = pidx.last_non_patch()
         before = pidx.patch_count
         pidx.add_patches(local)
         new_patches += pidx.patch_count - before
-        if tail is not None and tail in set(local.tolist()):
+        if tail is not None and tail in local:
             _recompute_tail(table, index, p)
     return UpdateStats(blocks_total=table.total_blocks(),
                        new_patches=new_patches)
@@ -159,9 +154,8 @@ def handle_delete(table, index, descending_ids):
         pidx = index.partitions[p]
         tail_dropped = False
         if nsc:
-            non_patch = np.flatnonzero(~pidx.patch_mask())
-            tail = int(non_patch[-1]) if non_patch.size else None
-            tail_dropped = tail is None or tail in set(local.tolist())
+            tail = pidx.last_non_patch()
+            tail_dropped = tail is None or tail in local
         pidx.drop_rows(local)
         if nsc and tail_dropped:
             _recompute_tail(table, index, p)
@@ -171,12 +165,10 @@ def handle_delete(table, index, descending_ids):
 def _recompute_tail(table, index, p):
     """Backward scan for the last non-patch row of a partition."""
     pidx = index.partitions[p]
-    non_patch = np.flatnonzero(~pidx.patch_mask())
-    if non_patch.size == 0:
-        pidx.last_sorted_value = None
-        return
-    values = table.partitions[p].columns[index.column]
-    pidx.last_sorted_value = int(values[non_patch[-1]])
+    tail = pidx.last_non_patch()
+    pidx.last_sorted_value = (
+        None if tail is None
+        else int(table.partitions[p].columns[index.column][tail]))
 
 
 _INSERT_HANDLERS = {ConstraintKind.NEARLY_UNIQUE: handle_insert_nuc,

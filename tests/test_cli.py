@@ -1,5 +1,6 @@
 import pytest
 
+from patchindex import _native
 from patchindex.cli import main
 
 
@@ -55,6 +56,7 @@ class TestIndex:
         assert "constraint: nuc" in out
         assert "store: identifiers" in out
         assert "exception_rate: 0.2" in out
+        assert f"kernel_backend: {_native.BACKEND}\n" in out
 
     def test_create_and_rebuild(self, sorted_dataset, capsys):
         assert main(["index", "create", "--table", str(sorted_dataset),

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from patchindex.column_store import ColumnTable, ScanRange
+from patchindex import _native
+from patchindex.column_store import (ColumnTable, ScanRange, _block_minmax,
+                                     in_positions)
+from patchindex.patch_index import NULL_VALUE
+
+needs_compiler = pytest.mark.skipif(_native.COMPILER is None,
+                                    reason="no C compiler (cc or gcc) on PATH")
 
 
 def make_table(values, partitions=2, block_size=64):
@@ -46,6 +52,74 @@ class TestScan:
         t = make_table([1, 2])
         with pytest.raises(KeyError):
             t.scan(["nope"])
+
+
+class TestFilteredScan:
+    def test_equals_filtered_full_scan(self):
+        rng = np.random.default_rng(4)
+        t = make_table(rng.integers(-30, 30, size=700), partitions=3,
+                       block_size=16)
+        t.insert_rows({"key": np.arange(700, 740),
+                       "value": rng.integers(-30, 30, size=40)})
+        full_ids, full_cols = t.scan()
+        for _ in range(20):
+            keys = rng.integers(-35, 35, size=int(rng.integers(0, 8)))
+            lo, hi = sorted(rng.integers(0, t.row_count + 1, size=2))
+            r = ScanRange([(int(lo), int(hi))])
+            ids, cols = t.scan(["key", "value"], scan_range=r,
+                               where=("in", "value", keys))
+            want = (np.isin(full_cols["value"], keys)
+                    & (full_ids >= lo) & (full_ids < hi))
+            assert np.array_equal(ids, full_ids[want])
+            for c in ("key", "value"):
+                assert np.array_equal(cols[c], full_cols[c][want])
+
+    def test_filter_column_need_not_be_scanned(self):
+        t = make_table(np.arange(100) % 10, partitions=2)
+        ids, cols = t.scan(["key"], where=("in", "value", [3]))
+        assert ids.tolist() == list(range(3, 100, 10))
+        assert cols["key"].tolist() == list(range(3, 100, 10))
+
+    def test_bad_filter_rejected(self):
+        t = make_table([1, 2])
+        with pytest.raises(ValueError):
+            t.scan(["value"], where=("interval", "value", 0, 1))
+        with pytest.raises(KeyError):
+            t.scan(["value"], where=("in", "nope", [1]))
+
+
+def isin_reference(values, keys):
+    return np.flatnonzero(np.isin(values, keys))
+
+
+class TestInPositions:
+    @needs_compiler
+    def test_kernel_matches_numpy_reference(self):
+        # a compiler is present, so a failed build is a failure, not a skip
+        assert _native.lib is not None, "C kernels failed to build"
+        rng = np.random.default_rng(5)
+        col = rng.integers(-1000, 1000, size=20_000)
+        col[::97] = NULL_VALUE
+        cases = [
+            (col, []),                                      # empty keys
+            (col[:0], [1, 2]),                              # empty segment
+            (col, [NULL_VALUE, -5, 7]),
+            (col, rng.integers(-1000, 0, size=50)),         # negatives only
+            (col, [np.iinfo(np.int64).max, NULL_VALUE + 1]),
+            (col, rng.integers(-10**6, 10**6, size=10**5)), # past the filter
+        ]
+        for values, keys in cases:
+            keys = np.unique(np.asarray(keys, dtype=np.int64))
+            got = in_positions(values, keys)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, isin_reference(values, keys))
+
+    def test_non_int64_uses_reference(self):
+        values = np.array([b"a", b"b", b"a"], dtype="S4")
+        keys = np.unique([b"a"])
+        assert in_positions(values, keys).tolist() == [0, 2]
+        ints = np.array([1, 2, 3], dtype=np.int64)
+        assert in_positions(ints, np.unique([2.0, 2.5])).tolist() == [1]
 
 
 class TestPrune:
@@ -128,6 +202,24 @@ class TestUpdates:
         r = t.prune_blocks("value", ("interval", 10_000, 10_000))
         ids, cols = t.scan(["value"], scan_range=r)
         assert 10_000 in cols["value"]
+
+    @pytest.mark.parametrize("block_size", [16, 24])
+    def test_merge_delta_keeps_block_summaries(self, block_size):
+        # 16 divides the initial 400 rows and 24 does not; the inserts move
+        # the row count on and off block edges
+        rng = np.random.default_rng(block_size)
+        t = make_table(rng.integers(0, 1000, size=400), partitions=1,
+                       block_size=block_size)
+        for k in (7, 1, 9, block_size, 3 * block_size + 2, 0, 18):
+            if k:
+                t.insert_rows({"key": np.arange(k),
+                               "value": rng.integers(-500, 2000, size=k)})
+            t.merge_delta()
+            p = t.partitions[0]
+            for c in p.int_columns():
+                mins, maxs = _block_minmax(p.columns[c], block_size)
+                assert np.array_equal(p.minmax[c][0], mins), (k, c)
+                assert np.array_equal(p.minmax[c][1], maxs), (k, c)
 
     def test_interleaved_updates_match_array_oracle(self):
         rng = np.random.default_rng(2)

@@ -152,6 +152,57 @@ class TestStores:
                 assert np.array_equal(idx.store.patch_rows(), expected)
 
 
+def mask_last_non_patch(idx):
+    """Reference tail lookup: unpack the whole patch mask."""
+    non_patch = np.flatnonzero(~idx.patch_mask())
+    return int(non_patch[-1]) if non_patch.size else None
+
+
+class TestLastNonPatch:
+    @pytest.mark.parametrize("variant", ["bitmap", "identifiers"])
+    def test_matches_mask_after_drops(self, variant):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(1, 400))
+            patches = rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                 replace=False)
+            idx = PatchIndex.from_patches(NSC_ASC, patches, n, store=variant,
+                                          shard_size_bits=64)
+            assert idx.last_non_patch() == mask_last_non_patch(idx)
+            dropped = np.sort(rng.choice(n, size=int(rng.integers(0, n)),
+                                         replace=False))[::-1]
+            idx.drop_rows(dropped)
+            if variant == "bitmap" and dropped.size:
+                # un-condensed: shards keep dead slots that read as zero
+                assert idx.store._bits.lost_bits == dropped.size
+            assert idx.last_non_patch() == mask_last_non_patch(idx)
+
+    @pytest.mark.parametrize("variant", ["bitmap", "identifiers"])
+    def test_all_patches(self, variant):
+        n = 200
+        idx = PatchIndex.from_patches(NSC_ASC, np.arange(n), n, store=variant,
+                                      shard_size_bits=64)
+        assert idx.last_non_patch() is None
+        idx.drop_rows(np.array([150, 70, 3]))
+        assert idx.last_non_patch() is None
+        idx.grow(5)
+        assert idx.last_non_patch() == n - 3 + 4
+        empty = PatchIndex.from_patches(NSC_ASC, [], 0, store=variant)
+        assert empty.last_non_patch() is None
+        first_only = PatchIndex.from_patches(NSC_ASC, np.arange(1, n), n,
+                                             store=variant, shard_size_bits=64)
+        assert first_only.last_non_patch() == 0
+
+    @pytest.mark.parametrize("variant", ["bitmap", "identifiers"])
+    def test_trailing_patch_run_crosses_shards(self, variant):
+        n = 1000
+        idx = PatchIndex.from_patches(NSC_ASC, np.arange(401, n), n,
+                                      store=variant, shard_size_bits=128)
+        assert idx.last_non_patch() == 400
+        idx.drop_rows(np.arange(900, 380, -1))
+        assert idx.last_non_patch() == 380
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["add", "remove", "drop", "grow"]),
                           st.integers(0, 1_000_000)), max_size=30),
@@ -180,6 +231,7 @@ def test_store_variants_equivalent(ops, seed):
             b.drop_rows(rows)
     assert a.row_count == b.row_count
     assert np.array_equal(a.patch_mask(), b.patch_mask())
+    assert a.last_non_patch() == b.last_non_patch() == mask_last_non_patch(a)
 
 
 class TestMemory:

@@ -60,6 +60,17 @@ class TestExecuteBasics:
                                   ("interval", "value", 10, 19)))
         assert rel.columns["value"].tolist() == list(range(10, 20))
 
+    def test_select_in_matches_numpy_reference(self):
+        rng = np.random.default_rng(8)
+        values = rng.integers(-20, 20, size=300)
+        t = make_table(values)
+        for keys in ([], [3], [3, 3, -7, 19, 400], list(range(-20, 20))):
+            rel = execute(select_node(scan_node(t, ["key", "value"]),
+                                      ("in", "value", keys)))
+            want = np.flatnonzero(np.isin(values, keys))
+            assert rel.columns["rowid"].tolist() == want.tolist()
+            assert np.array_equal(rel.columns["value"], values[want])
+
     def test_distinct(self):
         t = make_table([4, 4, 2, 9, 2])
         rel = execute(distinct_node(scan_node(t, ["value"]), "value"))

@@ -236,6 +236,17 @@ class TestNativeLoader:
             "for p in dele: b.delete(int(p))\n"
             "assert np.array_equal(a.words, b.words)\n"
             "assert np.array_equal(a.starts, b.starts)\n"
+            "from patchindex.column_store import ColumnTable\n"
+            "vals = np.arange(3000) % 701 - 350\n"
+            "t = ColumnTable.from_partitions([{'value': vals[:1000]},\n"
+            "                                 {'value': vals[1000:]}], 64)\n"
+            "t.insert_rows({'value': np.array([5, -2, 9999])})\n"
+            "keys = [5, -2, 9999, 12345]\n"
+            "ids, cols = t.scan(['value'], where=('in', 'value', keys))\n"
+            "full = np.append(vals, [5, -2, 9999])\n"
+            "want = np.flatnonzero(np.isin(full, keys))\n"
+            "assert np.array_equal(ids, want) and len(want) == 11\n"
+            "assert np.array_equal(cols['value'], full[want])\n"
             "print(_native.BACKEND, _native.lib,\n"
             "      sum(w.category is RuntimeWarning for w in caught))\n")
         src = Path(patchindex.__file__).resolve().parent.parent
@@ -245,6 +256,15 @@ class TestNativeLoader:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["numpy", "None", "1"]
+
+    def test_kernel_source_is_package_data(self):
+        """A wheel without the C source would build no kernels."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as f:
+            package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+        assert _native.SOURCE.name in package_data["patchindex"]
+        assert _native.SOURCE.exists()
 
     def test_shift_bounds_checked(self):
         bm = ShardedBitmap(200, 64)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchindex.column_store import ColumnTable
-from patchindex.patch_index import NSC_ASC, NUC, build_index, nuc_patch_rows
-from patchindex.update_pipeline import (apply_delete, apply_insert,
-                                        apply_modify, handle_insert_nuc)
+from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, build_index,
+                                    nuc_patch_rows)
+from patchindex.update_pipeline import (_duplicate_join, apply_delete,
+                                        apply_insert, apply_modify,
+                                        handle_insert_nuc, handle_modify_nuc)
 
 
 def make_table(values, partitions=1, block_size=64):
@@ -90,6 +93,69 @@ class TestInsertNuc:
         assert stats.blocks_scanned < 0.1 * stats.blocks_total
         assert sorted(idx.global_patch_rows().tolist()) == [
             500, 501, 502, 503, 504, 100_000, 100_001, 100_002, 100_003, 100_004]
+
+
+def pairwise_duplicates(table, probe_ids, probe_values):
+    """Brute-force reference of the duplicate join: NULL probe rows, plus
+    both sides of every pair of a probe row and another row, equal value."""
+    ids, cols = table.scan(["value"])
+    rows = list(zip(ids.tolist(), cols["value"].tolist()))
+    out = set()
+    for t, v in zip(probe_ids.tolist(), probe_values.tolist()):
+        if v == NULL_VALUE:
+            out.add(t)
+            continue
+        for r, w in rows:
+            if r != t and w == v:
+                out.update((t, r))
+    return sorted(out)
+
+
+value_st = st.one_of(st.integers(-30, 30), st.just(NULL_VALUE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(value_st, max_size=90), sort_base=st.booleans(),
+       partitions=st.integers(1, 3), block_size=st.sampled_from([2, 4, 8]),
+       store=st.sampled_from(["bitmap", "identifiers"]),
+       op=st.sampled_from(["insert", "modify"]),
+       touched=st.lists(st.one_of(value_st, st.just("own")),
+                        min_size=1, max_size=8),
+       data=st.data())
+def test_duplicate_join_matches_pairwise_oracle(base, sort_base, partitions,
+                                                block_size, store, op,
+                                                touched, data):
+    # sorted base values give tight zone maps, so pruning is partial
+    t, idx = indexed(sorted(base) if sort_base else base, NUC, partitions,
+                     store, block_size)
+    before = set(idx.global_patch_rows().tolist())
+    modify = op == "modify" and t.row_count > 0
+    if modify:
+        ids = np.array(data.draw(st.lists(
+            st.integers(0, t.row_count - 1), unique=True,
+            min_size=1, max_size=len(touched))), dtype=np.int64)
+        current = t.gather(ids, "value")
+        # "own" rewrites a row with the value it already holds
+        values = np.array([c if v == "own" else v
+                           for c, v in zip(current.tolist(), touched)],
+                          dtype=np.int64)
+        t.modify_rows(ids, {"value": values})
+        before -= set(ids.tolist())
+    else:
+        values = np.array([7 if v == "own" else v for v in touched],
+                          dtype=np.int64)
+        # the inserted rows stay in the delta until after the join
+        ids = t.insert_rows({"key": np.arange(len(values)), "value": values})
+
+    expected = pairwise_duplicates(t, ids, values)
+    patches, stats = _duplicate_join(t, "value", ids, values)
+    assert sorted(patches.tolist()) == expected
+    assert stats.new_patches == len(expected)
+    assert stats.blocks_scanned <= stats.blocks_total
+
+    (handle_modify_nuc if modify else handle_insert_nuc)(t, idx, ids)
+    t.merge_delta()
+    assert set(idx.global_patch_rows().tolist()) == before | set(expected)
 
 
 class TestInsertNsc:
