@@ -1,4 +1,5 @@
-/* Compiled inner loops: shard-local bit deletion and column membership.
+/* Compiled inner loops: shard-local bit deletion, column membership and the
+ * merge join.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -188,6 +189,33 @@ int64_t pi_in_positions(const int64_t *col, int64_t n, const int64_t *keys,
         const int64_t i = out[t];
         out[count] = i;
         count += sorted_contains(keys, k, col[i]);
+    }
+    return count;
+}
+
+/* Merge join of ascending (ties allowed) left keys lk[0:nl] against
+ * strictly ascending right keys rk[0:nr], in one pass over both.
+ *
+ * For each matching left row i, in order, writes i to lidx and the
+ * position of its right key to ridx (both with room for nl), and returns
+ * the number of matches. Returns -2 when rk is not strictly ascending and
+ * -1 when lk is not ascending; both orders are checked in full. */
+int64_t pi_merge_join(const int64_t *lk, int64_t nl, const int64_t *rk,
+                      int64_t nr, int64_t *lidx, int64_t *ridx)
+{
+    for (int64_t j = 1; j < nr; j++)
+        if (rk[j] <= rk[j - 1])
+            return -2;
+    int64_t j = 0, count = 0;
+    for (int64_t i = 0; i < nl; i++) {
+        const int64_t v = lk[i];
+        if (i > 0 && v < lk[i - 1])
+            return -1;
+        while (j < nr && rk[j] < v)
+            j++;
+        lidx[count] = i;
+        ridx[count] = j;
+        count += j < nr && rk[j] == v;
     }
     return count;
 }

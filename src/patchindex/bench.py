@@ -23,6 +23,7 @@ from .update_pipeline import apply_delete, apply_insert, apply_modify
 CSV_HEADER = "experiment,param,variant,runtime_ns,rows,patches,memory_bytes,blocks_scanned"
 
 SHARD_SWEEP_SIZES = tuple(1 << p for p in range(8, 20))
+QUERY_REPEATS = 5  # timed runs per plan, after one untimed warm-up run
 UPDATE_GRANULARITIES = (5, 10, 50, 100, 500, 1000)
 
 
@@ -187,7 +188,12 @@ def _results_match(query, key, rel, baseline):
 
 def bench_query(table, query, index, dim=None, plans=("naive", "patchindex"),
                 param="", verify=True):
-    """Time the requested plan variants; always verify against naive."""
+    """Time the requested plan variants; always verify against naive.
+
+    Each plan runs once untimed (the naive run doubles as the baseline,
+    the others are verified against it), then QUERY_REPEATS times timed;
+    the report carries the median.
+    """
     naive, rewritten = build_query_plans(query, table, index, dim)
     baseline = execute(naive)
 
@@ -204,15 +210,19 @@ def bench_query(table, query, index, dim=None, plans=("naive", "patchindex"),
     reports = []
     for name in plans:
         plan = selected[name]
-        t0 = time.perf_counter_ns()
-        rel = execute(plan)
-        dt = time.perf_counter_ns() - t0
+        rel = baseline if name == "naive" else execute(plan)
         if verify and not _results_match(query, index.column, rel, baseline):
             raise VerificationError(
                 f"{query}/{name}: result mismatch against naive plan")
+        times = []
+        for _ in range(QUERY_REPEATS):
+            t0 = time.perf_counter_ns()
+            execute(plan)
+            times.append(time.perf_counter_ns() - t0)
         reports.append(WorkloadReport(
-            f"query_{query}", param, name, dt, rows=rel.nrows,
-            patches=index.patch_count, memory_bytes=index.memory_bytes()))
+            f"query_{query}", param, name, int(statistics.median(times)),
+            rows=rel.nrows, patches=index.patch_count,
+            memory_bytes=index.memory_bytes()))
     return reports
 
 

@@ -58,10 +58,29 @@ class ScanRange:
         return not self.intervals
 
 
+def sort_unique(values, return_counts=False):
+    """Sorted distinct values, and optionally their counts, like np.unique.
+
+    One sort plus a neighbour comparison. Under numpy 2.x a flagless
+    np.unique takes a hash path that is up to 20x slower on int64 columns
+    of 10^5-10^6 rows, so every distinct computation in the engine goes
+    through this function instead.
+    """
+    s = np.sort(np.asarray(values))
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    uniq = s[first]
+    if not return_counts:
+        return uniq
+    counts = np.diff(np.append(np.flatnonzero(first), len(s)))
+    return uniq, counts
+
+
 def in_positions(values, keys):
     """Ascending positions of the values that occur in keys.
 
-    keys must be a sorted, duplicate-free array (``np.unique``). int64
+    keys must be a sorted, duplicate-free array (``sort_unique``). int64
     values with integer keys run the compiled kernel; anything else, or a
     missing build, runs the numpy reference.
     """
@@ -123,13 +142,27 @@ class Partition:
                        for c in self.int_columns()}
 
     def rebuild_minmax_blocks(self, column, blocks):
+        """Recompute the summaries of the given distinct blocks.
+
+        The touched full blocks are gathered as rows of a (blocks,
+        block_size) view and reduced together, so the work follows the
+        touched rows, not the partition size.
+        """
+        blocks = np.asarray(blocks, dtype=np.int64)
         mins, maxs = self.minmax[column]
         arr = self.columns[column]
-        for b in blocks:
-            lo = b * self.block_size
-            hi = min(lo + self.block_size, len(arr))
-            mins[b] = arr[lo:hi].min()
-            maxs[b] = arr[lo:hi].max()
+        nfull = len(arr) // self.block_size
+        full = blocks[blocks < nfull]
+        if full.size:
+            rows = arr[:nfull * self.block_size].reshape(nfull, -1)
+            if full.size < nfull:
+                rows = rows[full]
+            mins[full] = rows.min(axis=1)
+            maxs[full] = rows.max(axis=1)
+        if np.any(blocks == nfull):  # the partial last block
+            tail = arr[nfull * self.block_size:]
+            mins[nfull] = tail.min()
+            maxs[nfull] = tail.max()
 
     def append_delta(self, rows):
         for c, arr in rows.items():
@@ -195,39 +228,63 @@ class ColumnTable:
     def scan(self, columns=None, scan_range=None, where=None):
         """Materialize rows (persisted then delta) as (rowids, column dict).
 
-        where=("in", column, keys) keeps only the rows whose column value
-        occurs in keys. The filter runs on each segment before anything is
-        concatenated, so rowIDs and column copies are built for matching
-        rows only.
+        where is an optional filter, applied to each segment before
+        anything is concatenated, so rowIDs and column copies are built for
+        the kept rows only:
+
+        - ("in", column, keys): rows whose column value occurs in keys;
+        - ("mask", masks): rows whose flag is set in masks[p], a bool array
+          over partition p's rows (persisted then delta). Only partitions
+          the scan reaches are read, so the others may be None;
+        - ("rows", rowids): the rows at the given ascending global rowIDs.
         """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
-        if where is not None:
-            if where[0] != "in":
-                raise ValueError(f"unknown scan filter {where!r}")
+        kind = where[0] if where is not None else None
+        if kind == "in":
             _, where_col, keys = where
             self._check_columns([where_col])
-            keys = np.unique(keys)
+            keys = sort_unique(keys)
+        elif kind == "rows":
+            rowids = np.asarray(where[1], dtype=np.int64)
+        elif kind not in (None, "mask"):
+            raise ValueError(f"unknown scan filter {where!r}")
         ids_parts, col_parts = [], {c: [] for c in columns}
-        offset = 0
-        for p in self.partitions:
+        part_lo = 0
+        for pnum, p in enumerate(self.partitions):
+            offset = part_lo
             for source, nrows in ((p.columns, p.nrows), (p.delta, p.delta_rows)):
                 if nrows == 0:
-                    offset += nrows
                     continue
                 spans = ([(offset, offset + nrows)] if scan_range is None
                          else scan_range.clip(offset, offset + nrows))
                 for lo, hi in spans:
-                    if where is None:
-                        rows = slice(lo - offset, hi - offset)
-                        ids_parts.append(np.arange(lo, hi, dtype=np.int64))
+                    seg = slice(lo - offset, hi - offset)
+                    # rows: the kept rows, relative to the span start lo
+                    if kind is None:
+                        rows = slice(None)
+                        ids = np.arange(lo, hi, dtype=np.int64)
+                    elif kind == "in":
+                        rows = in_positions(source[where_col][seg], keys)
+                        ids = lo + rows
+                    elif kind == "mask":
+                        mask = where[1][pnum]
+                        if len(mask) != p.total_rows:
+                            raise ValueError(
+                                f"partition {pnum} mask covers {len(mask)} "
+                                f"of {p.total_rows} rows")
+                        # positions gather faster than a bool index
+                        rows = np.flatnonzero(mask[lo - part_lo:hi - part_lo])
+                        ids = lo + rows
                     else:
-                        rows = lo - offset + in_positions(
-                            source[where_col][lo - offset:hi - offset], keys)
-                        ids_parts.append(offset + rows)
+                        a, b = np.searchsorted(rowids, (lo, hi))
+                        ids = rowids[a:b]
+                        rows = ids - lo
+                    ids_parts.append(ids)
                     for c in columns:
-                        col_parts[c].append(source[c][rows])
+                        col_parts[c].append(source[c][seg][rows])
                 offset += nrows
+            part_lo = offset
         if not ids_parts:
             empty_cols = {}
             for c in columns:
@@ -344,7 +401,7 @@ class ColumnTable:
         if rowids.max() >= self.row_count or rowids.min() < 0:
             raise IndexError("modify rowID out of range")
         part = np.searchsorted(offsets, rowids, side="right") - 1
-        for pnum in np.unique(part):
+        for pnum in sort_unique(part):
             sel = part == pnum
             local = rowids[sel] - offsets[pnum]
             p = self.partitions[pnum]
@@ -353,7 +410,7 @@ class ColumnTable:
             for c, vals in updates.items():
                 p.columns[c][local] = np.asarray(vals)[sel]
                 if p.columns[c].dtype == np.int64:
-                    p.rebuild_minmax_blocks(c, np.unique(local // p.block_size))
+                    p.rebuild_minmax_blocks(c, sort_unique(local // p.block_size))
 
     def gather(self, rowids, column):
         """Values of one column at arbitrary persisted rowIDs."""
@@ -361,7 +418,7 @@ class ColumnTable:
         offsets = self.partition_offsets()
         out = np.empty(len(rowids), dtype=dict(self.schema)[column])
         part = np.searchsorted(offsets, rowids, side="right") - 1
-        for pnum in np.unique(part):
+        for pnum in sort_unique(part):
             sel = part == pnum
             local = rowids[sel] - offsets[pnum]
             p = self.partitions[pnum]
@@ -381,7 +438,7 @@ class ColumnTable:
             raise IndexError("delete rowID out of range")
         offsets = self.partition_offsets()
         part = np.searchsorted(offsets, rowids, side="right") - 1
-        for pnum in np.unique(part):
+        for pnum in sort_unique(part):
             local = rowids[part == pnum] - offsets[pnum]
             p = self.partitions[pnum]
             if local.size and local.max() >= p.nrows:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .column_store import sort_unique
 from .sharded_bitmap import DEFAULT_SHARD_BITS, ShardedBitmap, default_threads
 
 # Sentinel for SQL NULL in int64 columns; always a patch under both constraints.
@@ -296,7 +297,7 @@ class PatchIndex:
         if (good == NULL_VALUE).any():
             return False
         if self.constraint.kind is ConstraintKind.NEARLY_UNIQUE:
-            return len(np.unique(good)) == len(good)
+            return len(sort_unique(good)) == len(good)
         if len(good) == 0:
             return self.last_sorted_value is None
         diffs = np.diff(good)
@@ -369,7 +370,7 @@ class TableIndex:
         rows = np.asarray(rows, dtype=np.int64)
         offsets = self._offsets()
         part = np.searchsorted(offsets, rows, side="right") - 1
-        for p in np.unique(part):
+        for p in sort_unique(part):
             sel = part == p
             yield int(p), rows[sel] - offsets[p]
 
@@ -384,8 +385,17 @@ class TableIndex:
     def global_patch_mask(self):
         return np.concatenate([p.patch_mask() for p in self.partitions])
 
-    def global_patch_rows(self):
-        return np.flatnonzero(self.global_patch_mask())
+    def global_patch_rows(self, partition=None):
+        """Ascending global rowIDs of the patches, of one partition or all.
+
+        Read from the stores' own rows: an identifier store copies its ids,
+        a bitmap store unpacks its bits once; no global mask is built.
+        """
+        offsets = self._offsets()
+        parts = (range(len(self.partitions)) if partition is None
+                 else [partition])
+        rows = [self.partitions[p].store.patch_rows() + offsets[p] for p in parts]
+        return np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
 
     def add_patches(self, rows):
         for p, local in self.split_global(rows):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .column_store import ScanRange, in_positions
+from . import _native
+from .column_store import ScanRange, in_positions, sort_unique
 from .patch_index import ConstraintKind, SortOrder
 
 _tag_counter = itertools.count()
@@ -126,6 +127,47 @@ def _sort_key(values, order):
     return values if order is SortOrder.ASCENDING else np.invert(values)
 
 
+def merge_join_positions(left_keys, right_keys):
+    """Matching (left, right) row positions of a merge join.
+
+    left_keys must be ascending (ties allowed) and right_keys strictly
+    ascending; either violation raises ValueError. Returns
+    (left_idx, right_idx) in left order, with left_idx None when every
+    left row matches. int64 keys run the compiled kernel, one linear pass
+    over both sides; anything else, or a missing build, runs the numpy
+    reference, a binary search per left key.
+    """
+    lib = _native.lib
+    if lib is None or left_keys.dtype != np.int64 or right_keys.dtype != np.int64:
+        return _merge_join_reference(left_keys, right_keys)
+    lk = np.ascontiguousarray(left_keys)
+    rk = np.ascontiguousarray(right_keys)
+    left_idx = np.empty(len(lk), dtype=np.int64)
+    right_idx = np.empty(len(lk), dtype=np.int64)
+    count = lib.pi_merge_join(lk.ctypes.data, len(lk), rk.ctypes.data, len(rk),
+                              left_idx.ctypes.data, right_idx.ctypes.data)
+    if count == -2:
+        raise ValueError("merge join needs a sorted unique right side")
+    if count == -1:
+        raise ValueError("merge join needs a sorted left side")
+    return (None if count == len(lk) else left_idx[:count]), right_idx[:count]
+
+
+def _merge_join_reference(lk, rk):
+    if len(rk) > 1 and not np.all(rk[1:] > rk[:-1]):
+        raise ValueError("merge join needs a sorted unique right side")
+    if len(lk) > 1 and not np.all(lk[1:] >= lk[:-1]):
+        raise ValueError("merge join needs a sorted left side")
+    if len(rk) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return (None if len(lk) == 0 else empty), empty
+    pos = np.minimum(np.searchsorted(rk, lk), len(rk) - 1)
+    match = rk[pos] == lk
+    if match.all():
+        return None, pos
+    return np.flatnonzero(match), pos[match]
+
+
 class Executor:
     """Evaluates a plan tree; ReuseCache results are shared per execution."""
 
@@ -150,15 +192,20 @@ class Executor:
     # scans
 
     def _op_scan(self, node):
+        """Scan rows, optionally split by patch membership.
+
+        exclude_patches compresses each partition with its own patch mask;
+        use_patches gathers the patch rows by rowID, so its cost follows
+        the patch count.
+        """
         table = node.table
         rng = node.scan_range
-        part_lo = 0
         if node.partition is not None:
             offsets = table.partition_offsets()
             part_lo, hi = int(offsets[node.partition]), int(offsets[node.partition + 1])
             base = rng.clip(part_lo, hi) if rng is not None else [(part_lo, hi)]
             rng = ScanRange.normalized(base)
-        ids, cols = table.scan(node.columns, scan_range=rng)
+        where = None
         if node.mode != "all":
             index = node.index
             if index is None:
@@ -166,13 +213,13 @@ class Executor:
             if index.row_count != table.row_count:
                 raise ValueError(
                     f"index covers {index.row_count} rows, table has {table.row_count}")
-            if node.partition is not None:
-                flags = index.mask_for_partition(node.partition)[ids - part_lo]
+            if node.mode == "exclude_patches":
+                where = ("mask", [~index.mask_for_partition(p)
+                                  if node.partition in (None, p) else None
+                                  for p in range(len(table.partitions))])
             else:
-                flags = index.global_patch_mask()[ids]
-            keep = ~flags if node.mode == "exclude_patches" else flags
-            ids = ids[keep]
-            cols = {c: a[keep] for c, a in cols.items()}
+                where = ("rows", index.global_patch_rows(node.partition))
+        ids, cols = table.scan(node.columns, scan_range=rng, where=where)
         out = {"rowid": ids}
         out.update(cols)
         return Relation(out)
@@ -187,7 +234,7 @@ class Executor:
             mask = (rel.columns[col] >= lo) & (rel.columns[col] <= hi)
         elif kind == "in":
             _, col, values = node.predicate
-            return rel.take(in_positions(rel.columns[col], np.unique(values)))
+            return rel.take(in_positions(rel.columns[col], sort_unique(values)))
         elif kind == "==":
             _, col, v = node.predicate
             mask = rel.columns[col] == v
@@ -201,11 +248,11 @@ class Executor:
 
     def _op_distinct(self, node):
         rel = self._exec(node.children[0])
-        return Relation({node.key: np.unique(rel.columns[node.key])})
+        return Relation({node.key: sort_unique(rel.columns[node.key])})
 
     def _op_group_count(self, node):
         rel = self._exec(node.children[0])
-        keys, counts = np.unique(rel.columns[node.key], return_counts=True)
+        keys, counts = sort_unique(rel.columns[node.key], return_counts=True)
         return Relation({node.key: keys, "count": counts.astype(np.int64)})
 
     def _op_const_count(self, node):
@@ -224,7 +271,9 @@ class Executor:
 
     @staticmethod
     def _combine(left, right, left_idx, right_idx):
-        out = {c: a[left_idx] for c, a in left.columns.items()}
+        """Joined rows; left_idx None passes the left columns through."""
+        out = (dict(left.columns) if left_idx is None
+               else {c: a[left_idx] for c, a in left.columns.items()})
         for c, a in right.columns.items():
             name = c if c not in out else c + "_r"
             out[name] = a[right_idx]
@@ -260,18 +309,9 @@ class Executor:
     def _op_merge_join(self, node):
         left = self._exec(node.children[0])
         right = self._exec(node.children[1])
-        lk = left.columns[node.left_key]
-        rk = right.columns[node.right_key]
-        if len(rk) > 1 and not np.all(np.diff(rk) > 0):
-            raise ValueError("merge join needs a sorted unique right side")
-        if len(lk) > 1 and not np.all(np.diff(lk) >= 0):
-            raise ValueError("merge join needs a sorted left side")
-        if len(rk) == 0 or len(lk) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return self._combine(left, right, empty, empty)
-        pos = np.minimum(np.searchsorted(rk, lk), len(rk) - 1)
-        match = rk[pos] == lk
-        return self._combine(left, right, np.flatnonzero(match), pos[match])
+        left_idx, right_idx = merge_join_positions(
+            left.columns[node.left_key], right.columns[node.right_key])
+        return self._combine(left, right, left_idx, right_idx)
 
     # stream combination
 
@@ -612,7 +652,7 @@ def explain(plan, cost=True):
         label = {
             "select": lambda: f"Select{node.predicate!r}",
             "project": lambda: f"Project({', '.join(node.columns)})",
-            "distinct": lambda: f"HashAggregateDistinct({node.key})",
+            "distinct": lambda: f"SortDistinct({node.key})",
             "group_count": lambda: f"GroupAggregate({node.key})",
             "const_count": lambda: f"ConstCount({node.key})",
             "sort": lambda: f"Sort({node.key} {node.order.value})",

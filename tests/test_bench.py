@@ -86,6 +86,29 @@ class TestBenchQuery:
                               plans=("naive", "patchindex", "patchindex-zbp"))
         assert len(reports) == 3
 
+    def test_median_of_warm_runs(self, monkeypatch):
+        from patchindex import bench as bench_mod
+        t, idx = self._indexed("nuc", 0.2)
+        real_execute = bench_mod.execute
+        calls = []
+
+        def counted(plan):
+            calls.append(plan)
+            return real_execute(plan)
+
+        # each timed run reads the clock twice; durations 1, 2, 100, 3, 4
+        ticks = [0]
+        for d in [1, 2, 100, 3, 4] * 2:
+            ticks += [ticks[-1] + d, ticks[-1] + d + 10]
+        clock = iter(ticks)
+        monkeypatch.setattr(bench_mod, "execute", counted)
+        monkeypatch.setattr(bench_mod.time, "perf_counter_ns",
+                            lambda: next(clock))
+        reports = bench_query(t, "distinct", idx, plans=("naive", "patchindex"))
+        # the baseline doubles as the naive warm-up; the rewrite gets its own
+        assert len(calls) == 1 + bench_mod.QUERY_REPEATS + 1 + bench_mod.QUERY_REPEATS
+        assert [r.runtime_ns for r in reports] == [3, 3]
+
     def test_tampered_result_detected(self, monkeypatch):
         from patchindex import bench as bench_mod
         t, idx = self._indexed("nuc", 0.2)

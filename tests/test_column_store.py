@@ -3,7 +3,7 @@ import pytest
 
 from patchindex import _native
 from patchindex.column_store import (ColumnTable, ScanRange, _block_minmax,
-                                     in_positions)
+                                     in_positions, sort_unique)
 from patchindex.patch_index import NULL_VALUE
 
 needs_compiler = pytest.mark.skipif(_native.COMPILER is None,
@@ -248,6 +248,114 @@ class TestUpdates:
                 model = np.delete(model, ids)
         _, cols = t.scan(["value"])
         assert np.array_equal(cols["value"], model)
+
+
+    @pytest.mark.parametrize("block_size", [16, 24])
+    def test_modify_block_summaries_match_full_rebuild(self, block_size):
+        # 1000 rows: 16 divides them, 24 leaves a partial last block
+        rng = np.random.default_rng(block_size)
+        t = make_table(rng.integers(0, 10**6, size=3000), partitions=3,
+                       block_size=block_size)
+        last = t.partition_offsets()[1] - 1
+        batches = [np.array([last]), np.array([0, last]),
+                   rng.choice(3000, size=1000, replace=False)]
+        batches += [rng.choice(3000, size=k, replace=False)
+                    for k in (1, 5, 40, 200)]
+        for ids in batches:
+            vals = rng.integers(-10**6, 2 * 10**6, size=len(ids))
+            t.modify_rows(np.sort(ids), {"value": vals[np.argsort(ids)]})
+            for p in t.partitions:
+                mins, maxs = _block_minmax(p.columns["value"], block_size)
+                assert np.array_equal(p.minmax["value"][0], mins)
+                assert np.array_equal(p.minmax["value"][1], maxs)
+
+    def test_rebuild_no_blocks_is_noop(self):
+        t = make_table(np.arange(100), partitions=1, block_size=16)
+        before = [a.copy() for a in t.partitions[0].minmax["value"]]
+        t.partitions[0].rebuild_minmax_blocks("value", np.zeros(0, np.int64))
+        for a, b in zip(before, t.partitions[0].minmax["value"]):
+            assert np.array_equal(a, b)
+
+
+class TestRowFilters:
+    def _table(self):
+        rng = np.random.default_rng(8)
+        t = make_table(rng.integers(0, 100, size=300), partitions=3,
+                       block_size=16)
+        t.insert_rows({"key": np.arange(300, 310),
+                       "value": rng.integers(0, 100, size=10)})
+        _, full = t.scan()
+        return t, full
+
+    def test_mask_filter(self):
+        t, full = self._table()
+        rng = np.random.default_rng(1)
+        masks = [rng.random(p.total_rows) < 0.4 for p in t.partitions]
+        keep = np.concatenate(masks)
+        ids, cols = t.scan(["value"], where=("mask", masks))
+        assert np.array_equal(ids, np.flatnonzero(keep))
+        assert np.array_equal(cols["value"], full["value"][keep])
+        r = ScanRange([(50, 120), (295, 305)])
+        ids, _ = t.scan(["value"], scan_range=r, where=("mask", masks))
+        inside = np.zeros(len(keep), dtype=bool)
+        inside[50:120] = inside[295:305] = True
+        assert np.array_equal(ids, np.flatnonzero(keep & inside))
+
+    def test_mask_of_unscanned_partition_not_read(self):
+        t, full = self._table()
+        masks = [None, np.ones(t.partitions[1].total_rows, dtype=bool), None]
+        ids, cols = t.scan(["key"], scan_range=ScanRange([(100, 200)]),
+                           where=("mask", masks))
+        assert np.array_equal(ids, np.arange(100, 200))
+        assert np.array_equal(cols["key"], full["key"][100:200])
+
+    def test_mask_length_checked(self):
+        t, _ = self._table()
+        masks = [np.ones(p.total_rows, dtype=bool) for p in t.partitions]
+        masks[2] = masks[2][:-1]  # misses the delta's last row
+        with pytest.raises(ValueError):
+            t.scan(["value"], where=("mask", masks))
+
+    def test_rows_filter(self):
+        t, full = self._table()
+        rows = np.array([0, 5, 99, 100, 199, 200, 299, 300, 309])
+        ids, cols = t.scan(["key", "value"], where=("rows", rows))
+        assert np.array_equal(ids, rows)
+        assert np.array_equal(cols["value"], full["value"][rows])
+        r = ScanRange([(5, 100), (300, 305)])
+        ids, cols = t.scan(["key"], scan_range=r, where=("rows", rows))
+        assert ids.tolist() == [5, 99, 300]
+        assert np.array_equal(cols["key"], full["key"][ids])
+        ids, cols = t.scan(["key"], where=("rows", []))
+        assert len(ids) == len(cols["key"]) == 0
+
+
+class TestSortUnique:
+    CASES = [
+        np.zeros(0, dtype=np.int64),
+        np.array([NULL_VALUE, 3, NULL_VALUE, -1]),
+        np.array([np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0,
+                  np.iinfo(np.int64).max]),
+        np.full(50, 7, dtype=np.int64),
+        np.array([42]),
+        np.random.default_rng(0).integers(-100, 100, size=5000),
+        np.array([b"b", b"a", b"bb", b"a", b""], dtype="S4"),
+    ]
+
+    @pytest.mark.parametrize("values", CASES, ids=lambda v: f"{v.dtype}-{len(v)}")
+    def test_matches_np_unique(self, values):
+        got = sort_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        got, counts = sort_unique(values, return_counts=True)
+        want, want_counts = np.unique(values, return_counts=True)
+        assert np.array_equal(got, want)
+        assert counts.dtype == want_counts.dtype
+        assert np.array_equal(counts, want_counts)
+
+    def test_accepts_lists(self):
+        assert sort_unique([3, 1, 3]).tolist() == [1, 3]
 
 
 class TestPersistence:

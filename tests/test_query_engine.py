@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from patchindex.column_store import ColumnTable
+from patchindex import _native
+from patchindex.column_store import ColumnTable, ScanRange
 from patchindex.patch_index import NSC_ASC, NUC, SortOrder, build_index
 from patchindex import query_engine as qe
 from patchindex.query_engine import (
     Executor, annotate, choose_plan, distinct_node, execute, explain,
-    group_count_node, hash_join_node, plan_cost, result_checksum,
+    group_count_node, hash_join_node, merge_join_node, merge_join_positions,
+    plan_cost, result_checksum,
     rewrite_distinct, rewrite_group_count, rewrite_join, rewrite_sort,
     scan_node, select_node, sort_node, zero_branch_prune,
 )
+
+
+needs_compiler = pytest.mark.skipif(_native.COMPILER is None,
+                                    reason="no C compiler (cc or gcc) on PATH")
 
 
 def make_table(values, partitions=2, block_size=64):
@@ -139,6 +146,159 @@ class TestScanModes:
         t = make_table(np.arange(10), partitions=2)
         rel = execute(qe.PlanNode("scan", table=t, columns=["value"], partition=1))
         assert rel.columns["rowid"].tolist() == [5, 6, 7, 8, 9]
+
+
+def split_scan_matches_mask(t, idx, scan_range, columns=("key", "value")):
+    """Every patch-split scan equals the full scan filtered by the mask."""
+    flags_all = idx.global_patch_mask()
+    for partition in [None, *range(len(t.partitions))]:
+        full = execute(scan_node(t, list(columns), scan_range=scan_range,
+                                 partition=partition))
+        flags = flags_all[full.columns["rowid"]]
+        for mode, keep in (("exclude_patches", ~flags), ("use_patches", flags)):
+            got = execute(scan_node(t, list(columns), mode=mode, index=idx,
+                                    scan_range=scan_range, partition=partition))
+            assert list(got.columns) == ["rowid", *columns]
+            for c, a in got.columns.items():
+                assert a.dtype == full.columns[c].dtype, (mode, partition, c)
+                assert np.array_equal(a, full.columns[c][keep]), (mode, partition, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 400), nparts=st.integers(1, 3),
+       store=st.sampled_from(["bitmap", "identifiers"]),
+       deletes=st.integers(0, 60), delta=st.integers(0, 20),
+       ranges=st.one_of(st.none(), st.lists(
+           st.tuples(st.integers(0, 450), st.integers(0, 120)), max_size=4)),
+       seed=st.integers(0, 2**31))
+def test_patch_split_scan_equals_filtered_full_scan(n, nparts, store, deletes,
+                                                    delta, ranges, seed):
+    rng = np.random.default_rng(seed)
+    t = make_table(rng.integers(0, 60, size=n), partitions=nparts,
+                   block_size=16)
+    idx = build_index([p.columns["value"] for p in t.partitions], NUC,
+                      store=store, shard_size_bits=64)
+    deletes = min(deletes, t.row_count)
+    if deletes:
+        rows = np.sort(rng.choice(t.row_count, size=deletes, replace=False))[::-1]
+        t.delete_rows(rows)
+        idx.drop_rows(rows)
+    if delta:
+        start = t.row_count
+        t.insert_rows({"key": np.arange(delta),
+                       "value": rng.integers(0, 60, size=delta)})
+        idx.grow_last(delta)
+        idx.add_patches(start + np.flatnonzero(rng.random(delta) < 0.5))
+    scan_range = (None if ranges is None else
+                  ScanRange.normalized([(a, a + k) for a, k in ranges]))
+    split_scan_matches_mask(t, idx, scan_range)
+
+
+def test_patch_split_scan_with_lost_bits():
+    rng = np.random.default_rng(4)
+    t = make_table(rng.integers(0, 300, size=3000), partitions=3, block_size=64)
+    idx = build_index([p.columns["value"] for p in t.partitions], NUC,
+                      store="bitmap", shard_size_bits=128)
+    rows = np.sort(rng.choice(3000, size=400, replace=False))[::-1]
+    t.delete_rows(rows)
+    idx.drop_rows(rows)
+    t.insert_rows({"key": np.arange(30), "value": rng.integers(0, 300, size=30)})
+    idx.grow_last(30)
+    idx.add_patches(np.arange(t.row_count - 30, t.row_count, 3))
+    assert all(p.store._bits.lost_bits > 0 for p in idx.partitions)
+    assert 0 < idx.patch_count < t.row_count
+    split_scan_matches_mask(t, idx, None)
+    split_scan_matches_mask(t, idx, ScanRange([(10, 700), (1500, 2620)]))
+
+
+def merge_join_oracle(lk, rk):
+    pairs = [(i, j) for i, v in enumerate(lk) for j, w in enumerate(rk) if v == w]
+    return (np.array([i for i, _ in pairs], dtype=np.int64),
+            np.array([j for _, j in pairs], dtype=np.int64))
+
+
+class TestMergeJoinPositions:
+    I64 = np.iinfo(np.int64)
+    CASES = [
+        ([], []),
+        ([], [1, 2]),
+        ([1, 2], []),
+        ([1, 1, 2], [5, 6]),                                # no matches
+        ([3, 3, 3, 4, 4, 9], [3, 4, 9]),                    # duplicate left keys
+        ([-7, -7, -2, 0, 5, 11, 40], [-7, -3, 0, 5, 10]),   # outside the range
+        ([I64.min, -1, 0, I64.max], [I64.min, 0, I64.max]),
+        ([0, 1, 2, 3], [0, 1, 2, 3]),                       # every row matches
+        (list(range(-50, 150, 3)) * 1, list(range(0, 100, 2))),
+    ]
+
+    def _check(self, fn, lk, rk):
+        lk, rk = np.array(lk, dtype=np.int64), np.array(rk, dtype=np.int64)
+        left_idx, right_idx = fn(lk, rk)
+        want_l, want_r = merge_join_oracle(lk, rk)
+        if left_idx is None:
+            left_idx = np.arange(len(lk))
+        else:
+            assert len(left_idx) < len(lk)
+        assert np.array_equal(left_idx, want_l), (lk, rk)
+        assert np.array_equal(right_idx, want_r), (lk, rk)
+
+    @pytest.mark.parametrize("lk,rk", CASES)
+    def test_reference_matches_oracle(self, lk, rk):
+        self._check(qe._merge_join_reference, lk, rk)
+
+    @needs_compiler
+    @pytest.mark.parametrize("lk,rk", CASES)
+    def test_kernel_matches_oracle(self, lk, rk):
+        assert _native.lib is not None, "C kernels failed to build"
+        self._check(merge_join_positions, lk, rk)
+
+    @needs_compiler
+    def test_kernel_matches_reference_random(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            lk = np.sort(rng.integers(-200, 200, size=int(rng.integers(0, 3000))))
+            rk = np.unique(rng.integers(-150, 250, size=int(rng.integers(0, 300))))
+            got = merge_join_positions(lk, rk)
+            want = qe._merge_join_reference(lk, rk)
+            assert (got[0] is None) == (want[0] is None)
+            if got[0] is not None:
+                assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("fn", [merge_join_positions,
+                                    qe._merge_join_reference])
+    def test_unsorted_inputs_raise(self, fn):
+        ok = np.array([1, 2, 2, 5], dtype=np.int64)
+        bad_left = np.array([1, 3, 2, 5], dtype=np.int64)
+        with pytest.raises(ValueError, match="sorted left"):
+            fn(bad_left, ok[[0, 1, 3]])
+        # the violation sits past the last right key, after the merge ends
+        with pytest.raises(ValueError, match="sorted left"):
+            fn(np.array([1, 2, 9, 8], dtype=np.int64), np.array([1, 2]))
+        for bad_right in ([1, 3, 2], [1, 2, 2], [4, 4]):
+            with pytest.raises(ValueError, match="sorted unique right"):
+                fn(ok, np.array(bad_right, dtype=np.int64))
+        with pytest.raises(ValueError, match="sorted unique right"):
+            fn(np.zeros(0, dtype=np.int64), np.array([2, 1], dtype=np.int64))
+
+    def test_non_int64_keys_use_reference(self):
+        lk = np.array([1, 2, 2, 4], dtype=np.int32)
+        rk = np.array([2, 4], dtype=np.int32)
+        left_idx, right_idx = merge_join_positions(lk, rk)
+        assert left_idx.tolist() == [1, 2, 3]
+        assert right_idx.tolist() == [0, 0, 1]
+
+    def test_operator_passes_matched_left_through(self):
+        fact = make_table([1, 1, 2, 3], partitions=1)
+        dim = ColumnTable.from_partitions([{
+            "value": np.array([1, 2, 3], dtype=np.int64),
+            "payload": np.array([10, 20, 30], dtype=np.int64)}])
+        rel = execute(merge_join_node(scan_node(fact, ["value"]),
+                                      scan_node(dim, ["value", "payload"]),
+                                      "value", "value"))
+        assert rel.columns["payload"].tolist() == [10, 10, 20, 30]
+        assert rel.columns["rowid"].tolist() == [0, 1, 2, 3]
+        assert rel.columns["value_r"].tolist() == [1, 1, 2, 3]
 
 
 class TestRewriteDistinct:
@@ -357,3 +517,5 @@ class TestExplain:
         assert lines[1].startswith("  Project")
         assert "cost=" in lines[0]
         assert any("Scan[use_patches]" in ln for ln in lines)
+        assert any("SortDistinct(value)" in ln for ln in lines)
+        assert "HashAggregate" not in text

@@ -247,6 +247,21 @@ class TestNativeLoader:
             "want = np.flatnonzero(np.isin(full, keys))\n"
             "assert np.array_equal(ids, want) and len(want) == 11\n"
             "assert np.array_equal(cols['value'], full[want])\n"
+            "from patchindex.bench import build_query_plans\n"
+            "from patchindex.patch_index import NSC_ASC, build_index\n"
+            "from patchindex.query_engine import execute, result_checksum\n"
+            "fk = np.sort(np.arange(2000) % 90)\n"
+            "fk[::37] = 45\n"
+            "fact = ColumnTable.from_partitions([{'value': fk[:900]},\n"
+            "                                    {'value': fk[900:]}], 64)\n"
+            "idx = build_index([p.columns['value'] for p in fact.partitions],\n"
+            "                  NSC_ASC)\n"
+            "dim = ColumnTable.from_partitions([{'value': np.arange(80),\n"
+            "                                   'payload': np.arange(80) * 3}])\n"
+            "naive, plan = build_query_plans('join', fact, idx, dim)\n"
+            "a, b = execute(naive), execute(plan)\n"
+            "assert idx.patch_count > 0 and 0 < a.nrows < 2000\n"
+            "assert result_checksum(a) == result_checksum(b)\n"
             "print(_native.BACKEND, _native.lib,\n"
             "      sum(w.category is RuntimeWarning for w in caught))\n")
         src = Path(patchindex.__file__).resolve().parent.parent
