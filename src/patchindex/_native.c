@@ -1,5 +1,5 @@
-/* Compiled inner loops: shard-local bit deletion, column membership and the
- * merge join.
+/* Compiled inner loops: shard-local bit deletion, column membership, the
+ * merge join and the hash join.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -11,6 +11,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Delete bits at descending in-shard offsets, one word at a time.
  *
@@ -217,5 +218,55 @@ int64_t pi_merge_join(const int64_t *lk, int64_t nl, const int64_t *rk,
         ridx[count] = j;
         count += j < nr && rk[j] == v;
     }
+    return count;
+}
+
+/* Hash join of probe keys pk[0:np] against build keys bk[0:nb] through a
+ * chained table: a power-of-two head array with at least 2 * nb slots,
+ * indexed by the hash of filter_slot, and a next array over the build rows.
+ * Build rows are inserted in reverse, so every chain yields its build
+ * positions in ascending order.
+ *
+ * Writes matching (probe, build) position pairs to pidx and bidx in probe
+ * order, ties in ascending build position, while fewer than cap are
+ * written, and returns the total number of pairs (which may exceed cap),
+ * or -1 when the table cannot be allocated. */
+int64_t pi_hash_join(const int64_t *bk, int64_t nb, const int64_t *pk,
+                     int64_t np, int64_t *pidx, int64_t *bidx, int64_t cap)
+{
+    if (nb == 0 || np == 0)
+        return 0;
+    int log2 = 1;
+    while (((int64_t)1 << log2) < 2 * nb)
+        log2++;
+    const int shift = 64 - log2;
+    int64_t *head = malloc(((size_t)1 << log2) * sizeof *head);
+    int64_t *next = malloc((size_t)nb * sizeof *next);
+    if (head == NULL || next == NULL) {
+        free(head);
+        free(next);
+        return -1;
+    }
+    memset(head, 0xff, ((size_t)1 << log2) * sizeof *head); /* all -1 */
+    for (int64_t j = nb - 1; j >= 0; j--) {
+        const uint64_t h = filter_slot(bk[j], shift);
+        next[j] = head[h];
+        head[h] = j;
+    }
+    int64_t count = 0;
+    for (int64_t i = 0; i < np; i++) {
+        const int64_t v = pk[i];
+        for (int64_t j = head[filter_slot(v, shift)]; j >= 0; j = next[j]) {
+            if (bk[j] != v)
+                continue;
+            if (count < cap) {
+                pidx[count] = i;
+                bidx[count] = j;
+            }
+            count++;
+        }
+    }
+    free(head);
+    free(next);
     return count;
 }

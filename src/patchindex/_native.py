@@ -7,8 +7,9 @@ a hash of the source, the flags and the machine type, and loaded through
 ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
 their numpy references instead: ``sharded_bitmap`` its shift,
-``column_store`` its membership test (``in_positions``) and
-``query_engine`` its merge join (``merge_join_positions``).
+``column_store`` its membership test (``in_positions``), and
+``query_engine`` its merge join (``merge_join_positions``) and its hash
+join (``hash_join_positions``).
 
 Module attributes:
 
@@ -50,6 +51,7 @@ _SIGNATURES = {
     "pi_delete_groups": ((_P, _P, _P, _P, _P, _P, _I, _I, ctypes.c_int), None),
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
     "pi_merge_join": ((_P, _I, _P, _I, _P, _P), _I),
+    "pi_hash_join": ((_P, _I, _P, _I, _P, _P, _I), _I),
 }
 
 

@@ -24,6 +24,7 @@ CSV_HEADER = "experiment,param,variant,runtime_ns,rows,patches,memory_bytes,bloc
 
 SHARD_SWEEP_SIZES = tuple(1 << p for p in range(8, 20))
 QUERY_REPEATS = 5  # timed runs per plan, after one untimed warm-up run
+SHARD_SWEEP_REPEATS = 3  # timed deletes per (size, variant), each on a fresh bitmap
 UPDATE_GRANULARITIES = (5, 10, 50, 100, 500, 1000)
 
 
@@ -97,7 +98,11 @@ class PlainBitVector:
 
 def bench_shard_sweep(bits=10**7, deletes=10**5, shard_sizes=SHARD_SWEEP_SIZES,
                       seed=0, threads=None):
-    """Bulk-delete runtime over a range of shard sizes, two variants."""
+    """Bulk-delete runtime over a range of shard sizes, two variants.
+
+    Each (size, variant) deletes the same positions from a fresh bitmap
+    SHARD_SWEEP_REPEATS times; the report carries the median.
+    """
     rng = np.random.default_rng(seed)
     positions = np.sort(rng.choice(bits, size=deletes, replace=False))[::-1]
     nthreads = threads if threads is not None else default_threads()
@@ -105,13 +110,15 @@ def bench_shard_sweep(bits=10**7, deletes=10**5, shard_sizes=SHARD_SWEEP_SIZES,
     for size in shard_sizes:
         for variant, impl, nt in (("scalar", "scalar", 1),
                                   ("parallel_lanes", "lanes", nthreads)):
-            bm = ShardedBitmap(bits, size, shift_impl=impl)
-            t0 = time.perf_counter_ns()
-            bm.bulk_delete(positions, threads=nt)
-            dt = time.perf_counter_ns() - t0
+            times = []
+            for _ in range(SHARD_SWEEP_REPEATS):
+                bm = ShardedBitmap(bits, size, shift_impl=impl)
+                t0 = time.perf_counter_ns()
+                bm.bulk_delete(positions, threads=nt)
+                times.append(time.perf_counter_ns() - t0)
             reports.append(WorkloadReport(
-                "shard_sweep", size, variant, dt, rows=bits, patches=deletes,
-                memory_bytes=bm.memory_bytes()))
+                "shard_sweep", size, variant, int(statistics.median(times)),
+                rows=bits, patches=deletes, memory_bytes=bm.memory_bytes()))
     return reports
 
 

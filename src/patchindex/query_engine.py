@@ -168,6 +168,49 @@ def _merge_join_reference(lk, rk):
     return np.flatnonzero(match), pos[match]
 
 
+def hash_join_positions(build_keys, probe_keys):
+    """Matching (probe, build) row positions of an equi-join.
+
+    Returns (probe_idx, build_idx) in probe order, ties in ascending build
+    position. int64 keys run the compiled kernel, one build and one probe
+    pass over a chained hash table; anything else, or a missing build,
+    runs the numpy reference, a sort of the build keys and two binary
+    searches per probe key. Both give the same pairs in the same order.
+    """
+    lib = _native.lib
+    if lib is None or build_keys.dtype != np.int64 or probe_keys.dtype != np.int64:
+        return _hash_join_reference(build_keys, probe_keys)
+    bk = np.ascontiguousarray(build_keys)
+    pk = np.ascontiguousarray(probe_keys)
+    # room for one match per probe row covers a many-to-one join in one
+    # call; a larger result is rerun with its exact size
+    cap = len(pk)
+    while True:
+        probe_idx = np.empty(cap, dtype=np.int64)
+        build_idx = np.empty(cap, dtype=np.int64)
+        total = lib.pi_hash_join(bk.ctypes.data, len(bk), pk.ctypes.data,
+                                 len(pk), probe_idx.ctypes.data,
+                                 build_idx.ctypes.data, cap)
+        if total < 0:
+            raise MemoryError("hash join: cannot allocate the hash table")
+        if total <= cap:
+            return probe_idx[:total], build_idx[:total]
+        cap = total
+
+
+def _hash_join_reference(bk, pk):
+    order = np.argsort(bk, kind="stable")
+    sorted_bk = bk[order]
+    lo = np.searchsorted(sorted_bk, pk, side="left")
+    hi = np.searchsorted(sorted_bk, pk, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    probe_idx = np.repeat(np.arange(len(pk)), counts)
+    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    build_idx = order[np.repeat(lo, counts) + within]
+    return probe_idx, build_idx
+
+
 class Executor:
     """Evaluates a plan tree; ReuseCache results are shared per execution."""
 
@@ -291,17 +334,8 @@ class Executor:
         else:
             build, probe = right, left
             bkey, pkey = node.right_key, node.left_key
-        order = np.argsort(build.columns[bkey], kind="stable")
-        bk = build.columns[bkey][order]
-        pk = probe.columns[pkey]
-        lo = np.searchsorted(bk, pk, side="left")
-        hi = np.searchsorted(bk, pk, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        probe_idx = np.repeat(np.arange(len(pk)), counts)
-        cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        within = np.arange(total) - np.repeat(cum, counts)
-        build_idx = order[np.repeat(lo, counts) + within]
+        probe_idx, build_idx = hash_join_positions(build.columns[bkey],
+                                                   probe.columns[pkey])
         if side == "left":
             return self._combine(left, right, build_idx, probe_idx)
         return self._combine(left, right, probe_idx, build_idx)
@@ -403,9 +437,7 @@ def node_cost(plan):
         return _W_SELECT * plan.children[0].est_rows
     if op in ("project", "reuse_load"):
         return 0.0
-    if op in ("distinct", "group_count"):
-        return _W_HASH * plan.children[0].est_rows
-    if op == "sort":
+    if op in ("distinct", "group_count", "sort"):
         n = plan.children[0].est_rows
         return n * math.log2(max(n, 2))
     if op == "hash_join":

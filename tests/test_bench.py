@@ -59,6 +59,29 @@ class TestShardSweep:
         assert variants == {"scalar", "parallel_lanes"}
         assert all(r.runtime_ns > 0 for r in reports)
 
+    def test_reports_median_of_repeats(self, monkeypatch):
+        from patchindex import bench as bench_mod
+        built = []
+        real_bitmap = bench_mod.ShardedBitmap
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real_bitmap(*args, **kwargs)
+
+        # each timed delete reads the clock twice; scalar takes 5, 1, 3 and
+        # parallel_lanes 2, 100, 4
+        ticks = [0]
+        for d in [5, 1, 3, 2, 100, 4]:
+            ticks += [ticks[-1] + d, ticks[-1] + d + 10]
+        clock = iter(ticks)
+        monkeypatch.setattr(bench_mod, "ShardedBitmap", counted)
+        monkeypatch.setattr(bench_mod.time, "perf_counter_ns",
+                            lambda: next(clock))
+        reports = bench_shard_sweep(bits=4096, deletes=100, shard_sizes=(256,))
+        assert len(built) == 2 * bench_mod.SHARD_SWEEP_REPEATS == 6
+        assert [(r.variant, r.runtime_ns) for r in reports] == [
+            ("scalar", 3), ("parallel_lanes", 4)]
+
 
 class TestBenchQuery:
     def _indexed(self, kind, e, rows=4000, value_domain=None):

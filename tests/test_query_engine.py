@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from patchindex import _native
 from patchindex.column_store import ColumnTable, ScanRange
-from patchindex.patch_index import NSC_ASC, NUC, SortOrder, build_index
+from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, SortOrder,
+                                    build_index)
 from patchindex import query_engine as qe
 from patchindex.query_engine import (
     Executor, annotate, choose_plan, distinct_node, execute, explain,
-    group_count_node, hash_join_node, merge_join_node, merge_join_positions,
-    plan_cost, result_checksum,
+    group_count_node, hash_join_node, hash_join_positions, merge_join_node,
+    merge_join_positions, plan_cost, result_checksum,
     rewrite_distinct, rewrite_group_count, rewrite_join, rewrite_sort,
     scan_node, select_node, sort_node, zero_branch_prune,
 )
@@ -299,6 +300,163 @@ class TestMergeJoinPositions:
         assert rel.columns["payload"].tolist() == [10, 10, 20, 30]
         assert rel.columns["rowid"].tolist() == [0, 1, 2, 3]
         assert rel.columns["value_r"].tolist() == [1, 1, 2, 3]
+
+
+def same_bucket_keys(nkeys, seed=0):
+    """nkeys distinct int64 keys that the kernel's multiplicative hash puts
+    into one slot of the table it sizes for nkeys build rows."""
+    log2 = max(1, int(2 * nkeys - 1).bit_length())
+    rng = np.random.default_rng(seed)
+    cand = np.unique(rng.integers(-2**62, 2**62, size=400 * (1 << log2)))
+    slot = (cand.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - log2)
+    keys = cand[slot == np.bincount(slot.astype(np.int64)).argmax()]
+    assert len(keys) >= nkeys
+    return keys[:nkeys]
+
+
+@pytest.fixture(params=["kernel", "reference"])
+def join_backend(request, monkeypatch):
+    """Run a test on the compiled kernels and on the numpy references."""
+    if request.param == "kernel":
+        if _native.COMPILER is None:
+            pytest.skip("no C compiler (cc or gcc) on PATH")
+        assert _native.lib is not None, "C kernels failed to build"
+    else:
+        monkeypatch.setattr(_native, "lib", None)
+    return request.param
+
+
+class TestHashJoinPositions:
+    I64 = np.iinfo(np.int64)
+    BUCKET = same_bucket_keys(40).tolist()
+    CASES = [  # (build, probe)
+        ([], []),
+        ([], [1, 2]),
+        ([1, 2], []),
+        ([5, 6], [1, 1, 2]),                                # no matches
+        ([5], [5, 3, 5]),                                   # one build row
+        ([3, 3, 1, 3, 2, 2], [3, 2, 3, 7, 2]),              # 10 pairs > 5 probes
+        ([2, 3, 4], [1, 2, 2, 3, 7, 3]),                    # many-to-one
+        ([-7, 4, -7, 0, 9], [0, -7, -3, -7, 9]),
+        ([I64.min, -1, 0, I64.max, NULL_VALUE, I64.max],
+         [I64.max, NULL_VALUE, 1, I64.min, 0, -1]),
+        ([k << 52 for k in range(-2048, 2048, 3)],
+         [k << 52 for k in range(-2048, 2048)]),
+        (BUCKET[:32] + BUCKET[:8], BUCKET[::-1] + [1, 2]),  # 40 rows, one slot
+    ]
+
+    def _check(self, build, probe):
+        bk, pk = np.array(build, dtype=np.int64), np.array(probe, dtype=np.int64)
+        got = hash_join_positions(bk, pk)
+        want_p, want_b = merge_join_oracle(pk, bk)
+        assert np.array_equal(got[0], want_p), (bk, pk)
+        assert np.array_equal(got[1], want_b), (bk, pk)
+
+    @pytest.mark.parametrize("build,probe", CASES)
+    def test_matches_oracle(self, join_backend, build, probe):
+        self._check(build, probe)
+
+    @needs_compiler
+    def test_kernel_matches_reference_random(self):
+        rng = np.random.default_rng(12)
+        for domain in (3, 40, 1000, 2**62):
+            for _ in range(8):
+                bk = rng.integers(-domain, domain, size=int(rng.integers(0, 700)))
+                pk = rng.integers(-domain, domain, size=int(rng.integers(0, 2000)))
+                got = hash_join_positions(bk, pk)
+                want = qe._hash_join_reference(bk, pk)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    @needs_compiler
+    def test_kernel_writes_at_most_cap_pairs(self):
+        bk = np.array([3, 3, 1, 3, 2, 2], dtype=np.int64)
+        pk = np.array([3, 2, 3, 7, 2], dtype=np.int64)
+        want_p, want_b = qe._hash_join_reference(bk, pk)
+        assert len(want_p) == 10
+        for cap in (0, 3, 10):
+            pidx = np.full(cap + 4, -9, dtype=np.int64)
+            bidx = np.full(cap + 4, -9, dtype=np.int64)
+            total = _native.lib.pi_hash_join(bk.ctypes.data, len(bk),
+                                             pk.ctypes.data, len(pk),
+                                             pidx.ctypes.data,
+                                             bidx.ctypes.data, cap)
+            assert total == 10
+            assert np.array_equal(pidx[:cap], want_p[:cap])
+            assert np.array_equal(bidx[:cap], want_b[:cap])
+            assert (pidx[cap:] == -9).all() and (bidx[cap:] == -9).all()
+
+    @pytest.mark.parametrize("dtype", [np.int32, "S3"])
+    def test_non_int64_keys_use_reference(self, monkeypatch, dtype):
+        calls = []
+        reference = qe._hash_join_reference
+
+        def spy(bk, pk):
+            calls.append(1)
+            return reference(bk, pk)
+
+        monkeypatch.setattr(qe, "_hash_join_reference", spy)
+        bk = np.array([4, 2, 4], dtype=np.int64).astype(dtype)
+        pk = np.array([2, 4, 5], dtype=np.int64).astype(dtype)
+        probe_idx, build_idx = hash_join_positions(bk, pk)
+        assert calls == [1]
+        assert probe_idx.tolist() == [0, 1, 1]
+        assert build_idx.tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_operator_rows_match_reference_in_order(self, monkeypatch, side):
+        rng = np.random.default_rng(6)
+        fact = make_table(rng.integers(0, 30, size=500), partitions=2)
+        dim = ColumnTable.from_partitions([{
+            "value": rng.integers(0, 40, size=60),
+            "payload": np.arange(60, dtype=np.int64)}])
+        plan = hash_join_node(scan_node(fact, ["value"]),
+                              scan_node(dim, ["value", "payload"]),
+                              "value", "value", build_side=side)
+        got = execute(plan)
+        monkeypatch.setattr(_native, "lib", None)
+        want = execute(plan)
+        assert got.nrows > 500
+        assert list(got.columns) == list(want.columns)
+        for c in want.columns:
+            assert np.array_equal(got.columns[c], want.columns[c]), c
+
+    def test_empty_probe_side(self, join_backend):
+        fact = make_table([1, 2, 2, 3])
+        dim = ColumnTable.from_partitions([{
+            "value": np.array([1, 2, 3], dtype=np.int64),
+            "payload": np.array([10, 20, 30], dtype=np.int64)}])
+        plan = hash_join_node(select_node(scan_node(fact, ["value"]),
+                                          ("==", "value", 99)),
+                              scan_node(dim, ["value", "payload"]),
+                              "value", "value", build_side="right")
+        rel = execute(plan)
+        assert rel.nrows == 0
+        assert sorted(rel.columns) == ["payload", "rowid", "rowid_r", "value",
+                                       "value_r"]
+
+    def test_rewrite_with_empty_patch_flow_building_right(self, join_backend):
+        # 130 patches, all below 5, against a 40-row dimension: the hash
+        # branch builds on the dimension and probes an empty patch flow
+        values = np.repeat(np.arange(40, dtype=np.int64), 30)
+        rng = np.random.default_rng(2)
+        values[rng.choice(np.arange(300, 1200), size=130, replace=False)] = \
+            rng.integers(0, 5, size=130)
+        fact = make_table(values, partitions=3)
+        idx = build_index([p.columns["value"] for p in fact.partitions], NSC_ASC)
+        dim = ColumnTable.from_partitions([{
+            "value": np.arange(40, dtype=np.int64),
+            "payload": np.arange(40, dtype=np.int64) * 7}])
+        naive = hash_join_node(select_node(scan_node(fact, ["value"]),
+                                           ("interval", "value", 35, 39)),
+                               scan_node(dim, ["value", "payload"]),
+                               "value", "value")
+        rewritten = rewrite_join(naive, idx)
+        assert idx.patch_count == 130
+        assert rewritten.children[1].build_side == "right"
+        a, b = execute(naive), execute(rewritten)
+        assert a.nrows == int(((values >= 35) & (values <= 39)).sum()) > 0
+        assert result_checksum(a) == result_checksum(b)
 
 
 class TestRewriteDistinct:
