@@ -1,5 +1,5 @@
 /* Compiled inner loops: shard-local bit deletion, column membership, the
- * merge join and the hash join.
+ * merge join, the hash join and longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -269,4 +269,52 @@ int64_t pi_hash_join(const int64_t *bk, int64_t nb, const int64_t *pk,
     free(head);
     free(next);
     return count;
+}
+
+/* Keep-mask of one longest non-decreasing (non-increasing when descending
+ * is set) subsequence of v[0:n], by the patience method in O(n log n).
+ *
+ * tails[k] is the smallest (largest, descending) tail of a run of length
+ * k + 1 and tidx[k] its position; each element goes to the bisect_right
+ * slot and links to the tail one slot below. The walk back from the last
+ * tail sets keep[i] to 1 for every kept element and 0 elsewhere. This is
+ * patchindex.patch_index.lss_keep_mask step for step, so the masks are
+ * identical. Returns the kept count, or -1 when allocation fails. */
+int64_t pi_lss_keep(const int64_t *v, int64_t n, int descending,
+                    uint8_t *keep)
+{
+    if (n == 0)
+        return 0;
+    int64_t *tails = malloc((size_t)n * sizeof *tails);
+    int64_t *tidx = malloc((size_t)n * sizeof *tidx);
+    int64_t *prev = malloc((size_t)n * sizeof *prev);
+    if (tails == NULL || tidx == NULL || prev == NULL) {
+        free(tails);
+        free(tidx);
+        free(prev);
+        return -1;
+    }
+    int64_t len = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t x = v[i];
+        int64_t lo = 0, hi = len;
+        while (lo < hi) {
+            const int64_t mid = lo + ((hi - lo) >> 1);
+            if (descending ? tails[mid] < x : tails[mid] > x)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        prev[i] = lo ? tidx[lo - 1] : -1;
+        tails[lo] = x;
+        tidx[lo] = i;
+        len += lo == len;
+    }
+    memset(keep, 0, (size_t)n);
+    for (int64_t i = tidx[len - 1]; i >= 0; i = prev[i])
+        keep[i] = 1;
+    free(tails);
+    free(tidx);
+    free(prev);
+    return len;
 }

@@ -7,9 +7,11 @@ a hash of the source, the flags and the machine type, and loaded through
 ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
 their numpy references instead: ``sharded_bitmap`` its shift,
-``column_store`` its membership test (``in_positions``), and
-``query_engine`` its merge join (``merge_join_positions``) and its hash
-join (``hash_join_positions``).
+``column_store`` its membership test (``in_positions``), ``query_engine``
+its merge join (``merge_join_positions``) and its hash join
+(``hash_join_positions``), and ``patch_index`` its longest sorted
+subsequence (``lss_keep``), which falls back to the Python patience loop
+``lss_keep_mask``.
 
 Module attributes:
 
@@ -52,6 +54,7 @@ _SIGNATURES = {
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
     "pi_merge_join": ((_P, _I, _P, _I, _P, _P), _I),
     "pi_hash_join": ((_P, _I, _P, _I, _P, _P, _I), _I),
+    "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
 }
 
 

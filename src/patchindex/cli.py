@@ -1,11 +1,15 @@
 """Command-line harness: dataset generation, indexing, queries, benchmarks.
 
-Exit codes: 0 success, 1 result-verification failure, 2 usage error.
+Exit codes: 0 success, 1 result-verification failure, 2 usage error. A
+usage error (bad arguments, a table file that cannot be read, an unknown
+or non-int64 column, a declined rewrite) prints one line to stderr.
 """
 
 import argparse
 import sys
 import time
+
+import numpy as np
 
 from . import _native
 from . import bench as bench_mod
@@ -26,6 +30,25 @@ def _constraint(text):
     if name == "nsc":
         return NSC_DESC if order == "desc" else NSC_ASC
     raise argparse.ArgumentTypeError(f"unknown constraint {text!r}")
+
+
+class UsageError(Exception):
+    """A user error: reported in one line on stderr, exit code 2."""
+
+
+def _load_table(path, column):
+    """The table at path, checked to hold column as an int64 column."""
+    try:
+        table = ColumnTable.load(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read table {path}: {exc}") from None
+    dtypes = dict(table.schema)
+    if column not in dtypes:
+        raise UsageError(f"unknown column {column!r}; {path} has "
+                         f"{', '.join(table.column_names)}")
+    if np.dtype(dtypes[column]) != np.int64:
+        raise UsageError(f"column {column!r} is not an int64 column")
+    return table
 
 
 def _build(table, column, constraint, store, threads=None):
@@ -72,7 +95,6 @@ def make_parser():
     q.add_argument("--explain", action="store_true",
                    help="print the operator tree instead of executing")
     q.add_argument("--csv-out", default=None)
-    q.add_argument("--format", choices=["csv"], default="csv")
 
     u = sub.add_parser("update", help="replay an update workload")
     u.add_argument("op", choices=["insert", "modify", "delete"])
@@ -145,7 +167,7 @@ def cmd_generate(args):
 
 
 def cmd_index(args):
-    table = ColumnTable.load(args.table)
+    table = _load_table(args.table, args.column)
     t0 = time.perf_counter()
     index = _build(table, args.column, args.constraint, args.store, args.threads)
     build_s = time.perf_counter() - t0
@@ -164,7 +186,7 @@ def cmd_index(args):
 
 
 def cmd_query(args):
-    table = ColumnTable.load(args.table)
+    table = _load_table(args.table, args.column)
     kind = NUC if args.query == "distinct" else NSC_ASC
     index = _build(table, args.column, kind, args.store)
     dim = dimension_table(args.dim_rows) if args.query == "join" else None
@@ -173,8 +195,7 @@ def cmd_query(args):
              "patchindex-zbp": zero_branch_prune(rewritten) if rewritten else None}
     plan = plans[args.plan]
     if plan is None:
-        print(f"{args.plan}: rewrite declined", file=sys.stderr)
-        return 1
+        raise UsageError(f"{args.plan}: rewrite declined")
     if args.explain:
         print(explain(plan))
         return 0
@@ -198,7 +219,7 @@ def cmd_query(args):
 
 
 def cmd_update(args):
-    table = ColumnTable.load(args.table)
+    table = _load_table(args.table, args.column)
     index = _build(table, args.column, args.constraint, args.store)
     prepared = bench_mod._prepared_updates(args.op, table.row_count, args.count,
                                            args.seed, key_start=table.row_count)
@@ -253,6 +274,9 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return 1
+    except UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

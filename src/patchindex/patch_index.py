@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column_store import sort_unique
+from . import _native
+from .column_store import in_positions, sort_unique
 from .sharded_bitmap import DEFAULT_SHARD_BITS, ShardedBitmap, default_threads
 
 # Sentinel for SQL NULL in int64 columns; always a patch under both constraints.
@@ -164,19 +165,26 @@ def make_store(variant, row_count, shard_size_bits=DEFAULT_SHARD_BITS):
 # discovery
 
 def nuc_patch_rows(values):
-    """RowIDs of every occurrence of a duplicated value, plus NULLs."""
+    """Ascending rowIDs of every occurrence of a duplicated value, plus NULLs.
+
+    One sort finds the duplicated values (equal sorted neighbours); the
+    membership filter then returns every position holding one of them.
+    """
     values = np.asarray(values, dtype=np.int64)
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    bad = (counts[inverse] > 1) | (values == NULL_VALUE)
-    return np.flatnonzero(bad)
+    s = np.sort(values)
+    dups = s[1:][s[1:] == s[:-1]]
+    # NULL_VALUE is the int64 minimum, so a NULL sorts first
+    nulls = s[:1][s[:1] == NULL_VALUE]
+    return in_positions(values, sort_unique(np.concatenate((nulls, dups))))
 
 
 def lss_keep_mask(values):
     """Keep-mask of one longest non-decreasing subsequence (patience method).
 
-    values is a plain Python sequence; runs in O(n log n).
+    The reference for the ``pi_lss_keep`` kernel and its no-compiler
+    fallback (see ``lss_keep``). values is any indexable sequence of
+    mutually comparable items; a list of Python ints runs fastest, since
+    the loop reads one element at a time. Runs in O(n log n).
     """
     n = len(values)
     keep = np.zeros(n, dtype=bool)
@@ -203,6 +211,26 @@ def lss_keep_mask(values):
     return keep
 
 
+def lss_keep(values, order=SortOrder.ASCENDING):
+    """Keep-mask of one longest monotone (ties allowed) subsequence.
+
+    values is an int64 array without NULLs. Runs the ``pi_lss_keep``
+    kernel, which releases the GIL, or ``lss_keep_mask`` when the kernels
+    are missing; both keep the same rows.
+    """
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    descending = order is SortOrder.DESCENDING
+    lib = _native.lib
+    if lib is None:
+        seq = values.tolist()
+        return lss_keep_mask([-v for v in seq] if descending else seq)
+    keep = np.empty(len(values), dtype=bool)
+    if lib.pi_lss_keep(values.ctypes.data, len(values), descending,
+                       keep.ctypes.data) < 0:
+        raise MemoryError("longest sorted subsequence allocation failed")
+    return keep
+
+
 def nsc_patch_rows(values, order=SortOrder.ASCENDING):
     """Minimal patch set for sortedness and the tail value of the kept run.
 
@@ -215,11 +243,7 @@ def nsc_patch_rows(values, order=SortOrder.ASCENDING):
     eligible = np.flatnonzero(values != NULL_VALUE)
     if eligible.size == 0:
         return np.arange(n, dtype=np.int64), None, None
-    seq = values[eligible].tolist()
-    if order is SortOrder.DESCENDING:
-        seq = [-v for v in seq]
-    keep_local = lss_keep_mask(seq)
-    kept = eligible[keep_local]
+    kept = eligible[lss_keep(values[eligible], order)]
     keep = np.zeros(n, dtype=bool)
     keep[kept] = True
     return np.flatnonzero(~keep), int(values[kept[-1]]), int(kept[-1])

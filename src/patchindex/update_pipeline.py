@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patch_index import (NULL_VALUE, ConstraintKind, SortOrder, lss_keep_mask,
+from .patch_index import (NULL_VALUE, ConstraintKind, SortOrder, lss_keep,
                           nuc_patch_rows)
 
 
@@ -96,10 +96,7 @@ def handle_insert_nsc(table, index, inserted_ids):
         eligible &= (values >= lsv) if ascending else (values <= lsv)
     keep = np.zeros(len(values), dtype=bool)
     if eligible.any():
-        seq = values[eligible].tolist()
-        if not ascending:
-            seq = [-v for v in seq]
-        keep[np.flatnonzero(eligible)[lss_keep_mask(seq)]] = True
+        keep[eligible] = lss_keep(values[eligible], index.constraint.order)
         pidx.last_sorted_value = int(values[np.flatnonzero(keep)[-1]])
 
     patches = inserted_ids[~keep]

@@ -1,6 +1,6 @@
 import pytest
 
-from patchindex import _native
+from patchindex import _native, cli
 from patchindex.cli import main
 
 
@@ -135,3 +135,60 @@ class TestBenchVerbs:
                    "--count", "40", "--granularities", "10", "40"])
         assert rc == 0
         assert "update_delete" in capsys.readouterr().out
+
+
+class TestErrorContract:
+    """User errors exit 2 with one line on stderr; 1 means verification."""
+
+    def _usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("patchindex: error: ")
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("verb", [["index", "stats"], ["query", "sort"],
+                                      ["update", "insert"]])
+    def test_missing_table_file(self, tmp_path, capsys, verb):
+        missing = tmp_path / "absent.pdx"
+        err = self._usage_error(verb + ["--table", str(missing)], capsys)
+        assert str(missing) in err
+
+    def test_not_a_table_file(self, tmp_path, capsys):
+        path = tmp_path / "junk.pdx"
+        path.write_bytes(b"not a table")
+        err = self._usage_error(["index", "stats", "--table", str(path)], capsys)
+        assert "bad magic" in err
+
+    @pytest.mark.parametrize("verb", [["index", "stats"], ["query", "distinct"],
+                                      ["update", "delete"]])
+    def test_unknown_column(self, dataset, capsys, verb):
+        err = self._usage_error(verb + ["--table", str(dataset),
+                                        "--column", "nope"], capsys)
+        assert "'nope'" in err and "value" in err
+
+    def test_bytes_column(self, tmp_path, capsys):
+        path = tmp_path / "pad.pdx"
+        assert main(["generate", "--kind", "nuc", "--rows", "100",
+                     "--pad-bytes", "4", "--out", str(path)]) == 0
+        capsys.readouterr()
+        err = self._usage_error(["index", "stats", "--table", str(path),
+                                 "--column", "pad"], capsys)
+        assert "not an int64 column" in err
+
+    def test_declined_rewrite(self, dataset, capsys, monkeypatch):
+        real = cli.build_query_plans
+        monkeypatch.setattr(cli, "build_query_plans",
+                            lambda *a: (real(*a)[0], None))
+        err = self._usage_error(["query", "distinct", "--table", str(dataset)],
+                                capsys)
+        assert "rewrite declined" in err
+        # the naive plan needs no rewrite
+        assert main(["query", "distinct", "--table", str(dataset),
+                     "--plan", "naive"]) == 0
+
+    def test_format_flag_removed(self, dataset):
+        with pytest.raises(SystemExit) as e:
+            main(["query", "distinct", "--table", str(dataset),
+                  "--format", "csv"])
+        assert e.value.code == 2

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchindex import _native
+from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (
-    NSC_ASC, NUC, NULL_VALUE, BitmapPatchStore, ConstraintKind,
+    NSC_ASC, NSC_DESC, NUC, NULL_VALUE, BitmapPatchStore, ConstraintKind,
     Constraint, IdentifierPatchStore, PatchIndex, SortOrder, build_index,
-    discover_nsc, discover_nuc, lss_keep_mask, nuc_patch_rows, nsc_patch_rows,
+    discover_nsc, discover_nuc, lss_keep, lss_keep_mask, nuc_patch_rows,
+    nsc_patch_rows,
 )
+from patchindex.update_pipeline import apply_insert
 
 from oracle import lss_length_dp
 
@@ -309,3 +313,175 @@ class TestTableIndex:
         assert s["patches"] == 2
         assert s["exception_rate"] == pytest.approx(2 / 3)
         assert s["store"] == "bitmap"
+
+
+# --------------------------------------------------------------------------
+# discovery kernels against their references
+
+I64 = np.iinfo(np.int64)
+
+needs_compiler = pytest.mark.skipif(_native.COMPILER is None,
+                                    reason="no C compiler (cc or gcc) on PATH")
+
+
+@pytest.fixture(params=["kernel", "reference"])
+def backend(request, monkeypatch):
+    """Run the test on the compiled kernels, then on the numpy/Python path."""
+    if request.param == "kernel":
+        if _native.COMPILER is None:
+            pytest.skip("no C compiler (cc or gcc) on PATH")
+        assert _native.lib is not None, "C kernels failed to build"
+    else:
+        monkeypatch.setattr(_native, "lib", None)
+    return request.param
+
+
+def lss_reference(values, order):
+    """The Python patience loop on values, negated for descending order."""
+    seq = [int(v) for v in values]
+    return lss_keep_mask([-v for v in seq] if order is SortOrder.DESCENDING
+                         else seq)
+
+
+def nuc_unique_oracle(values):
+    """The former discovery: np.unique with its inverse and counts."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    return np.flatnonzero((counts[inverse] > 1) | (values == NULL_VALUE))
+
+
+ORDERS = [SortOrder.ASCENDING, SortOrder.DESCENDING]
+
+
+class TestLssKeep:
+    CASES = [
+        [],
+        [7],
+        [4, 4, 4, 4, 4],
+        [9, 7, 5, 3, 1],
+        [1, 2, 3, 4, 5],
+        [2, 1, 2, 1, 2, 1, 1, 2],
+        [3, 3, 1, 1, 3, 3, 1, 1],
+        [5, 1, 5, 2, 5, 3, 4, 4],
+        [NULL_VALUE + 1, I64.max, NULL_VALUE + 1, 0, I64.max, -1,
+         NULL_VALUE + 1, I64.max],
+    ]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_fixed_cases(self, backend, case, order):
+        vals = np.array(case, dtype=np.int64)
+        keep = lss_keep(vals, order)
+        assert keep.dtype == bool and len(keep) == len(vals)
+        assert np.array_equal(keep, lss_reference(case, order))
+        kept = vals[keep]
+        # comparisons, not np.diff, which overflows at the int64 extremes
+        ordered = (kept[1:] >= kept[:-1] if order is SortOrder.ASCENDING
+                   else kept[1:] <= kept[:-1])
+        assert ordered.all()
+        signed = vals if order is SortOrder.ASCENDING else -vals
+        assert int(keep.sum()) == lss_length_dp(signed)
+
+    @needs_compiler
+    def test_kernel_matches_reference_random(self):
+        rng = np.random.default_rng(21)
+        for domain in (2, 30, 10**4, 2**62):
+            for _ in range(6):
+                vals = rng.integers(-domain, domain,
+                                    size=int(rng.integers(0, 3000)))
+                for order in ORDERS:
+                    assert np.array_equal(lss_keep(vals, order),
+                                          lss_reference(vals, order))
+
+    @needs_compiler
+    def test_kernel_matches_reference_nearly_sorted(self):
+        rng = np.random.default_rng(22)
+        vals = np.arange(50_000, dtype=np.int64) // 3
+        exc = rng.choice(len(vals), size=10_000, replace=False)
+        vals[exc] = rng.integers(0, 20_000, size=exc.size)
+        for order, seq in ((SortOrder.ASCENDING, vals),
+                           (SortOrder.DESCENDING, vals[::-1])):
+            keep = lss_keep(seq, order)
+            assert np.array_equal(keep, lss_reference(seq, order))
+            assert keep.sum() >= 40_000
+
+    @needs_compiler
+    def test_kernel_returns_kept_count(self):
+        vals = np.array([3, 1, 2, 2, 0, 5, 6], dtype=np.int64)
+        for descending, want in ((0, 5), (1, 4)):
+            keep = np.ones(len(vals), dtype=bool)
+            count = _native.lib.pi_lss_keep(vals.ctypes.data, len(vals),
+                                            descending, keep.ctypes.data)
+            assert count == want == keep.sum()
+
+
+class TestNucPatchRows:
+    CASES = [
+        [],
+        [5],
+        [NULL_VALUE],
+        [NULL_VALUE, NULL_VALUE, 3],
+        [4, NULL_VALUE, 4, 9],
+        [-3, -3, 2, -1, -1, -7],
+        [6, 6, 6, 6],
+        [1, 2, 3, 4],
+        [I64.max, NULL_VALUE + 1, I64.max, NULL_VALUE, 0, NULL_VALUE + 1, -1],
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fixed_cases(self, backend, case):
+        got = nuc_patch_rows(case)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, nuc_unique_oracle(case))
+
+    def test_random_against_unique_oracle(self, backend):
+        rng = np.random.default_rng(23)
+        for domain in (3, 100, 10**5, 2**62):
+            for _ in range(8):
+                vals = rng.integers(-domain, domain,
+                                    size=int(rng.integers(0, 3000)))
+                vals[rng.random(len(vals)) < 0.02] = NULL_VALUE
+                assert np.array_equal(nuc_patch_rows(vals),
+                                      nuc_unique_oracle(vals))
+
+
+class TestDiscoveryBackends:
+    @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
+    @pytest.mark.parametrize("constraint", [NUC, NSC_ASC, NSC_DESC])
+    def test_build_index_identical_on_kernel_and_reference(
+            self, monkeypatch, constraint, store):
+        if _native.lib is None:
+            pytest.skip("no compiled kernels")
+        rng = np.random.default_rng(24)
+        vals = np.arange(6000, dtype=np.int64) // 2
+        if constraint is NSC_DESC:
+            vals = vals[::-1].copy()
+        exc = rng.choice(len(vals), size=900, replace=False)
+        vals[exc] = rng.integers(0, 3000, size=exc.size)
+        vals[exc[:40]] = NULL_VALUE
+        parts = np.array_split(vals, 4)
+
+        def build(threads):
+            idx = build_index(parts, constraint, store=store, threads=threads)
+            return (idx.global_patch_rows(),
+                    [p.last_sorted_value for p in idx.partitions])
+
+        rows, tails = build(threads=2)
+        monkeypatch.setattr(_native, "lib", None)
+        ref_rows, ref_tails = build(threads=1)
+        assert rows.size > 800
+        assert np.array_equal(rows, ref_rows)
+        assert tails == ref_tails
+
+    def test_descending_insert_extends_run(self, backend):
+        table = ColumnTable.from_partitions(
+            [{"value": np.array([9, 8, 7], dtype=np.int64)}], block_size=64)
+        idx = build_index([p.columns["value"] for p in table.partitions],
+                          NSC_DESC)
+        apply_insert(table, [idx], {"value": np.array(
+            [7, 8, 5, 6, 5, NULL_VALUE], dtype=np.int64)})
+        assert idx.global_patch_rows().tolist() == [4, 5, 8]
+        assert idx.partitions[-1].last_sorted_value == 5

@@ -262,6 +262,18 @@ class TestNativeLoader:
             "a, b = execute(naive), execute(plan)\n"
             "assert idx.patch_count > 0 and 0 < a.nrows < 2000\n"
             "assert result_checksum(a) == result_checksum(b)\n"
+            "from patchindex.patch_index import NSC_DESC, NUC, NULL_VALUE\n"
+            "def rows(parts, constraint):\n"
+            "    ix = build_index([np.array(p) for p in parts], constraint)\n"
+            "    return (ix.global_patch_rows().tolist(),\n"
+            "            [p.last_sorted_value for p in ix.partitions])\n"
+            "N = NULL_VALUE\n"
+            "assert rows([[1, 5, 2, 3, 9, 4], [7, 7, 0, 8]], NSC_ASC) == (\n"
+            "    [1, 4, 8], [4, 8])\n"
+            "assert rows([[9, N, 7, 8, 7, N, 1], [N, N]], NSC_DESC) == (\n"
+            "    [1, 2, 5, 7, 8], [1, None])\n"
+            "assert rows([[3, N, 4, 3, N, 5], [4, 6]], NUC) == (\n"
+            "    [0, 1, 2, 3, 4, 6], [None, None])\n"
             "print(_native.BACKEND, _native.lib,\n"
             "      sum(w.category is RuntimeWarning for w in caught))\n")
         src = Path(patchindex.__file__).resolve().parent.parent
