@@ -17,7 +17,7 @@ from .query_engine import (distinct_node, execute, hash_join_node,
                            result_checksum, rewrite_distinct, rewrite_join,
                            rewrite_sort, scan_node, sort_node,
                            zero_branch_prune)
-from .sharded_bitmap import ShardedBitmap, default_threads
+from .sharded_bitmap import ShardedBitmap, default_threads, shift_numpy
 from .update_pipeline import apply_delete, apply_insert, apply_modify
 
 CSV_HEADER = "experiment,param,variant,runtime_ns,rows,patches,memory_bytes,blocks_scanned"
@@ -81,16 +81,7 @@ class PlainBitVector:
         return int(self.words[pos >> 6] >> np.uint64(pos & 63)) & 1
 
     def delete(self, pos):
-        nwords = (self.logical_len + 63) >> 6
-        seg = self.words[pos >> 6:nwords]
-        carry = np.empty_like(seg)
-        carry[:-1] = seg[1:] << np.uint64(63)
-        carry[-1] = 0
-        b0 = pos & 63
-        low = np.uint64((1 << b0) - 1)
-        head = (seg[0] & low) | ((seg[0] >> np.uint64(1)) & ~low) | carry[0]
-        seg[:] = (seg >> np.uint64(1)) | carry
-        seg[0] = head
+        shift_numpy(self.words, 0, (self.logical_len + 63) >> 6, pos)
         self.logical_len -= 1
 
 
@@ -101,25 +92,29 @@ def bench_shard_sweep(bits=10**7, deletes=10**5, shard_sizes=SHARD_SWEEP_SIZES,
     """Bulk-delete runtime over a range of shard sizes, two variants.
 
     Each (size, variant) deletes the same positions from a fresh bitmap
-    SHARD_SWEEP_REPEATS times; the report carries the median.
+    SHARD_SWEEP_REPEATS times; the report carries the median. The repeats
+    run round-robin over every (size, variant), so a slow phase of the
+    machine lands on all of them alike rather than on one size.
     """
     rng = np.random.default_rng(seed)
     positions = np.sort(rng.choice(bits, size=deletes, replace=False))[::-1]
     nthreads = threads if threads is not None else default_threads()
-    reports = []
-    for size in shard_sizes:
-        for variant, impl, nt in (("scalar", "scalar", 1),
-                                  ("parallel_lanes", "lanes", nthreads)):
-            times = []
-            for _ in range(SHARD_SWEEP_REPEATS):
-                bm = ShardedBitmap(bits, size, shift_impl=impl)
-                t0 = time.perf_counter_ns()
-                bm.bulk_delete(positions, threads=nt)
-                times.append(time.perf_counter_ns() - t0)
-            reports.append(WorkloadReport(
-                "shard_sweep", size, variant, int(statistics.median(times)),
-                rows=bits, patches=deletes, memory_bytes=bm.memory_bytes()))
-    return reports
+    variants = (("scalar", "scalar", 1), ("parallel_lanes", "lanes", nthreads))
+    cases = [(size, v) for size in shard_sizes for v in variants]
+    times, memory = {}, {}
+    for _ in range(SHARD_SWEEP_REPEATS):
+        for size, (variant, impl, nt) in cases:
+            bm = ShardedBitmap(bits, size, shift_impl=impl)
+            t0 = time.perf_counter_ns()
+            bm.bulk_delete(positions, threads=nt)
+            times.setdefault((size, variant), []).append(
+                time.perf_counter_ns() - t0)
+            memory[size, variant] = bm.memory_bytes()
+    return [WorkloadReport("shard_sweep", size, variant,
+                           int(statistics.median(times[size, variant])),
+                           rows=bits, patches=deletes,
+                           memory_bytes=memory[size, variant])
+            for size, (variant, _, _) in cases]
 
 
 def bench_delete_latency(bits=10**7, singles=1000, bulk_deletes=10**5,

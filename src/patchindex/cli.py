@@ -74,7 +74,7 @@ def make_parser():
     g.add_argument("--out", required=True)
 
     i = sub.add_parser("index", help="build an index and report statistics")
-    i.add_argument("action", choices=["create", "stats", "rebuild"])
+    i.add_argument("action", choices=["stats"])
     i.add_argument("--table", required=True)
     i.add_argument("--column", default="value")
     i.add_argument("--constraint", type=_constraint, default=NUC,
@@ -168,17 +168,7 @@ def cmd_generate(args):
 
 def cmd_index(args):
     table = _load_table(args.table, args.column)
-    t0 = time.perf_counter()
     index = _build(table, args.column, args.constraint, args.store, args.threads)
-    build_s = time.perf_counter() - t0
-    if args.action == "rebuild":
-        t0 = time.perf_counter()
-        index = _build(table, args.column, args.constraint, args.store,
-                       args.threads)
-        print(f"rebuild in {time.perf_counter() - t0:.2f}s "
-              f"(initial build {build_s:.2f}s)")
-    elif args.action == "create":
-        print(f"created in {build_s:.2f}s")
     for k, v in index.stats().items():
         print(f"{k}: {v}")
     print(f"kernel_backend: {_native.BACKEND}")
@@ -191,11 +181,11 @@ def cmd_query(args):
     index = _build(table, args.column, kind, args.store)
     dim = dimension_table(args.dim_rows) if args.query == "join" else None
     naive, rewritten = build_query_plans(args.query, table, index, dim)
-    plans = {"naive": naive, "patchindex": rewritten,
-             "patchindex-zbp": zero_branch_prune(rewritten) if rewritten else None}
-    plan = plans[args.plan]
+    plan = naive if args.plan == "naive" else rewritten
     if plan is None:
         raise UsageError(f"{args.plan}: rewrite declined")
+    if args.plan == "patchindex-zbp":
+        plan = zero_branch_prune(plan)
     if args.explain:
         print(explain(plan))
         return 0

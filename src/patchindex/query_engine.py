@@ -5,23 +5,22 @@ patch membership (exclude_patches / use_patches, decided purely by rowID);
 the rewrites clone the query subtree over both flows so the constraint can
 be exploited on the patch-free flow: distinct drops its aggregation, sort
 degrades to a merge of already-sorted partition streams, and a hash join
-becomes a merge join. A cardinality-based cost model picks between the
-naive and rewritten plans, and zero-branch pruning removes subtrees that
-cannot produce rows.
+becomes a merge join. A plan is a DAG: a node reachable from two parents,
+such as the join rewrite's dimension subtree, is one object and runs once
+per execution. A cardinality-based cost model picks between the naive and
+rewritten plans, and zero-branch pruning removes subtrees that cannot
+produce rows.
 """
 
 import hashlib
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _native
 from .column_store import ScanRange, in_positions, sort_unique
 from .patch_index import ConstraintKind, SortOrder
-
-_tag_counter = itertools.count()
 
 
 @dataclass
@@ -54,7 +53,6 @@ class PlanNode:
     left_key: str = None
     right_key: str = None
     build_side: str = "auto"
-    tag: str = None
     est_rows: int = None
 
 
@@ -108,16 +106,22 @@ def merge_sorted_node(children, key, order=SortOrder.ASCENDING):
     return PlanNode("merge_sorted", list(children), key=key, order=order)
 
 
-def reuse_cache_node(tag, child):
-    return PlanNode("reuse_cache", [child], tag=tag)
+def _walk(plan):
+    """(distinct nodes of a plan DAG, children before parents; ids of the
+    nodes that more than one parent edge reaches)."""
+    order, seen, shared = [], {id(plan)}, set()
 
+    def visit(node):
+        for c in node.children:
+            if id(c) in seen:
+                shared.add(id(c))
+            else:
+                seen.add(id(c))
+                visit(c)
+        order.append(node)
 
-def reuse_load_node(tag):
-    return PlanNode("reuse_load", tag=tag)
-
-
-def fresh_tag(prefix="reuse"):
-    return f"{prefix}:{next(_tag_counter)}"
+    visit(plan)
+    return order, shared
 
 
 # -- execution ---------------------------------------------------------------
@@ -212,25 +216,26 @@ def _hash_join_reference(bk, pk):
 
 
 class Executor:
-    """Evaluates a plan tree; ReuseCache results are shared per execution."""
+    """Evaluates a plan DAG; a node with several parents runs once per run.
+
+    Only shared nodes are memoized, so every other intermediate result is
+    freed as soon as its parent has consumed it.
+    """
 
     def __init__(self):
-        self._cache = {}
-        self._cache_nodes = {}
-        self.eval_counts = {}
+        self._shared, self._memo = set(), {}
 
     def run(self, plan):
-        self._register(plan)
+        self._shared, self._memo = _walk(plan)[1], {}
         return self._exec(plan)
 
-    def _register(self, node):
-        if node.op == "reuse_cache":
-            self._cache_nodes[node.tag] = node
-        for c in node.children:
-            self._register(c)
-
     def _exec(self, node):
-        return getattr(self, "_op_" + node.op)(node)
+        rel = self._memo.get(id(node))
+        if rel is None:
+            rel = getattr(self, "_op_" + node.op)(node)
+            if id(node) in self._shared:
+                self._memo[id(node)] = rel
+        return rel
 
     # scans
 
@@ -328,17 +333,12 @@ class Executor:
         side = node.build_side
         if side == "auto":
             side = "left" if left.nrows <= right.nrows else "right"
+        lkeys, rkeys = left.columns[node.left_key], right.columns[node.right_key]
         if side == "left":
-            build, probe = left, right
-            bkey, pkey = node.left_key, node.right_key
+            right_idx, left_idx = hash_join_positions(lkeys, rkeys)
         else:
-            build, probe = right, left
-            bkey, pkey = node.right_key, node.left_key
-        probe_idx, build_idx = hash_join_positions(build.columns[bkey],
-                                                   probe.columns[pkey])
-        if side == "left":
-            return self._combine(left, right, build_idx, probe_idx)
-        return self._combine(left, right, probe_idx, build_idx)
+            left_idx, right_idx = hash_join_positions(rkeys, lkeys)
+        return self._combine(left, right, left_idx, right_idx)
 
     def _op_merge_join(self, node):
         left = self._exec(node.children[0])
@@ -366,22 +366,6 @@ class Executor:
         order = np.argsort(_sort_key(cols[node.key], node.order), kind="stable")
         return Relation({c: a[order] for c, a in cols.items()})
 
-    # intermediate result reuse
-
-    def _op_reuse_cache(self, node):
-        if node.tag not in self._cache:
-            self._cache[node.tag] = self._exec(node.children[0])
-            self.eval_counts[node.tag] = self.eval_counts.get(node.tag, 0) + 1
-        return self._cache[node.tag]
-
-    def _op_reuse_load(self, node):
-        if node.tag in self._cache:
-            return self._cache[node.tag]
-        cache_node = self._cache_nodes.get(node.tag)
-        if cache_node is None:
-            raise ValueError(f"ReuseLoad tag {node.tag!r} has no cache in plan")
-        return self._op_reuse_cache(cache_node)
-
 
 def execute(plan):
     return Executor().run(plan)
@@ -391,33 +375,31 @@ def execute(plan):
 
 def annotate(plan):
     """Fill est_rows bottom-up; patch counts are known exactly."""
-    for c in plan.children:
-        annotate(c)
-    op = plan.op
-    if op == "scan":
-        if plan.partition is None:
-            total = plan.table.row_count
-            patches = plan.index.patch_count if plan.index else 0
-        else:
-            total = plan.table.partitions[plan.partition].total_rows
-            patches = (plan.index.partitions[plan.partition].patch_count
-                       if plan.index else 0)
-        if plan.mode == "all":
-            plan.est_rows = total
-        elif plan.mode == "exclude_patches":
-            plan.est_rows = total - patches
-        else:
-            plan.est_rows = patches
-    elif op in ("union", "merge_sorted"):
-        plan.est_rows = sum(c.est_rows for c in plan.children)
-    elif op in ("hash_join", "merge_join"):
-        # many-to-one fact/dimension joins: bounded by the fact side
-        plan.est_rows = plan.children[0].est_rows
-    elif op == "reuse_load":
-        plan.est_rows = 0  # replays a cached result; cost carried by the cache node
-    else:
-        plan.est_rows = plan.children[0].est_rows
+    for node in _walk(plan)[0]:
+        node.est_rows = _estimate(node)
     return plan
+
+
+def _estimate(node):
+    op = node.op
+    if op == "scan":
+        if node.partition is None:
+            total = node.table.row_count
+            patches = node.index.patch_count if node.index else 0
+        else:
+            total = node.table.partitions[node.partition].total_rows
+            patches = (node.index.partitions[node.partition].patch_count
+                       if node.index else 0)
+        if node.mode == "all":
+            return total
+        if node.mode == "exclude_patches":
+            return total - patches
+        return patches
+    if op in ("union", "merge_sorted"):
+        return sum(c.est_rows for c in node.children)
+    # a unary operator keeps its input's estimate; a many-to-one
+    # fact/dimension join is bounded by the fact side
+    return node.children[0].est_rows
 
 
 _W_SCAN = 1.0
@@ -433,9 +415,9 @@ def node_cost(plan):
         if plan.partition is None:
             return _W_SCAN * plan.table.row_count
         return _W_SCAN * plan.table.partitions[plan.partition].total_rows
-    if op in ("select", "const_count", "reuse_cache"):
+    if op in ("select", "const_count"):
         return _W_SELECT * plan.children[0].est_rows
-    if op in ("project", "reuse_load"):
+    if op == "project":
         return 0.0
     if op in ("distinct", "group_count", "sort"):
         n = plan.children[0].est_rows
@@ -457,7 +439,8 @@ def node_cost(plan):
 
 
 def plan_cost(plan):
-    return node_cost(plan) + sum(plan_cost(c) for c in plan.children)
+    """Total cost of an annotated plan DAG; a shared node counts once."""
+    return sum(node_cost(node) for node in _walk(plan)[0])
 
 
 def choose_plan(naive, rewritten, index=None):
@@ -486,74 +469,65 @@ def _match_chain_to_scan(plan):
     return chain, node
 
 
-def _rebuild_chain(chain, leaf):
-    for node in reversed(chain):
-        leaf = PlanNode(node.op, [leaf], predicate=node.predicate,
-                        columns=node.columns)
-    return leaf
+def _rewrite_input(plan, index, op, kind, key):
+    """A flow(mode, partition=None) builder over plan's input, or None.
+
+    Matches when plan is an `op` node, the index holds a constraint of
+    `kind` on `key`, plan's first child is a select/project chain down to
+    a mode-"all" scan, and the index covers that scan's table. The builder
+    returns a copy of the chain over a scan in the given patch mode.
+    """
+    if plan.op != op or index.constraint.kind is not kind or key != index.column:
+        return None
+    chain, scan = _match_chain_to_scan(plan.children[0])
+    if scan is None or index.row_count != scan.table.row_count:
+        return None
+
+    def flow(mode, partition=None):
+        node = PlanNode("scan", table=scan.table, columns=scan.columns,
+                        mode=mode, index=index, scan_range=scan.scan_range,
+                        partition=partition)
+        for link in reversed(chain):
+            node = PlanNode(link.op, [node], predicate=link.predicate,
+                            columns=link.columns)
+        return node
+
+    return flow
 
 
-def _mode_scan(scan, index, mode, partition=None):
-    return PlanNode("scan", table=scan.table, columns=scan.columns, mode=mode,
-                    index=index, scan_range=scan.scan_range, partition=partition)
+def _partition_streams(flow, index):
+    return [flow("exclude_patches", p) for p in range(len(index.partitions))]
 
 
 def rewrite_distinct(plan, index):
     """Distinct over a NUC column: the patch-free flow is already unique."""
-    if plan.op != "distinct" or index.constraint.kind is not ConstraintKind.NEARLY_UNIQUE:
+    flow = _rewrite_input(plan, index, "distinct",
+                          ConstraintKind.NEARLY_UNIQUE, plan.key)
+    if flow is None:
         return None
-    if plan.key != index.column:
-        return None
-    chain, scan = _match_chain_to_scan(plan.children[0])
-    if scan is None or index.row_count != scan.table.row_count:
-        return None
-    exclude = project_node(
-        _rebuild_chain(chain, _mode_scan(scan, index, "exclude_patches")),
-        [plan.key])
-    use = distinct_node(
-        _rebuild_chain(chain, _mode_scan(scan, index, "use_patches")),
-        plan.key)
-    return union_node([exclude, use])
+    return union_node([project_node(flow("exclude_patches"), [plan.key]),
+                       distinct_node(flow("use_patches"), plan.key)])
 
 
 def rewrite_group_count(plan, index):
     """Group-by count over a NUC column: patch-free groups have count one."""
-    if plan.op != "group_count" or index.constraint.kind is not ConstraintKind.NEARLY_UNIQUE:
+    flow = _rewrite_input(plan, index, "group_count",
+                          ConstraintKind.NEARLY_UNIQUE, plan.key)
+    if flow is None:
         return None
-    if plan.key != index.column:
-        return None
-    chain, scan = _match_chain_to_scan(plan.children[0])
-    if scan is None or index.row_count != scan.table.row_count:
-        return None
-    exclude = const_count_node(
-        _rebuild_chain(chain, _mode_scan(scan, index, "exclude_patches")),
-        plan.key)
-    use = group_count_node(
-        _rebuild_chain(chain, _mode_scan(scan, index, "use_patches")),
-        plan.key)
-    return union_node([exclude, use])
-
-
-def _partition_streams(chain, scan, index, mode):
-    nparts = len(scan.table.partitions)
-    return [_rebuild_chain(chain, _mode_scan(scan, index, mode, partition=p))
-            for p in range(nparts)]
+    return union_node([const_count_node(flow("exclude_patches"), plan.key),
+                       group_count_node(flow("use_patches"), plan.key)])
 
 
 def rewrite_sort(plan, index):
     """Sort on an NSC column: patch-free partition streams are pre-sorted."""
-    if plan.op != "sort" or index.constraint.kind is not ConstraintKind.NEARLY_SORTED:
+    flow = _rewrite_input(plan, index, "sort", ConstraintKind.NEARLY_SORTED,
+                          plan.key)
+    if flow is None or plan.order is not index.constraint.order:
         return None
-    if plan.key != index.column or plan.order is not index.constraint.order:
-        return None
-    chain, scan = _match_chain_to_scan(plan.children[0])
-    if scan is None or index.row_count != scan.table.row_count:
-        return None
-    streams = _partition_streams(chain, scan, index, "exclude_patches")
-    patch_sorted = sort_node(
-        _rebuild_chain(chain, _mode_scan(scan, index, "use_patches")),
-        plan.key, plan.order)
-    return merge_sorted_node(streams + [patch_sorted], plan.key, plan.order)
+    patch_sorted = sort_node(flow("use_patches"), plan.key, plan.order)
+    return merge_sorted_node(_partition_streams(flow, index) + [patch_sorted],
+                             plan.key, plan.order)
 
 
 def _column_sorted_unique(table, column):
@@ -566,92 +540,61 @@ def rewrite_join(plan, index):
     """Fact/dimension hash join where the fact key is an NSC column.
 
     The patch-free fact flow joins with a MergeJoin against the dimension
-    subtree, which is materialized once and reused by the patch flow's
-    HashJoin. Requires the dimension side sorted unique on the join key.
+    subtree, and the patch flow with a HashJoin against the same subtree
+    object, so it is read once per execution. Requires the dimension side
+    sorted unique on the join key.
     """
-    if plan.op != "hash_join" or index.constraint.kind is not ConstraintKind.NEARLY_SORTED:
+    flow = _rewrite_input(plan, index, "hash_join",
+                          ConstraintKind.NEARLY_SORTED, plan.left_key)
+    if flow is None or index.constraint.order is not SortOrder.ASCENDING:
         return None
-    if index.constraint.order is not SortOrder.ASCENDING:
-        return None
-    fact_sub, dim_sub = plan.children
+    dim_sub = plan.children[1]
     fact_key, dim_key = plan.left_key, plan.right_key
-    if fact_key != index.column:
-        return None
-    chain, scan = _match_chain_to_scan(fact_sub)
-    if scan is None or index.row_count != scan.table.row_count:
-        return None
-    dim_chain, dim_scan = _match_chain_to_scan(dim_sub)
+    _, dim_scan = _match_chain_to_scan(dim_sub)
     if dim_scan is None or not _column_sorted_unique(dim_scan.table, dim_key):
         return None
 
-    tag = fresh_tag("dim")
-    fact_sorted = merge_sorted_node(
-        _partition_streams(chain, scan, index, "exclude_patches"),
-        fact_key)
-    merge_branch = merge_join_node(fact_sorted, reuse_load_node(tag),
-                                   fact_key, dim_key)
-    use_scan = _rebuild_chain(chain, _mode_scan(scan, index, "use_patches"))
-    build = "left" if index.patch_count <= dim_sub_rows(dim_sub) else "right"
-    hash_branch = hash_join_node(use_scan, reuse_cache_node(tag, dim_sub),
-                                 fact_key, dim_key, build_side=build)
+    fact_sorted = merge_sorted_node(_partition_streams(flow, index), fact_key)
+    merge_branch = merge_join_node(fact_sorted, dim_sub, fact_key, dim_key)
+    build = "left" if index.patch_count <= dim_scan.table.row_count else "right"
+    hash_branch = hash_join_node(flow("use_patches"), dim_sub, fact_key,
+                                 dim_key, build_side=build)
     return union_node([merge_branch, hash_branch])
-
-
-def dim_sub_rows(dim_sub):
-    node = dim_sub
-    while node.op in _CHAIN_OPS:
-        node = node.children[0]
-    return node.table.row_count if node.op == "scan" else 0
 
 
 # -- zero-branch pruning ------------------------------------------------------------
 
 def zero_branch_prune(plan):
-    """Drop subtrees whose cardinality annotation guarantees zero rows."""
+    """A copy of plan without the subtrees whose cardinality annotation
+    guarantees zero rows; plan itself keeps its structure.
+
+    A node is copied only when its children change, so a shared node
+    stays one object in the pruned plan.
+    """
     annotate(plan)
-    caches = {}
-    _collect_caches(plan, caches)
-    pruned, _ = _prune(plan)
-    surviving = {}
-    _collect_caches(pruned, surviving)
-    return _replace_orphan_loads(pruned, caches, surviving)
+    pruned = {}
+    for node in _walk(plan)[0]:
+        pruned[id(node)] = _prune(node, [pruned[id(c)] for c in node.children])
+    return pruned[id(plan)][0]
 
 
-def _collect_caches(node, out):
-    if node.op == "reuse_cache":
-        out[node.tag] = node
-    for c in node.children:
-        _collect_caches(c, out)
-
-
-def _prune(node):
+def _prune(node, results):
+    """(pruned node, whether it yields no rows), given its pruned children."""
     if node.op == "scan":
         return node, node.est_rows == 0
-    if node.op == "reuse_load":
-        return node, False
-    results = [_prune(c) for c in node.children]
-    node.children = [c for c, _ in results]
-    zeros = [z for _, z in results]
-    if node.op in ("hash_join", "merge_join"):
-        return node, any(zeros)
+    children = [c for c, _ in results]
     if node.op in ("union", "merge_sorted"):
-        alive = [c for c, z in results if not z]
-        if not alive:
-            return node.children[0], True
-        if len(alive) == 1:
-            return alive[0], False
-        node.children = alive
-        return node, False
-    return node, zeros[0] if zeros else False
-
-
-def _replace_orphan_loads(node, caches, surviving):
-    """Inline the cached subtree where pruning removed its ReuseCache."""
-    if node.op == "reuse_load" and node.tag not in surviving:
-        return caches[node.tag].children[0]
-    node.children = [_replace_orphan_loads(c, caches, surviving)
-                     for c in node.children]
-    return node
+        alive = [c for c, empty in results if not empty]
+        if len(alive) <= 1:
+            return (alive[0], False) if alive else (children[0], True)
+        children, empty = alive, False
+    elif node.op in ("hash_join", "merge_join"):
+        empty = any(e for _, e in results)
+    else:
+        empty = results[0][1]
+    if list(map(id, children)) != list(map(id, node.children)):
+        node = replace(node, children=children)
+    return node, empty
 
 
 # -- result comparison ------------------------------------------------------------
@@ -673,8 +616,12 @@ def result_checksum(rel, ordered=False):
 
 
 def explain(plan, cost=True):
-    """One node per line, two-space indent, cardinality and cost annotations."""
+    """One node per line, two-space indent, cardinality and cost annotations.
+
+    A shared node is printed under each of its parents, marked "shared".
+    """
     annotate(plan)
+    shared = _walk(plan)[1]
     lines = []
 
     def describe(node):
@@ -693,8 +640,6 @@ def explain(plan, cost=True):
             "merge_join": lambda: f"MergeJoin({node.left_key}={node.right_key})",
             "union": lambda: "Union",
             "merge_sorted": lambda: f"MergeSortedStreams({node.key})",
-            "reuse_cache": lambda: f"ReuseCache({node.tag})",
-            "reuse_load": lambda: f"ReuseLoad({node.tag})",
         }
         return label[node.op]()
 
@@ -702,6 +647,8 @@ def explain(plan, cost=True):
         note = f" rows={node.est_rows}"
         if cost:
             note += f" cost={plan_cost(node):.0f}"
+        if id(node) in shared:
+            note += " shared"
         lines.append("  " * depth + describe(node) + note)
         for c in node.children:
             walk(c, depth + 1)

@@ -25,6 +25,26 @@ _U1 = np.uint64(1)
 _U63 = np.uint64(63)
 
 
+def shift_numpy(words, base, nwords, from_offset):
+    """Reference shift: the fallback backend and the kernels' test oracle.
+
+    Moves every bit of words[base:base + nwords] above bit `from_offset`
+    down one position and zeroes the top bit. All lanes shift right by one;
+    each lane's top bit is blended in from the next lane's bottom bit,
+    shifted one lane down.
+    """
+    w0 = from_offset >> 6
+    b0 = from_offset & 63
+    seg = words[base + w0:base + nwords]
+    carry = np.empty_like(seg)
+    carry[:-1] = seg[1:] << _U63
+    carry[-1] = 0
+    low = np.uint64((1 << b0) - 1)
+    head = (seg[0] & low) | ((seg[0] >> _U1) & ~low) | carry[0]
+    seg[:] = (seg >> _U1) | carry
+    seg[0] = head
+
+
 class ShardedBitmap:
     """Dense bit-set of rowIDs with shard-local deletes.
 
@@ -184,24 +204,7 @@ class ShardedBitmap:
             _native.lib.pi_shift(self._args.words, base, nwords, from_offset,
                                  self.shift_impl == "lanes")
         else:
-            self._shift_numpy(base, nwords, from_offset)
-
-    def _shift_numpy(self, base, nwords, from_offset):
-        """Reference shift: the fallback backend and the kernels' test oracle.
-
-        All lanes shift right by one; each lane's top bit is blended in from
-        the next lane's bottom bit, shifted one lane down.
-        """
-        w0 = from_offset >> 6
-        b0 = from_offset & 63
-        seg = self._words[base + w0:base + nwords]
-        carry = np.empty_like(seg)
-        carry[:-1] = seg[1:] << _U63
-        carry[-1] = 0
-        low = np.uint64((1 << b0) - 1)
-        head = (seg[0] & low) | ((seg[0] >> _U1) & ~low) | carry[0]
-        seg[:] = (seg >> _U1) | carry
-        seg[0] = head
+            shift_numpy(self._words, base, nwords, from_offset)
 
     # -- mutation ----------------------------------------------------------------
 
@@ -267,7 +270,7 @@ class ShardedBitmap:
                 for g in range(g0, g1):
                     base, nwords = int(group_base[g]), int(group_nwords[g])
                     for off in offsets[group_lo[g]:group_hi[g]]:
-                        self._shift_numpy(base, nwords, int(off))
+                        shift_numpy(self._words, base, nwords, int(off))
 
         ngroups = len(group_lo)
         nthreads = threads if threads is not None else default_threads()

@@ -68,10 +68,10 @@ class TestShardSweep:
             built.append(args)
             return real_bitmap(*args, **kwargs)
 
-        # each timed delete reads the clock twice; scalar takes 5, 1, 3 and
-        # parallel_lanes 2, 100, 4
+        # each timed delete reads the clock twice; the repeats alternate the
+        # variants, scalar taking 5, 1, 3 and parallel_lanes 2, 100, 4
         ticks = [0]
-        for d in [5, 1, 3, 2, 100, 4]:
+        for d in [5, 2, 1, 100, 3, 4]:
             ticks += [ticks[-1] + d, ticks[-1] + d + 10]
         clock = iter(ticks)
         monkeypatch.setattr(bench_mod, "ShardedBitmap", counted)
@@ -108,6 +108,33 @@ class TestBenchQuery:
         reports = bench_query(t, "join", idx, dim=dimension_table(50),
                               plans=("naive", "patchindex", "patchindex-zbp"))
         assert len(reports) == 3
+
+    @pytest.mark.parametrize("query", ["sort", "join"])
+    def test_patchindex_runs_unpruned_rewrite(self, query, monkeypatch):
+        from patchindex import bench as bench_mod
+        from patchindex.query_engine import explain
+        t, idx = self._indexed("nsc", 0.0, value_domain=50)
+        dim = dimension_table(50)
+        assert idx.patch_count == 0
+        _, rewritten = bench_mod.build_query_plans(query, t, idx, dim)
+        real_execute = bench_mod.execute
+        calls = []
+
+        def recorded(plan):
+            calls.append(explain(plan, cost=False))
+            return real_execute(plan)
+
+        monkeypatch.setattr(bench_mod, "execute", recorded)
+        bench_query(t, query, idx, dim=dim,
+                    plans=("naive", "patchindex", "patchindex-zbp"))
+        # naive: baseline + timed runs; then the rewrite's verified run
+        runs = 1 + bench_mod.QUERY_REPEATS
+        patchindex = calls[runs:2 * runs]
+        zbp = calls[2 * runs:]
+        assert patchindex == [explain(rewritten, cost=False)] * runs
+        assert len(zbp) == runs and zbp[0] != patchindex[0]
+        assert "Scan[use_patches]" in patchindex[0]
+        assert "Scan[use_patches]" not in zbp[0]
 
     def test_median_of_warm_runs(self, monkeypatch):
         from patchindex import bench as bench_mod

@@ -58,13 +58,13 @@ class TestIndex:
         assert "exception_rate: 0.2" in out
         assert f"kernel_backend: {_native.BACKEND}\n" in out
 
-    def test_create_and_rebuild(self, sorted_dataset, capsys):
-        assert main(["index", "create", "--table", str(sorted_dataset),
-                     "--constraint", "nsc:asc"]) == 0
-        assert "created in" in capsys.readouterr().out
-        assert main(["index", "rebuild", "--table", str(sorted_dataset),
-                     "--constraint", "nsc"]) == 0
-        assert "rebuild in" in capsys.readouterr().out
+
+class TestRemovedIndexVerbs:
+    @pytest.mark.parametrize("action", ["create", "rebuild"])
+    def test_rejected(self, dataset, action):
+        with pytest.raises(SystemExit) as e:
+            main(["index", action, "--table", str(dataset)])
+        assert e.value.code == 2
 
 
 class TestQuery:
@@ -88,6 +88,17 @@ class TestQuery:
         assert "Union" in out
         assert "Scan[exclude_patches]" in out
         assert "cost=" in out
+
+    def test_patchindex_plan_is_not_pruned(self, tmp_path, capsys):
+        path = tmp_path / "e0.pdx"
+        main(["generate", "--kind", "nsc", "--rows", "3000", "--partitions",
+              "2", "--out", str(path)])
+        capsys.readouterr()
+        for plan, pruned in (("patchindex", False), ("patchindex-zbp", True)):
+            assert main(["query", "sort", "--table", str(path), "--plan",
+                         plan, "--explain"]) == 0
+            out = capsys.readouterr().out
+            assert ("Scan[use_patches]" not in out) is pruned
 
     def test_csv_output(self, dataset, tmp_path, capsys):
         csv = tmp_path / "q.csv"

@@ -35,6 +35,17 @@ def indexed(values, constraint, partitions=2):
     return t, idx
 
 
+def _nodes(plan):
+    yield plan
+    for c in plan.children:
+        yield from _nodes(c)
+
+
+def fact_dim_join(fact, dim):
+    return hash_join_node(scan_node(fact, ["value"]),
+                          scan_node(dim, ["value", "payload"]), "value", "value")
+
+
 def nearly_sorted(n, exceptions, seed=0):
     rng = np.random.default_rng(seed)
     v = np.arange(n, dtype=np.int64)
@@ -594,15 +605,59 @@ class TestRewriteJoin:
         a, b = execute(naive), execute(pruned)
         assert result_checksum(a) == result_checksum(b)
 
-    def test_reuse_cache_single_evaluation(self):
+    def test_dimension_scanned_once(self, monkeypatch):
         fact, idx, dim = self._tables(100)
-        naive = hash_join_node(scan_node(fact, ["value"]),
-                               scan_node(dim, ["value", "payload"]),
-                               "value", "value")
+        naive = fact_dim_join(fact, dim)
         rewritten = rewrite_join(naive, idx)
-        ex = Executor()
-        ex.run(rewritten)
-        assert list(ex.eval_counts.values()) == [1]
+        real_scan = dim.scan
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(dim, "scan", counted)
+        rel = Executor().run(rewritten)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert result_checksum(rel) == result_checksum(execute(naive))
+
+    def test_rewrite_shares_dimension_node(self):
+        fact, idx, dim = self._tables(100)
+        naive = fact_dim_join(fact, dim)
+        merge_branch, hash_branch = rewrite_join(naive, idx).children
+        assert merge_branch.children[1] is hash_branch.children[1] \
+            is naive.children[1]
+
+    @pytest.mark.parametrize("exceptions", [0, 100])
+    def test_pruned_join_keeps_one_dimension_node(self, exceptions):
+        fact, idx, dim = self._tables(exceptions)
+        naive = fact_dim_join(fact, dim)
+        pruned = zero_branch_prune(rewrite_join(naive, idx))
+        dims = {id(n) for n in _nodes(pruned) if n.table is dim}
+        assert dims == {id(naive.children[1])}
+        assert result_checksum(execute(pruned)) == result_checksum(execute(naive))
+
+    def test_pruning_a_stream_keeps_the_dimension_shared(self):
+        # an empty middle partition leaves an empty patch-free stream: its
+        # merge and merge join are copied, the hash join is not
+        fact = ColumnTable.from_partitions([
+            {"key": np.arange(k, k + len(v), dtype=np.int64),
+             "value": np.array(v, dtype=np.int64)}
+            for k, v in ((0, list(range(40))), (40, []), (40, [3, 1, 2, 30]))])
+        idx = build_index([p.columns["value"] for p in fact.partitions], NSC_ASC)
+        dim = ColumnTable.from_partitions([{
+            "value": np.arange(40, dtype=np.int64),
+            "payload": np.arange(40, dtype=np.int64) * 7}])
+        naive = fact_dim_join(fact, dim)
+        rewritten = rewrite_join(naive, idx)
+        pruned = zero_branch_prune(rewritten)
+        assert len(pruned.children[0].children[0].children) == 2
+        assert len(rewritten.children[0].children[0].children) == 3
+        assert pruned.children[0] is not rewritten.children[0]
+        assert pruned.children[1] is rewritten.children[1]
+        assert pruned.children[0].children[1] is pruned.children[1].children[1]
+        assert result_checksum(execute(pruned)) == result_checksum(execute(naive))
 
     def test_declined_on_unsorted_dimension(self):
         fact, idx, _ = self._tables(10)
@@ -664,6 +719,20 @@ class TestZeroBranchPrune:
         b = execute(zero_branch_prune(plan))
         assert result_checksum(a) == result_checksum(b)
 
+    @pytest.mark.parametrize("query", ["sort", "join"])
+    def test_input_left_unchanged(self, query):
+        if query == "sort":
+            t, idx = indexed(np.arange(900), NSC_ASC, partitions=3)
+            plan = rewrite_sort(sort_node(scan_node(t, ["value"]), "value"), idx)
+        else:
+            fact, idx, dim = TestRewriteJoin()._tables(0)
+            plan = rewrite_join(fact_dim_join(fact, dim), idx)
+        assert idx.patch_count == 0
+        before = explain(plan, cost=False)
+        pruned = zero_branch_prune(plan)
+        assert explain(plan, cost=False) == before
+        assert explain(pruned, cost=False) != before
+
 
 class TestExplain:
     def test_format(self):
@@ -677,3 +746,11 @@ class TestExplain:
         assert any("Scan[use_patches]" in ln for ln in lines)
         assert any("SortDistinct(value)" in ln for ln in lines)
         assert "HashAggregate" not in text
+
+    def test_shared_node_under_each_parent(self):
+        fact, idx, dim = TestRewriteJoin()._tables(50)
+        plan = rewrite_join(fact_dim_join(fact, dim), idx)
+        lines = explain(plan).splitlines()
+        shared = [ln for ln in lines if ln.endswith(" shared")]
+        assert len(shared) == 2
+        assert all(ln.startswith("    Scan[all] rows=40 ") for ln in shared)
