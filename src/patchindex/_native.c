@@ -1,5 +1,6 @@
 /* Compiled inner loops: shard-local bit deletion, column membership, the
- * merge join, the hash join and longest-sorted-subsequence discovery.
+ * merge join, the hash join, the k-way merge of sorted streams and
+ * longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -269,6 +270,98 @@ int64_t pi_hash_join(const int64_t *bk, int64_t nb, const int64_t *pk,
     free(head);
     free(next);
     return count;
+}
+
+/* Whether key a goes strictly before key b in the merge order. */
+static inline int before(int64_t a, int64_t b, const int descending)
+{
+    return descending ? a > b : a < b;
+}
+
+/* The body of pi_merge_runs; descending is a constant at each call site,
+ * so each order gets its own comparisons. */
+static inline int64_t merge_runs(const int64_t *const *keys,
+                                 const int64_t *lens, int64_t k,
+                                 const int descending, int64_t *pos,
+                                 int64_t *run_stream, int64_t *run_start,
+                                 int64_t *run_len)
+{
+    int64_t runs = 0;
+    for (;;) {
+        /* the first head s and the next head s2 in (key, stream) order */
+        int64_t s = -1, s2 = -1;
+        for (int64_t t = 0; t < k; t++) {
+            if (pos[t] == lens[t])
+                continue;
+            const int64_t h = keys[t][pos[t]];
+            if (s < 0 || before(h, keys[s][pos[s]], descending)) {
+                s2 = s;
+                s = t;
+            } else if (s2 < 0 || before(h, keys[s2][pos[s2]], descending)) {
+                s2 = t;
+            }
+        }
+        if (s < 0)
+            return runs;
+        /* stream s keeps the output while (key, s) stays before the next
+         * head: a tie stays in s only when s is the earlier stream */
+        const int64_t *v = keys[s];
+        const int64_t n = lens[s], start = pos[s];
+        const int64_t bound = s2 < 0 ? 0 : keys[s2][pos[s2]];
+        const int tie_stays = s < s2;
+        int64_t i = start;
+        do {
+            if (i > 0 && before(v[i], v[i - 1], descending))
+                return -1;
+            i++;
+        } while (i < n && (s2 < 0 || before(v[i], bound, descending)
+                           || (tie_stays && v[i] == bound)));
+        run_stream[runs] = s;
+        run_start[runs] = start;
+        run_len[runs] = i - start;
+        runs++;
+        pos[s] = i;
+    }
+}
+
+/* k-way merge of the int64 key streams keys[t][0:lens[t]], each ascending
+ * (descending when descending is set), in one pass over every key.
+ *
+ * The merged order is written as runs: run r is the rows
+ * [run_start[r], run_start[r] + run_len[r]) of stream run_stream[r]. Each
+ * array needs room for the total row count, the most runs a merge can
+ * make. Ties go to the earlier stream, and every stream keeps its own row
+ * order, so the result is the stable sort of the streams' concatenation.
+ * Returns the number of runs; -1 when a stream is out of order, which is
+ * checked for every row; -2 when the stream positions cannot be
+ * allocated. */
+int64_t pi_merge_runs(const int64_t *const *keys, const int64_t *lens,
+                      int64_t k, int descending, int64_t *run_stream,
+                      int64_t *run_start, int64_t *run_len)
+{
+    int64_t *pos = calloc((size_t)(k > 0 ? k : 1), sizeof *pos);
+    if (pos == NULL)
+        return -2;
+    const int64_t runs =
+        descending
+            ? merge_runs(keys, lens, k, 1, pos, run_stream, run_start, run_len)
+            : merge_runs(keys, lens, k, 0, pos, run_stream, run_start, run_len);
+    free(pos);
+    return runs;
+}
+
+/* Copies the merged rows of one column into dst: run r is the run_len[r]
+ * items of itemsize bytes at item run_start[r] of the array
+ * src[run_stream[r]]. */
+void pi_copy_runs(const char *const *src, int64_t itemsize,
+                  const int64_t *run_stream, const int64_t *run_start,
+                  const int64_t *run_len, int64_t runs, char *dst)
+{
+    for (int64_t r = 0; r < runs; r++) {
+        const size_t bytes = (size_t)(run_len[r] * itemsize);
+        memcpy(dst, src[run_stream[r]] + run_start[r] * itemsize, bytes);
+        dst += bytes;
+    }
 }
 
 /* Keep-mask of one longest non-decreasing (non-increasing when descending

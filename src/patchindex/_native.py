@@ -8,9 +8,11 @@ ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
 their numpy references instead: ``sharded_bitmap`` its shift,
 ``column_store`` its membership test (``in_positions``), ``query_engine``
-its merge join (``merge_join_positions``) and its hash join
-(``hash_join_positions``), and ``patch_index`` its longest sorted
-subsequence (``lss_keep``), which falls back to the Python patience loop
+its merge join (``merge_join_positions``), its hash join
+(``hash_join_positions``) and its merge of sorted streams
+(``merge_sorted_streams``), which falls back to a stable argsort of the
+concatenated streams, and ``patch_index`` its longest sorted subsequence
+(``lss_keep``), which falls back to the Python patience loop
 ``lss_keep_mask``.
 
 Module attributes:
@@ -54,6 +56,8 @@ _SIGNATURES = {
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
     "pi_merge_join": ((_P, _I, _P, _I, _P, _P), _I),
     "pi_hash_join": ((_P, _I, _P, _I, _P, _P, _I), _I),
+    "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),
+    "pi_copy_runs": ((_P, _I, _P, _P, _P, _I, _P), None),
     "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
 }
 

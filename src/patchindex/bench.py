@@ -194,7 +194,9 @@ def bench_query(table, query, index, dim=None, plans=("naive", "patchindex"),
 
     Each plan runs once untimed (the naive run doubles as the baseline,
     the others are verified against it), then QUERY_REPEATS times timed;
-    the report carries the median.
+    the report carries the median. The timed runs go round-robin over the
+    plans, so a slow phase of the machine, or a gain from running later,
+    lands on every plan alike.
     """
     naive, rewritten = build_query_plans(query, table, index, dim)
     baseline = execute(naive)
@@ -209,23 +211,24 @@ def bench_query(table, query, index, dim=None, plans=("naive", "patchindex"),
             raise VerificationError(f"{query}: rewrite declined")
         selected["patchindex-zbp"] = zero_branch_prune(rewritten)
 
-    reports = []
+    rows = {}
     for name in plans:
-        plan = selected[name]
-        rel = baseline if name == "naive" else execute(plan)
+        rel = baseline if name == "naive" else execute(selected[name])
         if verify and not _results_match(query, index.column, rel, baseline):
             raise VerificationError(
                 f"{query}/{name}: result mismatch against naive plan")
-        times = []
-        for _ in range(QUERY_REPEATS):
+        rows[name] = rel.nrows
+    times = {name: [] for name in plans}
+    for _ in range(QUERY_REPEATS):
+        for name in plans:
             t0 = time.perf_counter_ns()
-            execute(plan)
-            times.append(time.perf_counter_ns() - t0)
-        reports.append(WorkloadReport(
-            f"query_{query}", param, name, int(statistics.median(times)),
-            rows=rel.nrows, patches=index.patch_count,
-            memory_bytes=index.memory_bytes()))
-    return reports
+            execute(selected[name])
+            times[name].append(time.perf_counter_ns() - t0)
+    return [WorkloadReport(f"query_{query}", param, name,
+                           int(statistics.median(times[name])),
+                           rows=rows[name], patches=index.patch_count,
+                           memory_bytes=index.memory_bytes())
+            for name in plans]
 
 
 def bench_query_suite(rows=10**6, rates=(0.0, 0.01, 0.2, 0.5, 0.99), seed=0,

@@ -131,6 +131,48 @@ def _sort_key(values, order):
     return values if order is SortOrder.ASCENDING else np.invert(values)
 
 
+def _in_order(values, order):
+    """Whether values are sorted in `order`, ties allowed."""
+    ahead, behind = values[1:], values[:-1]
+    return not np.any(ahead < behind if order is SortOrder.ASCENDING
+                      else ahead > behind)
+
+
+def stable_argsort(values, order=SortOrder.ASCENDING):
+    """The permutation np.argsort(_sort_key(values, order), kind="stable").
+
+    int64 keys take one np.sort (numpy's SIMD quicksort, not its timsort)
+    of one uint64 word per row: the key's distance from the first key in
+    `order`, shifted above the row's position. Equal keys then compare by
+    position, and the low bits of the sorted words are the stable
+    permutation. The distance is taken in wrapping uint64 arithmetic,
+    which equals a sign flip to uint64 minus the flipped first key. Keys
+    already in order cost one comparison pass, as in numpy's timsort.
+    Keys of another dtype, fewer than two rows, and a key span that needs
+    more than 64 bits together with the position run the stable argsort.
+    """
+    values = np.asarray(values)
+    n = len(values)
+    if values.dtype != np.int64 or n < 2:
+        return np.argsort(_sort_key(values, order), kind="stable")
+    if _in_order(values, order):
+        return np.arange(n)
+    lo, hi = int(values.min()), int(values.max())
+    bits = (n - 1).bit_length()
+    if (hi - lo).bit_length() + bits > 64:
+        return np.argsort(_sort_key(values, order), kind="stable")
+    words = values.view(np.uint64)
+    if order is SortOrder.ASCENDING:
+        packed = words - np.uint64(lo % (1 << 64))
+    else:
+        packed = np.uint64(hi % (1 << 64)) - words
+    packed <<= np.uint64(bits)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << bits) - 1)
+    return packed.view(np.int64)
+
+
 def merge_join_positions(left_keys, right_keys):
     """Matching (left, right) row positions of a merge join.
 
@@ -213,6 +255,72 @@ def _hash_join_reference(bk, pk):
     within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     build_idx = order[np.repeat(lo, counts) + within]
     return probe_idx, build_idx
+
+
+def merge_sorted_streams(rels, key, order=SortOrder.ASCENDING):
+    """One relation of the rows of rels, whose key columns are each sorted
+    in `order`, merged on key.
+
+    Ties keep earlier-stream rows first and every stream keeps its row
+    order, so the result is the stable sort of the streams' concatenation.
+    A stream out of order raises ValueError. int64 keys with fixed-width,
+    non-object columns of one dtype per column run the compiled kernels:
+    one k-way pass over the keys that emits the merge as runs of stream
+    rows, then a run-by-run copy of each column. Anything else, or a
+    missing build, runs the numpy reference, a stable argsort of the
+    concatenated streams.
+    """
+    lib = _native.lib
+    cols = {c: [r.columns[c] for r in rels] for c in rels[0].columns}
+    if (lib is None or cols[key][0].dtype != np.int64
+            or not all(map(_runs_copyable, cols.values()))):
+        return _merge_sorted_reference(rels, key, order)
+    cols = {c: [np.ascontiguousarray(a) for a in arrays]
+            for c, arrays in cols.items()}
+    lens = np.array([len(k) for k in cols[key]], dtype=np.int64)
+    total = int(lens.sum())
+    # a merge makes at most one run per row; untouched rows cost no memory
+    stream, start, length = np.empty((3, max(total, 1)), dtype=np.int64)
+    count = lib.pi_merge_runs(_pointers(cols[key]).ctypes.data,
+                              lens.ctypes.data, len(rels),
+                              order is SortOrder.DESCENDING,
+                              stream.ctypes.data, start.ctypes.data,
+                              length.ctypes.data)
+    if count == -1:
+        raise ValueError("merge needs sorted streams")
+    if count < 0:
+        raise MemoryError("merge: cannot allocate the stream positions")
+    if count <= 1:  # at most one stream has rows
+        return rels[int(stream[0]) if count else 0]
+    out = {}
+    for c, arrays in cols.items():
+        dst = np.empty(total, dtype=arrays[0].dtype)
+        lib.pi_copy_runs(_pointers(arrays).ctypes.data, dst.itemsize,
+                         stream.ctypes.data, start.ctypes.data,
+                         length.ctypes.data, count, dst.ctypes.data)
+        out[c] = dst
+    return Relation(out)
+
+
+def _runs_copyable(arrays):
+    """Whether pi_copy_runs may copy these per-stream arrays of a column:
+    one fixed-width dtype holding no Python objects."""
+    dtype = arrays[0].dtype
+    return not dtype.hasobject and all(a.dtype == dtype for a in arrays)
+
+
+def _pointers(arrays):
+    return np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
+
+
+def _merge_sorted_reference(rels, key, order):
+    if not all(_in_order(r.columns[key], order) for r in rels):
+        raise ValueError("merge needs sorted streams")
+    if len(rels) == 1:
+        return rels[0]
+    cols = {c: np.concatenate([r.columns[c] for r in rels])
+            for c in rels[0].columns}
+    return Relation(cols).take(stable_argsort(cols[key], order))
 
 
 class Executor:
@@ -311,9 +419,7 @@ class Executor:
 
     def _op_sort(self, node):
         rel = self._exec(node.children[0])
-        order = np.argsort(_sort_key(rel.columns[node.key], node.order),
-                           kind="stable")
-        return rel.take(order)
+        return rel.take(stable_argsort(rel.columns[node.key], node.order))
 
     # joins
 
@@ -356,15 +462,8 @@ class Executor:
                          for c in names})
 
     def _op_merge_sorted(self, node):
-        rels = [self._exec(c) for c in node.children]
-        if len(rels) == 1:
-            return rels[0]
-        names = list(rels[0].columns)
-        cols = {c: np.concatenate([r.columns[c] for r in rels]) for c in names}
-        # stable sort of concatenated sorted runs degrades to a linear merge
-        # (galloping); ties keep earlier-stream rows first
-        order = np.argsort(_sort_key(cols[node.key], node.order), kind="stable")
-        return Relation({c: a[order] for c, a in cols.items()})
+        return merge_sorted_streams([self._exec(c) for c in node.children],
+                                    node.key, node.order)
 
 
 def execute(plan):

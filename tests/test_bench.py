@@ -127,10 +127,12 @@ class TestBenchQuery:
         monkeypatch.setattr(bench_mod, "execute", recorded)
         bench_query(t, query, idx, dim=dim,
                     plans=("naive", "patchindex", "patchindex-zbp"))
-        # naive: baseline + timed runs; then the rewrite's verified run
+        # the naive baseline, one verified run per rewrite, then the timed
+        # runs round-robin over naive, patchindex and patchindex-zbp
         runs = 1 + bench_mod.QUERY_REPEATS
-        patchindex = calls[runs:2 * runs]
-        zbp = calls[2 * runs:]
+        timed = calls[3:]
+        patchindex = [calls[1]] + timed[1::3]
+        zbp = [calls[2]] + timed[2::3]
         assert patchindex == [explain(rewritten, cost=False)] * runs
         assert len(zbp) == runs and zbp[0] != patchindex[0]
         assert "Scan[use_patches]" in patchindex[0]
@@ -158,6 +160,43 @@ class TestBenchQuery:
         # the baseline doubles as the naive warm-up; the rewrite gets its own
         assert len(calls) == 1 + bench_mod.QUERY_REPEATS + 1 + bench_mod.QUERY_REPEATS
         assert [r.runtime_ns for r in reports] == [3, 3]
+
+    def test_timed_runs_interleave_plans(self, monkeypatch):
+        from patchindex import bench as bench_mod
+        t, idx = self._indexed("nsc", 0.0, value_domain=50)
+        dim = dimension_table(50)
+        naive, rewritten = bench_mod.build_query_plans("join", t, idx, dim)
+        pruned = bench_mod.zero_branch_prune(rewritten)
+        names = {id(naive): "naive", id(rewritten): "patchindex"}
+        real_execute = bench_mod.execute
+        calls = []
+
+        def recorded(plan):
+            calls.append(names.get(id(plan), "patchindex-zbp"))
+            return real_execute(plan)
+
+        # each timed run reads the clock twice; durations per round are
+        # (naive, patchindex, patchindex-zbp)
+        durations = [(9, 1, 50), (7, 2, 40), (8, 100, 10), (1, 3, 20),
+                     (100, 4, 30)]
+        ticks = [0]
+        for d in [d for rnd in durations for d in rnd]:
+            ticks += [ticks[-1] + d, ticks[-1] + d + 10]
+        clock = iter(ticks)
+        monkeypatch.setattr(bench_mod, "execute", recorded)
+        monkeypatch.setattr(bench_mod, "zero_branch_prune", lambda p: pruned)
+        monkeypatch.setattr(bench_mod.time, "perf_counter_ns",
+                            lambda: next(clock))
+        monkeypatch.setattr(bench_mod, "build_query_plans",
+                            lambda *a: (naive, rewritten))
+        plans = ("naive", "patchindex", "patchindex-zbp")
+        reports = bench_query(t, "join", idx, dim=dim, plans=plans)
+        assert bench_mod.QUERY_REPEATS == len(durations)
+        # untimed: the baseline and one verified run per rewrite
+        assert calls[:3] == list(plans)
+        assert calls[3:] == list(plans) * bench_mod.QUERY_REPEATS
+        assert [(r.variant, r.runtime_ns) for r in reports] == [
+            ("naive", 8), ("patchindex", 3), ("patchindex-zbp", 30)]
 
     def test_tampered_result_detected(self, monkeypatch):
         from patchindex import bench as bench_mod

@@ -10,9 +10,9 @@ from patchindex import query_engine as qe
 from patchindex.query_engine import (
     Executor, annotate, choose_plan, distinct_node, execute, explain,
     group_count_node, hash_join_node, hash_join_positions, merge_join_node,
-    merge_join_positions, plan_cost, result_checksum,
+    merge_join_positions, merge_sorted_streams, plan_cost, result_checksum,
     rewrite_distinct, rewrite_group_count, rewrite_join, rewrite_sort,
-    scan_node, select_node, sort_node, zero_branch_prune,
+    scan_node, select_node, sort_node, stable_argsort, zero_branch_prune,
 )
 
 
@@ -470,6 +470,235 @@ class TestHashJoinPositions:
         assert result_checksum(a) == result_checksum(b)
 
 
+@pytest.fixture
+def argsort_calls(monkeypatch):
+    """Counts the calls of np.argsort made while a test runs."""
+    calls = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+class TestStableArgsort:
+    I64 = np.iinfo(np.int64)
+
+    def _check(self, values, order):
+        values = np.asarray(values)
+        want = np.argsort(qe._sort_key(values, order), kind="stable")
+        got = stable_argsort(values, order)
+        assert got.tolist() == want.tolist(), (values, order)
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    @pytest.mark.parametrize("values", [
+        [], [7], [3] * 50, [NULL_VALUE, 5, NULL_VALUE, -3, 5, NULL_VALUE],
+        [-2, 0, -2, 1, 0, -5], list(range(100, 0, -3)) * 3,
+        [-4, 0, 0, 3, 9], [9, 3, 0, 0, -4],  # already in one order
+    ])
+    def test_matches_stable_argsort(self, values, order):
+        self._check(np.array(values, dtype=np.int64), order)
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_random(self, order):
+        rng = np.random.default_rng(11)
+        # sizes around powers of two, where the position bits step up
+        for n in (2, 3, 255, 256, 257, 1024, 1025, 5000):
+            for hi in (2, 50, 2**40):
+                self._check(rng.integers(-hi, hi, size=n), order)
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_extremes_fall_back(self, order, argsort_calls):
+        values = np.array([self.I64.max, 0, self.I64.min, self.I64.max,
+                           self.I64.min], dtype=np.int64)
+        self._check(values, order)
+        assert len(argsort_calls) == 2  # the oracle and the fallback
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    @pytest.mark.parametrize("span_bits", [62, 63])
+    def test_span_at_64_packed_bits(self, order, span_bits, argsort_calls):
+        # four rows take two position bits: a 62-bit span fills the 64
+        # packed bits exactly, a 63-bit span does not fit
+        base = -(1 << 61)
+        values = np.array([base + (1 << span_bits) - 1, base, base + 7,
+                           base], dtype=np.int64)
+        self._check(values, order)
+        # the oracle, plus the fallback when the span does not fit
+        assert len(argsort_calls) == (1 if span_bits == 62 else 2)
+
+    def test_bytes_keys(self):
+        values = np.array([b"b", b"a", b"c", b"a", b"b"], dtype="S1")
+        self._check(values, SortOrder.ASCENDING)
+        # bytes have no bitwise-not sort key, on either path
+        with pytest.raises(TypeError):
+            qe._sort_key(values, SortOrder.DESCENDING)
+        with pytest.raises(TypeError):
+            stable_argsort(values, SortOrder.DESCENDING)
+
+    def test_non_int64_and_strided_keys(self):
+        self._check(np.array([3, 1, 3, 2, 1], dtype=np.int32),
+                    SortOrder.DESCENDING)
+        self._check(np.arange(40, dtype=np.int64)[::-3] % 7,
+                    SortOrder.ASCENDING)
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_sort_operator_uses_it(self, order):
+        vals = nearly_sorted(600, 90, seed=4) % 50
+        t = make_table(vals, partitions=3)
+        rel = execute(sort_node(scan_node(t, ["value"]), "value", order))
+        want = np.argsort(qe._sort_key(vals, order), kind="stable")
+        assert rel.columns["rowid"].tolist() == want.tolist()
+
+
+def merge_streams(keys):
+    """Relations over the given key lists, with an int64 row number, an
+    S8 copy and an int32 copy of the key as payload columns."""
+    rels, row = [], 0
+    for k in keys:
+        k = np.array(k, dtype=np.int64)
+        rels.append(qe.Relation({
+            "row": np.arange(row, row + len(k), dtype=np.int64),
+            "value": k, "tag": k.astype("S8"), "small": k.astype(np.int32)}))
+        row += len(k)
+    return rels
+
+
+def assert_same_relation(a, b):
+    assert list(a.columns) == list(b.columns)
+    for c in a.columns:
+        assert a.columns[c].dtype == b.columns[c].dtype, c
+        assert a.columns[c].tolist() == b.columns[c].tolist(), c
+
+
+class NoKernels:
+    """Stands in for the kernel library; any use of a kernel fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"kernel {name} called")
+
+
+class TestMergeSortedStreams:
+    CASES = [  # (stream keys, order)
+        ([[1, 2, 2, 5], [2, 2, 3], [0, 2, 9]], SortOrder.ASCENDING),
+        ([[5, 5, 5], [5, 5], [5]], SortOrder.ASCENDING),
+        ([[], [3, 4], [], [1, 4, 4], []], SortOrder.ASCENDING),
+        ([[], [], []], SortOrder.ASCENDING),
+        ([[4, 6, 8]], SortOrder.ASCENDING),
+        ([[0, 5000], [566, 600, 4999], [1, 2, 3]], SortOrder.ASCENDING),
+        ([[9, 4, 4, 1], [4, 4, 0], [10, 4]], SortOrder.DESCENDING),
+        ([[NULL_VALUE, NULL_VALUE, 2], [NULL_VALUE, 1]], SortOrder.ASCENDING),
+        ([[2, NULL_VALUE], [1, NULL_VALUE, NULL_VALUE]], SortOrder.DESCENDING),
+    ]
+
+    @staticmethod
+    def _oracle(rels, order):
+        cols = {c: np.concatenate([r.columns[c] for r in rels])
+                for c in rels[0].columns}
+        idx = np.argsort(qe._sort_key(cols["value"], order), kind="stable")
+        return qe.Relation({c: a[idx] for c, a in cols.items()})
+
+    def _check(self, keys, order):
+        rels = merge_streams(keys)
+        got = merge_sorted_streams(rels, "value", order)
+        assert_same_relation(got, qe._merge_sorted_reference(rels, "value",
+                                                             order))
+        assert_same_relation(got, self._oracle(rels, order))
+
+    @pytest.mark.parametrize("keys,order", CASES)
+    def test_matches_reference(self, keys, order, join_backend):
+        self._check(keys, order)
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_seventy_streams(self, order, join_backend):
+        rng = np.random.default_rng(70)
+        keys = []
+        for t in range(70):
+            k = np.sort(rng.integers(0, 40, size=int(rng.integers(0, 30))))
+            keys.append(k if order is SortOrder.ASCENDING else k[::-1])
+        self._check(keys, order)
+
+    @pytest.mark.parametrize("keys,order", [
+        ([[1, 2, 3], [4, 2]], SortOrder.ASCENDING),
+        ([[5, 6, 7, 1], [0, 1]], SortOrder.ASCENDING),  # after the merge
+        ([[1, 3, 2], [], [0, 9]], SortOrder.ASCENDING),
+        ([[3, 2, 1], [1, 2]], SortOrder.DESCENDING),
+        ([[2, 1]], SortOrder.ASCENDING),                # one stream
+    ])
+    def test_unsorted_stream_raises(self, keys, order, join_backend):
+        rels = merge_streams(keys)
+        with pytest.raises(ValueError, match="merge needs sorted streams"):
+            merge_sorted_streams(rels, "value", order)
+
+    @needs_compiler
+    def test_kernel_path_does_not_sort_or_concatenate(self, monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        rels = merge_streams([[1, 4, 4, 9], [0, 4, 7], [2, 3]])
+        want = self._oracle(rels, SortOrder.ASCENDING)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("re-sorted or concatenated")
+
+        for name in ("argsort", "sort", "concatenate", "lexsort"):
+            monkeypatch.setattr(np, name, banned)
+        got = merge_sorted_streams(rels, "value")
+        monkeypatch.undo()
+        assert_same_relation(got, want)
+
+    def test_object_columns_never_reach_the_kernels(self, monkeypatch):
+        rels = merge_streams([[1, 3], [2, 3]])
+        for r, names in zip(rels, (["a", "b"], ["c", "d"])):
+            r.columns["name"] = np.array(names, dtype=object)
+        want = self._oracle(rels, SortOrder.ASCENDING)
+        monkeypatch.setattr(_native, "lib", NoKernels())
+        assert_same_relation(merge_sorted_streams(rels, "value"), want)
+
+    def test_mixed_dtypes_and_non_int64_keys_use_reference(self, monkeypatch):
+        rels = merge_streams([[1, 3], [2, 3]])
+        rels[1].columns["small"] = rels[1].columns["small"].astype(np.int16)
+        want = self._oracle(rels, SortOrder.ASCENDING)
+        monkeypatch.setattr(_native, "lib", NoKernels())
+        assert_same_relation(merge_sorted_streams(rels, "value"), want)
+        rels = merge_streams([[1, 3], [2, 3]])
+        for r in rels:
+            r.columns["value"] = r.columns["value"].astype(np.int32)
+        got = merge_sorted_streams(rels, "value")
+        assert got.columns["row"].tolist() == [0, 2, 1, 3]
+
+    def test_kernel_allocation_failure_raises_memory_error(self, monkeypatch):
+        class FailingKernels:
+            @staticmethod
+            def pi_merge_runs(*args):
+                return -2
+
+        monkeypatch.setattr(_native, "lib", FailingKernels())
+        with pytest.raises(MemoryError):
+            merge_sorted_streams(merge_streams([[1], [2]]), "value")
+
+    @needs_compiler
+    def test_one_nonempty_stream_passes_through(self):
+        rels = merge_streams([[], [1, 2, 2], []])
+        assert merge_sorted_streams(rels, "value") is rels[1]
+
+
+@needs_compiler
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.integers(-30, 30), max_size=120),
+       cuts=st.lists(st.integers(0, 12), max_size=120),
+       descending=st.booleans())
+def test_merge_kernel_equals_reference_over_stream_splits(values, cuts,
+                                                          descending):
+    """Deal a sorted key list to up to 13 streams (each stays sorted) and
+    merge them back on both paths."""
+    order = SortOrder.DESCENDING if descending else SortOrder.ASCENDING
+    keys = sorted(values, reverse=descending)
+    streams = [[] for _ in range(13)]
+    for i, v in enumerate(keys):
+        streams[cuts[i] if i < len(cuts) else 0].append(v)
+    rels = merge_streams(streams)
+    got = merge_sorted_streams(rels, "value", order)
+    assert got.columns["value"].tolist() == keys
+    assert_same_relation(got, qe._merge_sorted_reference(rels, "value", order))
+
+
 class TestRewriteDistinct:
     @pytest.mark.parametrize("dup_rate", [0.0, 0.3, 0.9])
     def test_result_set_equality(self, dup_rate):
@@ -567,6 +796,28 @@ class TestRewriteSort:
         a, b = execute(naive), execute(rewritten)
         assert np.array_equal(a.columns["value"], b.columns["value"])
         assert np.all(np.diff(b.columns["value"]) <= 0)
+
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_kernel_and_reference_keep_one_tie_order(self, order,
+                                                     monkeypatch):
+        from patchindex.patch_index import NSC_DESC
+        # few distinct values: ties across partitions and with the patches
+        vals = nearly_sorted(1800, 200, seed=9) // 40
+        if order is SortOrder.DESCENDING:
+            vals = vals[::-1].copy()
+        t, idx = indexed(vals, NSC_ASC if order is SortOrder.ASCENDING
+                         else NSC_DESC, partitions=4)
+        plan = rewrite_sort(sort_node(scan_node(t, ["value"]), "value",
+                                      order), idx)
+        assert idx.patch_count > 0
+        kernel = execute(plan)
+        monkeypatch.setattr(_native, "lib", None)
+        reference = execute(plan)
+        assert_same_relation(kernel, reference)
+        assert np.array_equal(kernel.columns["value"],
+                              execute(sort_node(scan_node(t, ["value"]),
+                                                "value", order)).columns["value"])
 
 
 class TestRewriteJoin:

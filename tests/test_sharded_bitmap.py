@@ -274,6 +274,23 @@ class TestNativeLoader:
             "    [1, 2, 5, 7, 8], [1, None])\n"
             "assert rows([[3, N, 4, 3, N, 5], [4, 6]], NUC) == (\n"
             "    [0, 1, 2, 3, 4, 6], [None, None])\n"
+            "from patchindex.patch_index import SortOrder\n"
+            "from patchindex.query_engine import rewrite_sort, scan_node, sort_node\n"
+            "asc = [[0, 10, 10, 20, 95, 30, 30], [30, 30, 40, 5, 50, 50]]\n"
+            "desc = [p[::-1] for p in asc[::-1]]\n"
+            "for parts, c, o in ((asc, NSC_ASC, SortOrder.ASCENDING),\n"
+            "                    (desc, NSC_DESC, SortOrder.DESCENDING)):\n"
+            "    st = ColumnTable.from_partitions(\n"
+            "        [{'value': np.array(p)} for p in parts], 64)\n"
+            "    ix = build_index([p.columns['value'] for p in st.partitions], c)\n"
+            "    naive = sort_node(scan_node(st, ['value']), 'value', o)\n"
+            "    plan = rewrite_sort(naive, ix)\n"
+            "    assert ix.patch_count == 2 and plan.op == 'merge_sorted'\n"
+            "    a, b = execute(naive), execute(plan)\n"
+            "    assert a.columns['value'].tolist() == sorted(\n"
+            "        sum(parts, []), reverse=o is SortOrder.DESCENDING)\n"
+            "    assert (result_checksum(a, ordered=True)\n"
+            "            == result_checksum(b, ordered=True))\n"
             "print(_native.BACKEND, _native.lib,\n"
             "      sum(w.category is RuntimeWarning for w in caught))\n")
         src = Path(patchindex.__file__).resolve().parent.parent
