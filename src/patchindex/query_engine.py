@@ -281,7 +281,8 @@ def merge_sorted_streams(rels, key, order=SortOrder.ASCENDING):
     total = int(lens.sum())
     # a merge makes at most one run per row; untouched rows cost no memory
     stream, start, length = np.empty((3, max(total, 1)), dtype=np.int64)
-    count = lib.pi_merge_runs(_pointers(cols[key]).ctypes.data,
+    key_ptrs = _pointers(cols[key])
+    count = lib.pi_merge_runs(key_ptrs.ctypes.data,
                               lens.ctypes.data, len(rels),
                               order is SortOrder.DESCENDING,
                               stream.ctypes.data, start.ctypes.data,
@@ -295,7 +296,8 @@ def merge_sorted_streams(rels, key, order=SortOrder.ASCENDING):
     out = {}
     for c, arrays in cols.items():
         dst = np.empty(total, dtype=arrays[0].dtype)
-        lib.pi_copy_runs(_pointers(arrays).ctypes.data, dst.itemsize,
+        ptrs = _pointers(arrays)
+        lib.pi_copy_runs(ptrs.ctypes.data, dst.itemsize,
                          stream.ctypes.data, start.ctypes.data,
                          length.ctypes.data, count, dst.ctypes.data)
         out[c] = dst
@@ -310,6 +312,9 @@ def _runs_copyable(arrays):
 
 
 def _pointers(arrays):
+    """The data addresses of arrays, as a uintp array. A kernel may read
+    it only while the caller holds it by name: `.ctypes.data` of a
+    temporary is freed as soon as the address is taken."""
     return np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
 
 
