@@ -364,6 +364,25 @@ void pi_copy_runs(const char *const *src, int64_t itemsize,
     }
 }
 
+/* Removes the items at the m ascending, distinct positions dead[] (all
+ * below n) from the n items of itemsize bytes at base, in place: each gap
+ * between two removed items moves down by the number removed before it.
+ * Items from dead[0] on are rewritten; the last m of the n are stale.
+ * Returns 0, or -1 without writing when dead[] breaks its contract. */
+int64_t pi_compact(char *base, int64_t n, int64_t itemsize,
+                   const int64_t *dead, int64_t m)
+{
+    for (int64_t i = 0; i < m; i++)
+        if (dead[i] < (i ? dead[i - 1] + 1 : 0) || dead[i] >= n)
+            return -1;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t src = dead[i] + 1, end = i + 1 < m ? dead[i + 1] : n;
+        memmove(base + (src - i - 1) * itemsize, base + src * itemsize,
+                (size_t)((end - src) * itemsize));
+    }
+    return 0;
+}
+
 /* Keep-mask of one longest non-decreasing (non-increasing when descending
  * is set) subsequence of v[0:n], by the patience method in O(n log n).
  *

@@ -7,7 +7,8 @@ a hash of the source, the flags and the machine type, and loaded through
 ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
 their numpy references instead: ``sharded_bitmap`` its shift,
-``column_store`` its membership test (``in_positions``), ``query_engine``
+``column_store`` its membership test (``in_positions``) and its in-place
+row removal (``compact``), ``query_engine``
 its merge join (``merge_join_positions``), its hash join
 (``hash_join_positions``) and its merge of sorted streams
 (``merge_sorted_streams``), which falls back to a stable argsort of the
@@ -59,6 +60,7 @@ _SIGNATURES = {
     "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),
     "pi_copy_runs": ((_P, _I, _P, _P, _P, _I, _P), None),
     "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
+    "pi_compact": ((_P, _I, _I, _P, _I), _I),
 }
 
 

@@ -18,7 +18,8 @@ from .query_engine import (distinct_node, execute, hash_join_node,
                            rewrite_sort, scan_node, sort_node,
                            zero_branch_prune)
 from .sharded_bitmap import ShardedBitmap, default_threads, shift_numpy
-from .update_pipeline import apply_delete, apply_insert, apply_modify
+from .update_pipeline import (UpdateStats, apply_delete, apply_insert,
+                              apply_modify)
 
 CSV_HEADER = "experiment,param,variant,runtime_ns,rows,patches,memory_bytes,blocks_scanned"
 
@@ -273,10 +274,13 @@ def _prepared_updates(op, row_count, count, seed, key_start):
 
 
 def run_update_workload(table, indexes, op, prepared, granularity):
-    """Apply `count` row updates in statements of `granularity` rows."""
+    """Apply `count` row updates in statements of `granularity` rows.
+
+    Returns (elapsed ns, the statements' UpdateStats merged into one).
+    """
     count = len(prepared["values" if op != "delete" else "ids"])
     t0 = time.perf_counter_ns()
-    blocks = 0
+    total = UpdateStats()
     for lo in range(0, count, granularity):
         hi = min(lo + granularity, count)
         if op == "insert":
@@ -288,8 +292,9 @@ def run_update_workload(table, indexes, op, prepared, granularity):
                                  {"value": prepared["values"][lo:hi]})
         else:
             stats = apply_delete(table, indexes, prepared["ids"][lo:hi])
-        blocks += sum(s.blocks_scanned for s in stats)
-    return time.perf_counter_ns() - t0, blocks
+        for s in stats:
+            total = total.merge(s)
+    return time.perf_counter_ns() - t0, total
 
 
 def state_checksum(table, index=None):
@@ -325,11 +330,11 @@ def bench_update(spec, op, count=1000, granularities=UPDATE_GRANULARITIES,
                     [p.columns["value"] for p in table.partitions],
                     constraint, store=variant)
                 indexes = [index]
-            dt, blocks = run_update_workload(table, indexes, op, prepared, g)
+            dt, stats = run_update_workload(table, indexes, op, prepared, g)
             checksums[(variant, g)] = state_checksum(table, index)
             reports.append(WorkloadReport(
                 f"update_{op}", g, variant, dt, rows=table.row_count,
                 patches=index.patch_count if index else 0,
                 memory_bytes=index.memory_bytes() if index else 0,
-                blocks_scanned=blocks))
+                blocks_scanned=stats.blocks_scanned))
     return reports, checksums

@@ -213,17 +213,19 @@ def cmd_update(args):
     index = _build(table, args.column, args.constraint, args.store)
     prepared = bench_mod._prepared_updates(args.op, table.row_count, args.count,
                                            args.seed, key_start=table.row_count)
-    dt, blocks = bench_mod.run_update_workload(table, [index], args.op, prepared,
-                                               args.granularity)
+    dt, stats = bench_mod.run_update_workload(table, [index], args.op, prepared,
+                                              args.granularity)
     print(f"{args.op} x{args.count} at granularity {args.granularity}: "
           f"{dt/1e6:.1f} ms total, e={index.exception_rate:.4f}, "
-          f"blocks_scanned={blocks}")
+          f"blocks_scanned={stats.blocks_scanned}")
+    print(f"phases: storage {stats.storage_ms:.1f} ms, "
+          f"probe {stats.probe_ms:.1f} ms, maintain {stats.maintain_ms:.1f} ms")
     if args.csv_out:
         _emit([WorkloadReport(f"update_{args.op}", args.granularity, args.store,
                               dt, rows=table.row_count,
                               patches=index.patch_count,
                               memory_bytes=index.memory_bytes(),
-                              blocks_scanned=blocks)], args.csv_out)
+                              blocks_scanned=stats.blocks_scanned)], args.csv_out)
     return 0
 
 

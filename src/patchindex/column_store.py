@@ -2,14 +2,18 @@
 
 Tables hold int64 (and fixed-width bytes) columns split into partitions.
 Global rowIDs are dense, assigned by partition order then position. Each
-partition keeps per-block min/max summaries for its int64 columns, and the
-last partition carries an in-memory append delta for rows inserted by the
-current update statement. Deletes compact rows immediately, shifting all
-subsequent rowIDs down.
+partition stores its rows in fixed-capacity chunks, the sharded bitmap's
+layout, with per-block min/max summaries of its int64 columns on each
+chunk's block grid. The last partition carries an in-memory append delta
+for rows inserted by the current update statement. Deletes compact rows
+immediately, inside the chunks that hold them, shifting all subsequent
+rowIDs down.
 """
 
 import json
 import struct
+from bisect import bisect_right
+from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,9 @@ from . import _native
 
 MAGIC = b"PDX1"
 DEFAULT_BLOCK_SIZE = 4096
+# chunk capacity in zone-map blocks: a delete rewrites one chunk of
+# CHUNK_BLOCKS * block_size rows, not the whole partition
+CHUNK_BLOCKS = 16
 
 
 @dataclass
@@ -42,13 +49,27 @@ class ScanRange:
                 merged.append((lo, hi))
         return cls(merged)
 
+    @classmethod
+    def from_blocks(cls, lo, hi):
+        """Ascending, disjoint [lo, hi) block arrays as runs, where a block
+        that starts at its predecessor's end extends the run."""
+        if not len(lo):
+            return cls([])
+        brk = lo[1:] != hi[:-1]
+        starts = lo[np.concatenate(([True], brk))]
+        ends = hi[np.concatenate((brk, [True]))]
+        return cls(list(zip(starts.tolist(), ends.tolist())))
+
     def clip(self, lo, hi):
         """Intervals intersected with [lo, hi)."""
+        if lo >= hi:
+            return []
+        iv = self.intervals
+        i = bisect_right(iv, lo, key=itemgetter(1))  # first ending after lo
         out = []
-        for a, b in self.intervals:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 < b2:
-                out.append((a2, b2))
+        while i < len(iv) and iv[i][0] < hi:
+            out.append((max(iv[i][0], lo), min(iv[i][1], hi)))
+            i += 1
         return out
 
     def row_count(self):
@@ -98,6 +119,32 @@ def in_positions(values, keys):
     return out[:count]
 
 
+def compact(row, n, dead):
+    """Remove the ascending, distinct positions dead from row[:n] in place.
+
+    The kept rows from dead[0] on move down; row[n - len(dead):n] is left
+    stale. The compiled kernel moves each gap with one memmove; the numpy
+    reference compresses the rewritten tail with a keep mask.
+    """
+    if not len(dead):
+        return
+    if n > len(row) or not row.flags.c_contiguous:
+        raise ValueError("compact needs a contiguous row of at least n items")
+    lib = _native.lib
+    if lib is None:
+        first = int(dead[0])
+        if first < 0 or dead[-1] >= n or np.any(np.diff(dead) <= 0):
+            raise ValueError("dead positions must ascend inside row[:n]")
+        keep = np.ones(n - first, dtype=bool)
+        keep[dead - first] = False
+        row[first:n - len(dead)] = row[first:n][keep]
+        return
+    dead = np.ascontiguousarray(dead, dtype=np.int64)
+    if lib.pi_compact(row.ctypes.data, n, row.itemsize, dead.ctypes.data,
+                      len(dead)) < 0:
+        raise ValueError("dead positions must ascend inside row[:n]")
+
+
 def _block_minmax(values, block_size):
     n = len(values)
     if n == 0:
@@ -110,21 +157,63 @@ def _block_minmax(values, block_size):
 
 
 class Partition:
-    """Column arrays plus block summaries and an append delta."""
+    """Column rows in fixed-capacity chunks, plus an append delta.
+
+    The sharded bitmap's layout applied to storage. Each column is one
+    (slots, capacity) buffer: chunk k holds its counts[k] rows at the front
+    of buffer row k, the chunks follow each other in rowID order, and the
+    rows of a chunk start where the rows of the chunks before it end. The
+    capacity is CHUNK_BLOCKS zone-map blocks, so every chunk has its own
+    block grid, laid out as (slots, CHUNK_BLOCKS) min and max arrays. A
+    delete compacts the touched chunks only, and a delta merge fills the
+    last chunk and then opens new ones. Blocks are numbered on that grid:
+    block j of chunk k is block k * CHUNK_BLOCKS + j.
+    """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE, minmax=None):
-        self.columns = columns
+        """Copy whole-partition arrays into chunks; the caller's arrays are
+        never written. minmax, when given, holds the zone maps of the
+        contiguous layout, as ``_block_minmax`` computes them."""
         self.block_size = block_size
+        self.capacity = CHUNK_BLOCKS * block_size
+        columns = {c: np.asarray(a) for c, a in columns.items()}
+        n = len(next(iter(columns.values()))) if columns else 0
+        nchunks = -(-n // self.capacity)
+        self.counts = np.full(nchunks, self.capacity, dtype=np.int64)
+        if nchunks:
+            self.counts[-1] = n - (nchunks - 1) * self.capacity
+        self.chunks = {}
+        for c, a in columns.items():
+            self.chunks[c] = np.empty((nchunks, self.capacity), dtype=a.dtype)
+            self.chunks[c].reshape(-1)[:n] = a
+        if minmax is None:
+            minmax = {c: _block_minmax(a, block_size)
+                      for c, a in columns.items() if a.dtype == np.int64}
+        # all chunks but the last are full, so the contiguous grid lines up
+        self.zones = {}
+        for c, summaries in minmax.items():
+            self.zones[c] = tuple(np.zeros((nchunks, CHUNK_BLOCKS), np.int64)
+                                  for _ in summaries)
+            for zone, values in zip(self.zones[c], summaries):
+                zone.reshape(-1)[:len(values)] = values
         self.delta = {}
         self.delta_minmax = {}
-        if minmax is None:
-            self.rebuild_minmax()
-        else:
-            self.minmax = minmax
+        self._recount()
+
+    def _recount(self):
+        """Refresh what follows from the chunk row counts: the row count,
+        each chunk's end row, the shift from a partition row to its
+        position in the flattened buffers, and the live blocks."""
+        self.ends = np.cumsum(self.counts)
+        self.nrows = int(self.ends[-1]) if self.nchunks else 0
+        self.shift = (np.arange(self.nchunks) * self.capacity
+                      - (self.ends - self.counts))
+        self.live = (np.arange(CHUNK_BLOCKS) * self.block_size
+                     < self.counts[:, None])
 
     @property
-    def nrows(self):
-        return len(next(iter(self.columns.values()))) if self.columns else 0
+    def nchunks(self):
+        return len(self.counts)
 
     @property
     def delta_rows(self):
@@ -135,34 +224,117 @@ class Partition:
         return self.nrows + self.delta_rows
 
     def int_columns(self):
-        return [c for c, a in self.columns.items() if a.dtype == np.int64]
+        return [c for c, a in self.chunks.items() if a.dtype == np.int64]
 
-    def rebuild_minmax(self):
-        self.minmax = {c: _block_minmax(self.columns[c], self.block_size)
-                       for c in self.int_columns()}
+    def chunk(self, column, k):
+        """The live rows of chunk k (a view)."""
+        return self.chunks[column][k, :self.counts[k]]
+
+    def chunk_minmax(self, column, k):
+        """Zone maps of chunk k's live blocks (views)."""
+        nblocks = -(-int(self.counts[k]) // self.block_size)
+        return tuple(z[k, :nblocks] for z in self.zones[column])
+
+    @property
+    def columns(self):
+        """Whole-partition arrays, read-only.
+
+        Views of the chunk buffers while every chunk but the last is full
+        (as after a load), copies otherwise; a view changes with later
+        updates. For index discovery and inspection only: no query or
+        update path reads it.
+        """
+        contiguous = bool((self.counts[:-1] == self.capacity).all())
+        out = {}
+        for c, buf in self.chunks.items():
+            if contiguous:
+                a = buf[:self.nchunks].reshape(-1)[:self.nrows]
+            else:
+                a = np.concatenate([self.chunk(c, k) for k in range(self.nchunks)])
+            a.flags.writeable = False
+            out[c] = a
+        return out
+
+    def segment(self, columns, k):
+        """Column arrays of chunk k, or of the delta when k is nchunks."""
+        if k == self.nchunks:
+            return self.delta
+        return {c: self.chunk(c, k) for c in columns}
+
+    def positions(self, local):
+        """Positions in the flattened chunk buffers of partition rows."""
+        return local + self.shift[np.searchsorted(self.ends, local, side="right")]
+
+    def take(self, column, local):
+        """Values of one column at persisted partition rows."""
+        return self.chunks[column].reshape(-1)[self.positions(local)]
 
     def rebuild_minmax_blocks(self, column, blocks):
-        """Recompute the summaries of the given distinct blocks.
+        """Recompute the summaries of the given ascending, distinct live
+        blocks; the work follows the touched blocks, not the partition.
 
-        The touched full blocks are gathered as rows of a (blocks,
-        block_size) view and reduced together, so the work follows the
-        touched rows, not the partition size.
+        Up to a chunk's worth of blocks, what a small statement touches,
+        are gathered as rows of a (blocks, block_size) array and reduced
+        together, in one call instead of one per block. More blocks, what
+        a bulk statement touches, come in runs of consecutive blocks; each
+        run inside one chunk is one contiguous row range, reduced where it
+        lies, without the copy.
         """
         blocks = np.asarray(blocks, dtype=np.int64)
-        mins, maxs = self.minmax[column]
-        arr = self.columns[column]
-        nfull = len(arr) // self.block_size
-        full = blocks[blocks < nfull]
-        if full.size:
-            rows = arr[:nfull * self.block_size].reshape(nfull, -1)
-            if full.size < nfull:
-                rows = rows[full]
-            mins[full] = rows.min(axis=1)
-            maxs[full] = rows.max(axis=1)
-        if np.any(blocks == nfull):  # the partial last block
-            tail = arr[nfull * self.block_size:]
-            mins[nfull] = tail.min()
-            maxs[nfull] = tail.max()
+        if len(blocks) > CHUNK_BLOCKS:
+            cut = np.flatnonzero((np.diff(blocks) != 1)
+                                 | (blocks[1:] % CHUNK_BLOCKS == 0)) + 1
+            firsts = blocks[np.concatenate(([0], cut))].tolist()
+            lasts = blocks[np.concatenate((cut - 1, [len(blocks) - 1]))].tolist()
+            for first, last in zip(firsts, lasts):
+                k, j = divmod(first, CHUNK_BLOCKS)
+                self._summarize(column, k, j, last - first + j + 1)
+            return
+        if not blocks.size:
+            return
+        bs = self.block_size
+        rows = self.chunks[column].reshape(-1, bs)[blocks]
+        live = self.counts[blocks // CHUNK_BLOCKS] - blocks % CHUNK_BLOCKS * bs
+        partial = np.flatnonzero(live < bs)
+        if partial.size:
+            # in a chunk's partial last block, the rows past the chunk's end
+            # take the block's first value
+            tail = rows[partial]
+            rows[partial] = np.where(np.arange(bs) < live[partial, None],
+                                     tail, tail[:, :1])
+        for zone, values in zip(self.zones[column], (rows.min(axis=1),
+                                                     rows.max(axis=1))):
+            zone.reshape(-1)[blocks] = values
+
+    def _summarize(self, column, k, first, end):
+        """Recompute blocks [first, end) of chunk k from its live rows."""
+        bs = self.block_size
+        rows = self.chunks[column][k, first * bs:min(end * bs, int(self.counts[k]))]
+        for zone, values in zip(self.zones[column], _block_minmax(rows, bs)):
+            zone[k, first:first + len(values)] = values
+
+    def _rezone(self, k, row=0):
+        """Recompute chunk k's summaries from the block holding row on."""
+        for c in self.zones:
+            self._summarize(c, k, row // self.block_size, CHUNK_BLOCKS)
+
+    def _grow(self, nchunks):
+        """Open empty chunks up to nchunks; the buffers double their slots
+        when they run out, so the copy of the old chunks is amortized."""
+        slots = len(next(iter(self.chunks.values())))
+        if nchunks > slots:
+            slots = max(nchunks, 2 * slots)
+
+            def grown(buf):
+                big = np.zeros((slots,) + buf.shape[1:], buf.dtype)
+                big[:self.nchunks] = buf[:self.nchunks]
+                return big
+
+            self.chunks = {c: grown(b) for c, b in self.chunks.items()}
+            self.zones = {c: tuple(grown(z) for z in zone)
+                          for c, zone in self.zones.items()}
+        self.counts = np.concatenate(
+            [self.counts, np.zeros(nchunks - self.nchunks, np.int64)])
 
     def append_delta(self, rows):
         for c, arr in rows.items():
@@ -175,20 +347,73 @@ class Partition:
                 self.delta_minmax[c] = _block_minmax(self.delta[c], self.block_size)
 
     def merge_delta(self):
-        if not self.delta:
+        """Fill the last chunk's free capacity, then open new chunks."""
+        n = self.delta_rows
+        if not n:
             return
-        # summaries change only from the old last (maybe partial) block on
-        first = self.nrows // self.block_size
-        for c in self.columns:
-            self.columns[c] = np.concatenate([self.columns[c], self.delta[c]])
-        for c in self.int_columns():
-            mins, maxs = self.minmax[c]
-            tail_mins, tail_maxs = _block_minmax(
-                self.columns[c][first * self.block_size:], self.block_size)
-            self.minmax[c] = (np.concatenate([mins[:first], tail_mins]),
-                              np.concatenate([maxs[:first], tail_maxs]))
+        cap = self.capacity
+        first = self.nchunks
+        if first and self.counts[-1] < cap:
+            first -= 1
+        start = first * cap + (int(self.counts[first]) if first < self.nchunks else 0)
+        self._grow(-(-(start + n) // cap))
+        for c, buf in self.chunks.items():
+            buf.reshape(-1)[start:start + n] = self.delta[c]
+        self.counts[first:] = cap
+        self.counts[-1] = start + n - (self.nchunks - 1) * cap
+        self._rezone(first, start - first * cap)
+        for k in range(first + 1, self.nchunks):
+            self._rezone(k)
         self.delta = {}
         self.delta_minmax = {}
+        self._recount()
+
+    def modify_rows(self, local, updates):
+        """Overwrite partition rows in place; updates maps column name to
+        the rows' new values."""
+        pos = self.positions(local)
+        blocks = sort_unique(pos // self.block_size)
+        for c, vals in updates.items():
+            self.chunks[c].reshape(-1)[pos] = vals
+            if c in self.zones:
+                self.rebuild_minmax_blocks(c, blocks)
+
+    def delete_rows(self, local):
+        """Remove partition rows: each touched chunk is compacted in place
+        from its first deleted row, then neighbours that fit one chunk
+        are condensed."""
+        local = np.sort(local)
+        owner = np.searchsorted(self.ends, local, side="right")
+        for k in sort_unique(owner).tolist():
+            rows = local[owner == k] - (self.ends[k] - self.counts[k])
+            n = int(self.counts[k])
+            for buf in self.chunks.values():
+                compact(buf[k], n, rows)
+            self.counts[k] = n - len(rows)
+            self._rezone(k, int(rows[0]))
+        self._condense()
+        self._recount()
+
+    def _condense(self):
+        """Merge neighbouring chunks that fit one capacity; drop a lone
+        empty chunk. Afterwards no two neighbours fit one chunk."""
+        k = 0
+        while k + 1 < self.nchunks:
+            a, b = int(self.counts[k]), int(self.counts[k + 1])
+            if a + b > self.capacity:
+                k += 1
+                continue
+            for buf in self.chunks.values():  # chunk k + 1 joins chunk k
+                buf[k, a:a + b] = buf[k + 1, :b]
+                buf[k + 1:self.nchunks - 1] = buf[k + 2:self.nchunks]
+            for zone in self.zones.values():
+                for z in zone:
+                    z[k + 1:self.nchunks - 1] = z[k + 2:self.nchunks]
+            self.counts[k] = a + b
+            self.counts = np.delete(self.counts, k + 1)
+            self._rezone(k, a)
+        if self.nchunks == 1 and not self.counts[0]:
+            self.counts = self.counts[:0]
 
 
 class ColumnTable:
@@ -201,8 +426,7 @@ class ColumnTable:
     def from_partitions(cls, partition_columns, block_size=DEFAULT_BLOCK_SIZE):
         first = partition_columns[0]
         schema = [(name, np.asarray(arr).dtype.str) for name, arr in first.items()]
-        parts = [Partition({c: np.asarray(a) for c, a in cols.items()}, block_size)
-                 for cols in partition_columns]
+        parts = [Partition(cols, block_size) for cols in partition_columns]
         return cls(schema, parts, block_size)
 
     @property
@@ -251,13 +475,16 @@ class ColumnTable:
             raise ValueError(f"unknown scan filter {where!r}")
         ids_parts, col_parts = [], {c: [] for c in columns}
         part_lo = 0
+        needed = columns + [where_col] if kind == "in" else columns
         for pnum, p in enumerate(self.partitions):
             offset = part_lo
-            for source, nrows in ((p.columns, p.nrows), (p.delta, p.delta_rows)):
+            # every chunk, then the delta
+            for k, nrows in enumerate(p.counts.tolist() + [p.delta_rows]):
                 if nrows == 0:
                     continue
                 spans = ([(offset, offset + nrows)] if scan_range is None
                          else scan_range.clip(offset, offset + nrows))
+                source = p.segment(needed, k) if spans else None
                 for lo, hi in spans:
                     seg = slice(lo - offset, hi - offset)
                     # rows: the kept rows, relative to the span start lo
@@ -284,7 +511,7 @@ class ColumnTable:
                     for c in columns:
                         col_parts[c].append(source[c][seg][rows])
                 offset += nrows
-            part_lo = offset
+            part_lo += p.total_rows
         if not ids_parts:
             empty_cols = {}
             for c in columns:
@@ -323,22 +550,29 @@ class ColumnTable:
         ("in", values). The result is a superset of the qualifying rows.
         """
         self._check_columns([column])
-        intervals = []
-        offset = 0
+        summaries = []
         for p in self.partitions:
-            for minmax, nrows in ((p.minmax, p.nrows),
-                                  (p.delta_minmax, p.delta_rows)):
-                if nrows == 0:
-                    offset += nrows
-                    continue
-                mins, maxs = minmax[column]
-                hit = self._blocks_matching(mins, maxs, predicate)
-                for b in np.flatnonzero(hit):
-                    lo = offset + b * self.block_size
-                    hi = min(lo + self.block_size, offset + nrows)
-                    intervals.append((int(lo), int(hi)))
-                offset += nrows
-        return ScanRange.normalized(intervals)
+            summaries.append([z[:p.nchunks][p.live] for z in p.zones[column]])
+            if p.delta_rows:
+                summaries.append(p.delta_minmax[column])
+        mins, maxs = (np.concatenate(z) for z in zip(*summaries))
+        hit = np.flatnonzero(self._blocks_matching(mins, maxs, predicate))
+        ends, counts, first = self._segment_grid()
+        seg = np.searchsorted(first, hit, side="right") - 1
+        lo = ends[seg] - counts[seg] + (hit - first[seg]) * self.block_size
+        return ScanRange.from_blocks(lo, np.minimum(lo + self.block_size, ends[seg]))
+
+    def _segment_grid(self):
+        """Row ends, row counts and first block numbers of every segment in
+        rowID order: each partition's chunks, then its delta. Blocks are
+        numbered consecutively across segments."""
+        sizes = []
+        for p in self.partitions:
+            sizes += p.counts.tolist()
+            sizes.append(p.delta_rows)
+        counts = np.array(sizes, dtype=np.int64)
+        nblocks = -(-counts // self.block_size)
+        return np.cumsum(counts), counts, np.cumsum(nblocks) - nblocks
 
     @staticmethod
     def _blocks_matching(mins, maxs, predicate):
@@ -355,28 +589,22 @@ class ColumnTable:
         raise ValueError(f"unknown predicate {predicate!r}")
 
     def total_blocks(self):
-        total = 0
-        for p in self.partitions:
-            total += -(-p.nrows // self.block_size)
-            total += -(-p.delta_rows // self.block_size)
-        return total
+        bs = self.block_size
+        return sum(-(-n // bs) for p in self.partitions
+                   for n in (*p.counts.tolist(), p.delta_rows))
 
     def count_blocks(self, scan_range):
         """Blocks a range-restricted scan touches."""
-        count = 0
-        offset = 0
-        for p in self.partitions:
-            for nrows in (p.nrows, p.delta_rows):
-                if nrows == 0:
-                    continue
-                blocks = set()
-                for lo, hi in scan_range.clip(offset, offset + nrows):
-                    first = (lo - offset) // self.block_size
-                    last = (hi - 1 - offset) // self.block_size
-                    blocks.update(range(first, last + 1))
-                count += len(blocks)
-                offset += nrows
-        return count
+        ends, counts, first = self._segment_grid()
+        rows = np.array(scan_range.intervals, dtype=np.int64).reshape(-1, 2)
+        rows = np.minimum(rows, ends[-1])
+        rows = rows[rows[:, 0] < rows[:, 1]]
+        rows[:, 1] -= 1  # each interval's first and last row
+        seg = np.searchsorted(ends, rows, side="right")
+        block = first[seg] + (rows - ends[seg] + counts[seg]) // self.block_size
+        lo, hi = block[:, 0], block[:, 1]
+        # neighbouring intervals may share a block
+        return int((hi - lo + 1).sum() - (lo[1:] == hi[:-1]).sum())
 
     # -- updates -------------------------------------------------------------------
 
@@ -407,10 +635,7 @@ class ColumnTable:
             p = self.partitions[pnum]
             if local.size and local.max() >= p.nrows:
                 raise IndexError("cannot modify unmerged delta rows")
-            for c, vals in updates.items():
-                p.columns[c][local] = np.asarray(vals)[sel]
-                if p.columns[c].dtype == np.int64:
-                    p.rebuild_minmax_blocks(c, sort_unique(local // p.block_size))
+            p.modify_rows(local, {c: np.asarray(v)[sel] for c, v in updates.items()})
 
     def gather(self, rowids, column):
         """Values of one column at arbitrary persisted rowIDs."""
@@ -424,11 +649,14 @@ class ColumnTable:
             p = self.partitions[pnum]
             if local.size and local.max() >= p.nrows:
                 raise IndexError("cannot gather unmerged delta rows")
-            out[sel] = p.columns[column][local]
+            out[sel] = p.take(column, local)
         return out
 
     def delete_rows(self, descending_rowids):
-        """Physically remove rows; subsequent rowIDs shift down."""
+        """Physically remove rows; subsequent rowIDs shift down.
+
+        Only the chunks holding deleted rows are rewritten.
+        """
         rowids = np.asarray(descending_rowids, dtype=np.int64)
         if rowids.size == 0:
             return
@@ -443,9 +671,7 @@ class ColumnTable:
             p = self.partitions[pnum]
             if local.size and local.max() >= p.nrows:
                 raise IndexError("cannot delete unmerged delta rows")
-            for c in list(p.columns):
-                p.columns[c] = np.delete(p.columns[c], local)
-            p.rebuild_minmax()
+            p.delete_rows(local)
 
     # -- persistence ----------------------------------------------------------------
 
@@ -463,14 +689,15 @@ class ColumnTable:
             f.write(MAGIC)
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            for p in self.partitions:
+            # rows in order, summarized on the contiguous block grid
+            parts = [(p.columns, p.int_columns()) for p in self.partitions]
+            for cols, _ in parts:
                 for name, _ in self.schema:
-                    f.write(np.ascontiguousarray(p.columns[name]).tobytes())
-            for p in self.partitions:
-                for c in p.int_columns():
-                    mins, maxs = p.minmax[c]
-                    f.write(mins.tobytes())
-                    f.write(maxs.tobytes())
+                    f.write(np.ascontiguousarray(cols[name]).tobytes())
+            for cols, int_columns in parts:
+                for c in int_columns:
+                    for summary in _block_minmax(cols[c], self.block_size):
+                        f.write(summary.tobytes())
 
     @classmethod
     def load(cls, path):
@@ -490,7 +717,7 @@ class ColumnTable:
                 dt = np.dtype(dtype)
                 nbytes = dt.itemsize * nrows
                 cols[name] = np.frombuffer(buf, dtype=dt, count=nrows,
-                                           offset=pos).copy()
+                                           offset=pos)
                 pos += nbytes
             raw_parts.append(cols)
         partitions = []
@@ -500,11 +727,12 @@ class ColumnTable:
             for name, dtype in schema:
                 if np.dtype(dtype) == np.int64:
                     mins = np.frombuffer(buf, dtype=np.int64, count=nblocks,
-                                         offset=pos).copy()
+                                         offset=pos)
                     pos += nblocks * 8
                     maxs = np.frombuffer(buf, dtype=np.int64, count=nblocks,
-                                         offset=pos).copy()
+                                         offset=pos)
                     pos += nblocks * 8
                     minmax[name] = (mins, maxs)
+            # the partition copies the rows and summaries into its chunks
             partitions.append(Partition(cols, block_size, minmax=minmax))
         return cls(schema, partitions, block_size)

@@ -14,6 +14,7 @@ for the deleted rowIDs. The maintained patch set may grow beyond the
 minimal one, but the non-patch rows always satisfy the constraint.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,32 @@ from .patch_index import (NULL_VALUE, ConstraintKind, SortOrder, lss_keep,
 
 @dataclass
 class UpdateStats:
+    """One index's share of an update statement, with per-phase time.
+
+    storage_ms is the statement's table write (insert plus delta merge,
+    modify, or delete); the first index's stats carry it, so summing over
+    a statement's stats counts it once. probe_ms is the duplicate semijoin,
+    maintain_ms the rest of the index's maintenance.
+    """
+
     blocks_scanned: int = 0
     blocks_total: int = 0
     new_patches: int = 0
+    storage_ms: float = 0.0
+    probe_ms: float = 0.0
+    maintain_ms: float = 0.0
 
     def merge(self, other):
         return UpdateStats(self.blocks_scanned + other.blocks_scanned,
                            max(self.blocks_total, other.blocks_total),
-                           self.new_patches + other.new_patches)
+                           self.new_patches + other.new_patches,
+                           self.storage_ms + other.storage_ms,
+                           self.probe_ms + other.probe_ms,
+                           self.maintain_ms + other.maintain_ms)
+
+
+def _ms_since(t0):
+    return (time.perf_counter_ns() - t0) / 1e6
 
 
 def _duplicate_join(table, column, probe_ids, probe_values):
@@ -40,11 +59,13 @@ def _duplicate_join(table, column, probe_ids, probe_values):
     The touched rows must already hold probe_values in the table. Returns
     (patch rowIDs, stats); NULL probe rows are patches too.
     """
+    t0 = time.perf_counter_ns()
     nulls = probe_ids[probe_values == NULL_VALUE]
     live = probe_values != NULL_VALUE
     stats = UpdateStats(blocks_total=table.total_blocks(),
                         new_patches=len(nulls))
     if not live.any():
+        stats.probe_ms = _ms_since(t0)
         return nulls, stats
     values = probe_values[live]
 
@@ -57,6 +78,7 @@ def _duplicate_join(table, column, probe_ids, probe_values):
     # the scan returns only rows holding a touched value, none of them NULL
     patches = np.union1d(rowids[nuc_patch_rows(cols[column])], nulls)
     stats.new_patches = len(patches)
+    stats.probe_ms = _ms_since(t0)
     return patches, stats
 
 
@@ -165,31 +187,57 @@ def _recompute_tail(table, index, p):
     tail = pidx.last_non_patch()
     pidx.last_sorted_value = (
         None if tail is None
-        else int(table.partitions[p].columns[index.column][tail]))
+        else int(table.partitions[p].take(index.column, np.array([tail]))[0]))
 
 
 _INSERT_HANDLERS = {ConstraintKind.NEARLY_UNIQUE: handle_insert_nuc,
                     ConstraintKind.NEARLY_SORTED: handle_insert_nsc}
 _MODIFY_HANDLERS = {ConstraintKind.NEARLY_UNIQUE: handle_modify_nuc,
                     ConstraintKind.NEARLY_SORTED: handle_modify_nsc}
+_DELETE_HANDLERS = dict.fromkeys(ConstraintKind, handle_delete)
 
 
 # -- statement-level entry points: one call per update statement --------------
 
+def _maintain(table, indexes, handlers, ids):
+    """Run each index's handler, timing its maintenance apart from the probe."""
+    stats = []
+    for ix in indexes:
+        t0 = time.perf_counter_ns()
+        s = handlers[ix.constraint.kind](table, ix, ids)
+        s.maintain_ms = _ms_since(t0) - s.probe_ms
+        stats.append(s)
+    return stats
+
+
+def _charge_storage(stats, storage_ms):
+    if stats:
+        stats[0].storage_ms = storage_ms
+    return stats
+
+
 def apply_insert(table, indexes, rows):
+    t0 = time.perf_counter_ns()
     ids = table.insert_rows(rows)
-    stats = [_INSERT_HANDLERS[ix.constraint.kind](table, ix, ids)
-             for ix in indexes]
+    storage_ms = _ms_since(t0)
+    stats = _maintain(table, indexes, _INSERT_HANDLERS, ids)
+    t0 = time.perf_counter_ns()
     table.merge_delta()
-    return ids, stats
+    return ids, _charge_storage(stats, storage_ms + _ms_since(t0))
 
 
 def apply_modify(table, indexes, rowids, updates):
+    t0 = time.perf_counter_ns()
     table.modify_rows(rowids, updates)
-    return [_MODIFY_HANDLERS[ix.constraint.kind](table, ix, rowids)
-            for ix in indexes if ix.column in updates]
+    storage_ms = _ms_since(t0)
+    stats = _maintain(table, [ix for ix in indexes if ix.column in updates],
+                      _MODIFY_HANDLERS, rowids)
+    return _charge_storage(stats, storage_ms)
 
 
 def apply_delete(table, indexes, descending_ids):
+    t0 = time.perf_counter_ns()
     table.delete_rows(descending_ids)
-    return [handle_delete(table, ix, descending_ids) for ix in indexes]
+    storage_ms = _ms_since(t0)
+    stats = _maintain(table, indexes, _DELETE_HANDLERS, descending_ids)
+    return _charge_storage(stats, storage_ms)

@@ -117,6 +117,13 @@ class TestUpdate:
         assert rc == 0
         assert f"{op} x50" in capsys.readouterr().out
 
+    def test_update_prints_phases(self, dataset, capsys):
+        assert main(["update", "insert", "--table", str(dataset), "--count",
+                     "20", "--granularity", "10"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("phases: storage ")
+        assert "probe " in line and "maintain " in line
+
     def test_nsc_update(self, sorted_dataset):
         assert main(["update", "insert", "--table", str(sorted_dataset),
                      "--count", "30", "--granularity", "5",

@@ -1,9 +1,18 @@
+import hashlib
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchindex import _native
-from patchindex.column_store import (ColumnTable, ScanRange, _block_minmax,
+from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
+                                     ScanRange, _block_minmax, compact,
                                      in_positions, sort_unique)
+from patchindex.datagen import GenSpec, generate_to_file
 from patchindex.patch_index import NULL_VALUE
 
 needs_compiler = pytest.mark.skipif(_native.COMPILER is None,
@@ -16,6 +25,16 @@ def make_table(values, partitions=2, block_size=64):
     return ColumnTable.from_partitions(
         [{"key": k, "value": v} for k, v in zip(keys, parts)],
         block_size=block_size)
+
+
+def assert_chunk_summaries(p):
+    """Every chunk's zone maps equal the summaries of its live rows."""
+    for c in p.int_columns():
+        for k in range(p.nchunks):
+            got = p.chunk_minmax(c, k)
+            want = _block_minmax(p.chunk(c, k), p.block_size)
+            assert np.array_equal(got[0], want[0]), (c, k)
+            assert np.array_equal(got[1], want[1]), (c, k)
 
 
 class TestScan:
@@ -215,11 +234,7 @@ class TestUpdates:
                 t.insert_rows({"key": np.arange(k),
                                "value": rng.integers(-500, 2000, size=k)})
             t.merge_delta()
-            p = t.partitions[0]
-            for c in p.int_columns():
-                mins, maxs = _block_minmax(p.columns[c], block_size)
-                assert np.array_equal(p.minmax[c][0], mins), (k, c)
-                assert np.array_equal(p.minmax[c][1], maxs), (k, c)
+            assert_chunk_summaries(t.partitions[0])
 
     def test_interleaved_updates_match_array_oracle(self):
         rng = np.random.default_rng(2)
@@ -265,15 +280,13 @@ class TestUpdates:
             vals = rng.integers(-10**6, 2 * 10**6, size=len(ids))
             t.modify_rows(np.sort(ids), {"value": vals[np.argsort(ids)]})
             for p in t.partitions:
-                mins, maxs = _block_minmax(p.columns["value"], block_size)
-                assert np.array_equal(p.minmax["value"][0], mins)
-                assert np.array_equal(p.minmax["value"][1], maxs)
+                assert_chunk_summaries(p)
 
     def test_rebuild_no_blocks_is_noop(self):
         t = make_table(np.arange(100), partitions=1, block_size=16)
-        before = [a.copy() for a in t.partitions[0].minmax["value"]]
+        before = [a.copy() for a in t.partitions[0].zones["value"]]
         t.partitions[0].rebuild_minmax_blocks("value", np.zeros(0, np.int64))
-        for a, b in zip(before, t.partitions[0].minmax["value"]):
+        for a, b in zip(before, t.partitions[0].zones["value"]):
             assert np.array_equal(a, b)
 
 
@@ -372,9 +385,11 @@ class TestPersistence:
         for c in t.column_names:
             assert np.array_equal(a_cols[c], b_cols[c])
         for p, q in zip(t.partitions, loaded.partitions):
-            for c in p.minmax:
-                assert np.array_equal(p.minmax[c][0], q.minmax[c][0])
-                assert np.array_equal(p.minmax[c][1], q.minmax[c][1])
+            assert p.nchunks == q.nchunks
+            for c in p.int_columns():
+                for k in range(p.nchunks):
+                    for a, b in zip(p.chunk_minmax(c, k), q.chunk_minmax(c, k)):
+                        assert np.array_equal(a, b)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.pdx"
@@ -396,3 +411,254 @@ class TestPersistence:
         t.save(tmp_path / "t.pdx")
         loaded = ColumnTable.load(tmp_path / "t.pdx")
         assert loaded.scan(["pad"])[1]["pad"].tolist() == [b"aa", b"bb", b"cc"]
+
+
+# -- chunked storage -------------------------------------------------------------
+
+def clip_reference(scan_range, lo, hi):
+    """ScanRange.clip as a loop over every interval."""
+    out = []
+    for a, b in scan_range.intervals:
+        a2, b2 = max(a, lo), min(b, hi)
+        if a2 < b2:
+            out.append((a2, b2))
+    return out
+
+
+def table_segments(t):
+    """(first rowID, rows, column arrays, zone maps) of every chunk with
+    rows and every delta, in rowID order."""
+    offset = 0
+    for p in t.partitions:
+        for k in range(p.nchunks):
+            n = int(p.counts[k])
+            yield (offset, n, {c: p.chunk(c, k) for c in p.chunks},
+                   {c: p.chunk_minmax(c, k) for c in p.int_columns()})
+            offset += n
+        if p.delta_rows:
+            yield offset, p.delta_rows, p.delta, p.delta_minmax
+            offset += p.delta_rows
+
+
+def prune_reference(t, column, predicate):
+    """prune_blocks as a loop over every hit block of every segment."""
+    intervals = []
+    for offset, n, _, zones in table_segments(t):
+        mins, maxs = zones[column]
+        for b in np.flatnonzero(t._blocks_matching(mins, maxs, predicate)):
+            lo = offset + b * t.block_size
+            intervals.append((int(lo), int(min(lo + t.block_size, offset + n))))
+    return ScanRange.normalized(intervals)
+
+
+def count_reference(t, scan_range):
+    """count_blocks as a set of touched blocks per segment."""
+    count = 0
+    for offset, n, _, _ in table_segments(t):
+        blocks = set()
+        for lo, hi in clip_reference(scan_range, offset, offset + n):
+            blocks.update(range((lo - offset) // t.block_size,
+                                (hi - 1 - offset) // t.block_size + 1))
+        count += len(blocks)
+    return count
+
+
+def random_range(rng, limit):
+    cuts = np.unique(rng.integers(0, limit + 1, size=2 * int(rng.integers(0, 12))))
+    return ScanRange([(int(a), int(b)) for a, b in zip(cuts[::2], cuts[1::2])
+                      if a < b])
+
+
+def chunked_table(rng, rows, partitions=3, block_size=4):
+    t = make_table(rng.integers(0, 200, size=rows), partitions, block_size)
+    # deletes and an unmerged delta give chunks of uneven fill
+    t.delete_rows(np.sort(rng.choice(rows, size=rows // 3, replace=False))[::-1])
+    t.insert_rows({"key": np.arange(50), "value": rng.integers(0, 200, size=50)})
+    return t
+
+
+class TestScanRangeHelpers:
+    def test_clip_matches_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            r = random_range(rng, 200)
+            lo, hi = (int(x) for x in rng.integers(-5, 210, size=2))
+            assert r.clip(lo, hi) == clip_reference(r, lo, hi)
+
+    def test_prune_and_count_match_loops(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            t = chunked_table(rng, int(rng.integers(0, 700)))
+            assert t.total_blocks() == sum(-(-n // t.block_size)
+                                           for _, n, _, _ in table_segments(t))
+            for _ in range(10):
+                lo = int(rng.integers(-10, 210))
+                preds = [("interval", lo, lo + int(rng.integers(0, 40))),
+                         ("in", rng.integers(-5, 205, size=int(rng.integers(0, 6))))]
+                for pred in preds:
+                    got = t.prune_blocks("value", pred)
+                    assert got == prune_reference(t, "value", pred), pred
+                    assert t.count_blocks(got) == count_reference(t, got)
+                r = random_range(rng, t.row_count + 20)
+                assert t.count_blocks(r) == count_reference(t, r)
+
+
+class TestCompact:
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    @pytest.mark.parametrize("dtype", ["int64", "S3"])
+    def test_matches_np_delete(self, backend, dtype, monkeypatch):
+        if backend == "native" and _native.lib is None:
+            pytest.skip("no compiled kernels")
+        if backend == "numpy":
+            monkeypatch.setattr(_native, "lib", None)
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(0, 60))
+            row = rng.integers(0, 1000, size=n + 5).astype(dtype)
+            dead = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                      replace=False)) if n else np.zeros(0, int)
+            want = np.delete(row[:n], dead)
+            compact(row, n, dead)
+            assert np.array_equal(row[:n - len(dead)], want)
+        row = np.arange(10).astype(dtype)
+        for n, dead in ((10, [3, 3]), (10, [4, 2]), (10, [-1]), (10, [10]),
+                        (11, [2])):
+            with pytest.raises(ValueError):
+                compact(row, n, np.array(dead))
+            assert np.array_equal(row, np.arange(10).astype(dtype))
+        with pytest.raises(ValueError):
+            compact(np.arange(20)[::2], 10, np.array([1]))
+
+
+class TestChunks:
+    def test_capacity_is_a_block_multiple(self):
+        t = make_table(np.arange(10), block_size=8)
+        assert t.partitions[0].capacity == CHUNK_BLOCKS * 8
+
+    def test_caller_arrays_never_written(self):
+        values = np.arange(300, dtype=np.int64)
+        keys = values.copy()
+        t = ColumnTable.from_partitions([{"key": keys, "value": values}],
+                                        block_size=4)
+        t.modify_rows(np.array([3]), {"value": np.array([-1])})
+        t.delete_rows(np.array([200, 5, 1]))
+        assert np.array_equal(values, np.arange(300))
+        assert np.array_equal(keys, np.arange(300))
+
+    def test_columns_view_is_read_only(self):
+        t = make_table(np.arange(300), partitions=1, block_size=4)
+        p = t.partitions[0]
+        assert p.nchunks > 1
+        with pytest.raises(ValueError):
+            p.columns["value"][0] = 5
+        t.delete_rows(np.array([2]))  # chunk 0 is no longer full
+        assert np.array_equal(p.columns["value"], np.delete(np.arange(300), 2))
+
+    def test_delete_rewrites_only_the_touched_chunk(self):
+        t = make_table(np.arange(1000), partitions=1, block_size=4)
+        p = t.partitions[0]
+        buf = p.chunks["value"]
+        before = buf.copy()
+        t.delete_rows(np.array([p.capacity + 10]))  # chunk 1
+        assert p.chunks["value"] is buf
+        for k in range(p.nchunks):
+            if k != 1:
+                assert np.array_equal(buf[k], before[k]), k
+
+    def test_save_matches_generated_file_of_the_contiguous_writer(self, tmp_path):
+        # digests of files written by the whole-partition storage this
+        # layout replaced; 75k-row partitions fill more than one chunk
+        want = {"nuc": "0267593c70bddde09a823c228d8fe77bdfe43bf04462b3de2f42f09122ee389b",
+                "nsc": "a79d20bd3938e896bf6dd3a22ac87e9eca5f525f4fe69ad37b36a38468ca88c2"}
+        for spec in (GenSpec("nuc", 150_000, 0.2, partitions=2, seed=7),
+                     GenSpec("nsc", 150_000, 0.2, partitions=2, seed=7,
+                             pad_bytes=3)):
+            path = tmp_path / f"{spec.kind}.pdx"
+            t = generate_to_file(spec, path)
+            assert t.partitions[0].nchunks > 1
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == want[spec.kind], spec.kind
+
+
+def contiguous_pdx1(t):
+    """The PDX1 bytes of a table: each partition's rows in order, then the
+    zone maps of that contiguous layout."""
+    parts = [t.scan(columns=None, scan_range=ScanRange([(int(a), int(b))]))[1]
+             for a, b in zip(t.partition_offsets()[:-1], t.partition_offsets()[1:])]
+    header = json.dumps({"schema": [[n, d] for n, d in t.schema],
+                         "partitions": [len(p["key"]) for p in parts],
+                         "block_size": t.block_size}).encode()
+    out = [MAGIC, struct.pack("<I", len(header)), header]
+    out += [np.ascontiguousarray(p[name]).tobytes()
+            for p in parts for name, _ in t.schema]
+    out += [z.tobytes() for p in parts for name, dtype in t.schema
+            if np.dtype(dtype) == np.int64
+            for z in _block_minmax(p[name], t.block_size)]
+    return b"".join(out)
+
+
+def check_chunked_state(t, keys, values, rng):
+    _, cols = t.scan()
+    assert np.array_equal(cols["key"], keys)
+    assert np.array_equal(cols["value"], values)
+    for p in t.partitions:
+        assert_chunk_summaries(p)
+        assert (p.counts >= 1).all() and (p.counts <= p.capacity).all()
+        assert (p.counts[:-1] + p.counts[1:] > p.capacity).all()
+    lo = int(rng.integers(-5, 105))
+    for pred in (("interval", lo, lo + int(rng.integers(0, 20))),
+                 ("in", rng.integers(0, 100, size=3))):
+        covered = np.zeros(len(values), dtype=bool)
+        for a, b in t.prune_blocks("value", pred).intervals:
+            covered[a:b] = True
+        if pred[0] == "interval":
+            match = (values >= pred[1]) & (values <= pred[2])
+        else:
+            match = np.isin(values, pred[1])
+        assert covered[match].all(), pred
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.integers(0, 150), min_size=1, max_size=3),
+       statements=st.lists(st.tuples(st.sampled_from(["insert", "modify", "delete"]),
+                                     st.integers(1, 90)), max_size=25),
+       seed=st.integers(0, 2**16))
+def test_chunked_updates_match_shadow(rows, statements, seed):
+    # block_size 4 makes chunks of 64 rows, so statements cross chunk edges,
+    # open chunks and condense them
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 100, size=sum(rows))
+    keys = np.arange(len(values), dtype=np.int64)
+    splits = np.cumsum(rows)[:-1]
+    t = ColumnTable.from_partitions(
+        [{"key": k, "value": v} for k, v in zip(np.split(keys, splits),
+                                                 np.split(values, splits))],
+        block_size=4)
+    check_chunked_state(t, keys, values, rng)
+    next_key = len(keys)
+    for op, size in statements:
+        n = len(values)
+        if op == "insert":
+            new = rng.integers(0, 100, size=size)
+            t.insert_rows({"key": np.arange(next_key, next_key + size), "value": new})
+            keys = np.concatenate([keys, np.arange(next_key, next_key + size)])
+            values = np.concatenate([values, new])
+            next_key += size
+            check_chunked_state(t, keys, values, rng)  # with the delta
+            t.merge_delta()
+        elif op == "modify" and n:
+            ids = rng.choice(n, size=min(n, size), replace=False)
+            new = rng.integers(0, 100, size=len(ids))
+            t.modify_rows(ids, {"value": new})
+            values[ids] = new
+        elif n:
+            ids = np.sort(rng.choice(n, size=min(n, size), replace=False))[::-1]
+            t.delete_rows(ids)
+            keys, values = np.delete(keys, ids), np.delete(values, ids)
+        check_chunked_state(t, keys, values, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.pdx"
+        t.save(path)
+        assert path.read_bytes() == contiguous_pdx1(t)
+        loaded = ColumnTable.load(path)
+    check_chunked_state(loaded, keys, values, rng)

@@ -358,3 +358,81 @@ class TestMixedWorkloads:
             for p, pidx in enumerate(idx.partitions):
                 assert pidx.check_invariant(vals[offsets[p]:offsets[p + 1]]), \
                     f"step {step}, op {op}, partition {p}"
+
+
+class TestHotPaths:
+    """Statements and the benchmark's query plans never materialize whole
+    partitions: Partition.columns raises while they run."""
+
+    @staticmethod
+    def _tables():
+        from patchindex.datagen import GenSpec, dimension_table, generate
+        dim = dimension_table(300)
+        tables = {}
+        for kind in ("nuc", "nsc"):
+            gen = generate(GenSpec(kind, 3000, 0.2, partitions=3, seed=5,
+                                   value_domain=300 if kind == "nsc" else None))
+            # block_size 8 gives 128-row chunks, so every partition has many
+            t = ColumnTable.from_partitions(
+                [p.columns for p in gen.partitions], block_size=8)
+            ix = build_index([p.columns["value"] for p in t.partitions],
+                             NUC if kind == "nuc" else NSC_ASC)
+            tables[kind] = (t, ix)
+        return tables, dim
+
+    def test_columns_untouched(self, monkeypatch):
+        from patchindex import column_store
+        from patchindex.bench import _results_match, build_query_plans
+        from patchindex.query_engine import execute
+        tables, dim = self._tables()
+        rng = np.random.default_rng(6)
+
+        def forbidden(self):
+            raise AssertionError("whole-partition columns read on a hot path")
+
+        queries = {"nuc": ["distinct"], "nsc": ["sort", "join"]}
+        for kind, (t, ix) in tables.items():
+            naive_results = {}
+            monkeypatch.setattr(column_store.Partition, "columns",
+                                property(forbidden))
+            for _ in range(10):
+                n = t.row_count
+                apply_insert(t, [ix], {"key": np.arange(n, n + 10),
+                                       "value": rng.integers(0, 300, size=10)})
+                # the last rows of partitions hold the sorted-run tails, so
+                # these statements also move tails
+                ids = np.append(rng.choice(n - 1, size=9, replace=False), n - 1)
+                apply_modify(t, [ix], ids, {"value": rng.integers(0, 300, size=10)})
+                last0 = int(t.partition_offsets()[1]) - 1
+                ids = np.union1d(rng.choice(n, size=9, replace=False), [last0])
+                apply_delete(t, [ix], ids[::-1])
+            for q in queries[kind]:
+                naive, rewritten = build_query_plans(q, t, ix, dim)
+                naive_results[q] = (execute(naive), execute(rewritten))
+            monkeypatch.undo()
+            for q, (naive, rewritten) in naive_results.items():
+                assert _results_match(q, "value", rewritten, naive), (kind, q)
+            offsets = t.partition_offsets()
+            vals = table_values(t)
+            for p, pidx in enumerate(ix.partitions):
+                assert pidx.check_invariant(vals[offsets[p]:offsets[p + 1]])
+
+
+class TestPhaseTimings:
+    def test_phases_are_recorded(self):
+        t, idx = indexed(np.arange(400) % 150, NUC, partitions=2)
+        t2, idx2 = indexed(np.arange(400), NSC_ASC, partitions=2)
+        _, stats = insert(t, idx, [3, 4, 5])
+        assert stats[0].storage_ms > 0
+        assert stats[0].probe_ms > 0
+        assert stats[0].maintain_ms > 0
+        stats = apply_modify(t, [idx, idx], np.array([1, 2]),
+                             {"value": np.array([7, 8])})
+        assert stats[0].storage_ms > 0 and stats[1].storage_ms == 0
+        total = stats[0].merge(stats[1])
+        assert total.storage_ms == stats[0].storage_ms
+        assert total.probe_ms == stats[0].probe_ms + stats[1].probe_ms
+        stats = apply_delete(t2, [idx2], np.array([9, 3]))
+        assert stats[0].storage_ms > 0 and stats[0].probe_ms == 0
+        assert stats[0].maintain_ms > 0
+        assert apply_delete(t2, [], np.array([1])) == []
