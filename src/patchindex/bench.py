@@ -25,7 +25,7 @@ CSV_HEADER = "experiment,param,variant,runtime_ns,rows,patches,memory_bytes,bloc
 
 SHARD_SWEEP_SIZES = tuple(1 << p for p in range(8, 20))
 QUERY_REPEATS = 5  # timed runs per plan, after one untimed warm-up run
-SHARD_SWEEP_REPEATS = 3  # timed deletes per (size, variant), each on a fresh bitmap
+SHARD_SWEEP_REPEATS = 5  # timed deletes per (size, variant), each on a fresh bitmap
 UPDATE_GRANULARITIES = (5, 10, 50, 100, 500, 1000)
 
 

@@ -51,9 +51,9 @@ def _load_table(path, column):
     return table
 
 
-def _build(table, column, constraint, store, threads=None):
+def _build(table, column, constraint, store):
     return build_index([p.columns[column] for p in table.partitions],
-                       constraint, column=column, store=store, threads=threads)
+                       constraint, column=column, store=store)
 
 
 def make_parser():
@@ -80,7 +80,6 @@ def make_parser():
     i.add_argument("--constraint", type=_constraint, default=NUC,
                    help="nuc, nsc, nsc:asc or nsc:desc")
     i.add_argument("--store", choices=["bitmap", "identifiers"], default="bitmap")
-    i.add_argument("--threads", type=int, default=None)
 
     q = sub.add_parser("query", help="run a query with an optional rewrite")
     q.add_argument("query", choices=["distinct", "sort", "join"])
@@ -126,7 +125,6 @@ def make_parser():
     bq.add_argument("--dim-rows", type=int, default=10**4)
     bq.add_argument("--partitions", type=int, default=4)
     bq.add_argument("--seed", type=int, default=0)
-    bq.add_argument("--threads", type=int, default=None)
     bq.add_argument("--csv-out", default=None)
 
     bu = bsub.add_parser("update", help="update runtimes over granularities")
@@ -168,7 +166,7 @@ def cmd_generate(args):
 
 def cmd_index(args):
     table = _load_table(args.table, args.column)
-    index = _build(table, args.column, args.constraint, args.store, args.threads)
+    index = _build(table, args.column, args.constraint, args.store)
     for k, v in index.stats().items():
         print(f"{k}: {v}")
     print(f"kernel_backend: {_native.BACKEND}")

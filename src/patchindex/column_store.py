@@ -4,10 +4,9 @@ Tables hold int64 (and fixed-width bytes) columns split into partitions.
 Global rowIDs are dense, assigned by partition order then position. Each
 partition stores its rows in fixed-capacity chunks, the sharded bitmap's
 layout, with per-block min/max summaries of its int64 columns on each
-chunk's block grid. The last partition carries an in-memory append delta
-for rows inserted by the current update statement. Deletes compact rows
-immediately, inside the chunks that hold them, shifting all subsequent
-rowIDs down.
+chunk's block grid. Inserts append to the last partition's chunks. Deletes
+compact rows immediately, inside the chunks that hold them, shifting all
+subsequent rowIDs down.
 """
 
 import json
@@ -157,7 +156,7 @@ def _block_minmax(values, block_size):
 
 
 class Partition:
-    """Column rows in fixed-capacity chunks, plus an append delta.
+    """Column rows in fixed-capacity chunks.
 
     The sharded bitmap's layout applied to storage. Each column is one
     (slots, capacity) buffer: chunk k holds its counts[k] rows at the front
@@ -165,15 +164,14 @@ class Partition:
     rows of a chunk start where the rows of the chunks before it end. The
     capacity is CHUNK_BLOCKS zone-map blocks, so every chunk has its own
     block grid, laid out as (slots, CHUNK_BLOCKS) min and max arrays. A
-    delete compacts the touched chunks only, and a delta merge fills the
-    last chunk and then opens new ones. Blocks are numbered on that grid:
+    delete compacts the touched chunks only, and an append fills the last
+    chunk and then opens new ones. Blocks are numbered on that grid:
     block j of chunk k is block k * CHUNK_BLOCKS + j.
     """
 
-    def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE, minmax=None):
-        """Copy whole-partition arrays into chunks; the caller's arrays are
-        never written. minmax, when given, holds the zone maps of the
-        contiguous layout, as ``_block_minmax`` computes them."""
+    def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
+        """Copy whole-partition arrays into chunks and summarize them; the
+        caller's arrays are never written."""
         self.block_size = block_size
         self.capacity = CHUNK_BLOCKS * block_size
         columns = {c: np.asarray(a) for c, a in columns.items()}
@@ -186,18 +184,14 @@ class Partition:
         for c, a in columns.items():
             self.chunks[c] = np.empty((nchunks, self.capacity), dtype=a.dtype)
             self.chunks[c].reshape(-1)[:n] = a
-        if minmax is None:
-            minmax = {c: _block_minmax(a, block_size)
-                      for c, a in columns.items() if a.dtype == np.int64}
         # all chunks but the last are full, so the contiguous grid lines up
         self.zones = {}
-        for c, summaries in minmax.items():
-            self.zones[c] = tuple(np.zeros((nchunks, CHUNK_BLOCKS), np.int64)
-                                  for _ in summaries)
-            for zone, values in zip(self.zones[c], summaries):
-                zone.reshape(-1)[:len(values)] = values
-        self.delta = {}
-        self.delta_minmax = {}
+        for c, a in columns.items():
+            if a.dtype == np.int64:
+                self.zones[c] = tuple(np.zeros((nchunks, CHUNK_BLOCKS), np.int64)
+                                      for _ in range(2))
+                for zone, values in zip(self.zones[c], _block_minmax(a, block_size)):
+                    zone.reshape(-1)[:len(values)] = values
         self._recount()
 
     def _recount(self):
@@ -214,14 +208,6 @@ class Partition:
     @property
     def nchunks(self):
         return len(self.counts)
-
-    @property
-    def delta_rows(self):
-        return len(next(iter(self.delta.values()))) if self.delta else 0
-
-    @property
-    def total_rows(self):
-        return self.nrows + self.delta_rows
 
     def int_columns(self):
         return [c for c, a in self.chunks.items() if a.dtype == np.int64]
@@ -254,12 +240,6 @@ class Partition:
             a.flags.writeable = False
             out[c] = a
         return out
-
-    def segment(self, columns, k):
-        """Column arrays of chunk k, or of the delta when k is nchunks."""
-        if k == self.nchunks:
-            return self.delta
-        return {c: self.chunk(c, k) for c in columns}
 
     def positions(self, local):
         """Positions in the flattened chunk buffers of partition rows."""
@@ -336,19 +316,10 @@ class Partition:
         self.counts = np.concatenate(
             [self.counts, np.zeros(nchunks - self.nchunks, np.int64)])
 
-    def append_delta(self, rows):
-        for c, arr in rows.items():
-            if c in self.delta:
-                self.delta[c] = np.concatenate([self.delta[c], arr])
-            else:
-                self.delta[c] = np.asarray(arr)
-        for c in self.delta:
-            if self.delta[c].dtype == np.int64:
-                self.delta_minmax[c] = _block_minmax(self.delta[c], self.block_size)
-
-    def merge_delta(self):
-        """Fill the last chunk's free capacity, then open new chunks."""
-        n = self.delta_rows
+    def append(self, rows):
+        """Append rows (column name to values, every column given): fill the
+        last chunk's free capacity, then open new chunks."""
+        n = len(next(iter(rows.values())))
         if not n:
             return
         cap = self.capacity
@@ -358,14 +329,12 @@ class Partition:
         start = first * cap + (int(self.counts[first]) if first < self.nchunks else 0)
         self._grow(-(-(start + n) // cap))
         for c, buf in self.chunks.items():
-            buf.reshape(-1)[start:start + n] = self.delta[c]
+            buf.reshape(-1)[start:start + n] = rows[c]
         self.counts[first:] = cap
         self.counts[-1] = start + n - (self.nchunks - 1) * cap
         self._rezone(first, start - first * cap)
         for k in range(first + 1, self.nchunks):
             self._rezone(k)
-        self.delta = {}
-        self.delta_minmax = {}
         self._recount()
 
     def modify_rows(self, local, updates):
@@ -435,11 +404,11 @@ class ColumnTable:
 
     @property
     def row_count(self):
-        return sum(p.total_rows for p in self.partitions)
+        return sum(p.nrows for p in self.partitions)
 
     def partition_offsets(self):
         """Global rowID of the first row of each partition (plus the end)."""
-        sizes = [p.total_rows for p in self.partitions]
+        sizes = [p.nrows for p in self.partitions]
         return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
     def _check_columns(self, columns):
@@ -450,7 +419,7 @@ class ColumnTable:
     # -- scans ---------------------------------------------------------------
 
     def scan(self, columns=None, scan_range=None, where=None):
-        """Materialize rows (persisted then delta) as (rowids, column dict).
+        """Materialize rows as (rowids, column dict).
 
         where is an optional filter, applied to each segment before
         anything is concatenated, so rowIDs and column copies are built for
@@ -458,8 +427,8 @@ class ColumnTable:
 
         - ("in", column, keys): rows whose column value occurs in keys;
         - ("mask", masks): rows whose flag is set in masks[p], a bool array
-          over partition p's rows (persisted then delta). Only partitions
-          the scan reaches are read, so the others may be None;
+          over partition p's rows. Only partitions the scan reaches are
+          read, so the others may be None;
         - ("rows", rowids): the rows at the given ascending global rowIDs.
         """
         columns = list(columns) if columns is not None else self.column_names
@@ -478,13 +447,12 @@ class ColumnTable:
         needed = columns + [where_col] if kind == "in" else columns
         for pnum, p in enumerate(self.partitions):
             offset = part_lo
-            # every chunk, then the delta
-            for k, nrows in enumerate(p.counts.tolist() + [p.delta_rows]):
+            for k, nrows in enumerate(p.counts.tolist()):
                 if nrows == 0:
                     continue
                 spans = ([(offset, offset + nrows)] if scan_range is None
                          else scan_range.clip(offset, offset + nrows))
-                source = p.segment(needed, k) if spans else None
+                source = {c: p.chunk(c, k) for c in needed} if spans else None
                 for lo, hi in spans:
                     seg = slice(lo - offset, hi - offset)
                     # rows: the kept rows, relative to the span start lo
@@ -496,10 +464,10 @@ class ColumnTable:
                         ids = lo + rows
                     elif kind == "mask":
                         mask = where[1][pnum]
-                        if len(mask) != p.total_rows:
+                        if len(mask) != p.nrows:
                             raise ValueError(
                                 f"partition {pnum} mask covers {len(mask)} "
-                                f"of {p.total_rows} rows")
+                                f"of {p.nrows} rows")
                         # positions gather faster than a bool index
                         rows = np.flatnonzero(mask[lo - part_lo:hi - part_lo])
                         ids = lo + rows
@@ -511,33 +479,13 @@ class ColumnTable:
                     for c in columns:
                         col_parts[c].append(source[c][seg][rows])
                 offset += nrows
-            part_lo += p.total_rows
+            part_lo += p.nrows
         if not ids_parts:
             empty_cols = {}
             for c in columns:
                 dtype = dict(self.schema)[c]
                 empty_cols[c] = np.zeros(0, dtype=dtype)
             return np.zeros(0, dtype=np.int64), empty_cols
-        return (np.concatenate(ids_parts),
-                {c: np.concatenate(col_parts[c]) for c in columns})
-
-    def scan_delta(self, columns=None):
-        """Rows inserted by the current update statement, with global ids."""
-        columns = list(columns) if columns is not None else self.column_names
-        self._check_columns(columns)
-        ids_parts, col_parts = [], {c: [] for c in columns}
-        offset = 0
-        for p in self.partitions:
-            offset += p.nrows
-            if p.delta_rows:
-                ids_parts.append(np.arange(offset, offset + p.delta_rows,
-                                           dtype=np.int64))
-                for c in columns:
-                    col_parts[c].append(p.delta[c])
-            offset += p.delta_rows
-        if not ids_parts:
-            return np.zeros(0, dtype=np.int64), {
-                c: np.zeros(0, dtype=dict(self.schema)[c]) for c in columns}
         return (np.concatenate(ids_parts),
                 {c: np.concatenate(col_parts[c]) for c in columns})
 
@@ -550,12 +498,9 @@ class ColumnTable:
         ("in", values). The result is a superset of the qualifying rows.
         """
         self._check_columns([column])
-        summaries = []
-        for p in self.partitions:
-            summaries.append([z[:p.nchunks][p.live] for z in p.zones[column]])
-            if p.delta_rows:
-                summaries.append(p.delta_minmax[column])
-        mins, maxs = (np.concatenate(z) for z in zip(*summaries))
+        mins, maxs = (np.concatenate(z) for z in zip(*(
+            [z[:p.nchunks][p.live] for z in p.zones[column]]
+            for p in self.partitions)))
         hit = np.flatnonzero(self._blocks_matching(mins, maxs, predicate))
         ends, counts, first = self._segment_grid()
         seg = np.searchsorted(first, hit, side="right") - 1
@@ -563,14 +508,9 @@ class ColumnTable:
         return ScanRange.from_blocks(lo, np.minimum(lo + self.block_size, ends[seg]))
 
     def _segment_grid(self):
-        """Row ends, row counts and first block numbers of every segment in
-        rowID order: each partition's chunks, then its delta. Blocks are
-        numbered consecutively across segments."""
-        sizes = []
-        for p in self.partitions:
-            sizes += p.counts.tolist()
-            sizes.append(p.delta_rows)
-        counts = np.array(sizes, dtype=np.int64)
+        """Row ends, row counts and first block numbers of every chunk in
+        rowID order. Blocks are numbered consecutively across chunks."""
+        counts = np.concatenate([p.counts for p in self.partitions])
         nblocks = -(-counts // self.block_size)
         return np.cumsum(counts), counts, np.cumsum(nblocks) - nblocks
 
@@ -590,14 +530,13 @@ class ColumnTable:
 
     def total_blocks(self):
         bs = self.block_size
-        return sum(-(-n // bs) for p in self.partitions
-                   for n in (*p.counts.tolist(), p.delta_rows))
+        return sum(int((-(-p.counts // bs)).sum()) for p in self.partitions)
 
     def count_blocks(self, scan_range):
         """Blocks a range-restricted scan touches."""
         ends, counts, first = self._segment_grid()
         rows = np.array(scan_range.intervals, dtype=np.int64).reshape(-1, 2)
-        rows = np.minimum(rows, ends[-1])
+        rows = np.minimum(rows, self.row_count)
         rows = rows[rows[:, 0] < rows[:, 1]]
         rows[:, 1] -= 1  # each interval's first and last row
         seg = np.searchsorted(ends, rows, side="right")
@@ -609,46 +548,35 @@ class ColumnTable:
     # -- updates -------------------------------------------------------------------
 
     def insert_rows(self, rows):
-        """Append rows to the last partition's delta; returns their rowIDs."""
-        n = len(next(iter(rows.values())))
+        """Append rows to the last partition; returns their rowIDs."""
         start = self.row_count
-        self.partitions[-1].append_delta(
-            {c: np.asarray(v) for c, v in rows.items()})
-        return np.arange(start, start + n, dtype=np.int64)
+        self.partitions[-1].append({c: np.asarray(v) for c, v in rows.items()})
+        return np.arange(start, self.row_count, dtype=np.int64)
 
-    def merge_delta(self):
-        for p in self.partitions:
-            p.merge_delta()
+    def _route(self, rowids):
+        """(partition, selection mask, partition rows) for each partition
+        that holds some of the given global rowIDs."""
+        offsets = self.partition_offsets()
+        part = np.searchsorted(offsets, rowids, side="right") - 1
+        for pnum in sort_unique(part).tolist():
+            sel = part == pnum
+            yield self.partitions[pnum], sel, rowids[sel] - offsets[pnum]
 
     def modify_rows(self, rowids, updates):
         """In-place update; updates maps column name to per-row new values."""
         rowids = np.asarray(rowids, dtype=np.int64)
-        offsets = self.partition_offsets()
         if rowids.size == 0:
             return
         if rowids.max() >= self.row_count or rowids.min() < 0:
             raise IndexError("modify rowID out of range")
-        part = np.searchsorted(offsets, rowids, side="right") - 1
-        for pnum in sort_unique(part):
-            sel = part == pnum
-            local = rowids[sel] - offsets[pnum]
-            p = self.partitions[pnum]
-            if local.size and local.max() >= p.nrows:
-                raise IndexError("cannot modify unmerged delta rows")
+        for p, sel, local in self._route(rowids):
             p.modify_rows(local, {c: np.asarray(v)[sel] for c, v in updates.items()})
 
     def gather(self, rowids, column):
-        """Values of one column at arbitrary persisted rowIDs."""
+        """Values of one column at arbitrary rowIDs."""
         rowids = np.asarray(rowids, dtype=np.int64)
-        offsets = self.partition_offsets()
         out = np.empty(len(rowids), dtype=dict(self.schema)[column])
-        part = np.searchsorted(offsets, rowids, side="right") - 1
-        for pnum in sort_unique(part):
-            sel = part == pnum
-            local = rowids[sel] - offsets[pnum]
-            p = self.partitions[pnum]
-            if local.size and local.max() >= p.nrows:
-                raise IndexError("cannot gather unmerged delta rows")
+        for p, sel, local in self._route(rowids):
             out[sel] = p.take(column, local)
         return out
 
@@ -664,21 +592,13 @@ class ColumnTable:
             raise ValueError("delete rowIDs must be strictly descending")
         if rowids[0] >= self.row_count or rowids[-1] < 0:
             raise IndexError("delete rowID out of range")
-        offsets = self.partition_offsets()
-        part = np.searchsorted(offsets, rowids, side="right") - 1
-        for pnum in sort_unique(part):
-            local = rowids[part == pnum] - offsets[pnum]
-            p = self.partitions[pnum]
-            if local.size and local.max() >= p.nrows:
-                raise IndexError("cannot delete unmerged delta rows")
+        for p, _, local in self._route(rowids):
             p.delete_rows(local)
 
     # -- persistence ----------------------------------------------------------------
 
     def save(self, path):
-        """Single-file binary dump; the delta is never persisted."""
-        if any(p.delta_rows for p in self.partitions):
-            raise ValueError("merge the delta before saving")
+        """Single-file binary dump."""
         header = {
             "schema": [[name, dtype] for name, dtype in self.schema],
             "partitions": [p.nrows for p in self.partitions],
@@ -720,19 +640,20 @@ class ColumnTable:
                                            offset=pos)
                 pos += nbytes
             raw_parts.append(cols)
+        # the partition copies the rows into its chunks and summarizes them;
+        # the stored summaries are only checked against its own
         partitions = []
-        for nrows, cols in zip(header["partitions"], raw_parts):
-            minmax = {}
+        for pnum, (nrows, cols) in enumerate(zip(header["partitions"], raw_parts)):
+            p = Partition(cols, block_size)
             nblocks = -(-nrows // block_size)
-            for name, dtype in schema:
-                if np.dtype(dtype) == np.int64:
-                    mins = np.frombuffer(buf, dtype=np.int64, count=nblocks,
-                                         offset=pos)
+            for name in p.int_columns():
+                for zone in p.zones[name]:
+                    stored = np.frombuffer(buf, dtype=np.int64, count=nblocks,
+                                           offset=pos)
                     pos += nblocks * 8
-                    maxs = np.frombuffer(buf, dtype=np.int64, count=nblocks,
-                                         offset=pos)
-                    pos += nblocks * 8
-                    minmax[name] = (mins, maxs)
-            # the partition copies the rows and summaries into its chunks
-            partitions.append(Partition(cols, block_size, minmax=minmax))
+                    if not np.array_equal(zone.reshape(-1)[:nblocks], stored):
+                        raise ValueError(
+                            f"{path}: partition {pnum}: stored zone maps of "
+                            f"column {name!r} do not match its rows")
+            partitions.append(p)
         return cls(schema, partitions, block_size)

@@ -491,7 +491,7 @@ def _estimate(node):
             total = node.table.row_count
             patches = node.index.patch_count if node.index else 0
         else:
-            total = node.table.partitions[node.partition].total_rows
+            total = node.table.partitions[node.partition].nrows
             patches = (node.index.partitions[node.partition].patch_count
                        if node.index else 0)
         if node.mode == "all":
@@ -518,7 +518,7 @@ def node_cost(plan):
     if op == "scan":
         if plan.partition is None:
             return _W_SCAN * plan.table.row_count
-        return _W_SCAN * plan.table.partitions[plan.partition].total_rows
+        return _W_SCAN * plan.table.partitions[plan.partition].nrows
     if op in ("select", "const_count"):
         return _W_SELECT * plan.children[0].est_rows
     if op == "project":

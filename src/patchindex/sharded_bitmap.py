@@ -55,7 +55,7 @@ class ShardedBitmap:
     """
 
     def __init__(self, logical_len, shard_size_bits=DEFAULT_SHARD_BITS, *,
-                 shift_impl="lanes", auto_condense_threshold=None):
+                 shift_impl="lanes"):
         if shard_size_bits < 64 or shard_size_bits & (shard_size_bits - 1):
             raise ValueError(
                 f"shard size must be a power of two >= 64, got {shard_size_bits}")
@@ -69,7 +69,6 @@ class ShardedBitmap:
         self.logical_len = int(logical_len)
         self.lost_bits = 0
         self.shift_impl = shift_impl
-        self.auto_condense_threshold = auto_condense_threshold
 
         num_shards = max(1, -(-self.logical_len // shard_size_bits))
         last_bits = self.logical_len - (num_shards - 1) * shard_size_bits
@@ -223,7 +222,6 @@ class ShardedBitmap:
             self._starts[i + 1:] -= 1
         self.logical_len -= 1
         self.lost_bits += 1
-        self._maybe_condense()
 
     def bulk_delete(self, positions, threads=None):
         """Delete many bits; equivalent to delete() per position in order.
@@ -286,7 +284,6 @@ class ShardedBitmap:
         starts[1:] -= np.cumsum(deleted_in)[:-1]
         self.logical_len -= n
         self.lost_bits += n
-        self._maybe_condense()
 
     def append(self, extra_bits):
         """Grow the bitmap by extra_bits zero bits at the logical end."""
@@ -331,11 +328,6 @@ class ShardedBitmap:
         self._set_arrays(buf.view(np.uint64),
                          np.arange(num_shards, dtype=np.int64) * s)
         self.lost_bits = 0
-
-    def _maybe_condense(self):
-        thr = self.auto_condense_threshold
-        if thr is not None and self.utilization() < thr:
-            self.condense()
 
     # -- whole-structure readout ----------------------------------------------
 

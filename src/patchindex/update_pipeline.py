@@ -1,6 +1,8 @@
 """Keeps patch indexes consistent under inserts, modifies, and deletes.
 
-The handlers never recompute an index and never materialize the full
+Each statement writes the table first: an insert appends its rows to the
+last partition's chunks, so the handlers read them like any other rows. The
+handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
 with the touched values: zone-map pruning over the touched value range (the
 dynamic-range-propagation trick) restricts the scan to candidate blocks, the
@@ -27,8 +29,8 @@ from .patch_index import (NULL_VALUE, ConstraintKind, SortOrder, lss_keep,
 class UpdateStats:
     """One index's share of an update statement, with per-phase time.
 
-    storage_ms is the statement's table write (insert plus delta merge,
-    modify, or delete); the first index's stats carry it, so summing over
+    storage_ms is the statement's table write (insert, modify, or
+    delete); the first index's stats carry it, so summing over
     a statement's stats counts it once. probe_ms is the duplicate semijoin,
     maintain_ms the rest of the index's maintenance.
     """
@@ -85,14 +87,14 @@ def _duplicate_join(table, column, probe_ids, probe_values):
 def handle_insert_nuc(table, index, inserted_ids):
     """Grow the index and patch every duplicate the insert introduced.
 
-    Rows must already sit in the table's delta; the probe side covers the
-    full table including that delta, so duplicates inside the batch are
+    The rows must already be appended to the table; the probe side covers
+    the full table including them, so duplicates inside the batch are
     found too.
     """
+    inserted_ids = np.asarray(inserted_ids, dtype=np.int64)
     index.grow_last(len(inserted_ids))
-    _, cols = table.scan_delta([index.column])
-    patches, stats = _duplicate_join(table, index.column,
-                                     np.asarray(inserted_ids), cols[index.column])
+    values = table.gather(inserted_ids, index.column)
+    patches, stats = _duplicate_join(table, index.column, inserted_ids, values)
     index.add_patches(patches)
     return stats
 
@@ -106,8 +108,7 @@ def handle_insert_nsc(table, index, inserted_ids):
     """
     inserted_ids = np.asarray(inserted_ids, dtype=np.int64)
     index.grow_last(len(inserted_ids))
-    _, cols = table.scan_delta([index.column])
-    values = cols[index.column]
+    values = table.gather(inserted_ids, index.column)
 
     pidx = index.partitions[-1]  # inserts append to the last partition
     lsv = pidx.last_sorted_value
@@ -221,9 +222,7 @@ def apply_insert(table, indexes, rows):
     ids = table.insert_rows(rows)
     storage_ms = _ms_since(t0)
     stats = _maintain(table, indexes, _INSERT_HANDLERS, ids)
-    t0 = time.perf_counter_ns()
-    table.merge_delta()
-    return ids, _charge_storage(stats, storage_ms + _ms_since(t0))
+    return ids, _charge_storage(stats, storage_ms)
 
 
 def apply_modify(table, indexes, rowids, updates):

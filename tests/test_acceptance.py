@@ -193,7 +193,6 @@ def test_06_lss_against_dp_oracle():
                                  "value": np.array([3, 4])})
         from patchindex.update_pipeline import handle_insert_nsc
         stats = handle_insert_nsc(table, index, ids)
-        table.merge_delta()
         assert stats.new_patches == 2
         assert index.partitions[-1].last_sorted_value == 10
 
@@ -314,7 +313,6 @@ def test_11_pruned_insert_handling():
         ids = table.insert_rows({"key": np.arange(10**6, 10**6 + 5),
                                  "value": 100_000 + 5000 + np.arange(5)})
         stats = handle_insert_nuc(table, index, ids)
-        table.merge_delta()
         assert stats.blocks_total > 100
         assert stats.blocks_scanned < 0.10 * stats.blocks_total, \
             f"{stats.blocks_scanned}/{stats.blocks_total}"

@@ -69,18 +69,19 @@ class TestShardSweep:
             return real_bitmap(*args, **kwargs)
 
         # each timed delete reads the clock twice; the repeats alternate the
-        # variants, scalar taking 5, 1, 3 and parallel_lanes 2, 100, 4
+        # variants, scalar taking 5, 1, 3, 7, 2 and parallel_lanes 2, 100,
+        # 4, 6, 9
         ticks = [0]
-        for d in [5, 2, 1, 100, 3, 4]:
+        for d in [5, 2, 1, 100, 3, 4, 7, 6, 2, 9]:
             ticks += [ticks[-1] + d, ticks[-1] + d + 10]
         clock = iter(ticks)
         monkeypatch.setattr(bench_mod, "ShardedBitmap", counted)
         monkeypatch.setattr(bench_mod.time, "perf_counter_ns",
                             lambda: next(clock))
         reports = bench_shard_sweep(bits=4096, deletes=100, shard_sizes=(256,))
-        assert len(built) == 2 * bench_mod.SHARD_SWEEP_REPEATS == 6
+        assert len(built) == 2 * bench_mod.SHARD_SWEEP_REPEATS == 10
         assert [(r.variant, r.runtime_ns) for r in reports] == [
-            ("scalar", 3), ("parallel_lanes", 4)]
+            ("scalar", 3), ("parallel_lanes", 6)]
 
 
 class TestBenchQuery:

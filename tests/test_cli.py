@@ -67,6 +67,16 @@ class TestRemovedIndexVerbs:
         assert e.value.code == 2
 
 
+class TestRemovedThreadsFlags:
+    @pytest.mark.parametrize("argv", [["index", "stats", "--table", "t.pdx"],
+                                      ["bench", "query"]])
+    def test_rejected(self, argv):
+        cli.make_parser().parse_args(argv)  # the rest of the line is valid
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--threads", "2"])
+        assert e.value.code == 2
+
+
 class TestQuery:
     def test_distinct_verify_ok(self, dataset, capsys):
         rc = main(["query", "distinct", "--table", str(dataset), "--verify"])
@@ -177,6 +187,14 @@ class TestErrorContract:
         path.write_bytes(b"not a table")
         err = self._usage_error(["index", "stats", "--table", str(path)], capsys)
         assert "bad magic" in err
+
+    def test_corrupt_zone_maps(self, dataset, capsys):
+        buf = bytearray(dataset.read_bytes())
+        buf[-1] ^= 0x01  # the last partition's last zone-map entry
+        dataset.write_bytes(bytes(buf))
+        err = self._usage_error(["index", "stats", "--table", str(dataset)],
+                                capsys)
+        assert "partition 1" in err and "zone maps" in err
 
     @pytest.mark.parametrize("verb", [["index", "stats"], ["query", "distinct"],
                                       ["update", "delete"]])

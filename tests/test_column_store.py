@@ -185,23 +185,13 @@ class TestUpdates:
         assert ids.tolist() == list(range(100, 110))
         assert t.row_count == 110
 
-    def test_delta_scan(self):
-        t = make_table(np.arange(100))
-        assert len(t.scan_delta()[0]) == 0
-        t.insert_rows({"key": np.array([100]), "value": np.array([7])})
-        ids, cols = t.scan_delta(["value"])
-        assert ids.tolist() == [100]
-        assert cols["value"].tolist() == [7]
-
     def test_delta_union_persisted_equals_full(self):
         t = make_table(np.arange(50))
         t.insert_rows({"key": np.arange(50, 60), "value": np.arange(10)})
-        ids, _ = t.scan()
+        ids, cols = t.scan()
         assert np.array_equal(ids, np.arange(60))
-        t.merge_delta()
-        ids2, _ = t.scan()
-        assert np.array_equal(ids2, np.arange(60))
-        assert t.partitions[-1].delta_rows == 0
+        assert np.array_equal(cols["key"], np.arange(60))
+        assert np.array_equal(cols["value"], np.append(np.arange(50), np.arange(10)))
 
     def test_delete_empty_noop(self):
         t = make_table(np.arange(10))
@@ -223,7 +213,7 @@ class TestUpdates:
         assert 10_000 in cols["value"]
 
     @pytest.mark.parametrize("block_size", [16, 24])
-    def test_merge_delta_keeps_block_summaries(self, block_size):
+    def test_insert_keeps_block_summaries(self, block_size):
         # 16 divides the initial 400 rows and 24 does not; the inserts move
         # the row count on and off block edges
         rng = np.random.default_rng(block_size)
@@ -233,7 +223,6 @@ class TestUpdates:
             if k:
                 t.insert_rows({"key": np.arange(k),
                                "value": rng.integers(-500, 2000, size=k)})
-            t.merge_delta()
             assert_chunk_summaries(t.partitions[0])
 
     def test_interleaved_updates_match_array_oracle(self):
@@ -249,7 +238,6 @@ class TestUpdates:
                 vals = rng.integers(0, 1000, size=k)
                 t.insert_rows({"key": np.arange(next_key, next_key + k),
                                "value": vals})
-                t.merge_delta()
                 next_key += k
                 model = np.concatenate([model, vals])
             elif op == "modify" and n:
@@ -303,7 +291,7 @@ class TestRowFilters:
     def test_mask_filter(self):
         t, full = self._table()
         rng = np.random.default_rng(1)
-        masks = [rng.random(p.total_rows) < 0.4 for p in t.partitions]
+        masks = [rng.random(p.nrows) < 0.4 for p in t.partitions]
         keep = np.concatenate(masks)
         ids, cols = t.scan(["value"], where=("mask", masks))
         assert np.array_equal(ids, np.flatnonzero(keep))
@@ -316,7 +304,7 @@ class TestRowFilters:
 
     def test_mask_of_unscanned_partition_not_read(self):
         t, full = self._table()
-        masks = [None, np.ones(t.partitions[1].total_rows, dtype=bool), None]
+        masks = [None, np.ones(t.partitions[1].nrows, dtype=bool), None]
         ids, cols = t.scan(["key"], scan_range=ScanRange([(100, 200)]),
                            where=("mask", masks))
         assert np.array_equal(ids, np.arange(100, 200))
@@ -324,8 +312,8 @@ class TestRowFilters:
 
     def test_mask_length_checked(self):
         t, _ = self._table()
-        masks = [np.ones(p.total_rows, dtype=bool) for p in t.partitions]
-        masks[2] = masks[2][:-1]  # misses the delta's last row
+        masks = [np.ones(p.nrows, dtype=bool) for p in t.partitions]
+        masks[2] = masks[2][:-1]  # misses the last inserted row
         with pytest.raises(ValueError):
             t.scan(["value"], where=("mask", masks))
 
@@ -397,11 +385,20 @@ class TestPersistence:
         with pytest.raises(ValueError):
             ColumnTable.load(path)
 
-    def test_unmerged_delta_rejected(self, tmp_path):
-        t = make_table(np.arange(10))
-        t.insert_rows({"key": np.array([10]), "value": np.array([1])})
-        with pytest.raises(ValueError):
-            t.save(tmp_path / "t.pdx")
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_flipped_zone_map_byte_rejected(self, tmp_path, where):
+        t = make_table(np.arange(1000), partitions=2, block_size=16)
+        path = tmp_path / "t.pdx"
+        t.save(path)
+        buf = bytearray(path.read_bytes())
+        # the zone maps of both int64 columns close the file
+        zone_bytes = sum(2 * 8 * -(-p.nrows // 16) * 2 for p in t.partitions)
+        buf[len(buf) - zone_bytes if where == "first" else -1] ^= 0x01
+        path.write_bytes(bytes(buf))
+        partition = 0 if where == "first" else 1
+        with pytest.raises(ValueError, match=f"partition {partition}") as e:
+            ColumnTable.load(path)
+        assert str(path) in str(e.value)
 
     def test_bytes_column_roundtrip(self, tmp_path):
         t = ColumnTable.from_partitions([{
@@ -427,7 +424,7 @@ def clip_reference(scan_range, lo, hi):
 
 def table_segments(t):
     """(first rowID, rows, column arrays, zone maps) of every chunk with
-    rows and every delta, in rowID order."""
+    rows, in rowID order."""
     offset = 0
     for p in t.partitions:
         for k in range(p.nchunks):
@@ -435,9 +432,6 @@ def table_segments(t):
             yield (offset, n, {c: p.chunk(c, k) for c in p.chunks},
                    {c: p.chunk_minmax(c, k) for c in p.int_columns()})
             offset += n
-        if p.delta_rows:
-            yield offset, p.delta_rows, p.delta, p.delta_minmax
-            offset += p.delta_rows
 
 
 def prune_reference(t, column, predicate):
@@ -471,7 +465,7 @@ def random_range(rng, limit):
 
 def chunked_table(rng, rows, partitions=3, block_size=4):
     t = make_table(rng.integers(0, 200, size=rows), partitions, block_size)
-    # deletes and an unmerged delta give chunks of uneven fill
+    # deletes and an insert give chunks of uneven fill
     t.delete_rows(np.sort(rng.choice(rows, size=rows // 3, replace=False))[::-1])
     t.insert_rows({"key": np.arange(50), "value": rng.integers(0, 200, size=50)})
     return t
@@ -578,6 +572,14 @@ class TestChunks:
             assert t.partitions[0].nchunks > 1
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == want[spec.kind], spec.kind
+            # so these are the contiguous writer's bytes, and they load
+            loaded = ColumnTable.load(path)
+            for a, b in zip(t.scan()[1].values(), loaded.scan()[1].values()):
+                assert np.array_equal(a, b)
+            for p, q in zip(t.partitions, loaded.partitions):
+                for c in p.int_columns():
+                    for a, b in zip(p.zones[c], q.zones[c]):
+                        assert np.array_equal(a[:p.nchunks], b[:q.nchunks])
 
 
 def contiguous_pdx1(t):
@@ -644,8 +646,6 @@ def test_chunked_updates_match_shadow(rows, statements, seed):
             keys = np.concatenate([keys, np.arange(next_key, next_key + size)])
             values = np.concatenate([values, new])
             next_key += size
-            check_chunked_state(t, keys, values, rng)  # with the delta
-            t.merge_delta()
         elif op == "modify" and n:
             ids = rng.choice(n, size=min(n, size), replace=False)
             new = rng.integers(0, 100, size=len(ids))

@@ -88,7 +88,6 @@ class TestInsertNuc:
         ids = t.insert_rows({"key": np.arange(100_000, 100_005),
                              "value": np.arange(500, 505)})
         stats = handle_insert_nuc(t, idx, ids)
-        t.merge_delta()
         assert stats.blocks_total > 100
         assert stats.blocks_scanned < 0.1 * stats.blocks_total
         assert sorted(idx.global_patch_rows().tolist()) == [
@@ -144,7 +143,6 @@ def test_duplicate_join_matches_pairwise_oracle(base, sort_base, partitions,
     else:
         values = np.array([7 if v == "own" else v for v in touched],
                           dtype=np.int64)
-        # the inserted rows stay in the delta until after the join
         ids = t.insert_rows({"key": np.arange(len(values)), "value": values})
 
     expected = pairwise_duplicates(t, ids, values)
@@ -154,7 +152,6 @@ def test_duplicate_join_matches_pairwise_oracle(base, sort_base, partitions,
     assert stats.blocks_scanned <= stats.blocks_total
 
     (handle_modify_nuc if modify else handle_insert_nuc)(t, idx, ids)
-    t.merge_delta()
     assert set(idx.global_patch_rows().tolist()) == before | set(expected)
 
 
