@@ -1,6 +1,6 @@
-/* Compiled inner loops: shard-local bit deletion, column membership, the
- * merge join, the hash join, the k-way merge of sorted streams and
- * longest-sorted-subsequence discovery.
+/* Compiled inner loops: shard-local bit deletion, column membership, chunk
+ * Bloom filters, the merge join, the hash join, the k-way merge of sorted
+ * streams and longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -193,6 +193,100 @@ int64_t pi_in_positions(const int64_t *col, int64_t n, const int64_t *keys,
         count += sorted_contains(keys, k, col[i]);
     }
     return count;
+}
+
+/* Blocked Bloom filters (Putze, Sanders and Singler, "Cache-, Hash- and
+ * Space-Efficient Bloom Filters", WEA 2007): a key sets up to 4 bits of
+ * one 64-bit word. Of the key's multiplicative hash, the top log2_words
+ * bits pick the word and the next four 6-bit fields pick the bits, so
+ * 1 <= log2_words <= 40. */
+static inline uint64_t bloom_pattern(uint64_t h, int shift)
+{
+    uint64_t pattern = 0;
+    for (int j = 1; j <= 4; j++)
+        pattern |= (uint64_t)1 << ((h >> (shift - 6 * j)) & 63);
+    return pattern;
+}
+
+/* OR the pattern of each values[i] into filter chunk[i] of the nfilters
+ * contiguous filters, each 2^log2_words words long, or into the first
+ * filter when chunk is NULL. Returns -1, before writing anything, when a
+ * chunk[i] lies outside [0, nfilters), and 0 otherwise. */
+int64_t pi_filter_add(const int64_t *values, const int64_t *chunk, int64_t n,
+                      uint64_t *filters, int64_t nfilters, int log2_words)
+{
+    const int shift = 64 - log2_words;
+    for (int64_t i = 0; chunk != NULL && i < n; i++)
+        if ((uint64_t)chunk[i] >= (uint64_t)nfilters)
+            return -1;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t h = filter_slot(values[i], 0);
+        uint64_t *filter = chunk == NULL ? filters
+                                         : filters + (chunk[i] << log2_words);
+        filter[h >> shift] |= bloom_pattern(h, shift);
+    }
+    return 0;
+}
+
+/* First index i with keys[i] >= v in the ascending keys[0:k], or k. */
+static inline int64_t lower_bound(const int64_t *keys, int64_t k, int64_t v)
+{
+    int64_t lo = 0;
+    while (k > 0) {
+        const int64_t half = k >> 1;
+        if (keys[lo + half] < v) {
+            lo += half + 1;
+            k -= half + 1;
+        } else {
+            k = half;
+        }
+    }
+    return lo;
+}
+
+/* Whether each block may hold one of the ascending values[0:m]: sets
+ * hit[b] when a value inside [mins[b], maxs[b]] has every pattern bit set
+ * in the filter of the block's chunk. Chunks are counted over the
+ * partitions in order: partition p has nchunks[p] chunks, whose filters
+ * of 2^log2_words words lie one after another from filters[p], and chunk
+ * c owns the next nblocks[c] blocks.
+ *
+ * A chunk probes the values from the smallest of its blocks' minima up
+ * and stops at the largest maximum or once every block has a hit, so a
+ * chunk that holds many probed values costs few probes. */
+void pi_filter_blocks(const uint64_t *const *filters, const int64_t *nchunks,
+                      int64_t nparts, int log2_words, const int64_t *values,
+                      int64_t m, const int64_t *mins, const int64_t *maxs,
+                      const int64_t *nblocks, uint8_t *hit)
+{
+    const int shift = 64 - log2_words;
+    int64_t c = 0, b0 = 0;
+    for (int64_t p = 0; p < nparts; p++) {
+        for (int64_t k = 0; k < nchunks[p]; k++, c++) {
+            const uint64_t *filter = filters[p] + (k << log2_words);
+            const int64_t b1 = b0 + nblocks[c];
+            int64_t lo = INT64_MAX, hi = INT64_MIN, open = b1 - b0;
+            for (int64_t b = b0; b < b1; b++) {
+                hit[b] = 0;
+                lo = mins[b] < lo ? mins[b] : lo;
+                hi = maxs[b] > hi ? maxs[b] : hi;
+            }
+            for (int64_t j = lower_bound(values, m, lo);
+                 open > 0 && j < m && values[j] <= hi; j++) {
+                const int64_t v = values[j];
+                const uint64_t h = filter_slot(v, 0);
+                const uint64_t pattern = bloom_pattern(h, shift);
+                if ((filter[h >> shift] & pattern) != pattern)
+                    continue;
+                for (int64_t b = b0; b < b1; b++)
+                    if (!hit[b] && mins[b] <= v && v <= maxs[b]) {
+                        hit[b] = 1;
+                        open--;
+                    }
+            }
+            b0 = b1;
+        }
+    }
 }
 
 /* Merge join of ascending (ties allowed) left keys lk[0:nl] against

@@ -7,8 +7,10 @@ a hash of the source, the flags and the machine type, and loaded through
 ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
 their numpy references instead: ``sharded_bitmap`` its shift,
-``column_store`` its membership test (``in_positions``) and its in-place
-row removal (``compact``), ``query_engine``
+``column_store`` its membership test (``in_positions``), its in-place
+row removal (``compact``), its chunk filter build (``filter_add``),
+which falls back to ``np.bitwise_or.at``, and its chunk filter probe
+(``filter_blocks``), ``query_engine``
 its merge join (``merge_join_positions``), its hash join
 (``hash_join_positions``) and its merge of sorted streams
 (``merge_sorted_streams``), which falls back to a stable argsort of the
@@ -55,6 +57,9 @@ _SIGNATURES = {
     "pi_delete": ((ctypes.POINTER(DeleteArgs),), None),
     "pi_delete_groups": ((_P, _P, _P, _P, _P, _P, _I, _I, ctypes.c_int), None),
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
+    "pi_filter_add": ((_P, _P, _I, _P, _I, ctypes.c_int), _I),
+    "pi_filter_blocks": ((_P, _P, _I, ctypes.c_int, _P, _I, _P, _P, _P, _P),
+                         None),
     "pi_merge_join": ((_P, _I, _P, _I, _P, _P), _I),
     "pi_hash_join": ((_P, _I, _P, _I, _P, _P, _I), _I),
     "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),

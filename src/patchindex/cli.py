@@ -215,7 +215,8 @@ def cmd_update(args):
                                               args.granularity)
     print(f"{args.op} x{args.count} at granularity {args.granularity}: "
           f"{dt/1e6:.1f} ms total, e={index.exception_rate:.4f}, "
-          f"blocks_scanned={stats.blocks_scanned}")
+          f"blocks_scanned={stats.blocks_scanned}, "
+          f"filter_bytes_per_row={table.filter_bytes() / max(table.row_count, 1):.2f}")
     print(f"phases: storage {stats.storage_ms:.1f} ms, "
           f"probe {stats.probe_ms:.1f} ms, maintain {stats.maintain_ms:.1f} ms")
     if args.csv_out:

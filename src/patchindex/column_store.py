@@ -4,14 +4,17 @@ Tables hold int64 (and fixed-width bytes) columns split into partitions.
 Global rowIDs are dense, assigned by partition order then position. Each
 partition stores its rows in fixed-capacity chunks, the sharded bitmap's
 layout, with per-block min/max summaries of its int64 columns on each
-chunk's block grid. Inserts append to the last partition's chunks. Deletes
-compact rows immediately, inside the chunks that hold them, shifting all
-subsequent rowIDs down.
+chunk's block grid. A column probed for value sets also gets one blocked
+Bloom filter per chunk, built on the first probe, so block pruning skips
+the chunks that cannot hold a probed value. Inserts append to the last
+partition's chunks. Deletes compact rows immediately, inside the chunks
+that hold them, shifting all subsequent rowIDs down.
 """
 
 import json
 import struct
 from bisect import bisect_right
+from itertools import accumulate
 from operator import itemgetter
 from dataclasses import dataclass
 
@@ -24,6 +27,10 @@ DEFAULT_BLOCK_SIZE = 4096
 # chunk capacity in zone-map blocks: a delete rewrites one chunk of
 # CHUNK_BLOCKS * block_size rows, not the whole partition
 CHUNK_BLOCKS = 16
+# chunk membership filter size: 16 bits per row of chunk capacity keep the
+# false-positive rate of a full chunk near 0.5% at 4 bits per key
+FILTER_BITS_PER_ROW = 16
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the kernels' multiplicative hash
 
 
 @dataclass
@@ -104,18 +111,128 @@ def in_positions(values, keys):
     values with integer keys run the compiled kernel; anything else, or a
     missing build, runs the numpy reference.
     """
+    return membership(keys, values.dtype)(values)
+
+
+def membership(keys, dtype):
+    """``in_positions`` against fixed keys for values of dtype, with the
+    keys prepared once: a scan calls it once per chunk span."""
     lib = _native.lib
-    if (lib is None or values.dtype != np.int64
+    if (lib is None or dtype != np.int64
             or not np.can_cast(keys.dtype, np.int64)):
-        return np.flatnonzero(np.isin(values, keys))
-    values = np.ascontiguousarray(values)
+        return lambda values: np.flatnonzero(np.isin(values, keys))
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    out = np.empty(len(values), dtype=np.int64)
-    count = lib.pi_in_positions(values.ctypes.data, len(values),
-                                keys.ctypes.data, len(keys), out.ctypes.data)
-    if count < 0:
-        raise MemoryError("membership filter allocation failed")
-    return out[:count]
+    kptr, k = keys.ctypes.data, len(keys)
+
+    def positions(values, keys=keys):  # the default keeps keys alive
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        out = np.empty(len(values), dtype=np.int64)
+        count = lib.pi_in_positions(values.ctypes.data, len(values),
+                                    kptr, k, out.ctypes.data)
+        if count < 0:
+            raise MemoryError("membership filter allocation failed")
+        return out[:count]
+
+    return positions
+
+
+def filter_hash(values, log2_words):
+    """(word, pattern) of each int64 value in a filter of 2^log2_words
+    words: the blocked Bloom hash of ``pi_filter_add``."""
+    h = np.asarray(values, dtype=np.int64).view(np.uint64) * _GOLDEN
+    shift = 64 - log2_words
+    words = (h >> np.uint64(shift)).astype(np.int64)
+    pattern = np.zeros(len(h), dtype=np.uint64)
+    for j in range(1, 5):
+        bit = (h >> np.uint64(shift - 6 * j)) & np.uint64(63)
+        pattern |= np.uint64(1) << bit
+    return words, pattern
+
+
+def _filter_log2(filters):
+    """log2 of the filter width of a uint64 filter array, checked before
+    the kernels get its pointer."""
+    width = filters.shape[-1]
+    if (filters.dtype != np.uint64 or not filters.flags.c_contiguous
+            or width < 2 or width & (width - 1) or width > 1 << 40):
+        raise ValueError("filters must be contiguous uint64 rows of a "
+                         "power-of-two width")
+    return width.bit_length() - 1
+
+
+def filter_add(filters, values, chunk=None):
+    """OR int64 values into blocked Bloom filters.
+
+    filters is a C-contiguous uint64 array whose last axis is one filter
+    of a power-of-two word count. Value i goes into filter chunk[i] of a
+    2-D filters, or into the one filter of a 1-D filters when chunk is None.
+    The compiled kernel and the numpy reference set the same bits.
+    """
+    log2 = _filter_log2(filters)
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    bad_chunk = ValueError("chunk must name a filter row for every value")
+    if chunk is not None:
+        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+        if filters.ndim != 2 or len(chunk) != len(values):
+            raise bad_chunk
+    if not len(values):
+        return
+    lib = _native.lib
+    if lib is None:
+        words, pattern = filter_hash(values, log2)
+        if chunk is not None:
+            if chunk.min() < 0 or chunk.max() >= len(filters):
+                raise bad_chunk
+            words += chunk << log2
+        np.bitwise_or.at(filters.reshape(-1), words, pattern)
+        return
+    # the kernel checks the chunk numbers before it writes
+    if lib.pi_filter_add(values.ctypes.data,
+                         None if chunk is None else chunk.ctypes.data,
+                         len(values), filters.ctypes.data,
+                         len(filters) if filters.ndim == 2 else 1, log2) < 0:
+        raise bad_chunk
+
+
+def filter_blocks(filters, values, mins, maxs, nblocks):
+    """Whether each block may hold one of the ascending int64 values.
+
+    A block qualifies when a value inside its [min, max] has every bit of
+    its pattern set in the filter of the block's chunk. filters holds one
+    2-D filter array per partition, all of one width; their chunks, in
+    order, own the next nblocks[c] of the blocks that mins and maxs
+    describe. The compiled kernel stops probing a chunk once all its
+    blocks qualify; the numpy reference counts every chunk's hits over the
+    values and compares the counts at each block's bounds. Both agree.
+    """
+    log2s = {_filter_log2(f) for f in filters}
+    if len(log2s) != 1 or any(f.ndim != 2 for f in filters):
+        raise ValueError("filters must be 2-D arrays of one width")
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    mins = np.ascontiguousarray(mins, dtype=np.int64)
+    maxs = np.ascontiguousarray(maxs, dtype=np.int64)
+    nblocks = np.ascontiguousarray(nblocks, dtype=np.int64)
+    if (len(nblocks) != sum(len(f) for f in filters)
+            or int(nblocks.sum()) != len(mins) or len(maxs) != len(mins)
+            or (len(nblocks) and nblocks.min() < 0)):
+        raise ValueError("nblocks must split the blocks over the chunks")
+    log2 = log2s.pop()
+    lib = _native.lib
+    if lib is None:
+        words, pattern = filter_hash(values, log2)
+        seen = np.zeros((len(nblocks), len(values) + 1), dtype=np.int64)
+        np.cumsum(np.concatenate([(f[:, words] & pattern) == pattern
+                                  for f in filters]), axis=1, out=seen[:, 1:])
+        chunk = np.repeat(np.arange(len(nblocks)), nblocks)
+        return (seen[chunk, np.searchsorted(values, maxs, side="right")]
+                > seen[chunk, np.searchsorted(values, mins, side="left")])
+    hit = np.empty(len(mins), dtype=bool)
+    parts = np.array([f.ctypes.data for f in filters], dtype=np.uint64)
+    nchunks = np.array([len(f) for f in filters], dtype=np.int64)
+    lib.pi_filter_blocks(parts.ctypes.data, nchunks.ctypes.data, len(filters),
+                         log2, values.ctypes.data, len(values), mins.ctypes.data,
+                         maxs.ctypes.data, nblocks.ctypes.data, hit.ctypes.data)
+    return hit
 
 
 def compact(row, n, dead):
@@ -167,6 +284,14 @@ class Partition:
     delete compacts the touched chunks only, and an append fills the last
     chunk and then opens new ones. Blocks are numbered on that grid:
     block j of chunk k is block k * CHUNK_BLOCKS + j.
+
+    An int64 column asked for its membership filters (``filter_words``)
+    gets one blocked Bloom filter per chunk, a (slots, words) array sized
+    from the capacity, so appends never resize it. Appends and modifies
+    add the new values, and a condense ORs the merged chunk's filter into
+    its neighbour's. A delete leaves the filters alone: a deleted value
+    only leaves stale bits, and a filter may answer "maybe" wrongly but
+    never "no" wrongly.
     """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
@@ -192,6 +317,11 @@ class Partition:
                                       for _ in range(2))
                 for zone, values in zip(self.zones[c], _block_minmax(a, block_size)):
                     zone.reshape(-1)[:len(values)] = values
+        # FILTER_BITS_PER_ROW bits per capacity row, in a power of two
+        # words; the hash takes at most 40 bits for the word number
+        words = -(-self.capacity * FILTER_BITS_PER_ROW // 64)
+        self.filter_log2 = min(max(1, (words - 1).bit_length()), 40)
+        self.filters = {}  # built on first request, see filter_words
         self._recount()
 
     def _recount(self):
@@ -220,6 +350,29 @@ class Partition:
         """Zone maps of chunk k's live blocks (views)."""
         nblocks = -(-int(self.counts[k]) // self.block_size)
         return tuple(z[k, :nblocks] for z in self.zones[column])
+
+    def filter_words(self, column):
+        """(nchunks, words) membership filters of an int64 column's chunks.
+
+        The first request builds them from the chunk buffers; from then
+        on every mutator keeps them up to date.
+        """
+        f = self.filters.get(column)
+        if f is None:
+            f = np.zeros((len(self.chunks[column]), 1 << self.filter_log2),
+                         dtype=np.uint64)
+            for k in range(self.nchunks):
+                filter_add(f[k], self.chunk(column, k))
+            self.filters[column] = f
+        return f[:self.nchunks]
+
+    def _filter_rows(self, pos, columns):
+        """Add the rows at flattened buffer positions pos to the filters
+        their chunks keep for the given columns."""
+        for c in columns:
+            if c in self.filters:
+                filter_add(self.filters[c], self.chunks[c].reshape(-1)[pos],
+                           pos // self.capacity)
 
     @property
     def columns(self):
@@ -313,6 +466,7 @@ class Partition:
             self.chunks = {c: grown(b) for c, b in self.chunks.items()}
             self.zones = {c: tuple(grown(z) for z in zone)
                           for c, zone in self.zones.items()}
+            self.filters = {c: grown(f) for c, f in self.filters.items()}
         self.counts = np.concatenate(
             [self.counts, np.zeros(nchunks - self.nchunks, np.int64)])
 
@@ -335,6 +489,7 @@ class Partition:
         self._rezone(first, start - first * cap)
         for k in range(first + 1, self.nchunks):
             self._rezone(k)
+        self._filter_rows(np.arange(start, start + n), self.filters)
         self._recount()
 
     def modify_rows(self, local, updates):
@@ -346,6 +501,7 @@ class Partition:
             self.chunks[c].reshape(-1)[pos] = vals
             if c in self.zones:
                 self.rebuild_minmax_blocks(c, blocks)
+        self._filter_rows(pos, updates)
 
     def delete_rows(self, local):
         """Remove partition rows: each touched chunk is compacted in place
@@ -366,6 +522,7 @@ class Partition:
     def _condense(self):
         """Merge neighbouring chunks that fit one capacity; drop a lone
         empty chunk. Afterwards no two neighbours fit one chunk."""
+        before = self.nchunks
         k = 0
         while k + 1 < self.nchunks:
             a, b = int(self.counts[k]), int(self.counts[k + 1])
@@ -378,11 +535,16 @@ class Partition:
             for zone in self.zones.values():
                 for z in zone:
                     z[k + 1:self.nchunks - 1] = z[k + 2:self.nchunks]
+            for f in self.filters.values():
+                f[k] |= f[k + 1]
+                f[k + 1:self.nchunks - 1] = f[k + 2:self.nchunks]
             self.counts[k] = a + b
             self.counts = np.delete(self.counts, k + 1)
             self._rezone(k, a)
         if self.nchunks == 1 and not self.counts[0]:
             self.counts = self.counts[:0]
+        for f in self.filters.values():  # a reopened chunk starts empty
+            f[self.nchunks:before] = 0
 
 
 class ColumnTable:
@@ -437,7 +599,8 @@ class ColumnTable:
         if kind == "in":
             _, where_col, keys = where
             self._check_columns([where_col])
-            keys = sort_unique(keys)
+            member = membership(sort_unique(keys),
+                                np.dtype(dict(self.schema)[where_col]))
         elif kind == "rows":
             rowids = np.asarray(where[1], dtype=np.int64)
         elif kind not in (None, "mask"):
@@ -460,7 +623,7 @@ class ColumnTable:
                         rows = slice(None)
                         ids = np.arange(lo, hi, dtype=np.int64)
                     elif kind == "in":
-                        rows = in_positions(source[where_col][seg], keys)
+                        rows = member(source[where_col][seg])
                         ids = lo + rows
                     elif kind == "mask":
                         mask = where[1][pnum]
@@ -492,17 +655,39 @@ class ColumnTable:
     # -- block pruning ----------------------------------------------------------
 
     def prune_blocks(self, column, predicate):
-        """Global ScanRange of blocks whose [min, max] may satisfy predicate.
+        """Global ScanRange of the blocks that may hold rows satisfying
+        predicate; a superset of the qualifying rows.
 
         predicate is ("interval", lo, hi) with inclusive bounds, or
-        ("in", values). The result is a superset of the qualifying rows.
+        ("in", values). An interval keeps the blocks whose [min, max] meets
+        it. A value set keeps the blocks whose [min, max] holds a value;
+        where that keeps more than CHUNK_BLOCKS blocks, a kept block's
+        value must also pass the membership filter of the block's chunk.
+        The first value-set request builds the column's filters.
         """
         self._check_columns([column])
         mins, maxs = (np.concatenate(z) for z in zip(*(
             [z[:p.nchunks][p.live] for z in p.zones[column]]
             for p in self.partitions)))
-        hit = np.flatnonzero(self._blocks_matching(mins, maxs, predicate))
         ends, counts, first = self._segment_grid()
+        kind = predicate[0]
+        if kind == "interval":
+            _, lo, hi = predicate
+            hit = (maxs >= lo) & (mins <= hi)
+        elif kind == "in":
+            values = sort_unique(np.asarray(predicate[1], dtype=np.int64))
+            hit = (np.searchsorted(values, maxs, side="right")
+                   > np.searchsorted(values, mins, side="left"))
+            # the first value-set probe builds the column's filters
+            filters = [p.filter_words(column) for p in self.partitions]
+            # where the zone maps keep at most a chunk's worth of blocks,
+            # a filter probe costs about what it could save
+            if np.count_nonzero(hit) > CHUNK_BLOCKS:
+                hit = filter_blocks(filters, values, mins, maxs,
+                                    -(-counts // self.block_size))
+        else:
+            raise ValueError(f"unknown predicate {predicate!r}")
+        hit = np.flatnonzero(hit)
         seg = np.searchsorted(first, hit, side="right") - 1
         lo = ends[seg] - counts[seg] + (hit - first[seg]) * self.block_size
         return ScanRange.from_blocks(lo, np.minimum(lo + self.block_size, ends[seg]))
@@ -514,19 +699,10 @@ class ColumnTable:
         nblocks = -(-counts // self.block_size)
         return np.cumsum(counts), counts, np.cumsum(nblocks) - nblocks
 
-    @staticmethod
-    def _blocks_matching(mins, maxs, predicate):
-        kind = predicate[0]
-        if kind == "interval":
-            _, lo, hi = predicate
-            return (maxs >= lo) & (mins <= hi)
-        if kind == "in":
-            values = np.sort(np.asarray(predicate[1], dtype=np.int64))
-            # block qualifies when some value falls inside [min, max]
-            left = np.searchsorted(values, mins, side="left")
-            right = np.searchsorted(values, maxs, side="right")
-            return right > left
-        raise ValueError(f"unknown predicate {predicate!r}")
+    def filter_bytes(self):
+        """Bytes of the live chunks' membership filters."""
+        return sum(f[:p.nchunks].nbytes for p in self.partitions
+                   for f in p.filters.values())
 
     def total_blocks(self):
         bs = self.block_size
@@ -553,10 +729,22 @@ class ColumnTable:
         self.partitions[-1].append({c: np.asarray(v) for c, v in rows.items()})
         return np.arange(start, self.row_count, dtype=np.int64)
 
-    def _route(self, rowids):
-        """(partition, selection mask, partition rows) for each partition
-        that holds some of the given global rowIDs."""
-        offsets = self.partition_offsets()
+    def _route(self, rowids, what):
+        """(partition, selection, partition rows) for each partition that
+        holds some of the given global rowIDs; a rowID outside the table
+        raises IndexError naming what the rows are for."""
+        if not rowids.size:
+            return
+        ends = list(accumulate(p.nrows for p in self.partitions))
+        lo, hi = int(rowids.min()), int(rowids.max())
+        if lo < 0 or hi >= ends[-1]:
+            raise IndexError(f"{what} rowID out of range")
+        first, last = bisect_right(ends, lo), bisect_right(ends, hi)
+        if first == last:  # one partition, as for every insert's rows
+            p = self.partitions[first]
+            yield p, slice(None), rowids - (ends[first] - p.nrows)
+            return
+        offsets = np.array([0] + ends)
         part = np.searchsorted(offsets, rowids, side="right") - 1
         for pnum in sort_unique(part).tolist():
             sel = part == pnum
@@ -565,18 +753,14 @@ class ColumnTable:
     def modify_rows(self, rowids, updates):
         """In-place update; updates maps column name to per-row new values."""
         rowids = np.asarray(rowids, dtype=np.int64)
-        if rowids.size == 0:
-            return
-        if rowids.max() >= self.row_count or rowids.min() < 0:
-            raise IndexError("modify rowID out of range")
-        for p, sel, local in self._route(rowids):
+        for p, sel, local in self._route(rowids, "modify"):
             p.modify_rows(local, {c: np.asarray(v)[sel] for c, v in updates.items()})
 
     def gather(self, rowids, column):
         """Values of one column at arbitrary rowIDs."""
         rowids = np.asarray(rowids, dtype=np.int64)
         out = np.empty(len(rowids), dtype=dict(self.schema)[column])
-        for p, sel, local in self._route(rowids):
+        for p, sel, local in self._route(rowids, "gather"):
             out[sel] = p.take(column, local)
         return out
 
@@ -586,13 +770,9 @@ class ColumnTable:
         Only the chunks holding deleted rows are rewritten.
         """
         rowids = np.asarray(descending_rowids, dtype=np.int64)
-        if rowids.size == 0:
-            return
         if rowids.size > 1 and not np.all(np.diff(rowids) < 0):
             raise ValueError("delete rowIDs must be strictly descending")
-        if rowids[0] >= self.row_count or rowids[-1] < 0:
-            raise IndexError("delete rowID out of range")
-        for p, _, local in self._route(rowids):
+        for p, _, local in self._route(rowids, "delete"):
             p.delete_rows(local)
 
     # -- persistence ----------------------------------------------------------------

@@ -4,14 +4,17 @@ Each statement writes the table first: an insert appends its rows to the
 last partition's chunks, so the handlers read them like any other rows. The
 handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
-with the touched values: zone-map pruning over the touched value range (the
-dynamic-range-propagation trick) restricts the scan to candidate blocks, the
-scan itself keeps only rows holding a touched value, and every returned row
-whose value occurs at least twice becomes a patch. That equals patching
-both sides of every match of a touched row with another row, since all rows
-holding a touched value lie in unpruned blocks and the touched rows are in
-the table themselves. The sortedness constraint extends its sorted run for
-inserts and simply patches modified rows. Deletes drop the tracking state
+with the touched values. Block pruning restricts the scan to the blocks
+that may hold a touched value by two summaries: the block's zone map must
+hold it (the dynamic-range-propagation trick), and so must the membership
+filter of the block's chunk. The scan itself keeps only rows holding a
+touched value, and every returned row whose value occurs at least twice
+becomes a patch. That equals patching both sides of every match of a
+touched row with another row: neither summary ever rules out a value the
+block holds, so all rows holding a touched value lie in unpruned blocks,
+and the touched rows are in the table themselves. The sortedness
+constraint extends its sorted run for inserts and simply patches modified
+rows. Deletes drop the tracking state
 for the deleted rowIDs. The maintained patch set may grow beyond the
 minimal one, but the non-patch rows always satisfy the constraint.
 """
@@ -71,8 +74,7 @@ def _duplicate_join(table, column, probe_ids, probe_values):
         return nulls, stats
     values = probe_values[live]
 
-    scan_range = table.prune_blocks(
-        column, ("interval", int(values.min()), int(values.max())))
+    scan_range = table.prune_blocks(column, ("in", values))
     stats.blocks_scanned = table.count_blocks(scan_range)
 
     rowids, cols = table.scan([column], scan_range=scan_range,

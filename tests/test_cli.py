@@ -134,6 +134,18 @@ class TestUpdate:
         assert line.startswith("phases: storage ")
         assert "probe " in line and "maintain " in line
 
+    def test_update_prints_filter_bytes(self, dataset, sorted_dataset, capsys):
+        # the NUC probe builds the value column's chunk filters; NSC never
+        # probes, so its table carries none
+        for path, kind, want in ((dataset, "nuc", lambda x: x > 0),
+                                 (sorted_dataset, "nsc", lambda x: x == 0)):
+            assert main(["update", "insert", "--table", str(path), "--count",
+                         "20", "--granularity", "10", "--constraint", kind]) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            assert "blocks_scanned=" in first
+            value = float(first.split("filter_bytes_per_row=")[1])
+            assert want(value), (kind, first)
+
     def test_nsc_update(self, sorted_dataset):
         assert main(["update", "insert", "--table", str(sorted_dataset),
                      "--count", "30", "--granularity", "5",

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from patchindex import _native
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
                                      ScanRange, _block_minmax, compact,
-                                     in_positions, sort_unique)
+                                     filter_add, filter_blocks, filter_hash,
+                                     in_positions,
+                                     sort_unique)
 from patchindex.datagen import GenSpec, generate_to_file
 from patchindex.patch_index import NULL_VALUE
 
@@ -434,15 +436,37 @@ def table_segments(t):
             offset += n
 
 
+def filter_holds(p, column, k, value):
+    """Whether chunk k's filter has every bit of value's pattern set."""
+    word, pattern = filter_hash([value], p.filter_log2)
+    return (p.filter_words(column)[k, word[0]] & pattern[0]) == pattern[0]
+
+
 def prune_reference(t, column, predicate):
-    """prune_blocks as a loop over every hit block of every segment."""
-    intervals = []
-    for offset, n, _, zones in table_segments(t):
-        mins, maxs = zones[column]
-        for b in np.flatnonzero(t._blocks_matching(mins, maxs, predicate)):
-            lo = offset + b * t.block_size
-            intervals.append((int(lo), int(min(lo + t.block_size, offset + n))))
-    return ScanRange.normalized(intervals)
+    """prune_blocks as a loop over every block of every chunk: a block hits
+    when its [min, max] meets the interval, or holds a value of the set
+    that, once the zone maps keep more than CHUNK_BLOCKS blocks, its
+    chunk's filter holds too."""
+    blocks = []
+    offset = 0
+    for p in t.partitions:
+        for k in range(p.nchunks):
+            n = int(p.counts[k])
+            for b, (lo_v, hi_v) in enumerate(zip(*p.chunk_minmax(column, k))):
+                if predicate[0] == "interval":
+                    meets = hi_v >= predicate[1] and lo_v <= predicate[2]
+                    inside = [] if meets else None
+                else:
+                    inside = [v for v in predicate[1] if lo_v <= v <= hi_v] or None
+                if inside is not None:
+                    lo = offset + b * t.block_size
+                    rows = (int(lo), int(min(lo + t.block_size, offset + n)))
+                    blocks.append((p, k, inside, rows))
+            offset += n
+    if predicate[0] == "in" and len(blocks) > CHUNK_BLOCKS:
+        blocks = [b for b in blocks
+                  if any(filter_holds(b[0], column, b[1], v) for v in b[2])]
+    return ScanRange.normalized([b[3] for b in blocks])
 
 
 def count_reference(t, scan_range):
@@ -662,3 +686,167 @@ def test_chunked_updates_match_shadow(rows, statements, seed):
         assert path.read_bytes() == contiguous_pdx1(t)
         loaded = ColumnTable.load(path)
     check_chunked_state(loaded, keys, values, rng)
+
+
+class TestRouting:
+    def test_gather_rejects_rowids_outside_the_table(self):
+        t = make_table(np.arange(200), partitions=2)
+        for ids in ([-1, -5], [0, -1], [200], [3, 200]):
+            with pytest.raises(IndexError, match="gather rowID out of range"):
+                t.gather(np.array(ids), "value")
+        assert t.gather(np.array([], dtype=np.int64), "value").size == 0
+
+    def test_modify_and_delete_keep_their_messages(self):
+        t = make_table(np.arange(200), partitions=2)
+        with pytest.raises(IndexError, match="modify rowID out of range"):
+            t.modify_rows(np.array([5, 200]), {"value": np.array([1, 2])})
+        with pytest.raises(IndexError, match="delete rowID out of range"):
+            t.delete_rows(np.array([3, -1]))
+        assert np.array_equal(t.scan(["value"])[1]["value"], np.arange(200))
+
+    def test_one_and_several_partitions_route_alike(self):
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 10**6, size=900)
+        t = make_table(values, partitions=3)
+        for ids in (np.array([5, 1, 250]),          # first partition only
+                    np.array([899, 600, 700]),      # last partition only
+                    rng.integers(0, 900, size=40)):  # every partition
+            assert np.array_equal(t.gather(ids, "value"), values[ids])
+
+
+# -- chunk membership filters ------------------------------------------------------
+
+def assert_live_values_in_filters(t, column="value"):
+    """Every live value passes its own chunk's filter."""
+    for p in t.partitions:
+        f = p.filter_words(column)
+        for k in range(p.nchunks):
+            words, pattern = filter_hash(p.chunk(column, k), p.filter_log2)
+            assert ((f[k, words] & pattern) == pattern).all(), k
+
+
+class TestFilters:
+    @needs_compiler
+    def test_kernel_matches_numpy_reference(self, monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        rng = np.random.default_rng(21)
+        edge = np.array([0, -1, 1, NULL_VALUE, np.iinfo(np.int64).max])
+        for log2 in (1, 3, 8, 14):
+            values = np.concatenate([edge, rng.integers(-10**12, 10**12, size=3000),
+                                     np.arange(5000)])
+            chunk = rng.integers(0, 5, size=len(values))
+            built = {}
+            for backend in ("c", "numpy"):
+                if backend == "numpy":
+                    monkeypatch.setattr(_native, "lib", None)
+                filters = np.zeros((5, 1 << log2), dtype=np.uint64)
+                filter_add(filters, values, chunk)
+                one = np.zeros(1 << log2, dtype=np.uint64)
+                filter_add(one, values)
+                built[backend] = (filters, one)
+                monkeypatch.undo()
+            for got, want in zip(built["c"], built["numpy"]):
+                assert np.array_equal(got, want), log2
+            assert built["c"][0].any()
+        for bad in (np.zeros((2, 6), np.uint64), np.zeros((2, 8), np.int64),
+                    np.zeros((8, 2), np.uint64)[:, :1]):
+            with pytest.raises(ValueError):
+                filter_add(bad, [1, 2], [0, 1])
+        for chunk in ([0, 2], [-1, 0], [0]):
+            with pytest.raises(ValueError):
+                filter_add(np.zeros((2, 8), np.uint64), [1, 2], chunk)
+
+    @needs_compiler
+    def test_block_probe_kernel_matches_numpy_reference(self, monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            # partitions of 0-3 chunks with 0-4 blocks each; narrow filters
+            # make false positives common, wide value ranges make early
+            # exits common
+            parts = [np.zeros((int(rng.integers(0, 4)), 4), np.uint64)
+                     for _ in range(int(rng.integers(1, 4)))]
+            for f in parts:
+                if len(f):
+                    filter_add(f, rng.integers(0, 300, size=20),
+                               rng.integers(0, len(f), size=20))
+            nblocks = rng.integers(0, 5, size=sum(len(f) for f in parts))
+            bounds = np.sort(rng.integers(-10, 310, size=(int(nblocks.sum()), 2)))
+            values = sort_unique(rng.integers(0, 300, size=int(rng.integers(0, 30))))
+            args = (parts, values, bounds[:, 0], bounds[:, 1], nblocks)
+            got = filter_blocks(*args)
+            monkeypatch.setattr(_native, "lib", None)
+            want = filter_blocks(*args)
+            monkeypatch.undo()
+            assert got.dtype == bool and np.array_equal(got, want)
+        f = np.zeros((2, 4), np.uint64)
+        for bad in (([f, np.zeros((1, 8), np.uint64)], [1, 1, 1]),  # widths
+                    ([f], [1, 1, 1]),                               # chunks
+                    ([f], [2, 2])):                                 # blocks
+            with pytest.raises(ValueError):
+                filter_blocks(bad[0], [5], [0, 0, 0], [9, 9, 9], bad[1])
+
+    def test_built_lazily_for_value_set_probes_only(self):
+        t = make_table(np.arange(3000), partitions=2, block_size=8)
+        t.insert_rows({"key": np.arange(5), "value": np.arange(5)})
+        t.modify_rows(np.array([7]), {"value": np.array([1])})
+        t.delete_rows(np.array([9]))
+        t.prune_blocks("value", ("interval", 0, 10))
+        assert all(not p.filters for p in t.partitions)
+        assert t.filter_bytes() == 0
+        t.prune_blocks("value", ("in", [3]))
+        assert all(list(p.filters) == ["value"] for p in t.partitions)
+        p = t.partitions[0]
+        assert t.filter_bytes() == sum(q.nchunks for q in t.partitions) \
+            * p.capacity * 16 // 8
+        assert_live_values_in_filters(t)
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_live_values_pass_after_random_stream(self, backend, monkeypatch):
+        if backend == "native" and _native.lib is None:
+            pytest.skip("no compiled kernels")
+        if backend == "numpy":
+            monkeypatch.setattr(_native, "lib", None)
+        rng = np.random.default_rng(22)
+        # block_size 4 gives 64-row chunks, so statements open, condense and
+        # reopen chunks
+        t = make_table(rng.integers(0, 10**9, size=700), partitions=3, block_size=4)
+        t.prune_blocks("value", ("in", [1]))  # builds the filters
+        chunk_counts = set()
+        for step in range(300):
+            n = t.row_count
+            op = rng.choice(["insert", "modify", "delete"], p=[0.35, 0.3, 0.35])
+            size = int(rng.integers(1, 120))
+            if op == "insert" or n < 150:
+                t.insert_rows({"key": np.arange(size),
+                               "value": rng.integers(0, 10**9, size=size)})
+            elif op == "modify":
+                ids = rng.choice(n, size=min(n, size), replace=False)
+                t.modify_rows(ids, {"value": rng.integers(0, 10**9, size=len(ids))})
+            else:
+                ids = np.sort(rng.choice(n, size=min(n - 1, size), replace=False))
+                t.delete_rows(ids[::-1])
+            chunk_counts.add(t.partitions[-1].nchunks)
+            assert_live_values_in_filters(t)
+        assert len(chunk_counts) > 3  # chunks were opened and condensed
+
+    def test_absent_values_skip_chunks(self):
+        # shuffled even values: zone maps span the whole domain, so only the
+        # filters can rule blocks out
+        rng = np.random.default_rng(23)
+        values = 2 * rng.permutation(200_000)
+        t = make_table(values, partitions=4, block_size=256)
+        domain = ("interval", 100_000, 300_000)
+        assert t.prune_blocks("value", domain).row_count() == len(values)
+        present = values[rng.choice(len(values), size=5, replace=False)]
+        r = t.prune_blocks("value", ("in", present))
+        # each present value keeps at most the blocks of its own chunk,
+        # plus the filters' false positives
+        assert t.count_blocks(r) <= 6 * CHUNK_BLOCKS
+        ids, _ = t.scan(["value"], scan_range=r)
+        assert np.isin(np.flatnonzero(np.isin(values, present)), ids).all()
+        # 20 odd values, none in the table: near 0.5% false positives per
+        # chunk and value let about a tenth of the chunks through
+        absent = 2 * rng.choice(200_000, size=20, replace=False) + 1
+        kept = t.count_blocks(t.prune_blocks("value", ("in", absent)))
+        assert kept < 0.25 * t.total_blocks()

@@ -155,6 +155,35 @@ def test_duplicate_join_matches_pairwise_oracle(base, sort_base, partitions,
     assert set(idx.global_patch_rows().tolist()) == before | set(expected)
 
 
+def test_duplicate_join_on_shuffled_values_matches_pairwise_oracle():
+    # datagen writes non-patch values in ascending order, which flatters
+    # zone maps; shuffled values leave the chunk filters to do the pruning
+    from patchindex.datagen import GenSpec, generate
+    gen = generate(GenSpec("nuc", 3000, 0.2, dup_domain=300, partitions=3, seed=9))
+    rng = np.random.default_rng(10)
+    values = rng.permutation(np.concatenate(
+        [p.columns["value"] for p in gen.partitions]))
+    # block_size 4 gives 64-row chunks, so deletes condense chunks
+    t = make_table(values, partitions=3, block_size=4)
+    pruned = 0
+    for step in range(40):
+        n = t.row_count
+        new = np.where(rng.random(10) < 0.5, rng.integers(0, 300, size=10),
+                       10**6 + 10 * step + np.arange(10))
+        if step % 3 == 2:
+            t.delete_rows(np.sort(rng.choice(n, size=30, replace=False))[::-1])
+            continue
+        if step % 3 == 0:
+            ids = t.insert_rows({"key": np.arange(10), "value": new})
+        else:
+            ids = np.sort(rng.choice(n, size=10, replace=False))
+            t.modify_rows(ids, {"value": new})
+        patches, stats = _duplicate_join(t, "value", ids, new)
+        assert sorted(patches.tolist()) == pairwise_duplicates(t, ids, new), step
+        pruned += stats.blocks_scanned < stats.blocks_total
+    assert pruned > 20
+
+
 class TestInsertNsc:
     def test_gap_example_patches_inserts_between(self):
         # run tail is 10; inserted 3 and 4 cannot extend it
