@@ -1,6 +1,7 @@
 /* Compiled inner loops: shard-local bit deletion, column membership, chunk
  * Bloom filters, the merge join, the hash join, the k-way merge of sorted
- * streams and longest-sorted-subsequence discovery.
+ * streams, the gap copy of a chunk's rows around skipped rows and
+ * longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -458,23 +459,116 @@ void pi_copy_runs(const char *const *src, int64_t itemsize,
     }
 }
 
-/* Removes the items at the m ascending, distinct positions dead[] (all
- * below n) from the n items of itemsize bytes at base, in place: each gap
- * between two removed items moves down by the number removed before it.
- * Items from dead[0] on are rewritten; the last m of the n are stale.
- * Returns 0, or -1 without writing when dead[] breaks its contract. */
-int64_t pi_compact(char *base, int64_t n, int64_t itemsize,
-                   const int64_t *dead, int64_t m)
+/* Below SHORT_RUN rows per skipped row, a range is copied row by row,
+ * since a memmove call per run would cost more than the bytes it moves;
+ * the skipped rows are then marked MARK_ROWS rows at a time. */
+#define SHORT_RUN 16
+#define MARK_ROWS 4096
+
+/* Copies the rows [a, b) of a range whose row lo is item at of src to d
+ * and returns the end of what it wrote. A NULL src stands for the int64
+ * row numbers plus base. Equal source and destination are not copied. */
+static inline char *copy_rows(char *d, const char *src, int64_t itemsize,
+                              int64_t lo, int64_t at, int64_t a, int64_t b,
+                              int64_t base)
 {
-    for (int64_t i = 0; i < m; i++)
-        if (dead[i] < (i ? dead[i - 1] + 1 : 0) || dead[i] >= n)
-            return -1;
-    for (int64_t i = 0; i < m; i++) {
-        const int64_t src = dead[i] + 1, end = i + 1 < m ? dead[i + 1] : n;
-        memmove(base + (src - i - 1) * itemsize, base + src * itemsize,
-                (size_t)((end - src) * itemsize));
+    if (src == NULL) {
+        int64_t *ids = (int64_t *)d;
+        for (int64_t x = a; x < b; x++)
+            *ids++ = x + base;
+        return (char *)ids;
     }
-    return 0;
+    const char *s = src + (at + a - lo) * itemsize;
+    const size_t bytes = (size_t)((b - a) * itemsize);
+    if (d != s)
+        memmove(d, s, bytes);
+    return d + bytes;
+}
+
+/* Gap copy: writes to dst, in order, the rows of the nranges ranges except
+ * the m skipped rows skip[], and returns how many rows it wrote.
+ *
+ * Range r is ranges[3r:3r+3] = (lo, hi, at): rows [lo, hi), whose row lo
+ * is item at of src, items of itemsize bytes. Ranges ascend without
+ * overlap, and skip[] ascends without repeats, each row inside a range.
+ * A NULL src stands for the int64 row numbers plus base (rowIDs). dst ==
+ * src compacts in place; otherwise the two must not overlap. Returns -1,
+ * before writing anything, when ranges or skip[] break the contract.
+ *
+ * Between skipped rows that lie far apart, each run is one memmove. Where
+ * they lie close together, a memmove per run costs more than the bytes it
+ * moves, so a range of 8-byte items with fewer than SHORT_RUN rows per
+ * skipped row is copied row by row instead, MARK_ROWS rows at a time: the
+ * skipped rows of the stretch are marked in a byte array, and every row
+ * is written to the next free slot, which only a kept row claims. The
+ * loop stops before the range's trailing stretch of skipped rows, on a
+ * kept row, so no write passes the kept rows. */
+int64_t pi_compact(char *dst, const char *src, int64_t itemsize,
+                   const int64_t *ranges, int64_t nranges, const int64_t *skip,
+                   int64_t m, int64_t base)
+{
+    /* skip[] ascends, and the ranges hold all of it between them */
+    int unsorted = 0;
+    for (int64_t i = 1; i < m; i++)
+        unsorted |= skip[i] <= skip[i - 1];
+    int64_t rows = 0, inside = 0;
+    for (int64_t r = 0; r < nranges; r++) {
+        const int64_t lo = ranges[3 * r], hi = ranges[3 * r + 1];
+        if (hi < lo || (r > 0 && lo < ranges[3 * r - 2]))
+            return -1;
+        rows += hi - lo;
+        inside += lower_bound(skip, m, hi) - lower_bound(skip, m, lo);
+    }
+    if (unsorted || inside != m)
+        return -1;
+    uint8_t gone[MARK_ROWS];
+    const int rowwise = src == NULL || itemsize == 8;
+    const int64_t *s64 = (const int64_t *)src;
+    char *d = dst;
+    int64_t t = 0;
+    for (int64_t r = 0; r < nranges; r++) {
+        const int64_t lo = ranges[3 * r], hi = ranges[3 * r + 1];
+        const int64_t at = ranges[3 * r + 2];
+        const int64_t t1 = t + lower_bound(skip + t, m - t, hi);
+        int64_t x = lo;
+        if (rowwise && t1 > t && hi - lo < SHORT_RUN * (t1 - t)) {
+            int64_t u = t1 - 1;  /* the trailing stretch starts at skip[u] */
+            while (u > t && skip[u - 1] == skip[u] - 1)
+                u--;
+            const int64_t stop = skip[u];
+            d = copy_rows(d, src, itemsize, lo, at, lo, skip[t], base);
+            int64_t *o = (int64_t *)d, j = 0;
+            for (int64_t b0 = skip[t]; b0 < stop; b0 += MARK_ROWS) {
+                const int64_t w = stop - b0 < MARK_ROWS ? stop - b0 : MARK_ROWS;
+                memset(gone, 0, (size_t)w);
+                const int64_t tb = t + lower_bound(skip + t, u - t, b0 + w);
+                for (; t < tb; t++)
+                    gone[skip[t] - b0] = 1;
+                if (src == NULL) {
+                    for (int64_t i = 0; i < w; i++) {
+                        o[j] = b0 + i + base;
+                        j += !gone[i];
+                    }
+                } else {
+                    const int64_t *sb = s64 + at + (b0 - lo);
+                    for (int64_t i = 0; i < w; i++) {
+                        o[j] = sb[i];
+                        j += !gone[i];
+                    }
+                }
+            }
+            d = (char *)(o + j);
+            x = skip[t1 - 1] + 1;
+            t = t1;
+        } else {
+            for (; t < t1; t++) {
+                d = copy_rows(d, src, itemsize, lo, at, x, skip[t], base);
+                x = skip[t] + 1;
+            }
+        }
+        d = copy_rows(d, src, itemsize, lo, at, x, hi, base);
+    }
+    return rows - m;
 }
 
 /* Keep-mask of one longest non-decreasing (non-increasing when descending

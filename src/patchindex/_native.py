@@ -7,8 +7,9 @@ a hash of the source, the flags and the machine type, and loaded through
 ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
 their numpy references instead: ``sharded_bitmap`` its shift,
-``column_store`` its membership test (``in_positions``), its in-place
-row removal (``compact``), its chunk filter build (``filter_add``),
+``column_store`` its membership test (``in_positions``), its gap copy
+around skipped rows (``compact``), which removes deleted rows in place and
+copies a scan's patch-free rows, its chunk filter build (``filter_add``),
 which falls back to ``np.bitwise_or.at``, and its chunk filter probe
 (``filter_blocks``), ``query_engine``
 its merge join (``merge_join_positions``), its hash join
@@ -65,7 +66,7 @@ _SIGNATURES = {
     "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),
     "pi_copy_runs": ((_P, _I, _P, _P, _P, _I, _P), None),
     "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
-    "pi_compact": ((_P, _I, _I, _P, _I), _I),
+    "pi_compact": ((_P, _P, _I, _P, _I, _P, _I, _I), _I),
 }
 
 

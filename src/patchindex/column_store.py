@@ -11,6 +11,7 @@ partition's chunks. Deletes compact rows immediately, inside the chunks
 that hold them, shifting all subsequent rowIDs down.
 """
 
+import ctypes
 import json
 import struct
 from bisect import bisect_right
@@ -235,30 +236,88 @@ def filter_blocks(filters, values, mins, maxs, nblocks):
     return hit
 
 
-def compact(row, n, dead):
-    """Remove the ascending, distinct positions dead from row[:n] in place.
+def compact(pairs, ranges, skip, base=0):
+    """Gap copy: write the rows of ranges, except the skipped rows, in order.
 
-    The kept rows from dead[0] on move down; row[n - len(dead):n] is left
-    stale. The compiled kernel moves each gap with one memmove; the numpy
-    reference compresses the rewritten tail with a keep mask.
+    ranges is an (r, 3) int64 array of (lo, hi, at): the rows [lo, hi) of
+    a range whose row lo is item at of a source. Ranges ascend without
+    overlap; skip ascends without repeats, each row inside a range. Each
+    (dst, src) pair copies from the 1-D array src into dst, or writes the
+    kept row numbers plus base (rowIDs, int64) when src is None; dst is
+    src compacts in place, and otherwise the two do not overlap. Returns
+    the number of rows written to each dst. The compiled kernel moves long
+    runs between skipped rows with memmove and short ones row by row; the
+    numpy reference compresses each range with a keep mask. A contract
+    violation raises ValueError before any dst is written.
     """
-    if not len(dead):
-        return
-    if n > len(row) or not row.flags.c_contiguous:
-        raise ValueError("compact needs a contiguous row of at least n items")
+    ranges = np.ascontiguousarray(ranges, dtype=np.int64).reshape(-1, 3)
+    skip = np.ascontiguousarray(skip, dtype=np.int64)
+    spans = ranges.tolist()
+    kept = sum(hi - lo for lo, hi, _ in spans) - len(skip)
+    # the items the ranges read: [0, reach) of every src
+    reach = max((at + hi - lo for lo, hi, at in spans), default=0)
+    if any(at < 0 for _, _, at in spans):
+        reach = -1
+    for dst, src in pairs:
+        dtype = np.dtype(np.int64) if src is None else src.dtype
+        if (dst.dtype != dtype or dst.ndim != 1 or len(dst) < kept
+                or not dst.flags.c_contiguous or src is not None
+                and (src.ndim != 1 or not src.flags.c_contiguous
+                     or not 0 <= reach <= len(src))):
+            raise ValueError("compact needs contiguous 1-D arrays of one "
+                             "dtype, ranges inside src and room in dst")
     lib = _native.lib
     if lib is None:
-        first = int(dead[0])
-        if first < 0 or dead[-1] >= n or np.any(np.diff(dead) <= 0):
-            raise ValueError("dead positions must ascend inside row[:n]")
-        keep = np.ones(n - first, dtype=bool)
-        keep[dead - first] = False
-        row[first:n - len(dead)] = row[first:n][keep]
-        return
-    dead = np.ascontiguousarray(dead, dtype=np.int64)
-    if lib.pi_compact(row.ctypes.data, n, row.itemsize, dead.ctypes.data,
-                      len(dead)) < 0:
-        raise ValueError("dead positions must ascend inside row[:n]")
+        return _compact_reference(pairs, ranges, skip, base, kept)
+    rptr, sptr = _address(ranges), _address(skip)
+    for dst, src in pairs:
+        d = _address(dst)
+        if lib.pi_compact(d, d if src is dst else src if src is None
+                          else _address(src), dst.itemsize, rptr, len(spans),
+                          sptr, len(skip), base) < 0:
+            raise ValueError("skipped rows must ascend inside the ranges")
+    return kept
+
+
+def _address(a):
+    """Data address of a contiguous array. A ctypes view of a writable,
+    non-empty buffer takes a quarter of the time of ``a.ctypes.data``."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only or empty
+        return a.ctypes.data
+
+
+def _compact_reference(pairs, ranges, skip, base, kept):
+    lo, hi = ranges[:, 0], ranges[:, 1]
+    owner = np.searchsorted(lo, skip, side="right") - 1
+    if (np.any(hi < lo) or np.any(lo[1:] < hi[:-1]) or np.any(np.diff(skip) <= 0)
+            or np.any(owner < 0) or np.any(skip >= hi[np.maximum(owner, 0)])):
+        raise ValueError("skipped rows must ascend inside the ranges")
+    j = 0
+    for a, b, at in ranges.tolist():
+        t0, t1 = np.searchsorted(skip, (a, b))
+        keep = np.ones(b - a, dtype=bool)
+        keep[skip[t0:t1] - a] = False
+        n = b - a - (t1 - t0)
+        for dst, src in pairs:
+            if src is None:
+                dst[j:j + n] = np.flatnonzero(keep) + (a + base)
+            else:
+                rows = src[at:at + b - a]
+                dst[j:j + n] = rows if t0 == t1 else rows[keep]
+        j += n
+    return kept
+
+
+def _skipped_in(skip, nrows, lo, hi):
+    """The skipped partition rows inside the scanned spans [lo, hi);
+    skip must ascend without repeats inside [0, nrows)."""
+    if len(skip) and (skip[0] < 0 or skip[-1] >= nrows
+                      or np.any(skip[1:] <= skip[:-1])):
+        raise ValueError(f"skipped rows must ascend inside [0, {nrows})")
+    owner = np.searchsorted(lo, skip, side="right") - 1
+    return skip[(owner >= 0) & (skip < hi[np.maximum(owner, 0)])]
 
 
 def _block_minmax(values, block_size):
@@ -398,6 +457,23 @@ class Partition:
         """Positions in the flattened chunk buffers of partition rows."""
         return local + self.shift[np.searchsorted(self.ends, local, side="right")]
 
+    def spans(self, scan_range, first):
+        """(lo, hi, at) of each chunk's scanned partition rows [lo, hi),
+        whose row lo is item at of the flattened buffers; first is the
+        partition's first global rowID, and scan_range None scans all."""
+        out = []
+        for k, end in enumerate(self.ends.tolist()):
+            start = end - int(self.counts[k])
+            if start == end:
+                continue
+            shift = int(self.shift[k])
+            if scan_range is None:
+                out.append((start, end, start + shift))
+                continue
+            for a, b in scan_range.clip(first + start, first + end):
+                out.append((a - first, b - first, a - first + shift))
+        return out
+
     def take(self, column, local):
         """Values of one column at persisted partition rows."""
         return self.chunks[column].reshape(-1)[self.positions(local)]
@@ -512,8 +588,8 @@ class Partition:
         for k in sort_unique(owner).tolist():
             rows = local[owner == k] - (self.ends[k] - self.counts[k])
             n = int(self.counts[k])
-            for buf in self.chunks.values():
-                compact(buf[k], n, rows)
+            compact([(row, row) for row in (buf[k] for buf in self.chunks.values())],
+                    (0, n, 0), rows)
             self.counts[k] = n - len(rows)
             self._rezone(k, int(rows[0]))
         self._condense()
@@ -583,15 +659,19 @@ class ColumnTable:
     def scan(self, columns=None, scan_range=None, where=None):
         """Materialize rows as (rowids, column dict).
 
-        where is an optional filter, applied to each segment before
-        anything is concatenated, so rowIDs and column copies are built for
-        the kept rows only:
+        where is an optional filter:
 
         - ("in", column, keys): rows whose column value occurs in keys;
-        - ("mask", masks): rows whose flag is set in masks[p], a bool array
-          over partition p's rows. Only partitions the scan reaches are
-          read, so the others may be None;
+        - ("skip", rows): every row but the ascending, distinct partition
+          rows rows[p] of each partition p. Only partitions the scan
+          reaches are read, so the others may be None;
         - ("rows", rowids): the rows at the given ascending global rowIDs.
+
+        The scan finds the kept rows of every partition first, then sizes
+        the output arrays and writes each partition's rows straight into
+        their slice: a gather at the kept positions for "in" and "rows",
+        and otherwise one gap copy per column (``compact``) of the runs
+        between skipped rows, which also writes the rowIDs.
         """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
@@ -603,54 +683,59 @@ class ColumnTable:
                                 np.dtype(dict(self.schema)[where_col]))
         elif kind == "rows":
             rowids = np.asarray(where[1], dtype=np.int64)
-        elif kind not in (None, "mask"):
+        elif kind not in (None, "skip"):
             raise ValueError(f"unknown scan filter {where!r}")
-        ids_parts, col_parts = [], {c: [] for c in columns}
-        part_lo = 0
-        needed = columns + [where_col] if kind == "in" else columns
+        # per partition: ("copy", partition, first rowID, ranges, skipped
+        # rows) or ("take", partition, kept rowIDs, their buffer positions)
+        plans, total, part_lo = [], 0, 0
         for pnum, p in enumerate(self.partitions):
-            offset = part_lo
-            for k, nrows in enumerate(p.counts.tolist()):
-                if nrows == 0:
-                    continue
-                spans = ([(offset, offset + nrows)] if scan_range is None
-                         else scan_range.clip(offset, offset + nrows))
-                source = {c: p.chunk(c, k) for c in needed} if spans else None
-                for lo, hi in spans:
-                    seg = slice(lo - offset, hi - offset)
-                    # rows: the kept rows, relative to the span start lo
-                    if kind is None:
-                        rows = slice(None)
-                        ids = np.arange(lo, hi, dtype=np.int64)
-                    elif kind == "in":
-                        rows = member(source[where_col][seg])
-                        ids = lo + rows
-                    elif kind == "mask":
-                        mask = where[1][pnum]
-                        if len(mask) != p.nrows:
-                            raise ValueError(
-                                f"partition {pnum} mask covers {len(mask)} "
-                                f"of {p.nrows} rows")
-                        # positions gather faster than a bool index
-                        rows = np.flatnonzero(mask[lo - part_lo:hi - part_lo])
-                        ids = lo + rows
+            spans = p.spans(scan_range, part_lo)
+            if spans:
+                ranges = np.array(spans, dtype=np.int64)
+                lo, hi, at = ranges.T
+                if kind in (None, "skip"):
+                    skip = np.asarray(where[1][pnum] if kind == "skip" else (),
+                                      dtype=np.int64)
+                    # a full scan's spans cover the partition, and compact
+                    # checks the skipped rows against them
+                    if len(skip) and scan_range is not None:
+                        skip = _skipped_in(skip, p.nrows, lo, hi)
+                    plans.append(("copy", p, part_lo, ranges, skip))
+                    total += int((hi - lo).sum()) - len(skip)
+                else:
+                    if kind == "in":
+                        flat = p.chunks[where_col].reshape(-1)
+                        local = [a + member(flat[x:x + b - a]) for a, b, x
+                                 in zip(lo.tolist(), hi.tolist(), at.tolist())]
                     else:
-                        a, b = np.searchsorted(rowids, (lo, hi))
-                        ids = rowids[a:b]
-                        rows = ids - lo
-                    ids_parts.append(ids)
-                    for c in columns:
-                        col_parts[c].append(source[c][seg][rows])
-                offset += nrows
+                        bounds = np.searchsorted(rowids, np.column_stack(
+                            (lo, hi)) + part_lo).tolist()
+                        local = [rowids[a:b] - part_lo for a, b in bounds]
+                    n = [len(x) for x in local]
+                    local = np.concatenate(local)
+                    plans.append(("take", p, local + part_lo,
+                                  local + np.repeat(at - lo, n)))
+                    total += len(local)
             part_lo += p.nrows
-        if not ids_parts:
-            empty_cols = {}
-            for c in columns:
-                dtype = dict(self.schema)[c]
-                empty_cols[c] = np.zeros(0, dtype=dtype)
-            return np.zeros(0, dtype=np.int64), empty_cols
-        return (np.concatenate(ids_parts),
-                {c: np.concatenate(col_parts[c]) for c in columns})
+        ids = np.empty(total, dtype=np.int64)
+        out = {c: np.empty(total, dtype=dict(self.schema)[c]) for c in columns}
+        o = 0
+        for how, p, *args in plans:
+            if how == "copy":
+                base, ranges, skip = args
+                pairs = [(ids[o:], None)] + [(out[c][o:], p.chunks[c].reshape(-1))
+                                             for c in columns]
+                o += compact(pairs, ranges, skip, base)
+            else:
+                kept, pos = args
+                n = len(kept)
+                ids[o:o + n] = kept
+                for c in columns:
+                    # positions come from the partition's own spans
+                    np.take(p.chunks[c].reshape(-1), pos, out=out[c][o:o + n],
+                            mode="clip")
+                o += n
+        return ids, out
 
     # -- block pruning ----------------------------------------------------------
 

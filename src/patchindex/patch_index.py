@@ -403,9 +403,6 @@ class TableIndex:
         p = int(np.searchsorted(offsets, row, side="right") - 1)
         return self.partitions[p].is_patch(int(row - offsets[p]))
 
-    def mask_for_partition(self, p):
-        return self.partitions[p].patch_mask()
-
     def global_patch_mask(self):
         return np.concatenate([p.patch_mask() for p in self.partitions])
 

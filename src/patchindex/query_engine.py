@@ -5,16 +5,19 @@ patch membership (exclude_patches / use_patches, decided purely by rowID);
 the rewrites clone the query subtree over both flows so the constraint can
 be exploited on the patch-free flow: distinct drops its aggregation, sort
 degrades to a merge of already-sorted partition streams, and a hash join
-becomes a merge join. A plan is a DAG: a node reachable from two parents,
-such as the join rewrite's dimension subtree, is one object and runs once
-per execution. A cardinality-based cost model picks between the naive and
-rewritten plans, and zero-branch pruning removes subtrees that cannot
-produce rows.
+becomes one merge join per partition. A plan is a DAG: a node reachable
+from two parents, such as the join rewrite's dimension subtree, is one
+object and runs once per execution. Joins materialize late: a join yields
+its inputs and matching row positions, and its columns are gathered once,
+by the union above it or by the first consumer that reads them. A
+cardinality-based cost model picks between the naive and rewritten plans,
+and zero-branch pruning removes subtrees that cannot produce rows.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +38,38 @@ class Relation:
 
     def take(self, idx):
         return Relation({c: a[idx] for c, a in self.columns.items()})
+
+    def sources(self):
+        """Column name to (array, positions): the rows are array[positions],
+        or the whole array when positions is None."""
+        return {c: (a, None) for c, a in self.columns.items()}
+
+
+class JoinResult(Relation):
+    """A join's output before its columns are gathered: both inputs and
+    the matching (left, right) row positions, left None when every left
+    row matches in order. ``columns`` gathers on first use; a union
+    gathers ``sources`` straight into its own output instead. A right
+    column whose name the left side has gets the suffix "_r"."""
+
+    def __init__(self, left, right, left_idx, right_idx):
+        self.left, self.right = left, right
+        self.left_idx, self.right_idx = left_idx, right_idx
+
+    @property
+    def nrows(self):
+        return len(self.right_idx)
+
+    def sources(self):
+        out = {c: (a, self.left_idx) for c, a in self.left.columns.items()}
+        for c, a in self.right.columns.items():
+            out[c if c not in out else c + "_r"] = (a, self.right_idx)
+        return out
+
+    @cached_property
+    def columns(self):
+        return {c: a if idx is None else a[idx]
+                for c, (a, idx) in self.sources().items()}
 
 
 @dataclass
@@ -332,15 +367,18 @@ class Executor:
     """Evaluates a plan DAG; a node with several parents runs once per run.
 
     Only shared nodes are memoized, so every other intermediate result is
-    freed as soon as its parent has consumed it.
+    freed as soon as its parent has consumed it. Each partition's patch
+    rows are unpacked once per run, however many flows read them. The
+    result comes back with its columns gathered.
     """
 
     def __init__(self):
-        self._shared, self._memo = set(), {}
+        self._shared, self._memo, self._patches = set(), {}, {}
 
     def run(self, plan):
-        self._shared, self._memo = _walk(plan)[1], {}
-        return self._exec(plan)
+        self._shared, self._memo, self._patches = _walk(plan)[1], {}, {}
+        rel = self._exec(plan)
+        return Relation(rel.columns) if isinstance(rel, JoinResult) else rel
 
     def _exec(self, node):
         rel = self._memo.get(id(node))
@@ -352,12 +390,20 @@ class Executor:
 
     # scans
 
+    def _patch_rows(self, index, p):
+        """Ascending local patch rows of partition p, unpacked once a run."""
+        rows = self._patches.get((id(index), p))
+        if rows is None:
+            rows = self._patches[id(index), p] = \
+                index.partitions[p].store.patch_rows()
+        return rows
+
     def _op_scan(self, node):
         """Scan rows, optionally split by patch membership.
 
-        exclude_patches compresses each partition with its own patch mask;
-        use_patches gathers the patch rows by rowID, so its cost follows
-        the patch count.
+        exclude_patches copies the runs of rows between each partition's
+        patch rows; use_patches gathers the patch rows by rowID, so its
+        cost follows the patch count.
         """
         table = node.table
         rng = node.scan_range
@@ -371,15 +417,19 @@ class Executor:
             index = node.index
             if index is None:
                 raise ValueError("patch scan modes require an index")
-            if index.row_count != table.row_count:
-                raise ValueError(
-                    f"index covers {index.row_count} rows, table has {table.row_count}")
+            sizes = [p.row_count for p in index.partitions]
+            if sizes != [p.nrows for p in table.partitions]:
+                raise ValueError(f"index partitions cover {sizes} rows, table "
+                                 f"partitions {[p.nrows for p in table.partitions]}")
+            parts = (range(len(sizes)) if node.partition is None
+                     else [node.partition])
             if node.mode == "exclude_patches":
-                where = ("mask", [~index.mask_for_partition(p)
-                                  if node.partition in (None, p) else None
-                                  for p in range(len(table.partitions))])
+                where = ("skip", [self._patch_rows(index, p) if p in parts
+                                  else None for p in range(len(sizes))])
             else:
-                where = ("rows", index.global_patch_rows(node.partition))
+                offsets = table.partition_offsets()
+                where = ("rows", np.concatenate(
+                    [self._patch_rows(index, p) + offsets[p] for p in parts]))
         ids, cols = table.scan(node.columns, scan_range=rng, where=where)
         out = {"rowid": ids}
         out.update(cols)
@@ -426,17 +476,7 @@ class Executor:
         rel = self._exec(node.children[0])
         return rel.take(stable_argsort(rel.columns[node.key], node.order))
 
-    # joins
-
-    @staticmethod
-    def _combine(left, right, left_idx, right_idx):
-        """Joined rows; left_idx None passes the left columns through."""
-        out = (dict(left.columns) if left_idx is None
-               else {c: a[left_idx] for c, a in left.columns.items()})
-        for c, a in right.columns.items():
-            name = c if c not in out else c + "_r"
-            out[name] = a[right_idx]
-        return Relation(out)
+    # joins: both return a JoinResult, whose columns are not yet gathered
 
     def _op_hash_join(self, node):
         left = self._exec(node.children[0])
@@ -449,22 +489,44 @@ class Executor:
             right_idx, left_idx = hash_join_positions(lkeys, rkeys)
         else:
             left_idx, right_idx = hash_join_positions(rkeys, lkeys)
-        return self._combine(left, right, left_idx, right_idx)
+        return JoinResult(left, right, left_idx, right_idx)
 
     def _op_merge_join(self, node):
         left = self._exec(node.children[0])
         right = self._exec(node.children[1])
         left_idx, right_idx = merge_join_positions(
             left.columns[node.left_key], right.columns[node.right_key])
-        return self._combine(left, right, left_idx, right_idx)
+        return JoinResult(left, right, left_idx, right_idx)
 
     # stream combination
 
     def _op_union(self, node):
+        """The children's rows in child order, matched by column name.
+
+        Each output column is allocated once and every child writes its
+        slice of it: a join child gathers its input columns at its
+        matching positions straight into the slice, so a joined column is
+        written once.
+        """
         rels = [self._exec(c) for c in node.children]
-        names = list(rels[0].columns)
-        return Relation({c: np.concatenate([r.columns[c] for r in rels])
-                         for c in names})
+        sources = [r.sources() for r in rels]
+        total = sum(r.nrows for r in rels)
+        out = {}
+        for c in sources[0]:
+            col = out[c] = np.empty(
+                total, dtype=np.result_type(*(src[c][0].dtype for src in sources)))
+            o = 0
+            for rel, src in zip(rels, sources):
+                a, idx = src[c]
+                part = col[o:o + rel.nrows]
+                if idx is None:
+                    part[...] = a
+                else:
+                    # positions from the join itself are in range; "clip"
+                    # writes into out without numpy's buffered copy
+                    np.take(a, idx, out=part, mode="clip")
+                o += rel.nrows
+        return Relation(out)
 
     def _op_merge_sorted(self, node):
         return merge_sorted_streams([self._exec(c) for c in node.children],
@@ -643,10 +705,12 @@ def _column_sorted_unique(table, column):
 def rewrite_join(plan, index):
     """Fact/dimension hash join where the fact key is an NSC column.
 
-    The patch-free fact flow joins with a MergeJoin against the dimension
-    subtree, and the patch flow with a HashJoin against the same subtree
-    object, so it is read once per execution. Requires the dimension side
-    sorted unique on the join key.
+    Each partition's patch-free flow is ascending on its own, so it joins
+    the dimension subtree with a MergeJoin, unmerged; the patch flow joins
+    it with a HashJoin. All of them read the same dimension subtree
+    object, so it runs once per execution, and a Union of the joins
+    gathers every joined column once. Requires the dimension side sorted
+    unique on the join key.
     """
     flow = _rewrite_input(plan, index, "hash_join",
                           ConstraintKind.NEARLY_SORTED, plan.left_key)
@@ -658,12 +722,12 @@ def rewrite_join(plan, index):
     if dim_scan is None or not _column_sorted_unique(dim_scan.table, dim_key):
         return None
 
-    fact_sorted = merge_sorted_node(_partition_streams(flow, index), fact_key)
-    merge_branch = merge_join_node(fact_sorted, dim_sub, fact_key, dim_key)
+    merge_joins = [merge_join_node(stream, dim_sub, fact_key, dim_key)
+                   for stream in _partition_streams(flow, index)]
     build = "left" if index.patch_count <= dim_scan.table.row_count else "right"
-    hash_branch = hash_join_node(flow("use_patches"), dim_sub, fact_key,
-                                 dim_key, build_side=build)
-    return union_node([merge_branch, hash_branch])
+    hash_join = hash_join_node(flow("use_patches"), dim_sub, fact_key,
+                               dim_key, build_side=build)
+    return union_node(merge_joins + [hash_join])
 
 
 # -- zero-branch pruning ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Keeps patch indexes consistent under inserts, modifies, and deletes.
 
 Each statement writes the table first: an insert appends its rows to the
-last partition's chunks, so the handlers read them like any other rows. The
-handlers never recompute an index and never materialize the full
+last partition's chunks, so the handlers read them like any other rows;
+the insert handlers take the inserted values from the statement itself.
+The handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
 with the touched values. Block pruning restricts the scan to the blocks
 that may hold a touched value by two summaries: the block's zone map must
@@ -86,31 +87,33 @@ def _duplicate_join(table, column, probe_ids, probe_values):
     return patches, stats
 
 
-def handle_insert_nuc(table, index, inserted_ids):
+def handle_insert_nuc(table, index, inserted_ids, values):
     """Grow the index and patch every duplicate the insert introduced.
 
-    The rows must already be appended to the table; the probe side covers
-    the full table including them, so duplicates inside the batch are
-    found too.
+    The rows must already be appended to the table, holding values, the
+    statement's values of the indexed column; the probe side covers the
+    full table including them, so duplicates inside the batch are found
+    too.
     """
     inserted_ids = np.asarray(inserted_ids, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
     index.grow_last(len(inserted_ids))
-    values = table.gather(inserted_ids, index.column)
     patches, stats = _duplicate_join(table, index.column, inserted_ids, values)
     index.add_patches(patches)
     return stats
 
 
-def handle_insert_nsc(table, index, inserted_ids):
+def handle_insert_nsc(table, index, inserted_ids, values):
     """Extend the sorted run with eligible inserted values; patch the rest.
 
-    Only values on the growing side of the run's tail can extend it; the
-    longest sorted subsequence of those is kept and everything else joins
-    the patches. The combined run may no longer be globally optimal.
+    values are the statement's values of the indexed column. Only values
+    on the growing side of the run's tail can extend it; the longest
+    sorted subsequence of those is kept and everything else joins the
+    patches. The combined run may no longer be globally optimal.
     """
     inserted_ids = np.asarray(inserted_ids, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
     index.grow_last(len(inserted_ids))
-    values = table.gather(inserted_ids, index.column)
 
     pidx = index.partitions[-1]  # inserts append to the last partition
     lsv = pidx.last_sorted_value
@@ -202,12 +205,13 @@ _DELETE_HANDLERS = dict.fromkeys(ConstraintKind, handle_delete)
 
 # -- statement-level entry points: one call per update statement --------------
 
-def _maintain(table, indexes, handlers, ids):
-    """Run each index's handler, timing its maintenance apart from the probe."""
+def _maintain(indexes, handle):
+    """Run handle(index) for each index, timing its maintenance apart from
+    the probe."""
     stats = []
     for ix in indexes:
         t0 = time.perf_counter_ns()
-        s = handlers[ix.constraint.kind](table, ix, ids)
+        s = handle(ix)
         s.maintain_ms = _ms_since(t0) - s.probe_ms
         stats.append(s)
     return stats
@@ -223,7 +227,8 @@ def apply_insert(table, indexes, rows):
     t0 = time.perf_counter_ns()
     ids = table.insert_rows(rows)
     storage_ms = _ms_since(t0)
-    stats = _maintain(table, indexes, _INSERT_HANDLERS, ids)
+    stats = _maintain(indexes, lambda ix: _INSERT_HANDLERS[ix.constraint.kind](
+        table, ix, ids, rows[ix.column]))
     return ids, _charge_storage(stats, storage_ms)
 
 
@@ -231,8 +236,9 @@ def apply_modify(table, indexes, rowids, updates):
     t0 = time.perf_counter_ns()
     table.modify_rows(rowids, updates)
     storage_ms = _ms_since(t0)
-    stats = _maintain(table, [ix for ix in indexes if ix.column in updates],
-                      _MODIFY_HANDLERS, rowids)
+    stats = _maintain([ix for ix in indexes if ix.column in updates],
+                      lambda ix: _MODIFY_HANDLERS[ix.constraint.kind](
+                          table, ix, rowids))
     return _charge_storage(stats, storage_ms)
 
 
@@ -240,5 +246,6 @@ def apply_delete(table, indexes, descending_ids):
     t0 = time.perf_counter_ns()
     table.delete_rows(descending_ids)
     storage_ms = _ms_since(t0)
-    stats = _maintain(table, indexes, _DELETE_HANDLERS, descending_ids)
+    stats = _maintain(indexes, lambda ix: _DELETE_HANDLERS[ix.constraint.kind](
+        table, ix, descending_ids))
     return _charge_storage(stats, storage_ms)

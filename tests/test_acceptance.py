@@ -189,10 +189,10 @@ def test_06_lss_against_dp_oracle():
             [{"key": np.arange(3, dtype=np.int64),
               "value": np.array([1, 2, 10], dtype=np.int64)}])
         index = build_on(table, NSC_ASC)
-        ids = table.insert_rows({"key": np.array([3, 4]),
-                                 "value": np.array([3, 4])})
+        values = np.array([3, 4])
+        ids = table.insert_rows({"key": np.array([3, 4]), "value": values})
         from patchindex.update_pipeline import handle_insert_nsc
-        stats = handle_insert_nsc(table, index, ids)
+        stats = handle_insert_nsc(table, index, ids, values)
         assert stats.new_patches == 2
         assert index.partitions[-1].last_sorted_value == 10
 
@@ -310,9 +310,10 @@ def test_11_pruned_insert_handling():
         table = generate(GenSpec("nuc", 10**6, 0.0, seed=37, partitions=4))
         index = build_on(table, NUC)
         # unique values start at dup_domain; pick five inside one block's range
+        values = 100_000 + 5000 + np.arange(5)
         ids = table.insert_rows({"key": np.arange(10**6, 10**6 + 5),
-                                 "value": 100_000 + 5000 + np.arange(5)})
-        stats = handle_insert_nuc(table, index, ids)
+                                 "value": values})
+        stats = handle_insert_nuc(table, index, ids, values)
         assert stats.blocks_total > 100
         assert stats.blocks_scanned < 0.10 * stats.blocks_total, \
             f"{stats.blocks_scanned}/{stats.blocks_total}"

@@ -290,34 +290,40 @@ class TestRowFilters:
         _, full = t.scan()
         return t, full
 
-    def test_mask_filter(self):
+    def test_skip_filter(self):
         t, full = self._table()
         rng = np.random.default_rng(1)
         masks = [rng.random(p.nrows) < 0.4 for p in t.partitions]
         keep = np.concatenate(masks)
-        ids, cols = t.scan(["value"], where=("mask", masks))
+        skips = [np.flatnonzero(~m) for m in masks]
+        ids, cols = t.scan(["value"], where=("skip", skips))
         assert np.array_equal(ids, np.flatnonzero(keep))
         assert np.array_equal(cols["value"], full["value"][keep])
         r = ScanRange([(50, 120), (295, 305)])
-        ids, _ = t.scan(["value"], scan_range=r, where=("mask", masks))
+        ids, cols = t.scan(["value"], scan_range=r, where=("skip", skips))
         inside = np.zeros(len(keep), dtype=bool)
         inside[50:120] = inside[295:305] = True
         assert np.array_equal(ids, np.flatnonzero(keep & inside))
+        assert np.array_equal(cols["value"], full["value"][keep & inside])
 
-    def test_mask_of_unscanned_partition_not_read(self):
+    def test_skip_of_unscanned_partition_not_read(self):
         t, full = self._table()
-        masks = [None, np.ones(t.partitions[1].nrows, dtype=bool), None]
+        skips = [None, np.zeros(0, dtype=np.int64), None]
         ids, cols = t.scan(["key"], scan_range=ScanRange([(100, 200)]),
-                           where=("mask", masks))
+                           where=("skip", skips))
         assert np.array_equal(ids, np.arange(100, 200))
         assert np.array_equal(cols["key"], full["key"][100:200])
 
-    def test_mask_length_checked(self):
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_skip_rows_checked(self, clipped):
         t, _ = self._table()
-        masks = [np.ones(p.nrows, dtype=bool) for p in t.partitions]
-        masks[2] = masks[2][:-1]  # misses the last inserted row
-        with pytest.raises(ValueError):
-            t.scan(["value"], where=("mask", masks))
+        r = ScanRange([(0, 50), (250, 310)]) if clipped else None
+        last = t.partitions[2].nrows - 1
+        for bad in ([last + 1], [-1], [5, 3], [4, 4]):
+            skips = [np.zeros(0, dtype=np.int64)] * 3
+            skips[2] = np.array(bad)  # the last partition holds the inserts
+            with pytest.raises(ValueError):
+                t.scan(["value"], scan_range=r, where=("skip", skips))
 
     def test_rows_filter(self):
         t, full = self._table()
@@ -521,31 +527,110 @@ class TestScanRangeHelpers:
                 assert t.count_blocks(r) == count_reference(t, r)
 
 
+def use_backend(backend, monkeypatch):
+    if backend == "native" and _native.lib is None:
+        pytest.skip("no compiled kernels")
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "lib", None)
+
+
+def random_skips(rng, n):
+    """Ascending distinct positions below n: none, all, the ends, or a
+    random share, which also makes runs of one to a few rows."""
+    pick = int(rng.integers(0, 6))
+    if n == 0 or pick == 0:
+        return np.zeros(0, dtype=np.int64)
+    if pick == 1:
+        return np.arange(n)
+    if pick == 2:
+        return np.unique([0, n - 1])
+    share = rng.random()
+    return np.flatnonzero(rng.random(n) < share)
+
+
 class TestCompact:
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     @pytest.mark.parametrize("dtype", ["int64", "S3"])
     def test_matches_np_delete(self, backend, dtype, monkeypatch):
-        if backend == "native" and _native.lib is None:
-            pytest.skip("no compiled kernels")
-        if backend == "numpy":
-            monkeypatch.setattr(_native, "lib", None)
+        """In place, one range: rows before the first skip stay put."""
+        use_backend(backend, monkeypatch)
         rng = np.random.default_rng(13)
-        for _ in range(200):
+        for _ in range(300):
             n = int(rng.integers(0, 60))
             row = rng.integers(0, 1000, size=n + 5).astype(dtype)
-            dead = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)),
-                                      replace=False)) if n else np.zeros(0, int)
+            dead = random_skips(rng, n)
             want = np.delete(row[:n], dead)
-            compact(row, n, dead)
+            tail = row[n:].copy()
+            assert compact([(row, row)], [(0, n, 0)], dead) == len(want)
             assert np.array_equal(row[:n - len(dead)], want)
+            assert np.array_equal(row[n:], tail)
         row = np.arange(10).astype(dtype)
         for n, dead in ((10, [3, 3]), (10, [4, 2]), (10, [-1]), (10, [10]),
                         (11, [2])):
             with pytest.raises(ValueError):
-                compact(row, n, np.array(dead))
+                compact([(row, row)], [(0, n, 0)], np.array(dead))
             assert np.array_equal(row, np.arange(10).astype(dtype))
         with pytest.raises(ValueError):
-            compact(np.arange(20)[::2], 10, np.array([1]))
+            compact([(np.arange(20)[::2],) * 2], [(0, 10, 0)], np.array([1]))
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    @pytest.mark.parametrize("dtype", ["int64", "S3"])
+    def test_gap_copy_matches_np_delete(self, backend, dtype, monkeypatch):
+        """Out of place over chunked ranges, empty chunks included, with
+        the rowIDs written alongside."""
+        use_backend(backend, monkeypatch)
+        rng = np.random.default_rng(14)
+        cap = 24
+        for _ in range(300):
+            counts = rng.integers(0, cap + 1, size=int(rng.integers(0, 5)))
+            counts[rng.random(len(counts)) < 0.2] = 0
+            buf = rng.integers(0, 1000, size=(len(counts), cap)).astype(dtype)
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            ranges = np.column_stack((starts, ends,
+                                      np.arange(len(counts)) * cap))
+            n = int(counts.sum())
+            live = np.concatenate([buf[k, :c] for k, c in enumerate(counts)]
+                                  + [np.zeros(0, buf.dtype)])
+            dead = random_skips(rng, n)
+            base = int(rng.integers(0, 10**6))
+            dst = np.zeros(n + 3, dtype=dtype)
+            ids = np.full(n + 3, -7, dtype=np.int64)
+            kept = compact([(dst, buf.reshape(-1)), (ids, None)], ranges, dead,
+                           base)
+            assert kept == n - len(dead)
+            assert np.array_equal(dst[:kept], np.delete(live, dead))
+            assert np.array_equal(ids[:kept], np.delete(np.arange(n), dead) + base)
+            assert not dst[kept:].any() and (ids[kept:] == -7).all()
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_bad_skips_rejected_without_writing(self, backend, monkeypatch):
+        use_backend(backend, monkeypatch)
+        src = np.arange(20)
+        ranges = [(0, 5, 0), (8, 12, 5)]  # rows 5-7 are in no range
+        for dead in ([3, 1], [2, 2], [-1], [6], [12], [4, 9, 9]):
+            dst = np.full(9, -1)
+            with pytest.raises(ValueError):
+                compact([(dst, src), (dst.copy(), None)], ranges, np.array(dead))
+            assert (dst == -1).all()
+        for bad in ([(0, 5, 0), (4, 8, 5)], [(3, 2, 0)], [(0, 5, 18)],
+                    [(0, 5, -1)]):
+            with pytest.raises(ValueError):
+                compact([(np.full(9, -1), src)], bad, np.zeros(0, np.int64))
+
+    def test_kernel_returns_minus_one_without_writing(self):
+        lib = _native.lib
+        if lib is None:
+            pytest.skip("no compiled kernels")
+        src = np.arange(10, dtype=np.int64)
+        ranges = np.array([0, 10, 0], dtype=np.int64)
+        for dead in ([3, 1], [2, 2], [-1], [10]):
+            dead = np.array(dead, dtype=np.int64)
+            dst = np.full(10, -1, dtype=np.int64)
+            for s in (src.ctypes.data, None):
+                assert lib.pi_compact(dst.ctypes.data, s, 8, ranges.ctypes.data,
+                                      1, dead.ctypes.data, len(dead), 0) == -1
+                assert (dst == -1).all()
 
 
 class TestChunks:

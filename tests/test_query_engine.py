@@ -14,6 +14,7 @@ from patchindex.query_engine import (
     rewrite_distinct, rewrite_group_count, rewrite_join, rewrite_sort,
     scan_node, select_node, sort_node, stable_argsort, zero_branch_prune,
 )
+from patchindex.update_pipeline import apply_delete, apply_insert, apply_modify
 
 
 needs_compiler = pytest.mark.skipif(_native.COMPILER is None,
@@ -464,7 +465,7 @@ class TestHashJoinPositions:
                                "value", "value")
         rewritten = rewrite_join(naive, idx)
         assert idx.patch_count == 130
-        assert rewritten.children[1].build_side == "right"
+        assert rewritten.children[-1].build_side == "right"
         a, b = execute(naive), execute(rewritten)
         assert a.nrows == int(((values >= 35) & (values <= 39)).sum()) > 0
         assert result_checksum(a) == result_checksum(b)
@@ -852,14 +853,25 @@ class TestRewriteJoin:
         assert result_checksum(a) == result_checksum(b)
 
     def test_e0_zbp_single_merge_join(self):
+        # e=0 prunes the hash join: one merge join per partition remains,
+        # a lone one in place of the union
         fact, idx, dim = self._tables(0)
         naive = hash_join_node(scan_node(fact, ["value"]),
                                scan_node(dim, ["value", "payload"]),
                                "value", "value")
         pruned = zero_branch_prune(rewrite_join(naive, idx))
-        assert pruned.op == "merge_join"
+        assert pruned.op == "union"
+        assert [c.op for c in pruned.children] == ["merge_join"] * 3
         a, b = execute(naive), execute(pruned)
         assert result_checksum(a) == result_checksum(b)
+        one = make_table(np.arange(200) // 5, partitions=1)
+        one_idx = build_index([p.columns["value"] for p in one.partitions],
+                              NSC_ASC)
+        assert one_idx.patch_count == 0
+        naive = fact_dim_join(one, dim)
+        pruned = zero_branch_prune(rewrite_join(naive, one_idx))
+        assert pruned.op == "merge_join"
+        assert result_checksum(execute(pruned)) == result_checksum(execute(naive))
 
     def test_dimension_scanned_once(self, monkeypatch):
         fact, idx, dim = self._tables(100)
@@ -879,11 +891,15 @@ class TestRewriteJoin:
         assert result_checksum(rel) == result_checksum(execute(naive))
 
     def test_rewrite_shares_dimension_node(self):
+        # one merge join per partition, unmerged, and the hash join last,
+        # all over the naive plan's own dimension node
         fact, idx, dim = self._tables(100)
         naive = fact_dim_join(fact, dim)
-        merge_branch, hash_branch = rewrite_join(naive, idx).children
-        assert merge_branch.children[1] is hash_branch.children[1] \
-            is naive.children[1]
+        joins = rewrite_join(naive, idx).children
+        assert [j.op for j in joins] == ["merge_join"] * 3 + ["hash_join"]
+        assert all(j.children[1] is naive.children[1] for j in joins)
+        assert [j.children[0].partition for j in joins[:3]] == [0, 1, 2]
+        assert all(j.children[0].op == "scan" for j in joins)
 
     @pytest.mark.parametrize("exceptions", [0, 100])
     def test_pruned_join_keeps_one_dimension_node(self, exceptions):
@@ -896,7 +912,8 @@ class TestRewriteJoin:
 
     def test_pruning_a_stream_keeps_the_dimension_shared(self):
         # an empty middle partition leaves an empty patch-free stream: its
-        # merge and merge join are copied, the hash join is not
+        # merge join is pruned, and the union keeps the other joins as
+        # they are, not copies of them
         fact = ColumnTable.from_partitions([
             {"key": np.arange(k, k + len(v), dtype=np.int64),
              "value": np.array(v, dtype=np.int64)}
@@ -908,11 +925,12 @@ class TestRewriteJoin:
         naive = fact_dim_join(fact, dim)
         rewritten = rewrite_join(naive, idx)
         pruned = zero_branch_prune(rewritten)
-        assert len(pruned.children[0].children[0].children) == 2
-        assert len(rewritten.children[0].children[0].children) == 3
-        assert pruned.children[0] is not rewritten.children[0]
-        assert pruned.children[1] is rewritten.children[1]
-        assert pruned.children[0].children[1] is pruned.children[1].children[1]
+        assert len(rewritten.children) == 4
+        assert len(pruned.children) == 3
+        assert pruned is not rewritten
+        kept = [rewritten.children[i] for i in (0, 2, 3)]
+        assert all(a is b for a, b in zip(pruned.children, kept))
+        assert all(j.children[1] is naive.children[1] for j in pruned.children)
         assert result_checksum(execute(pruned)) == result_checksum(execute(naive))
 
     def test_declined_on_unsorted_dimension(self):
@@ -922,6 +940,62 @@ class TestRewriteJoin:
         naive = hash_join_node(scan_node(fact, ["value"]),
                                scan_node(dim, ["value"]), "value", "value")
         assert rewrite_join(naive, idx) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(nparts=st.integers(1, 5), empty=st.integers(0, 4),
+       patched=st.integers(0, 4), e=st.sampled_from([0.0, 0.01, 0.5]),
+       store=st.sampled_from(["bitmap", "identifiers"]),
+       statements=st.lists(st.tuples(st.sampled_from(["insert", "modify",
+                                                      "delete"]),
+                                     st.integers(1, 30)), max_size=6),
+       seed=st.integers(0, 2**31))
+def test_join_rewrite_matches_naive(nparts, empty, patched, e, store,
+                                    statements, seed):
+    """The rewrite's rows equal the naive join's as a multiset, pruned or
+    not: one partition empty, one fully patched, fact keys that the
+    dimension lacks, after a random update stream."""
+    rng = np.random.default_rng(seed)
+    domain = 60
+    sizes = rng.integers(1, 120, size=nparts)
+    if nparts > 1:
+        sizes[empty % (nparts - 1)] = 0  # not the last, which takes inserts
+    parts = []
+    for n in sizes:
+        v = np.sort(rng.integers(0, domain, size=n))
+        wild = rng.random(n) < e
+        v[wild] = rng.integers(0, domain, size=int(wild.sum()))
+        parts.append({"key": np.arange(n, dtype=np.int64), "value": v})
+    fact = ColumnTable.from_partitions(parts, block_size=8)
+    idx = build_index([p.columns["value"] for p in fact.partitions], NSC_ASC,
+                      store=store, shard_size_bits=64)
+    for op, size in statements:
+        size = min(size, fact.row_count) if op != "insert" else size
+        if op == "insert":
+            values = np.sort(rng.integers(0, domain, size=size))
+            apply_insert(fact, [idx], {"key": np.arange(size), "value": values})
+        elif size:
+            rows = np.sort(rng.choice(fact.row_count, size=size, replace=False))
+            if op == "modify":
+                apply_modify(fact, [idx], rows,
+                             {"value": rng.integers(0, domain, size=size)})
+            else:
+                apply_delete(fact, [idx], rows[::-1])
+    # every row of one partition modified: all of them become patches
+    target = patched % nparts
+    offsets = fact.partition_offsets()
+    rows = np.arange(offsets[target], offsets[target + 1])
+    apply_modify(fact, [idx], rows, {"value": rng.integers(0, domain, size=len(rows))})
+    assert idx.partitions[target].patch_count == len(rows)
+    # the dimension holds every other key, so some fact keys find no match
+    keys = np.arange(0, domain, 2, dtype=np.int64)
+    dim = ColumnTable.from_partitions([{"value": keys, "payload": keys * 7}])
+    naive = fact_dim_join(fact, dim)
+    rewritten = rewrite_join(naive, idx)
+    assert rewritten is not None
+    want = result_checksum(execute(naive))
+    assert result_checksum(execute(rewritten)) == want
+    assert result_checksum(execute(zero_branch_prune(rewritten))) == want
 
 
 class TestChoosePlan:
@@ -1008,5 +1082,5 @@ class TestExplain:
         plan = rewrite_join(fact_dim_join(fact, dim), idx)
         lines = explain(plan).splitlines()
         shared = [ln for ln in lines if ln.endswith(" shared")]
-        assert len(shared) == 2
+        assert len(shared) == 4  # three merge joins and the hash join
         assert all(ln.startswith("    Scan[all] rows=40 ") for ln in shared)

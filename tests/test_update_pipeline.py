@@ -87,7 +87,7 @@ class TestInsertNuc:
         t, idx = indexed(np.arange(100_000), NUC, block_size=256)
         ids = t.insert_rows({"key": np.arange(100_000, 100_005),
                              "value": np.arange(500, 505)})
-        stats = handle_insert_nuc(t, idx, ids)
+        stats = handle_insert_nuc(t, idx, ids, np.arange(500, 505))
         assert stats.blocks_total > 100
         assert stats.blocks_scanned < 0.1 * stats.blocks_total
         assert sorted(idx.global_patch_rows().tolist()) == [
@@ -151,7 +151,10 @@ def test_duplicate_join_matches_pairwise_oracle(base, sort_base, partitions,
     assert stats.new_patches == len(expected)
     assert stats.blocks_scanned <= stats.blocks_total
 
-    (handle_modify_nuc if modify else handle_insert_nuc)(t, idx, ids)
+    if modify:
+        handle_modify_nuc(t, idx, ids)
+    else:
+        handle_insert_nuc(t, idx, ids, values)
     assert set(idx.global_patch_rows().tolist()) == before | set(expected)
 
 
