@@ -24,6 +24,9 @@ Module attributes:
 - ``lib``: the loaded ``ctypes.CDLL``, or None when the kernels are missing;
 - ``BACKEND``: ``"c"`` or ``"numpy"``, the kernel backend in use;
 - ``COMPILER``: path of the C compiler the loader uses, or None.
+
+Every wrapper hands its arrays to a kernel through ``address`` (one array)
+or ``pointers`` (an array of addresses).
 """
 
 import ctypes
@@ -35,6 +38,8 @@ import subprocess
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_native.c")
 CFLAGS = ("-O3", "-shared", "-fPIC")
@@ -68,6 +73,27 @@ _SIGNATURES = {
     "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
     "pi_compact": ((_P, _P, _I, _P, _I, _P, _I, _I), _I),
 }
+
+
+def address(a):
+    """Data address of a contiguous array, for a kernel argument.
+
+    A ctypes view of a writable, non-empty buffer takes under half the
+    time of ``a.ctypes.data``; read-only and empty arrays, which have no
+    such view, take ``a.ctypes.data``. The address is valid only while
+    the array lives, so the caller holds the array by name until the
+    kernel returns: the address of a temporary dangles at once.
+    """
+    if a.flags.writeable and a.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
+def pointers(arrays):
+    """The data addresses of arrays, as a uintp array for a kernel that
+    takes one pointer per array. As for ``address``, the caller holds
+    the result and every array by name until the kernel returns."""
+    return np.array([address(a) for a in arrays], dtype=np.uintp)
 
 
 def _cache_dir():

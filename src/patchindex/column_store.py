@@ -11,7 +11,6 @@ partition's chunks. Deletes compact rows immediately, inside the chunks
 that hold them, shifting all subsequent rowIDs down.
 """
 
-import ctypes
 import json
 import struct
 from bisect import bisect_right
@@ -22,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
+from ._native import address, pointers
 
 MAGIC = b"PDX1"
 DEFAULT_BLOCK_SIZE = 4096
@@ -123,13 +123,13 @@ def membership(keys, dtype):
             or not np.can_cast(keys.dtype, np.int64)):
         return lambda values: np.flatnonzero(np.isin(values, keys))
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    kptr, k = keys.ctypes.data, len(keys)
+    kptr, k = address(keys), len(keys)
 
     def positions(values, keys=keys):  # the default keeps keys alive
         values = np.ascontiguousarray(values, dtype=np.int64)
         out = np.empty(len(values), dtype=np.int64)
-        count = lib.pi_in_positions(values.ctypes.data, len(values),
-                                    kptr, k, out.ctypes.data)
+        count = lib.pi_in_positions(address(values), len(values),
+                                    kptr, k, address(out))
         if count < 0:
             raise MemoryError("membership filter allocation failed")
         return out[:count]
@@ -188,9 +188,9 @@ def filter_add(filters, values, chunk=None):
         np.bitwise_or.at(filters.reshape(-1), words, pattern)
         return
     # the kernel checks the chunk numbers before it writes
-    if lib.pi_filter_add(values.ctypes.data,
-                         None if chunk is None else chunk.ctypes.data,
-                         len(values), filters.ctypes.data,
+    if lib.pi_filter_add(address(values),
+                         None if chunk is None else address(chunk),
+                         len(values), address(filters),
                          len(filters) if filters.ndim == 2 else 1, log2) < 0:
         raise bad_chunk
 
@@ -228,11 +228,11 @@ def filter_blocks(filters, values, mins, maxs, nblocks):
         return (seen[chunk, np.searchsorted(values, maxs, side="right")]
                 > seen[chunk, np.searchsorted(values, mins, side="left")])
     hit = np.empty(len(mins), dtype=bool)
-    parts = np.array([f.ctypes.data for f in filters], dtype=np.uint64)
+    parts = pointers(filters)
     nchunks = np.array([len(f) for f in filters], dtype=np.int64)
-    lib.pi_filter_blocks(parts.ctypes.data, nchunks.ctypes.data, len(filters),
-                         log2, values.ctypes.data, len(values), mins.ctypes.data,
-                         maxs.ctypes.data, nblocks.ctypes.data, hit.ctypes.data)
+    lib.pi_filter_blocks(address(parts), address(nchunks), len(filters), log2,
+                         address(values), len(values), address(mins),
+                         address(maxs), address(nblocks), address(hit))
     return hit
 
 
@@ -269,23 +269,14 @@ def compact(pairs, ranges, skip, base=0):
     lib = _native.lib
     if lib is None:
         return _compact_reference(pairs, ranges, skip, base, kept)
-    rptr, sptr = _address(ranges), _address(skip)
+    rptr, sptr = address(ranges), address(skip)
     for dst, src in pairs:
-        d = _address(dst)
+        d = address(dst)
         if lib.pi_compact(d, d if src is dst else src if src is None
-                          else _address(src), dst.itemsize, rptr, len(spans),
+                          else address(src), dst.itemsize, rptr, len(spans),
                           sptr, len(skip), base) < 0:
             raise ValueError("skipped rows must ascend inside the ranges")
     return kept
-
-
-def _address(a):
-    """Data address of a contiguous array. A ctypes view of a writable,
-    non-empty buffer takes a quarter of the time of ``a.ctypes.data``."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except (TypeError, ValueError):  # read-only or empty
-        return a.ctypes.data
 
 
 def _compact_reference(pairs, ranges, skip, base, kept):
@@ -308,6 +299,33 @@ def _compact_reference(pairs, ranges, skip, base, kept):
                 dst[j:j + n] = rows if t0 == t1 else rows[keep]
         j += n
     return kept
+
+
+def route_rows(rowids, sizes, what):
+    """Split global rowIDs over partitions of the given row counts, in
+    rowID order.
+
+    Yields (partition number, selection, partition rows) for each
+    partition that holds some of the int64 rowIDs, in ascending partition
+    order; the selection picks that partition's rowIDs in their order. A
+    rowID outside [0, sum(sizes)) raises IndexError naming what the rows
+    are for.
+    """
+    if not rowids.size:
+        return
+    ends = list(accumulate(sizes))
+    lo, hi = int(rowids.min()), int(rowids.max())
+    if lo < 0 or hi >= ends[-1]:
+        raise IndexError(f"{what} rowID out of range")
+    first, last = bisect_right(ends, lo), bisect_right(ends, hi)
+    if first == last:  # one partition, as for every insert's rows
+        yield first, slice(None), rowids - (ends[first] - sizes[first])
+        return
+    offsets = np.array([0] + ends)
+    part = np.searchsorted(offsets, rowids, side="right") - 1
+    for p in sort_unique(part).tolist():
+        sel = part == p
+        yield p, sel, rowids[sel] - offsets[p]
 
 
 def _skipped_in(skip, nrows, lo, hi):
@@ -815,25 +833,11 @@ class ColumnTable:
         return np.arange(start, self.row_count, dtype=np.int64)
 
     def _route(self, rowids, what):
-        """(partition, selection, partition rows) for each partition that
-        holds some of the given global rowIDs; a rowID outside the table
-        raises IndexError naming what the rows are for."""
-        if not rowids.size:
-            return
-        ends = list(accumulate(p.nrows for p in self.partitions))
-        lo, hi = int(rowids.min()), int(rowids.max())
-        if lo < 0 or hi >= ends[-1]:
-            raise IndexError(f"{what} rowID out of range")
-        first, last = bisect_right(ends, lo), bisect_right(ends, hi)
-        if first == last:  # one partition, as for every insert's rows
-            p = self.partitions[first]
-            yield p, slice(None), rowids - (ends[first] - p.nrows)
-            return
-        offsets = np.array([0] + ends)
-        part = np.searchsorted(offsets, rowids, side="right") - 1
-        for pnum in sort_unique(part).tolist():
-            sel = part == pnum
-            yield self.partitions[pnum], sel, rowids[sel] - offsets[pnum]
+        """``route_rows`` over this table's partitions, yielding each
+        Partition in place of its number."""
+        sizes = [p.nrows for p in self.partitions]
+        for p, sel, local in route_rows(rowids, sizes, what):
+            yield self.partitions[p], sel, local
 
     def modify_rows(self, rowids, updates):
         """In-place update; updates maps column name to per-row new values."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .column_store import in_positions, sort_unique
+from .column_store import in_positions, route_rows, sort_unique
 from .sharded_bitmap import DEFAULT_SHARD_BITS, ShardedBitmap, default_threads
 
 # Sentinel for SQL NULL in int64 columns; always a patch under both constraints.
@@ -225,8 +225,8 @@ def lss_keep(values, order=SortOrder.ASCENDING):
         seq = values.tolist()
         return lss_keep_mask([-v for v in seq] if descending else seq)
     keep = np.empty(len(values), dtype=bool)
-    if lib.pi_lss_keep(values.ctypes.data, len(values), descending,
-                       keep.ctypes.data) < 0:
+    if lib.pi_lss_keep(_native.address(values), len(values), descending,
+                       _native.address(keep)) < 0:
         raise MemoryError("longest sorted subsequence allocation failed")
     return keep
 
@@ -389,19 +389,18 @@ class TableIndex:
     def split_global(self, rows):
         """Group global rowIDs by partition, preserving order within each.
 
-        Yields (partition_number, local_rows) for non-empty groups.
+        Yields (partition_number, local_rows) for non-empty groups. A
+        rowID outside the index raises IndexError before anything is
+        yielded.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        offsets = self._offsets()
-        part = np.searchsorted(offsets, rows, side="right") - 1
-        for p in sort_unique(part):
-            sel = part == p
-            yield int(p), rows[sel] - offsets[p]
+        sizes = [p.row_count for p in self.partitions]
+        for p, _, local in route_rows(rows, sizes, "index"):
+            yield p, local
 
     def is_patch(self, row):
-        offsets = self._offsets()
-        p = int(np.searchsorted(offsets, row, side="right") - 1)
-        return self.partitions[p].is_patch(int(row - offsets[p]))
+        (p, local), = self.split_global([row])
+        return self.partitions[p].is_patch(int(local[0]))
 
     def global_patch_mask(self):
         return np.concatenate([p.patch_mask() for p in self.partitions])

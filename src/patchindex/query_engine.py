@@ -9,19 +9,18 @@ becomes one merge join per partition. A plan is a DAG: a node reachable
 from two parents, such as the join rewrite's dimension subtree, is one
 object and runs once per execution. Joins materialize late: a join yields
 its inputs and matching row positions, and its columns are gathered once,
-by the union above it or by the first consumer that reads them. A
-cardinality-based cost model picks between the naive and rewritten plans,
-and zero-branch pruning removes subtrees that cannot produce rows.
+by the union above it or by the first consumer that reads them.
+Zero-branch pruning removes subtrees that cannot produce rows.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import _native
+from ._native import address, pointers
 from .column_store import ScanRange, in_positions, sort_unique
 from .patch_index import ConstraintKind, SortOrder
 
@@ -225,8 +224,8 @@ def merge_join_positions(left_keys, right_keys):
     rk = np.ascontiguousarray(right_keys)
     left_idx = np.empty(len(lk), dtype=np.int64)
     right_idx = np.empty(len(lk), dtype=np.int64)
-    count = lib.pi_merge_join(lk.ctypes.data, len(lk), rk.ctypes.data, len(rk),
-                              left_idx.ctypes.data, right_idx.ctypes.data)
+    count = lib.pi_merge_join(address(lk), len(lk), address(rk), len(rk),
+                              address(left_idx), address(right_idx))
     if count == -2:
         raise ValueError("merge join needs a sorted unique right side")
     if count == -1:
@@ -269,9 +268,8 @@ def hash_join_positions(build_keys, probe_keys):
     while True:
         probe_idx = np.empty(cap, dtype=np.int64)
         build_idx = np.empty(cap, dtype=np.int64)
-        total = lib.pi_hash_join(bk.ctypes.data, len(bk), pk.ctypes.data,
-                                 len(pk), probe_idx.ctypes.data,
-                                 build_idx.ctypes.data, cap)
+        total = lib.pi_hash_join(address(bk), len(bk), address(pk), len(pk),
+                                 address(probe_idx), address(build_idx), cap)
         if total < 0:
             raise MemoryError("hash join: cannot allocate the hash table")
         if total <= cap:
@@ -316,12 +314,10 @@ def merge_sorted_streams(rels, key, order=SortOrder.ASCENDING):
     total = int(lens.sum())
     # a merge makes at most one run per row; untouched rows cost no memory
     stream, start, length = np.empty((3, max(total, 1)), dtype=np.int64)
-    key_ptrs = _pointers(cols[key])
-    count = lib.pi_merge_runs(key_ptrs.ctypes.data,
-                              lens.ctypes.data, len(rels),
-                              order is SortOrder.DESCENDING,
-                              stream.ctypes.data, start.ctypes.data,
-                              length.ctypes.data)
+    key_ptrs = pointers(cols[key])
+    count = lib.pi_merge_runs(address(key_ptrs), address(lens), len(rels),
+                              order is SortOrder.DESCENDING, address(stream),
+                              address(start), address(length))
     if count == -1:
         raise ValueError("merge needs sorted streams")
     if count < 0:
@@ -329,12 +325,12 @@ def merge_sorted_streams(rels, key, order=SortOrder.ASCENDING):
     if count <= 1:  # at most one stream has rows
         return rels[int(stream[0]) if count else 0]
     out = {}
+    runs = address(stream), address(start), address(length)
     for c, arrays in cols.items():
         dst = np.empty(total, dtype=arrays[0].dtype)
-        ptrs = _pointers(arrays)
-        lib.pi_copy_runs(ptrs.ctypes.data, dst.itemsize,
-                         stream.ctypes.data, start.ctypes.data,
-                         length.ctypes.data, count, dst.ctypes.data)
+        ptrs = pointers(arrays)
+        lib.pi_copy_runs(address(ptrs), dst.itemsize, *runs, count,
+                         address(dst))
         out[c] = dst
     return Relation(out)
 
@@ -344,13 +340,6 @@ def _runs_copyable(arrays):
     one fixed-width dtype holding no Python objects."""
     dtype = arrays[0].dtype
     return not dtype.hasobject and all(a.dtype == dtype for a in arrays)
-
-
-def _pointers(arrays):
-    """The data addresses of arrays, as a uintp array. A kernel may read
-    it only while the caller holds it by name: `.ctypes.data` of a
-    temporary is freed as soon as the address is taken."""
-    return np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
 
 
 def _merge_sorted_reference(rels, key, order):
@@ -537,7 +526,7 @@ def execute(plan):
     return Executor().run(plan)
 
 
-# -- cardinality and cost -------------------------------------------------------
+# -- cardinality estimates ------------------------------------------------------
 
 def annotate(plan):
     """Fill est_rows bottom-up; patch counts are known exactly."""
@@ -566,56 +555,6 @@ def _estimate(node):
     # a unary operator keeps its input's estimate; a many-to-one
     # fact/dimension join is bounded by the fact side
     return node.children[0].est_rows
-
-
-_W_SCAN = 1.0
-_W_SELECT = 1.0
-_W_MERGE_JOIN = 2.0
-_W_HASH = 4.0
-_W_COMBINE = 1.0
-
-
-def node_cost(plan):
-    op = plan.op
-    if op == "scan":
-        if plan.partition is None:
-            return _W_SCAN * plan.table.row_count
-        return _W_SCAN * plan.table.partitions[plan.partition].nrows
-    if op in ("select", "const_count"):
-        return _W_SELECT * plan.children[0].est_rows
-    if op == "project":
-        return 0.0
-    if op in ("distinct", "group_count", "sort"):
-        n = plan.children[0].est_rows
-        return n * math.log2(max(n, 2))
-    if op == "hash_join":
-        left, right = (c.est_rows for c in plan.children)
-        if plan.build_side == "auto":
-            build, probe = min(left, right), max(left, right)
-        elif plan.build_side == "left":
-            build, probe = left, right
-        else:
-            build, probe = right, left
-        return _W_HASH * build + probe
-    if op == "merge_join":
-        return _W_MERGE_JOIN * sum(c.est_rows for c in plan.children)
-    if op in ("union", "merge_sorted"):
-        return _W_COMBINE * sum(c.est_rows for c in plan.children)
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def plan_cost(plan):
-    """Total cost of an annotated plan DAG; a shared node counts once."""
-    return sum(node_cost(node) for node in _walk(plan)[0])
-
-
-def choose_plan(naive, rewritten, index=None):
-    """Pick the cheaper plan; a declined rewrite always falls back."""
-    if rewritten is None:
-        return naive
-    annotate(naive)
-    annotate(rewritten)
-    return rewritten if plan_cost(rewritten) < plan_cost(naive) else naive
 
 
 # -- rewrites --------------------------------------------------------------------
@@ -783,8 +722,8 @@ def result_checksum(rel, ordered=False):
     return h.hexdigest()
 
 
-def explain(plan, cost=True):
-    """One node per line, two-space indent, cardinality and cost annotations.
+def explain(plan):
+    """One node per line, two-space indent, with each node's row estimate.
 
     A shared node is printed under each of its parents, marked "shared".
     """
@@ -813,8 +752,6 @@ def explain(plan, cost=True):
 
     def walk(node, depth):
         note = f" rows={node.est_rows}"
-        if cost:
-            note += f" cost={plan_cost(node):.0f}"
         if id(node) in shared:
             note += " shared"
         lines.append("  " * depth + describe(node) + note)

@@ -79,15 +79,15 @@ class ShardedBitmap:
     def _set_arrays(self, words, starts):
         """Install the word and start arrays, caching their addresses.
 
-        The compiled kernels take raw buffer addresses, and reading
-        ndarray.ctypes.data costs microseconds, so every reassignment of
-        _words or _starts goes through here. The addresses live in the
+        The compiled kernels take raw buffer addresses, and reading one
+        costs about a microsecond, so every reassignment of _words or
+        _starts goes through here. The addresses live in the
         argument block of the compiled single delete.
         """
         self._words = words
         self._starts = starts
         self._args = _native.DeleteArgs(
-            words.ctypes.data, starts.ctypes.data, len(starts),
+            _native.address(words), _native.address(starts), len(starts),
             self._log2_shard, self._wps, self.shift_impl == "lanes")
 
     # -- structure accessors ------------------------------------------------
@@ -257,8 +257,8 @@ class ShardedBitmap:
         lib = _native.lib
         if lib is not None:
             lanes = self.shift_impl == "lanes"
-            arrays = [a.ctypes.data for a in (offsets, group_lo, group_hi,
-                                              group_base, group_nwords)]
+            arrays = [_native.address(a) for a in (
+                offsets, group_lo, group_hi, group_base, group_nwords)]
             words = self._args.words
 
             def run(g0, g1):

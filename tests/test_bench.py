@@ -1,11 +1,16 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from patchindex.bench import (CSV_HEADER, PlainBitVector, WorkloadReport,
                               bench_query, bench_shard_sweep, bench_update,
-                              shard_overhead_pct, write_csv)
+                              build_query_plans, shard_overhead_pct,
+                              write_csv)
 from patchindex.datagen import GenSpec, dimension_table, generate
 from patchindex.patch_index import NSC_ASC, NUC, build_index
+from patchindex.query_engine import explain, zero_branch_prune
 from patchindex.sharded_bitmap import ShardedBitmap
 
 
@@ -122,7 +127,7 @@ class TestBenchQuery:
         calls = []
 
         def recorded(plan):
-            calls.append(explain(plan, cost=False))
+            calls.append(explain(plan))
             return real_execute(plan)
 
         monkeypatch.setattr(bench_mod, "execute", recorded)
@@ -134,7 +139,7 @@ class TestBenchQuery:
         timed = calls[3:]
         patchindex = [calls[1]] + timed[1::3]
         zbp = [calls[2]] + timed[2::3]
-        assert patchindex == [explain(rewritten, cost=False)] * runs
+        assert patchindex == [explain(rewritten)] * runs
         assert len(zbp) == runs and zbp[0] != patchindex[0]
         assert "Scan[use_patches]" in patchindex[0]
         assert "Scan[use_patches]" not in zbp[0]
@@ -237,3 +242,40 @@ class TestBenchUpdate:
         reports, _ = bench_update(spec, "insert", count=20,
                                   granularities=(10,), variants=("none",))
         assert reports[0].patches == 0
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPlanProfile:
+    # the label explain starts each operator's line with
+    LABELS = {"scan": "Scan[", "select": "Select", "project": "Project(",
+              "distinct": "SortDistinct(", "sort": "Sort(",
+              "hash_join": "HashJoin(", "merge_join": "MergeJoin(",
+              "union": "Union", "merge_sorted": "MergeSortedStreams("}
+
+    @pytest.mark.parametrize("e", [0.0, 0.2])
+    @pytest.mark.parametrize("query", ["distinct", "sort", "join"])
+    def test_explain_line_per_preorder_node(self, query, e):
+        """plan_profile pairs explain's lines with its preorder walk."""
+        preorder = _load_tool("plan_profile").preorder
+        kind = "nuc" if query == "distinct" else "nsc"
+        table = generate(GenSpec(kind, 3000, e, partitions=3, seed=5,
+                                 dup_domain=1000, value_domain=100))
+        index = build_index([p.columns["value"] for p in table.partitions],
+                            NUC if kind == "nuc" else NSC_ASC)
+        naive, rewritten = build_query_plans(query, table, index,
+                                             dimension_table(100))
+        pruned = zero_branch_prune(rewritten)
+        assert (pruned is rewritten) == (e > 0)
+        for plan in (naive, rewritten, pruned):
+            lines = explain(plan).splitlines()
+            nodes = preorder(plan)
+            assert len(lines) == len(nodes)
+            for node, line in zip(nodes, lines):
+                assert line.lstrip().startswith(self.LABELS[node.op])

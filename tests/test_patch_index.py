@@ -298,6 +298,23 @@ class TestTableIndex:
         assert groups[0].tolist() == [0, 1]
         assert groups[1].tolist() == [0, 2]
 
+    @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
+    @pytest.mark.parametrize("method", ["add_patches", "remove_patches",
+                                        "drop_rows"])
+    def test_out_of_range_rows_raise(self, store, method):
+        vals = np.arange(200) % 150  # rows 150-199 repeat rows 0-49
+        idx = build_index(np.array_split(vals, 2), NUC, store=store)
+        before = idx.global_patch_rows().tolist()
+        n = idx.row_count
+        # descending, as drop_rows needs; valid rows before a bad one
+        for rows in ([-1], [n], [150, 5, -1], [n, 150, 5]):
+            with pytest.raises(IndexError):
+                getattr(idx, method)(np.array(rows))
+            assert idx.global_patch_rows().tolist() == before
+            assert idx.row_count == n
+        with pytest.raises(IndexError):
+            idx.is_patch(n)
+
     def test_global_drop_rows(self):
         parts = [np.array([1, 2, 9]), np.array([9, 4, 5])]
         idx = build_index(parts, NUC)

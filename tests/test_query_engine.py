@@ -8,9 +8,9 @@ from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, SortOrder,
                                     build_index)
 from patchindex import query_engine as qe
 from patchindex.query_engine import (
-    Executor, annotate, choose_plan, distinct_node, execute, explain,
-    group_count_node, hash_join_node, hash_join_positions, merge_join_node,
-    merge_join_positions, merge_sorted_streams, plan_cost, result_checksum,
+    Executor, annotate, distinct_node, execute, explain, group_count_node,
+    hash_join_node, hash_join_positions, merge_join_node,
+    merge_join_positions, merge_sorted_streams, result_checksum,
     rewrite_distinct, rewrite_group_count, rewrite_join, rewrite_sort,
     scan_node, select_node, sort_node, stable_argsort, zero_branch_prune,
 )
@@ -998,40 +998,6 @@ def test_join_rewrite_matches_naive(nparts, empty, patched, e, store,
     assert result_checksum(execute(zero_branch_prune(rewritten))) == want
 
 
-class TestChoosePlan:
-    def test_zero_patches_always_rewritten(self):
-        t, idx = indexed(np.arange(500), NUC)
-        naive = distinct_node(scan_node(t, ["value"]), "value")
-        rewritten = zero_branch_prune(rewrite_distinct(naive, idx))
-        assert choose_plan(naive, rewritten, idx) is rewritten
-
-    def test_high_exception_rate_prefers_naive(self):
-        # nearly every row duplicated: the rewrite adds scan and union work
-        vals = np.repeat(np.arange(250), 4)
-        t, idx = indexed(vals, NUC)
-        assert idx.exception_rate == 1.0
-        naive = distinct_node(scan_node(t, ["value"]), "value")
-        rewritten = rewrite_distinct(naive, idx)
-        assert choose_plan(naive, rewritten, idx) is naive
-
-    def test_cost_monotone_in_patch_count(self):
-        costs = []
-        for dups in (0, 100, 200, 400):
-            vals = np.concatenate([np.repeat(np.arange(dups // 2), 2),
-                                   10_000 + np.arange(1000 - dups)])
-            t, idx = indexed(vals, NUC)
-            plan = rewrite_distinct(
-                distinct_node(scan_node(t, ["value"]), "value"), idx)
-            annotate(plan)
-            costs.append(plan_cost(plan))
-        assert costs == sorted(costs)
-
-    def test_declined_rewrite_falls_back(self):
-        t, idx = indexed([1, 2], NUC)
-        naive = distinct_node(scan_node(t, ["key"]), "key")
-        assert choose_plan(naive, None, idx) is naive
-
-
 class TestZeroBranchPrune:
     def test_nonzero_unchanged(self):
         t, idx = indexed([5, 5, 6], NUC)
@@ -1058,10 +1024,10 @@ class TestZeroBranchPrune:
             fact, idx, dim = TestRewriteJoin()._tables(0)
             plan = rewrite_join(fact_dim_join(fact, dim), idx)
         assert idx.patch_count == 0
-        before = explain(plan, cost=False)
+        before = explain(plan)
         pruned = zero_branch_prune(plan)
-        assert explain(plan, cost=False) == before
-        assert explain(pruned, cost=False) != before
+        assert explain(plan) == before
+        assert explain(pruned) != before
 
 
 class TestExplain:
@@ -1072,7 +1038,8 @@ class TestExplain:
         lines = text.splitlines()
         assert lines[0].startswith("Union rows=")
         assert lines[1].startswith("  Project")
-        assert "cost=" in lines[0]
+        assert all(" rows=" in ln for ln in lines)
+        assert "cost=" not in text
         assert any("Scan[use_patches]" in ln for ln in lines)
         assert any("SortDistinct(value)" in ln for ln in lines)
         assert "HashAggregate" not in text

@@ -310,6 +310,16 @@ class TestNativeLoader:
         assert _native.SOURCE.name in package_data["patchindex"]
         assert _native.SOURCE.exists()
 
+    def test_address_matches_ctypes_data(self):
+        writable = np.arange(10)
+        read_only = np.arange(10)
+        read_only.flags.writeable = False
+        arrays = [writable, writable[3:], read_only, np.zeros(0)]
+        want = [a.ctypes.data for a in arrays]
+        assert [_native.address(a) for a in arrays] == want
+        ptrs = _native.pointers(arrays)
+        assert ptrs.dtype == np.uintp and ptrs.tolist() == want
+
     def test_shift_bounds_checked(self):
         bm = ShardedBitmap(200, 64)
         for shard, off in ((-1, 0), (4, 0), (3, 8), (0, -1), (0, 64)):

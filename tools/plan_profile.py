@@ -132,7 +132,7 @@ def main():
                 plan = plans[plan_name]
                 print(f"\n{query}, e={e}, {plan_name}: {ms(runs):.2f} ms, "
                       f"{statistics.median(faults):.0f} minor faults per run")
-                lines = explain(plan, cost=False).splitlines()
+                lines = explain(plan).splitlines()
                 seen = set()
                 for node, line in zip(preorder(plan), lines):
                     note = "" if id(node) in seen else f"{ms(nodes[id(node)]):8.2f}"
