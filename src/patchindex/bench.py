@@ -119,7 +119,7 @@ def bench_shard_sweep(bits=10**7, deletes=10**5, shard_sizes=SHARD_SWEEP_SIZES,
 
 
 def bench_delete_latency(bits=10**7, singles=1000, bulk_deletes=10**5,
-                         shard_size=1 << 14, seed=0, runs=5, threads=None):
+                         shard_size=1 << 14, seed=0, runs=5):
     """Median per-element delete latency: naive vs sharded vs bulk."""
     rng = np.random.default_rng(seed)
     naive_ns, single_ns, bulk_ns = [], [], []
@@ -142,7 +142,7 @@ def bench_delete_latency(bits=10**7, singles=1000, bulk_deletes=10**5,
                                       replace=False))[::-1]
         bulk = ShardedBitmap(bits, shard_size)
         t0 = time.perf_counter_ns()
-        bulk.bulk_delete(bulk_pos, threads=threads)
+        bulk.bulk_delete(bulk_pos)
         bulk_ns.append((time.perf_counter_ns() - t0) / bulk_deletes)
 
     med = statistics.median
@@ -190,7 +190,7 @@ def _results_match(query, key, rel, baseline):
 
 
 def bench_query(table, query, index, dim=None, plans=("naive", "patchindex"),
-                param="", verify=True):
+                param=""):
     """Time the requested plan variants; always verify against naive.
 
     Each plan runs once untimed (the naive run doubles as the baseline,
@@ -215,7 +215,7 @@ def bench_query(table, query, index, dim=None, plans=("naive", "patchindex"),
     rows = {}
     for name in plans:
         rel = baseline if name == "naive" else execute(selected[name])
-        if verify and not _results_match(query, index.column, rel, baseline):
+        if not _results_match(query, index.column, rel, baseline):
             raise VerificationError(
                 f"{query}/{name}: result mismatch against naive plan")
         rows[name] = rel.nrows

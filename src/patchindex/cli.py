@@ -138,7 +138,6 @@ def make_parser():
                     default=list(UPDATE_GRANULARITIES))
     bu.add_argument("--partitions", type=int, default=4)
     bu.add_argument("--seed", type=int, default=1)
-    bu.add_argument("--threads", type=int, default=None)
     bu.add_argument("--csv-out", default=None)
     return p
 
@@ -229,9 +228,6 @@ def cmd_update(args):
 
 
 def cmd_bench(args):
-    if getattr(args, "threads", None) is not None:
-        from .sharded_bitmap import set_default_threads
-        set_default_threads(args.threads)
     if args.bench_kind == "shard-sweep":
         reports = bench_shard_sweep(args.bits, args.deletes,
                                     seed=args.seed, threads=args.threads)

@@ -86,8 +86,8 @@ class ScanRange:
         return not self.intervals
 
 
-def sort_unique(values, return_counts=False):
-    """Sorted distinct values, and optionally their counts, like np.unique.
+def sort_unique(values):
+    """Sorted distinct values, like np.unique.
 
     One sort plus a neighbour comparison. Under numpy 2.x a flagless
     np.unique takes a hash path that is up to 20x slower on int64 columns
@@ -98,11 +98,7 @@ def sort_unique(values, return_counts=False):
     first = np.empty(len(s), dtype=bool)
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
-    uniq = s[first]
-    if not return_counts:
-        return uniq
-    counts = np.diff(np.append(np.flatnonzero(first), len(s)))
-    return uniq, counts
+    return s[first]
 
 
 def in_positions(values, keys):
@@ -326,16 +322,6 @@ def route_rows(rowids, sizes, what):
     for p in sort_unique(part).tolist():
         sel = part == p
         yield p, sel, rowids[sel] - offsets[p]
-
-
-def _skipped_in(skip, nrows, lo, hi):
-    """The skipped partition rows inside the scanned spans [lo, hi);
-    skip must ascend without repeats inside [0, nrows)."""
-    if len(skip) and (skip[0] < 0 or skip[-1] >= nrows
-                      or np.any(skip[1:] <= skip[:-1])):
-        raise ValueError(f"skipped rows must ascend inside [0, {nrows})")
-    owner = np.searchsorted(lo, skip, side="right") - 1
-    return skip[(owner >= 0) & (skip < hi[np.maximum(owner, 0)])]
 
 
 def _block_minmax(values, block_size):
@@ -681,8 +667,9 @@ class ColumnTable:
 
         - ("in", column, keys): rows whose column value occurs in keys;
         - ("skip", rows): every row but the ascending, distinct partition
-          rows rows[p] of each partition p. Only partitions the scan
-          reaches are read, so the others may be None;
+          rows rows[p] of each partition p whose entry is not None; a
+          None entry leaves partition p unread. It reads whole partitions
+          and takes no scan_range;
         - ("rows", rowids): the rows at the given ascending global rowIDs.
 
         The scan finds the kept rows of every partition first, then sizes
@@ -701,23 +688,24 @@ class ColumnTable:
                                 np.dtype(dict(self.schema)[where_col]))
         elif kind == "rows":
             rowids = np.asarray(where[1], dtype=np.int64)
-        elif kind not in (None, "skip"):
+        elif kind == "skip":
+            if scan_range is not None:
+                raise ValueError("a skip filter takes no scan range")
+        elif kind is not None:
             raise ValueError(f"unknown scan filter {where!r}")
         # per partition: ("copy", partition, first rowID, ranges, skipped
         # rows) or ("take", partition, kept rowIDs, their buffer positions)
         plans, total, part_lo = [], 0, 0
         for pnum, p in enumerate(self.partitions):
-            spans = p.spans(scan_range, part_lo)
+            skip = where[1][pnum] if kind == "skip" else ()
+            spans = p.spans(scan_range, part_lo) if skip is not None else []
             if spans:
                 ranges = np.array(spans, dtype=np.int64)
                 lo, hi, at = ranges.T
                 if kind in (None, "skip"):
-                    skip = np.asarray(where[1][pnum] if kind == "skip" else (),
-                                      dtype=np.int64)
-                    # a full scan's spans cover the partition, and compact
-                    # checks the skipped rows against them
-                    if len(skip) and scan_range is not None:
-                        skip = _skipped_in(skip, p.nrows, lo, hi)
+                    # a skip filter's spans cover the partition, and
+                    # compact checks the skipped rows against them
+                    skip = np.asarray(skip, dtype=np.int64)
                     plans.append(("copy", p, part_lo, ranges, skip))
                     total += int((hi - lo).sum()) - len(skip)
                 else:

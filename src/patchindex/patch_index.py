@@ -9,14 +9,14 @@ tracks the value at its tail.
 
 import enum
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native
 from .column_store import in_positions, route_rows, sort_unique
-from .sharded_bitmap import DEFAULT_SHARD_BITS, ShardedBitmap, default_threads
+from .sharded_bitmap import (DEFAULT_SHARD_BITS, ShardedBitmap, _worker_pool,
+                             default_threads)
 
 # Sentinel for SQL NULL in int64 columns; always a patch under both constraints.
 NULL_VALUE = int(np.iinfo(np.int64).min)
@@ -115,12 +115,12 @@ class IdentifierPatchStore:
     def add(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size:
-            self._ids = np.union1d(self._ids, rows)
+            self._ids = sort_unique(np.concatenate((self._ids, rows)))
 
     def remove(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size:
-            self._ids = np.setdiff1d(self._ids, rows, assume_unique=False)
+            self._ids = self._ids[~np.isin(self._ids, rows)]
 
     def drop_rows(self, descending_rows):
         dropped = np.asarray(descending_rows, dtype=np.int64)[::-1]
@@ -448,13 +448,13 @@ class TableIndex:
 
 
 def build_index(partition_values, constraint, column="value", *, store="bitmap",
-                shard_size_bits=DEFAULT_SHARD_BITS, threads=None):
+                shard_size_bits=DEFAULT_SHARD_BITS):
     """Discover a TableIndex from per-partition column arrays.
 
     NUC duplicate detection is global across partitions (a duplicate pair
     spanning two partitions patches both rows); the patch bits are then
     distributed to the per-partition indexes. NSC discovery is partition
-    local and runs in parallel.
+    local and runs on the shared worker pool of default_threads() threads.
     """
     sizes = [len(v) for v in partition_values]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -474,10 +474,9 @@ def build_index(partition_values, constraint, column="value", *, store="bitmap",
         return discover_nsc(values, constraint.order, store=store,
                             shard_size_bits=shard_size_bits)
 
-    nthreads = threads if threads is not None else default_threads()
+    nthreads = default_threads()
     if nthreads <= 1 or len(partition_values) <= 1:
         parts = [build_one(v) for v in partition_values]
     else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(build_one, partition_values))
+        parts = list(_worker_pool(nthreads).map(build_one, partition_values))
     return TableIndex(column, constraint, parts)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _native
 from ._native import address, pointers
-from .column_store import ScanRange, in_positions, sort_unique
+from .column_store import in_positions, sort_unique
 from .patch_index import ConstraintKind, SortOrder
 
 
@@ -79,23 +79,20 @@ class PlanNode:
     index: object = None
     mode: str = "all"
     partition: int = None
-    scan_range: object = None
     columns: list = None
     predicate: tuple = None
     key: str = None
     order: SortOrder = SortOrder.ASCENDING
     left_key: str = None
     right_key: str = None
-    build_side: str = "auto"
     est_rows: int = None
 
 
 # -- node constructors -------------------------------------------------------
 
-def scan_node(table, columns=None, mode="all", index=None, scan_range=None,
-              partition=None):
+def scan_node(table, columns=None, mode="all", index=None, partition=None):
     return PlanNode("scan", table=table, columns=columns, mode=mode,
-                    index=index, scan_range=scan_range, partition=partition)
+                    index=index, partition=partition)
 
 
 def select_node(child, predicate):
@@ -110,21 +107,13 @@ def distinct_node(child, key):
     return PlanNode("distinct", [child], key=key)
 
 
-def group_count_node(child, key):
-    return PlanNode("group_count", [child], key=key)
-
-
-def const_count_node(child, key):
-    return PlanNode("const_count", [child], key=key)
-
-
 def sort_node(child, key, order=SortOrder.ASCENDING):
     return PlanNode("sort", [child], key=key, order=order)
 
 
-def hash_join_node(left, right, left_key, right_key, build_side="auto"):
+def hash_join_node(left, right, left_key, right_key):
     return PlanNode("hash_join", [left, right], left_key=left_key,
-                    right_key=right_key, build_side=build_side)
+                    right_key=right_key)
 
 
 def merge_join_node(left, right, left_key, right_key):
@@ -388,38 +377,33 @@ class Executor:
         return rows
 
     def _op_scan(self, node):
-        """Scan rows, optionally split by patch membership.
+        """Scan whole partitions, optionally split by patch membership.
 
-        exclude_patches copies the runs of rows between each partition's
-        patch rows; use_patches gathers the patch rows by rowID, so its
-        cost follows the patch count.
+        A scan reads one partition or all of them. exclude_patches copies
+        the runs of rows between each partition's patch rows; use_patches
+        gathers the patch rows by rowID, so its cost follows the patch
+        count.
         """
-        table = node.table
-        rng = node.scan_range
-        if node.partition is not None:
-            offsets = table.partition_offsets()
-            part_lo, hi = int(offsets[node.partition]), int(offsets[node.partition + 1])
-            base = rng.clip(part_lo, hi) if rng is not None else [(part_lo, hi)]
-            rng = ScanRange.normalized(base)
-        where = None
+        table, index = node.table, node.index
+        nparts = len(table.partitions)
+        parts = range(nparts) if node.partition is None else [node.partition]
         if node.mode != "all":
-            index = node.index
             if index is None:
                 raise ValueError("patch scan modes require an index")
             sizes = [p.row_count for p in index.partitions]
             if sizes != [p.nrows for p in table.partitions]:
                 raise ValueError(f"index partitions cover {sizes} rows, table "
                                  f"partitions {[p.nrows for p in table.partitions]}")
-            parts = (range(len(sizes)) if node.partition is None
-                     else [node.partition])
-            if node.mode == "exclude_patches":
-                where = ("skip", [self._patch_rows(index, p) if p in parts
-                                  else None for p in range(len(sizes))])
-            else:
-                offsets = table.partition_offsets()
-                where = ("rows", np.concatenate(
-                    [self._patch_rows(index, p) + offsets[p] for p in parts]))
-        ids, cols = table.scan(node.columns, scan_range=rng, where=where)
+        if node.mode == "use_patches":
+            offsets = table.partition_offsets()
+            where = ("rows", np.concatenate(
+                [self._patch_rows(index, p) + offsets[p] for p in parts]))
+        else:
+            skip = {p: self._patch_rows(index, p)
+                    if node.mode == "exclude_patches" else () for p in parts}
+            # None: a partition the scan does not read
+            where = ("skip", [skip.get(p) for p in range(nparts)])
+        ids, cols = table.scan(node.columns, where=where)
         out = {"rowid": ids}
         out.update(cols)
         return Relation(out)
@@ -450,17 +434,6 @@ class Executor:
         rel = self._exec(node.children[0])
         return Relation({node.key: sort_unique(rel.columns[node.key])})
 
-    def _op_group_count(self, node):
-        rel = self._exec(node.children[0])
-        keys, counts = sort_unique(rel.columns[node.key], return_counts=True)
-        return Relation({node.key: keys, "count": counts.astype(np.int64)})
-
-    def _op_const_count(self, node):
-        rel = self._exec(node.children[0])
-        vals = rel.columns[node.key]
-        return Relation({node.key: vals,
-                         "count": np.ones(len(vals), dtype=np.int64)})
-
     def _op_sort(self, node):
         rel = self._exec(node.children[0])
         return rel.take(stable_argsort(rel.columns[node.key], node.order))
@@ -468,13 +441,11 @@ class Executor:
     # joins: both return a JoinResult, whose columns are not yet gathered
 
     def _op_hash_join(self, node):
+        """Builds the hash table on the smaller input, the left on a tie."""
         left = self._exec(node.children[0])
         right = self._exec(node.children[1])
-        side = node.build_side
-        if side == "auto":
-            side = "left" if left.nrows <= right.nrows else "right"
         lkeys, rkeys = left.columns[node.left_key], right.columns[node.right_key]
-        if side == "left":
+        if left.nrows <= right.nrows:
             right_idx, left_idx = hash_join_positions(lkeys, rkeys)
         else:
             left_idx, right_idx = hash_join_positions(rkeys, lkeys)
@@ -589,9 +560,7 @@ def _rewrite_input(plan, index, op, kind, key):
         return None
 
     def flow(mode, partition=None):
-        node = PlanNode("scan", table=scan.table, columns=scan.columns,
-                        mode=mode, index=index, scan_range=scan.scan_range,
-                        partition=partition)
+        node = scan_node(scan.table, scan.columns, mode, index, partition)
         for link in reversed(chain):
             node = PlanNode(link.op, [node], predicate=link.predicate,
                             columns=link.columns)
@@ -612,16 +581,6 @@ def rewrite_distinct(plan, index):
         return None
     return union_node([project_node(flow("exclude_patches"), [plan.key]),
                        distinct_node(flow("use_patches"), plan.key)])
-
-
-def rewrite_group_count(plan, index):
-    """Group-by count over a NUC column: patch-free groups have count one."""
-    flow = _rewrite_input(plan, index, "group_count",
-                          ConstraintKind.NEARLY_UNIQUE, plan.key)
-    if flow is None:
-        return None
-    return union_node([const_count_node(flow("exclude_patches"), plan.key),
-                       group_count_node(flow("use_patches"), plan.key)])
 
 
 def rewrite_sort(plan, index):
@@ -663,9 +622,7 @@ def rewrite_join(plan, index):
 
     merge_joins = [merge_join_node(stream, dim_sub, fact_key, dim_key)
                    for stream in _partition_streams(flow, index)]
-    build = "left" if index.patch_count <= dim_scan.table.row_count else "right"
-    hash_join = hash_join_node(flow("use_patches"), dim_sub, fact_key,
-                               dim_key, build_side=build)
+    hash_join = hash_join_node(flow("use_patches"), dim_sub, fact_key, dim_key)
     return union_node(merge_joins + [hash_join])
 
 
@@ -739,11 +696,8 @@ def explain(plan):
             "select": lambda: f"Select{node.predicate!r}",
             "project": lambda: f"Project({', '.join(node.columns)})",
             "distinct": lambda: f"SortDistinct({node.key})",
-            "group_count": lambda: f"GroupAggregate({node.key})",
-            "const_count": lambda: f"ConstCount({node.key})",
             "sort": lambda: f"Sort({node.key} {node.order.value})",
-            "hash_join": lambda: (f"HashJoin({node.left_key}={node.right_key}, "
-                                  f"build={node.build_side})"),
+            "hash_join": lambda: f"HashJoin({node.left_key}={node.right_key})",
             "merge_join": lambda: f"MergeJoin({node.left_key}={node.right_key})",
             "union": lambda: "Union",
             "merge_sorted": lambda: f"MergeSortedStreams({node.key})",

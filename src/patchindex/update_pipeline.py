@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .column_store import sort_unique
 from .patch_index import (NULL_VALUE, ConstraintKind, SortOrder, lss_keep,
                           nuc_patch_rows)
 
@@ -81,7 +82,8 @@ def _duplicate_join(table, column, probe_ids, probe_values):
     rowids, cols = table.scan([column], scan_range=scan_range,
                               where=("in", column, values))
     # the scan returns only rows holding a touched value, none of them NULL
-    patches = np.union1d(rowids[nuc_patch_rows(cols[column])], nulls)
+    patches = sort_unique(np.concatenate(
+        (rowids[nuc_patch_rows(cols[column])], nulls)))
     stats.new_patches = len(patches)
     stats.probe_ms = _ms_since(t0)
     return patches, stats

@@ -69,7 +69,8 @@ class TestRemovedIndexVerbs:
 
 class TestRemovedThreadsFlags:
     @pytest.mark.parametrize("argv", [["index", "stats", "--table", "t.pdx"],
-                                      ["bench", "query"]])
+                                      ["bench", "query"],
+                                      ["bench", "update"]])
     def test_rejected(self, argv):
         cli.make_parser().parse_args(argv)  # the rest of the line is valid
         with pytest.raises(SystemExit) as e:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchindex import _native
+from patchindex import _native, sharded_bitmap
 from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (
     NSC_ASC, NSC_DESC, NUC, NULL_VALUE, BitmapPatchStore, ConstraintKind,
@@ -13,6 +13,14 @@ from patchindex.patch_index import (
 from patchindex.update_pipeline import apply_insert
 
 from oracle import lss_length_dp
+
+
+@pytest.fixture
+def pin_threads():
+    """set_default_threads, with the process default restored afterwards."""
+    saved = sharded_bitmap._default_threads_override
+    yield sharded_bitmap.set_default_threads
+    sharded_bitmap.set_default_threads(saved)
 
 
 class TestConstraint:
@@ -133,6 +141,18 @@ class TestStores:
         s.add(np.array([2, 5, 7]))
         s.drop_rows(np.array([5, 2]))
         assert s.patch_rows().tolist() == [5]
+
+    def test_identifier_add_remove_match_bitmap(self):
+        # unsorted batches with repeats, of rows already present or absent
+        rng = np.random.default_rng(11)
+        ids, bits = IdentifierPatchStore(300), BitmapPatchStore(300, 64)
+        for _ in range(40):
+            rows = rng.integers(0, 300, size=int(rng.integers(1, 30)))
+            op = "add" if rng.random() < 0.6 else "remove"
+            for s in (ids, bits):
+                getattr(s, op)(rows)
+            assert ids.patch_rows().tolist() == bits.patch_rows().tolist()
+        assert 0 < ids.patch_count() < 300
 
     def test_bitmap_grow_appends_zeros(self):
         s = BitmapPatchStore(5, 64)
@@ -273,13 +293,14 @@ class TestTableIndex:
         single = build_index([vals], NUC)
         assert np.array_equal(multi.global_patch_mask(), single.global_patch_mask())
 
-    def test_nsc_partition_local_invariants(self):
+    def test_nsc_partition_local_invariants(self, pin_threads):
         rng = np.random.default_rng(7)
         vals = np.arange(1000)
         exc = rng.choice(1000, size=100, replace=False)
         vals[exc] = rng.integers(0, 1000, size=100)
         split = np.array_split(vals, 4)
-        idx = build_index(split, NSC_ASC, threads=2)
+        pin_threads(2)
+        idx = build_index(split, NSC_ASC)
         for p, part_vals in enumerate(split):
             assert idx.partitions[p].check_invariant(part_vals)
         # the union can never beat the single-partition optimum
@@ -469,7 +490,7 @@ class TestDiscoveryBackends:
     @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
     @pytest.mark.parametrize("constraint", [NUC, NSC_ASC, NSC_DESC])
     def test_build_index_identical_on_kernel_and_reference(
-            self, monkeypatch, constraint, store):
+            self, monkeypatch, pin_threads, constraint, store):
         if _native.lib is None:
             pytest.skip("no compiled kernels")
         rng = np.random.default_rng(24)
@@ -482,7 +503,8 @@ class TestDiscoveryBackends:
         parts = np.array_split(vals, 4)
 
         def build(threads):
-            idx = build_index(parts, constraint, store=store, threads=threads)
+            pin_threads(threads)
+            idx = build_index(parts, constraint, store=store)
             return (idx.global_patch_rows(),
                     [p.last_sorted_value for p in idx.partitions])
 

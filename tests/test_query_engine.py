@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchindex import _native
-from patchindex.column_store import ColumnTable, ScanRange
+from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, SortOrder,
                                     build_index)
 from patchindex import query_engine as qe
 from patchindex.query_engine import (
-    Executor, annotate, distinct_node, execute, explain, group_count_node,
-    hash_join_node, hash_join_positions, merge_join_node,
-    merge_join_positions, merge_sorted_streams, result_checksum,
-    rewrite_distinct, rewrite_group_count, rewrite_join, rewrite_sort,
+    Executor, annotate, distinct_node, execute, explain, hash_join_node,
+    hash_join_positions, merge_join_node, merge_join_positions,
+    merge_sorted_streams, result_checksum, rewrite_distinct, rewrite_join,
+    rewrite_sort,
     scan_node, select_node, sort_node, stable_argsort, zero_branch_prune,
 )
 from patchindex.update_pipeline import apply_delete, apply_insert, apply_modify
@@ -96,12 +96,6 @@ class TestExecuteBasics:
         rel = execute(distinct_node(scan_node(t, ["value"]), "value"))
         assert sorted(rel.columns["value"].tolist()) == [2, 4, 9]
 
-    def test_group_count(self):
-        t = make_table([4, 4, 2])
-        rel = execute(group_count_node(scan_node(t, ["value"]), "value"))
-        got = dict(zip(rel.columns["value"].tolist(), rel.columns["count"].tolist()))
-        assert got == {4: 2, 2: 1}
-
     def test_hash_join_multiset(self):
         fact = make_table([1, 2, 2, 3])
         dim = make_table([2, 3, 4], partitions=1)
@@ -110,15 +104,25 @@ class TestExecuteBasics:
         rel = execute(plan)
         assert sorted(rel.columns["value"].tolist()) == [2, 2, 3]
 
-    def test_hash_join_build_side_irrelevant(self):
+    def test_hash_join_build_side_irrelevant(self, monkeypatch):
+        # dimension rows the fact side never matches make the dimension
+        # the larger input, so the second join builds on the fact side
+        builds = []
+
+        def spy(build_keys, probe_keys):
+            builds.append(len(build_keys))
+            return hash_join_positions(build_keys, probe_keys)
+
+        monkeypatch.setattr(qe, "hash_join_positions", spy)
         fact = make_table([1, 2, 2, 3, 7])
-        dim = make_table([2, 3, 4], partitions=1)
         rels = []
-        for side in ("left", "right"):
-            plan = hash_join_node(scan_node(fact, ["value"]),
-                                  scan_node(dim, ["value"]), "value", "value",
-                                  build_side=side)
-            rels.append(execute(plan))
+        for dim_values in ([2, 3, 4], [2, 3, 4, 10, 11, 12, 13]):
+            dim = make_table(dim_values, partitions=1)
+            rels.append(execute(hash_join_node(
+                scan_node(fact, ["value"]), scan_node(dim, ["value"]),
+                "value", "value")))
+        assert builds == [3, 5]
+        assert rels[0].nrows == 3
         assert result_checksum(rels[0]) == result_checksum(rels[1])
 
 
@@ -161,16 +165,15 @@ class TestScanModes:
         assert rel.columns["rowid"].tolist() == [5, 6, 7, 8, 9]
 
 
-def split_scan_matches_mask(t, idx, scan_range, columns=("key", "value")):
+def split_scan_matches_mask(t, idx, columns=("key", "value")):
     """Every patch-split scan equals the full scan filtered by the mask."""
     flags_all = idx.global_patch_mask()
     for partition in [None, *range(len(t.partitions))]:
-        full = execute(scan_node(t, list(columns), scan_range=scan_range,
-                                 partition=partition))
+        full = execute(scan_node(t, list(columns), partition=partition))
         flags = flags_all[full.columns["rowid"]]
         for mode, keep in (("exclude_patches", ~flags), ("use_patches", flags)):
             got = execute(scan_node(t, list(columns), mode=mode, index=idx,
-                                    scan_range=scan_range, partition=partition))
+                                    partition=partition))
             assert list(got.columns) == ["rowid", *columns]
             for c, a in got.columns.items():
                 assert a.dtype == full.columns[c].dtype, (mode, partition, c)
@@ -181,11 +184,9 @@ def split_scan_matches_mask(t, idx, scan_range, columns=("key", "value")):
 @given(n=st.integers(0, 400), nparts=st.integers(1, 3),
        store=st.sampled_from(["bitmap", "identifiers"]),
        deletes=st.integers(0, 60), delta=st.integers(0, 20),
-       ranges=st.one_of(st.none(), st.lists(
-           st.tuples(st.integers(0, 450), st.integers(0, 120)), max_size=4)),
        seed=st.integers(0, 2**31))
 def test_patch_split_scan_equals_filtered_full_scan(n, nparts, store, deletes,
-                                                    delta, ranges, seed):
+                                                    delta, seed):
     rng = np.random.default_rng(seed)
     t = make_table(rng.integers(0, 60, size=n), partitions=nparts,
                    block_size=16)
@@ -202,9 +203,7 @@ def test_patch_split_scan_equals_filtered_full_scan(n, nparts, store, deletes,
                        "value": rng.integers(0, 60, size=delta)})
         idx.grow_last(delta)
         idx.add_patches(start + np.flatnonzero(rng.random(delta) < 0.5))
-    scan_range = (None if ranges is None else
-                  ScanRange.normalized([(a, a + k) for a, k in ranges]))
-    split_scan_matches_mask(t, idx, scan_range)
+    split_scan_matches_mask(t, idx)
 
 
 def test_patch_split_scan_with_lost_bits():
@@ -220,8 +219,7 @@ def test_patch_split_scan_with_lost_bits():
     idx.add_patches(np.arange(t.row_count - 30, t.row_count, 3))
     assert all(p.store._bits.lost_bits > 0 for p in idx.partitions)
     assert 0 < idx.patch_count < t.row_count
-    split_scan_matches_mask(t, idx, None)
-    split_scan_matches_mask(t, idx, ScanRange([(10, 700), (1500, 2620)]))
+    split_scan_matches_mask(t, idx)
 
 
 def merge_join_oracle(lk, rk):
@@ -417,14 +415,17 @@ class TestHashJoinPositions:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_operator_rows_match_reference_in_order(self, monkeypatch, side):
+        # the join builds on the smaller input: the 500-row fact side
+        # against 600 dimension rows, the dimension against 60
         rng = np.random.default_rng(6)
         fact = make_table(rng.integers(0, 30, size=500), partitions=2)
+        dim_rows = 600 if side == "left" else 60
         dim = ColumnTable.from_partitions([{
-            "value": rng.integers(0, 40, size=60),
-            "payload": np.arange(60, dtype=np.int64)}])
+            "value": rng.integers(0, 40, size=dim_rows),
+            "payload": np.arange(dim_rows, dtype=np.int64)}])
         plan = hash_join_node(scan_node(fact, ["value"]),
                               scan_node(dim, ["value", "payload"]),
-                              "value", "value", build_side=side)
+                              "value", "value")
         got = execute(plan)
         monkeypatch.setattr(_native, "lib", None)
         want = execute(plan)
@@ -434,6 +435,8 @@ class TestHashJoinPositions:
             assert np.array_equal(got.columns[c], want.columns[c]), c
 
     def test_empty_probe_side(self, join_backend):
+        # the empty fact side is the smaller input, so the join builds on
+        # it; the result still carries both inputs' columns
         fact = make_table([1, 2, 2, 3])
         dim = ColumnTable.from_partitions([{
             "value": np.array([1, 2, 3], dtype=np.int64),
@@ -441,15 +444,15 @@ class TestHashJoinPositions:
         plan = hash_join_node(select_node(scan_node(fact, ["value"]),
                                           ("==", "value", 99)),
                               scan_node(dim, ["value", "payload"]),
-                              "value", "value", build_side="right")
+                              "value", "value")
         rel = execute(plan)
         assert rel.nrows == 0
         assert sorted(rel.columns) == ["payload", "rowid", "rowid_r", "value",
                                        "value_r"]
 
     def test_rewrite_with_empty_patch_flow_building_right(self, join_backend):
-        # 130 patches, all below 5, against a 40-row dimension: the hash
-        # branch builds on the dimension and probes an empty patch flow
+        # 130 patches, all below 5, against a 40-row dimension: the
+        # select leaves the hash branch an empty patch flow
         values = np.repeat(np.arange(40, dtype=np.int64), 30)
         rng = np.random.default_rng(2)
         values[rng.choice(np.arange(300, 1200), size=130, replace=False)] = \
@@ -465,7 +468,6 @@ class TestHashJoinPositions:
                                "value", "value")
         rewritten = rewrite_join(naive, idx)
         assert idx.patch_count == 130
-        assert rewritten.children[-1].build_side == "right"
         a, b = execute(naive), execute(rewritten)
         assert a.nrows == int(((values >= 35) & (values <= 39)).sum()) > 0
         assert result_checksum(a) == result_checksum(b)
@@ -747,19 +749,6 @@ class TestRewriteDistinct:
         sub = hash_join_node(scan_node(t, ["value"]), scan_node(t, ["value"]),
                              "value", "value")
         assert rewrite_distinct(distinct_node(sub, "value"), idx) is None
-
-
-class TestRewriteGroupCount:
-    def test_counts_match(self):
-        rng = np.random.default_rng(3)
-        vals = rng.integers(0, 40, size=500)
-        t, idx = indexed(vals, NUC, partitions=2)
-        naive = group_count_node(scan_node(t, ["value"]), "value")
-        rewritten = rewrite_group_count(naive, idx)
-        a, b = execute(naive), execute(rewritten)
-        want = dict(zip(a.columns["value"].tolist(), a.columns["count"].tolist()))
-        got = dict(zip(b.columns["value"].tolist(), b.columns["count"].tolist()))
-        assert got == want
 
 
 class TestRewriteSort:
