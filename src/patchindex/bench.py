@@ -96,6 +96,12 @@ def bench_shard_sweep(bits=10**7, deletes=10**5, shard_sizes=SHARD_SWEEP_SIZES,
     SHARD_SWEEP_REPEATS times; the report carries the median. The repeats
     run round-robin over every (size, variant), so a slow phase of the
     machine lands on all of them alike rather than on one size.
+
+    The "parallel_lanes" variant asks for the given threads, but
+    ``bulk_delete`` hands work to its pool only when the positions touch
+    64 or more shards. At 10^7 bits the 2^18 and 2^19 sizes have 39 and 20
+    shards, so those rows run on one thread whatever threads says; the
+    label names the variant asked for, not the threads used.
     """
     rng = np.random.default_rng(seed)
     positions = np.sort(rng.choice(bits, size=deletes, replace=False))[::-1]

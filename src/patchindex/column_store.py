@@ -15,8 +15,6 @@ import json
 import struct
 from bisect import bisect_right
 from itertools import accumulate
-from operator import itemgetter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,58 +30,6 @@ CHUNK_BLOCKS = 16
 # false-positive rate of a full chunk near 0.5% at 4 bits per key
 FILTER_BITS_PER_ROW = 16
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the kernels' multiplicative hash
-
-
-@dataclass
-class ScanRange:
-    """Sorted, disjoint [start_row, end_row) intervals of global rowIDs."""
-
-    intervals: list
-
-    @classmethod
-    def full(cls, row_count):
-        return cls([(0, row_count)]) if row_count else cls([])
-
-    @classmethod
-    def normalized(cls, intervals):
-        merged = []
-        for lo, hi in sorted(intervals):
-            if hi <= lo:
-                continue
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return cls(merged)
-
-    @classmethod
-    def from_blocks(cls, lo, hi):
-        """Ascending, disjoint [lo, hi) block arrays as runs, where a block
-        that starts at its predecessor's end extends the run."""
-        if not len(lo):
-            return cls([])
-        brk = lo[1:] != hi[:-1]
-        starts = lo[np.concatenate(([True], brk))]
-        ends = hi[np.concatenate((brk, [True]))]
-        return cls(list(zip(starts.tolist(), ends.tolist())))
-
-    def clip(self, lo, hi):
-        """Intervals intersected with [lo, hi)."""
-        if lo >= hi:
-            return []
-        iv = self.intervals
-        i = bisect_right(iv, lo, key=itemgetter(1))  # first ending after lo
-        out = []
-        while i < len(iv) and iv[i][0] < hi:
-            out.append((max(iv[i][0], lo), min(iv[i][1], hi)))
-            i += 1
-        return out
-
-    def row_count(self):
-        return sum(b - a for a, b in self.intervals)
-
-    def is_empty(self):
-        return not self.intervals
 
 
 def sort_unique(values):
@@ -318,8 +264,14 @@ def route_rows(rowids, sizes, what):
         yield first, slice(None), rowids - (ends[first] - sizes[first])
         return
     offsets = np.array([0] + ends)
+    if (rowids[1:] >= rowids[:-1]).all():  # ascending: a slice each
+        cuts = np.searchsorted(rowids, offsets[first:last + 2]).tolist()
+        for p, a, b in zip(range(first, last + 1), cuts, cuts[1:]):
+            if a < b:
+                yield p, slice(a, b), rowids[a:b] - offsets[p]
+        return
     part = np.searchsorted(offsets, rowids, side="right") - 1
-    for p in sort_unique(part).tolist():
+    for p in np.flatnonzero(np.bincount(part)).tolist():
         sel = part == p
         yield p, sel, rowids[sel] - offsets[p]
 
@@ -459,24 +411,33 @@ class Partition:
 
     def positions(self, local):
         """Positions in the flattened chunk buffers of partition rows."""
+        # past about a thousand ascending rows, cutting them at the chunk
+        # ends costs less than a binary search per row
+        if len(local) > 1024 and (local[1:] >= local[:-1]).all():
+            per_chunk = np.diff(np.searchsorted(local, self.ends), prepend=0)
+            return local + np.repeat(self.shift, per_chunk)
         return local + self.shift[np.searchsorted(self.ends, local, side="right")]
 
-    def spans(self, scan_range, first):
-        """(lo, hi, at) of each chunk's scanned partition rows [lo, hi),
-        whose row lo is item at of the flattened buffers; first is the
-        partition's first global rowID, and scan_range None scans all."""
-        out = []
-        for k, end in enumerate(self.ends.tolist()):
-            start = end - int(self.counts[k])
-            if start == end:
-                continue
-            shift = int(self.shift[k])
-            if scan_range is None:
-                out.append((start, end, start + shift))
-                continue
-            for a, b in scan_range.clip(first + start, first + end):
-                out.append((a - first, b - first, a - first + shift))
-        return out
+    def spans(self):
+        """(r, 3) int64 array of (lo, hi, at): each chunk's partition rows
+        [lo, hi), whose row lo is item at of the flattened buffers."""
+        spans = np.column_stack((self.ends - self.counts, self.ends,
+                                 np.arange(self.nchunks) * self.capacity))
+        return spans[self.counts > 0]
+
+    def check_spans(self, spans):
+        """Raise ValueError unless the (lo, hi, at) spans, a list of
+        triples, ascend without overlap and each lies inside one chunk's
+        rows, with at the buffer position of its row lo."""
+        ends, shift = self.ends.tolist(), self.shift.tolist()
+        prev = 0
+        for lo, hi, at in spans:
+            k = bisect_right(ends, lo)
+            if not (prev <= lo < hi and k < len(ends) and hi <= ends[k]
+                    and at == lo + shift[k]):
+                raise ValueError("spans must ascend inside the chunks of "
+                                 "their partition")
+            prev = hi
 
     def take(self, column, local):
         """Values of one column at persisted partition rows."""
@@ -660,68 +621,68 @@ class ColumnTable:
 
     # -- scans ---------------------------------------------------------------
 
-    def scan(self, columns=None, scan_range=None, where=None):
+    def scan(self, columns=None, where=None):
         """Materialize rows as (rowids, column dict).
 
         where is an optional filter:
 
-        - ("in", column, keys): rows whose column value occurs in keys;
+        - ("in", column, keys[, spans]): rows whose column value occurs in
+          keys. spans, one (lo, hi, at) array per partition as
+          ``prune_blocks`` returns them, limits the probe to those rows;
+          spans that leave their chunks raise ValueError (see
+          ``Partition.check_spans``). Without spans every chunk is probed;
         - ("skip", rows): every row but the ascending, distinct partition
           rows rows[p] of each partition p whose entry is not None; a
-          None entry leaves partition p unread. It reads whole partitions
-          and takes no scan_range;
-        - ("rows", rowids): the rows at the given ascending global rowIDs.
+          None entry leaves partition p unread;
+        - ("rows", rowids): the rows at the given global rowIDs, in their
+          order; a rowID outside the table raises IndexError.
 
         The scan finds the kept rows of every partition first, then sizes
         the output arrays and writes each partition's rows straight into
-        their slice: a gather at the kept positions for "in" and "rows",
-        and otherwise one gap copy per column (``compact``) of the runs
-        between skipped rows, which also writes the rowIDs.
+        their slice: a gather at the kept positions for "in", and otherwise
+        one gap copy per column (``compact``) of the runs between skipped
+        rows, which also writes the rowIDs. "rows" gathers like ``gather``.
         """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
         kind = where[0] if where is not None else None
+        if kind == "rows":
+            rowids = np.array(where[1], dtype=np.int64)
+            return rowids, self._gather(rowids, columns, "scan")
         if kind == "in":
-            _, where_col, keys = where
+            _, where_col, keys, *spans = where
             self._check_columns([where_col])
             member = membership(sort_unique(keys),
                                 np.dtype(dict(self.schema)[where_col]))
-        elif kind == "rows":
-            rowids = np.asarray(where[1], dtype=np.int64)
-        elif kind == "skip":
-            if scan_range is not None:
-                raise ValueError("a skip filter takes no scan range")
-        elif kind is not None:
+            spans = spans[0] if spans else [p.spans() for p in self.partitions]
+            if len(spans) != len(self.partitions):
+                raise ValueError("spans must hold one array per partition")
+        elif kind not in (None, "skip"):
             raise ValueError(f"unknown scan filter {where!r}")
-        # per partition: ("copy", partition, first rowID, ranges, skipped
+        # per partition: ("copy", partition, first rowID, spans, skipped
         # rows) or ("take", partition, kept rowIDs, their buffer positions)
         plans, total, part_lo = [], 0, 0
         for pnum, p in enumerate(self.partitions):
-            skip = where[1][pnum] if kind == "skip" else ()
-            spans = p.spans(scan_range, part_lo) if skip is not None else []
-            if spans:
-                ranges = np.array(spans, dtype=np.int64)
-                lo, hi, at = ranges.T
-                if kind in (None, "skip"):
-                    # a skip filter's spans cover the partition, and
-                    # compact checks the skipped rows against them
-                    skip = np.asarray(skip, dtype=np.int64)
-                    plans.append(("copy", p, part_lo, ranges, skip))
-                    total += int((hi - lo).sum()) - len(skip)
-                else:
-                    if kind == "in":
-                        flat = p.chunks[where_col].reshape(-1)
-                        local = [a + member(flat[x:x + b - a]) for a, b, x
-                                 in zip(lo.tolist(), hi.tolist(), at.tolist())]
-                    else:
-                        bounds = np.searchsorted(rowids, np.column_stack(
-                            (lo, hi)) + part_lo).tolist()
-                        local = [rowids[a:b] - part_lo for a, b in bounds]
+            if kind == "in":
+                ranges = np.asarray(spans[pnum], dtype=np.int64).reshape(-1, 3)
+                triples = ranges.tolist()
+                p.check_spans(triples)
+                if triples:
+                    flat = p.chunks[where_col].reshape(-1)
+                    local = [lo + member(flat[at:at + hi - lo])
+                             for lo, hi, at in triples]
                     n = [len(x) for x in local]
                     local = np.concatenate(local)
-                    plans.append(("take", p, local + part_lo,
-                                  local + np.repeat(at - lo, n)))
+                    plans.append(("take", p, local + part_lo, local + np.repeat(
+                        ranges[:, 2] - ranges[:, 0], n)))
                     total += len(local)
+            else:
+                skip = where[1][pnum] if kind == "skip" else ()
+                if skip is not None and p.nrows:
+                    # compact checks the skipped rows against the spans
+                    skip = np.asarray(skip, dtype=np.int64)
+                    plans.append(("copy", p, part_lo, p.spans(), skip))
+                    total += p.nrows - len(skip)
             part_lo += p.nrows
         ids = np.empty(total, dtype=np.int64)
         out = {c: np.empty(total, dtype=dict(self.schema)[c]) for c in columns}
@@ -737,7 +698,7 @@ class ColumnTable:
                 n = len(kept)
                 ids[o:o + n] = kept
                 for c in columns:
-                    # positions come from the partition's own spans
+                    # positions come from the partition's checked spans
                     np.take(p.chunks[c].reshape(-1), pos, out=out[c][o:o + n],
                             mode="clip")
                 o += n
@@ -745,50 +706,50 @@ class ColumnTable:
 
     # -- block pruning ----------------------------------------------------------
 
-    def prune_blocks(self, column, predicate):
-        """Global ScanRange of the blocks that may hold rows satisfying
-        predicate; a superset of the qualifying rows.
+    def prune_blocks(self, column, values):
+        """The blocks of an int64 column that may hold one of the values.
 
-        predicate is ("interval", lo, hi) with inclusive bounds, or
-        ("in", values). An interval keeps the blocks whose [min, max] meets
-        it. A value set keeps the blocks whose [min, max] holds a value;
-        where that keeps more than CHUNK_BLOCKS blocks, a kept block's
-        value must also pass the membership filter of the block's chunk.
-        The first value-set request builds the column's filters.
+        A block is kept when its [min, max] holds a value; where that keeps
+        more than CHUNK_BLOCKS blocks, a kept block's value must also pass
+        the membership filter of the block's chunk. The first call builds
+        the column's filters. Returns (kept block count, spans): spans
+        holds per partition an (r, 3) int64 array of (lo, hi, at), one row
+        per run of kept blocks inside one chunk, laid out as
+        ``Partition.spans``; the "in" filter of ``scan`` takes it.
         """
         self._check_columns([column])
+        parts = self.partitions
         mins, maxs = (np.concatenate(z) for z in zip(*(
-            [z[:p.nchunks][p.live] for z in p.zones[column]]
-            for p in self.partitions)))
-        ends, counts, first = self._segment_grid()
-        kind = predicate[0]
-        if kind == "interval":
-            _, lo, hi = predicate
-            hit = (maxs >= lo) & (mins <= hi)
-        elif kind == "in":
-            values = sort_unique(np.asarray(predicate[1], dtype=np.int64))
-            hit = (np.searchsorted(values, maxs, side="right")
-                   > np.searchsorted(values, mins, side="left"))
-            # the first value-set probe builds the column's filters
-            filters = [p.filter_words(column) for p in self.partitions]
-            # where the zone maps keep at most a chunk's worth of blocks,
-            # a filter probe costs about what it could save
-            if np.count_nonzero(hit) > CHUNK_BLOCKS:
-                hit = filter_blocks(filters, values, mins, maxs,
-                                    -(-counts // self.block_size))
-        else:
-            raise ValueError(f"unknown predicate {predicate!r}")
-        hit = np.flatnonzero(hit)
-        seg = np.searchsorted(first, hit, side="right") - 1
-        lo = ends[seg] - counts[seg] + (hit - first[seg]) * self.block_size
-        return ScanRange.from_blocks(lo, np.minimum(lo + self.block_size, ends[seg]))
-
-    def _segment_grid(self):
-        """Row ends, row counts and first block numbers of every chunk in
-        rowID order. Blocks are numbered consecutively across chunks."""
-        counts = np.concatenate([p.counts for p in self.partitions])
+            [z[:p.nchunks][p.live] for z in p.zones[column]] for p in parts)))
+        values = sort_unique(np.asarray(values, dtype=np.int64))
+        hit = (np.searchsorted(values, maxs, side="right")
+               > np.searchsorted(values, mins, side="left"))
+        filters = [p.filter_words(column) for p in parts]
+        counts = np.concatenate([p.counts for p in parts])
         nblocks = -(-counts // self.block_size)
-        return np.cumsum(counts), counts, np.cumsum(nblocks) - nblocks
+        # where the zone maps keep at most a chunk's worth of blocks, a
+        # filter probe costs about what it could save
+        if np.count_nonzero(hit) > CHUNK_BLOCKS:
+            hit = filter_blocks(filters, values, mins, maxs, nblocks)
+        hit = np.flatnonzero(hit)
+        # blocks are numbered consecutively over the chunks of all
+        # partitions; a run breaks at a gap or a chunk edge
+        first = np.cumsum(nblocks) - nblocks
+        chunk = np.searchsorted(first, hit, side="right") - 1
+        brk = (np.diff(hit) != 1) | (chunk[1:] != chunk[:-1])
+        # no hits make no run
+        run = np.flatnonzero(np.concatenate(([True], brk)))[:len(hit)]
+        end = np.flatnonzero(np.concatenate((brk, [True])))[:len(hit)]
+        c = chunk[run]
+        bs = self.block_size
+        lo = (hit[run] - first[c]) * bs
+        hi = np.minimum((hit[end] - first[c] + 1) * bs, counts[c])
+        # chunk rows to partition rows and to flattened buffer items
+        start = np.concatenate([p.ends - p.counts for p in parts])[c]
+        shift = np.concatenate([p.shift for p in parts])[c]
+        spans = np.column_stack((start + lo, start + hi, start + lo + shift))
+        edges = np.cumsum([p.nchunks for p in parts])[:-1]
+        return len(hit), np.split(spans, np.searchsorted(c, edges))
 
     def filter_bytes(self):
         """Bytes of the live chunks' membership filters."""
@@ -798,19 +759,6 @@ class ColumnTable:
     def total_blocks(self):
         bs = self.block_size
         return sum(int((-(-p.counts // bs)).sum()) for p in self.partitions)
-
-    def count_blocks(self, scan_range):
-        """Blocks a range-restricted scan touches."""
-        ends, counts, first = self._segment_grid()
-        rows = np.array(scan_range.intervals, dtype=np.int64).reshape(-1, 2)
-        rows = np.minimum(rows, self.row_count)
-        rows = rows[rows[:, 0] < rows[:, 1]]
-        rows[:, 1] -= 1  # each interval's first and last row
-        seg = np.searchsorted(ends, rows, side="right")
-        block = first[seg] + (rows - ends[seg] + counts[seg]) // self.block_size
-        lo, hi = block[:, 0], block[:, 1]
-        # neighbouring intervals may share a block
-        return int((hi - lo + 1).sum() - (lo[1:] == hi[:-1]).sum())
 
     # -- updates -------------------------------------------------------------------
 
@@ -836,9 +784,22 @@ class ColumnTable:
     def gather(self, rowids, column):
         """Values of one column at arbitrary rowIDs."""
         rowids = np.asarray(rowids, dtype=np.int64)
-        out = np.empty(len(rowids), dtype=dict(self.schema)[column])
-        for p, sel, local in self._route(rowids, "gather"):
-            out[sel] = p.take(column, local)
+        return self._gather(rowids, [column], "gather")[column]
+
+    def _gather(self, rowids, columns, what):
+        """Columns at int64 rowIDs, in their order; out-of-range rowIDs
+        raise IndexError naming what the rows are for."""
+        out = {c: np.empty(len(rowids), dtype=dict(self.schema)[c])
+               for c in columns}
+        for p, sel, local in self._route(rowids, what):
+            pos = p.positions(local)
+            for c in columns:
+                values = p.chunks[c].reshape(-1)
+                if isinstance(sel, slice):  # ascending rowIDs
+                    # routed rows are in range; "raise" would buffer out
+                    np.take(values, pos, out=out[c][sel], mode="clip")
+                else:
+                    out[c][sel] = values[pos]
         return out
 
     def delete_rows(self, descending_rowids):

@@ -8,9 +8,11 @@ table. The uniqueness constraint is maintained by a semijoin of the table
 with the touched values. Block pruning restricts the scan to the blocks
 that may hold a touched value by two summaries: the block's zone map must
 hold it (the dynamic-range-propagation trick), and so must the membership
-filter of the block's chunk. The scan itself keeps only rows holding a
-touched value, and every returned row whose value occurs at least twice
-becomes a patch. That equals patching both sides of every match of a
+filter of the block's chunk. ``ColumnTable.prune_blocks`` returns the
+kept blocks as per-partition chunk spans, which the scan probes, and
+their count, the statement's ``blocks_scanned``. The scan itself keeps
+only rows holding a touched value, and every returned row whose value
+occurs at least twice becomes a patch. That equals patching both sides of every match of a
 touched row with another row: neither summary ever rules out a value the
 block holds, so all rows holding a touched value lie in unpruned blocks,
 and the touched rows are in the table themselves. The sortedness
@@ -76,11 +78,8 @@ def _duplicate_join(table, column, probe_ids, probe_values):
         return nulls, stats
     values = probe_values[live]
 
-    scan_range = table.prune_blocks(column, ("in", values))
-    stats.blocks_scanned = table.count_blocks(scan_range)
-
-    rowids, cols = table.scan([column], scan_range=scan_range,
-                              where=("in", column, values))
+    stats.blocks_scanned, spans = table.prune_blocks(column, values)
+    rowids, cols = table.scan([column], where=("in", column, values, spans))
     # the scan returns only rows holding a touched value, none of them NULL
     patches = sort_unique(np.concatenate(
         (rowids[nuc_patch_rows(cols[column])], nulls)))

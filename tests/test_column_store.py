@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from patchindex import _native
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
-                                     ScanRange, _block_minmax, compact,
-                                     filter_add, filter_blocks, filter_hash,
-                                     in_positions,
+                                     _block_minmax, compact, filter_add,
+                                     filter_blocks, filter_hash, in_positions,
                                      sort_unique)
 from patchindex.datagen import GenSpec, generate_to_file
 from patchindex.patch_index import NULL_VALUE
@@ -27,6 +26,27 @@ def make_table(values, partitions=2, block_size=64):
     return ColumnTable.from_partitions(
         [{"key": k, "value": v} for k, v in zip(keys, parts)],
         block_size=block_size)
+
+
+def random_spans(rng, t):
+    """Random (lo, hi, at) sub-spans of every partition's chunk spans, in
+    the layout the "in" scan filter takes."""
+    out = []
+    for p in t.partitions:
+        spans = []
+        for lo, hi, at in p.spans().tolist():
+            cuts = np.unique(rng.integers(lo, hi + 1, size=2 * int(rng.integers(0, 4))))
+            spans += [(a, b, at + a - lo) for a, b in zip(cuts[::2].tolist(),
+                                                          cuts[1::2].tolist())]
+        out.append(np.array(spans, dtype=np.int64).reshape(-1, 3))
+    return out
+
+
+def span_rowids(t, spans):
+    """Global rowIDs of the rows per-partition spans cover."""
+    offsets = t.partition_offsets()
+    return np.concatenate([np.arange(lo, hi) + offsets[p] for p, s in enumerate(spans)
+                           for lo, hi, _ in s.tolist()] + [np.zeros(0, np.int64)])
 
 
 def assert_chunk_summaries(p):
@@ -59,15 +79,16 @@ class TestScan:
         assert np.array_equal(ids, np.arange(100))
 
     def test_range_scan_equals_filtered_full_scan(self):
+        # keys holding every value: the spans alone pick the rows
         rng = np.random.default_rng(0)
-        t = make_table(rng.integers(0, 50, size=500), partitions=3)
-        r = ScanRange([(10, 40), (100, 350), (499, 500)])
-        ids, cols = t.scan(["value"], scan_range=r)
+        t = make_table(rng.integers(0, 50, size=500), partitions=3, block_size=4)
         full_ids, full_cols = t.scan(["value"])
-        want = np.isin(full_ids, np.concatenate(
-            [np.arange(a, b) for a, b in r.intervals]))
-        assert np.array_equal(ids, full_ids[want])
-        assert np.array_equal(cols["value"], full_cols["value"][want])
+        for _ in range(20):
+            spans = random_spans(rng, t)
+            ids, cols = t.scan(["value"], where=("in", "value", np.arange(50), spans))
+            want = np.isin(full_ids, span_rowids(t, spans))
+            assert np.array_equal(ids, full_ids[want])
+            assert np.array_equal(cols["value"], full_cols["value"][want])
 
     def test_unknown_column(self):
         t = make_table([1, 2])
@@ -85,15 +106,35 @@ class TestFilteredScan:
         full_ids, full_cols = t.scan()
         for _ in range(20):
             keys = rng.integers(-35, 35, size=int(rng.integers(0, 8)))
-            lo, hi = sorted(rng.integers(0, t.row_count + 1, size=2))
-            r = ScanRange([(int(lo), int(hi))])
-            ids, cols = t.scan(["key", "value"], scan_range=r,
-                               where=("in", "value", keys))
-            want = (np.isin(full_cols["value"], keys)
-                    & (full_ids >= lo) & (full_ids < hi))
-            assert np.array_equal(ids, full_ids[want])
-            for c in ("key", "value"):
-                assert np.array_equal(cols[c], full_cols[c][want])
+            spans = random_spans(rng, t)
+            for where, rows in ((("in", "value", keys), full_ids),
+                                (("in", "value", keys, spans), span_rowids(t, spans))):
+                ids, cols = t.scan(["key", "value"], where=where)
+                want = np.isin(full_cols["value"], keys) & np.isin(full_ids, rows)
+                assert np.array_equal(ids, full_ids[want])
+                for c in ("key", "value"):
+                    assert np.array_equal(cols[c], full_cols[c][want])
+
+    def test_bad_spans_rejected(self):
+        # 64-row chunks; a delete gives the second chunk a shift
+        t = make_table(np.arange(300), partitions=1, block_size=4)
+        t.delete_rows(np.array([3]))
+        p = t.partitions[0]
+        assert p.spans()[:2].tolist() == [[0, 63, 0], [63, 127, 64]]
+        for bad in ([[-1, 5, -1]],                # before the partition
+                    [[60, 70, 60]],               # across a chunk end
+                    [[63, 70, 63]],               # at not the row's position
+                    [[5, 5, 5]],                  # empty
+                    [[10, 20, 10], [15, 30, 15]],  # overlapping
+                    [[70, 80, 71], [10, 20, 10]],  # descending
+                    [[296, 300, 297]]):           # past the last row
+            with pytest.raises(ValueError):
+                t.scan(["value"], where=("in", "value", [1], [np.array(bad)]))
+        with pytest.raises(ValueError):
+            t.scan(["value"], where=("in", "value", [1], [p.spans()] * 2))
+        ids, _ = t.scan(["value"], where=("in", "value", [2, 70], [np.array(
+            [[0, 63, 0], [63, 127, 64]])]))
+        assert ids.tolist() == [2, 69]
 
     def test_filter_column_need_not_be_scanned(self):
         t = make_table(np.arange(100) % 10, partitions=2)
@@ -146,37 +187,39 @@ class TestInPositions:
 class TestPrune:
     def test_outside_domain_empty(self):
         t = make_table(np.arange(1000))
-        assert t.prune_blocks("value", ("interval", 5000, 6000)).is_empty()
+        count, spans = t.prune_blocks("value", [5000, 6000, -1])
+        assert count == 0
+        assert [s.shape for s in spans] == [(0, 3), (0, 3)]
 
     def test_full_domain_all_blocks(self):
         t = make_table(np.arange(1000))
-        r = t.prune_blocks("value", ("interval", 0, 999))
-        assert r.row_count() == 1000
+        count, spans = t.prune_blocks("value", np.arange(1000))
+        assert count == t.total_blocks()
+        assert [s.tolist() for s in spans] == [[[0, 500, 0]], [[0, 500, 0]]]
 
     def test_superset_property_random(self):
         rng = np.random.default_rng(1)
         t = make_table(rng.integers(0, 1000, size=2000), partitions=3)
         full_ids, full_cols = t.scan(["value"])
         for _ in range(20):
-            lo = int(rng.integers(0, 900))
-            hi = lo + int(rng.integers(0, 100))
-            r = t.prune_blocks("value", ("interval", lo, hi))
-            ids, cols = t.scan(["value"], scan_range=r)
-            inside = (full_cols["value"] >= lo) & (full_cols["value"] <= hi)
-            assert np.isin(full_ids[inside], ids).all()
+            values = rng.integers(0, 1000, size=int(rng.integers(0, 30)))
+            _, spans = t.prune_blocks("value", values)
+            ids, _ = t.scan(["value"], where=("in", "value", values, spans))
+            assert np.array_equal(ids, full_ids[np.isin(full_cols["value"], values)])
 
     def test_value_set_predicate(self):
         t = make_table(np.arange(0, 10000, 10), partitions=2, block_size=32)
-        r = t.prune_blocks("value", ("in", np.array([500, 7770])))
-        ids, cols = t.scan(["value"], scan_range=r)
-        assert 500 in cols["value"] and 7770 in cols["value"]
-        assert r.row_count() < 1000
+        _, spans = t.prune_blocks("value", np.array([500, 7770]))
+        ids, cols = t.scan(["value"], where=("in", "value", [500, 7770], spans))
+        assert cols["value"].tolist() == [500, 7770]
+        assert len(span_rowids(t, spans)) < 1000
 
     def test_block_counting(self):
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         assert t.total_blocks() == 10
-        r = t.prune_blocks("value", ("interval", 0, 150))
-        assert t.count_blocks(r) == 2
+        count, spans = t.prune_blocks("value", [0, 150])
+        assert count == 2
+        assert [s.tolist() for s in spans] == [[[0, 200, 0]]]
 
 
 class TestUpdates:
@@ -210,9 +253,10 @@ class TestUpdates:
     def test_modify_updates_minmax(self):
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         t.modify_rows(np.array([5]), {"value": np.array([10_000])})
-        r = t.prune_blocks("value", ("interval", 10_000, 10_000))
-        ids, cols = t.scan(["value"], scan_range=r)
-        assert 10_000 in cols["value"]
+        count, spans = t.prune_blocks("value", [10_000])
+        assert count == 1
+        ids, _ = t.scan(["value"], where=("in", "value", [10_000], spans))
+        assert ids.tolist() == [5]
 
     @pytest.mark.parametrize("block_size", [16, 24])
     def test_insert_keeps_block_summaries(self, block_size):
@@ -335,25 +379,33 @@ class TestRowFilters:
                 with pytest.raises(ValueError):
                     t.scan(["value"], where=("skip", skips))
 
-    def test_skip_with_scan_range_rejected(self):
-        t, _ = self._table()
-        skips = [np.zeros(0, dtype=np.int64)] * 3
-        with pytest.raises(ValueError):
-            t.scan(["value"], scan_range=ScanRange([(0, 50)]),
-                   where=("skip", skips))
-
     def test_rows_filter(self):
         t, full = self._table()
         rows = np.array([0, 5, 99, 100, 199, 200, 299, 300, 309])
         ids, cols = t.scan(["key", "value"], where=("rows", rows))
         assert np.array_equal(ids, rows)
         assert np.array_equal(cols["value"], full["value"][rows])
-        r = ScanRange([(5, 100), (300, 305)])
-        ids, cols = t.scan(["key"], scan_range=r, where=("rows", rows))
-        assert ids.tolist() == [5, 99, 300]
-        assert np.array_equal(cols["key"], full["key"][ids])
         ids, cols = t.scan(["key"], where=("rows", []))
         assert len(ids) == len(cols["key"]) == 0
+
+    def test_rows_filter_keeps_the_given_order(self):
+        t = make_table(10 * np.arange(20), partitions=2)
+        ids, cols = t.scan(["value"], where=("rows", [15, 3]))
+        assert ids.tolist() == [15, 3]
+        assert cols["value"].tolist() == [150, 30]
+        rng = np.random.default_rng(9)
+        rows = rng.integers(0, 20, size=50)  # repeats and every partition
+        for rows in (rows, np.sort(rows)):
+            ids, cols = t.scan(["key", "value"], where=("rows", rows))
+            assert np.array_equal(ids, rows)
+            assert np.array_equal(cols["key"], rows)
+            assert np.array_equal(cols["value"], 10 * rows)
+
+    def test_rows_filter_rejects_rowids_outside_the_table(self):
+        t = make_table(10 * np.arange(20), partitions=2)
+        for rows in ([-1], [25], [3, 100], [0, -1, 19]):
+            with pytest.raises(IndexError, match="scan rowID out of range"):
+                t.scan(["value"], where=("rows", rows))
 
 
 class TestSortUnique:
@@ -432,16 +484,6 @@ class TestPersistence:
 
 # -- chunked storage -------------------------------------------------------------
 
-def clip_reference(scan_range, lo, hi):
-    """ScanRange.clip as a loop over every interval."""
-    out = []
-    for a, b in scan_range.intervals:
-        a2, b2 = max(a, lo), min(b, hi)
-        if a2 < b2:
-            out.append((a2, b2))
-    return out
-
-
 def table_segments(t):
     """(first rowID, rows, column arrays, zone maps) of every chunk with
     rows, in rowID order."""
@@ -460,49 +502,33 @@ def filter_holds(p, column, k, value):
     return (p.filter_words(column)[k, word[0]] & pattern[0]) == pattern[0]
 
 
-def prune_reference(t, column, predicate):
+def prune_reference(t, column, values):
     """prune_blocks as a loop over every block of every chunk: a block hits
-    when its [min, max] meets the interval, or holds a value of the set
-    that, once the zone maps keep more than CHUNK_BLOCKS blocks, its
-    chunk's filter holds too."""
+    when its [min, max] holds a value that, once the zone maps keep more
+    than CHUNK_BLOCKS blocks, its chunk's filter holds too. Returns the hit
+    count and each partition's (lo, hi, at) runs of hit blocks in a chunk."""
     blocks = []
-    offset = 0
-    for p in t.partitions:
+    for pnum, p in enumerate(t.partitions):
         for k in range(p.nchunks):
-            n = int(p.counts[k])
             for b, (lo_v, hi_v) in enumerate(zip(*p.chunk_minmax(column, k))):
-                if predicate[0] == "interval":
-                    meets = hi_v >= predicate[1] and lo_v <= predicate[2]
-                    inside = [] if meets else None
-                else:
-                    inside = [v for v in predicate[1] if lo_v <= v <= hi_v] or None
-                if inside is not None:
-                    lo = offset + b * t.block_size
-                    rows = (int(lo), int(min(lo + t.block_size, offset + n)))
-                    blocks.append((p, k, inside, rows))
-            offset += n
-    if predicate[0] == "in" and len(blocks) > CHUNK_BLOCKS:
-        blocks = [b for b in blocks
-                  if any(filter_holds(b[0], column, b[1], v) for v in b[2])]
-    return ScanRange.normalized([b[3] for b in blocks])
-
-
-def count_reference(t, scan_range):
-    """count_blocks as a set of touched blocks per segment."""
-    count = 0
-    for offset, n, _, _ in table_segments(t):
-        blocks = set()
-        for lo, hi in clip_reference(scan_range, offset, offset + n):
-            blocks.update(range((lo - offset) // t.block_size,
-                                (hi - 1 - offset) // t.block_size + 1))
-        count += len(blocks)
-    return count
-
-
-def random_range(rng, limit):
-    cuts = np.unique(rng.integers(0, limit + 1, size=2 * int(rng.integers(0, 12))))
-    return ScanRange([(int(a), int(b)) for a, b in zip(cuts[::2], cuts[1::2])
-                      if a < b])
+                inside = [v for v in values if lo_v <= v <= hi_v]
+                if inside:
+                    blocks.append((pnum, k, b, inside))
+    if len(blocks) > CHUNK_BLOCKS:
+        blocks = [blk for blk in blocks if any(
+            filter_holds(t.partitions[blk[0]], column, blk[1], v) for v in blk[3])]
+    spans = [[] for _ in t.partitions]
+    bs = t.block_size
+    for pnum, k, b, _ in blocks:
+        p = t.partitions[pnum]
+        start = int(p.ends[k] - p.counts[k])
+        lo, hi = start + b * bs, start + min((b + 1) * bs, int(p.counts[k]))
+        run = spans[pnum]
+        if run and run[-1][3:] == [k, b - 1]:  # the run goes on
+            run[-1][1], run[-1][4] = hi, b
+        else:
+            run.append([lo, hi, k * p.capacity + b * bs, k, b])
+    return len(blocks), [[r[:3] for r in run] for run in spans]
 
 
 def chunked_table(rng, rows, partitions=3, block_size=4):
@@ -514,13 +540,6 @@ def chunked_table(rng, rows, partitions=3, block_size=4):
 
 
 class TestScanRangeHelpers:
-    def test_clip_matches_loop(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            r = random_range(rng, 200)
-            lo, hi = (int(x) for x in rng.integers(-5, 210, size=2))
-            assert r.clip(lo, hi) == clip_reference(r, lo, hi)
-
     def test_prune_and_count_match_loops(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -528,15 +547,29 @@ class TestScanRangeHelpers:
             assert t.total_blocks() == sum(-(-n // t.block_size)
                                            for _, n, _, _ in table_segments(t))
             for _ in range(10):
-                lo = int(rng.integers(-10, 210))
-                preds = [("interval", lo, lo + int(rng.integers(0, 40))),
-                         ("in", rng.integers(-5, 205, size=int(rng.integers(0, 6))))]
-                for pred in preds:
-                    got = t.prune_blocks("value", pred)
-                    assert got == prune_reference(t, "value", pred), pred
-                    assert t.count_blocks(got) == count_reference(t, got)
-                r = random_range(rng, t.row_count + 20)
-                assert t.count_blocks(r) == count_reference(t, r)
+                values = rng.integers(-5, 205, size=int(rng.integers(0, 6)))
+                count, spans = t.prune_blocks("value", values)
+                want_count, want_spans = prune_reference(t, "value", values)
+                assert count == want_count, values
+                assert [s.tolist() for s in spans] == want_spans, values
+
+    def test_span_scan_matches_filtered_full_scan(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            t = chunked_table(rng, int(rng.integers(0, 700)))
+            full_ids, full_cols = t.scan()
+            for _ in range(10):
+                keys = rng.integers(-5, 205, size=int(rng.integers(0, 8)))
+                match = np.isin(full_cols["value"], keys)
+                # spans of the prune return every match; random ones the
+                # matches they cover
+                for spans in (t.prune_blocks("value", keys)[1], random_spans(rng, t)):
+                    ids, cols = t.scan(["key", "value"],
+                                       where=("in", "value", keys, spans))
+                    want = match & np.isin(full_ids, span_rowids(t, spans))
+                    assert np.array_equal(ids, full_ids[want])
+                    for c in ("key", "value"):
+                        assert np.array_equal(cols[c], full_cols[c][want])
 
 
 def use_backend(backend, monkeypatch):
@@ -706,8 +739,9 @@ class TestChunks:
 def contiguous_pdx1(t):
     """The PDX1 bytes of a table: each partition's rows in order, then the
     zone maps of that contiguous layout."""
-    parts = [t.scan(columns=None, scan_range=ScanRange([(int(a), int(b))]))[1]
-             for a, b in zip(t.partition_offsets()[:-1], t.partition_offsets()[1:])]
+    nparts = len(t.partitions)
+    parts = [t.scan(where=("skip", [() if q == p else None for q in range(nparts)]))[1]
+             for p in range(nparts)]
     header = json.dumps({"schema": [[n, d] for n, d in t.schema],
                          "partitions": [len(p["key"]) for p in parts],
                          "block_size": t.block_size}).encode()
@@ -728,17 +762,10 @@ def check_chunked_state(t, keys, values, rng):
         assert_chunk_summaries(p)
         assert (p.counts >= 1).all() and (p.counts <= p.capacity).all()
         assert (p.counts[:-1] + p.counts[1:] > p.capacity).all()
-    lo = int(rng.integers(-5, 105))
-    for pred in (("interval", lo, lo + int(rng.integers(0, 20))),
-                 ("in", rng.integers(0, 100, size=3))):
+    for probe in (rng.integers(0, 100, size=3), rng.integers(0, 100, size=30)):
         covered = np.zeros(len(values), dtype=bool)
-        for a, b in t.prune_blocks("value", pred).intervals:
-            covered[a:b] = True
-        if pred[0] == "interval":
-            match = (values >= pred[1]) & (values <= pred[2])
-        else:
-            match = np.isin(values, pred[1])
-        assert covered[match].all(), pred
+        covered[span_rowids(t, t.prune_blocks("value", probe)[1])] = True
+        assert covered[np.isin(values, probe)].all(), probe
 
 
 @settings(max_examples=40, deadline=None)
@@ -809,6 +836,20 @@ class TestRouting:
                     np.array([899, 600, 700]),      # last partition only
                     rng.integers(0, 900, size=40)):  # every partition
             assert np.array_equal(t.gather(ids, "value"), values[ids])
+
+    def test_long_ascending_runs_match_unordered_rows(self):
+        # uneven chunks give every chunk its own shift; past 1024 ascending
+        # rows a partition cuts them at its chunk ends instead
+        rng = np.random.default_rng(16)
+        t = chunked_table(rng, 3000)
+        _, full = t.scan()
+        for n in (10, 1500, 6000):
+            rows = np.sort(rng.integers(0, t.row_count, size=n))
+            for ids in (rows, rng.permutation(rows)):
+                assert np.array_equal(t.gather(ids, "value"), full["value"][ids])
+                _, cols = t.scan(["key"], where=("rows", ids))
+                assert np.array_equal(cols["key"], full["key"][ids])
+        assert len({int(s) for p in t.partitions for s in p.shift}) > 3
 
 
 # -- chunk membership filters ------------------------------------------------------
@@ -888,10 +929,9 @@ class TestFilters:
         t.insert_rows({"key": np.arange(5), "value": np.arange(5)})
         t.modify_rows(np.array([7]), {"value": np.array([1])})
         t.delete_rows(np.array([9]))
-        t.prune_blocks("value", ("interval", 0, 10))
         assert all(not p.filters for p in t.partitions)
         assert t.filter_bytes() == 0
-        t.prune_blocks("value", ("in", [3]))
+        t.prune_blocks("value", [3])
         assert all(list(p.filters) == ["value"] for p in t.partitions)
         p = t.partitions[0]
         assert t.filter_bytes() == sum(q.nchunks for q in t.partitions) \
@@ -908,7 +948,7 @@ class TestFilters:
         # block_size 4 gives 64-row chunks, so statements open, condense and
         # reopen chunks
         t = make_table(rng.integers(0, 10**9, size=700), partitions=3, block_size=4)
-        t.prune_blocks("value", ("in", [1]))  # builds the filters
+        t.prune_blocks("value", [1])  # builds the filters
         chunk_counts = set()
         for step in range(300):
             n = t.row_count
@@ -933,17 +973,19 @@ class TestFilters:
         rng = np.random.default_rng(23)
         values = 2 * rng.permutation(200_000)
         t = make_table(values, partitions=4, block_size=256)
-        domain = ("interval", 100_000, 300_000)
-        assert t.prune_blocks("value", domain).row_count() == len(values)
+        for p in t.partitions:
+            for k in range(p.nchunks):
+                mins, maxs = p.chunk_minmax("value", k)
+                assert (mins < 100_000).all() and (maxs > 300_000).all()
         present = values[rng.choice(len(values), size=5, replace=False)]
-        r = t.prune_blocks("value", ("in", present))
+        count, spans = t.prune_blocks("value", present)
         # each present value keeps at most the blocks of its own chunk,
         # plus the filters' false positives
-        assert t.count_blocks(r) <= 6 * CHUNK_BLOCKS
-        ids, _ = t.scan(["value"], scan_range=r)
-        assert np.isin(np.flatnonzero(np.isin(values, present)), ids).all()
+        assert count <= 6 * CHUNK_BLOCKS
+        ids, _ = t.scan(["value"], where=("in", "value", present, spans))
+        assert np.array_equal(ids, np.flatnonzero(np.isin(values, present)))
         # 20 odd values, none in the table: near 0.5% false positives per
         # chunk and value let about a tenth of the chunks through
         absent = 2 * rng.choice(200_000, size=20, replace=False) + 1
-        kept = t.count_blocks(t.prune_blocks("value", ("in", absent)))
+        kept, _ = t.prune_blocks("value", absent)
         assert kept < 0.25 * t.total_blocks()
