@@ -249,9 +249,10 @@ def route_rows(rowids, sizes, what):
 
     Yields (partition number, selection, partition rows) for each
     partition that holds some of the int64 rowIDs, in ascending partition
-    order; the selection picks that partition's rowIDs in their order. A
-    rowID outside [0, sum(sizes)) raises IndexError naming what the rows
-    are for.
+    order; the selection picks that partition's rowIDs in their order: all
+    of them (a slice) when one partition holds every rowID, and otherwise
+    a boolean mask. A rowID outside [0, sum(sizes)) raises IndexError
+    naming what the rows are for.
     """
     if not rowids.size:
         return
@@ -259,17 +260,11 @@ def route_rows(rowids, sizes, what):
     lo, hi = int(rowids.min()), int(rowids.max())
     if lo < 0 or hi >= ends[-1]:
         raise IndexError(f"{what} rowID out of range")
-    first, last = bisect_right(ends, lo), bisect_right(ends, hi)
-    if first == last:  # one partition, as for every insert's rows
+    first = bisect_right(ends, lo)
+    if first == bisect_right(ends, hi):  # as for every insert's rows
         yield first, slice(None), rowids - (ends[first] - sizes[first])
         return
     offsets = np.array([0] + ends)
-    if (rowids[1:] >= rowids[:-1]).all():  # ascending: a slice each
-        cuts = np.searchsorted(rowids, offsets[first:last + 2]).tolist()
-        for p, a, b in zip(range(first, last + 1), cuts, cuts[1:]):
-            if a < b:
-                yield p, slice(a, b), rowids[a:b] - offsets[p]
-        return
     part = np.searchsorted(offsets, rowids, side="right") - 1
     for p in np.flatnonzero(np.bincount(part)).tolist():
         sel = part == p
@@ -624,7 +619,8 @@ class ColumnTable:
     def scan(self, columns=None, where=None):
         """Materialize rows as (rowids, column dict).
 
-        where is an optional filter:
+        where is an optional filter. Each form holds one entry per
+        partition, and a None entry leaves that partition unread:
 
         - ("in", column, keys[, spans]): rows whose column value occurs in
           keys. spans, one (lo, hi, at) array per partition as
@@ -632,76 +628,70 @@ class ColumnTable:
           spans that leave their chunks raise ValueError (see
           ``Partition.check_spans``). Without spans every chunk is probed;
         - ("skip", rows): every row but the ascending, distinct partition
-          rows rows[p] of each partition p whose entry is not None; a
-          None entry leaves partition p unread;
-        - ("rows", rowids): the rows at the given global rowIDs, in their
-          order; a rowID outside the table raises IndexError.
+          rows rows[p] of each partition p;
+        - ("take", rows): the ascending, distinct partition rows rows[p] of
+          each partition p; other rows raise ValueError.
 
+        A list whose length is not the partition count raises ValueError.
         The scan finds the kept rows of every partition first, then sizes
         the output arrays and writes each partition's rows straight into
-        their slice: a gather at the kept positions for "in", and otherwise
-        one gap copy per column (``compact``) of the runs between skipped
-        rows, which also writes the rowIDs. "rows" gathers like ``gather``.
+        their slice: for "skip" one gap copy per column (``compact``) of
+        the runs between skipped rows, which also writes the rowIDs, and
+        otherwise a gather at the kept rows' buffer positions.
         """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
-        kind = where[0] if where is not None else None
-        if kind == "rows":
-            rowids = np.array(where[1], dtype=np.int64)
-            return rowids, self._gather(rowids, columns, "scan")
+        kind, rows = (where[:2] if where is not None
+                      else ("skip", [()] * len(self.partitions)))
         if kind == "in":
             _, where_col, keys, *spans = where
             self._check_columns([where_col])
             member = membership(sort_unique(keys),
                                 np.dtype(dict(self.schema)[where_col]))
-            spans = spans[0] if spans else [p.spans() for p in self.partitions]
-            if len(spans) != len(self.partitions):
-                raise ValueError("spans must hold one array per partition")
-        elif kind not in (None, "skip"):
+            rows = spans[0] if spans else [p.spans() for p in self.partitions]
+        elif kind not in ("skip", "take"):
             raise ValueError(f"unknown scan filter {where!r}")
-        # per partition: ("copy", partition, first rowID, spans, skipped
-        # rows) or ("take", partition, kept rowIDs, their buffer positions)
+        if len(rows) != len(self.partitions):
+            raise ValueError(f"{kind} filter needs one entry per partition")
+        # per partition: (partition, first rowID, skipped or kept rows)
         plans, total, part_lo = [], 0, 0
-        for pnum, p in enumerate(self.partitions):
-            if kind == "in":
-                ranges = np.asarray(spans[pnum], dtype=np.int64).reshape(-1, 3)
-                triples = ranges.tolist()
-                p.check_spans(triples)
-                if triples:
+        for p, sel in zip(self.partitions, rows):
+            if sel is not None:
+                # compact checks skipped rows against the partition's spans
+                local = np.asarray(sel, dtype=np.int64)
+                if kind == "in":
+                    triples = local.reshape(-1, 3).tolist()
+                    p.check_spans(triples)
                     flat = p.chunks[where_col].reshape(-1)
-                    local = [lo + member(flat[at:at + hi - lo])
-                             for lo, hi, at in triples]
-                    n = [len(x) for x in local]
-                    local = np.concatenate(local)
-                    plans.append(("take", p, local + part_lo, local + np.repeat(
-                        ranges[:, 2] - ranges[:, 0], n)))
-                    total += len(local)
-            else:
-                skip = where[1][pnum] if kind == "skip" else ()
-                if skip is not None and p.nrows:
-                    # compact checks the skipped rows against the spans
-                    skip = np.asarray(skip, dtype=np.int64)
-                    plans.append(("copy", p, part_lo, p.spans(), skip))
-                    total += p.nrows - len(skip)
+                    local = np.concatenate([lo + member(flat[at:at + hi - lo])
+                                            for lo, hi, at in triples]
+                                           + [np.zeros(0, dtype=np.int64)])
+                elif kind == "take" and local.size and (
+                        local[0] < 0 or local[-1] >= p.nrows
+                        or (local[1:] <= local[:-1]).any()):
+                    raise ValueError("take rows must ascend without repeats "
+                                     "inside their partition")
+                if kind == "skip" or len(local):
+                    plans.append((p, part_lo, local))
+                total += p.nrows - len(local) if kind == "skip" else len(local)
             part_lo += p.nrows
         ids = np.empty(total, dtype=np.int64)
         out = {c: np.empty(total, dtype=dict(self.schema)[c]) for c in columns}
         o = 0
-        for how, p, *args in plans:
-            if how == "copy":
-                base, ranges, skip = args
+        for p, base, local in plans:
+            if kind == "skip":
                 pairs = [(ids[o:], None)] + [(out[c][o:], p.chunks[c].reshape(-1))
                                              for c in columns]
-                o += compact(pairs, ranges, skip, base)
-            else:
-                kept, pos = args
-                n = len(kept)
-                ids[o:o + n] = kept
-                for c in columns:
-                    # positions come from the partition's checked spans
-                    np.take(p.chunks[c].reshape(-1), pos, out=out[c][o:o + n],
-                            mode="clip")
-                o += n
+                o += compact(pairs, p.spans(), local, base)
+                continue
+            n = len(local)
+            pos = p.positions(local)
+            np.add(local, base, out=ids[o:o + n])
+            for c in columns:
+                # checked rows are inside the buffers; "raise" would buffer out
+                np.take(p.chunks[c].reshape(-1), pos, out=out[c][o:o + n],
+                        mode="clip")
+            o += n
         return ids, out
 
     # -- block pruning ----------------------------------------------------------
@@ -782,24 +772,12 @@ class ColumnTable:
             p.modify_rows(local, {c: np.asarray(v)[sel] for c, v in updates.items()})
 
     def gather(self, rowids, column):
-        """Values of one column at arbitrary rowIDs."""
+        """Values of one column at arbitrary rowIDs, in their order; a
+        rowID outside the table raises IndexError."""
         rowids = np.asarray(rowids, dtype=np.int64)
-        return self._gather(rowids, [column], "gather")[column]
-
-    def _gather(self, rowids, columns, what):
-        """Columns at int64 rowIDs, in their order; out-of-range rowIDs
-        raise IndexError naming what the rows are for."""
-        out = {c: np.empty(len(rowids), dtype=dict(self.schema)[c])
-               for c in columns}
-        for p, sel, local in self._route(rowids, what):
-            pos = p.positions(local)
-            for c in columns:
-                values = p.chunks[c].reshape(-1)
-                if isinstance(sel, slice):  # ascending rowIDs
-                    # routed rows are in range; "raise" would buffer out
-                    np.take(values, pos, out=out[c][sel], mode="clip")
-                else:
-                    out[c][sel] = values[pos]
+        out = np.empty(len(rowids), dtype=dict(self.schema)[column])
+        for p, sel, local in self._route(rowids, "gather"):
+            out[sel] = p.take(column, local)
         return out
 
     def delete_rows(self, descending_rowids):

@@ -265,9 +265,10 @@ class PatchIndex:
     def from_patches(cls, constraint, patch_rows, row_count, *,
                      store="bitmap", shard_size_bits=DEFAULT_SHARD_BITS,
                      last_sorted_value=None):
-        s = make_store(store, row_count, shard_size_bits)
-        s.add(np.asarray(patch_rows, dtype=np.int64))
-        return cls(constraint, s, row_count, last_sorted_value)
+        index = cls(constraint, make_store(store, row_count, shard_size_bits),
+                    row_count, last_sorted_value)
+        index.add_patches(patch_rows)
+        return index
 
     @property
     def patch_count(self):
@@ -291,14 +292,28 @@ class PatchIndex:
         """Highest non-patch rowID, or None when every row is a patch."""
         return self.store.last_non_patch(self.row_count)
 
+    # the mutators check their rows here, once for both stores, before
+    # the store changes
+
+    def _rows(self, rows, what):
+        """rows as an int64 array; a row outside [0, row_count) raises
+        IndexError."""
+        rows = np.asarray(rows, dtype=np.int64)
+        # as uint64 a negative row lies past any row count: one reduction
+        if rows.size and rows.view(np.uint64).max() >= self.row_count:
+            raise IndexError(f"{what} rowID out of range")
+        return rows
+
     def add_patches(self, rows):
-        self.store.add(rows)
+        self.store.add(self._rows(rows, "add_patches"))
 
     def remove_patches(self, rows):
-        self.store.remove(rows)
+        self.store.remove(self._rows(rows, "remove_patches"))
 
     def drop_rows(self, descending_rows):
         rows = np.asarray(descending_rows, dtype=np.int64)
+        if (rows[1:] >= rows[:-1]).any():
+            raise ValueError("drop_rows rowIDs must be strictly descending")
         if rows.size == 0:
             return
         if rows[0] >= self.row_count or rows[-1] < 0:

@@ -381,12 +381,14 @@ class Executor:
 
         A scan reads one partition or all of them. exclude_patches copies
         the runs of rows between each partition's patch rows; use_patches
-        gathers the patch rows by rowID, so its cost follows the patch
-        count.
+        gathers the patch rows, so its cost follows the patch count. Both
+        hand the stores' partition rows to the scan as they are.
         """
         table, index = node.table, node.index
         nparts = len(table.partitions)
         parts = range(nparts) if node.partition is None else [node.partition]
+        if node.mode not in ("all", "use_patches", "exclude_patches"):
+            raise ValueError(f"unknown scan mode {node.mode!r}")
         if node.mode != "all":
             if index is None:
                 raise ValueError("patch scan modes require an index")
@@ -394,16 +396,12 @@ class Executor:
             if sizes != [p.nrows for p in table.partitions]:
                 raise ValueError(f"index partitions cover {sizes} rows, table "
                                  f"partitions {[p.nrows for p in table.partitions]}")
-        if node.mode == "use_patches":
-            offsets = table.partition_offsets()
-            where = ("rows", np.concatenate(
-                [self._patch_rows(index, p) + offsets[p] for p in parts]))
-        else:
-            skip = {p: self._patch_rows(index, p)
-                    if node.mode == "exclude_patches" else () for p in parts}
-            # None: a partition the scan does not read
-            where = ("skip", [skip.get(p) for p in range(nparts)])
-        ids, cols = table.scan(node.columns, where=where)
+        rows = {p: () if node.mode == "all" else self._patch_rows(index, p)
+                for p in parts}
+        kind = "take" if node.mode == "use_patches" else "skip"
+        # None: a partition the scan does not read
+        ids, cols = table.scan(node.columns,
+                               where=(kind, [rows.get(p) for p in range(nparts)]))
         out = {"rowid": ids}
         out.update(cols)
         return Relation(out)

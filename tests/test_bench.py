@@ -279,3 +279,27 @@ class TestPlanProfile:
             assert len(lines) == len(nodes)
             for node, line in zip(nodes, lines):
                 assert line.lstrip().startswith(self.LABELS[node.op])
+
+
+class TestBenchTrajectory:
+    @staticmethod
+    def make_tree(root, kernel):
+        pkg = root / "src" / "patchindex"
+        (pkg / "__pycache__").mkdir(parents=True)
+        (pkg / "column_store.py").write_text("X = 1\n")
+        (pkg / "_native.c").write_text(kernel)
+        return pkg
+
+    def test_src_digest_tells_kernel_only_changes_apart(self, tmp_path):
+        digest = _load_tool("bench_trajectory").src_digest
+        self.make_tree(tmp_path / "a", "int f(void) { return 1; }\n")
+        self.make_tree(tmp_path / "b", "int f(void) { return 2; }\n")
+        same = self.make_tree(tmp_path / "same", "int f(void) { return 1; }\n")
+        assert digest(tmp_path / "a") != digest(tmp_path / "b")
+        assert digest(tmp_path / "a") == digest(tmp_path / "same")
+        # bytecode caches are build output, not source
+        (same / "__pycache__" / "x.pyc").write_bytes(b"\0")
+        assert digest(tmp_path / "a") == digest(tmp_path / "same")
+        # a file's name counts as well as its bytes
+        (same / "_native.c").rename(same / "_kernels.c")
+        assert digest(tmp_path / "same") != digest(tmp_path / "a")

@@ -360,13 +360,15 @@ class TestRowFilters:
         # any read of the None entries' partitions but their row count fails
         t.partitions = [Unread(parts[0].nrows), parts[1], Unread(parts[2].nrows)]
         skip = np.array([0, 7, 8, 99])
-        want = 100 + np.delete(np.arange(100), skip)
+        kept = np.delete(np.arange(100), skip)
         for lib in (_native.lib, None):
             monkeypatch.setattr(_native, "lib", lib)
-            ids, cols = t.scan(["key", "value"], where=("skip", [None, skip, None]))
-            assert np.array_equal(ids, want)
-            for c in ("key", "value"):
-                assert np.array_equal(cols[c], full[c][want]), c
+            for where, want in ((("skip", [None, skip, None]), 100 + kept),
+                                (("take", [None, skip, None]), 100 + skip)):
+                ids, cols = t.scan(["key", "value"], where=where)
+                assert np.array_equal(ids, want)
+                for c in ("key", "value"):
+                    assert np.array_equal(cols[c], full[c][want]), c
 
     def test_skip_rows_checked(self, monkeypatch):
         t, _ = self._table()
@@ -379,33 +381,63 @@ class TestRowFilters:
                 with pytest.raises(ValueError):
                     t.scan(["value"], where=("skip", skips))
 
-    def test_rows_filter(self):
+    def test_take_filter(self):
         t, full = self._table()
-        rows = np.array([0, 5, 99, 100, 199, 200, 299, 300, 309])
-        ids, cols = t.scan(["key", "value"], where=("rows", rows))
-        assert np.array_equal(ids, rows)
-        assert np.array_equal(cols["value"], full["value"][rows])
-        ids, cols = t.scan(["key"], where=("rows", []))
+        rng = np.random.default_rng(2)
+        masks = [rng.random(p.nrows) < 0.4 for p in t.partitions]
+        keep = np.concatenate(masks)
+        ids, cols = t.scan(["key", "value"],
+                           where=("take", [np.flatnonzero(m) for m in masks]))
+        assert np.array_equal(ids, np.flatnonzero(keep))
+        for c in ("key", "value"):
+            assert np.array_equal(cols[c], full[c][keep]), c
+        ids, cols = t.scan(["key"], where=("take", [(), [], None]))
         assert len(ids) == len(cols["key"]) == 0
 
-    def test_rows_filter_keeps_the_given_order(self):
-        t = make_table(10 * np.arange(20), partitions=2)
-        ids, cols = t.scan(["value"], where=("rows", [15, 3]))
-        assert ids.tolist() == [15, 3]
-        assert cols["value"].tolist() == [150, 30]
-        rng = np.random.default_rng(9)
-        rows = rng.integers(0, 20, size=50)  # repeats and every partition
-        for rows in (rows, np.sort(rows)):
-            ids, cols = t.scan(["key", "value"], where=("rows", rows))
-            assert np.array_equal(ids, rows)
-            assert np.array_equal(cols["key"], rows)
-            assert np.array_equal(cols["value"], 10 * rows)
+    def test_take_matches_filtered_full_scan(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            t = chunked_table(rng, int(rng.integers(0, 700)))
+            full_ids, full_cols = t.scan()
+            offsets = t.partition_offsets()
+            want = np.zeros(t.row_count, dtype=bool)
+            take = []
+            for p, lo in zip(t.partitions, offsets.tolist()):
+                pick = rng.integers(0, 4)  # None, empty, sparse or dense rows
+                rows = (None if pick == 0 else np.flatnonzero(
+                    rng.random(p.nrows) < (0, 0, 0.1, 0.9)[pick]))
+                if rows is not None:
+                    want[lo + rows] = True
+                take.append(rows)
+            ids, cols = t.scan(["key", "value"], where=("take", take))
+            assert np.array_equal(ids, full_ids[want])
+            for c in ("key", "value"):
+                assert np.array_equal(cols[c], full_cols[c][want])
 
-    def test_rows_filter_rejects_rowids_outside_the_table(self):
-        t = make_table(10 * np.arange(20), partitions=2)
-        for rows in ([-1], [25], [3, 100], [0, -1, 19]):
-            with pytest.raises(IndexError, match="scan rowID out of range"):
-                t.scan(["value"], where=("rows", rows))
+    def test_filter_lists_checked(self, monkeypatch):
+        # partitions of 5, 0 and 5 rows
+        t = ColumnTable.from_partitions(
+            [{"key": np.arange(a, b), "value": 10 * np.arange(a, b)}
+             for a, b in ((0, 5), (5, 5), (5, 10))], block_size=4)
+        assert [p.nrows for p in t.partitions] == [5, 0, 5]
+        for lib in (_native.lib, None):
+            monkeypatch.setattr(_native, "lib", lib)
+            for kind in ("skip", "take"):
+                for rows in ([(), ()], [(), (), (), ()], []):
+                    with pytest.raises(ValueError, match="one entry per partition"):
+                        t.scan(["value"], where=(kind, rows))
+            with pytest.raises(ValueError):
+                t.scan(["value"], where=("skip", [(), [0, 3], ()]))
+            for bad in ([5], [-1], [3, 1], [2, 2]):
+                with pytest.raises(ValueError, match="take rows"):
+                    t.scan(["value"], where=("take", [(), (), bad]))
+            with pytest.raises(ValueError, match="take rows"):
+                t.scan(["value"], where=("take", [(), [0], ()]))
+            ids, cols = t.scan(["value"], where=("take", [[4], (), [0, 4]]))
+            assert ids.tolist() == [4, 5, 9]
+            assert cols["value"].tolist() == [40, 50, 90]
+            ids, _ = t.scan(["value"], where=("skip", [[0, 4], (), [1]]))
+            assert ids.tolist() == [1, 2, 3, 5, 7, 8, 9]
 
 
 class TestSortUnique:
@@ -841,14 +873,21 @@ class TestRouting:
         # uneven chunks give every chunk its own shift; past 1024 ascending
         # rows a partition cuts them at its chunk ends instead
         rng = np.random.default_rng(16)
-        t = chunked_table(rng, 3000)
+        t = chunked_table(rng, 9000)
         _, full = t.scan()
+        offsets = t.partition_offsets()
         for n in (10, 1500, 6000):
             rows = np.sort(rng.integers(0, t.row_count, size=n))
             for ids in (rows, rng.permutation(rows)):
                 assert np.array_equal(t.gather(ids, "value"), full["value"][ids])
-                _, cols = t.scan(["key"], where=("rows", ids))
-                assert np.array_equal(cols["key"], full["key"][ids])
+            # a take scan's rows ascend without repeats
+            ids = sort_unique(rows)
+            take = [ids[(ids >= a) & (ids < b)] - a
+                    for a, b in zip(offsets.tolist(), offsets[1:].tolist())]
+            assert (max(map(len, take)) > 1024) == (n == 6000)
+            got, cols = t.scan(["key"], where=("take", take))
+            assert np.array_equal(got, ids)
+            assert np.array_equal(cols["key"], full["key"][ids])
         assert len({int(s) for p in t.partitions for s in p.shift}) > 3
 
 

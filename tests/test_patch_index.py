@@ -175,6 +175,26 @@ class TestStores:
                 idx.drop_rows(dropped)
                 assert np.array_equal(idx.store.patch_rows(), expected)
 
+    @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
+    def test_partition_rows_checked_before_any_change(self, store):
+        idx = PatchIndex.from_patches(NUC, [2, 5, 8], 10, store=store)
+        for method, rows, error in (("drop_rows", [1, 6], ValueError),
+                                    ("drop_rows", [6, 6], ValueError),
+                                    ("drop_rows", [10, 3], IndexError),
+                                    ("drop_rows", [3, -1], IndexError),
+                                    ("add_patches", [12], IndexError),
+                                    ("add_patches", [3, -1], IndexError),
+                                    ("remove_patches", [10], IndexError)):
+            with pytest.raises(error):
+                getattr(idx, method)(np.array(rows))
+            assert idx.store.patch_rows().tolist() == [2, 5, 8], (method, rows)
+            assert idx.row_count == 10
+        with pytest.raises(IndexError):
+            PatchIndex.from_patches(NUC, [3, 10], 10, store=store)
+        idx.drop_rows(np.array([6, 1]))
+        assert idx.store.patch_rows().tolist() == [1, 4, 6]
+        assert idx.row_count == 8
+
 
 def mask_last_non_patch(idx):
     """Reference tail lookup: unpack the whole patch mask."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchindex import _native
+from patchindex import _native, column_store
 from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, SortOrder,
                                     build_index)
@@ -159,6 +159,11 @@ class TestScanModes:
         with pytest.raises(ValueError):
             execute(scan_node(t2, ["value"], mode="use_patches", index=idx))
 
+    def test_unknown_mode_rejected(self):
+        t, idx = indexed([1, 2, 3], NUC)
+        with pytest.raises(ValueError, match="unknown scan mode"):
+            execute(scan_node(t, ["value"], mode="patches", index=idx))
+
     def test_single_partition_scan(self):
         t = make_table(np.arange(10), partitions=2)
         rel = execute(qe.PlanNode("scan", table=t, columns=["value"], partition=1))
@@ -220,6 +225,46 @@ def test_patch_split_scan_with_lost_bits():
     assert all(p.store._bits.lost_bits > 0 for p in idx.partitions)
     assert 0 < idx.patch_count < t.row_count
     split_scan_matches_mask(t, idx)
+
+
+@pytest.mark.parametrize("store", ["bitmap", "identifiers"])
+def test_rewrites_read_partition_rows_without_routing(store, monkeypatch):
+    # the patch flows hand each store's partition rows to the scans, so no
+    # rowID is routed; small shards and deletes leave the bitmaps lost bits
+    rng = np.random.default_rng(11)
+    n, nparts = 3000, 3
+    values = {"nuc": rng.integers(0, 2000, size=n), "nsc": nearly_sorted(n, 300)}
+    t = ColumnTable.from_partitions(
+        [{"key": k, "nuc": a, "nsc": b} for k, a, b in zip(
+            np.array_split(np.arange(n), nparts), np.array_split(values["nuc"], nparts),
+            np.array_split(values["nsc"], nparts))], block_size=64)
+    idx = {c: build_index([p.columns[c] for p in t.partitions], constraint, c,
+                          store=store, shard_size_bits=128)
+           for c, constraint in (("nuc", NUC), ("nsc", NSC_ASC))}
+    rows = np.sort(rng.choice(n, size=400, replace=False))[::-1]
+    t.delete_rows(rows)
+    for i in idx.values():
+        i.drop_rows(rows)
+    if store == "bitmap":
+        assert all(p.store._bits.lost_bits > 0 for p in idx["nsc"].partitions)
+    dim = ColumnTable.from_partitions([{
+        "value": np.arange(n, dtype=np.int64),
+        "payload": np.arange(n, dtype=np.int64) * 7}])
+
+    def no_routing(*args):
+        raise AssertionError("a rewritten plan routed rowIDs")
+
+    monkeypatch.setattr(column_store, "route_rows", no_routing)
+    distinct = distinct_node(scan_node(t, ["nuc"]), "nuc")
+    a, b = execute(distinct), execute(rewrite_distinct(distinct, idx["nuc"]))
+    assert sorted(b.columns["nuc"].tolist()) == a.columns["nuc"].tolist()
+    sort = sort_node(scan_node(t, ["key", "nsc"]), "nsc")
+    a, b = execute(sort), execute(rewrite_sort(sort, idx["nsc"]))
+    assert np.array_equal(a.columns["nsc"], b.columns["nsc"])
+    join = hash_join_node(scan_node(t, ["nsc"]), scan_node(dim, ["value", "payload"]),
+                          "nsc", "value")
+    a, b = execute(join), execute(rewrite_join(join, idx["nsc"]))
+    assert result_checksum(a) == result_checksum(b)
 
 
 def merge_join_oracle(lk, rk):

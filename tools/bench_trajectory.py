@@ -4,8 +4,10 @@ Runs ``perfbench/run.py --trace 0`` once per seed in each given checkout
 and appends one entry per checkout to BENCH_<workload>.json at the root of
 this repository. An entry holds the median, quartiles and IQR of every
 end-to-end metric over the seeds, the per-seed values, the run's
-environment fingerprint, the checkout's git revision and the kernel
-backend that ``patchindex._native`` loads there. Within each seed the
+environment fingerprint, the checkout's git revision, a digest of its
+package source (``src_digest``), which tells apart checkouts of one
+revision with different uncommitted changes, and the kernel backend that
+``patchindex._native`` loads there. Within each seed the
 checkouts run one after another, and the order alternates from seed to
 seed, so that a slow phase of the machine lands on both sides of a
 comparison. With two checkouts it also prints, per metric, in how many
@@ -19,6 +21,7 @@ repository names the metrics and which direction is better.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -36,15 +39,31 @@ def _run(cmd, cwd):
                           capture_output=True, check=True).stdout
 
 
+def src_digest(checkout):
+    """SHA-256 over the relative path and bytes of every file under the
+    checkout's src/patchindex/, bytecode caches aside: trees that differ
+    in any source file, _native.c included, get different digests."""
+    root = Path(checkout) / "src" / "patchindex"
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        rel = path.relative_to(root)
+        if path.is_file() and "__pycache__" not in rel.parts:
+            digest.update(rel.as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def describe(checkout):
-    """Git revision, whether src/ differs from it, and the kernel backend."""
+    """Git revision, whether src/ differs from it, the digest of the
+    package source and the kernel backend."""
     rev = _run(["git", "rev-parse", "HEAD"], checkout).strip()
     dirty = bool(_run(["git", "status", "--porcelain", "--", "src"], checkout).strip())
     backend = _run([sys.executable, "-c",
                     "import sys; sys.path.insert(0, 'src'); "
                     "from patchindex import _native; print(_native.BACKEND)"],
                    checkout).strip().splitlines()[-1]
-    return {"git_rev": rev, "src_modified": dirty, "kernel_backend": backend}
+    return {"git_rev": rev, "src_modified": dirty,
+            "src_digest": src_digest(checkout), "kernel_backend": backend}
 
 
 def run_once(checkout, workload, seed, seconds):
