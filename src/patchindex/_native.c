@@ -1,14 +1,16 @@
-/* Compiled inner loops: shard-local bit deletion, column membership, chunk
- * Bloom filters, the merge join, the hash join, the k-way merge of sorted
- * streams, the gap copy of a chunk's rows around skipped rows and
- * longest-sorted-subsequence discovery.
+/* Compiled inner loops: shard-local bit deletion, one bulk delete per
+ * bitmap, column membership, chunk Bloom filters, the merge join, the hash
+ * join, the k-way merge of sorted streams, the gap copy of a chunk's rows
+ * around skipped rows, the delete of a partition's rows with its zone-map
+ * refresh and longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
  * are safe. The Python side (patchindex._native) builds this file with the
  * system C compiler and calls it through ctypes, which releases the GIL for
- * the duration of each call. All bounds, dtypes and contiguity are validated
- * in Python first.
+ * the duration of each call. Dtypes and contiguity are validated in Python
+ * first; the kernels that take row or bit positions check them themselves,
+ * before they write anything.
  */
 
 #include <stdint.h>
@@ -120,17 +122,62 @@ void pi_delete(const struct delete_args *a)
         starts[j]--;
 }
 
-/* Shard groups [g0, g1) of a bulk delete. Group g deletes the descending
- * in-shard offsets offsets[lo[g]:hi[g]] from the words
- * [base[g], base[g]+nwords[g]). */
-void pi_delete_groups(uint64_t *words, const int64_t *offsets,
-                      const int64_t *lo, const int64_t *hi,
-                      const int64_t *base, const int64_t *nwords,
-                      int64_t g0, int64_t g1, int lanes)
+/* Phases of pi_bulk_delete. */
+#define BULK_SHIFT 1  /* shift every position out of its shard */
+#define BULK_STARTS 2 /* decrement the start values of the later shards */
+
+/* Bulk delete of the strictly descending logical positions pos[0:n], the
+ * same as pi_delete per position in order. Checks the positions first and
+ * returns, before writing anything, -2 when pos[0] >= logical_len or
+ * pos[n-1] < 0 and -1 when they do not strictly descend; returns 0 after
+ * running the given phases.
+ *
+ * BULK_SHIFT walks the positions down through their owning shards, each
+ * found from the last one by stepping down the start values, and shifts
+ * each shard's live words once per position in it. It reads the start
+ * values and writes only the words of the positions' shards, so calls on
+ * positions of disjoint shards may run at once. BULK_STARTS then takes
+ * from each start value the count of positions below it, in one pass
+ * from the shard of the lowest position up. */
+int64_t pi_bulk_delete(const struct delete_args *a, const int64_t *pos,
+                       int64_t n, int phases)
 {
-    for (int64_t g = g0; g < g1; g++)
-        multi_delete(words, base[g], nwords[g], offsets + lo[g],
-                     hi[g] - lo[g], lanes);
+    if (n == 0)
+        return 0;
+    if (pos[0] >= a->logical_len || pos[n - 1] < 0)
+        return -2;
+    for (int64_t t = 1; t < n; t++)
+        if (pos[t] >= pos[t - 1])
+            return -1;
+    int64_t *starts = a->starts;
+    const int64_t ns = a->nstarts;
+    if (phases & BULK_SHIFT) {
+        int64_t i = pos[0] >> a->log2_shard;
+        while (i + 1 < ns && starts[i + 1] <= pos[0])
+            i++;
+        for (int64_t t = 0; t < n;) {
+            while (starts[i] > pos[t])
+                i--;
+            const int64_t s = starts[i];
+            const int64_t end = i + 1 < ns ? starts[i + 1] : a->logical_len;
+            const int64_t base = i * a->wps, nwords = (end - s + 63) >> 6;
+            for (; t < n && pos[t] >= s; t++) {
+                const int64_t off = pos[t] - s;
+                multi_delete(a->words, base, nwords, &off, 1, a->lanes != 0);
+            }
+        }
+    }
+    if (phases & BULK_STARTS) {
+        int64_t j = (pos[n - 1] >> a->log2_shard) + 1, t = n;
+        while (j < ns && starts[j] <= pos[n - 1])
+            j++;
+        for (; j < ns; j++) {
+            while (t > 0 && pos[t - 1] < starts[j])
+                t--;
+            starts[j] -= n - t;
+        }
+    }
+    return 0;
 }
 
 /* Membership filter: a bit array over a multiplicative hash of the keys,
@@ -485,15 +532,7 @@ static inline char *copy_rows(char *d, const char *src, int64_t itemsize,
     return d + bytes;
 }
 
-/* Gap copy: writes to dst, in order, the rows of the nranges ranges except
- * the m skipped rows skip[], and returns how many rows it wrote.
- *
- * Range r is ranges[3r:3r+3] = (lo, hi, at): rows [lo, hi), whose row lo
- * is item at of src, items of itemsize bytes. Ranges ascend without
- * overlap, and skip[] ascends without repeats, each row inside a range.
- * A NULL src stands for the int64 row numbers plus base (rowIDs). dst ==
- * src compacts in place; otherwise the two must not overlap. Returns -1,
- * before writing anything, when ranges or skip[] break the contract.
+/* The copy of pi_compact, on ranges and skip[] that keep its contract.
  *
  * Between skipped rows that lie far apart, each run is one memmove. Where
  * they lie close together, a memmove per run costs more than the bytes it
@@ -503,24 +542,10 @@ static inline char *copy_rows(char *d, const char *src, int64_t itemsize,
  * is written to the next free slot, which only a kept row claims. The
  * loop stops before the range's trailing stretch of skipped rows, on a
  * kept row, so no write passes the kept rows. */
-int64_t pi_compact(char *dst, const char *src, int64_t itemsize,
-                   const int64_t *ranges, int64_t nranges, const int64_t *skip,
-                   int64_t m, int64_t base)
+static void gap_copy(char *dst, const char *src, int64_t itemsize,
+                     const int64_t *ranges, int64_t nranges,
+                     const int64_t *skip, int64_t m, int64_t base)
 {
-    /* skip[] ascends, and the ranges hold all of it between them */
-    int unsorted = 0;
-    for (int64_t i = 1; i < m; i++)
-        unsorted |= skip[i] <= skip[i - 1];
-    int64_t rows = 0, inside = 0;
-    for (int64_t r = 0; r < nranges; r++) {
-        const int64_t lo = ranges[3 * r], hi = ranges[3 * r + 1];
-        if (hi < lo || (r > 0 && lo < ranges[3 * r - 2]))
-            return -1;
-        rows += hi - lo;
-        inside += lower_bound(skip, m, hi) - lower_bound(skip, m, lo);
-    }
-    if (unsorted || inside != m)
-        return -1;
     uint8_t gone[MARK_ROWS];
     const int rowwise = src == NULL || itemsize == 8;
     const int64_t *s64 = (const int64_t *)src;
@@ -568,7 +593,137 @@ int64_t pi_compact(char *dst, const char *src, int64_t itemsize,
         }
         d = copy_rows(d, src, itemsize, lo, at, x, hi, base);
     }
+}
+
+/* Gap copy: writes to dst, in order, the rows of the nranges ranges except
+ * the m skipped rows skip[], and returns how many rows it wrote.
+ *
+ * Range r is ranges[3r:3r+3] = (lo, hi, at): rows [lo, hi), whose row lo
+ * is item at of src, items of itemsize bytes. Ranges ascend without
+ * overlap, and skip[] ascends without repeats, each row inside a range.
+ * A NULL src stands for the int64 row numbers plus base (rowIDs). dst ==
+ * src compacts in place; otherwise the two must not overlap. Returns -1,
+ * before writing anything, when ranges or skip[] break the contract. */
+int64_t pi_compact(char *dst, const char *src, int64_t itemsize,
+                   const int64_t *ranges, int64_t nranges, const int64_t *skip,
+                   int64_t m, int64_t base)
+{
+    /* skip[] ascends, and the ranges hold all of it between them */
+    int unsorted = 0;
+    for (int64_t i = 1; i < m; i++)
+        unsorted |= skip[i] <= skip[i - 1];
+    int64_t rows = 0, inside = 0;
+    for (int64_t r = 0; r < nranges; r++) {
+        const int64_t lo = ranges[3 * r], hi = ranges[3 * r + 1];
+        if (hi < lo || (r > 0 && lo < ranges[3 * r - 2]))
+            return -1;
+        rows += hi - lo;
+        inside += lower_bound(skip, m, hi) - lower_bound(skip, m, lo);
+    }
+    if (unsorted || inside != m)
+        return -1;
+    gap_copy(dst, src, itemsize, ranges, nranges, skip, m, base);
     return rows - m;
+}
+
+/* Zone maps of the blocks [b0, b1) of one chunk's int64 rows v[0:n]:
+ * block b covers rows [b * bs, min((b + 1) * bs, n)). The build targets
+ * the x86-64 baseline, which has no 64-bit integer min or max, so where
+ * the compiler can clone a function for the CPU found at load time
+ * (GCC's and Clang's target_clones, through glibc's ifunc), the loop gets
+ * AVX-512 and AVX2 clones. Integer min and max give the same zone maps on
+ * every clone. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define ZONE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef ZONE_CLONES
+#define ZONE_CLONES
+#endif
+
+ZONE_CLONES
+static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
+                         int64_t b1, int64_t *mins, int64_t *maxs)
+{
+    for (int64_t b = b0; b < b1; b++) {
+        const int64_t *x = v + b * bs;
+        const int64_t len = n - b * bs < bs ? n - b * bs : bs;
+        int64_t lo = x[0], hi = x[0];
+        for (int64_t i = 1; i < len; i++) {
+            lo = x[i] < lo ? x[i] : lo;
+            hi = x[i] > hi ? x[i] : hi;
+        }
+        mins[b] = lo;
+        maxs[b] = hi;
+    }
+}
+
+/* Argument block of pi_delete_rows, kept per partition on the Python side
+ * and rebuilt when its buffers grow. Mirrors
+ * patchindex._native.DeleteRowsArgs. */
+struct delete_rows_args {
+    char *const *bufs;          /* ncols (slots, capacity) column buffers */
+    const int64_t *itemsizes;   /* bytes per item of each column */
+    int64_t ncols;
+    int64_t *const *mins;       /* nzones (slots, chunk_blocks) zone maps */
+    int64_t *const *maxs;
+    const int64_t *zone_cols;   /* the int64 column of each zone map */
+    int64_t nzones;
+    int64_t capacity;           /* rows per chunk */
+    int64_t block_size;         /* rows per zone-map block */
+    int64_t chunk_blocks;       /* blocks per chunk */
+};
+
+/* Delete the strictly ascending partition rows rows[0:m] from a partition
+ * of nchunks chunks; chunk k holds counts[k] rows at the front of its slot.
+ * Checks the rows first and returns, before writing anything, -2 when
+ * rows[0] < 0 or rows[m-1] >= the partition's row count and -1 when they
+ * do not strictly ascend. Otherwise each chunk that holds deleted rows
+ * closes their gaps in every column, in place, recomputes the zone maps
+ * of its live blocks from the block of its first deleted row on, and
+ * takes the new row count; returns 0. Emptied chunks stay in place. */
+int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
+                       int64_t m, int64_t *counts, int64_t nchunks)
+{
+    int64_t nrows = 0;
+    for (int64_t k = 0; k < nchunks; k++)
+        nrows += counts[k];
+    if (m == 0)
+        return 0;
+    if (rows[0] < 0 || rows[m - 1] >= nrows)
+        return -2;
+    for (int64_t t = 1; t < m; t++)
+        if (rows[t] <= rows[t - 1])
+            return -1;
+    const int64_t bs = a->block_size;
+    int64_t t = 0, start = 0;
+    for (int64_t k = 0; k < nchunks && t < m; k++) {
+        const int64_t end = start + counts[k];
+        const int64_t t1 = t + lower_bound(rows + t, m - t, end);
+        if (t1 > t) {
+            /* the chunk's rows [start, end) are items 0.. of its slot */
+            const int64_t range[3] = {start, end, 0};
+            const int64_t left = counts[k] - (t1 - t);
+            for (int64_t c = 0; c < a->ncols; c++) {
+                char *slot = a->bufs[c] + k * a->capacity * a->itemsizes[c];
+                gap_copy(slot, slot, a->itemsizes[c], range, 1, rows + t,
+                         t1 - t, 0);
+            }
+            const int64_t b0 = (rows[t] - start) / bs, b1 = (left + bs - 1) / bs;
+            for (int64_t z = 0; z < a->nzones; z++) {
+                const int64_t *v = (const int64_t *)a->bufs[a->zone_cols[z]]
+                                   + k * a->capacity;
+                zone_refresh(v, left, bs, b0, b1,
+                             a->mins[z] + k * a->chunk_blocks,
+                             a->maxs[z] + k * a->chunk_blocks);
+            }
+            counts[k] = left;
+            t = t1;
+        }
+        start = end;
+    }
+    return 0;
 }
 
 /* Keep-mask of one longest non-decreasing (non-increasing when descending

@@ -6,10 +6,12 @@ system C compiler. The shared library is cached per user under
 a hash of the source, the flags and the machine type, and loaded through
 ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
-their numpy references instead: ``sharded_bitmap`` its shift,
-``column_store`` its membership test (``in_positions``), its gap copy
-around skipped rows (``compact``), which removes deleted rows in place and
-copies a scan's patch-free rows, its chunk filter build (``filter_add``),
+their numpy references instead: ``sharded_bitmap`` its shift and its
+grouped bulk delete, ``column_store`` its membership test
+(``in_positions``), its gap copy around skipped rows (``compact``), which
+copies a scan's patch-free rows, its partition delete, which compacts one
+chunk at a time with ``compact`` and recomputes that chunk's zone maps in
+numpy, its chunk filter build (``filter_add``),
 which falls back to ``np.bitwise_or.at``, and its chunk filter probe
 (``filter_blocks``), ``query_engine``
 its merge join (``merge_join_positions``), its hash join
@@ -57,11 +59,21 @@ class DeleteArgs(ctypes.Structure):
                 ("logical_len", _I), ("pos", _I)]
 
 
+class DeleteRowsArgs(ctypes.Structure):
+    """Argument block of ``pi_delete_rows``; mirrors
+    ``struct delete_rows_args``."""
+
+    _fields_ = [("bufs", _P), ("itemsizes", _P), ("ncols", _I),
+                ("mins", _P), ("maxs", _P), ("zone_cols", _P),
+                ("nzones", _I), ("capacity", _I), ("block_size", _I),
+                ("chunk_blocks", _I)]
+
+
 # name -> (argtypes, restype)
 _SIGNATURES = {
     "pi_shift": ((_P, _I, _I, _I, ctypes.c_int), None),
     "pi_delete": ((ctypes.POINTER(DeleteArgs),), None),
-    "pi_delete_groups": ((_P, _P, _P, _P, _P, _P, _I, _I, ctypes.c_int), None),
+    "pi_bulk_delete": ((ctypes.POINTER(DeleteArgs), _P, _I, ctypes.c_int), _I),
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
     "pi_filter_add": ((_P, _P, _I, _P, _I, ctypes.c_int), _I),
     "pi_filter_blocks": ((_P, _P, _I, ctypes.c_int, _P, _I, _P, _P, _P, _P),
@@ -72,6 +84,7 @@ _SIGNATURES = {
     "pi_copy_runs": ((_P, _I, _P, _P, _P, _I, _P), None),
     "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
     "pi_compact": ((_P, _P, _I, _P, _I, _P, _I, _I), _I),
+    "pi_delete_rows": ((ctypes.POINTER(DeleteRowsArgs), _P, _I, _P, _I), _I),
 }
 
 

@@ -332,6 +332,7 @@ class Partition:
         words = -(-self.capacity * FILTER_BITS_PER_ROW // 64)
         self.filter_log2 = min(max(1, (words - 1).bit_length()), 40)
         self.filters = {}  # built on first request, see filter_words
+        self._args = None  # see _delete_args
         self._recount()
 
     def _recount(self):
@@ -406,12 +407,18 @@ class Partition:
 
     def positions(self, local):
         """Positions in the flattened chunk buffers of partition rows."""
-        # past about a thousand ascending rows, cutting them at the chunk
-        # ends costs less than a binary search per row
         if len(local) > 1024 and (local[1:] >= local[:-1]).all():
-            per_chunk = np.diff(np.searchsorted(local, self.ends), prepend=0)
-            return local + np.repeat(self.shift, per_chunk)
+            return self._ascending_positions(local)
         return local + self.shift[np.searchsorted(self.ends, local, side="right")]
+
+    def _ascending_positions(self, local):
+        """``positions`` of rows the caller knows to ascend."""
+        # past about a thousand rows, cutting them at the chunk ends costs
+        # less than a binary search per row
+        if len(local) <= 1024:
+            return local + self.shift[np.searchsorted(self.ends, local, side="right")]
+        per_chunk = np.diff(np.searchsorted(local, self.ends), prepend=0)
+        return local + np.repeat(self.shift, per_chunk)
 
     def spans(self):
         """(r, 3) int64 array of (lo, hi, at): each chunk's partition rows
@@ -503,6 +510,7 @@ class Partition:
             self.zones = {c: tuple(grown(z) for z in zone)
                           for c, zone in self.zones.items()}
             self.filters = {c: grown(f) for c, f in self.filters.items()}
+            self._args = None
         self.counts = np.concatenate(
             [self.counts, np.zeros(nchunks - self.nchunks, np.int64)])
 
@@ -540,10 +548,38 @@ class Partition:
         self._filter_rows(pos, updates)
 
     def delete_rows(self, local):
-        """Remove partition rows: each touched chunk is compacted in place
-        from its first deleted row, then neighbours that fit one chunk
-        are condensed."""
-        local = np.sort(local)
+        """Remove the strictly ascending partition rows local.
+
+        Rows outside [0, nrows) raise IndexError and rows out of order or
+        repeated ValueError, before any chunk changes. Each touched chunk
+        closes the gaps in every column, in place, and recomputes the zone
+        maps of its live blocks from the block of its first deleted row
+        on; then neighbours that fit one chunk are condensed. With the
+        compiled kernels that is one call (``pi_delete_rows``) for all
+        touched chunks; the reference runs ``compact`` and ``_rezone`` per
+        chunk.
+        """
+        local = np.ascontiguousarray(local, dtype=np.int64)
+        lib = _native.lib
+        if lib is not None:
+            rc = lib.pi_delete_rows(self._delete_args(), address(local),
+                                    len(local), address(self.counts),
+                                    self.nchunks)
+        else:
+            rc = self._delete_rows_reference(local)
+        if rc == -2:
+            raise IndexError("delete row out of range")
+        if rc < 0:
+            raise ValueError("delete rows must ascend without repeats")
+        self._condense()
+        self._recount()
+
+    def _delete_rows_reference(self, local):
+        """``pi_delete_rows`` in numpy, with its return codes."""
+        if local.size and (local[0] < 0 or local[-1] >= self.nrows):
+            return -2
+        if (local[1:] <= local[:-1]).any():
+            return -1
         owner = np.searchsorted(self.ends, local, side="right")
         for k in sort_unique(owner).tolist():
             rows = local[owner == k] - (self.ends[k] - self.counts[k])
@@ -552,8 +588,27 @@ class Partition:
                     (0, n, 0), rows)
             self.counts[k] = n - len(rows)
             self._rezone(k, int(rows[0]))
-        self._condense()
-        self._recount()
+        return 0
+
+    def _delete_args(self):
+        """The argument block of ``pi_delete_rows`` for the current
+        buffers, built on first use after they were (re)allocated; it
+        holds the address arrays it points to."""
+        if self._args is None:
+            bufs = list(self.chunks.values())
+            names = list(self.chunks)
+            zones = list(self.zones)
+            held = (pointers(bufs),
+                    np.array([b.itemsize for b in bufs], dtype=np.int64),
+                    pointers([self.zones[c][0] for c in zones]),
+                    pointers([self.zones[c][1] for c in zones]),
+                    np.array([names.index(c) for c in zones], dtype=np.int64))
+            self._args = _native.DeleteRowsArgs(
+                *(address(a) for a in held[:2]), len(bufs),
+                *(address(a) for a in held[2:]), len(zones), self.capacity,
+                self.block_size, CHUNK_BLOCKS)
+            self._held = held
+        return self._args
 
     def _condense(self):
         """Merge neighbouring chunks that fit one capacity; drop a lone
@@ -685,7 +740,7 @@ class ColumnTable:
                 o += compact(pairs, p.spans(), local, base)
                 continue
             n = len(local)
-            pos = p.positions(local)
+            pos = p._ascending_positions(local)  # checked or probed in order
             np.add(local, base, out=ids[o:o + n])
             for c in columns:
                 # checked rows are inside the buffers; "raise" would buffer out
@@ -783,13 +838,14 @@ class ColumnTable:
     def delete_rows(self, descending_rowids):
         """Physically remove rows; subsequent rowIDs shift down.
 
-        Only the chunks holding deleted rows are rewritten.
+        Only the chunks holding deleted rows are rewritten, in one kernel
+        call per partition (``Partition.delete_rows``).
         """
         rowids = np.asarray(descending_rowids, dtype=np.int64)
         if rowids.size > 1 and not np.all(np.diff(rowids) < 0):
             raise ValueError("delete rowIDs must be strictly descending")
         for p, _, local in self._route(rowids, "delete"):
-            p.delete_rows(local)
+            p.delete_rows(local[::-1])
 
     # -- persistence ----------------------------------------------------------------
 

@@ -21,6 +21,9 @@ DEFAULT_SHARD_BITS = 1 << 14
 # Fixed per-structure bookkeeping (lengths, counters, array headers).
 _HEADER_BYTES = 48
 
+# phases of the compiled bulk delete (pi_bulk_delete)
+_BULK_SHIFT, _BULK_STARTS = 1, 2
+
 _U1 = np.uint64(1)
 _U63 = np.uint64(63)
 
@@ -227,20 +230,70 @@ class ShardedBitmap:
         """Delete many bits; equivalent to delete() per position in order.
 
         positions must be strictly descending, duplicate-free logical
-        indices. The shard-local shifts run on a bounded thread pool, one
-        range of affected shards per worker; start values are fixed in a
-        single final pass holding a running sum of deletions in preceding
-        shards.
+        indices: a position outside [0, logical_len) raises IndexError and
+        an order break ValueError, before any bit or start value changes.
+        With the compiled kernels one call (``pi_bulk_delete``) checks the
+        positions, finds their shards, shifts them and fixes the start
+        values. When the positions touch 64 or more shards and more than
+        one thread is allowed, they are split at shard boundaries over a
+        bounded thread pool instead: each worker runs the kernel's shifts
+        on its slice, and one final call fixes the start values. Without
+        the kernels, the numpy reference groups the positions by shard,
+        shifts each with ``shift_numpy`` and fixes the start values from a
+        running sum of the deletions in preceding shards.
         """
-        positions = np.asarray(positions, dtype=np.int64)
+        positions = np.ascontiguousarray(positions, dtype=np.int64)
         n = positions.size
         if n == 0:
             return
+        lib = _native.lib
+        if lib is None:
+            self._bulk_delete_numpy(positions)
+        else:
+            args = self._args
+            args.logical_len = self.logical_len
+            ptr = _native.address(positions)
+            cuts = self._pool_cuts(positions, threads)
+            if cuts is None:
+                rc = lib.pi_bulk_delete(args, ptr, n, _BULK_SHIFT | _BULK_STARTS)
+            else:
+                # every position is checked before any worker writes
+                rc = lib.pi_bulk_delete(args, ptr, n, 0)
+                if rc == 0:
+                    list(_worker_pool(len(cuts) - 1).map(
+                        lambda lo, hi: lib.pi_bulk_delete(
+                            args, ptr + 8 * lo, hi - lo, _BULK_SHIFT),
+                        cuts[:-1], cuts[1:]))
+                    lib.pi_bulk_delete(args, ptr, n, _BULK_STARTS)
+            if rc == -2:
+                raise IndexError("bulk_delete position out of range")
+            if rc < 0:
+                raise ValueError("bulk_delete positions must be strictly descending")
+        self.logical_len -= n
+        self.lost_bits += n
+
+    def _pool_cuts(self, positions, threads):
+        """Where to split the positions over the worker pool, at shard
+        boundaries with about equal shard counts per worker, or None when
+        they touch fewer than 64 shards or one thread is allowed: pool
+        dispatch only pays off with enough independent shard units."""
+        nthreads = threads if threads is not None else default_threads()
+        if nthreads <= 1 or len(positions) < 64 or len(self._starts) < 64:
+            return None
+        shard_of = np.searchsorted(self._starts, positions, side="right") - 1
+        firsts = np.flatnonzero(np.diff(shard_of, prepend=-1))
+        if len(firsts) < 64:
+            return None
+        picks = firsts[len(firsts) * np.arange(nthreads) // nthreads]
+        return picks.tolist() + [len(positions)]
+
+    def _bulk_delete_numpy(self, positions):
+        """The numpy reference of ``bulk_delete``."""
+        n = positions.size
         if positions[0] >= self.logical_len or positions[-1] < 0:
             raise IndexError("bulk_delete position out of range")
         if n > 1 and not np.all(np.diff(positions) < 0):
             raise ValueError("bulk_delete positions must be strictly descending")
-
         starts = self._starts
         shard_of = np.searchsorted(starts, positions, side="right") - 1
         offsets = positions - starts[shard_of]
@@ -252,38 +305,13 @@ class ShardedBitmap:
         group_shard = shard_of[group_lo]
         ends = np.append(starts[1:], self.logical_len)
         group_nwords = (ends[group_shard] - starts[group_shard] + 63) >> 6
-        group_base = group_shard * self._wps
-
-        lib = _native.lib
-        if lib is not None:
-            lanes = self.shift_impl == "lanes"
-            arrays = [_native.address(a) for a in (
-                offsets, group_lo, group_hi, group_base, group_nwords)]
-            words = self._args.words
-
-            def run(g0, g1):
-                lib.pi_delete_groups(words, *arrays, g0, g1, lanes)
-        else:
-            def run(g0, g1):
-                for g in range(g0, g1):
-                    base, nwords = int(group_base[g]), int(group_nwords[g])
-                    for off in offsets[group_lo[g]:group_hi[g]]:
-                        shift_numpy(self._words, base, nwords, int(off))
-
-        ngroups = len(group_lo)
-        nthreads = threads if threads is not None else default_threads()
-        # pool dispatch only pays off with enough independent shard units
-        if nthreads <= 1 or ngroups < 64:
-            run(0, ngroups)
-        else:
-            bounds = [ngroups * k // nthreads for k in range(nthreads + 1)]
-            list(_worker_pool(nthreads).map(run, bounds[:-1], bounds[1:]))
-
+        for g, shard in enumerate(group_shard.tolist()):
+            base, nwords = shard * self._wps, int(group_nwords[g])
+            for off in offsets[group_lo[g]:group_hi[g]].tolist():
+                shift_numpy(self._words, base, nwords, off)
         deleted_in = np.zeros(len(starts), dtype=np.int64)
         deleted_in[group_shard] = group_hi - group_lo
         starts[1:] -= np.cumsum(deleted_in)[:-1]
-        self.logical_len -= n
-        self.lost_bits += n
 
     def append(self, extra_bits):
         """Grow the bitmap by extra_bits zero bits at the logical end."""

@@ -8,6 +8,7 @@ from patchindex.bench import (CSV_HEADER, PlainBitVector, WorkloadReport,
                               bench_query, bench_shard_sweep, bench_update,
                               build_query_plans, shard_overhead_pct,
                               write_csv)
+from patchindex.column_store import route_rows
 from patchindex.datagen import GenSpec, dimension_table, generate
 from patchindex.patch_index import NSC_ASC, NUC, build_index
 from patchindex.query_engine import explain, zero_branch_prune
@@ -279,6 +280,19 @@ class TestPlanProfile:
             assert len(lines) == len(nodes)
             for node, line in zip(nodes, lines):
                 assert line.lstrip().startswith(self.LABELS[node.op])
+
+
+class TestStmtProfile:
+    def test_route_wrapper_yields_what_route_rows_yields(self):
+        tool = _load_tool("stmt_profile")
+        route = tool._timed_generator("route", route_rows)
+        rowids = np.array([9, 7, 3, 2, 0])
+        got = list(route(rowids, [4, 4, 4], "test"))
+        want = list(route_rows(rowids, [4, 4, 4], "test"))
+        assert [g[0] for g in got] == [w[0] for w in want] == [0, 1, 2]
+        for (_, gsel, glocal), (_, wsel, wlocal) in zip(got, want):
+            assert np.array_equal(gsel, wsel) and np.array_equal(glocal, wlocal)
+        assert tool._spent["route"] > 0
 
 
 class TestBenchTrajectory:

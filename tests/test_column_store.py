@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchindex import _native
+from patchindex import column_store
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
-                                     _block_minmax, compact, filter_add,
+                                     Partition, _block_minmax, compact, filter_add,
                                      filter_blocks, filter_hash, in_positions,
                                      sort_unique)
 from patchindex.datagen import GenSpec, generate_to_file
@@ -766,6 +767,115 @@ class TestChunks:
                 for c in p.int_columns():
                     for a, b in zip(p.zones[c], q.zones[c]):
                         assert np.array_equal(a[:p.nchunks], b[:q.nchunks])
+
+
+def kernel_partition(block_size, extra):
+    """A partition of 5 full chunks plus extra rows, with an int64 and a
+    fixed-width bytes column and the int64 column's filters built."""
+    cap = CHUNK_BLOCKS * block_size
+    n = 5 * cap + extra
+    rng = np.random.default_rng(n)
+    p = Partition({"value": rng.integers(-10**6, 10**6, size=n),
+                   "pad": rng.integers(0, 10**6, size=n).astype("S3")},
+                  block_size)
+    p.filter_words("value")
+    return p
+
+
+def delete_cases(p):
+    """Named ascending row sets of a kernel_partition."""
+    starts = (p.ends - p.counts).tolist()
+    ends = p.ends.tolist()
+    rng = np.random.default_rng(1)
+    return {
+        "chunk ends": [starts[1], ends[2] - 1, ends[3] - 1, starts[4]],
+        "emptied chunk": list(range(starts[2], ends[2])),
+        "partial last block": [p.nrows - 3, p.nrows - 1],
+        "one row": [starts[3] + 5],
+        "all rows": list(range(p.nrows)),
+        "random share": np.flatnonzero(rng.random(p.nrows) < 0.01).tolist(),
+    }
+
+
+def partition_state(p):
+    """Rows, counts, filters and live zone maps of a partition."""
+    live = {c: [p.chunk(c, k).copy() for k in range(p.nchunks)]
+            for c in p.chunks}
+    zones = {c: [z.copy() for k in range(p.nchunks)
+                 for z in p.chunk_minmax(c, k)] for c in p.zones}
+    return (p.counts.tolist(), p.nrows, live, zones,
+            p.filter_words("value").copy())
+
+
+def assert_states_equal(a, b):
+    assert a[:2] == b[:2]
+    for got, want in ((a[2], b[2]), (a[3], b[3])):
+        assert got.keys() == want.keys()
+        for c in got:
+            assert len(got[c]) == len(want[c])
+            assert all(np.array_equal(x, y) for x, y in zip(got[c], want[c])), c
+    assert np.array_equal(a[4], b[4])
+
+
+class TestDeleteKernel:
+    """``pi_delete_rows`` against the per-chunk reference."""
+
+    @needs_compiler
+    @pytest.mark.parametrize("block_size, extra", [(4, 37), (4096, 5003)])
+    def test_matches_reference(self, block_size, extra, monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        for name, rows in delete_cases(kernel_partition(block_size, extra)).items():
+            rows = np.array(rows, dtype=np.int64)
+            states = []
+            for lib in (_native.lib, None):
+                with monkeypatch.context() as m:
+                    m.setattr(_native, "lib", lib)
+                    p = kernel_partition(block_size, extra)
+                    values = np.concatenate([p.chunk("value", k)
+                                             for k in range(p.nchunks)])
+                    p.delete_rows(rows)
+                    assert np.array_equal(p.columns["value"],
+                                          np.delete(values, rows)), name
+                    assert_chunk_summaries(p)
+                    states.append(partition_state(p))
+            assert_states_equal(*states)
+
+    @needs_compiler
+    def test_delete_leaves_filters_alone(self):
+        p = kernel_partition(4, 37)
+        before = p.filter_words("value").copy()
+        p.delete_rows(np.array(delete_cases(p)["chunk ends"]))
+        assert np.array_equal(p.filter_words("value"), before)
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_bad_rows_change_nothing(self, backend, monkeypatch):
+        use_backend(backend, monkeypatch)
+        p = Partition({"value": np.arange(300, dtype=np.int64)}, block_size=4)
+        counts = p.counts.copy()
+        for rows, error in (([5, 300], IndexError), ([-1, 5], IndexError),
+                            ([7, 5], ValueError), ([5, 5], ValueError),
+                            ([5, 400, 7], ValueError)):
+            with pytest.raises(error):
+                p.delete_rows(np.array(rows))
+            assert np.array_equal(p.counts, counts)
+            assert p.nrows == 300
+            assert np.array_equal(p.columns["value"], np.arange(300))
+        assert_chunk_summaries(p)
+
+    @needs_compiler
+    def test_compiled_delete_makes_no_per_chunk_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-chunk call in a compiled delete")
+
+        p = kernel_partition(4, 37)
+        ends = p.ends.tolist()
+        rows = np.array([1, ends[0] + 2, ends[2] + 3, ends[4] - 1])
+        want = np.delete(p.columns["value"], rows)
+        monkeypatch.setattr(column_store, "compact", forbidden)
+        monkeypatch.setattr(Partition, "_rezone", forbidden)
+        p.delete_rows(rows)  # no two neighbours fit one chunk: no condense
+        assert np.array_equal(p.columns["value"], want)
+        assert_chunk_summaries(p)
 
 
 def contiguous_pdx1(t):

@@ -219,6 +219,103 @@ class TestBulkDelete:
             assert compiled.lost_bits == reference.lost_bits == 3000
 
 
+def kernel_and_reference(monkeypatch, make, act):
+    """(compiled, numpy reference) bitmaps after act(make()) on each
+    backend."""
+    compiled = make()
+    act(compiled)
+    with monkeypatch.context() as m:
+        m.setattr(_native, "lib", None)
+        reference = make()
+        act(reference)
+    return compiled, reference
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a.words, b.words)
+    assert np.array_equal(a.starts, b.starts)
+    assert a.logical_len == b.logical_len
+    assert a.lost_bits == b.lost_bits
+
+
+def edge_positions(rng, bm, share):
+    """Descending positions: every shard's first and last live bit, all
+    bits of one shard, and a random share of the rest."""
+    starts = bm.starts.tolist() + [bm.logical_len]
+    live = [(a, b) for a, b in zip(starts, starts[1:]) if b > a]
+    edges = [p for a, b in live for p in (a, b - 1)]
+    a, b = live[int(rng.integers(0, len(live)))]
+    rest = np.flatnonzero(rng.random(bm.logical_len) < share)
+    pos = np.unique(np.concatenate((edges, np.arange(a, b), rest)))
+    return pos[::-1].astype(np.int64)
+
+
+@needs_compiler
+class TestBulkDeleteKernel:
+    """``pi_bulk_delete`` against the numpy reference of ``bulk_delete``."""
+
+    @pytest.mark.parametrize("impl", ["scalar", "lanes"])
+    @pytest.mark.parametrize("shard, n, threads", [
+        (256, 5000, 1),       # 20 shards, one call
+        (512, 50_000, 2),     # 98 shards: the pooled path
+        (64, 20_000, 2),      # one-word shards, pooled
+    ])
+    def test_matches_reference(self, impl, shard, n, threads, monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        rng = np.random.default_rng(shard + n)
+        on = np.flatnonzero(rng.random(n) < 0.4)
+        first = np.sort(rng.choice(n, size=n // 10, replace=False))[::-1]
+
+        def make():
+            bm = ShardedBitmap(n, shard, shift_impl=impl)
+            bm.set_many(on)
+            bm.bulk_delete(first, threads=threads)  # shards lose bits
+            return bm
+
+        for share in (0.001, 0.05, 0.3):
+            pos = edge_positions(rng, make(), share)
+            assert (make()._pool_cuts(pos, threads) is not None) == (threads > 1)
+            compiled, reference = kernel_and_reference(
+                monkeypatch, make, lambda bm: bm.bulk_delete(pos, threads=threads))
+            assert_same_state(compiled, reference)
+            compiled.check_invariants()
+
+    def test_pool_splits_at_shard_boundaries(self):
+        bm = ShardedBitmap(64 * 100, 64)
+        pos = np.arange(64 * 100)[::-3].copy()
+        cuts = bm._pool_cuts(pos, 2)
+        assert cuts is not None and cuts[0] == 0 and cuts[-1] == len(pos)
+        shard = pos // 64
+        assert all(shard[c - 1] != shard[c] for c in cuts[1:-1])
+        assert bm._pool_cuts(pos, 1) is None
+        assert bm._pool_cuts(pos[:63], 2) is None
+        assert ShardedBitmap(64 * 63, 64)._pool_cuts(pos[-1000:], 2) is None
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bad_positions_change_nothing(self, backend, threads, monkeypatch):
+        if backend == "numpy":
+            monkeypatch.setattr(_native, "lib", None)
+        n = 64 * 80
+        bm = ShardedBitmap(n, 64)
+        bm.set_many(np.arange(0, n, 3))
+        bm.bulk_delete(np.arange(n - 1, 0, -50), threads=threads)
+        words, starts, size = bm.words.copy(), bm.starts.copy(), bm.logical_len
+        good = np.arange(size - 1, 0, -7)
+        for bad, error in ((np.concatenate((good[:100], [good[0]])), ValueError),
+                           (np.concatenate((good[:100], good[99:120])), ValueError),
+                           (np.concatenate(([size], good)), IndexError),
+                           (np.concatenate((good, [-1])), IndexError)):
+            with pytest.raises(error):
+                bm.bulk_delete(bad, threads=threads)
+            assert np.array_equal(bm.words, words)
+            assert np.array_equal(bm.starts, starts)
+            assert (bm.logical_len, bm.lost_bits) == (size, len(range(n - 1, 0, -50)))
+
+    def test_grouped_kernel_is_gone(self):
+        assert not hasattr(_native.lib, "pi_delete_groups")
+
+
 class TestNativeLoader:
     def test_no_compiler_warns_once_and_falls_back(self, tmp_path):
         """Without a compiler or a cached build the package warns and works."""
