@@ -8,13 +8,13 @@ ctypes, which releases the GIL during every call. When no compiler is found
 or the build fails, one RuntimeWarning is emitted and the callers use
 their numpy references instead: ``sharded_bitmap`` its shift and its
 grouped bulk delete, ``column_store`` its membership test
-(``in_positions``), its gap copy around skipped rows (``compact``), which
-copies a scan's patch-free rows, its partition delete, which compacts one
-chunk at a time with ``compact`` and recomputes that chunk's zone maps in
-numpy, its chunk filter build (``filter_add``),
-which falls back to ``np.bitwise_or.at``, and its chunk filter probe
-(``filter_blocks``), ``query_engine``
-its merge join (``merge_join_positions``), its hash join
+(``in_positions``), its patch-split select (``select``), which copies a
+scan's rows by the bits of a patch store and falls back to a keep mask
+per chunk span, its partition delete, which compacts one chunk at a time
+with ``compact`` and recomputes that chunk's zone maps in numpy, its
+chunk filter build (``filter_add``), which falls back to
+``np.bitwise_or.at``, and its chunk filter probe (``filter_blocks``),
+``query_engine`` its merge join (``merge_join_positions``), its hash join
 (``hash_join_positions``) and its merge of sorted streams
 (``merge_sorted_streams``), which falls back to a stable argsort of the
 concatenated streams, and ``patch_index`` its longest sorted subsequence
@@ -25,6 +25,8 @@ Module attributes:
 
 - ``lib``: the loaded ``ctypes.CDLL``, or None when the kernels are missing;
 - ``BACKEND``: ``"c"`` or ``"numpy"``, the kernel backend in use;
+- ``SELECT_PATH``: ``"avx512"`` or ``"scalar"``, the path ``pi_select``
+  chose for this CPU when the library loaded, or ``"numpy"`` without it;
 - ``COMPILER``: path of the C compiler the loader uses, or None.
 
 Every wrapper hands its arrays to a kernel through ``address`` (one array)
@@ -59,6 +61,15 @@ class DeleteArgs(ctypes.Structure):
                 ("logical_len", _I), ("pos", _I)]
 
 
+class SelectArgs(ctypes.Structure):
+    """Argument block of ``pi_select``; mirrors ``struct select_args``."""
+
+    _fields_ = [("spans", _P), ("nspans", _I), ("nrows", _I), ("words", _P),
+                ("nwords", _I), ("starts", _P), ("nstarts", _I), ("wps", _I),
+                ("logical_len", _I), ("take", _I), ("base", _I), ("dst", _P),
+                ("src", _P), ("itemsize", _P), ("ncols", _I), ("cap", _I)]
+
+
 class DeleteRowsArgs(ctypes.Structure):
     """Argument block of ``pi_delete_rows``; mirrors
     ``struct delete_rows_args``."""
@@ -83,7 +94,9 @@ _SIGNATURES = {
     "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),
     "pi_copy_runs": ((_P, _I, _P, _P, _P, _I, _P), None),
     "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
-    "pi_compact": ((_P, _P, _I, _P, _I, _P, _I, _I), _I),
+    "pi_select": ((ctypes.POINTER(SelectArgs),), _I),
+    "pi_select_scalar": ((ctypes.POINTER(SelectArgs),), _I),
+    "pi_select_uses_avx512": ((), _I),
     "pi_delete_rows": ((ctypes.POINTER(DeleteRowsArgs), _P, _I, _P, _I), _I),
 }
 
@@ -157,3 +170,5 @@ except (OSError, subprocess.SubprocessError) as exc:
     lib = None
 
 BACKEND = "numpy" if lib is None else "c"
+SELECT_PATH = ("numpy" if lib is None
+               else "avx512" if lib.pi_select_uses_avx512() else "scalar")

@@ -187,10 +187,10 @@ def compact(pairs, ranges, skip, base=0):
     (dst, src) pair copies from the 1-D array src into dst, or writes the
     kept row numbers plus base (rowIDs, int64) when src is None; dst is
     src compacts in place, and otherwise the two do not overlap. Returns
-    the number of rows written to each dst. The compiled kernel moves long
-    runs between skipped rows with memmove and short ones row by row; the
-    numpy reference compresses each range with a keep mask. A contract
-    violation raises ValueError before any dst is written.
+    the number of rows written to each dst. Each range is compressed with
+    a keep mask; this is the numpy reference of the compiled partition
+    delete. A contract violation raises ValueError before any dst is
+    written.
     """
     ranges = np.ascontiguousarray(ranges, dtype=np.int64).reshape(-1, 3)
     skip = np.ascontiguousarray(skip, dtype=np.int64)
@@ -208,27 +208,13 @@ def compact(pairs, ranges, skip, base=0):
                      or not 0 <= reach <= len(src))):
             raise ValueError("compact needs contiguous 1-D arrays of one "
                              "dtype, ranges inside src and room in dst")
-    lib = _native.lib
-    if lib is None:
-        return _compact_reference(pairs, ranges, skip, base, kept)
-    rptr, sptr = address(ranges), address(skip)
-    for dst, src in pairs:
-        d = address(dst)
-        if lib.pi_compact(d, d if src is dst else src if src is None
-                          else address(src), dst.itemsize, rptr, len(spans),
-                          sptr, len(skip), base) < 0:
-            raise ValueError("skipped rows must ascend inside the ranges")
-    return kept
-
-
-def _compact_reference(pairs, ranges, skip, base, kept):
     lo, hi = ranges[:, 0], ranges[:, 1]
     owner = np.searchsorted(lo, skip, side="right") - 1
     if (np.any(hi < lo) or np.any(lo[1:] < hi[:-1]) or np.any(np.diff(skip) <= 0)
             or np.any(owner < 0) or np.any(skip >= hi[np.maximum(owner, 0)])):
         raise ValueError("skipped rows must ascend inside the ranges")
     j = 0
-    for a, b, at in ranges.tolist():
+    for a, b, at in spans:
         t0, t1 = np.searchsorted(skip, (a, b))
         keep = np.ones(b - a, dtype=bool)
         keep[skip[t0:t1] - a] = False
@@ -241,6 +227,109 @@ def _compact_reference(pairs, ranges, skip, base, kept):
                 dst[j:j + n] = rows if t0 == t1 else rows[keep]
         j += n
     return kept
+
+
+def select(pairs, spans, nrows, bits, take, base=0):
+    """Patch-split select: write the rows of a partition's spans whose bit
+    is set (take) or clear (skip), in order, and return their count.
+
+    spans is an (r, 3) int64 array of (lo, hi, at), laid out as
+    ``Partition.spans``: the partition rows [lo, hi), whose row lo is item
+    at of each source. Spans ascend without overlap inside [0, nrows).
+    bits is a ``ShardedBitmap`` of the partition's nrows rows, or None for
+    a bit set without set bits. Each (dst, src) pair copies from the 1-D
+    array src into dst, or writes the selected row numbers plus base
+    (rowIDs, int64) when src is None; each dst holds exactly the selected
+    rows.
+
+    The compiled kernel (``pi_select``) walks the spans and the shards'
+    words together, without unpacking the bits; the numpy reference
+    unpacks each shard's live bits into a keep mask and indexes each span
+    with it. Malformed spans or bit set, or bits of another row count,
+    raise ValueError before any dst is written; a dst of another length
+    than the selected rows raises ValueError.
+    """
+    spans = np.ascontiguousarray(spans, dtype=np.int64).reshape(-1, 3)
+    triples = spans.tolist()
+    # the items the spans read: [0, reach) of every src
+    reach = max((at + hi - lo for lo, hi, at in triples), default=0)
+    cap = min(len(dst) for dst, _ in pairs)
+    for dst, src in pairs:
+        dtype = np.dtype(np.int64) if src is None else src.dtype
+        if (dst.dtype != dtype or dst.ndim != 1 or len(dst) != cap
+                or not dst.flags.c_contiguous or src is not None
+                and (src.ndim != 1 or not src.flags.c_contiguous
+                     or reach > len(src))):
+            raise ValueError("select needs contiguous 1-D arrays of one "
+                             "dtype and length, and spans inside src")
+    if bits is not None:
+        words, starts = bits.words, bits.starts
+        if (words.dtype != np.uint64 or starts.dtype != np.int64
+                or words.ndim != 1 or starts.ndim != 1
+                or not words.flags.c_contiguous
+                or not starts.flags.c_contiguous):
+            raise ValueError("a bit set is contiguous uint64 words and "
+                             "int64 start values")
+    lib = _native.lib
+    if lib is None:
+        count = _select_reference(pairs, triples, nrows, bits, take, base, cap)
+    else:
+        dst = pointers([d for d, _ in pairs])
+        src = np.array([0 if s is None else address(s) for _, s in pairs],
+                       dtype=np.uintp)
+        size = np.array([d.itemsize for d, _ in pairs], dtype=np.int64)
+        if bits is None:
+            bitset = (None, 0, None, 0, 0, nrows)
+        else:
+            bitset = (address(words), len(words), address(starts),
+                      len(starts), bits.shard_size_bits >> 6,
+                      bits.logical_len)
+        args = _native.SelectArgs(address(spans), len(triples), nrows,
+                                  *bitset, bool(take), base, address(dst),
+                                  address(src), address(size), len(pairs), cap)
+        count = lib.pi_select(args)
+    if count == -1:
+        raise ValueError("select needs ascending spans inside the partition "
+                         "and a well-formed bit set of its rows")
+    if count != cap:
+        raise ValueError("select rows do not fill the output: the bit set "
+                         "has bits set past its shards' live bits")
+    return count
+
+
+def _select_reference(pairs, triples, nrows, bits, take, base, cap):
+    """``pi_select`` in numpy, with its return codes."""
+    prev = 0
+    for lo, hi, at in triples:
+        if lo < prev or hi < lo or hi > nrows or at < 0:
+            return -1
+        prev = hi
+    keep = np.zeros(nrows, dtype=bool)
+    if bits is not None:
+        starts, wps = bits.starts, bits.shard_size_bits >> 6
+        live = np.diff(starts, append=bits.logical_len)
+        if (bits.logical_len != nrows or starts[0] != 0 or live.min() < 0
+                or live.max() > 64 * wps
+                or (len(starts) - 1) * wps + (live[-1] + 63) // 64
+                > len(bits.words)):
+            return -1
+        unpacked = np.unpackbits(bits.words.view(np.uint8), bitorder="little")
+        for s, (first, n) in enumerate(zip(starts.tolist(), live.tolist())):
+            keep[first:first + n] = unpacked[64 * wps * s:64 * wps * s + n]
+    if not take:
+        keep = ~keep
+    if sum(int(np.count_nonzero(keep[lo:hi])) for lo, hi, _ in triples) > cap:
+        return -2
+    j = 0
+    for lo, hi, at in triples:
+        m = keep[lo:hi]
+        n = int(np.count_nonzero(m))
+        for dst, src in pairs:
+            rows = (np.arange(lo + base, hi + base) if src is None
+                    else src[at:at + hi - lo])
+            dst[j:j + n] = rows[m]
+        j += n
+    return j
 
 
 def route_rows(rowids, sizes, what):
@@ -682,17 +771,20 @@ class ColumnTable:
           ``prune_blocks`` returns them, limits the probe to those rows;
           spans that leave their chunks raise ValueError (see
           ``Partition.check_spans``). Without spans every chunk is probed;
-        - ("skip", rows): every row but the ascending, distinct partition
-          rows rows[p] of each partition p;
-        - ("take", rows): the ascending, distinct partition rows rows[p] of
-          each partition p; other rows raise ValueError.
+        - ("skip", bits): every row of each partition p whose bit is clear
+          in bits[p], a ``ShardedBitmap`` of the partition's rows, such as
+          a patch store's (``PatchIndex.patch_bits``);
+        - ("take", bits): the rows whose bit is set.
 
-        A list whose length is not the partition count raises ValueError.
-        The scan finds the kept rows of every partition first, then sizes
-        the output arrays and writes each partition's rows straight into
-        their slice: for "skip" one gap copy per column (``compact``) of
-        the runs between skipped rows, which also writes the rowIDs, and
-        otherwise a gather at the kept rows' buffer positions.
+        A "skip" or "take" entry () stands for a bit set without set bits:
+        "skip" reads every row of that partition. A list whose length is
+        not the partition count, an entry that is no bit set and a bit set
+        of another row count raise ValueError. The scan finds the row
+        count of every partition first, then sizes the output arrays and
+        writes each partition's rows straight into their slice: "skip" and
+        "take" with one patch-split select (``select``) of every column
+        and the rowIDs, "in" with a gather at the probed rows' buffer
+        positions.
         """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
@@ -708,44 +800,48 @@ class ColumnTable:
             raise ValueError(f"unknown scan filter {where!r}")
         if len(rows) != len(self.partitions):
             raise ValueError(f"{kind} filter needs one entry per partition")
-        # per partition: (partition, first rowID, skipped or kept rows)
+        # per partition: (partition, first rowID, row count, probed rows
+        # or bit set)
         plans, total, part_lo = [], 0, 0
         for p, sel in zip(self.partitions, rows):
             if sel is not None:
-                # compact checks skipped rows against the partition's spans
-                local = np.asarray(sel, dtype=np.int64)
                 if kind == "in":
-                    triples = local.reshape(-1, 3).tolist()
+                    triples = np.asarray(sel, dtype=np.int64).reshape(-1, 3).tolist()
                     p.check_spans(triples)
                     flat = p.chunks[where_col].reshape(-1)
-                    local = np.concatenate([lo + member(flat[at:at + hi - lo])
-                                            for lo, hi, at in triples]
-                                           + [np.zeros(0, dtype=np.int64)])
-                elif kind == "take" and local.size and (
-                        local[0] < 0 or local[-1] >= p.nrows
-                        or (local[1:] <= local[:-1]).any()):
-                    raise ValueError("take rows must ascend without repeats "
-                                     "inside their partition")
-                if kind == "skip" or len(local):
-                    plans.append((p, part_lo, local))
-                total += p.nrows - len(local) if kind == "skip" else len(local)
+                    sel = np.concatenate([lo + member(flat[at:at + hi - lo])
+                                          for lo, hi, at in triples]
+                                         + [np.zeros(0, dtype=np.int64)])
+                    n = len(sel)
+                else:
+                    if isinstance(sel, tuple) and not sel:
+                        sel, marked = None, 0
+                    elif getattr(sel, "logical_len", None) != p.nrows:
+                        raise ValueError(f"{kind} filter needs a bit set of "
+                                         f"each partition's rows")
+                    else:
+                        marked = sel.count_set()
+                    n = marked if kind == "take" else p.nrows - marked
+                if n:
+                    plans.append((p, part_lo, n, sel))
+                total += n
             part_lo += p.nrows
         ids = np.empty(total, dtype=np.int64)
         out = {c: np.empty(total, dtype=dict(self.schema)[c]) for c in columns}
         o = 0
-        for p, base, local in plans:
-            if kind == "skip":
-                pairs = [(ids[o:], None)] + [(out[c][o:], p.chunks[c].reshape(-1))
-                                             for c in columns]
-                o += compact(pairs, p.spans(), local, base)
-                continue
-            n = len(local)
-            pos = p._ascending_positions(local)  # checked or probed in order
-            np.add(local, base, out=ids[o:o + n])
-            for c in columns:
-                # checked rows are inside the buffers; "raise" would buffer out
-                np.take(p.chunks[c].reshape(-1), pos, out=out[c][o:o + n],
-                        mode="clip")
+        for p, base, n, sel in plans:
+            if kind != "in":
+                pairs = [(ids[o:o + n], None)] + [
+                    (out[c][o:o + n], p.chunks[c].reshape(-1)) for c in columns]
+                select(pairs, p.spans(), p.nrows, sel, kind == "take", base)
+            else:
+                pos = p._ascending_positions(sel)  # probed in order
+                np.add(sel, base, out=ids[o:o + n])
+                for c in columns:
+                    # probed rows are inside the buffers; "raise" would
+                    # buffer out
+                    np.take(p.chunks[c].reshape(-1), pos, out=out[c][o:o + n],
+                            mode="clip")
             o += n
         return ids, out
 

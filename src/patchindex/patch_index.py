@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .column_store import in_positions, route_rows, sort_unique
+from .column_store import in_positions, route_rows, select, sort_unique
 from .sharded_bitmap import (DEFAULT_SHARD_BITS, ShardedBitmap, _worker_pool,
                              default_threads)
 
@@ -88,8 +88,17 @@ class BitmapPatchStore:
         assert row_count == self._bits.logical_len
         return self._bits.last_unset()
 
+    def bits(self, row_count):
+        assert row_count == self._bits.logical_len
+        return self._bits
+
     def patch_rows(self):
-        return np.flatnonzero(self._bits.to_bool_array())
+        """The set bits' rows, by the scans' select in take mode."""
+        bits = self._bits
+        rows = np.empty(bits.count_set(), dtype=np.int64)
+        select([(rows, None)], [(0, bits.logical_len, 0)], bits.logical_len,
+               bits, take=True)
+        return rows
 
     def memory_bytes(self):
         return self._bits.memory_bytes()
@@ -142,6 +151,10 @@ class IdentifierPatchStore:
         while i >= 0 and row >= 0 and self._ids[i] == row:
             row, i = row - 1, i - 1
         return row if row >= 0 else None
+
+    def bits(self, row_count):
+        """The ids as the bits of a one-shard bitmap of row_count rows."""
+        return ShardedBitmap.from_rows(row_count, self._ids)
 
     def patch_rows(self):
         return self._ids.copy()
@@ -288,6 +301,11 @@ class PatchIndex:
     def patch_mask(self):
         return self.store.mask(self.row_count)
 
+    def patch_bits(self):
+        """The patches as a ``ShardedBitmap`` of the partition's rows, the
+        form a scan's "skip" and "take" filters read."""
+        return self.store.bits(self.row_count)
+
     def last_non_patch(self):
         """Highest non-patch rowID, or None when every row is a patch."""
         return self.store.last_non_patch(self.row_count)
@@ -424,7 +442,8 @@ class TableIndex:
         """Ascending global rowIDs of the patches, of one partition or all.
 
         Read from the stores' own rows: an identifier store copies its ids,
-        a bitmap store unpacks its bits once; no global mask is built.
+        a bitmap store selects the rows of its set bits; no global mask is
+        built.
         """
         offsets = self._offsets()
         parts = (range(len(self.partitions)) if partition is None

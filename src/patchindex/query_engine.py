@@ -345,16 +345,15 @@ class Executor:
     """Evaluates a plan DAG; a node with several parents runs once per run.
 
     Only shared nodes are memoized, so every other intermediate result is
-    freed as soon as its parent has consumed it. Each partition's patch
-    rows are unpacked once per run, however many flows read them. The
-    result comes back with its columns gathered.
+    freed as soon as its parent has consumed it. The result comes back
+    with its columns gathered.
     """
 
     def __init__(self):
-        self._shared, self._memo, self._patches = set(), {}, {}
+        self._shared, self._memo = set(), {}
 
     def run(self, plan):
-        self._shared, self._memo, self._patches = _walk(plan)[1], {}, {}
+        self._shared, self._memo = _walk(plan)[1], {}
         rel = self._exec(plan)
         return Relation(rel.columns) if isinstance(rel, JoinResult) else rel
 
@@ -368,25 +367,23 @@ class Executor:
 
     # scans
 
-    def _patch_rows(self, index, p):
-        """Ascending local patch rows of partition p, unpacked once a run."""
-        rows = self._patches.get((id(index), p))
-        if rows is None:
-            rows = self._patches[id(index), p] = \
-                index.partitions[p].store.patch_rows()
-        return rows
-
     def _op_scan(self, node):
         """Scan whole partitions, optionally split by patch membership.
 
-        A scan reads one partition or all of them. exclude_patches copies
-        the runs of rows between each partition's patch rows; use_patches
-        gathers the patch rows, so its cost follows the patch count. Both
-        hand the stores' partition rows to the scan as they are.
+        A scan reads one partition or all of them; a partition outside
+        the table raises ValueError. exclude_patches keeps the rows whose
+        patch bit is clear and use_patches those whose bit is set: both
+        hand each store's bits to the scan's select as they are.
         """
         table, index = node.table, node.index
         nparts = len(table.partitions)
-        parts = range(nparts) if node.partition is None else [node.partition]
+        if node.partition is None:
+            parts = range(nparts)
+        elif 0 <= node.partition < nparts:
+            parts = [node.partition]
+        else:
+            raise ValueError(f"scan partition {node.partition} outside the "
+                             f"table's {nparts} partitions")
         if node.mode not in ("all", "use_patches", "exclude_patches"):
             raise ValueError(f"unknown scan mode {node.mode!r}")
         if node.mode != "all":
@@ -396,12 +393,12 @@ class Executor:
             if sizes != [p.nrows for p in table.partitions]:
                 raise ValueError(f"index partitions cover {sizes} rows, table "
                                  f"partitions {[p.nrows for p in table.partitions]}")
-        rows = {p: () if node.mode == "all" else self._patch_rows(index, p)
+        bits = {p: () if node.mode == "all" else index.partitions[p].patch_bits()
                 for p in parts}
         kind = "take" if node.mode == "use_patches" else "skip"
         # None: a partition the scan does not read
         ids, cols = table.scan(node.columns,
-                               where=(kind, [rows.get(p) for p in range(nparts)]))
+                               where=(kind, [bits.get(p) for p in range(nparts)]))
         out = {"rowid": ids}
         out.update(cols)
         return Relation(out)

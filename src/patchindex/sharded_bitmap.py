@@ -79,6 +79,21 @@ class ShardedBitmap:
         self._set_arrays(np.zeros(nwords, dtype=np.uint64),
                          np.arange(num_shards, dtype=np.int64) * shard_size_bits)
 
+    @classmethod
+    def from_rows(cls, logical_len, rows):
+        """A bitmap of logical_len bits in one shard, with the bits at rows
+        set; rows outside [0, logical_len) raise IndexError."""
+        bits = cls(logical_len, max(64, 1 << (logical_len - 1).bit_length()))
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= logical_len:
+                raise IndexError("bit position out of range")
+            # one shard is the plain bit order: pack a mask of its words
+            mask = np.zeros(64 * len(bits._words), dtype=bool)
+            mask[rows] = True
+            bits._words[:] = np.packbits(mask, bitorder="little").view(np.uint64)
+        return bits
+
     def _set_arrays(self, words, starts):
         """Install the word and start arrays, caching their addresses.
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from patchindex import _native
 from patchindex.bench import (CSV_HEADER, PlainBitVector, WorkloadReport,
                               bench_query, bench_shard_sweep, bench_update,
                               build_query_plans, shard_overhead_pct,
@@ -317,3 +318,14 @@ class TestBenchTrajectory:
         # a file's name counts as well as its bytes
         (same / "_native.c").rename(same / "_kernels.c")
         assert digest(tmp_path / "same") != digest(tmp_path / "a")
+
+    def test_kernel_paths_record_the_select_path(self, tmp_path):
+        kernel_paths = _load_tool("bench_trajectory").kernel_paths
+        root = Path(__file__).resolve().parents[1]
+        assert kernel_paths(root) == (_native.BACKEND, _native.SELECT_PATH)
+        for body, want in (('BACKEND = "c"\nSELECT_PATH = "scalar"\n', ("c", "scalar")),
+                           ('BACKEND = "c"\n', ("c", None))):  # an older tree
+            pkg = self.make_tree(tmp_path / str(len(body)), "")
+            (pkg / "__init__.py").write_text("")
+            (pkg / "_native.py").write_text(body)
+            assert kernel_paths(pkg.parent.parent) == want

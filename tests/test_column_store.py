@@ -13,9 +13,10 @@ from patchindex import column_store
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
                                      Partition, _block_minmax, compact, filter_add,
                                      filter_blocks, filter_hash, in_positions,
-                                     sort_unique)
+                                     select, sort_unique)
 from patchindex.datagen import GenSpec, generate_to_file
-from patchindex.patch_index import NULL_VALUE
+from patchindex.patch_index import NUC, NULL_VALUE, PatchIndex, TableIndex
+from patchindex.sharded_bitmap import ShardedBitmap
 
 needs_compiler = pytest.mark.skipif(_native.COMPILER is None,
                                     reason="no C compiler (cc or gcc) on PATH")
@@ -335,6 +336,11 @@ class Unread:
         raise AssertionError(f"read {name} of an unscanned partition")
 
 
+def bitset(rows, n):
+    """The rows of a partition of n rows as a scan's bit set."""
+    return ShardedBitmap.from_rows(n, np.asarray(rows, dtype=np.int64))
+
+
 class TestRowFilters:
     def _table(self):
         rng = np.random.default_rng(8)
@@ -350,7 +356,7 @@ class TestRowFilters:
         rng = np.random.default_rng(1)
         masks = [rng.random(p.nrows) < 0.4 for p in t.partitions]
         keep = np.concatenate(masks)
-        skips = [np.flatnonzero(~m) for m in masks]
+        skips = [bitset(np.flatnonzero(~m), len(m)) for m in masks]
         ids, cols = t.scan(["value"], where=("skip", skips))
         assert np.array_equal(ids, np.flatnonzero(keep))
         assert np.array_equal(cols["value"], full["value"][keep])
@@ -364,8 +370,9 @@ class TestRowFilters:
         kept = np.delete(np.arange(100), skip)
         for lib in (_native.lib, None):
             monkeypatch.setattr(_native, "lib", lib)
-            for where, want in ((("skip", [None, skip, None]), 100 + kept),
-                                (("take", [None, skip, None]), 100 + skip)):
+            for where, want in ((("skip", [None, bitset(skip, 100), None]), 100 + kept),
+                                (("take", [None, bitset(skip, 100), None]), 100 + skip),
+                                (("skip", [None, (), None]), 100 + np.arange(100))):
                 ids, cols = t.scan(["key", "value"], where=where)
                 assert np.array_equal(ids, want)
                 for c in ("key", "value"):
@@ -373,26 +380,28 @@ class TestRowFilters:
 
     def test_skip_rows_checked(self, monkeypatch):
         t, _ = self._table()
-        last = t.partitions[2].nrows - 1
+        n = t.partitions[2].nrows  # the last partition holds the inserts
         for lib in (_native.lib, None):
             monkeypatch.setattr(_native, "lib", lib)
-            for bad in ([last + 1], [-1], [5, 3], [4, 4]):
-                skips = [np.zeros(0, dtype=np.int64)] * 3
-                skips[2] = np.array(bad)  # the last partition holds the inserts
-                with pytest.raises(ValueError):
-                    t.scan(["value"], where=("skip", skips))
+            for bad in (bitset([], n + 1), bitset([0], n - 1), np.array([4]),
+                        [], 0):
+                for kind in ("skip", "take"):
+                    entries = [(), (), bad]
+                    with pytest.raises(ValueError, match="bit set"):
+                        t.scan(["value"], where=(kind, entries))
 
     def test_take_filter(self):
         t, full = self._table()
         rng = np.random.default_rng(2)
         masks = [rng.random(p.nrows) < 0.4 for p in t.partitions]
         keep = np.concatenate(masks)
-        ids, cols = t.scan(["key", "value"],
-                           where=("take", [np.flatnonzero(m) for m in masks]))
+        ids, cols = t.scan(["key", "value"], where=(
+            "take", [bitset(np.flatnonzero(m), len(m)) for m in masks]))
         assert np.array_equal(ids, np.flatnonzero(keep))
         for c in ("key", "value"):
             assert np.array_equal(cols[c], full[c][keep]), c
-        ids, cols = t.scan(["key"], where=("take", [(), [], None]))
+        n = [p.nrows for p in t.partitions]
+        ids, cols = t.scan(["key"], where=("take", [(), bitset([], n[1]), None]))
         assert len(ids) == len(cols["key"]) == 0
 
     def test_take_matches_filtered_full_scan(self):
@@ -409,7 +418,7 @@ class TestRowFilters:
                     rng.random(p.nrows) < (0, 0, 0.1, 0.9)[pick]))
                 if rows is not None:
                     want[lo + rows] = True
-                take.append(rows)
+                take.append(None if rows is None else bitset(rows, p.nrows))
             ids, cols = t.scan(["key", "value"], where=("take", take))
             assert np.array_equal(ids, full_ids[want])
             for c in ("key", "value"):
@@ -427,17 +436,15 @@ class TestRowFilters:
                 for rows in ([(), ()], [(), (), (), ()], []):
                     with pytest.raises(ValueError, match="one entry per partition"):
                         t.scan(["value"], where=(kind, rows))
-            with pytest.raises(ValueError):
-                t.scan(["value"], where=("skip", [(), [0, 3], ()]))
-            for bad in ([5], [-1], [3, 1], [2, 2]):
-                with pytest.raises(ValueError, match="take rows"):
-                    t.scan(["value"], where=("take", [(), (), bad]))
-            with pytest.raises(ValueError, match="take rows"):
-                t.scan(["value"], where=("take", [(), [0], ()]))
-            ids, cols = t.scan(["value"], where=("take", [[4], (), [0, 4]]))
+                for bad in (bitset([0], 5), [0, 3], bitset([], 1)):
+                    with pytest.raises(ValueError, match="bit set"):
+                        t.scan(["value"], where=(kind, [(), bad, ()]))
+            ids, cols = t.scan(["value"], where=(
+                "take", [bitset([4], 5), (), bitset([0, 4], 5)]))
             assert ids.tolist() == [4, 5, 9]
             assert cols["value"].tolist() == [40, 50, 90]
-            ids, _ = t.scan(["value"], where=("skip", [[0, 4], (), [1]]))
+            ids, _ = t.scan(["value"], where=(
+                "skip", [bitset([0, 4], 5), bitset([], 0), bitset([1], 5)]))
             assert ids.tolist() == [1, 2, 3, 5, 7, 8, 9]
 
 
@@ -696,19 +703,135 @@ class TestCompact:
             with pytest.raises(ValueError):
                 compact([(np.full(9, -1), src)], bad, np.zeros(0, np.int64))
 
-    def test_kernel_returns_minus_one_without_writing(self):
-        lib = _native.lib
-        if lib is None:
-            pytest.skip("no compiled kernels")
-        src = np.arange(10, dtype=np.int64)
-        ranges = np.array([0, 10, 0], dtype=np.int64)
-        for dead in ([3, 1], [2, 2], [-1], [10]):
-            dead = np.array(dead, dtype=np.int64)
-            dst = np.full(10, -1, dtype=np.int64)
-            for s in (src.ctypes.data, None):
-                assert lib.pi_compact(dst.ctypes.data, s, 8, ranges.ctypes.data,
-                                      1, dead.ctypes.data, len(dead), 0) == -1
-                assert (dst == -1).all()
+
+def use_select_path(path, monkeypatch):
+    """Run ``select`` on the AVX-512 path, the scalar path (through its
+    entry point) or the numpy reference."""
+    if path == "numpy":
+        monkeypatch.setattr(_native, "lib", None)
+    elif _native.lib is None:
+        pytest.skip("no compiled kernels")
+    elif path == "scalar":
+        monkeypatch.setattr(_native.lib, "pi_select", _native.lib.pi_select_scalar)
+    elif _native.SELECT_PATH != "avx512":
+        pytest.skip("the CPU has no AVX-512")
+
+
+SELECT_PATHS = ["avx512", "scalar", "numpy"]
+SPLIT_COLUMNS = ["key", "value", "tag", "wide"]
+
+
+def split_table(store, rng):
+    """A table of an int64, an S3 and a 16-byte column in four partitions,
+    its NUC index and, per partition, the live columns and patch mask.
+
+    Partition 0 has random patches, 1 none, 2 only patches and 3 no rows.
+    Deletes empty chunk 2 of partition 0 and hit every bitmap shard, so
+    the bitmaps have lost bits at their shard ends and the chunk grid no
+    longer lines up with the shard grid."""
+    sizes, parts, masks, first = (700, 300, 300, 0), [], [], 0
+    for n, share in zip(sizes, (0.3, 0, 1, 0)):
+        key = np.arange(first, first + n)
+        first += n
+        parts.append({"key": key, "value": rng.integers(-2**62, 2**62, size=n),
+                      "tag": (key % 1000).astype("S3"), "wide": key.astype("S16")})
+        masks.append(rng.random(n) < share)
+    t = ColumnTable.from_partitions(parts, block_size=4)
+    idx = TableIndex("value", NUC, [
+        PatchIndex.from_patches(NUC, np.flatnonzero(m), len(m), store=store,
+                                shard_size_bits=128) for m in masks])
+    offsets = np.cumsum((0,) + sizes)
+    gone = [np.unique(np.concatenate((np.arange(128, 192), rng.choice(
+        n, size=n // 6, replace=False)))) if n else np.zeros(0, np.int64)
+        for n in sizes]
+    rows = np.concatenate([g + o for g, o in zip(gone, offsets)])[::-1]
+    t.delete_rows(rows)
+    idx.drop_rows(rows)
+    live = [({c: np.delete(part[c], g) for c in SPLIT_COLUMNS}, np.delete(m, g))
+            for part, m, g in zip(parts, masks, gone)]
+    if store == "bitmap":
+        assert all(p.store._bits.lost_bits > 0 for p in idx.partitions[:3])
+    # chunk 1 of partition 0 ends inside a shard
+    assert t.partitions[0].ends[1] % 128
+    return t, idx, live
+
+
+class TestSelect:
+    @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
+    @pytest.mark.parametrize("path", SELECT_PATHS)
+    def test_scan_matches_patch_masks(self, store, path, monkeypatch):
+        t, idx, live = split_table(store, np.random.default_rng(21))
+        use_select_path(path, monkeypatch)
+        bits = [p.patch_bits() for p in idx.partitions]
+        offsets = t.partition_offsets()
+        for kind in ("skip", "take"):
+            for read in ([0, 1, 2, 3], [0, 2], [1, 3]):
+                ids, cols = t.scan(SPLIT_COLUMNS, where=(kind, [
+                    b if p in read else None for p, b in enumerate(bits)]))
+                want_ids, want = [], {c: [] for c in SPLIT_COLUMNS}
+                for p in read:
+                    columns, mask = live[p]
+                    keep = mask if kind == "take" else ~mask
+                    want_ids.append(offsets[p] + np.flatnonzero(keep))
+                    for c in SPLIT_COLUMNS:
+                        want[c].append(columns[c][keep])
+                assert np.array_equal(ids, np.concatenate(want_ids)), (kind, read)
+                for c in SPLIT_COLUMNS:
+                    assert cols[c].dtype == t.partitions[0].chunks[c].dtype
+                    assert np.array_equal(cols[c], np.concatenate(want[c])), c
+
+    @pytest.mark.parametrize("path", SELECT_PATHS)
+    def test_bitmap_patch_rows(self, path, monkeypatch):
+        _, idx, live = split_table("bitmap", np.random.default_rng(22))
+        use_select_path(path, monkeypatch)
+        for p, (_, mask) in zip(idx.partitions, live):
+            assert np.array_equal(p.store.patch_rows(), np.flatnonzero(mask))
+
+    @pytest.mark.parametrize("path", SELECT_PATHS)
+    def test_bad_bits_and_spans_raise_before_writing(self, path, monkeypatch):
+        use_select_path(path, monkeypatch)
+        good = ShardedBitmap(300, 64)
+        good.set_many(np.arange(0, 300, 3))
+        good.bulk_delete(np.array([290, 200, 130, 64, 5]))
+        n = good.logical_len
+        src = np.arange(n) * 10
+
+        def bent(starts=None, logical_len=n):
+            b = ShardedBitmap(n, 64)
+            b._set_arrays(good.words.copy(), good.starts.copy()
+                          if starts is None else np.array(starts, np.int64))
+            b.logical_len = logical_len
+            return b
+
+        s = good.starts.tolist()
+        bad_bits = [bent([1] + s[1:]),                   # starts[0] is not 0
+                    bent(s[:2] + [s[1] - 1] + s[3:]),    # starts descend
+                    bent([0, 65] + s[2:]),               # shard 0 holds 65 bits
+                    bent(logical_len=n + 1)]             # not the partition's rows
+        whole = [(0, n, 0)]
+        cases = [(b, whole) for b in bad_bits]
+        cases += [(good, sp) for sp in ([(0, n + 1, 0)], [(5, 4, 0)],
+                                        [(0, 9, 0), (8, 20, 8)], [(0, 9, -1)])]
+        for bits, spans in cases:
+            for take in (False, True):
+                dst, ids = np.full(n, -7), np.full(n, -7)
+                with pytest.raises(ValueError):
+                    select([(dst, src), (ids, None)], spans, n, bits, take)
+                assert (dst == -7).all() and (ids == -7).all()
+        assert select([(np.zeros(n), np.arange(n) * 1.0)], whole, n, None,
+                      False) == n
+
+    @pytest.mark.parametrize("path", SELECT_PATHS)
+    def test_bits_in_dead_slots_raise(self, path, monkeypatch):
+        use_select_path(path, monkeypatch)
+        bits = ShardedBitmap(256, 64)
+        bits.bulk_delete(np.array([100, 10]))  # shards 0 and 1 lose a bit
+        bits.words[0] |= np.uint64(1) << np.uint64(63)  # a dead slot
+        n = bits.logical_len
+        for take, room in ((False, n - 1), (True, 1)):
+            with pytest.raises(ValueError):
+                select([(np.empty(room, np.int64), None)], [(0, n, 0)], n,
+                       bits, take)
 
 
 class TestChunks:
@@ -995,7 +1118,8 @@ class TestRouting:
             take = [ids[(ids >= a) & (ids < b)] - a
                     for a, b in zip(offsets.tolist(), offsets[1:].tolist())]
             assert (max(map(len, take)) > 1024) == (n == 6000)
-            got, cols = t.scan(["key"], where=("take", take))
+            got, cols = t.scan(["key"], where=("take", [
+                bitset(rows, p.nrows) for rows, p in zip(take, t.partitions)]))
             assert np.array_equal(got, ids)
             assert np.array_equal(cols["key"], full["key"][ids])
         assert len({int(s) for p in t.partitions for s in p.shift}) > 3

@@ -6,6 +6,7 @@ from patchindex import _native, column_store
 from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, SortOrder,
                                     build_index)
+from patchindex.sharded_bitmap import ShardedBitmap
 from patchindex import query_engine as qe
 from patchindex.query_engine import (
     Executor, annotate, distinct_node, execute, explain, hash_join_node,
@@ -169,6 +170,15 @@ class TestScanModes:
         rel = execute(qe.PlanNode("scan", table=t, columns=["value"], partition=1))
         assert rel.columns["rowid"].tolist() == [5, 6, 7, 8, 9]
 
+    def test_partition_outside_table_rejected(self):
+        t, idx = indexed([1, 1, 2, 3, 4, 5, 6, 7, 8, 9], NUC)
+        assert 0 < idx.patch_count < 10
+        for mode in ("all", "exclude_patches", "use_patches"):
+            for partition in (-1, 2, 5, 9):
+                with pytest.raises(ValueError, match="outside"):
+                    execute(scan_node(t, ["value"], mode,
+                                      None if mode == "all" else idx, partition))
+
 
 def split_scan_matches_mask(t, idx, columns=("key", "value")):
     """Every patch-split scan equals the full scan filtered by the mask."""
@@ -229,8 +239,9 @@ def test_patch_split_scan_with_lost_bits():
 
 @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
 def test_rewrites_read_partition_rows_without_routing(store, monkeypatch):
-    # the patch flows hand each store's partition rows to the scans, so no
-    # rowID is routed; small shards and deletes leave the bitmaps lost bits
+    # the patch flows hand each store's bits to the scans, so no rowID is
+    # routed and no bitmap is unpacked to rows; small shards and deletes
+    # leave the bitmaps lost bits
     rng = np.random.default_rng(11)
     n, nparts = 3000, 3
     values = {"nuc": rng.integers(0, 2000, size=n), "nsc": nearly_sorted(n, 300)}
@@ -254,7 +265,13 @@ def test_rewrites_read_partition_rows_without_routing(store, monkeypatch):
     def no_routing(*args):
         raise AssertionError("a rewritten plan routed rowIDs")
 
+    def no_unpack(*args):
+        raise AssertionError("a rewritten plan unpacked patch bits")
+
     monkeypatch.setattr(column_store, "route_rows", no_routing)
+    monkeypatch.setattr(ShardedBitmap, "to_bool_array", no_unpack)
+    if _native.lib is not None:  # the numpy merge join calls flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", no_unpack)
     distinct = distinct_node(scan_node(t, ["nuc"]), "nuc")
     a, b = execute(distinct), execute(rewrite_distinct(distinct, idx["nuc"]))
     assert sorted(b.columns["nuc"].tolist()) == a.columns["nuc"].tolist()

@@ -54,6 +54,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardedBitmap(10, bad)
 
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 4096])
+    def test_from_rows_is_one_shard_with_the_rows_set(self, n):
+        rows = np.flatnonzero(np.random.default_rng(n).random(n) < 0.3)
+        bm = ShardedBitmap.from_rows(n, rows)
+        assert bm.num_shards == 1 and bm.logical_len == n
+        assert np.array_equal(np.flatnonzero(logical(bm)), rows)
+        bm.check_invariants()
+        for bad in ([-1], [n]):
+            with pytest.raises(IndexError):
+                ShardedBitmap.from_rows(n, bad)
+
 
 class TestBitAccess:
     def test_fresh_all_zero(self):

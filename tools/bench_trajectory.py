@@ -6,8 +6,8 @@ this repository. An entry holds the median, quartiles and IQR of every
 end-to-end metric over the seeds, the per-seed values, the run's
 environment fingerprint, the checkout's git revision, a digest of its
 package source (``src_digest``), which tells apart checkouts of one
-revision with different uncommitted changes, and the kernel backend that
-``patchindex._native`` loads there. Within each seed the
+revision with different uncommitted changes, and the kernel backend and
+select path that ``patchindex._native`` loads there. Within each seed the
 checkouts run one after another, and the order alternates from seed to
 seed, so that a slow phase of the machine lands on both sides of a
 comparison. With two checkouts it also prints, per metric, in how many
@@ -53,17 +53,29 @@ def src_digest(checkout):
     return digest.hexdigest()
 
 
+def kernel_paths(checkout):
+    """(kernel backend, select path) that ``patchindex._native`` loads in
+    the checkout; the select path is None in a tree without the select
+    kernel."""
+    out = _run([sys.executable, "-c",
+                "import sys; sys.path.insert(0, 'src'); "
+                "from patchindex import _native; "
+                "print(_native.BACKEND, getattr(_native, 'SELECT_PATH', None))"],
+               checkout).strip().splitlines()[-1]
+    backend, select = out.split()
+    return backend, None if select == "None" else select
+
+
 def describe(checkout):
     """Git revision, whether src/ differs from it, the digest of the
-    package source and the kernel backend."""
+    package source, the kernel backend and the select path (``"avx512"``
+    or ``"scalar"``), which tells apart runs on a CPU without AVX-512."""
     rev = _run(["git", "rev-parse", "HEAD"], checkout).strip()
     dirty = bool(_run(["git", "status", "--porcelain", "--", "src"], checkout).strip())
-    backend = _run([sys.executable, "-c",
-                    "import sys; sys.path.insert(0, 'src'); "
-                    "from patchindex import _native; print(_native.BACKEND)"],
-                   checkout).strip().splitlines()[-1]
+    backend, select = kernel_paths(checkout)
     return {"git_rev": rev, "src_modified": dirty,
-            "src_digest": src_digest(checkout), "kernel_backend": backend}
+            "src_digest": src_digest(checkout), "kernel_backend": backend,
+            "select_path": select}
 
 
 def run_once(checkout, workload, seed, seconds):
