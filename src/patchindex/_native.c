@@ -1,8 +1,9 @@
 /* Compiled inner loops: shard-local bit deletion, one bulk delete per
- * bitmap, column membership, chunk Bloom filters, the merge join, the hash
+ * bitmap, column membership, block Bloom filters, the merge join, the hash
  * join, the k-way merge of sorted streams, the select of a partition's
  * rows by the bits of a sharded bit set, the delete of a partition's rows
- * with its zone-map refresh and longest-sorted-subsequence discovery.
+ * with its zone-map and filter upkeep, the prune and probe of a
+ * partition's blocks and longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -215,6 +216,45 @@ static inline int sorted_contains(const int64_t *keys, int64_t k, int64_t v)
     return *base == v;
 }
 
+/* The bit filter of a sorted key set, and the shift of its slot hash. */
+struct key_filter {
+    uint64_t *bits;
+    int shift;
+};
+
+/* Builds the filter of the keys[0:k], k > 0; returns -1 when it cannot be
+ * allocated and 0 otherwise. The caller frees f->bits. */
+static int key_filter_build(struct key_filter *f, const int64_t *keys,
+                            int64_t k)
+{
+    int log2 = FILTER_MIN_LOG2;
+    while (log2 < FILTER_MAX_LOG2 && ((int64_t)1 << log2) < 64 * k)
+        log2++;
+    f->shift = 64 - log2;
+    f->bits = calloc((size_t)1 << (log2 - 6), sizeof *f->bits);
+    if (f->bits == NULL)
+        return -1;
+    for (int64_t j = 0; j < k; j++) {
+        const uint64_t h = filter_slot(keys[j], f->shift);
+        f->bits[h >> 6] |= (uint64_t)1 << (h & 63);
+    }
+    return 0;
+}
+
+/* Writes to out, without a branch, each i in [lo, hi) whose col[i] passes
+ * the filter, and returns their count; out needs room for hi - lo. */
+static int64_t key_filter_pass(const struct key_filter *f, const int64_t *col,
+                               int64_t lo, int64_t hi, int64_t *out)
+{
+    int64_t hits = 0;
+    for (int64_t i = lo; i < hi; i++) {
+        const uint64_t h = filter_slot(col[i], f->shift);
+        out[hits] = i;
+        hits += (f->bits[h >> 6] >> (h & 63)) & 1;
+    }
+    return hits;
+}
+
 /* Ascending positions i in [0, n) whose col[i] occurs in keys[0:k], which
  * must be sorted ascending. Writes them to out (room for n) and returns
  * their count, or -1 when the filter cannot be allocated.
@@ -226,24 +266,11 @@ int64_t pi_in_positions(const int64_t *col, int64_t n, const int64_t *keys,
 {
     if (k == 0)
         return 0;
-    int log2 = FILTER_MIN_LOG2;
-    while (log2 < FILTER_MAX_LOG2 && ((int64_t)1 << log2) < 64 * k)
-        log2++;
-    const int shift = 64 - log2;
-    uint64_t *filter = calloc((size_t)1 << (log2 - 6), sizeof *filter);
-    if (filter == NULL)
+    struct key_filter f;
+    if (key_filter_build(&f, keys, k) < 0)
         return -1;
-    for (int64_t j = 0; j < k; j++) {
-        const uint64_t h = filter_slot(keys[j], shift);
-        filter[h >> 6] |= (uint64_t)1 << (h & 63);
-    }
-    int64_t hits = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const uint64_t h = filter_slot(col[i], shift);
-        out[hits] = i;
-        hits += (filter[h >> 6] >> (h & 63)) & 1;
-    }
-    free(filter);
+    const int64_t hits = key_filter_pass(&f, col, 0, n, out);
+    free(f.bits);
     int64_t count = 0;
     for (int64_t t = 0; t < hits; t++) {
         const int64_t i = out[t];
@@ -266,23 +293,27 @@ static inline uint64_t bloom_pattern(uint64_t h, int shift)
     return pattern;
 }
 
-/* OR the pattern of each values[i] into filter chunk[i] of the nfilters
+/* ORs value v into the filter of 2^(64 - shift) words at filter. */
+static inline void bloom_add(uint64_t *filter, int64_t v, int shift)
+{
+    const uint64_t h = filter_slot(v, 0);
+    filter[h >> shift] |= bloom_pattern(h, shift);
+}
+
+/* OR the pattern of each values[i] into filter which[i] of the nfilters
  * contiguous filters, each 2^log2_words words long, or into the first
- * filter when chunk is NULL. Returns -1, before writing anything, when a
- * chunk[i] lies outside [0, nfilters), and 0 otherwise. */
-int64_t pi_filter_add(const int64_t *values, const int64_t *chunk, int64_t n,
+ * filter when which is NULL. Returns -1, before writing anything, when a
+ * which[i] lies outside [0, nfilters), and 0 otherwise. */
+int64_t pi_filter_add(const int64_t *values, const int64_t *which, int64_t n,
                       uint64_t *filters, int64_t nfilters, int log2_words)
 {
     const int shift = 64 - log2_words;
-    for (int64_t i = 0; chunk != NULL && i < n; i++)
-        if ((uint64_t)chunk[i] >= (uint64_t)nfilters)
+    for (int64_t i = 0; which != NULL && i < n; i++)
+        if ((uint64_t)which[i] >= (uint64_t)nfilters)
             return -1;
-    for (int64_t i = 0; i < n; i++) {
-        const uint64_t h = filter_slot(values[i], 0);
-        uint64_t *filter = chunk == NULL ? filters
-                                         : filters + (chunk[i] << log2_words);
-        filter[h >> shift] |= bloom_pattern(h, shift);
-    }
+    for (int64_t i = 0; i < n; i++)
+        bloom_add(which == NULL ? filters : filters + (which[i] << log2_words),
+                  values[i], shift);
     return 0;
 }
 
@@ -300,51 +331,6 @@ static inline int64_t lower_bound(const int64_t *keys, int64_t k, int64_t v)
         }
     }
     return lo;
-}
-
-/* Whether each block may hold one of the ascending values[0:m]: sets
- * hit[b] when a value inside [mins[b], maxs[b]] has every pattern bit set
- * in the filter of the block's chunk. Chunks are counted over the
- * partitions in order: partition p has nchunks[p] chunks, whose filters
- * of 2^log2_words words lie one after another from filters[p], and chunk
- * c owns the next nblocks[c] blocks.
- *
- * A chunk probes the values from the smallest of its blocks' minima up
- * and stops at the largest maximum or once every block has a hit, so a
- * chunk that holds many probed values costs few probes. */
-void pi_filter_blocks(const uint64_t *const *filters, const int64_t *nchunks,
-                      int64_t nparts, int log2_words, const int64_t *values,
-                      int64_t m, const int64_t *mins, const int64_t *maxs,
-                      const int64_t *nblocks, uint8_t *hit)
-{
-    const int shift = 64 - log2_words;
-    int64_t c = 0, b0 = 0;
-    for (int64_t p = 0; p < nparts; p++) {
-        for (int64_t k = 0; k < nchunks[p]; k++, c++) {
-            const uint64_t *filter = filters[p] + (k << log2_words);
-            const int64_t b1 = b0 + nblocks[c];
-            int64_t lo = INT64_MAX, hi = INT64_MIN, open = b1 - b0;
-            for (int64_t b = b0; b < b1; b++) {
-                hit[b] = 0;
-                lo = mins[b] < lo ? mins[b] : lo;
-                hi = maxs[b] > hi ? maxs[b] : hi;
-            }
-            for (int64_t j = lower_bound(values, m, lo);
-                 open > 0 && j < m && values[j] <= hi; j++) {
-                const int64_t v = values[j];
-                const uint64_t h = filter_slot(v, 0);
-                const uint64_t pattern = bloom_pattern(h, shift);
-                if ((filter[h >> shift] & pattern) != pattern)
-                    continue;
-                for (int64_t b = b0; b < b1; b++)
-                    if (!hit[b] && mins[b] <= v && v <= maxs[b]) {
-                        hit[b] = 1;
-                        open--;
-                    }
-            }
-            b0 = b1;
-        }
-    }
 }
 
 /* Merge join of ascending (ties allowed) left keys lk[0:nl] against
@@ -854,9 +840,16 @@ static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
     }
 }
 
-/* Argument block of pi_delete_rows, kept per partition on the Python side
- * and rebuilt when its buffers grow. Mirrors
- * patchindex._native.DeleteRowsArgs. */
+/* Argument block of the partition kernels (pi_delete_rows,
+ * pi_prune_blocks and pi_probe_blocks), kept per partition on the Python
+ * side and rebuilt when its buffers grow or a column gets its filters.
+ * Mirrors patchindex._native.DeleteRowsArgs.
+ *
+ * Block j of chunk k is block k * chunk_blocks + j; its rows are the
+ * chunk's rows [j * block_size, (j + 1) * block_size), and it is live
+ * when its first row is below the chunk's row count. A zone column with
+ * filters has one blocked Bloom filter of 2^filter_log2 words per block:
+ * block b's filter starts at word b << filter_log2. */
 struct delete_rows_args {
     char *const *bufs;          /* ncols (slots, capacity) column buffers */
     const int64_t *itemsizes;   /* bytes per item of each column */
@@ -864,11 +857,40 @@ struct delete_rows_args {
     int64_t *const *mins;       /* nzones (slots, chunk_blocks) zone maps */
     int64_t *const *maxs;
     const int64_t *zone_cols;   /* the int64 column of each zone map */
+    uint64_t *const *filters;   /* each zone column's block filters, or NULL */
     int64_t nzones;
+    int64_t filter_log2;        /* log2 of the words of one block filter */
     int64_t capacity;           /* rows per chunk */
     int64_t block_size;         /* rows per zone-map block */
     int64_t chunk_blocks;       /* blocks per chunk */
 };
+
+/* After a chunk's delete, adds each row that crossed into another block
+ * to its new block's filter, and no other row. v is the compacted chunk's
+ * column, filters its block 0's filter and skip[0:m] the deleted rows, as
+ * partition rows of a chunk whose row 0 is partition row lo; left rows
+ * remain.
+ *
+ * Rows only move down, so a row of new block b crossed when its old row
+ * lies at or past the block's end e: the block's rows from e - D on,
+ * where D counts the deleted rows below e. So a block takes at most D
+ * rows, and a 10-row delete hashes about 100 values, not a chunk's
+ * rows. */
+static void filter_crossings(const int64_t *v, uint64_t *filters,
+                             int64_t log2, int64_t bs, const int64_t *skip,
+                             int64_t m, int64_t lo, int64_t left)
+{
+    const int shift = 64 - (int)log2;
+    int64_t d = 0;
+    for (int64_t b = (skip[0] - lo) / bs; b * bs < left; b++) {
+        const int64_t e = (b + 1) * bs;
+        while (d < m && skip[d] - lo < e)
+            d++;
+        const int64_t to = e < left ? e : left;
+        for (int64_t r = e - d > b * bs ? e - d : b * bs; r < to; r++)
+            bloom_add(filters + (b << log2), v[r], shift);
+    }
+}
 
 /* Delete the strictly ascending partition rows rows[0:m] from a partition
  * of nchunks chunks; chunk k holds counts[k] rows at the front of its slot.
@@ -876,8 +898,10 @@ struct delete_rows_args {
  * rows[0] < 0 or rows[m-1] >= the partition's row count and -1 when they
  * do not strictly ascend. Otherwise each chunk that holds deleted rows
  * closes their gaps in every column, in place, recomputes the zone maps
- * of its live blocks from the block of its first deleted row on, and
- * takes the new row count; returns 0. Emptied chunks stay in place. */
+ * of its live blocks from the block of its first deleted row on, adds the
+ * rows that crossed a block edge to their new blocks' filters (see
+ * filter_crossings) and takes the new row count; returns 0. Emptied
+ * chunks stay in place. */
 int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
                        int64_t m, int64_t *counts, int64_t nchunks)
 {
@@ -910,6 +934,11 @@ int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
                 zone_refresh(v, left, bs, b0, b1,
                              a->mins[z] + k * a->chunk_blocks,
                              a->maxs[z] + k * a->chunk_blocks);
+                if (a->filters[z] != NULL)
+                    filter_crossings(v, a->filters[z] + ((k * a->chunk_blocks)
+                                                         << a->filter_log2),
+                                     a->filter_log2, bs, rows + t, t1 - t,
+                                     start, left);
             }
             counts[k] = left;
             t = t1;
@@ -917,6 +946,108 @@ int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
         start = end;
     }
     return 0;
+}
+
+/* The live blocks of zone column z, which must have filters, that may
+ * hold one of the strictly ascending values[0:m]: a block is kept when a
+ * value inside its [min, max] has every pattern bit set in the block's
+ * own filter. Writes the kept block numbers, ascending, to out (room for
+ * nchunks * chunk_blocks) and returns their count, or -1 when the values'
+ * hashes cannot be allocated. */
+int64_t pi_prune_blocks(const struct delete_rows_args *a, int64_t z,
+                        const int64_t *counts, int64_t nchunks,
+                        const int64_t *values, int64_t m, int64_t *out)
+{
+    if (m == 0)
+        return 0;
+    const uint64_t *filters = a->filters[z];
+    const int shift = 64 - (int)a->filter_log2;
+    /* every filter has one width: each value's word and pattern, once */
+    uint64_t *word = malloc(2 * (size_t)m * sizeof *word);
+    if (word == NULL)
+        return -1;
+    uint64_t *pattern = word + m;
+    for (int64_t j = 0; j < m; j++) {
+        const uint64_t h = filter_slot(values[j], 0);
+        word[j] = h >> shift;
+        pattern[j] = bloom_pattern(h, shift);
+    }
+    int64_t kept = 0;
+    for (int64_t k = 0; k < nchunks; k++) {
+        const int64_t live = (counts[k] + a->block_size - 1) / a->block_size;
+        for (int64_t b = k * a->chunk_blocks; b < k * a->chunk_blocks + live;
+             b++) {
+            const int64_t lo = a->mins[z][b], hi = a->maxs[z][b];
+            const uint64_t *f = filters + (b << a->filter_log2);
+            for (int64_t j = lower_bound(values, m, lo);
+                 j < m && values[j] <= hi; j++) {
+                if ((f[word[j]] & pattern[j]) == pattern[j]) {
+                    out[kept++] = b;
+                    break;
+                }
+            }
+        }
+    }
+    free(word);
+    return kept;
+}
+
+/* Semijoin probe of one int64 column: the rows of the blocks blocks[0:nb]
+ * whose value occurs in the strictly ascending keys[0:k]. The blocks must
+ * be strictly ascending live block numbers. Writes each such row's
+ * position in the column buffer to pos and its rowID, base plus its
+ * partition row, to ids, in row order; both need room for the rows of
+ * the blocks. Returns their count; -1, before writing anything, when the
+ * blocks break the rule above; -2 when the key filter cannot be
+ * allocated.
+ *
+ * Each run of consecutive blocks in one chunk is one pass of the key bit
+ * filter that pi_in_positions uses, built once per call, and a binary
+ * search confirms each hit. */
+int64_t pi_probe_blocks(const struct delete_rows_args *a, int64_t col,
+                        const int64_t *counts, int64_t nchunks,
+                        const int64_t *blocks, int64_t nb,
+                        const int64_t *keys, int64_t k, int64_t base,
+                        int64_t *pos, int64_t *ids)
+{
+    const int64_t bs = a->block_size, cb = a->chunk_blocks;
+    for (int64_t i = 0; i < nb; i++) {
+        const int64_t b = blocks[i];
+        if (b < 0 || b / cb >= nchunks || b % cb * bs >= counts[b / cb]
+            || (i > 0 && b <= blocks[i - 1]))
+            return -1;
+    }
+    if (k == 0)
+        return 0;
+    struct key_filter f;
+    if (key_filter_build(&f, keys, k) < 0)
+        return -2;
+    const int64_t *v = (const int64_t *)a->bufs[col];
+    int64_t count = 0, chunk = 0, first = 0; /* first: row 0 of chunk */
+    for (int64_t i = 0; i < nb;) {
+        /* a run of blocks in chunk kk: its rows [lo, hi) */
+        int64_t j = i + 1;
+        while (j < nb && blocks[j] == blocks[j - 1] + 1 && blocks[j] % cb)
+            j++;
+        const int64_t kk = blocks[i] / cb, lo = blocks[i] % cb * bs;
+        const int64_t end = (blocks[j - 1] % cb + 1) * bs;
+        const int64_t hi = end < counts[kk] ? end : counts[kk];
+        i = j;
+        for (; chunk < kk; chunk++)
+            first += counts[chunk];
+        const int64_t at = kk * a->capacity;
+        const int64_t from = count;
+        const int64_t hits =
+            key_filter_pass(&f, v, at + lo, at + hi, pos + from);
+        for (int64_t t = from; t < from + hits; t++) {
+            const int64_t p = pos[t];
+            pos[count] = p;
+            ids[count] = base + first + p - at;
+            count += sorted_contains(keys, k, v[p]);
+        }
+    }
+    free(f.bits);
+    return count;
 }
 
 /* Keep-mask of one longest non-decreasing (non-increasing when descending

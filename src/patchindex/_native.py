@@ -11,10 +11,14 @@ grouped bulk delete, ``column_store`` its membership test
 (``in_positions``), its patch-split select (``select``), which copies a
 scan's rows by the bits of a patch store and falls back to a keep mask
 per chunk span, its partition delete, which compacts one chunk at a time
-with ``compact`` and recomputes that chunk's zone maps in numpy, its
-chunk filter build (``filter_add``), which falls back to
-``np.bitwise_or.at``, and its chunk filter probe (``filter_blocks``),
-``query_engine`` its merge join (``merge_join_positions``), its hash join
+with ``compact``, recomputes that chunk's zone maps in numpy and adds the
+rows that crossed a block edge to their block filters, its block filter
+build (``filter_add``), which falls back to ``np.bitwise_or.at``, its
+block pruning (``Partition.prune``), which tests every live block's
+filter against every value inside its zone map, and its semijoin probe
+(``Partition.probe``), which gathers the probed blocks' rows and tests
+them with ``np.isin``; ``query_engine`` its merge join
+(``merge_join_positions``), its hash join
 (``hash_join_positions``) and its merge of sorted streams
 (``merge_sorted_streams``), which falls back to a stable argsort of the
 concatenated streams, and ``patch_index`` its longest sorted subsequence
@@ -71,13 +75,14 @@ class SelectArgs(ctypes.Structure):
 
 
 class DeleteRowsArgs(ctypes.Structure):
-    """Argument block of ``pi_delete_rows``; mirrors
+    """Argument block of the partition kernels ``pi_delete_rows``,
+    ``pi_prune_blocks`` and ``pi_probe_blocks``; mirrors
     ``struct delete_rows_args``."""
 
     _fields_ = [("bufs", _P), ("itemsizes", _P), ("ncols", _I),
                 ("mins", _P), ("maxs", _P), ("zone_cols", _P),
-                ("nzones", _I), ("capacity", _I), ("block_size", _I),
-                ("chunk_blocks", _I)]
+                ("filters", _P), ("nzones", _I), ("filter_log2", _I),
+                ("capacity", _I), ("block_size", _I), ("chunk_blocks", _I)]
 
 
 # name -> (argtypes, restype)
@@ -87,8 +92,6 @@ _SIGNATURES = {
     "pi_bulk_delete": ((ctypes.POINTER(DeleteArgs), _P, _I, ctypes.c_int), _I),
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
     "pi_filter_add": ((_P, _P, _I, _P, _I, ctypes.c_int), _I),
-    "pi_filter_blocks": ((_P, _P, _I, ctypes.c_int, _P, _I, _P, _P, _P, _P),
-                         None),
     "pi_merge_join": ((_P, _I, _P, _I, _P, _P), _I),
     "pi_hash_join": ((_P, _I, _P, _I, _P, _P, _I), _I),
     "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),
@@ -98,6 +101,10 @@ _SIGNATURES = {
     "pi_select_scalar": ((ctypes.POINTER(SelectArgs),), _I),
     "pi_select_uses_avx512": ((), _I),
     "pi_delete_rows": ((ctypes.POINTER(DeleteRowsArgs), _P, _I, _P, _I), _I),
+    "pi_prune_blocks": ((ctypes.POINTER(DeleteRowsArgs), _I, _P, _I, _P, _I,
+                         _P), _I),
+    "pi_probe_blocks": ((ctypes.POINTER(DeleteRowsArgs), _I, _P, _I, _P, _I,
+                         _P, _I, _I, _P, _P), _I),
 }
 
 

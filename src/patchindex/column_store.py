@@ -5,8 +5,8 @@ Global rowIDs are dense, assigned by partition order then position. Each
 partition stores its rows in fixed-capacity chunks, the sharded bitmap's
 layout, with per-block min/max summaries of its int64 columns on each
 chunk's block grid. A column probed for value sets also gets one blocked
-Bloom filter per chunk, built on the first probe, so block pruning skips
-the chunks that cannot hold a probed value. Inserts append to the last
+Bloom filter per block, built on the first probe, so block pruning skips
+the blocks that cannot hold a probed value. Inserts append to the last
 partition's chunks. Deletes compact rows immediately, inside the chunks
 that hold them, shifting all subsequent rowIDs down.
 """
@@ -26,8 +26,8 @@ DEFAULT_BLOCK_SIZE = 4096
 # chunk capacity in zone-map blocks: a delete rewrites one chunk of
 # CHUNK_BLOCKS * block_size rows, not the whole partition
 CHUNK_BLOCKS = 16
-# chunk membership filter size: 16 bits per row of chunk capacity keep the
-# false-positive rate of a full chunk near 0.5% at 4 bits per key
+# block membership filter size: 16 bits per row of block keep the
+# false-positive rate of a full block near 0.5% at 4 bits per key
 FILTER_BITS_PER_ROW = 16
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the kernels' multiplicative hash
 
@@ -59,7 +59,7 @@ def in_positions(values, keys):
 
 def membership(keys, dtype):
     """``in_positions`` against fixed keys for values of dtype, with the
-    keys prepared once: a scan calls it once per chunk span."""
+    keys prepared once."""
     lib = _native.lib
     if (lib is None or dtype != np.int64
             or not np.can_cast(keys.dtype, np.int64)):
@@ -103,79 +103,38 @@ def _filter_log2(filters):
     return width.bit_length() - 1
 
 
-def filter_add(filters, values, chunk=None):
+def filter_add(filters, values, which=None):
     """OR int64 values into blocked Bloom filters.
 
     filters is a C-contiguous uint64 array whose last axis is one filter
-    of a power-of-two word count. Value i goes into filter chunk[i] of a
-    2-D filters, or into the one filter of a 1-D filters when chunk is None.
-    The compiled kernel and the numpy reference set the same bits.
+    of a power-of-two word count. Value i goes into filter which[i] of a
+    2-D filters, or into the one filter of a 1-D filters when which is
+    None. The compiled kernel and the numpy reference set the same bits.
     """
     log2 = _filter_log2(filters)
     values = np.ascontiguousarray(values, dtype=np.int64)
-    bad_chunk = ValueError("chunk must name a filter row for every value")
-    if chunk is not None:
-        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-        if filters.ndim != 2 or len(chunk) != len(values):
-            raise bad_chunk
+    bad_which = ValueError("which must name a filter row for every value")
+    if which is not None:
+        which = np.ascontiguousarray(which, dtype=np.int64)
+        if filters.ndim != 2 or len(which) != len(values):
+            raise bad_which
     if not len(values):
         return
     lib = _native.lib
     if lib is None:
         words, pattern = filter_hash(values, log2)
-        if chunk is not None:
-            if chunk.min() < 0 or chunk.max() >= len(filters):
-                raise bad_chunk
-            words += chunk << log2
+        if which is not None:
+            if which.min() < 0 or which.max() >= len(filters):
+                raise bad_which
+            words += which << log2
         np.bitwise_or.at(filters.reshape(-1), words, pattern)
         return
-    # the kernel checks the chunk numbers before it writes
+    # the kernel checks the filter numbers before it writes
     if lib.pi_filter_add(address(values),
-                         None if chunk is None else address(chunk),
+                         None if which is None else address(which),
                          len(values), address(filters),
                          len(filters) if filters.ndim == 2 else 1, log2) < 0:
-        raise bad_chunk
-
-
-def filter_blocks(filters, values, mins, maxs, nblocks):
-    """Whether each block may hold one of the ascending int64 values.
-
-    A block qualifies when a value inside its [min, max] has every bit of
-    its pattern set in the filter of the block's chunk. filters holds one
-    2-D filter array per partition, all of one width; their chunks, in
-    order, own the next nblocks[c] of the blocks that mins and maxs
-    describe. The compiled kernel stops probing a chunk once all its
-    blocks qualify; the numpy reference counts every chunk's hits over the
-    values and compares the counts at each block's bounds. Both agree.
-    """
-    log2s = {_filter_log2(f) for f in filters}
-    if len(log2s) != 1 or any(f.ndim != 2 for f in filters):
-        raise ValueError("filters must be 2-D arrays of one width")
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    mins = np.ascontiguousarray(mins, dtype=np.int64)
-    maxs = np.ascontiguousarray(maxs, dtype=np.int64)
-    nblocks = np.ascontiguousarray(nblocks, dtype=np.int64)
-    if (len(nblocks) != sum(len(f) for f in filters)
-            or int(nblocks.sum()) != len(mins) or len(maxs) != len(mins)
-            or (len(nblocks) and nblocks.min() < 0)):
-        raise ValueError("nblocks must split the blocks over the chunks")
-    log2 = log2s.pop()
-    lib = _native.lib
-    if lib is None:
-        words, pattern = filter_hash(values, log2)
-        seen = np.zeros((len(nblocks), len(values) + 1), dtype=np.int64)
-        np.cumsum(np.concatenate([(f[:, words] & pattern) == pattern
-                                  for f in filters]), axis=1, out=seen[:, 1:])
-        chunk = np.repeat(np.arange(len(nblocks)), nblocks)
-        return (seen[chunk, np.searchsorted(values, maxs, side="right")]
-                > seen[chunk, np.searchsorted(values, mins, side="left")])
-    hit = np.empty(len(mins), dtype=bool)
-    parts = pointers(filters)
-    nchunks = np.array([len(f) for f in filters], dtype=np.int64)
-    lib.pi_filter_blocks(address(parts), address(nchunks), len(filters), log2,
-                         address(values), len(values), address(mins),
-                         address(maxs), address(nblocks), address(hit))
-    return hit
+        raise bad_which
 
 
 def compact(pairs, ranges, skip, base=0):
@@ -385,12 +344,13 @@ class Partition:
     block j of chunk k is block k * CHUNK_BLOCKS + j.
 
     An int64 column asked for its membership filters (``filter_words``)
-    gets one blocked Bloom filter per chunk, a (slots, words) array sized
-    from the capacity, so appends never resize it. Appends and modifies
-    add the new values, and a condense ORs the merged chunk's filter into
-    its neighbour's. A delete leaves the filters alone: a deleted value
-    only leaves stale bits, and a filter may answer "maybe" wrongly but
-    never "no" wrongly.
+    gets one blocked Bloom filter per block, a (slots, CHUNK_BLOCKS,
+    words) array, so appends never resize it. Every live row's value is
+    in the filter of the block that holds it: appends and modifies add
+    the new values, a delete adds each row it moves into another block
+    to that block's filter, and a condense adds every row it moves. No
+    bit is ever cleared: a deleted or moved-away value only leaves stale
+    bits, and a filter may answer "maybe" wrongly but never "no" wrongly.
     """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
@@ -416,12 +376,12 @@ class Partition:
                                       for _ in range(2))
                 for zone, values in zip(self.zones[c], _block_minmax(a, block_size)):
                     zone.reshape(-1)[:len(values)] = values
-        # FILTER_BITS_PER_ROW bits per capacity row, in a power of two
-        # words; the hash takes at most 40 bits for the word number
-        words = -(-self.capacity * FILTER_BITS_PER_ROW // 64)
+        # FILTER_BITS_PER_ROW bits per block row, in a power of two words,
+        # at least 2; the hash takes at most 40 bits for the word number
+        words = -(-block_size * FILTER_BITS_PER_ROW // 64)
         self.filter_log2 = min(max(1, (words - 1).bit_length()), 40)
         self.filters = {}  # built on first request, see filter_words
-        self._args = None  # see _delete_args
+        self._args = None  # see _kernel_args
         self._recount()
 
     def _recount(self):
@@ -452,27 +412,31 @@ class Partition:
         return tuple(z[k, :nblocks] for z in self.zones[column])
 
     def filter_words(self, column):
-        """(nchunks, words) membership filters of an int64 column's chunks.
+        """(nchunks, CHUNK_BLOCKS, words) membership filters of an int64
+        column's blocks: [k, j] is the filter of block j of chunk k.
 
         The first request builds them from the chunk buffers; from then
         on every mutator keeps them up to date.
         """
         f = self.filters.get(column)
         if f is None:
-            f = np.zeros((len(self.chunks[column]), 1 << self.filter_log2),
-                         dtype=np.uint64)
+            f = np.zeros((len(self.chunks[column]), CHUNK_BLOCKS,
+                          1 << self.filter_log2), dtype=np.uint64)
             for k in range(self.nchunks):
-                filter_add(f[k], self.chunk(column, k))
+                filter_add(f[k], self.chunk(column, k),
+                           np.arange(self.counts[k]) // self.block_size)
             self.filters[column] = f
+            self._args = None  # the kernels' argument block names them
         return f[:self.nchunks]
 
     def _filter_rows(self, pos, columns):
         """Add the rows at flattened buffer positions pos to the filters
-        their chunks keep for the given columns."""
+        their blocks keep for the given columns."""
         for c in columns:
-            if c in self.filters:
-                filter_add(self.filters[c], self.chunks[c].reshape(-1)[pos],
-                           pos // self.capacity)
+            f = self.filters.get(c)
+            if f is not None:
+                filter_add(f.reshape(-1, f.shape[-1]),
+                           self.chunks[c].reshape(-1)[pos], pos // self.block_size)
 
     @property
     def columns(self):
@@ -515,20 +479,6 @@ class Partition:
         spans = np.column_stack((self.ends - self.counts, self.ends,
                                  np.arange(self.nchunks) * self.capacity))
         return spans[self.counts > 0]
-
-    def check_spans(self, spans):
-        """Raise ValueError unless the (lo, hi, at) spans, a list of
-        triples, ascend without overlap and each lies inside one chunk's
-        rows, with at the buffer position of its row lo."""
-        ends, shift = self.ends.tolist(), self.shift.tolist()
-        prev = 0
-        for lo, hi, at in spans:
-            k = bisect_right(ends, lo)
-            if not (prev <= lo < hi and k < len(ends) and hi <= ends[k]
-                    and at == lo + shift[k]):
-                raise ValueError("spans must ascend inside the chunks of "
-                                 "their partition")
-            prev = hi
 
     def take(self, column, local):
         """Values of one column at persisted partition rows."""
@@ -643,15 +593,16 @@ class Partition:
         repeated ValueError, before any chunk changes. Each touched chunk
         closes the gaps in every column, in place, and recomputes the zone
         maps of its live blocks from the block of its first deleted row
-        on; then neighbours that fit one chunk are condensed. With the
-        compiled kernels that is one call (``pi_delete_rows``) for all
-        touched chunks; the reference runs ``compact`` and ``_rezone`` per
-        chunk.
+        on, and adds each row that crossed into another block to that
+        block's filters; then neighbours that fit one chunk are condensed.
+        With the compiled kernels that is one call (``pi_delete_rows``)
+        for all touched chunks; the reference runs ``compact``, ``_rezone``
+        and ``_filter_rows`` per chunk, and both add the same rows.
         """
         local = np.ascontiguousarray(local, dtype=np.int64)
         lib = _native.lib
         if lib is not None:
-            rc = lib.pi_delete_rows(self._delete_args(), address(local),
+            rc = lib.pi_delete_rows(self._kernel_args(), address(local),
                                     len(local), address(self.counts),
                                     self.nchunks)
         else:
@@ -670,19 +621,25 @@ class Partition:
         if (local[1:] <= local[:-1]).any():
             return -1
         owner = np.searchsorted(self.ends, local, side="right")
+        bs = self.block_size
         for k in sort_unique(owner).tolist():
             rows = local[owner == k] - (self.ends[k] - self.counts[k])
-            n = int(self.counts[k])
+            n, first = int(self.counts[k]), int(rows[0])
             compact([(row, row) for row in (buf[k] for buf in self.chunks.values())],
                     (0, n, 0), rows)
             self.counts[k] = n - len(rows)
-            self._rezone(k, int(rows[0]))
+            self._rezone(k, first)
+            # the kept rows from the first deleted one on, before and after
+            old = np.delete(np.arange(first, n), rows - first)
+            new = np.arange(first, first + len(old))
+            self._filter_rows(k * self.capacity + new[old // bs != new // bs],
+                              self.filters)
         return 0
 
-    def _delete_args(self):
-        """The argument block of ``pi_delete_rows`` for the current
-        buffers, built on first use after they were (re)allocated; it
-        holds the address arrays it points to."""
+    def _kernel_args(self):
+        """The argument block of the partition kernels for the current
+        buffers and filters, built on first use after either was
+        (re)allocated; it holds the address arrays it points to."""
         if self._args is None:
             bufs = list(self.chunks.values())
             names = list(self.chunks)
@@ -691,13 +648,91 @@ class Partition:
                     np.array([b.itemsize for b in bufs], dtype=np.int64),
                     pointers([self.zones[c][0] for c in zones]),
                     pointers([self.zones[c][1] for c in zones]),
-                    np.array([names.index(c) for c in zones], dtype=np.int64))
+                    np.array([names.index(c) for c in zones], dtype=np.int64),
+                    np.array([address(self.filters[c]) if c in self.filters
+                              else 0 for c in zones], dtype=np.uintp))
             self._args = _native.DeleteRowsArgs(
                 *(address(a) for a in held[:2]), len(bufs),
-                *(address(a) for a in held[2:]), len(zones), self.capacity,
-                self.block_size, CHUNK_BLOCKS)
+                *(address(a) for a in held[2:]), len(zones), self.filter_log2,
+                self.capacity, self.block_size, CHUNK_BLOCKS)
             self._held = held
         return self._args
+
+    def prune(self, column, values):
+        """Ascending numbers of the live blocks of an int64 column that may
+        hold one of the strictly ascending int64 values: a block is kept
+        when a value inside its [min, max] passes the block's own filter.
+        The first call builds the column's filters. One ``pi_prune_blocks``
+        call; the numpy reference tests every value against every live
+        block.
+        """
+        filters = self.filter_words(column)
+        lib = _native.lib
+        if lib is not None:
+            out = np.empty(self.nchunks * CHUNK_BLOCKS, dtype=np.int64)
+            count = lib.pi_prune_blocks(
+                self._kernel_args(), list(self.zones).index(column),
+                address(self.counts), self.nchunks, address(values),
+                len(values), address(out))
+            if count < 0:
+                raise MemoryError("prune hash allocation failed")
+            return out[:count]
+        blocks = np.flatnonzero(self.live)
+        mins, maxs = (z[:self.nchunks][self.live] for z in self.zones[column])
+        words, pattern = filter_hash(values, self.filter_log2)
+        passes = (filters.reshape(-1, filters.shape[-1])[blocks][:, words]
+                  & pattern) == pattern
+        inside = (mins[:, None] <= values) & (values <= maxs[:, None])
+        return blocks[(passes & inside).any(axis=1)]
+
+    def probe(self, column, keys, blocks=None, base=0):
+        """Semijoin probe: (buffer positions, rowIDs) of the rows of the
+        given blocks whose column value occurs in keys, in row order.
+
+        keys is sorted and duplicate-free (``sort_unique``); blocks is a
+        strictly ascending int64 array of live block numbers, or None for
+        every live block. rowIDs are partition rows plus base. A block
+        list that is not strictly ascending or names a block that is not
+        live raises ValueError. An int64 column with integer keys takes
+        one ``pi_probe_blocks`` call; anything else, or a missing build,
+        runs the numpy reference, ``np.isin`` over the blocks' rows.
+        """
+        bad = ValueError("probe blocks must be strictly ascending live "
+                         "blocks of the partition")
+        if blocks is None:
+            blocks = np.flatnonzero(self.live)
+        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+        if blocks.ndim != 1:
+            raise bad
+        if not len(blocks):
+            return blocks, blocks.copy()
+        lib = _native.lib
+        if (lib is not None and self.chunks[column].dtype == np.int64
+                and np.can_cast(keys.dtype, np.int64)):
+            keys = np.ascontiguousarray(keys, dtype=np.int64)
+            pos = np.empty(len(blocks) * self.block_size, dtype=np.int64)
+            ids = np.empty(len(pos), dtype=np.int64)
+            count = lib.pi_probe_blocks(
+                self._kernel_args(), list(self.chunks).index(column),
+                address(self.counts), self.nchunks, address(blocks),
+                len(blocks), address(keys), len(keys), base, address(pos),
+                address(ids))
+            if count == -2:
+                raise MemoryError("membership filter allocation failed")
+            if count < 0:
+                raise bad
+            return pos[:count], ids[:count]
+        if (np.diff(blocks) <= 0).any() or not np.isin(
+                blocks, np.flatnonzero(self.live)).all():
+            raise bad
+        # block b's rows start at buffer position b * block_size
+        lo = blocks * self.block_size
+        hi = np.minimum(lo + self.block_size, (blocks // CHUNK_BLOCKS)
+                        * self.capacity + self.counts[blocks // CHUNK_BLOCKS])
+        pos = np.concatenate([np.arange(a, b)
+                              for a, b in zip(lo.tolist(), hi.tolist())])
+        pos = pos[np.isin(self.chunks[column].reshape(-1)[pos], keys)]
+        return pos, base + pos - self.shift[pos // self.capacity]
 
     def _condense(self):
         """Merge neighbouring chunks that fit one capacity; drop a lone
@@ -716,11 +751,12 @@ class Partition:
                 for z in zone:
                     z[k + 1:self.nchunks - 1] = z[k + 2:self.nchunks]
             for f in self.filters.values():
-                f[k] |= f[k + 1]
                 f[k + 1:self.nchunks - 1] = f[k + 2:self.nchunks]
             self.counts[k] = a + b
             self.counts = np.delete(self.counts, k + 1)
             self._rezone(k, a)
+            self._filter_rows(k * self.capacity + np.arange(a, a + b),
+                              self.filters)
         if self.nchunks == 1 and not self.counts[0]:
             self.counts = self.counts[:0]
         for f in self.filters.values():  # a reopened chunk starts empty
@@ -766,11 +802,12 @@ class ColumnTable:
         where is an optional filter. Each form holds one entry per
         partition, and a None entry leaves that partition unread:
 
-        - ("in", column, keys[, spans]): rows whose column value occurs in
-          keys. spans, one (lo, hi, at) array per partition as
-          ``prune_blocks`` returns them, limits the probe to those rows;
-          spans that leave their chunks raise ValueError (see
-          ``Partition.check_spans``). Without spans every chunk is probed;
+        - ("in", column, keys[, blocks]): rows whose column value occurs
+          in keys. blocks, one ascending block number array per partition
+          as ``prune_blocks`` returns them, limits the probe to the rows
+          of those blocks; a list that does not ascend or names a block
+          that is not live raises ValueError (see ``Partition.probe``).
+          Without blocks every live block is probed;
         - ("skip", bits): every row of each partition p whose bit is clear
           in bits[p], a ``ShardedBitmap`` of the partition's rows, such as
           a patch store's (``PatchIndex.patch_bits``);
@@ -783,36 +820,32 @@ class ColumnTable:
         count of every partition first, then sizes the output arrays and
         writes each partition's rows straight into their slice: "skip" and
         "take" with one patch-split select (``select``) of every column
-        and the rowIDs, "in" with a gather at the probed rows' buffer
-        positions.
+        and the rowIDs, "in" with one probe per partition
+        (``Partition.probe``) and a gather at the rows' buffer positions.
         """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
         kind, rows = (where[:2] if where is not None
                       else ("skip", [()] * len(self.partitions)))
         if kind == "in":
-            _, where_col, keys, *spans = where
+            _, where_col, keys, *blocks = where
             self._check_columns([where_col])
-            member = membership(sort_unique(keys),
-                                np.dtype(dict(self.schema)[where_col]))
-            rows = spans[0] if spans else [p.spans() for p in self.partitions]
+            keys = sort_unique(keys)
+            # without blocks, () reads a partition's every live block
+            rows = blocks[0] if blocks else [()] * len(self.partitions)
         elif kind not in ("skip", "take"):
             raise ValueError(f"unknown scan filter {where!r}")
         if len(rows) != len(self.partitions):
             raise ValueError(f"{kind} filter needs one entry per partition")
-        # per partition: (partition, first rowID, row count, probed rows
-        # or bit set)
+        # per partition: (partition, first rowID, row count, probed
+        # (positions, rowIDs) or bit set)
         plans, total, part_lo = [], 0, 0
         for p, sel in zip(self.partitions, rows):
             if sel is not None:
                 if kind == "in":
-                    triples = np.asarray(sel, dtype=np.int64).reshape(-1, 3).tolist()
-                    p.check_spans(triples)
-                    flat = p.chunks[where_col].reshape(-1)
-                    sel = np.concatenate([lo + member(flat[at:at + hi - lo])
-                                          for lo, hi, at in triples]
-                                         + [np.zeros(0, dtype=np.int64)])
-                    n = len(sel)
+                    sel = p.probe(where_col, keys, sel if blocks else None,
+                                  part_lo)
+                    n = len(sel[0])
                 else:
                     if isinstance(sel, tuple) and not sel:
                         sel, marked = None, 0
@@ -835,8 +868,7 @@ class ColumnTable:
                     (out[c][o:o + n], p.chunks[c].reshape(-1)) for c in columns]
                 select(pairs, p.spans(), p.nrows, sel, kind == "take", base)
             else:
-                pos = p._ascending_positions(sel)  # probed in order
-                np.add(sel, base, out=ids[o:o + n])
+                pos, ids[o:o + n] = sel[0], sel[1]
                 for c in columns:
                     # probed rows are inside the buffers; "raise" would
                     # buffer out
@@ -850,52 +882,36 @@ class ColumnTable:
     def prune_blocks(self, column, values):
         """The blocks of an int64 column that may hold one of the values.
 
-        A block is kept when its [min, max] holds a value; where that keeps
-        more than CHUNK_BLOCKS blocks, a kept block's value must also pass
-        the membership filter of the block's chunk. The first call builds
-        the column's filters. Returns (kept block count, spans): spans
-        holds per partition an (r, 3) int64 array of (lo, hi, at), one row
-        per run of kept blocks inside one chunk, laid out as
-        ``Partition.spans``; the "in" filter of ``scan`` takes it.
+        A live block is kept when a value inside its [min, max] passes the
+        block's own membership filter; the first call builds the column's
+        filters. Returns (kept block count, blocks): blocks holds per
+        partition an ascending int64 array of its kept blocks' numbers,
+        k * CHUNK_BLOCKS + j for block j of chunk k, which the "in" filter
+        of ``scan`` takes. One ``Partition.prune`` per partition.
         """
         self._check_columns([column])
-        parts = self.partitions
-        mins, maxs = (np.concatenate(z) for z in zip(*(
-            [z[:p.nchunks][p.live] for z in p.zones[column]] for p in parts)))
+        if np.dtype(dict(self.schema)[column]) != np.int64:
+            raise ValueError(f"block pruning needs an int64 column, not {column!r}")
         values = sort_unique(np.asarray(values, dtype=np.int64))
-        hit = (np.searchsorted(values, maxs, side="right")
-               > np.searchsorted(values, mins, side="left"))
-        filters = [p.filter_words(column) for p in parts]
-        counts = np.concatenate([p.counts for p in parts])
-        nblocks = -(-counts // self.block_size)
-        # where the zone maps keep at most a chunk's worth of blocks, a
-        # filter probe costs about what it could save
-        if np.count_nonzero(hit) > CHUNK_BLOCKS:
-            hit = filter_blocks(filters, values, mins, maxs, nblocks)
-        hit = np.flatnonzero(hit)
-        # blocks are numbered consecutively over the chunks of all
-        # partitions; a run breaks at a gap or a chunk edge
-        first = np.cumsum(nblocks) - nblocks
-        chunk = np.searchsorted(first, hit, side="right") - 1
-        brk = (np.diff(hit) != 1) | (chunk[1:] != chunk[:-1])
-        # no hits make no run
-        run = np.flatnonzero(np.concatenate(([True], brk)))[:len(hit)]
-        end = np.flatnonzero(np.concatenate((brk, [True])))[:len(hit)]
-        c = chunk[run]
-        bs = self.block_size
-        lo = (hit[run] - first[c]) * bs
-        hi = np.minimum((hit[end] - first[c] + 1) * bs, counts[c])
-        # chunk rows to partition rows and to flattened buffer items
-        start = np.concatenate([p.ends - p.counts for p in parts])[c]
-        shift = np.concatenate([p.shift for p in parts])[c]
-        spans = np.column_stack((start + lo, start + hi, start + lo + shift))
-        edges = np.cumsum([p.nchunks for p in parts])[:-1]
-        return len(hit), np.split(spans, np.searchsorted(c, edges))
+        kept = [p.prune(column, values) for p in self.partitions]
+        return sum(len(b) for b in kept), kept
 
     def filter_bytes(self):
         """Bytes of the live chunks' membership filters."""
         return sum(f[:p.nchunks].nbytes for p in self.partitions
                    for f in p.filters.values())
+
+    def filter_fill(self):
+        """Share of set bits in the live blocks' membership filters, or 0.0
+        without filters. Deletes add the rows they move and never clear a
+        bit, so stale bits show as a rising share."""
+        bits = words = 0
+        for p in self.partitions:
+            for f in p.filters.values():
+                live = f[:p.nchunks][p.live]
+                bits += int(np.bitwise_count(live).sum())
+                words += live.size
+        return bits / (64 * words) if words else 0.0
 
     def total_blocks(self):
         bs = self.block_size

@@ -377,13 +377,7 @@ class Executor:
         """
         table, index = node.table, node.index
         nparts = len(table.partitions)
-        if node.partition is None:
-            parts = range(nparts)
-        elif 0 <= node.partition < nparts:
-            parts = [node.partition]
-        else:
-            raise ValueError(f"scan partition {node.partition} outside the "
-                             f"table's {nparts} partitions")
+        parts = _scan_partitions(node)
         if node.mode not in ("all", "use_patches", "exclude_patches"):
             raise ValueError(f"unknown scan mode {node.mode!r}")
         if node.mode != "all":
@@ -501,16 +495,25 @@ def annotate(plan):
     return plan
 
 
+def _scan_partitions(node):
+    """The partition numbers a scan node reads: all of them, or its one
+    partition; a partition outside the table raises ValueError."""
+    nparts = len(node.table.partitions)
+    if node.partition is None:
+        return range(nparts)
+    if 0 <= node.partition < nparts:
+        return [node.partition]
+    raise ValueError(f"scan partition {node.partition} outside the "
+                     f"table's {nparts} partitions")
+
+
 def _estimate(node):
     op = node.op
     if op == "scan":
-        if node.partition is None:
-            total = node.table.row_count
-            patches = node.index.patch_count if node.index else 0
-        else:
-            total = node.table.partitions[node.partition].nrows
-            patches = (node.index.partitions[node.partition].patch_count
-                       if node.index else 0)
+        parts = _scan_partitions(node)
+        total = sum(node.table.partitions[p].nrows for p in parts)
+        patches = (sum(node.index.partitions[p].patch_count for p in parts)
+                   if node.index else 0)
         if node.mode == "all":
             return total
         if node.mode == "exclude_patches":

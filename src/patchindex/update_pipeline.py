@@ -7,17 +7,19 @@ The handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
 with the touched values. Block pruning restricts the scan to the blocks
 that may hold a touched value by two summaries: the block's zone map must
-hold it (the dynamic-range-propagation trick), and so must the membership
-filter of the block's chunk. ``ColumnTable.prune_blocks`` returns the
-kept blocks as per-partition chunk spans, which the scan probes, and
-their count, the statement's ``blocks_scanned``. The scan itself keeps
-only rows holding a touched value, and every returned row whose value
-occurs at least twice becomes a patch. That equals patching both sides of every match of a
+hold it (the dynamic-range-propagation trick), and so must the block's
+own membership filter. ``ColumnTable.prune_blocks`` returns the kept
+blocks' numbers per partition, one compiled call each, and their count,
+the statement's ``blocks_scanned``; the scan probes just those blocks,
+again one compiled call per partition, and keeps only rows holding a
+touched value. Every returned row whose value occurs at least twice
+becomes a patch. That equals patching both sides of every match of a
 touched row with another row: neither summary ever rules out a value the
-block holds, so all rows holding a touched value lie in unpruned blocks,
-and the touched rows are in the table themselves. The sortedness
-constraint extends its sorted run for inserts and simply patches modified
-rows. Deletes drop the tracking state
+block holds (the storage keeps every live row's value in its own block's
+filter, across deletes too), so all rows holding a touched value lie in
+unpruned blocks, and the touched rows are in the table themselves. The
+sortedness constraint extends its sorted run for inserts and simply
+patches modified rows. Deletes drop the tracking state
 for the deleted rowIDs. The maintained patch set may grow beyond the
 minimal one, but the non-patch rows always satisfy the constraint.
 """
@@ -78,8 +80,8 @@ def _duplicate_join(table, column, probe_ids, probe_values):
         return nulls, stats
     values = probe_values[live]
 
-    stats.blocks_scanned, spans = table.prune_blocks(column, values)
-    rowids, cols = table.scan([column], where=("in", column, values, spans))
+    stats.blocks_scanned, blocks = table.prune_blocks(column, values)
+    rowids, cols = table.scan([column], where=("in", column, values, blocks))
     # the scan returns only rows holding a touched value, none of them NULL
     patches = sort_unique(np.concatenate(
         (rowids[nuc_patch_rows(cols[column])], nulls)))

@@ -295,6 +295,20 @@ class TestStmtProfile:
             assert np.array_equal(gsel, wsel) and np.array_equal(glocal, wlocal)
         assert tool._spent["route"] > 0
 
+    def test_blocks_column_sits_next_to_probe(self):
+        tool = _load_tool("stmt_profile")
+        ms = {col: [2e6, 1e6, 3e6] for col in tool.PHASES}  # ns samples
+        samples = {("nuc_insert", 10): dict(ms, blocks=[6, 4, 81]),
+                   ("nsc_delete", 10): dict(ms, blocks=[0, 0, 0])}
+        header, nuc, nsc = tool.format_table(samples)
+        names = header.split()[1:]
+        assert names[names.index("probe") + 1] == "blocks"
+        assert names == list(tool.COLUMNS)
+        nuc, nsc = nuc.split()[2:], nsc.split()[2:]  # past "kind x10"
+        assert nuc[names.index("blocks")] == "6"
+        assert nsc[names.index("blocks")] == "0"
+        assert nuc[names.index("probe")] == "2.000"
+
 
 class TestBenchTrajectory:
     @staticmethod

@@ -136,7 +136,7 @@ class TestUpdate:
         assert "probe " in line and "maintain " in line
 
     def test_update_prints_filter_bytes(self, dataset, sorted_dataset, capsys):
-        # the NUC probe builds the value column's chunk filters; NSC never
+        # the NUC probe builds the value column's block filters; NSC never
         # probes, so its table carries none
         for path, kind, want in ((dataset, "nuc", lambda x: x > 0),
                                  (sorted_dataset, "nsc", lambda x: x == 0)):
@@ -146,6 +146,18 @@ class TestUpdate:
             assert "blocks_scanned=" in first
             value = float(first.split("filter_bytes_per_row=")[1])
             assert want(value), (kind, first)
+
+    def test_update_prints_filter_fill(self, dataset, sorted_dataset, capsys):
+        # a share of set bits: NUC filters hold about 4 bits per row at 16
+        # bits per row, NSC has none
+        for path, kind, low, high in ((dataset, "nuc", 0.05, 0.5),
+                                      (sorted_dataset, "nsc", 0.0, 0.0)):
+            assert main(["update", "insert", "--table", str(path), "--count",
+                         "20", "--granularity", "10", "--constraint", kind]) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            fill = float(first.split("filter_fill=")[1].split(",")[0])
+            assert low <= fill <= high, (kind, first)
+            assert first.index("filter_fill=") < first.index("filter_bytes_per_row=")
 
     def test_nsc_update(self, sorted_dataset):
         assert main(["update", "insert", "--table", str(sorted_dataset),

@@ -12,8 +12,8 @@ from patchindex import _native
 from patchindex import column_store
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
                                      Partition, _block_minmax, compact, filter_add,
-                                     filter_blocks, filter_hash, in_positions,
-                                     select, sort_unique)
+                                     filter_hash, in_positions, select,
+                                     sort_unique)
 from patchindex.datagen import GenSpec, generate_to_file
 from patchindex.patch_index import NUC, NULL_VALUE, PatchIndex, TableIndex
 from patchindex.sharded_bitmap import ShardedBitmap
@@ -30,25 +30,26 @@ def make_table(values, partitions=2, block_size=64):
         block_size=block_size)
 
 
-def random_spans(rng, t):
-    """Random (lo, hi, at) sub-spans of every partition's chunk spans, in
-    the layout the "in" scan filter takes."""
+def random_blocks(rng, t):
+    """A random ascending share of every partition's live blocks, in the
+    layout the "in" scan filter takes."""
     out = []
     for p in t.partitions:
-        spans = []
-        for lo, hi, at in p.spans().tolist():
-            cuts = np.unique(rng.integers(lo, hi + 1, size=2 * int(rng.integers(0, 4))))
-            spans += [(a, b, at + a - lo) for a, b in zip(cuts[::2].tolist(),
-                                                          cuts[1::2].tolist())]
-        out.append(np.array(spans, dtype=np.int64).reshape(-1, 3))
+        live = np.flatnonzero(p.live)
+        out.append(live[rng.random(len(live)) < rng.random()])
     return out
 
 
-def span_rowids(t, spans):
-    """Global rowIDs of the rows per-partition spans cover."""
+def block_rowids(t, blocks):
+    """Global rowIDs of the rows of per-partition block lists."""
     offsets = t.partition_offsets()
-    return np.concatenate([np.arange(lo, hi) + offsets[p] for p, s in enumerate(spans)
-                           for lo, hi, _ in s.tolist()] + [np.zeros(0, np.int64)])
+    out = []
+    for p, b, base in zip(t.partitions, blocks, offsets.tolist()):
+        for k, j in zip(*np.divmod(np.asarray(b, dtype=np.int64), CHUNK_BLOCKS)):
+            start = int(p.ends[k] - p.counts[k])
+            out.append(base + start + np.arange(j * p.block_size, min(
+                (j + 1) * p.block_size, int(p.counts[k]))))
+    return np.concatenate(out + [np.zeros(0, np.int64)])
 
 
 def assert_chunk_summaries(p):
@@ -81,14 +82,14 @@ class TestScan:
         assert np.array_equal(ids, np.arange(100))
 
     def test_range_scan_equals_filtered_full_scan(self):
-        # keys holding every value: the spans alone pick the rows
+        # keys holding every value: the blocks alone pick the rows
         rng = np.random.default_rng(0)
         t = make_table(rng.integers(0, 50, size=500), partitions=3, block_size=4)
         full_ids, full_cols = t.scan(["value"])
         for _ in range(20):
-            spans = random_spans(rng, t)
-            ids, cols = t.scan(["value"], where=("in", "value", np.arange(50), spans))
-            want = np.isin(full_ids, span_rowids(t, spans))
+            blocks = random_blocks(rng, t)
+            ids, cols = t.scan(["value"], where=("in", "value", np.arange(50), blocks))
+            want = np.isin(full_ids, block_rowids(t, blocks))
             assert np.array_equal(ids, full_ids[want])
             assert np.array_equal(cols["value"], full_cols["value"][want])
 
@@ -108,35 +109,54 @@ class TestFilteredScan:
         full_ids, full_cols = t.scan()
         for _ in range(20):
             keys = rng.integers(-35, 35, size=int(rng.integers(0, 8)))
-            spans = random_spans(rng, t)
+            blocks = random_blocks(rng, t)
             for where, rows in ((("in", "value", keys), full_ids),
-                                (("in", "value", keys, spans), span_rowids(t, spans))):
+                                (("in", "value", keys, blocks),
+                                 block_rowids(t, blocks))):
                 ids, cols = t.scan(["key", "value"], where=where)
                 want = np.isin(full_cols["value"], keys) & np.isin(full_ids, rows)
                 assert np.array_equal(ids, full_ids[want])
                 for c in ("key", "value"):
                     assert np.array_equal(cols[c], full_cols[c][want])
 
-    def test_bad_spans_rejected(self):
-        # 64-row chunks; a delete gives the second chunk a shift
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_bad_block_lists_rejected(self, backend, monkeypatch):
+        use_backend(backend, monkeypatch)
+        # 64-row chunks of 16 4-row blocks; deletes leave chunk 0 with 60
+        # rows (block 15 dead) and chunk 4 with 44 (blocks 75-79 dead)
         t = make_table(np.arange(300), partitions=1, block_size=4)
-        t.delete_rows(np.array([3]))
+        t.delete_rows(np.array([3, 2, 1, 0]))
         p = t.partitions[0]
-        assert p.spans()[:2].tolist() == [[0, 63, 0], [63, 127, 64]]
-        for bad in ([[-1, 5, -1]],                # before the partition
-                    [[60, 70, 60]],               # across a chunk end
-                    [[63, 70, 63]],               # at not the row's position
-                    [[5, 5, 5]],                  # empty
-                    [[10, 20, 10], [15, 30, 15]],  # overlapping
-                    [[70, 80, 71], [10, 20, 10]],  # descending
-                    [[296, 300, 297]]):           # past the last row
-            with pytest.raises(ValueError):
+        assert p.counts.tolist() == [60, 64, 64, 64, 44]
+        for bad in ([-1], [15], [75], [80], [1000],   # not live
+                    [3, 3], [9, 4],                  # not strictly ascending
+                    [[1, 2]]):                       # not a list
+            with pytest.raises(ValueError, match="live blocks"):
                 t.scan(["value"], where=("in", "value", [1], [np.array(bad)]))
+            with pytest.raises(ValueError, match="live blocks"):  # no keys
+                t.scan(["value"], where=("in", "value", [], [np.array(bad)]))
         with pytest.raises(ValueError):
-            t.scan(["value"], where=("in", "value", [1], [p.spans()] * 2))
-        ids, _ = t.scan(["value"], where=("in", "value", [2, 70], [np.array(
-            [[0, 63, 0], [63, 127, 64]])]))
-        assert ids.tolist() == [2, 69]
+            t.scan(["value"], where=("in", "value", [1], [np.array([0])] * 2))
+        ids, _ = t.scan(["value"], where=("in", "value", [5, 66, 290],
+                                          [np.array([0, 16, 72])]))
+        assert ids.tolist() == [1, 62, 286]
+
+    @needs_compiler
+    def test_bad_block_list_kernel_writes_nothing(self):
+        assert _native.lib is not None, "C kernels failed to build"
+        t = make_table(np.arange(300), partitions=1, block_size=4)
+        t.delete_rows(np.array([3, 2, 1, 0]))
+        p = t.partitions[0]
+        keys = np.array([5, 70], dtype=np.int64)
+        for bad in ([0, 15], [2, 1], [0, 80], [-1]):
+            blocks = np.array(bad, dtype=np.int64)
+            pos, ids = np.full(64, -7), np.full(64, -7)
+            assert _native.lib.pi_probe_blocks(
+                p._kernel_args(), list(p.chunks).index("value"),
+                _native.address(p.counts), p.nchunks,
+                _native.address(blocks), len(blocks), _native.address(keys),
+                len(keys), 0, _native.address(pos), _native.address(ids)) == -1
+            assert (pos == -7).all() and (ids == -7).all()
 
     def test_filter_column_need_not_be_scanned(self):
         t = make_table(np.arange(100) % 10, partitions=2)
@@ -189,15 +209,16 @@ class TestInPositions:
 class TestPrune:
     def test_outside_domain_empty(self):
         t = make_table(np.arange(1000))
-        count, spans = t.prune_blocks("value", [5000, 6000, -1])
+        count, blocks = t.prune_blocks("value", [5000, 6000, -1])
         assert count == 0
-        assert [s.shape for s in spans] == [(0, 3), (0, 3)]
+        assert [b.tolist() for b in blocks] == [[], []]
 
     def test_full_domain_all_blocks(self):
         t = make_table(np.arange(1000))
-        count, spans = t.prune_blocks("value", np.arange(1000))
+        count, blocks = t.prune_blocks("value", np.arange(1000))
         assert count == t.total_blocks()
-        assert [s.tolist() for s in spans] == [[[0, 500, 0]], [[0, 500, 0]]]
+        # 500 rows a partition: 64-row blocks 0-7 of one chunk each
+        assert [b.tolist() for b in blocks] == [list(range(8))] * 2
 
     def test_superset_property_random(self):
         rng = np.random.default_rng(1)
@@ -205,23 +226,23 @@ class TestPrune:
         full_ids, full_cols = t.scan(["value"])
         for _ in range(20):
             values = rng.integers(0, 1000, size=int(rng.integers(0, 30)))
-            _, spans = t.prune_blocks("value", values)
-            ids, _ = t.scan(["value"], where=("in", "value", values, spans))
+            _, blocks = t.prune_blocks("value", values)
+            ids, _ = t.scan(["value"], where=("in", "value", values, blocks))
             assert np.array_equal(ids, full_ids[np.isin(full_cols["value"], values)])
 
     def test_value_set_predicate(self):
         t = make_table(np.arange(0, 10000, 10), partitions=2, block_size=32)
-        _, spans = t.prune_blocks("value", np.array([500, 7770]))
-        ids, cols = t.scan(["value"], where=("in", "value", [500, 7770], spans))
+        _, blocks = t.prune_blocks("value", np.array([500, 7770]))
+        ids, cols = t.scan(["value"], where=("in", "value", [500, 7770], blocks))
         assert cols["value"].tolist() == [500, 7770]
-        assert len(span_rowids(t, spans)) < 1000
+        assert len(block_rowids(t, blocks)) < 1000
 
     def test_block_counting(self):
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         assert t.total_blocks() == 10
-        count, spans = t.prune_blocks("value", [0, 150])
+        count, blocks = t.prune_blocks("value", [0, 150])
         assert count == 2
-        assert [s.tolist() for s in spans] == [[[0, 200, 0]]]
+        assert [b.tolist() for b in blocks] == [[0, 1]]
 
 
 class TestUpdates:
@@ -255,9 +276,9 @@ class TestUpdates:
     def test_modify_updates_minmax(self):
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         t.modify_rows(np.array([5]), {"value": np.array([10_000])})
-        count, spans = t.prune_blocks("value", [10_000])
+        count, blocks = t.prune_blocks("value", [10_000])
         assert count == 1
-        ids, _ = t.scan(["value"], where=("in", "value", [10_000], spans))
+        ids, _ = t.scan(["value"], where=("in", "value", [10_000], blocks))
         assert ids.tolist() == [5]
 
     @pytest.mark.parametrize("block_size", [16, 24])
@@ -536,39 +557,27 @@ def table_segments(t):
             offset += n
 
 
-def filter_holds(p, column, k, value):
-    """Whether chunk k's filter has every bit of value's pattern set."""
+def filter_holds(p, column, block, value):
+    """Whether a block's filter has every bit of value's pattern set."""
     word, pattern = filter_hash([value], p.filter_log2)
-    return (p.filter_words(column)[k, word[0]] & pattern[0]) == pattern[0]
+    f = p.filter_words(column).reshape(-1, 1 << p.filter_log2)
+    return (f[block, word[0]] & pattern[0]) == pattern[0]
 
 
 def prune_reference(t, column, values):
-    """prune_blocks as a loop over every block of every chunk: a block hits
-    when its [min, max] holds a value that, once the zone maps keep more
-    than CHUNK_BLOCKS blocks, its chunk's filter holds too. Returns the hit
-    count and each partition's (lo, hi, at) runs of hit blocks in a chunk."""
-    blocks = []
-    for pnum, p in enumerate(t.partitions):
+    """prune_blocks as a loop over every block of every chunk: a block is
+    kept when its [min, max] holds a value that its own filter holds too.
+    Returns the kept count and each partition's kept block numbers."""
+    kept = []
+    for p in t.partitions:
+        kept.append([])
         for k in range(p.nchunks):
-            for b, (lo_v, hi_v) in enumerate(zip(*p.chunk_minmax(column, k))):
-                inside = [v for v in values if lo_v <= v <= hi_v]
-                if inside:
-                    blocks.append((pnum, k, b, inside))
-    if len(blocks) > CHUNK_BLOCKS:
-        blocks = [blk for blk in blocks if any(
-            filter_holds(t.partitions[blk[0]], column, blk[1], v) for v in blk[3])]
-    spans = [[] for _ in t.partitions]
-    bs = t.block_size
-    for pnum, k, b, _ in blocks:
-        p = t.partitions[pnum]
-        start = int(p.ends[k] - p.counts[k])
-        lo, hi = start + b * bs, start + min((b + 1) * bs, int(p.counts[k]))
-        run = spans[pnum]
-        if run and run[-1][3:] == [k, b - 1]:  # the run goes on
-            run[-1][1], run[-1][4] = hi, b
-        else:
-            run.append([lo, hi, k * p.capacity + b * bs, k, b])
-    return len(blocks), [[r[:3] for r in run] for run in spans]
+            for j, (lo_v, hi_v) in enumerate(zip(*p.chunk_minmax(column, k))):
+                b = k * CHUNK_BLOCKS + j
+                if any(lo_v <= v <= hi_v and filter_holds(p, column, b, v)
+                       for v in values):
+                    kept[-1].append(b)
+    return sum(map(len, kept)), kept
 
 
 def chunked_table(rng, rows, partitions=3, block_size=4):
@@ -580,36 +589,44 @@ def chunked_table(rng, rows, partitions=3, block_size=4):
 
 
 class TestScanRangeHelpers:
-    def test_prune_and_count_match_loops(self):
+    def test_prune_and_count_match_loops(self, monkeypatch):
         rng = np.random.default_rng(12)
+        native = _native.lib
         for _ in range(20):
             t = chunked_table(rng, int(rng.integers(0, 700)))
             assert t.total_blocks() == sum(-(-n // t.block_size)
                                            for _, n, _, _ in table_segments(t))
             for _ in range(10):
                 values = rng.integers(-5, 205, size=int(rng.integers(0, 6)))
-                count, spans = t.prune_blocks("value", values)
-                want_count, want_spans = prune_reference(t, "value", values)
-                assert count == want_count, values
-                assert [s.tolist() for s in spans] == want_spans, values
+                want_count, want = prune_reference(t, "value", values)
+                for lib in (native, None):
+                    monkeypatch.setattr(_native, "lib", lib)
+                    count, blocks = t.prune_blocks("value", values)
+                    assert count == want_count, values
+                    assert all(b.dtype == np.int64 for b in blocks)
+                    assert [b.tolist() for b in blocks] == want, values
 
-    def test_span_scan_matches_filtered_full_scan(self):
+    def test_span_scan_matches_filtered_full_scan(self, monkeypatch):
         rng = np.random.default_rng(15)
+        native = _native.lib
         for _ in range(20):
             t = chunked_table(rng, int(rng.integers(0, 700)))
             full_ids, full_cols = t.scan()
             for _ in range(10):
                 keys = rng.integers(-5, 205, size=int(rng.integers(0, 8)))
                 match = np.isin(full_cols["value"], keys)
-                # spans of the prune return every match; random ones the
-                # matches they cover
-                for spans in (t.prune_blocks("value", keys)[1], random_spans(rng, t)):
-                    ids, cols = t.scan(["key", "value"],
-                                       where=("in", "value", keys, spans))
-                    want = match & np.isin(full_ids, span_rowids(t, spans))
-                    assert np.array_equal(ids, full_ids[want])
-                    for c in ("key", "value"):
-                        assert np.array_equal(cols[c], full_cols[c][want])
+                some = random_blocks(rng, t)
+                for lib in (native, None):
+                    monkeypatch.setattr(_native, "lib", lib)
+                    # the prune's blocks return every match; random ones
+                    # the matches they cover
+                    for blocks in (t.prune_blocks("value", keys)[1], some):
+                        ids, cols = t.scan(["key", "value"],
+                                           where=("in", "value", keys, blocks))
+                        want = match & np.isin(full_ids, block_rowids(t, blocks))
+                        assert np.array_equal(ids, full_ids[want])
+                        for c in ("key", "value"):
+                            assert np.array_equal(cols[c], full_cols[c][want])
 
 
 def use_backend(backend, monkeypatch):
@@ -920,6 +937,20 @@ def delete_cases(p):
     }
 
 
+def crossing_positions(p, rows):
+    """Buffer positions, after a delete of the ascending partition rows,
+    of the rows it moves into another block of their chunk."""
+    out = [np.zeros(0, np.int64)]
+    bs = p.block_size
+    for k, (start, n) in enumerate(zip((p.ends - p.counts).tolist(),
+                                       p.counts.tolist())):
+        kept = np.delete(np.arange(n), rows[(rows >= start) & (rows < start + n)]
+                         - start)
+        new = np.arange(len(kept))
+        out.append(k * p.capacity + new[kept // bs != new // bs])
+    return np.concatenate(out)
+
+
 def partition_state(p):
     """Rows, counts, filters and live zone maps of a partition."""
     live = {c: [p.chunk(c, k).copy() for k in range(p.nchunks)]
@@ -963,12 +994,23 @@ class TestDeleteKernel:
                     states.append(partition_state(p))
             assert_states_equal(*states)
 
-    @needs_compiler
-    def test_delete_leaves_filters_alone(self):
-        p = kernel_partition(4, 37)
-        before = p.filter_words("value").copy()
-        p.delete_rows(np.array(delete_cases(p)["chunk ends"]))
-        assert np.array_equal(p.filter_words("value"), before)
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_delete_adds_only_crossing_rows(self, backend, monkeypatch):
+        use_backend(backend, monkeypatch)
+        for block_size, extra in ((4, 37), (8, 100)):
+            for name in ("chunk ends", "one row", "random share"):
+                p = kernel_partition(block_size, extra)
+                rows = np.array(delete_cases(p)[name], dtype=np.int64)
+                moved = crossing_positions(p, rows)
+                want = p.filter_words("value").copy()
+                nchunks = p.nchunks
+                p.delete_rows(rows)
+                assert p.nchunks == nchunks  # no condense moved rows
+                filter_add(want.reshape(-1, want.shape[-1]),
+                           p.chunks["value"].reshape(-1)[moved],
+                           moved // block_size)
+                assert len(moved)
+                assert np.array_equal(p.filter_words("value"), want), name
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_bad_rows_change_nothing(self, backend, monkeypatch):
@@ -1029,7 +1071,7 @@ def check_chunked_state(t, keys, values, rng):
         assert (p.counts[:-1] + p.counts[1:] > p.capacity).all()
     for probe in (rng.integers(0, 100, size=3), rng.integers(0, 100, size=30)):
         covered = np.zeros(len(values), dtype=bool)
-        covered[span_rowids(t, t.prune_blocks("value", probe)[1])] = True
+        covered[block_rowids(t, t.prune_blocks("value", probe)[1])] = True
         assert covered[np.isin(values, probe)].all(), probe
 
 
@@ -1125,15 +1167,43 @@ class TestRouting:
         assert len({int(s) for p in t.partitions for s in p.shift}) > 3
 
 
-# -- chunk membership filters ------------------------------------------------------
+# -- block membership filters ------------------------------------------------------
 
 def assert_live_values_in_filters(t, column="value"):
-    """Every live value passes its own chunk's filter."""
+    """Every live value passes its own block's filter."""
     for p in t.partitions:
         f = p.filter_words(column)
         for k in range(p.nchunks):
-            words, pattern = filter_hash(p.chunk(column, k), p.filter_log2)
-            assert ((f[k, words] & pattern) == pattern).all(), k
+            values = p.chunk(column, k)
+            words, pattern = filter_hash(values, p.filter_log2)
+            block = np.arange(len(values)) // p.block_size
+            assert ((f[k, block, words] & pattern) == pattern).all(), k
+
+
+def filter_stream(block_size, seed, steps=300):
+    """Yields a 3-partition table with its filters built, then after each
+    statement of a seeded stream of inserts, modifies and deletes. Block
+    sizes 4 and 8 make chunks of 64 and 128 rows, so statements open,
+    condense and reopen chunks."""
+    rng = np.random.default_rng(seed)
+    t = make_table(rng.integers(0, 10**9, size=700), partitions=3,
+                   block_size=block_size)
+    t.prune_blocks("value", [1])  # builds the filters
+    yield t
+    for _ in range(steps):
+        n = t.row_count
+        op = rng.choice(["insert", "modify", "delete"], p=[0.35, 0.3, 0.35])
+        size = int(rng.integers(1, 120))
+        if op == "insert" or n < 150:
+            t.insert_rows({"key": np.arange(size),
+                           "value": rng.integers(0, 10**9, size=size)})
+        elif op == "modify":
+            ids = rng.choice(n, size=min(n, size), replace=False)
+            t.modify_rows(ids, {"value": rng.integers(0, 10**9, size=len(ids))})
+        else:
+            ids = np.sort(rng.choice(n, size=min(n - 1, size), replace=False))
+            t.delete_rows(ids[::-1])
+        yield t
 
 
 class TestFilters:
@@ -1168,34 +1238,26 @@ class TestFilters:
                 filter_add(np.zeros((2, 8), np.uint64), [1, 2], chunk)
 
     @needs_compiler
-    def test_block_probe_kernel_matches_numpy_reference(self, monkeypatch):
+    def test_prune_kernel_matches_numpy_reference(self, monkeypatch):
         assert _native.lib is not None, "C kernels failed to build"
         rng = np.random.default_rng(24)
-        for _ in range(200):
-            # partitions of 0-3 chunks with 0-4 blocks each; narrow filters
-            # make false positives common, wide value ranges make early
-            # exits common
-            parts = [np.zeros((int(rng.integers(0, 4)), 4), np.uint64)
-                     for _ in range(int(rng.integers(1, 4)))]
-            for f in parts:
-                if len(f):
-                    filter_add(f, rng.integers(0, 300, size=20),
-                               rng.integers(0, len(f), size=20))
-            nblocks = rng.integers(0, 5, size=sum(len(f) for f in parts))
-            bounds = np.sort(rng.integers(-10, 310, size=(int(nblocks.sum()), 2)))
-            values = sort_unique(rng.integers(0, 300, size=int(rng.integers(0, 30))))
-            args = (parts, values, bounds[:, 0], bounds[:, 1], nblocks)
-            got = filter_blocks(*args)
-            monkeypatch.setattr(_native, "lib", None)
-            want = filter_blocks(*args)
-            monkeypatch.undo()
-            assert got.dtype == bool and np.array_equal(got, want)
-        f = np.zeros((2, 4), np.uint64)
-        for bad in (([f, np.zeros((1, 8), np.uint64)], [1, 1, 1]),  # widths
-                    ([f], [1, 1, 1]),                               # chunks
-                    ([f], [2, 2])):                                 # blocks
-            with pytest.raises(ValueError):
-                filter_blocks(bad[0], [5], [0, 0, 0], [9, 9, 9], bad[1])
+        native = _native.lib
+        # 2- and 8-word filters make false positives common; 60 values
+        # make blocks with many values inside their zone maps
+        for block_size in (4, 24):
+            for _ in range(30):
+                t = chunked_table(rng, int(rng.integers(0, 700)),
+                                  block_size=block_size)
+                for size in (0, 1, 5, 60):
+                    values = rng.integers(-5, 205, size=size)
+                    got = []
+                    for lib in (native, None):
+                        monkeypatch.setattr(_native, "lib", lib)
+                        got.append(t.prune_blocks("value", values))
+                    assert got[0][0] == got[1][0]
+                    for a, b in zip(got[0][1], got[1][1]):
+                        assert a.dtype == b.dtype == np.int64
+                        assert np.array_equal(a, b)
 
     def test_built_lazily_for_value_set_probes_only(self):
         t = make_table(np.arange(3000), partitions=2, block_size=8)
@@ -1213,32 +1275,31 @@ class TestFilters:
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_live_values_pass_after_random_stream(self, backend, monkeypatch):
-        if backend == "native" and _native.lib is None:
-            pytest.skip("no compiled kernels")
-        if backend == "numpy":
-            monkeypatch.setattr(_native, "lib", None)
-        rng = np.random.default_rng(22)
-        # block_size 4 gives 64-row chunks, so statements open, condense and
-        # reopen chunks
-        t = make_table(rng.integers(0, 10**9, size=700), partitions=3, block_size=4)
-        t.prune_blocks("value", [1])  # builds the filters
-        chunk_counts = set()
-        for step in range(300):
-            n = t.row_count
-            op = rng.choice(["insert", "modify", "delete"], p=[0.35, 0.3, 0.35])
-            size = int(rng.integers(1, 120))
-            if op == "insert" or n < 150:
-                t.insert_rows({"key": np.arange(size),
-                               "value": rng.integers(0, 10**9, size=size)})
-            elif op == "modify":
-                ids = rng.choice(n, size=min(n, size), replace=False)
-                t.modify_rows(ids, {"value": rng.integers(0, 10**9, size=len(ids))})
-            else:
-                ids = np.sort(rng.choice(n, size=min(n - 1, size), replace=False))
-                t.delete_rows(ids[::-1])
-            chunk_counts.add(t.partitions[-1].nchunks)
-            assert_live_values_in_filters(t)
-        assert len(chunk_counts) > 3  # chunks were opened and condensed
+        use_backend(backend, monkeypatch)
+        for block_size in (4, 8):
+            chunk_counts = set()
+            for t in filter_stream(block_size, 22):
+                chunk_counts.add(t.partitions[-1].nchunks)
+                assert_live_values_in_filters(t)
+            assert len(chunk_counts) > 3  # chunks were opened and condensed
+
+    @needs_compiler
+    def test_backends_leave_identical_filters(self, monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        native = _native.lib
+        for block_size in (4, 8):
+            final = []
+            for lib in (native, None):
+                monkeypatch.setattr(_native, "lib", lib)
+                for t in filter_stream(block_size, 25):
+                    pass
+                final.append(t)
+            a, b = final
+            assert np.array_equal(a.scan()[1]["value"], b.scan()[1]["value"])
+            for p, q in zip(a.partitions, b.partitions):
+                assert p.counts.tolist() == q.counts.tolist()
+                assert p.filter_words("value").tobytes() \
+                    == q.filter_words("value").tobytes()
 
     def test_absent_values_skip_chunks(self):
         # shuffled even values: zone maps span the whole domain, so only the
@@ -1250,15 +1311,15 @@ class TestFilters:
             for k in range(p.nchunks):
                 mins, maxs = p.chunk_minmax("value", k)
                 assert (mins < 100_000).all() and (maxs > 300_000).all()
+        # near 0.5% false positives per block and value; twice that bounds
+        # what a filter lets through
         present = values[rng.choice(len(values), size=5, replace=False)]
-        count, spans = t.prune_blocks("value", present)
-        # each present value keeps at most the blocks of its own chunk,
-        # plus the filters' false positives
-        assert count <= 6 * CHUNK_BLOCKS
-        ids, _ = t.scan(["value"], where=("in", "value", present, spans))
+        count, blocks = t.prune_blocks("value", present)
+        # each present value keeps its own block, plus false positives
+        assert count <= 5 + 0.01 * 5 * t.total_blocks()
+        ids, _ = t.scan(["value"], where=("in", "value", present, blocks))
         assert np.array_equal(ids, np.flatnonzero(np.isin(values, present)))
-        # 20 odd values, none in the table: near 0.5% false positives per
-        # chunk and value let about a tenth of the chunks through
+        # 20 odd values, none in the table
         absent = 2 * rng.choice(200_000, size=20, replace=False) + 1
         kept, _ = t.prune_blocks("value", absent)
-        assert kept < 0.25 * t.total_blocks()
+        assert kept < 0.01 * 20 * t.total_blocks()

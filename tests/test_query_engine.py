@@ -179,6 +179,22 @@ class TestScanModes:
                     execute(scan_node(t, ["value"], mode,
                                       None if mode == "all" else idx, partition))
 
+    def test_explain_and_annotate_reject_partition_outside_table(self):
+        t, idx = indexed([1, 1, 2, 3, 4, 5, 6, 7, 8, 9], NUC)
+        assert len(t.partitions) == 2
+        for partition in (-1, 9):
+            for show in (explain, annotate):
+                with pytest.raises(ValueError, match="outside"):
+                    show(scan_node(t, ["value"], "exclude_patches", idx, partition))
+        # the estimates of partitions inside the table are unchanged
+        counts = [p.patch_count for p in idx.partitions]
+        for partition in (0, 1):
+            node = annotate(scan_node(t, ["value"], "exclude_patches", idx,
+                                      partition))
+            assert node.est_rows == 5 - counts[partition]
+        assert annotate(scan_node(t, ["value"], "use_patches", idx)).est_rows \
+            == idx.patch_count
+
 
 def split_scan_matches_mask(t, idx, columns=("key", "value")):
     """Every patch-split scan equals the full scan filtered by the mask."""

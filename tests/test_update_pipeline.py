@@ -160,7 +160,7 @@ def test_duplicate_join_matches_pairwise_oracle(base, sort_base, partitions,
 
 def test_duplicate_join_on_shuffled_values_matches_pairwise_oracle():
     # datagen writes non-patch values in ascending order, which flatters
-    # zone maps; shuffled values leave the chunk filters to do the pruning
+    # zone maps; shuffled values leave the block filters to do the pruning
     from patchindex.datagen import GenSpec, generate
     gen = generate(GenSpec("nuc", 3000, 0.2, dup_domain=300, partitions=3, seed=9))
     rng = np.random.default_rng(10)

@@ -19,6 +19,8 @@ Prints, per statement kind and size, the median in ms of each phase:
   ``delete_rows``);
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
+- ``blocks``: the blocks the probe read (``UpdateStats.blocks_scanned``),
+  a count, not ms;
 - ``drop``: the index partitions' row drops (``PatchIndex.drop_rows``),
   and ``bitmap`` their bitmap deletes (``ShardedBitmap.bulk_delete``).
 
@@ -47,6 +49,8 @@ RATE, SIZES, WARM, ROUNDS, SEED = 0.2, (10, 1000), 3, 60, 1
 PHASES = ("stmt", "route", "table", "part", "maint", "probe", "drop", "bitmap")
 # the phases read from UpdateStats, summed over a statement's indexes
 STATS_FIELDS = {"table": "storage_ms", "maint": "maintain_ms", "probe": "probe_ms"}
+# the printed columns: every phase in ms, with the probe's block count
+COLUMNS = PHASES[:6] + ("blocks",) + PHASES[6:]
 
 _spent = dict.fromkeys(PHASES, 0)
 
@@ -101,7 +105,7 @@ def main():
                    indexes["nsc"], dim)
     instrument()
     streams = {n: StatementStream(SEED, scale, RATE, n) for n in SIZES}
-    samples = {(kind, n): {ph: [] for ph in PHASES}
+    samples = {(kind, n): {col: [] for col in COLUMNS}
                for n in SIZES for kind in STATEMENTS}
     for r in range(WARM + ROUNDS):
         for n in SIZES:
@@ -117,12 +121,23 @@ def main():
                 if r >= WARM:
                     for ph in PHASES:
                         samples[kind, n][ph].append(_spent[ph])
+                    samples[kind, n]["blocks"].append(
+                        sum(s.blocks_scanned for s in stats))
     print(f"median ms of {ROUNDS} statements each, {scale.rows} rows, "
           f"{scale.partitions} partitions, e={RATE}")
-    print(f"{'statement':<16}" + "".join(f"{ph:>9}" for ph in PHASES))
-    for (kind, n), phases in samples.items():
-        print(f"{kind + ' x' + str(n):<16}" + "".join(
-            f"{statistics.median(phases[ph]) / 1e6:9.3f}" for ph in PHASES))
+    print("\n".join(format_table(samples)))
+
+
+def format_table(samples):
+    """The header and one line per statement kind and size: the median of
+    each column's samples, ms for the phases (sampled in ns) and a count
+    for ``blocks``."""
+    lines = [f"{'statement':<16}" + "".join(f"{col:>9}" for col in COLUMNS)]
+    for (kind, n), cols in samples.items():
+        lines.append(f"{kind + ' x' + str(n):<16}" + "".join(
+            f"{statistics.median(cols[col]):9.0f}" if col == "blocks"
+            else f"{statistics.median(cols[col]) / 1e6:9.3f}" for col in COLUMNS))
+    return lines
 
 
 if __name__ == "__main__":
