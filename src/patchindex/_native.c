@@ -2,8 +2,8 @@
  * bitmap, column membership, block Bloom filters, the merge join, the hash
  * join, the k-way merge of sorted streams, the select of a partition's
  * rows by the bits of a sharded bit set, the delete of a partition's rows
- * with its zone-map and filter upkeep, the prune and probe of a
- * partition's blocks and longest-sorted-subsequence discovery.
+ * with its zone-map and filter upkeep, the zone-map refresh, prune and
+ * probe of a partition's blocks and longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -840,7 +840,7 @@ static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
     }
 }
 
-/* Argument block of the partition kernels (pi_delete_rows,
+/* Argument block of the partition kernels (pi_delete_rows, pi_zone_refresh,
  * pi_prune_blocks and pi_probe_blocks), kept per partition on the Python
  * side and rebuilt when its buffers grow or a column gets its filters.
  * Mirrors patchindex._native.DeleteRowsArgs.
@@ -864,6 +864,39 @@ struct delete_rows_args {
     int64_t block_size;         /* rows per zone-map block */
     int64_t chunk_blocks;       /* blocks per chunk */
 };
+
+/* Whether blocks[0:nb] are strictly ascending live block numbers. */
+static int blocks_live(const struct delete_rows_args *a, const int64_t *counts,
+                       int64_t nchunks, const int64_t *blocks, int64_t nb)
+{
+    const int64_t bs = a->block_size, cb = a->chunk_blocks;
+    for (int64_t i = 0; i < nb; i++) {
+        const int64_t b = blocks[i];
+        if (b < 0 || b / cb >= nchunks || b % cb * bs >= counts[b / cb]
+            || (i > 0 && b <= blocks[i - 1]))
+            return 0;
+    }
+    return 1;
+}
+
+/* Recomputes the zone maps of zone column z in the blocks blocks[0:nb],
+ * which must be strictly ascending live blocks; returns -1, before writing
+ * anything, when they are not, and 0 otherwise. */
+int64_t pi_zone_refresh(const struct delete_rows_args *a, int64_t z,
+                        const int64_t *counts, int64_t nchunks,
+                        const int64_t *blocks, int64_t nb)
+{
+    if (!blocks_live(a, counts, nchunks, blocks, nb))
+        return -1;
+    const int64_t cb = a->chunk_blocks;
+    for (int64_t i = 0; i < nb; i++) {
+        const int64_t k = blocks[i] / cb, j = blocks[i] % cb;
+        zone_refresh((const int64_t *)a->bufs[a->zone_cols[z]] + k * a->capacity,
+                     counts[k], a->block_size, j, j + 1, a->mins[z] + k * cb,
+                     a->maxs[z] + k * cb);
+    }
+    return 0;
+}
 
 /* After a chunk's delete, adds each row that crossed into another block
  * to its new block's filter, and no other row. v is the compacted chunk's
@@ -1011,12 +1044,8 @@ int64_t pi_probe_blocks(const struct delete_rows_args *a, int64_t col,
                         int64_t *pos, int64_t *ids)
 {
     const int64_t bs = a->block_size, cb = a->chunk_blocks;
-    for (int64_t i = 0; i < nb; i++) {
-        const int64_t b = blocks[i];
-        if (b < 0 || b / cb >= nchunks || b % cb * bs >= counts[b / cb]
-            || (i > 0 && b <= blocks[i - 1]))
-            return -1;
-    }
+    if (!blocks_live(a, counts, nchunks, blocks, nb))
+        return -1;
     if (k == 0)
         return 0;
     struct key_filter f;

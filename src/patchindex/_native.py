@@ -10,20 +10,20 @@ their numpy references instead: ``sharded_bitmap`` its shift and its
 grouped bulk delete, ``column_store`` its membership test
 (``in_positions``), its patch-split select (``select``), which copies a
 scan's rows by the bits of a patch store and falls back to a keep mask
-per chunk span, its partition delete, which compacts one chunk at a time
-with ``compact``, recomputes that chunk's zone maps in numpy and adds the
-rows that crossed a block edge to their block filters, its block filter
-build (``filter_add``), which falls back to ``np.bitwise_or.at``, its
-block pruning (``Partition.prune``), which tests every live block's
-filter against every value inside its zone map, and its semijoin probe
+per chunk span, its partition delete, which closes one chunk's gaps at a
+time with ``np.delete`` and adds the rows that crossed a block edge to
+their block filters, its zone-map refresh (``Partition.refresh_zones``),
+which reduces each run of one chunk's blocks, its block filter build
+(``filter_add``), which falls back to ``np.bitwise_or.at``, its block
+pruning (``Partition.prune``), which tests every live block's filter
+against every value inside its zone map, and its semijoin probe
 (``Partition.probe``), which gathers the probed blocks' rows and tests
 them with ``np.isin``; ``query_engine`` its merge join
-(``merge_join_positions``), its hash join
-(``hash_join_positions``) and its merge of sorted streams
-(``merge_sorted_streams``), which falls back to a stable argsort of the
-concatenated streams, and ``patch_index`` its longest sorted subsequence
-(``lss_keep``), which falls back to the Python patience loop
-``lss_keep_mask``.
+(``merge_join_positions``), its hash join (``hash_join_positions``) and
+its merge of sorted streams (``merge_sorted_streams``), which falls back
+to a stable argsort of the concatenated streams, and ``patch_index`` its
+longest sorted subsequence (``lss_keep``), which falls back to the Python
+patience loop ``lss_keep_mask``.
 
 Module attributes:
 
@@ -76,14 +76,16 @@ class SelectArgs(ctypes.Structure):
 
 class DeleteRowsArgs(ctypes.Structure):
     """Argument block of the partition kernels ``pi_delete_rows``,
-    ``pi_prune_blocks`` and ``pi_probe_blocks``; mirrors
-    ``struct delete_rows_args``."""
+    ``pi_zone_refresh``, ``pi_prune_blocks`` and ``pi_probe_blocks``;
+    mirrors ``struct delete_rows_args``."""
 
     _fields_ = [("bufs", _P), ("itemsizes", _P), ("ncols", _I),
                 ("mins", _P), ("maxs", _P), ("zone_cols", _P),
                 ("filters", _P), ("nzones", _I), ("filter_log2", _I),
                 ("capacity", _I), ("block_size", _I), ("chunk_blocks", _I)]
 
+
+_ROWS = ctypes.POINTER(DeleteRowsArgs)
 
 # name -> (argtypes, restype)
 _SIGNATURES = {
@@ -100,11 +102,10 @@ _SIGNATURES = {
     "pi_select": ((ctypes.POINTER(SelectArgs),), _I),
     "pi_select_scalar": ((ctypes.POINTER(SelectArgs),), _I),
     "pi_select_uses_avx512": ((), _I),
-    "pi_delete_rows": ((ctypes.POINTER(DeleteRowsArgs), _P, _I, _P, _I), _I),
-    "pi_prune_blocks": ((ctypes.POINTER(DeleteRowsArgs), _I, _P, _I, _P, _I,
-                         _P), _I),
-    "pi_probe_blocks": ((ctypes.POINTER(DeleteRowsArgs), _I, _P, _I, _P, _I,
-                         _P, _I, _I, _P, _P), _I),
+    "pi_delete_rows": ((_ROWS, _P, _I, _P, _I), _I),
+    "pi_zone_refresh": ((_ROWS, _I, _P, _I, _P, _I), _I),
+    "pi_prune_blocks": ((_ROWS, _I, _P, _I, _P, _I, _P), _I),
+    "pi_probe_blocks": ((_ROWS, _I, _P, _I, _P, _I, _P, _I, _I, _P, _P), _I),
 }
 
 

@@ -51,6 +51,17 @@ def _load_table(path, column):
     return table
 
 
+def _check_updates(op, row_count, count, granularities):
+    """Reject a workload the update replay cannot run. A delete draws its
+    rows from the first row_count - count rows, valid under any split."""
+    limit = {"modify": row_count, "delete": row_count // 2}.get(op, float("inf"))
+    if not 0 <= count <= limit:
+        raise UsageError(f"{op} --count {count} is outside [0, {limit}] "
+                         f"on a {row_count}-row table")
+    if min(granularities) < 1:
+        raise UsageError("a statement granularity must be at least 1")
+
+
 def _build(table, column, constraint, store):
     return build_index([p.columns[column] for p in table.partitions],
                        constraint, column=column, store=store)
@@ -151,10 +162,13 @@ def _emit(reports, csv_out):
 
 
 def cmd_generate(args):
-    spec = GenSpec(args.kind, args.rows, args.exception_rate,
-                   dup_domain=args.dup_domain, partitions=args.partitions,
-                   seed=args.seed, value_domain=args.value_domain,
-                   pad_bytes=args.pad_bytes)
+    try:
+        spec = GenSpec(args.kind, args.rows, args.exception_rate,
+                       dup_domain=args.dup_domain, partitions=args.partitions,
+                       seed=args.seed, value_domain=args.value_domain,
+                       pad_bytes=args.pad_bytes)
+    except ValueError as exc:  # the dataset arguments' own checks
+        raise UsageError(str(exc)) from None
     t0 = time.perf_counter()
     table = generate_to_file(spec, args.out)
     print(f"generated {table.row_count} rows "
@@ -207,6 +221,7 @@ def cmd_query(args):
 
 def cmd_update(args):
     table = _load_table(args.table, args.column)
+    _check_updates(args.op, table.row_count, args.count, [args.granularity])
     index = _build(table, args.column, args.constraint, args.store)
     prepared = bench_mod._prepared_updates(args.op, table.row_count, args.count,
                                            args.seed, key_start=table.row_count)
@@ -230,6 +245,9 @@ def cmd_update(args):
 
 def cmd_bench(args):
     if args.bench_kind == "shard-sweep":
+        if not 0 <= args.deletes <= args.bits:
+            raise UsageError(f"--deletes must lie in [0, --bits]; "
+                             f"{args.deletes} is not in [0, {args.bits}]")
         reports = bench_shard_sweep(args.bits, args.deletes,
                                     seed=args.seed, threads=args.threads)
         for size in SHARD_SWEEP_SIZES:
@@ -243,6 +261,7 @@ def cmd_bench(args):
     else:
         spec = GenSpec(args.kind, args.rows, args.exception_rate,
                        partitions=args.partitions, seed=args.seed)
+        _check_updates(args.op, args.rows, args.count, args.granularities)
         reports, _ = bench_update(spec, args.op, count=args.count,
                                   granularities=tuple(args.granularities),
                                   seed=args.seed)

@@ -54,29 +54,18 @@ def in_positions(values, keys):
     values with integer keys run the compiled kernel; anything else, or a
     missing build, runs the numpy reference.
     """
-    return membership(keys, values.dtype)(values)
-
-
-def membership(keys, dtype):
-    """``in_positions`` against fixed keys for values of dtype, with the
-    keys prepared once."""
     lib = _native.lib
-    if (lib is None or dtype != np.int64
+    if (lib is None or values.dtype != np.int64
             or not np.can_cast(keys.dtype, np.int64)):
-        return lambda values: np.flatnonzero(np.isin(values, keys))
+        return np.flatnonzero(np.isin(values, keys))
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    kptr, k = address(keys), len(keys)
-
-    def positions(values, keys=keys):  # the default keeps keys alive
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        out = np.empty(len(values), dtype=np.int64)
-        count = lib.pi_in_positions(address(values), len(values),
-                                    kptr, k, address(out))
-        if count < 0:
-            raise MemoryError("membership filter allocation failed")
-        return out[:count]
-
-    return positions
+    values = np.ascontiguousarray(values)
+    out = np.empty(len(values), dtype=np.int64)
+    count = lib.pi_in_positions(address(values), len(values), address(keys),
+                                len(keys), address(out))
+    if count < 0:
+        raise MemoryError("membership filter allocation failed")
+    return out[:count]
 
 
 def filter_hash(values, log2_words):
@@ -135,57 +124,6 @@ def filter_add(filters, values, which=None):
                          len(values), address(filters),
                          len(filters) if filters.ndim == 2 else 1, log2) < 0:
         raise bad_which
-
-
-def compact(pairs, ranges, skip, base=0):
-    """Gap copy: write the rows of ranges, except the skipped rows, in order.
-
-    ranges is an (r, 3) int64 array of (lo, hi, at): the rows [lo, hi) of
-    a range whose row lo is item at of a source. Ranges ascend without
-    overlap; skip ascends without repeats, each row inside a range. Each
-    (dst, src) pair copies from the 1-D array src into dst, or writes the
-    kept row numbers plus base (rowIDs, int64) when src is None; dst is
-    src compacts in place, and otherwise the two do not overlap. Returns
-    the number of rows written to each dst. Each range is compressed with
-    a keep mask; this is the numpy reference of the compiled partition
-    delete. A contract violation raises ValueError before any dst is
-    written.
-    """
-    ranges = np.ascontiguousarray(ranges, dtype=np.int64).reshape(-1, 3)
-    skip = np.ascontiguousarray(skip, dtype=np.int64)
-    spans = ranges.tolist()
-    kept = sum(hi - lo for lo, hi, _ in spans) - len(skip)
-    # the items the ranges read: [0, reach) of every src
-    reach = max((at + hi - lo for lo, hi, at in spans), default=0)
-    if any(at < 0 for _, _, at in spans):
-        reach = -1
-    for dst, src in pairs:
-        dtype = np.dtype(np.int64) if src is None else src.dtype
-        if (dst.dtype != dtype or dst.ndim != 1 or len(dst) < kept
-                or not dst.flags.c_contiguous or src is not None
-                and (src.ndim != 1 or not src.flags.c_contiguous
-                     or not 0 <= reach <= len(src))):
-            raise ValueError("compact needs contiguous 1-D arrays of one "
-                             "dtype, ranges inside src and room in dst")
-    lo, hi = ranges[:, 0], ranges[:, 1]
-    owner = np.searchsorted(lo, skip, side="right") - 1
-    if (np.any(hi < lo) or np.any(lo[1:] < hi[:-1]) or np.any(np.diff(skip) <= 0)
-            or np.any(owner < 0) or np.any(skip >= hi[np.maximum(owner, 0)])):
-        raise ValueError("skipped rows must ascend inside the ranges")
-    j = 0
-    for a, b, at in spans:
-        t0, t1 = np.searchsorted(skip, (a, b))
-        keep = np.ones(b - a, dtype=bool)
-        keep[skip[t0:t1] - a] = False
-        n = b - a - (t1 - t0)
-        for dst, src in pairs:
-            if src is None:
-                dst[j:j + n] = np.flatnonzero(keep) + (a + base)
-            else:
-                rows = src[at:at + b - a]
-                dst[j:j + n] = rows if t0 == t1 else rows[keep]
-        j += n
-    return kept
 
 
 def select(pairs, spans, nrows, bits, take, base=0):
@@ -460,18 +398,12 @@ class Partition:
 
     def positions(self, local):
         """Positions in the flattened chunk buffers of partition rows."""
+        # past about a thousand ascending rows, cutting them at the chunk
+        # ends costs less than a binary search per row
         if len(local) > 1024 and (local[1:] >= local[:-1]).all():
-            return self._ascending_positions(local)
+            per_chunk = np.diff(np.searchsorted(local, self.ends), prepend=0)
+            return local + np.repeat(self.shift, per_chunk)
         return local + self.shift[np.searchsorted(self.ends, local, side="right")]
-
-    def _ascending_positions(self, local):
-        """``positions`` of rows the caller knows to ascend."""
-        # past about a thousand rows, cutting them at the chunk ends costs
-        # less than a binary search per row
-        if len(local) <= 1024:
-            return local + self.shift[np.searchsorted(self.ends, local, side="right")]
-        per_chunk = np.diff(np.searchsorted(local, self.ends), prepend=0)
-        return local + np.repeat(self.shift, per_chunk)
 
     def spans(self):
         """(r, 3) int64 array of (lo, hi, at): each chunk's partition rows
@@ -484,54 +416,56 @@ class Partition:
         """Values of one column at persisted partition rows."""
         return self.chunks[column].reshape(-1)[self.positions(local)]
 
-    def rebuild_minmax_blocks(self, column, blocks):
-        """Recompute the summaries of the given ascending, distinct live
-        blocks; the work follows the touched blocks, not the partition.
+    def _blocks_live(self, blocks):
+        """Whether the int64 array blocks holds strictly ascending live
+        blocks, by the chunk row counts."""
+        live = np.arange(CHUNK_BLOCKS) * self.block_size < self.counts[:, None]
+        return bool((np.diff(blocks) > 0).all()
+                    and np.isin(blocks, np.flatnonzero(live)).all())
 
-        Up to a chunk's worth of blocks, what a small statement touches,
-        are gathered as rows of a (blocks, block_size) array and reduced
-        together, in one call instead of one per block. More blocks, what
-        a bulk statement touches, come in runs of consecutive blocks; each
-        run inside one chunk is one contiguous row range, reduced where it
-        lies, without the copy.
+    def refresh_zones(self, columns, blocks):
+        """Recompute the zone maps of the given int64 columns in the given
+        blocks, a strictly ascending array of live block numbers, from
+        their live rows; every mutator calls this. A list that does not
+        ascend, repeats a block or names a block that is not live raises
+        ValueError before any zone map changes. One ``pi_zone_refresh``
+        call per column; the numpy reference reduces each run of
+        consecutive blocks of one chunk where its rows lie.
         """
-        blocks = np.asarray(blocks, dtype=np.int64)
-        if len(blocks) > CHUNK_BLOCKS:
-            cut = np.flatnonzero((np.diff(blocks) != 1)
-                                 | (blocks[1:] % CHUNK_BLOCKS == 0)) + 1
-            firsts = blocks[np.concatenate(([0], cut))].tolist()
-            lasts = blocks[np.concatenate((cut - 1, [len(blocks) - 1]))].tolist()
-            for first, last in zip(firsts, lasts):
-                k, j = divmod(first, CHUNK_BLOCKS)
-                self._summarize(column, k, j, last - first + j + 1)
+        bad = ValueError("zone blocks must be strictly ascending live "
+                         "blocks of the partition")
+        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+        if blocks.ndim != 1:
+            raise bad
+        lib = _native.lib
+        if lib is not None:
+            for c in columns:
+                # the kernel checks the blocks before it writes
+                if lib.pi_zone_refresh(
+                        self._kernel_args(), list(self.zones).index(c),
+                        address(self.counts), self.nchunks, address(blocks),
+                        len(blocks)) < 0:
+                    raise bad
             return
-        if not blocks.size:
-            return
+        if not self._blocks_live(blocks):
+            raise bad
+        cut = np.flatnonzero((np.diff(blocks) != 1)
+                             | (blocks[1:] % CHUNK_BLOCKS == 0)) + 1
         bs = self.block_size
-        rows = self.chunks[column].reshape(-1, bs)[blocks]
-        live = self.counts[blocks // CHUNK_BLOCKS] - blocks % CHUNK_BLOCKS * bs
-        partial = np.flatnonzero(live < bs)
-        if partial.size:
-            # in a chunk's partial last block, the rows past the chunk's end
-            # take the block's first value
-            tail = rows[partial]
-            rows[partial] = np.where(np.arange(bs) < live[partial, None],
-                                     tail, tail[:, :1])
-        for zone, values in zip(self.zones[column], (rows.min(axis=1),
-                                                     rows.max(axis=1))):
-            zone.reshape(-1)[blocks] = values
+        for run in np.split(blocks, cut) if len(blocks) else ():
+            k, first = divmod(int(run[0]), CHUNK_BLOCKS)
+            end = min((first + len(run)) * bs, int(self.counts[k]))
+            for c in columns:
+                rows = self.chunks[c][k, first * bs:end]
+                for zone, values in zip(self.zones[c], _block_minmax(rows, bs)):
+                    zone[k, first:first + len(values)] = values
 
-    def _summarize(self, column, k, first, end):
-        """Recompute blocks [first, end) of chunk k from its live rows."""
+    def _refresh_span(self, start, end):
+        """``refresh_zones`` of every zone column over the blocks that hold
+        the flattened buffer positions [start, end), live rows of one or
+        more chunks."""
         bs = self.block_size
-        rows = self.chunks[column][k, first * bs:min(end * bs, int(self.counts[k]))]
-        for zone, values in zip(self.zones[column], _block_minmax(rows, bs)):
-            zone[k, first:first + len(values)] = values
-
-    def _rezone(self, k, row=0):
-        """Recompute chunk k's summaries from the block holding row on."""
-        for c in self.zones:
-            self._summarize(c, k, row // self.block_size, CHUNK_BLOCKS)
+        self.refresh_zones(self.zones, np.arange(start // bs, -(-end // bs)))
 
     def _grow(self, nchunks):
         """Open empty chunks up to nchunks; the buffers double their slots
@@ -569,9 +503,7 @@ class Partition:
             buf.reshape(-1)[start:start + n] = rows[c]
         self.counts[first:] = cap
         self.counts[-1] = start + n - (self.nchunks - 1) * cap
-        self._rezone(first, start - first * cap)
-        for k in range(first + 1, self.nchunks):
-            self._rezone(k)
+        self._refresh_span(start, start + n)
         self._filter_rows(np.arange(start, start + n), self.filters)
         self._recount()
 
@@ -579,11 +511,10 @@ class Partition:
         """Overwrite partition rows in place; updates maps column name to
         the rows' new values."""
         pos = self.positions(local)
-        blocks = sort_unique(pos // self.block_size)
         for c, vals in updates.items():
             self.chunks[c].reshape(-1)[pos] = vals
-            if c in self.zones:
-                self.rebuild_minmax_blocks(c, blocks)
+        self.refresh_zones([c for c in updates if c in self.zones],
+                           sort_unique(pos // self.block_size))
         self._filter_rows(pos, updates)
 
     def delete_rows(self, local):
@@ -596,8 +527,9 @@ class Partition:
         on, and adds each row that crossed into another block to that
         block's filters; then neighbours that fit one chunk are condensed.
         With the compiled kernels that is one call (``pi_delete_rows``)
-        for all touched chunks; the reference runs ``compact``, ``_rezone``
-        and ``_filter_rows`` per chunk, and both add the same rows.
+        for all touched chunks, whose zone-map loop ``pi_zone_refresh``
+        shares; the reference runs ``np.delete``, ``refresh_zones`` and
+        ``_filter_rows`` per chunk, and both add the same rows.
         """
         local = np.ascontiguousarray(local, dtype=np.int64)
         lib = _native.lib
@@ -625,10 +557,11 @@ class Partition:
         for k in sort_unique(owner).tolist():
             rows = local[owner == k] - (self.ends[k] - self.counts[k])
             n, first = int(self.counts[k]), int(rows[0])
-            compact([(row, row) for row in (buf[k] for buf in self.chunks.values())],
-                    (0, n, 0), rows)
+            for buf in self.chunks.values():
+                buf[k, :n - len(rows)] = np.delete(buf[k, :n], rows)
             self.counts[k] = n - len(rows)
-            self._rezone(k, first)
+            at = k * self.capacity
+            self._refresh_span(at + first, at + int(self.counts[k]))
             # the kept rows from the first deleted one on, before and after
             old = np.delete(np.arange(first, n), rows - first)
             new = np.arange(first, first + len(old))
@@ -722,8 +655,7 @@ class Partition:
             if count < 0:
                 raise bad
             return pos[:count], ids[:count]
-        if (np.diff(blocks) <= 0).any() or not np.isin(
-                blocks, np.flatnonzero(self.live)).all():
+        if not self._blocks_live(blocks):
             raise bad
         # block b's rows start at buffer position b * block_size
         lo = blocks * self.block_size
@@ -754,7 +686,7 @@ class Partition:
                 f[k + 1:self.nchunks - 1] = f[k + 2:self.nchunks]
             self.counts[k] = a + b
             self.counts = np.delete(self.counts, k + 1)
-            self._rezone(k, a)
+            self._refresh_span(k * self.capacity + a, k * self.capacity + a + b)
             self._filter_rows(k * self.capacity + np.arange(a, a + b),
                               self.filters)
         if self.nchunks == 1 and not self.counts[0]:
@@ -790,9 +722,20 @@ class ColumnTable:
         return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
     def _check_columns(self, columns):
+        names = self.column_names
         for c in columns:
-            if c not in self.column_names:
+            if c not in names:
                 raise KeyError(f"unknown column {c!r}")
+
+    def _check_values(self, values, n, what):
+        """values as arrays, checked to map known columns to n values each."""
+        values = {c: np.asarray(v) for c, v in values.items()}
+        self._check_columns(values)
+        for c, v in values.items():
+            if v.shape != (n,):
+                raise ValueError(f"{what} of {n} rows got values of shape "
+                                 f"{v.shape} for column {c!r}")
+        return values
 
     # -- scans ---------------------------------------------------------------
 
@@ -920,9 +863,14 @@ class ColumnTable:
     # -- updates -------------------------------------------------------------------
 
     def insert_rows(self, rows):
-        """Append rows to the last partition; returns their rowIDs."""
+        """Append rows to the last partition; returns their rowIDs. rows
+        maps every column to the same number of values."""
+        names = self.column_names
+        if rows.keys() != set(names):
+            raise ValueError(f"insert needs exactly the columns {names}")
+        rows = self._check_values(rows, np.size(rows[names[0]]), "insert")
         start = self.row_count
-        self.partitions[-1].append({c: np.asarray(v) for c, v in rows.items()})
+        self.partitions[-1].append(rows)
         return np.arange(start, self.row_count, dtype=np.int64)
 
     def _route(self, rowids, what):
@@ -935,8 +883,9 @@ class ColumnTable:
     def modify_rows(self, rowids, updates):
         """In-place update; updates maps column name to per-row new values."""
         rowids = np.asarray(rowids, dtype=np.int64)
+        updates = self._check_values(updates, len(rowids), "modify")
         for p, sel, local in self._route(rowids, "modify"):
-            p.modify_rows(local, {c: np.asarray(v)[sel] for c, v in updates.items()})
+            p.modify_rows(local, {c: v[sel] for c, v in updates.items()})
 
     def gather(self, rowids, column):
         """Values of one column at arbitrary rowIDs, in their order; a

@@ -33,7 +33,7 @@ class GenSpec:
         if not 0.0 <= self.exception_rate <= 1.0:
             raise ValueError("exception rate must be in [0, 1]")
         if self.rows < 0 or self.partitions < 1:
-            raise ValueError("bad rows/partitions")
+            raise ValueError("rows must be at least 0 and partitions at least 1")
 
     @property
     def exception_count(self):

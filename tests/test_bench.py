@@ -303,6 +303,7 @@ class TestStmtProfile:
         header, nuc, nsc = tool.format_table(samples)
         names = header.split()[1:]
         assert names[names.index("probe") + 1] == "blocks"
+        assert names[names.index("part") + 1] == "zones"
         assert names == list(tool.COLUMNS)
         nuc, nsc = nuc.split()[2:], nsc.split()[2:]  # past "kind x10"
         assert nuc[names.index("blocks")] == "6"

@@ -253,3 +253,30 @@ class TestErrorContract:
             main(["query", "distinct", "--table", str(dataset),
                   "--format", "csv"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("args, words", [
+        (["delete", "--count", "2501"], "outside [0, 2500]"),
+        (["modify", "--count", "5001"], "outside [0, 5000]"),
+        (["insert", "--count", "-3"], "outside [0, inf]"),
+        (["insert", "--granularity", "0"], "at least 1"),
+        (["delete", "--granularity", "-1"], "at least 1")])
+    def test_bad_update_workload(self, dataset, capsys, args, words):
+        capsys.readouterr()
+        err = self._usage_error(["update", args[0], "--table", str(dataset)]
+                                + args[1:], capsys)
+        assert words in err
+
+    @pytest.mark.parametrize("args, words", [
+        (["--rows", "-5"], "rows must be at least 0"),
+        (["--rows", "10", "--partitions", "0"], "partitions at least 1"),
+        (["--rows", "10", "--exception-rate", "1.5"], "exception rate")])
+    def test_bad_dataset(self, tmp_path, capsys, args, words):
+        out = tmp_path / "x.pdx"
+        err = self._usage_error(["generate", "--kind", "nuc", "--out", str(out)]
+                                + args, capsys)
+        assert words in err and not out.exists()
+
+    def test_more_deletes_than_bits(self, capsys):
+        err = self._usage_error(["bench", "shard-sweep", "--bits", "1000",
+                                 "--deletes", "1001"], capsys)
+        assert "--deletes" in err

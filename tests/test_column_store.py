@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchindex import _native
-from patchindex import column_store
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
-                                     Partition, _block_minmax, compact, filter_add,
+                                     Partition, _block_minmax, filter_add,
                                      filter_hash, in_positions, select,
                                      sort_unique)
 from patchindex.datagen import GenSpec, generate_to_file
@@ -339,12 +338,118 @@ class TestUpdates:
             for p in t.partitions:
                 assert_chunk_summaries(p)
 
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_bad_columns_change_nothing(self, backend, monkeypatch):
+        # the last chunk is full, so an append would open a new one
+        use_backend(backend, monkeypatch)
+        t = make_table(np.arange(256), partitions=2, block_size=4)
+        before = t.scan()
+        counts = [p.counts.tolist() for p in t.partitions]
+        ids = np.array([1, 2, 200])
+        for call, error in (
+                (lambda: t.modify_rows(ids, {"value": [7]}), ValueError),
+                (lambda: t.modify_rows(ids, {"value": [7, 8, 9, 10]}), ValueError),
+                (lambda: t.modify_rows(ids, {"value": 7}), ValueError),
+                (lambda: t.modify_rows(ids, {"nope": [7, 8, 9]}), KeyError),
+                (lambda: t.insert_rows({"key": [1, 2, 3], "value": [7]}), ValueError),
+                (lambda: t.insert_rows({"key": [1, 2, 3]}), ValueError),
+                (lambda: t.insert_rows({"key": [1], "value": [2], "nope": [3]}),
+                 ValueError)):
+            with pytest.raises(error):
+                call()
+            assert [p.counts.tolist() for p in t.partitions] == counts
+            assert all(len(p.counts) == len(p.ends) for p in t.partitions)
+            after = t.scan()
+            assert np.array_equal(after[0], before[0])
+            for c in before[1]:
+                assert np.array_equal(after[1][c], before[1][c])
+            for p in t.partitions:
+                assert_chunk_summaries(p)
+
     def test_rebuild_no_blocks_is_noop(self):
         t = make_table(np.arange(100), partitions=1, block_size=16)
         before = [a.copy() for a in t.partitions[0].zones["value"]]
-        t.partitions[0].rebuild_minmax_blocks("value", np.zeros(0, np.int64))
+        t.partitions[0].refresh_zones(["value"], [])
         for a, b in zip(before, t.partitions[0].zones["value"]):
             assert np.array_equal(a, b)
+
+
+def stale_partition(block_size, seed):
+    """A partition of uneven chunks with partial last blocks, whose rows
+    were all overwritten without a zone refresh."""
+    rng = np.random.default_rng(seed)
+    n = 5 * CHUNK_BLOCKS * block_size + 7
+    p = Partition({"value": rng.integers(-10**6, 10**6, size=n),
+                   "key": np.arange(n)}, block_size)
+    p.delete_rows(np.flatnonzero(rng.random(n) < 0.1))
+    for buf in p.chunks.values():
+        buf[:] = rng.integers(-10**6, 10**6, size=buf.shape)
+    return p
+
+
+def all_zones(p):
+    return [z.copy() for c in sorted(p.zones) for z in p.zones[c]]
+
+
+class TestZoneRefresh:
+    """``Partition.refresh_zones``: ``pi_zone_refresh`` and the numpy
+    reference."""
+
+    @needs_compiler
+    @pytest.mark.parametrize("block_size", [16, 24])
+    def test_kernel_matches_reference(self, block_size, monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        native = _native.lib
+        for seed in range(40):
+            results = []
+            for lib in (native, None):
+                monkeypatch.setattr(_native, "lib", lib)
+                p = stale_partition(block_size, seed)
+                assert (p.counts % block_size).any()  # partial last blocks
+                live = np.flatnonzero(p.live)
+                rng = np.random.default_rng([block_size, seed])
+                blocks = live[rng.random(len(live))
+                              < rng.choice([0, 0.05, 0.5, 1])]
+                before = all_zones(p)
+                p.refresh_zones(["key", "value"], blocks)
+                after = all_zones(p)
+                results.append(b"".join(z.tobytes() for z in after))
+                # the given blocks hold their live rows' min and max, and no
+                # other block changed
+                refreshed = np.isin(np.arange(p.nchunks * CHUNK_BLOCKS), blocks)
+                for i, c in enumerate(sorted(p.zones)):
+                    for z in (0, 1):
+                        got = after[2 * i + z][:p.nchunks].reshape(-1)
+                        old = before[2 * i + z][:p.nchunks].reshape(-1)
+                        assert np.array_equal(got[~refreshed], old[~refreshed])
+                        for b in blocks.tolist():
+                            k, j = divmod(b, CHUNK_BLOCKS)
+                            rows = p.chunks[c][k, j * block_size:min(
+                                (j + 1) * block_size, int(p.counts[k]))]
+                            assert got[b] == (rows.max() if z else rows.min())
+            assert results[0] == results[1], seed
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_bad_block_lists_change_nothing(self, backend, monkeypatch):
+        use_backend(backend, monkeypatch)
+        # 64-row chunks of 16 4-row blocks; deletes leave chunk 0 with 60
+        # rows (block 15 dead) and chunk 4 with 44 (blocks 75-79 dead)
+        t = make_table(np.arange(300), partitions=1, block_size=4)
+        t.delete_rows(np.array([3, 2, 1, 0]))
+        p = t.partitions[0]
+        assert p.counts.tolist() == [60, 64, 64, 64, 44]
+        for buf in p.chunks.values():  # so any refreshed block would change
+            buf[:] = -5
+        before = all_zones(p)
+        for bad in ([0, 15], [0, 75], [0, 80], [-1, 0], [0, 1000],  # not live
+                    [2, 1], [3, 3],                  # not strictly ascending
+                    [[1, 2]]):                       # not a list
+            with pytest.raises(ValueError, match="live blocks"):
+                p.refresh_zones(["key", "value"], np.array(bad))
+            for a, b in zip(all_zones(p), before):
+                assert np.array_equal(a, b), bad
+        p.refresh_zones(["value"], [0, 74])
+        assert p.zones["value"][0][0, 0] == -5 and p.zones["value"][1][4, 10] == -5
 
 
 class Unread:
@@ -651,74 +756,64 @@ def random_skips(rng, n):
 
 
 class TestCompact:
+    """A delete compacts the kept rows of every column in place, on both
+    backends; each case compares against np.delete."""
+
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     @pytest.mark.parametrize("dtype", ["int64", "S3"])
     def test_matches_np_delete(self, backend, dtype, monkeypatch):
-        """In place, one range: rows before the first skip stay put."""
+        """One chunk: the kept rows close up, and bad rows change nothing."""
         use_backend(backend, monkeypatch)
         rng = np.random.default_rng(13)
         for _ in range(300):
             n = int(rng.integers(0, 60))
-            row = rng.integers(0, 1000, size=n + 5).astype(dtype)
+            row = rng.integers(0, 1000, size=n).astype(dtype)
             dead = random_skips(rng, n)
-            want = np.delete(row[:n], dead)
-            tail = row[n:].copy()
-            assert compact([(row, row)], [(0, n, 0)], dead) == len(want)
-            assert np.array_equal(row[:n - len(dead)], want)
-            assert np.array_equal(row[n:], tail)
+            p = Partition({"value": row}, block_size=4)
+            p.delete_rows(dead)
+            assert np.array_equal(p.columns["value"], np.delete(row, dead))
+            assert p.nrows == n - len(dead)
+            assert_chunk_summaries(p)
         row = np.arange(10).astype(dtype)
-        for n, dead in ((10, [3, 3]), (10, [4, 2]), (10, [-1]), (10, [10]),
-                        (11, [2])):
-            with pytest.raises(ValueError):
-                compact([(row, row)], [(0, n, 0)], np.array(dead))
-            assert np.array_equal(row, np.arange(10).astype(dtype))
-        with pytest.raises(ValueError):
-            compact([(np.arange(20)[::2],) * 2], [(0, 10, 0)], np.array([1]))
+        for dead, error in (([3, 3], ValueError), ([4, 2], ValueError),
+                            ([-1], IndexError), ([10], IndexError)):
+            p = Partition({"value": row}, block_size=4)
+            with pytest.raises(error):
+                p.delete_rows(np.array(dead))
+            assert np.array_equal(p.columns["value"], row)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     @pytest.mark.parametrize("dtype", ["int64", "S3"])
     def test_gap_copy_matches_np_delete(self, backend, dtype, monkeypatch):
-        """Out of place over chunked ranges, empty chunks included, with
-        the rowIDs written alongside."""
+        """Uneven chunks, emptied chunks included, with an int64 column
+        alongside."""
         use_backend(backend, monkeypatch)
         rng = np.random.default_rng(14)
-        cap = 24
-        for _ in range(300):
-            counts = rng.integers(0, cap + 1, size=int(rng.integers(0, 5)))
-            counts[rng.random(len(counts)) < 0.2] = 0
-            buf = rng.integers(0, 1000, size=(len(counts), cap)).astype(dtype)
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            ranges = np.column_stack((starts, ends,
-                                      np.arange(len(counts)) * cap))
-            n = int(counts.sum())
-            live = np.concatenate([buf[k, :c] for k, c in enumerate(counts)]
-                                  + [np.zeros(0, buf.dtype)])
-            dead = random_skips(rng, n)
-            base = int(rng.integers(0, 10**6))
-            dst = np.zeros(n + 3, dtype=dtype)
-            ids = np.full(n + 3, -7, dtype=np.int64)
-            kept = compact([(dst, buf.reshape(-1)), (ids, None)], ranges, dead,
-                           base)
-            assert kept == n - len(dead)
-            assert np.array_equal(dst[:kept], np.delete(live, dead))
-            assert np.array_equal(ids[:kept], np.delete(np.arange(n), dead) + base)
-            assert not dst[kept:].any() and (ids[kept:] == -7).all()
+        for _ in range(100):
+            n = int(rng.integers(0, 5 * 64))
+            p = Partition({"pad": rng.integers(0, 1000, size=n).astype(dtype),
+                           "key": np.arange(n)}, block_size=4)
+            first = np.flatnonzero(rng.random(n) < rng.random())
+            p.delete_rows(first)  # chunks of uneven fill
+            live = {c: a.copy() for c, a in p.columns.items()}
+            dead = random_skips(rng, p.nrows)
+            p.delete_rows(dead)
+            for c, a in live.items():
+                assert np.array_equal(p.columns[c], np.delete(a, dead)), c
+            assert (p.counts >= 1).all() and (p.counts <= p.capacity).all()
+            assert_chunk_summaries(p)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_bad_skips_rejected_without_writing(self, backend, monkeypatch):
         use_backend(backend, monkeypatch)
-        src = np.arange(20)
-        ranges = [(0, 5, 0), (8, 12, 5)]  # rows 5-7 are in no range
-        for dead in ([3, 1], [2, 2], [-1], [6], [12], [4, 9, 9]):
-            dst = np.full(9, -1)
-            with pytest.raises(ValueError):
-                compact([(dst, src), (dst.copy(), None)], ranges, np.array(dead))
-            assert (dst == -1).all()
-        for bad in ([(0, 5, 0), (4, 8, 5)], [(3, 2, 0)], [(0, 5, 18)],
-                    [(0, 5, -1)]):
-            with pytest.raises(ValueError):
-                compact([(np.full(9, -1), src)], bad, np.zeros(0, np.int64))
+        p = kernel_partition(4, 37)
+        before = partition_state(p)
+        for dead, error in (([3, 1], ValueError), ([2, 2], ValueError),
+                            ([-1], IndexError), ([p.nrows], IndexError),
+                            ([4, 300, 300], ValueError)):
+            with pytest.raises(error):
+                p.delete_rows(np.array(dead))
+            assert_states_equal(partition_state(p), before)
 
 
 def use_select_path(path, monkeypatch):
@@ -1036,8 +1131,8 @@ class TestDeleteKernel:
         ends = p.ends.tolist()
         rows = np.array([1, ends[0] + 2, ends[2] + 3, ends[4] - 1])
         want = np.delete(p.columns["value"], rows)
-        monkeypatch.setattr(column_store, "compact", forbidden)
-        monkeypatch.setattr(Partition, "_rezone", forbidden)
+        monkeypatch.setattr(Partition, "_delete_rows_reference", forbidden)
+        monkeypatch.setattr(Partition, "refresh_zones", forbidden)
         p.delete_rows(rows)  # no two neighbours fit one chunk: no condense
         assert np.array_equal(p.columns["value"], want)
         assert_chunk_summaries(p)

@@ -17,6 +17,10 @@ Prints, per statement kind and size, the median in ms of each phase:
 - ``table``: the table write (``UpdateStats.storage_ms``), and ``part``
   its partition calls (``Partition.append``, ``modify_rows`` and
   ``delete_rows``);
+- ``zones``: the share of ``part`` spent refreshing zone maps
+  (``Partition.refresh_zones``). A compiled delete refreshes them inside
+  its own kernel, so a delete's ``zones`` holds only what its chunk
+  condense refreshes;
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
 - ``blocks``: the blocks the probe read (``UpdateStats.blocks_scanned``),
@@ -46,11 +50,12 @@ from perfbench.workloads import (STATEMENTS, Scale, StatementStream,  # noqa: E4
 from plan_profile import keep_freed_memory  # noqa: E402
 
 RATE, SIZES, WARM, ROUNDS, SEED = 0.2, (10, 1000), 3, 60, 1
-PHASES = ("stmt", "route", "table", "part", "maint", "probe", "drop", "bitmap")
+PHASES = ("stmt", "route", "table", "part", "zones", "maint", "probe", "drop",
+          "bitmap")
 # the phases read from UpdateStats, summed over a statement's indexes
 STATS_FIELDS = {"table": "storage_ms", "maint": "maintain_ms", "probe": "probe_ms"}
 # the printed columns: every phase in ms, with the probe's block count
-COLUMNS = PHASES[:6] + ("blocks",) + PHASES[6:]
+COLUMNS = PHASES[:7] + ("blocks",) + PHASES[7:]
 
 _spent = dict.fromkeys(PHASES, 0)
 
@@ -87,6 +92,7 @@ def instrument():
     column_store.route_rows = patch_index.route_rows = route
     for name in ("append", "modify_rows", "delete_rows"):
         setattr(Partition, name, _timed("part", getattr(Partition, name)))
+    Partition.refresh_zones = _timed("zones", Partition.refresh_zones)
     patch_index.PatchIndex.drop_rows = _timed(
         "drop", patch_index.PatchIndex.drop_rows)
     ShardedBitmap.bulk_delete = _timed("bitmap", ShardedBitmap.bulk_delete)
