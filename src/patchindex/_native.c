@@ -842,14 +842,14 @@ static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
 
 /* Argument block of the partition kernels (pi_delete_rows, pi_zone_refresh,
  * pi_prune_blocks and pi_probe_blocks), kept per partition on the Python
- * side and rebuilt when its buffers grow or a column gets its filters.
- * Mirrors patchindex._native.DeleteRowsArgs.
+ * side and rebuilt when its buffers grow or a column gets its block
+ * summaries. Mirrors patchindex._native.DeleteRowsArgs.
  *
  * Block j of chunk k is block k * chunk_blocks + j; its rows are the
  * chunk's rows [j * block_size, (j + 1) * block_size), and it is live
- * when its first row is below the chunk's row count. A zone column with
- * filters has one blocked Bloom filter of 2^filter_log2 words per block:
- * block b's filter starts at word b << filter_log2. */
+ * when its first row is below the chunk's row count. Zone columns, the
+ * columns a probe has read, have one blocked Bloom filter of
+ * 2^filter_log2 words per block, block b's at word b << filter_log2. */
 struct delete_rows_args {
     char *const *bufs;          /* ncols (slots, capacity) column buffers */
     const int64_t *itemsizes;   /* bytes per item of each column */
@@ -857,7 +857,7 @@ struct delete_rows_args {
     int64_t *const *mins;       /* nzones (slots, chunk_blocks) zone maps */
     int64_t *const *maxs;
     const int64_t *zone_cols;   /* the int64 column of each zone map */
-    uint64_t *const *filters;   /* each zone column's block filters, or NULL */
+    uint64_t *const *filters;   /* each zone column's block filters */
     int64_t nzones;
     int64_t filter_log2;        /* log2 of the words of one block filter */
     int64_t capacity;           /* rows per chunk */
@@ -967,11 +967,10 @@ int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
                 zone_refresh(v, left, bs, b0, b1,
                              a->mins[z] + k * a->chunk_blocks,
                              a->maxs[z] + k * a->chunk_blocks);
-                if (a->filters[z] != NULL)
-                    filter_crossings(v, a->filters[z] + ((k * a->chunk_blocks)
-                                                         << a->filter_log2),
-                                     a->filter_log2, bs, rows + t, t1 - t,
-                                     start, left);
+                filter_crossings(v, a->filters[z] + ((k * a->chunk_blocks)
+                                                     << a->filter_log2),
+                                 a->filter_log2, bs, rows + t, t1 - t, start,
+                                 left);
             }
             counts[k] = left;
             t = t1;
@@ -981,12 +980,12 @@ int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
     return 0;
 }
 
-/* The live blocks of zone column z, which must have filters, that may
- * hold one of the strictly ascending values[0:m]: a block is kept when a
- * value inside its [min, max] has every pattern bit set in the block's
- * own filter. Writes the kept block numbers, ascending, to out (room for
- * nchunks * chunk_blocks) and returns their count, or -1 when the values'
- * hashes cannot be allocated. */
+/* The live blocks of zone column z that may hold one of the strictly
+ * ascending values[0:m]: a block is kept when a value inside its [min,
+ * max] has every pattern bit set in the block's own filter. Writes the
+ * kept block numbers, ascending, to out (room for nchunks * chunk_blocks)
+ * and returns their count, or -1 when the values' hashes cannot be
+ * allocated. */
 int64_t pi_prune_blocks(const struct delete_rows_args *a, int64_t z,
                         const int64_t *counts, int64_t nchunks,
                         const int64_t *values, int64_t m, int64_t *out)

@@ -25,6 +25,10 @@ to a stable argsort of the concatenated streams, and ``patch_index`` its
 longest sorted subsequence (``lss_keep``), which falls back to the Python
 patience loop ``lss_keep_mask``.
 
+The partition kernels share one argument block (``DeleteRowsArgs``). Its
+zone columns are the columns a probe has read, the only ones with block
+summaries, and each has both its zone maps and its block filters.
+
 Module attributes:
 
 - ``lib``: the loaded ``ctypes.CDLL``, or None when the kernels are missing;

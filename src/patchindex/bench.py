@@ -238,26 +238,34 @@ def bench_query(table, query, index, dim=None, plans=("naive", "patchindex"),
             for name in plans]
 
 
+def query_suite_specs(rows, rates, seed, queries, dim_rows, partitions):
+    """(query, dataset spec) of each table of the query suite, in order.
+    Building a spec checks it: a bad argument raises GenSpec's ValueError."""
+    return [(query, GenSpec("nuc" if query == "distinct" else "nsc", rows, e,
+                            seed=seed, partitions=partitions,
+                            value_domain=dim_rows if query == "join" else None))
+            for query in queries for e in rates]
+
+
 def bench_query_suite(rows=10**6, rates=(0.0, 0.01, 0.2, 0.5, 0.99), seed=0,
                       queries=("distinct", "sort", "join"), dim_rows=10**4,
                       partitions=4):
-    """Each query shape timed over a range of exception rates."""
+    """Each query shape timed over a range of exception rates; every
+    table's spec is built before the first table."""
     reports = []
-    for query in queries:
-        kind = "nuc" if query == "distinct" else "nsc"
-        for e in rates:
-            spec = GenSpec(kind, rows, e, seed=seed, partitions=partitions,
-                           value_domain=dim_rows if query == "join" else None)
-            table = generate(spec)
-            constraint = NUC if kind == "nuc" else NSC_ASC
-            index = build_index([p.columns["value"] for p in table.partitions],
-                                constraint)
-            dim = dimension_table(dim_rows) if query == "join" else None
-            plans = ["naive", "patchindex"]
-            if index.patch_count == 0:
-                plans.append("patchindex-zbp")
-            reports.extend(bench_query(table, query, index, dim=dim,
-                                       plans=tuple(plans), param=e))
+    for query, spec in query_suite_specs(rows, rates, seed, queries, dim_rows,
+                                         partitions):
+        table = generate(spec)
+        constraint = NUC if spec.kind == "nuc" else NSC_ASC
+        index = build_index([p.columns["value"] for p in table.partitions],
+                            constraint)
+        dim = dimension_table(dim_rows) if query == "join" else None
+        plans = ["naive", "patchindex"]
+        if index.patch_count == 0:
+            plans.append("patchindex-zbp")
+        reports.extend(bench_query(table, query, index, dim=dim,
+                                   plans=tuple(plans),
+                                   param=spec.exception_rate))
     return reports
 
 
@@ -273,8 +281,9 @@ def _prepared_updates(op, row_count, count, seed, key_start):
         return {"ids": rng.choice(row_count, size=count, replace=False),
                 "values": rng.integers(0, row_count, size=count)}
     if op == "delete":
-        # ids below row_count - count stay valid whatever the batch split
-        ids = rng.choice(row_count - count, size=count, replace=False)
+        # applied in descending order, each row is still in place when its
+        # statement runs, whatever the batch split
+        ids = rng.choice(row_count, size=count, replace=False)
         return {"ids": np.sort(ids)[::-1]}
     raise ValueError(f"unknown update op {op!r}")
 

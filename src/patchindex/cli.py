@@ -16,7 +16,7 @@ from . import bench as bench_mod
 from .bench import (SHARD_SWEEP_SIZES, UPDATE_GRANULARITIES, VerificationError,
                     WorkloadReport, bench_query, bench_query_suite,
                     bench_shard_sweep, bench_update, build_query_plans,
-                    shard_overhead_pct, write_csv)
+                    query_suite_specs, shard_overhead_pct, write_csv)
 from .column_store import ColumnTable
 from .datagen import GenSpec, dimension_table, generate_to_file
 from .patch_index import NSC_ASC, NSC_DESC, NUC, build_index
@@ -51,10 +51,19 @@ def _load_table(path, column):
     return table
 
 
+def _dataset(make, *args, **kwargs):
+    """make(*args, **kwargs), which builds dataset specs: a ValueError of
+    their own argument checks becomes a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _check_updates(op, row_count, count, granularities):
-    """Reject a workload the update replay cannot run. A delete draws its
-    rows from the first row_count - count rows, valid under any split."""
-    limit = {"modify": row_count, "delete": row_count // 2}.get(op, float("inf"))
+    """Reject a workload the update replay cannot run: a modify or delete
+    touches count distinct rows of the table."""
+    limit = row_count if op in ("modify", "delete") else float("inf")
     if not 0 <= count <= limit:
         raise UsageError(f"{op} --count {count} is outside [0, {limit}] "
                          f"on a {row_count}-row table")
@@ -162,13 +171,10 @@ def _emit(reports, csv_out):
 
 
 def cmd_generate(args):
-    try:
-        spec = GenSpec(args.kind, args.rows, args.exception_rate,
-                       dup_domain=args.dup_domain, partitions=args.partitions,
-                       seed=args.seed, value_domain=args.value_domain,
-                       pad_bytes=args.pad_bytes)
-    except ValueError as exc:  # the dataset arguments' own checks
-        raise UsageError(str(exc)) from None
+    spec = _dataset(GenSpec, args.kind, args.rows, args.exception_rate,
+                    dup_domain=args.dup_domain, partitions=args.partitions,
+                    seed=args.seed, value_domain=args.value_domain,
+                    pad_bytes=args.pad_bytes)
     t0 = time.perf_counter()
     table = generate_to_file(spec, args.out)
     print(f"generated {table.row_count} rows "
@@ -254,13 +260,14 @@ def cmd_bench(args):
             print(f"# shard 2^{size.bit_length() - 1}: "
                   f"overhead {shard_overhead_pct(size)}%", file=sys.stderr)
     elif args.bench_kind == "query":
-        reports = bench_query_suite(rows=args.rows, rates=tuple(args.rates),
-                                    seed=args.seed, queries=tuple(args.queries),
-                                    dim_rows=args.dim_rows,
-                                    partitions=args.partitions)
+        suite = dict(rows=args.rows, rates=tuple(args.rates), seed=args.seed,
+                     queries=tuple(args.queries), dim_rows=args.dim_rows,
+                     partitions=args.partitions)
+        _dataset(query_suite_specs, **suite)  # every table's, before the first
+        reports = bench_query_suite(**suite)
     else:
-        spec = GenSpec(args.kind, args.rows, args.exception_rate,
-                       partitions=args.partitions, seed=args.seed)
+        spec = _dataset(GenSpec, args.kind, args.rows, args.exception_rate,
+                        partitions=args.partitions, seed=args.seed)
         _check_updates(args.op, args.rows, args.count, args.granularities)
         reports, _ = bench_update(spec, args.op, count=args.count,
                                   granularities=tuple(args.granularities),

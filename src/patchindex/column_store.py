@@ -3,12 +3,12 @@
 Tables hold int64 (and fixed-width bytes) columns split into partitions.
 Global rowIDs are dense, assigned by partition order then position. Each
 partition stores its rows in fixed-capacity chunks, the sharded bitmap's
-layout, with per-block min/max summaries of its int64 columns on each
-chunk's block grid. A column probed for value sets also gets one blocked
-Bloom filter per block, built on the first probe, so block pruning skips
-the blocks that cannot hold a probed value. Inserts append to the last
-partition's chunks. Deletes compact rows immediately, inside the chunks
-that hold them, shifting all subsequent rowIDs down.
+layout. An int64 column probed for value sets gets, on its first probe,
+summaries on each chunk's block grid: per-block min/max (zone maps) and
+one blocked Bloom filter per block, so block pruning skips the blocks
+that cannot hold a probed value; other columns carry neither. Inserts
+append to the last partition's chunks. Deletes compact rows immediately,
+inside the chunks that hold them, shifting all subsequent rowIDs down.
 """
 
 import json
@@ -275,25 +275,26 @@ class Partition:
     (slots, capacity) buffer: chunk k holds its counts[k] rows at the front
     of buffer row k, the chunks follow each other in rowID order, and the
     rows of a chunk start where the rows of the chunks before it end. The
-    capacity is CHUNK_BLOCKS zone-map blocks, so every chunk has its own
-    block grid, laid out as (slots, CHUNK_BLOCKS) min and max arrays. A
-    delete compacts the touched chunks only, and an append fills the last
-    chunk and then opens new ones. Blocks are numbered on that grid:
-    block j of chunk k is block k * CHUNK_BLOCKS + j.
+    capacity is CHUNK_BLOCKS blocks, so every chunk has its own block
+    grid. A delete compacts the touched chunks only, and an append fills
+    the last chunk and then opens new ones. Blocks are numbered on that
+    grid: block j of chunk k is block k * CHUNK_BLOCKS + j.
 
-    An int64 column asked for its membership filters (``filter_words``)
-    gets one blocked Bloom filter per block, a (slots, CHUNK_BLOCKS,
-    words) array, so appends never resize it. Every live row's value is
-    in the filter of the block that holds it: appends and modifies add
-    the new values, a delete adds each row it moves into another block
-    to that block's filter, and a condense adds every row it moves. No
-    bit is ever cleared: a deleted or moved-away value only leaves stale
-    bits, and a filter may answer "maybe" wrongly but never "no" wrongly.
+    Only the int64 columns a probe has read have block summaries, built
+    by ``filter_words``, so ``zones`` and ``filters`` have the same keys:
+    (slots, CHUNK_BLOCKS) min and max arrays and one blocked Bloom filter
+    per block, a (slots, CHUNK_BLOCKS, words) array; appends never resize
+    them. Every mutator keeps the zone maps exact and every live row's
+    value in its block's filter: appends and modifies add the new values,
+    a delete adds each row it moves into another block, and a condense
+    every row it moves. No filter bit is ever cleared, so a deleted or
+    moved-away value only leaves stale bits, and a filter may answer
+    "maybe" wrongly but never "no" wrongly.
     """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
-        """Copy whole-partition arrays into chunks and summarize them; the
-        caller's arrays are never written."""
+        """Copy whole-partition arrays into chunks; the caller's arrays are
+        never written."""
         self.block_size = block_size
         self.capacity = CHUNK_BLOCKS * block_size
         columns = {c: np.asarray(a) for c, a in columns.items()}
@@ -306,19 +307,12 @@ class Partition:
         for c, a in columns.items():
             self.chunks[c] = np.empty((nchunks, self.capacity), dtype=a.dtype)
             self.chunks[c].reshape(-1)[:n] = a
-        # all chunks but the last are full, so the contiguous grid lines up
-        self.zones = {}
-        for c, a in columns.items():
-            if a.dtype == np.int64:
-                self.zones[c] = tuple(np.zeros((nchunks, CHUNK_BLOCKS), np.int64)
-                                      for _ in range(2))
-                for zone, values in zip(self.zones[c], _block_minmax(a, block_size)):
-                    zone.reshape(-1)[:len(values)] = values
         # FILTER_BITS_PER_ROW bits per block row, in a power of two words,
         # at least 2; the hash takes at most 40 bits for the word number
         words = -(-block_size * FILTER_BITS_PER_ROW // 64)
         self.filter_log2 = min(max(1, (words - 1).bit_length()), 40)
-        self.filters = {}  # built on first request, see filter_words
+        self.zones = {}  # built on first request, see filter_words
+        self.filters = {}
         self._args = None  # see _kernel_args
         self._recount()
 
@@ -353,28 +347,34 @@ class Partition:
         """(nchunks, CHUNK_BLOCKS, words) membership filters of an int64
         column's blocks: [k, j] is the filter of block j of chunk k.
 
-        The first request builds them from the chunk buffers; from then
-        on every mutator keeps them up to date.
+        The first request builds the column's block summaries from the
+        chunk buffers, its zone maps first and then its filters; from then
+        on every mutator keeps both up to date.
         """
         f = self.filters.get(column)
         if f is None:
-            f = np.zeros((len(self.chunks[column]), CHUNK_BLOCKS,
-                          1 << self.filter_log2), dtype=np.uint64)
+            if self.chunks[column].dtype != np.int64:  # the kernels read int64
+                raise ValueError(f"block summaries need an int64 column, "
+                                 f"not {column!r}")
+            slots = len(self.chunks[column])
+            self.zones[column] = tuple(np.zeros((slots, CHUNK_BLOCKS), np.int64)
+                                       for _ in range(2))
+            f = self.filters[column] = np.zeros(
+                (slots, CHUNK_BLOCKS, 1 << self.filter_log2), dtype=np.uint64)
+            self._args = None  # the kernels' argument block names them
+            self.refresh_zones([column], np.flatnonzero(self.live))
             for k in range(self.nchunks):
                 filter_add(f[k], self.chunk(column, k),
                            np.arange(self.counts[k]) // self.block_size)
-            self.filters[column] = f
-            self._args = None  # the kernels' argument block names them
         return f[:self.nchunks]
 
     def _filter_rows(self, pos, columns):
         """Add the rows at flattened buffer positions pos to the filters
-        their blocks keep for the given columns."""
+        their blocks keep for the given probed columns."""
         for c in columns:
-            f = self.filters.get(c)
-            if f is not None:
-                filter_add(f.reshape(-1, f.shape[-1]),
-                           self.chunks[c].reshape(-1)[pos], pos // self.block_size)
+            f = self.filters[c]
+            filter_add(f.reshape(-1, f.shape[-1]),
+                       self.chunks[c].reshape(-1)[pos], pos // self.block_size)
 
     @property
     def columns(self):
@@ -513,9 +513,10 @@ class Partition:
         pos = self.positions(local)
         for c, vals in updates.items():
             self.chunks[c].reshape(-1)[pos] = vals
-        self.refresh_zones([c for c in updates if c in self.zones],
-                           sort_unique(pos // self.block_size))
-        self._filter_rows(pos, updates)
+        probed = [c for c in updates if c in self.zones]
+        if probed:
+            self.refresh_zones(probed, sort_unique(pos // self.block_size))
+            self._filter_rows(pos, probed)
 
     def delete_rows(self, local):
         """Remove the strictly ascending partition rows local.
@@ -582,8 +583,7 @@ class Partition:
                     pointers([self.zones[c][0] for c in zones]),
                     pointers([self.zones[c][1] for c in zones]),
                     np.array([names.index(c) for c in zones], dtype=np.int64),
-                    np.array([address(self.filters[c]) if c in self.filters
-                              else 0 for c in zones], dtype=np.uintp))
+                    pointers([self.filters[c] for c in zones]))
             self._args = _native.DeleteRowsArgs(
                 *(address(a) for a in held[:2]), len(bufs),
                 *(address(a) for a in held[2:]), len(zones), self.filter_log2,
@@ -595,9 +595,9 @@ class Partition:
         """Ascending numbers of the live blocks of an int64 column that may
         hold one of the strictly ascending int64 values: a block is kept
         when a value inside its [min, max] passes the block's own filter.
-        The first call builds the column's filters. One ``pi_prune_blocks``
-        call; the numpy reference tests every value against every live
-        block.
+        The first call builds the column's block summaries
+        (``filter_words``). One ``pi_prune_blocks`` call; the numpy
+        reference tests every value against every live block.
         """
         filters = self.filter_words(column)
         lib = _native.lib
@@ -826,11 +826,13 @@ class ColumnTable:
         """The blocks of an int64 column that may hold one of the values.
 
         A live block is kept when a value inside its [min, max] passes the
-        block's own membership filter; the first call builds the column's
-        filters. Returns (kept block count, blocks): blocks holds per
-        partition an ascending int64 array of its kept blocks' numbers,
-        k * CHUNK_BLOCKS + j for block j of chunk k, which the "in" filter
-        of ``scan`` takes. One ``Partition.prune`` per partition.
+        block's own membership filter. Only probed columns have these block
+        summaries: the first call builds the column's zone maps and filters
+        in every partition, and the mutators keep them up to date. Returns
+        (kept block count, blocks): blocks holds per partition an ascending
+        int64 array of its kept blocks' numbers, k * CHUNK_BLOCKS + j for
+        block j of chunk k, which the "in" filter of ``scan`` takes. One
+        ``Partition.prune`` per partition.
         """
         self._check_columns([column])
         if np.dtype(dict(self.schema)[column]) != np.int64:
@@ -947,26 +949,22 @@ class ColumnTable:
         for nrows in header["partitions"]:
             cols = {}
             for name, dtype in schema:
-                dt = np.dtype(dtype)
-                nbytes = dt.itemsize * nrows
-                cols[name] = np.frombuffer(buf, dtype=dt, count=nrows,
+                cols[name] = np.frombuffer(buf, dtype=dtype, count=nrows,
                                            offset=pos)
-                pos += nbytes
+                pos += cols[name].nbytes
             raw_parts.append(cols)
-        # the partition copies the rows into its chunks and summarizes them;
-        # the stored summaries are only checked against its own
-        partitions = []
-        for pnum, (nrows, cols) in enumerate(zip(header["partitions"], raw_parts)):
-            p = Partition(cols, block_size)
-            nblocks = -(-nrows // block_size)
-            for name in p.int_columns():
-                for zone in p.zones[name]:
-                    stored = np.frombuffer(buf, dtype=np.int64, count=nblocks,
-                                           offset=pos)
-                    pos += nblocks * 8
-                    if not np.array_equal(zone.reshape(-1)[:nblocks], stored):
+        # the stored summaries are only checked against the rows; the
+        # partitions build their own on a column's first probe
+        ints = [name for name, dtype in schema if np.dtype(dtype) == np.int64]
+        for pnum, cols in enumerate(raw_parts):
+            for name in ints:
+                for zone in _block_minmax(cols[name], block_size):
+                    stored = np.frombuffer(buf, dtype=np.int64,
+                                           count=len(zone), offset=pos)
+                    pos += zone.nbytes
+                    if not np.array_equal(zone, stored):
                         raise ValueError(
                             f"{path}: partition {pnum}: stored zone maps of "
                             f"column {name!r} do not match its rows")
-            partitions.append(p)
+        partitions = [Partition(cols, block_size) for cols in raw_parts]
         return cls(schema, partitions, block_size)

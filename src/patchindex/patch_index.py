@@ -22,6 +22,9 @@ from .sharded_bitmap import (DEFAULT_SHARD_BITS, ShardedBitmap, _worker_pool,
 NULL_VALUE = int(np.iinfo(np.int64).min)
 
 _STORE_HEADER_BYTES = 48
+# a bitmap store repacks its bitmap after a drop that leaves fewer of its
+# slots live than this share, so deletes cannot grow it without bound
+CONDENSE_BELOW = 0.75
 
 
 class ConstraintKind(enum.Enum):
@@ -77,6 +80,8 @@ class BitmapPatchStore:
 
     def drop_rows(self, descending_rows):
         self._bits.bulk_delete(descending_rows)
+        if self._bits.utilization() < CONDENSE_BELOW:
+            self._bits.condense()
 
     def grow(self, extra_rows):
         self._bits.append(extra_rows)
@@ -468,6 +473,11 @@ class TableIndex:
         self.partitions[-1].grow(new_rows)
 
     def stats(self):
+        """Index figures for ``patchindex index stats``. Bitmap health is
+        the lost bits summed and the utilization at its minimum over the
+        partitions; a store without a bitmap counts as 0 and 1.0."""
+        bitmaps = [p.store._bits for p in self.partitions
+                   if isinstance(p.store, BitmapPatchStore)]
         return {
             "column": self.column,
             "constraint": self.constraint.kind.value,
@@ -478,6 +488,8 @@ class TableIndex:
             "exception_rate": self.exception_rate,
             "memory_bytes": self.memory_bytes(),
             "partitions": len(self.partitions),
+            "lost_bits": sum(b.lost_bits for b in bitmaps),
+            "utilization": min((b.utilization() for b in bitmaps), default=1.0),
         }
 
 

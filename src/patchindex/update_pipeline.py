@@ -8,9 +8,12 @@ table. The uniqueness constraint is maintained by a semijoin of the table
 with the touched values. Block pruning restricts the scan to the blocks
 that may hold a touched value by two summaries: the block's zone map must
 hold it (the dynamic-range-propagation trick), and so must the block's
-own membership filter. ``ColumnTable.prune_blocks`` returns the kept
-blocks' numbers per partition, one compiled call each, and their count,
-the statement's ``blocks_scanned``; the scan probes just those blocks,
+own membership filter. Both summaries exist only for the probed column:
+its first probe builds them, and the storage keeps them up to date from
+then on, so the NSC table and the NUC key column pay for none.
+``ColumnTable.prune_blocks`` returns the kept blocks' numbers per
+partition, one compiled call each, and their count, the statement's
+``blocks_scanned``; the scan probes just those blocks,
 again one compiled call per partition, and keeps only rows holding a
 touched value. Every returned row whose value occurs at least twice
 becomes a patch. That equals patching both sides of every match of a

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from patchindex import _native
+from patchindex import bench as bench_mod
 from patchindex.bench import (CSV_HEADER, PlainBitVector, WorkloadReport,
                               bench_query, bench_shard_sweep, bench_update,
                               build_query_plans, shard_overhead_pct,
@@ -238,6 +239,18 @@ class TestBenchUpdate:
             assert len(states) == 1
         # both variants maintain identical logical state
         assert checksums[("bitmap", 5)] == checksums[("identifiers", 5)]
+
+    def test_delete_most_rows_granularity_invariant(self):
+        # 2500 of 3000 rows, drawn from the whole table: applied in
+        # descending order, every split deletes the same rows
+        ids = bench_mod._prepared_updates("delete", 3000, 2500, 4, 3000)["ids"]
+        assert ids.max() >= 500
+        spec = GenSpec("nuc", 3000, 0.5, seed=3, partitions=2)
+        reports, checksums = bench_update(
+            spec, "delete", count=2500, granularities=(7, 100, 2500),
+            variants=("bitmap", "identifiers"), seed=4)
+        assert {r.rows for r in reports} == {500}
+        assert len(set(checksums.values())) == 1
 
     def test_none_variant_runs(self):
         spec = GenSpec("nsc", 1000, 0.2, seed=5, partitions=2)

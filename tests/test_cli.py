@@ -1,6 +1,6 @@
 import pytest
 
-from patchindex import _native, cli
+from patchindex import _native, bench as bench_mod, cli
 from patchindex.cli import main
 
 
@@ -57,6 +57,14 @@ class TestIndex:
         assert "store: identifiers" in out
         assert "exception_rate: 0.2" in out
         assert f"kernel_backend: {_native.BACKEND}\n" in out
+
+    @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
+    def test_stats_report_bitmap_health(self, dataset, capsys, store):
+        # a freshly built index has no dead bitmap slots
+        assert main(["index", "stats", "--table", str(dataset),
+                     "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "lost_bits: 0\n" in out and "utilization: 1.0\n" in out
 
 
 class TestRemovedIndexVerbs:
@@ -127,6 +135,15 @@ class TestUpdate:
                    "--granularity", "10", "--constraint", "nuc"])
         assert rc == 0
         assert f"{op} x50" in capsys.readouterr().out
+
+    def test_delete_more_than_half(self, tmp_path, capsys):
+        path, csv = tmp_path / "small.pdx", tmp_path / "d.csv"
+        assert main(["generate", "--kind", "nuc", "--rows", "2000",
+                     "--out", str(path)]) == 0
+        assert main(["update", "delete", "--table", str(path), "--count",
+                     "1500", "--granularity", "100", "--csv-out", str(csv)]) == 0
+        row = csv.read_text().splitlines()[1].split(",")
+        assert row[0] == "update_delete" and row[4] == "500"
 
     def test_update_prints_phases(self, dataset, capsys):
         assert main(["update", "insert", "--table", str(dataset), "--count",
@@ -255,7 +272,7 @@ class TestErrorContract:
         assert e.value.code == 2
 
     @pytest.mark.parametrize("args, words", [
-        (["delete", "--count", "2501"], "outside [0, 2500]"),
+        (["delete", "--count", "5001"], "outside [0, 5000]"),
         (["modify", "--count", "5001"], "outside [0, 5000]"),
         (["insert", "--count", "-3"], "outside [0, inf]"),
         (["insert", "--granularity", "0"], "at least 1"),
@@ -275,6 +292,33 @@ class TestErrorContract:
         err = self._usage_error(["generate", "--kind", "nuc", "--out", str(out)]
                                 + args, capsys)
         assert words in err and not out.exists()
+
+    @pytest.mark.parametrize("args, words", [
+        (["update", "--rows", "-5"], "rows must be at least 0"),
+        (["update", "--partitions", "0"], "partitions at least 1"),
+        (["query", "--rates", "1.5"], "exception rate"),
+        (["query", "--rates", "0.1", "1.5"], "exception rate"),
+        (["query", "--rows", "-5"], "rows must be at least 0"),
+        (["query", "--partitions", "0"], "partitions at least 1")])
+    def test_bad_bench_dataset(self, capsys, monkeypatch, args, words):
+        def generate(spec):
+            raise AssertionError("a table was generated")
+
+        monkeypatch.setattr(bench_mod, "generate", generate)
+        err = self._usage_error(["bench"] + args, capsys)
+        assert words in err
+
+    def test_corrupt_unprobed_zone_maps(self, dataset, capsys):
+        # the stored zone maps of the key column, which no probe reads,
+        # are still checked. The file ends with each partition's key and
+        # value minimums and maximums, one 4096-row block per 2500-row
+        # partition; flip the first byte of partition 0's key minimums
+        buf = bytearray(dataset.read_bytes())
+        buf[len(buf) - 2 * 2 * 2 * 8] ^= 0x01
+        dataset.write_bytes(bytes(buf))
+        err = self._usage_error(["index", "stats", "--table", str(dataset)],
+                                capsys)
+        assert "partition 0" in err and "column 'key'" in err
 
     def test_more_deletes_than_bits(self, capsys):
         err = self._usage_error(["bench", "shard-sweep", "--bits", "1000",

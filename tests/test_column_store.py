@@ -51,9 +51,20 @@ def block_rowids(t, blocks):
     return np.concatenate(out + [np.zeros(0, np.int64)])
 
 
-def assert_chunk_summaries(p):
-    """Every chunk's zone maps equal the summaries of its live rows."""
-    for c in p.int_columns():
+def summarize(t, columns=None):
+    """Build the block summaries (zone maps and filters) of a table's or
+    a partition's int64 columns, or of the given ones, as each column's
+    first probe does; returns t."""
+    for p in getattr(t, "partitions", [t]):
+        for c in p.int_columns() if columns is None else columns:
+            p.filter_words(c)
+    return t
+
+
+def assert_chunk_summaries(p, columns=None):
+    """Every chunk's zone maps of the int64 columns, or of the given ones,
+    equal the summaries of its live rows."""
+    for c in p.int_columns() if columns is None else columns:
         for k in range(p.nchunks):
             got = p.chunk_minmax(c, k)
             want = _block_minmax(p.chunk(c, k), p.block_size)
@@ -285,8 +296,8 @@ class TestUpdates:
         # 16 divides the initial 400 rows and 24 does not; the inserts move
         # the row count on and off block edges
         rng = np.random.default_rng(block_size)
-        t = make_table(rng.integers(0, 1000, size=400), partitions=1,
-                       block_size=block_size)
+        t = summarize(make_table(rng.integers(0, 1000, size=400), partitions=1,
+                                 block_size=block_size))
         for k in (7, 1, 9, block_size, 3 * block_size + 2, 0, 18):
             if k:
                 t.insert_rows({"key": np.arange(k),
@@ -325,8 +336,8 @@ class TestUpdates:
     def test_modify_block_summaries_match_full_rebuild(self, block_size):
         # 1000 rows: 16 divides them, 24 leaves a partial last block
         rng = np.random.default_rng(block_size)
-        t = make_table(rng.integers(0, 10**6, size=3000), partitions=3,
-                       block_size=block_size)
+        t = summarize(make_table(rng.integers(0, 10**6, size=3000),
+                                 partitions=3, block_size=block_size))
         last = t.partition_offsets()[1] - 1
         batches = [np.array([last]), np.array([0, last]),
                    rng.choice(3000, size=1000, replace=False)]
@@ -342,7 +353,7 @@ class TestUpdates:
     def test_bad_columns_change_nothing(self, backend, monkeypatch):
         # the last chunk is full, so an append would open a new one
         use_backend(backend, monkeypatch)
-        t = make_table(np.arange(256), partitions=2, block_size=4)
+        t = summarize(make_table(np.arange(256), partitions=2, block_size=4))
         before = t.scan()
         counts = [p.counts.tolist() for p in t.partitions]
         ids = np.array([1, 2, 200])
@@ -367,7 +378,8 @@ class TestUpdates:
                 assert_chunk_summaries(p)
 
     def test_rebuild_no_blocks_is_noop(self):
-        t = make_table(np.arange(100), partitions=1, block_size=16)
+        t = summarize(make_table(np.arange(100), partitions=1, block_size=16),
+                      ["value"])
         before = [a.copy() for a in t.partitions[0].zones["value"]]
         t.partitions[0].refresh_zones(["value"], [])
         for a, b in zip(before, t.partitions[0].zones["value"]):
@@ -381,6 +393,7 @@ def stale_partition(block_size, seed):
     n = 5 * CHUNK_BLOCKS * block_size + 7
     p = Partition({"value": rng.integers(-10**6, 10**6, size=n),
                    "key": np.arange(n)}, block_size)
+    summarize(p)
     p.delete_rows(np.flatnonzero(rng.random(n) < 0.1))
     for buf in p.chunks.values():
         buf[:] = rng.integers(-10**6, 10**6, size=buf.shape)
@@ -434,7 +447,7 @@ class TestZoneRefresh:
         use_backend(backend, monkeypatch)
         # 64-row chunks of 16 4-row blocks; deletes leave chunk 0 with 60
         # rows (block 15 dead) and chunk 4 with 44 (blocks 75-79 dead)
-        t = make_table(np.arange(300), partitions=1, block_size=4)
+        t = summarize(make_table(np.arange(300), partitions=1, block_size=4))
         t.delete_rows(np.array([3, 2, 1, 0]))
         p = t.partitions[0]
         assert p.counts.tolist() == [60, 64, 64, 64, 44]
@@ -600,10 +613,10 @@ class TestSortUnique:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
-        t = make_table(rng.integers(0, 100, size=500), partitions=3)
+        t = summarize(make_table(rng.integers(0, 100, size=500), partitions=3))
         path = tmp_path / "t.pdx"
         t.save(path)
-        loaded = ColumnTable.load(path)
+        loaded = summarize(ColumnTable.load(path))
         assert loaded.schema == t.schema
         a_ids, a_cols = t.scan()
         b_ids, b_cols = loaded.scan()
@@ -698,7 +711,7 @@ class TestScanRangeHelpers:
         rng = np.random.default_rng(12)
         native = _native.lib
         for _ in range(20):
-            t = chunked_table(rng, int(rng.integers(0, 700)))
+            t = summarize(chunked_table(rng, int(rng.integers(0, 700))))
             assert t.total_blocks() == sum(-(-n // t.block_size)
                                            for _, n, _, _ in table_segments(t))
             for _ in range(10):
@@ -769,7 +782,7 @@ class TestCompact:
             n = int(rng.integers(0, 60))
             row = rng.integers(0, 1000, size=n).astype(dtype)
             dead = random_skips(rng, n)
-            p = Partition({"value": row}, block_size=4)
+            p = summarize(Partition({"value": row}, block_size=4))
             p.delete_rows(dead)
             assert np.array_equal(p.columns["value"], np.delete(row, dead))
             assert p.nrows == n - len(dead)
@@ -791,8 +804,9 @@ class TestCompact:
         rng = np.random.default_rng(14)
         for _ in range(100):
             n = int(rng.integers(0, 5 * 64))
-            p = Partition({"pad": rng.integers(0, 1000, size=n).astype(dtype),
-                           "key": np.arange(n)}, block_size=4)
+            p = summarize(Partition(
+                {"pad": rng.integers(0, 1000, size=n).astype(dtype),
+                 "key": np.arange(n)}, block_size=4))
             first = np.flatnonzero(rng.random(n) < rng.random())
             p.delete_rows(first)  # chunks of uneven fill
             live = {c: a.copy() for c, a in p.columns.items()}
@@ -838,9 +852,10 @@ def split_table(store, rng):
     its NUC index and, per partition, the live columns and patch mask.
 
     Partition 0 has random patches, 1 none, 2 only patches and 3 no rows.
-    Deletes empty chunk 2 of partition 0 and hit every bitmap shard, so
-    the bitmaps have lost bits at their shard ends and the chunk grid no
-    longer lines up with the shard grid."""
+    Deletes empty chunk 2 of partition 0 and hit every bitmap shard, but
+    leave each bitmap above CONDENSE_BELOW, so the bitmaps have lost bits
+    at their shard ends and the chunk grid no longer lines up with the
+    shard grid."""
     sizes, parts, masks, first = (700, 300, 300, 0), [], [], 0
     for n, share in zip(sizes, (0.3, 0, 1, 0)):
         key = np.arange(first, first + n)
@@ -853,9 +868,9 @@ def split_table(store, rng):
         PatchIndex.from_patches(NUC, np.flatnonzero(m), len(m), store=store,
                                 shard_size_bits=128) for m in masks])
     offsets = np.cumsum((0,) + sizes)
-    gone = [np.unique(np.concatenate((np.arange(128, 192), rng.choice(
-        n, size=n // 6, replace=False)))) if n else np.zeros(0, np.int64)
-        for n in sizes]
+    gone = [np.unique(np.concatenate((np.arange(128, 192 if p == 0 else 136),
+                                      rng.choice(n, size=n // 10, replace=False))))
+            if n else np.zeros(0, np.int64) for p, n in enumerate(sizes)]
     rows = np.concatenate([g + o for g, o in zip(gone, offsets)])[::-1]
     t.delete_rows(rows)
     idx.drop_rows(rows)
@@ -863,6 +878,9 @@ def split_table(store, rng):
             for part, m, g in zip(parts, masks, gone)]
     if store == "bitmap":
         assert all(p.store._bits.lost_bits > 0 for p in idx.partitions[:3])
+        # every shard before the last lost bits
+        assert all((np.diff(p.store._bits.starts) < 128).all()
+                   for p in idx.partitions[:3])
     # chunk 1 of partition 0 ends inside a shard
     assert t.partitions[0].ends[1] % 128
     return t, idx, live
@@ -990,12 +1008,12 @@ class TestChunks:
                      GenSpec("nsc", 150_000, 0.2, partitions=2, seed=7,
                              pad_bytes=3)):
             path = tmp_path / f"{spec.kind}.pdx"
-            t = generate_to_file(spec, path)
+            t = summarize(generate_to_file(spec, path))
             assert t.partitions[0].nchunks > 1
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == want[spec.kind], spec.kind
             # so these are the contiguous writer's bytes, and they load
-            loaded = ColumnTable.load(path)
+            loaded = summarize(ColumnTable.load(path))
             for a, b in zip(t.scan()[1].values(), loaded.scan()[1].values()):
                 assert np.array_equal(a, b)
             for p, q in zip(t.partitions, loaded.partitions):
@@ -1110,7 +1128,8 @@ class TestDeleteKernel:
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_bad_rows_change_nothing(self, backend, monkeypatch):
         use_backend(backend, monkeypatch)
-        p = Partition({"value": np.arange(300, dtype=np.int64)}, block_size=4)
+        p = summarize(Partition({"value": np.arange(300, dtype=np.int64)},
+                                block_size=4))
         counts = p.counts.copy()
         for rows, error in (([5, 300], IndexError), ([-1, 5], IndexError),
                             ([7, 5], ValueError), ([5, 5], ValueError),
@@ -1182,10 +1201,10 @@ def test_chunked_updates_match_shadow(rows, statements, seed):
     values = rng.integers(0, 100, size=sum(rows))
     keys = np.arange(len(values), dtype=np.int64)
     splits = np.cumsum(rows)[:-1]
-    t = ColumnTable.from_partitions(
+    t = summarize(ColumnTable.from_partitions(
         [{"key": k, "value": v} for k, v in zip(np.split(keys, splits),
                                                  np.split(values, splits))],
-        block_size=4)
+        block_size=4))
     check_chunked_state(t, keys, values, rng)
     next_key = len(keys)
     for op, size in statements:
@@ -1210,7 +1229,7 @@ def test_chunked_updates_match_shadow(rows, statements, seed):
         path = Path(tmp) / "t.pdx"
         t.save(path)
         assert path.read_bytes() == contiguous_pdx1(t)
-        loaded = ColumnTable.load(path)
+        loaded = summarize(ColumnTable.load(path))
     check_chunked_state(loaded, keys, values, rng)
 
 
@@ -1299,6 +1318,67 @@ def filter_stream(block_size, seed, steps=300):
             ids = np.sort(rng.choice(n, size=min(n - 1, size), replace=False))
             t.delete_rows(ids[::-1])
         yield t
+
+
+class TestLazySummaries:
+    """Zone maps and filters exist only for probed columns."""
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_only_probed_columns_are_summarized(self, backend, monkeypatch):
+        use_backend(backend, monkeypatch)
+        rng = np.random.default_rng(26)
+        t = make_table(rng.integers(0, 10**9, size=700), partitions=3,
+                       block_size=4)
+        merges = 0
+        for step in range(400):
+            if step == 100:
+                t.prune_blocks("value", [1])
+            n = t.row_count
+            op = rng.choice(["insert", "modify", "delete"], p=[0.35, 0.3, 0.35])
+            size = int(rng.integers(1, 120))
+            if op == "insert" or n < 150:
+                t.insert_rows({"key": rng.integers(0, 10**9, size=size),
+                               "value": rng.integers(0, 10**9, size=size)})
+            elif op == "modify":
+                ids = rng.choice(n, size=min(n, size), replace=False)
+                cols = [["key"], ["value"], ["key", "value"]][step % 3]
+                t.modify_rows(ids, {c: rng.integers(0, 10**9, size=len(ids))
+                                    for c in cols})
+            else:
+                ids = np.sort(rng.choice(n, size=min(n - 1, size), replace=False))
+                chunks = sum(p.nchunks for p in t.partitions)
+                t.delete_rows(ids[::-1])
+                # fewer chunks after a delete: neighbours were merged
+                merges += sum(p.nchunks for p in t.partitions) < chunks
+            probed = ["value"] if step >= 100 else []
+            for p in t.partitions:
+                assert list(p.zones) == list(p.filters) == probed
+                assert_chunk_summaries(p, probed)
+            if probed:
+                assert_live_values_in_filters(t)
+        assert merges > 10
+        # a first probe summarizes the key column as a full rebuild would
+        t.prune_blocks("key", [1])
+        for p in t.partitions:
+            assert list(p.zones) == list(p.filters) == ["value", "key"]
+            assert_chunk_summaries(p, ["key"])
+            want = np.zeros_like(p.filter_words("key"))
+            for k in range(p.nchunks):
+                filter_add(want[k], p.chunk("key", k),
+                           np.arange(p.counts[k]) // p.block_size)
+            assert np.array_equal(p.filter_words("key"), want)
+
+    def test_load_summarizes_nothing(self, tmp_path):
+        t = make_table(np.arange(1000), partitions=2, block_size=16)
+        t.save(tmp_path / "t.pdx")
+        loaded = ColumnTable.load(tmp_path / "t.pdx")
+        assert all(not p.zones and not p.filters for p in loaded.partitions)
+
+    def test_bytes_column_is_not_summarized(self):
+        p = Partition({"pad": np.array([b"abc"] * 100, dtype="S3")}, 4)
+        with pytest.raises(ValueError, match="int64 column"):
+            p.filter_words("pad")
+        assert not p.zones and not p.filters
 
 
 class TestFilters:
@@ -1401,7 +1481,7 @@ class TestFilters:
         # filters can rule blocks out
         rng = np.random.default_rng(23)
         values = 2 * rng.permutation(200_000)
-        t = make_table(values, partitions=4, block_size=256)
+        t = summarize(make_table(values, partitions=4, block_size=256), ["value"])
         for p in t.partitions:
             for k in range(p.nchunks):
                 mins, maxs = p.chunk_minmax("value", k)

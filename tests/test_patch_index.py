@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from patchindex import _native, sharded_bitmap
 from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (
-    NSC_ASC, NSC_DESC, NUC, NULL_VALUE, BitmapPatchStore, ConstraintKind,
-    Constraint, IdentifierPatchStore, PatchIndex, SortOrder, build_index,
-    discover_nsc, discover_nuc, lss_keep, lss_keep_mask, nuc_patch_rows,
-    nsc_patch_rows,
+    CONDENSE_BELOW, NSC_ASC, NSC_DESC, NUC, NULL_VALUE, BitmapPatchStore,
+    ConstraintKind, Constraint, IdentifierPatchStore, PatchIndex, SortOrder,
+    build_index, discover_nsc, discover_nuc, lss_keep, lss_keep_mask,
+    nuc_patch_rows, nsc_patch_rows,
 )
 from patchindex.update_pipeline import apply_insert
 
@@ -206,6 +206,7 @@ class TestLastNonPatch:
     @pytest.mark.parametrize("variant", ["bitmap", "identifiers"])
     def test_matches_mask_after_drops(self, variant):
         rng = np.random.default_rng(11)
+        condensed = set()
         for _ in range(30):
             n = int(rng.integers(1, 400))
             patches = rng.choice(n, size=int(rng.integers(0, n + 1)),
@@ -217,9 +218,15 @@ class TestLastNonPatch:
                                          replace=False))[::-1]
             idx.drop_rows(dropped)
             if variant == "bitmap" and dropped.size:
-                # un-condensed: shards keep dead slots that read as zero
-                assert idx.store._bits.lost_bits == dropped.size
+                # un-condensed while the drop leaves at least CONDENSE_BELOW
+                # of the slots live: shards keep dead slots that read as
+                # zero; below it the bitmap is repacked
+                kept = (n - dropped.size) / n >= CONDENSE_BELOW
+                assert idx.store._bits.lost_bits == (dropped.size if kept else 0)
+                condensed.add(not kept)
             assert idx.last_non_patch() == mask_last_non_patch(idx)
+        if variant == "bitmap":
+            assert condensed == {True, False}
 
     @pytest.mark.parametrize("variant", ["bitmap", "identifiers"])
     def test_all_patches(self, variant):
@@ -372,6 +379,23 @@ class TestTableIndex:
         assert s["exception_rate"] == pytest.approx(2 / 3)
         assert s["store"] == "bitmap"
 
+    def test_stats_report_bitmap_health(self):
+        # 4 partitions of 1000 rows in 256-bit shards; a drop of 50 rows
+        # keeps the bitmap above CONDENSE_BELOW, so its slots stay dead
+        parts = np.array_split(np.arange(4000), 4)
+        for store in ("bitmap", "identifiers"):
+            idx = build_index(parts, NUC, store=store, shard_size_bits=256)
+            assert (idx.stats()["lost_bits"], idx.stats()["utilization"]) \
+                == (0, 1.0)
+            idx.drop_rows(np.arange(1049, 999, -1))   # partition 1
+            idx.drop_rows(np.arange(3009, 2999, -1))  # partition 3 (from 2950)
+            s = idx.stats()
+            if store == "bitmap":
+                assert s["lost_bits"] == 60
+                assert s["utilization"] == pytest.approx(950 / 1000)
+            else:
+                assert (s["lost_bits"], s["utilization"]) == (0, 1.0)
+
 
 # --------------------------------------------------------------------------
 # discovery kernels against their references
@@ -392,6 +416,44 @@ def backend(request, monkeypatch):
     else:
         monkeypatch.setattr(_native, "lib", None)
     return request.param
+
+
+def test_drop_stream_matches_identifier_store(backend):
+    """A seeded stream of patch adds, removes, drops and appends: the
+    bitmap store, which condenses after a drop that leaves fewer than
+    CONDENSE_BELOW of its slots live, keeps the identifier store's patch
+    rows and last non-patch row after every statement."""
+    rng = np.random.default_rng(41)
+    n = 3000
+    patches = rng.choice(n, size=600, replace=False)
+    both = [PatchIndex.from_patches(NSC_ASC, patches, n, store=store,
+                                    shard_size_bits=128)
+            for store in ("bitmap", "identifiers")]
+    bits = both[0].store._bits
+    condensed = kept_dead = 0
+    for _ in range(300):
+        rows = both[0].row_count
+        op = rng.choice(["add", "remove", "drop", "grow"], p=[0.2, 0.2, 0.4, 0.2])
+        if op == "grow" or rows < 500:
+            extra = int(rng.integers(1, 400))
+            for idx in both:
+                idx.grow(extra)
+        elif op == "drop":
+            picked = np.sort(rng.choice(rows, size=int(rng.integers(1, rows // 8)),
+                                        replace=False))[::-1]
+            for idx in both:
+                idx.drop_rows(picked)
+            assert bits.utilization() >= CONDENSE_BELOW
+            condensed += bits.lost_bits == 0
+            kept_dead += bits.lost_bits > 0
+        else:
+            picked = rng.choice(rows, size=int(rng.integers(1, 200)), replace=False)
+            for idx in both:
+                getattr(idx, f"{op}_patches")(picked)
+        assert np.array_equal(both[0].store.patch_rows(),
+                              both[1].store.patch_rows())
+        assert both[0].last_non_patch() == both[1].last_non_patch()
+    assert condensed > 3 and kept_dead > 3
 
 
 def lss_reference(values, order):

@@ -18,9 +18,10 @@ Prints, per statement kind and size, the median in ms of each phase:
   its partition calls (``Partition.append``, ``modify_rows`` and
   ``delete_rows``);
 - ``zones``: the share of ``part`` spent refreshing zone maps
-  (``Partition.refresh_zones``). A compiled delete refreshes them inside
-  its own kernel, so a delete's ``zones`` holds only what its chunk
-  condense refreshes;
+  (``Partition.refresh_zones``). Only probed columns have them, the NUC
+  table's value column here, so an NSC statement's ``zones`` reads 0. A
+  compiled delete refreshes them inside its own kernel, so a delete's
+  ``zones`` holds only what its chunk condense refreshes;
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
 - ``blocks``: the blocks the probe read (``UpdateStats.blocks_scanned``),
