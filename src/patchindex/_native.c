@@ -2,8 +2,9 @@
  * bitmap, column membership, block Bloom filters, the merge join, the hash
  * join, the k-way merge of sorted streams, the select of a partition's
  * rows by the bits of a sharded bit set, the delete of a partition's rows
- * with its zone-map and filter upkeep, the zone-map refresh, prune and
- * probe of a partition's blocks and longest-sorted-subsequence discovery.
+ * with its zone-map and filter upkeep, the zone-map refresh of a
+ * partition's blocks, the pruned semijoin probe of a partition and
+ * longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -840,17 +841,17 @@ static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
     }
 }
 
-/* Argument block of the partition kernels (pi_delete_rows, pi_zone_refresh,
- * pi_prune_blocks and pi_probe_blocks), kept per partition on the Python
- * side and rebuilt when its buffers grow or a column gets its block
- * summaries. Mirrors patchindex._native.DeleteRowsArgs.
+/* Argument block of the partition kernels (pi_delete_rows, pi_zone_refresh
+ * and pi_probe), kept per partition on the Python side and rebuilt when its
+ * buffers grow or a column gets its block summaries. Mirrors
+ * patchindex._native.PartitionArgs.
  *
  * Block j of chunk k is block k * chunk_blocks + j; its rows are the
  * chunk's rows [j * block_size, (j + 1) * block_size), and it is live
  * when its first row is below the chunk's row count. Zone columns, the
  * columns a probe has read, have one blocked Bloom filter of
  * 2^filter_log2 words per block, block b's at word b << filter_log2. */
-struct delete_rows_args {
+struct partition_args {
     char *const *bufs;          /* ncols (slots, capacity) column buffers */
     const int64_t *itemsizes;   /* bytes per item of each column */
     int64_t ncols;
@@ -866,7 +867,7 @@ struct delete_rows_args {
 };
 
 /* Whether blocks[0:nb] are strictly ascending live block numbers. */
-static int blocks_live(const struct delete_rows_args *a, const int64_t *counts,
+static int blocks_live(const struct partition_args *a, const int64_t *counts,
                        int64_t nchunks, const int64_t *blocks, int64_t nb)
 {
     const int64_t bs = a->block_size, cb = a->chunk_blocks;
@@ -882,7 +883,7 @@ static int blocks_live(const struct delete_rows_args *a, const int64_t *counts,
 /* Recomputes the zone maps of zone column z in the blocks blocks[0:nb],
  * which must be strictly ascending live blocks; returns -1, before writing
  * anything, when they are not, and 0 otherwise. */
-int64_t pi_zone_refresh(const struct delete_rows_args *a, int64_t z,
+int64_t pi_zone_refresh(const struct partition_args *a, int64_t z,
                         const int64_t *counts, int64_t nchunks,
                         const int64_t *blocks, int64_t nb)
 {
@@ -935,7 +936,7 @@ static void filter_crossings(const int64_t *v, uint64_t *filters,
  * rows that crossed a block edge to their new blocks' filters (see
  * filter_crossings) and takes the new row count; returns 0. Emptied
  * chunks stay in place. */
-int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
+int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
                        int64_t m, int64_t *counts, int64_t nchunks)
 {
     int64_t nrows = 0;
@@ -980,101 +981,67 @@ int64_t pi_delete_rows(const struct delete_rows_args *a, const int64_t *rows,
     return 0;
 }
 
-/* The live blocks of zone column z that may hold one of the strictly
- * ascending values[0:m]: a block is kept when a value inside its [min,
- * max] has every pattern bit set in the block's own filter. Writes the
- * kept block numbers, ascending, to out (room for nchunks * chunk_blocks)
- * and returns their count, or -1 when the values' hashes cannot be
- * allocated. */
-int64_t pi_prune_blocks(const struct delete_rows_args *a, int64_t z,
-                        const int64_t *counts, int64_t nchunks,
-                        const int64_t *values, int64_t m, int64_t *out)
+/* Semijoin probe of zone column z: the rows of its live blocks whose value
+ * occurs in the strictly ascending keys[0:k]. A block is read only when a
+ * key inside its [min, max] has every pattern bit set in the block's own
+ * filter; its rows then pass the key bit filter that pi_in_positions uses,
+ * built once per call, and a binary search confirms each hit. Writes each
+ * such row's rowID, base plus its partition row, to ids and its value to
+ * vals, in row order; both need room for the partition's rows. Writes the
+ * count of read blocks to *kept and returns the row count, or -1 when the
+ * keys' hashes or filter cannot be allocated. */
+int64_t pi_probe(const struct partition_args *a, int64_t z,
+                 const int64_t *counts, int64_t nchunks, const int64_t *keys,
+                 int64_t k, int64_t base, int64_t *ids, int64_t *vals,
+                 int64_t *kept)
 {
-    if (m == 0)
+    *kept = 0;
+    if (k == 0)
         return 0;
-    const uint64_t *filters = a->filters[z];
+    const int64_t bs = a->block_size, cb = a->chunk_blocks;
     const int shift = 64 - (int)a->filter_log2;
-    /* every filter has one width: each value's word and pattern, once */
-    uint64_t *word = malloc(2 * (size_t)m * sizeof *word);
-    if (word == NULL)
+    /* every block filter has one width: each key's word and pattern, once */
+    uint64_t *word = malloc(2 * (size_t)k * sizeof *word);
+    struct key_filter f;
+    if (word == NULL || key_filter_build(&f, keys, k) < 0) {
+        free(word);
         return -1;
-    uint64_t *pattern = word + m;
-    for (int64_t j = 0; j < m; j++) {
-        const uint64_t h = filter_slot(values[j], 0);
+    }
+    uint64_t *pattern = word + k;
+    for (int64_t j = 0; j < k; j++) {
+        const uint64_t h = filter_slot(keys[j], 0);
         word[j] = h >> shift;
         pattern[j] = bloom_pattern(h, shift);
     }
-    int64_t kept = 0;
-    for (int64_t k = 0; k < nchunks; k++) {
-        const int64_t live = (counts[k] + a->block_size - 1) / a->block_size;
-        for (int64_t b = k * a->chunk_blocks; b < k * a->chunk_blocks + live;
-             b++) {
-            const int64_t lo = a->mins[z][b], hi = a->maxs[z][b];
-            const uint64_t *f = filters + (b << a->filter_log2);
-            for (int64_t j = lower_bound(values, m, lo);
-                 j < m && values[j] <= hi; j++) {
-                if ((f[word[j]] & pattern[j]) == pattern[j]) {
-                    out[kept++] = b;
-                    break;
-                }
+    const int64_t *v = (const int64_t *)a->bufs[a->zone_cols[z]];
+    int64_t count = 0, nkept = 0, first = 0; /* first: row 0 of chunk c */
+    for (int64_t c = 0; c < nchunks; first += counts[c++]) {
+        const int64_t at = c * a->capacity;
+        for (int64_t lo = 0, b = c * cb; lo < counts[c]; lo += bs, b++) {
+            const uint64_t *bf = a->filters[z] + (b << a->filter_log2);
+            int64_t j = lower_bound(keys, k, a->mins[z][b]);
+            while (j < k && keys[j] <= a->maxs[z][b]
+                   && (bf[word[j]] & pattern[j]) != pattern[j])
+                j++;
+            if (j == k || keys[j] > a->maxs[z][b])
+                continue;
+            nkept++;
+            const int64_t hi = lo + bs < counts[c] ? lo + bs : counts[c];
+            /* the hits' buffer positions go to ids[count:], then each
+             * confirmed one moves down to its rowID at ids[count] */
+            const int64_t hits =
+                key_filter_pass(&f, v, at + lo, at + hi, ids + count);
+            for (int64_t t = count, end = count + hits; t < end; t++) {
+                const int64_t p = ids[t];
+                ids[count] = base + first + p - at;
+                vals[count] = v[p];
+                count += sorted_contains(keys, k, v[p]);
             }
         }
     }
-    free(word);
-    return kept;
-}
-
-/* Semijoin probe of one int64 column: the rows of the blocks blocks[0:nb]
- * whose value occurs in the strictly ascending keys[0:k]. The blocks must
- * be strictly ascending live block numbers. Writes each such row's
- * position in the column buffer to pos and its rowID, base plus its
- * partition row, to ids, in row order; both need room for the rows of
- * the blocks. Returns their count; -1, before writing anything, when the
- * blocks break the rule above; -2 when the key filter cannot be
- * allocated.
- *
- * Each run of consecutive blocks in one chunk is one pass of the key bit
- * filter that pi_in_positions uses, built once per call, and a binary
- * search confirms each hit. */
-int64_t pi_probe_blocks(const struct delete_rows_args *a, int64_t col,
-                        const int64_t *counts, int64_t nchunks,
-                        const int64_t *blocks, int64_t nb,
-                        const int64_t *keys, int64_t k, int64_t base,
-                        int64_t *pos, int64_t *ids)
-{
-    const int64_t bs = a->block_size, cb = a->chunk_blocks;
-    if (!blocks_live(a, counts, nchunks, blocks, nb))
-        return -1;
-    if (k == 0)
-        return 0;
-    struct key_filter f;
-    if (key_filter_build(&f, keys, k) < 0)
-        return -2;
-    const int64_t *v = (const int64_t *)a->bufs[col];
-    int64_t count = 0, chunk = 0, first = 0; /* first: row 0 of chunk */
-    for (int64_t i = 0; i < nb;) {
-        /* a run of blocks in chunk kk: its rows [lo, hi) */
-        int64_t j = i + 1;
-        while (j < nb && blocks[j] == blocks[j - 1] + 1 && blocks[j] % cb)
-            j++;
-        const int64_t kk = blocks[i] / cb, lo = blocks[i] % cb * bs;
-        const int64_t end = (blocks[j - 1] % cb + 1) * bs;
-        const int64_t hi = end < counts[kk] ? end : counts[kk];
-        i = j;
-        for (; chunk < kk; chunk++)
-            first += counts[chunk];
-        const int64_t at = kk * a->capacity;
-        const int64_t from = count;
-        const int64_t hits =
-            key_filter_pass(&f, v, at + lo, at + hi, pos + from);
-        for (int64_t t = from; t < from + hits; t++) {
-            const int64_t p = pos[t];
-            pos[count] = p;
-            ids[count] = base + first + p - at;
-            count += sorted_contains(keys, k, v[p]);
-        }
-    }
     free(f.bits);
+    free(word);
+    *kept = nkept;
     return count;
 }
 

@@ -14,18 +14,17 @@ per chunk span, its partition delete, which closes one chunk's gaps at a
 time with ``np.delete`` and adds the rows that crossed a block edge to
 their block filters, its zone-map refresh (``Partition.refresh_zones``),
 which reduces each run of one chunk's blocks, its block filter build
-(``filter_add``), which falls back to ``np.bitwise_or.at``, its block
-pruning (``Partition.prune``), which tests every live block's filter
-against every value inside its zone map, and its semijoin probe
-(``Partition.probe``), which gathers the probed blocks' rows and tests
-them with ``np.isin``; ``query_engine`` its merge join
+(``filter_add``), which falls back to ``np.bitwise_or.at``, and its
+semijoin probe (``Partition.probe``), which tests every live block's
+filter against every key inside its zone map and runs ``np.isin`` over
+the kept blocks' rows; ``query_engine`` its merge join
 (``merge_join_positions``), its hash join (``hash_join_positions``) and
 its merge of sorted streams (``merge_sorted_streams``), which falls back
 to a stable argsort of the concatenated streams, and ``patch_index`` its
 longest sorted subsequence (``lss_keep``), which falls back to the Python
 patience loop ``lss_keep_mask``.
 
-The partition kernels share one argument block (``DeleteRowsArgs``). Its
+The partition kernels share one argument block (``PartitionArgs``). Its
 zone columns are the columns a probe has read, the only ones with block
 summaries, and each has both its zone maps and its block filters.
 
@@ -78,10 +77,10 @@ class SelectArgs(ctypes.Structure):
                 ("src", _P), ("itemsize", _P), ("ncols", _I), ("cap", _I)]
 
 
-class DeleteRowsArgs(ctypes.Structure):
+class PartitionArgs(ctypes.Structure):
     """Argument block of the partition kernels ``pi_delete_rows``,
-    ``pi_zone_refresh``, ``pi_prune_blocks`` and ``pi_probe_blocks``;
-    mirrors ``struct delete_rows_args``."""
+    ``pi_zone_refresh`` and ``pi_probe``; mirrors ``struct
+    partition_args``."""
 
     _fields_ = [("bufs", _P), ("itemsizes", _P), ("ncols", _I),
                 ("mins", _P), ("maxs", _P), ("zone_cols", _P),
@@ -89,7 +88,7 @@ class DeleteRowsArgs(ctypes.Structure):
                 ("capacity", _I), ("block_size", _I), ("chunk_blocks", _I)]
 
 
-_ROWS = ctypes.POINTER(DeleteRowsArgs)
+_PART = ctypes.POINTER(PartitionArgs)
 
 # name -> (argtypes, restype)
 _SIGNATURES = {
@@ -106,10 +105,9 @@ _SIGNATURES = {
     "pi_select": ((ctypes.POINTER(SelectArgs),), _I),
     "pi_select_scalar": ((ctypes.POINTER(SelectArgs),), _I),
     "pi_select_uses_avx512": ((), _I),
-    "pi_delete_rows": ((_ROWS, _P, _I, _P, _I), _I),
-    "pi_zone_refresh": ((_ROWS, _I, _P, _I, _P, _I), _I),
-    "pi_prune_blocks": ((_ROWS, _I, _P, _I, _P, _I, _P), _I),
-    "pi_probe_blocks": ((_ROWS, _I, _P, _I, _P, _I, _P, _I, _I, _P, _P), _I),
+    "pi_delete_rows": ((_PART, _P, _I, _P, _I), _I),
+    "pi_zone_refresh": ((_PART, _I, _P, _I, _P, _I), _I),
+    "pi_probe": ((_PART, _I, _P, _I, _P, _I, _I, _P, _P, _P), _I),
 }
 
 

@@ -23,13 +23,15 @@ from .patch_index import NSC_ASC, NSC_DESC, NUC, build_index
 from .query_engine import execute, explain, zero_branch_prune
 
 
+_CONSTRAINTS = {"nuc": NUC, "nsc": NSC_ASC, "nsc:asc": NSC_ASC,
+                "nsc:desc": NSC_DESC}
+
+
 def _constraint(text):
-    name, _, order = text.partition(":")
-    if name == "nuc":
-        return NUC
-    if name == "nsc":
-        return NSC_DESC if order == "desc" else NSC_ASC
-    raise argparse.ArgumentTypeError(f"unknown constraint {text!r}")
+    if text not in _CONSTRAINTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown constraint {text!r}; use {', '.join(_CONSTRAINTS)}")
+    return _CONSTRAINTS[text]
 
 
 class UsageError(Exception):
@@ -193,10 +195,11 @@ def cmd_index(args):
 
 
 def cmd_query(args):
+    dim = (_dataset(dimension_table, args.dim_rows) if args.query == "join"
+           else None)
     table = _load_table(args.table, args.column)
     kind = NUC if args.query == "distinct" else NSC_ASC
     index = _build(table, args.column, kind, args.store)
-    dim = dimension_table(args.dim_rows) if args.query == "join" else None
     naive, rewritten = build_query_plans(args.query, table, index, dim)
     plan = naive if args.plan == "naive" else rewritten
     if plan is None:

@@ -11,6 +11,7 @@ append to the last partition's chunks. Deletes compact rows immediately,
 inside the chunks that hold them, shifting all subsequent rowIDs down.
 """
 
+import ctypes
 import json
 import struct
 from bisect import bisect_right
@@ -571,9 +572,10 @@ class Partition:
         return 0
 
     def _kernel_args(self):
-        """The argument block of the partition kernels for the current
-        buffers and filters, built on first use after either was
-        (re)allocated; it holds the address arrays it points to."""
+        """The ``PartitionArgs`` block that the partition kernels (the
+        delete, the zone refresh and the probe) read for the current
+        buffers, zone maps and filters, built on first use after any of
+        them was (re)allocated; it holds the address arrays it points to."""
         if self._args is None:
             bufs = list(self.chunks.values())
             names = list(self.chunks)
@@ -584,87 +586,55 @@ class Partition:
                     pointers([self.zones[c][1] for c in zones]),
                     np.array([names.index(c) for c in zones], dtype=np.int64),
                     pointers([self.filters[c] for c in zones]))
-            self._args = _native.DeleteRowsArgs(
+            self._args = _native.PartitionArgs(
                 *(address(a) for a in held[:2]), len(bufs),
                 *(address(a) for a in held[2:]), len(zones), self.filter_log2,
                 self.capacity, self.block_size, CHUNK_BLOCKS)
             self._held = held
         return self._args
 
-    def prune(self, column, values):
-        """Ascending numbers of the live blocks of an int64 column that may
-        hold one of the strictly ascending int64 values: a block is kept
-        when a value inside its [min, max] passes the block's own filter.
-        The first call builds the column's block summaries
-        (``filter_words``). One ``pi_prune_blocks`` call; the numpy
-        reference tests every value against every live block.
+    def probe(self, column, keys, base=0):
+        """Semijoin probe of an int64 column: (kept, rowIDs, values) of the
+        rows whose value occurs in keys, in row order.
+
+        keys is a strictly ascending int64 array (``sort_unique``); rowIDs
+        are partition rows plus base. A live block is read only when a key
+        inside its [min, max] passes the block's own filter, and kept
+        counts the blocks read. The first call builds the column's block
+        summaries (``filter_words``). One ``pi_probe`` call; the numpy
+        reference tests every key against every live block and runs
+        ``np.isin`` over the kept blocks' rows.
         """
         filters = self.filter_words(column)
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
         lib = _native.lib
         if lib is not None:
-            out = np.empty(self.nchunks * CHUNK_BLOCKS, dtype=np.int64)
-            count = lib.pi_prune_blocks(
+            ids = np.empty(self.nrows, dtype=np.int64)
+            vals = np.empty(self.nrows, dtype=np.int64)
+            kept = ctypes.c_int64()
+            count = lib.pi_probe(
                 self._kernel_args(), list(self.zones).index(column),
-                address(self.counts), self.nchunks, address(values),
-                len(values), address(out))
+                address(self.counts), self.nchunks, address(keys), len(keys),
+                base, address(ids), address(vals), ctypes.byref(kept))
             if count < 0:
-                raise MemoryError("prune hash allocation failed")
-            return out[:count]
+                raise MemoryError("probe filter allocation failed")
+            return kept.value, ids[:count], vals[:count]
         blocks = np.flatnonzero(self.live)
         mins, maxs = (z[:self.nchunks][self.live] for z in self.zones[column])
-        words, pattern = filter_hash(values, self.filter_log2)
+        words, pattern = filter_hash(keys, self.filter_log2)
         passes = (filters.reshape(-1, filters.shape[-1])[blocks][:, words]
                   & pattern) == pattern
-        inside = (mins[:, None] <= values) & (values <= maxs[:, None])
-        return blocks[(passes & inside).any(axis=1)]
-
-    def probe(self, column, keys, blocks=None, base=0):
-        """Semijoin probe: (buffer positions, rowIDs) of the rows of the
-        given blocks whose column value occurs in keys, in row order.
-
-        keys is sorted and duplicate-free (``sort_unique``); blocks is a
-        strictly ascending int64 array of live block numbers, or None for
-        every live block. rowIDs are partition rows plus base. A block
-        list that is not strictly ascending or names a block that is not
-        live raises ValueError. An int64 column with integer keys takes
-        one ``pi_probe_blocks`` call; anything else, or a missing build,
-        runs the numpy reference, ``np.isin`` over the blocks' rows.
-        """
-        bad = ValueError("probe blocks must be strictly ascending live "
-                         "blocks of the partition")
-        if blocks is None:
-            blocks = np.flatnonzero(self.live)
-        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-        if blocks.ndim != 1:
-            raise bad
-        if not len(blocks):
-            return blocks, blocks.copy()
-        lib = _native.lib
-        if (lib is not None and self.chunks[column].dtype == np.int64
-                and np.can_cast(keys.dtype, np.int64)):
-            keys = np.ascontiguousarray(keys, dtype=np.int64)
-            pos = np.empty(len(blocks) * self.block_size, dtype=np.int64)
-            ids = np.empty(len(pos), dtype=np.int64)
-            count = lib.pi_probe_blocks(
-                self._kernel_args(), list(self.chunks).index(column),
-                address(self.counts), self.nchunks, address(blocks),
-                len(blocks), address(keys), len(keys), base, address(pos),
-                address(ids))
-            if count == -2:
-                raise MemoryError("membership filter allocation failed")
-            if count < 0:
-                raise bad
-            return pos[:count], ids[:count]
-        if not self._blocks_live(blocks):
-            raise bad
+        inside = (mins[:, None] <= keys) & (keys <= maxs[:, None])
+        blocks = blocks[(passes & inside).any(axis=1)]
         # block b's rows start at buffer position b * block_size
-        lo = blocks * self.block_size
-        hi = np.minimum(lo + self.block_size, (blocks // CHUNK_BLOCKS)
-                        * self.capacity + self.counts[blocks // CHUNK_BLOCKS])
-        pos = np.concatenate([np.arange(a, b)
-                              for a, b in zip(lo.tolist(), hi.tolist())])
-        pos = pos[np.isin(self.chunks[column].reshape(-1)[pos], keys)]
-        return pos, base + pos - self.shift[pos // self.capacity]
+        bs = self.block_size
+        pos = (blocks[:, None] * bs + np.arange(bs)).reshape(-1)
+        pos = pos[pos % self.capacity < self.counts[pos // self.capacity]]
+        vals = self.chunks[column].reshape(-1)[pos]
+        hit = np.isin(vals, keys)
+        pos = pos[hit]
+        return (len(blocks), base + pos - self.shift[pos // self.capacity],
+                vals[hit])
 
     def _condense(self):
         """Merge neighbouring chunks that fit one capacity; drop a lone
@@ -742,104 +712,82 @@ class ColumnTable:
     def scan(self, columns=None, where=None):
         """Materialize rows as (rowids, column dict).
 
-        where is an optional filter. Each form holds one entry per
-        partition, and a None entry leaves that partition unread:
+        where is an optional patch-split filter. Each form holds one entry
+        per partition, and a None entry leaves that partition unread:
 
-        - ("in", column, keys[, blocks]): rows whose column value occurs
-          in keys. blocks, one ascending block number array per partition
-          as ``prune_blocks`` returns them, limits the probe to the rows
-          of those blocks; a list that does not ascend or names a block
-          that is not live raises ValueError (see ``Partition.probe``).
-          Without blocks every live block is probed;
         - ("skip", bits): every row of each partition p whose bit is clear
           in bits[p], a ``ShardedBitmap`` of the partition's rows, such as
           a patch store's (``PatchIndex.patch_bits``);
         - ("take", bits): the rows whose bit is set.
 
-        A "skip" or "take" entry () stands for a bit set without set bits:
-        "skip" reads every row of that partition. A list whose length is
-        not the partition count, an entry that is no bit set and a bit set
-        of another row count raise ValueError. The scan finds the row
+        An entry () stands for a bit set without set bits: "skip" reads
+        every row of that partition. Any other filter, a list whose length
+        is not the partition count, an entry that is no bit set and a bit
+        set of another row count raise ValueError. The scan finds the row
         count of every partition first, then sizes the output arrays and
-        writes each partition's rows straight into their slice: "skip" and
-        "take" with one patch-split select (``select``) of every column
-        and the rowIDs, "in" with one probe per partition
-        (``Partition.probe``) and a gather at the rows' buffer positions.
+        writes each partition's rows and rowIDs straight into their slice,
+        with one patch-split select (``select``).
         """
         columns = list(columns) if columns is not None else self.column_names
         self._check_columns(columns)
-        kind, rows = (where[:2] if where is not None
-                      else ("skip", [()] * len(self.partitions)))
-        if kind == "in":
-            _, where_col, keys, *blocks = where
-            self._check_columns([where_col])
-            keys = sort_unique(keys)
-            # without blocks, () reads a partition's every live block
-            rows = blocks[0] if blocks else [()] * len(self.partitions)
-        elif kind not in ("skip", "take"):
+        if where is None:
+            where = ("skip", [()] * len(self.partitions))
+        if len(where) != 2 or where[0] not in ("skip", "take"):
             raise ValueError(f"unknown scan filter {where!r}")
+        kind, rows = where
         if len(rows) != len(self.partitions):
             raise ValueError(f"{kind} filter needs one entry per partition")
-        # per partition: (partition, first rowID, row count, probed
-        # (positions, rowIDs) or bit set)
+        # per partition: (partition, first rowID, row count, bit set)
         plans, total, part_lo = [], 0, 0
-        for p, sel in zip(self.partitions, rows):
-            if sel is not None:
-                if kind == "in":
-                    sel = p.probe(where_col, keys, sel if blocks else None,
-                                  part_lo)
-                    n = len(sel[0])
+        for p, bits in zip(self.partitions, rows):
+            if bits is not None:
+                if isinstance(bits, tuple) and not bits:
+                    bits, marked = None, 0
+                elif getattr(bits, "logical_len", None) != p.nrows:
+                    raise ValueError(f"{kind} filter needs a bit set of "
+                                     f"each partition's rows")
                 else:
-                    if isinstance(sel, tuple) and not sel:
-                        sel, marked = None, 0
-                    elif getattr(sel, "logical_len", None) != p.nrows:
-                        raise ValueError(f"{kind} filter needs a bit set of "
-                                         f"each partition's rows")
-                    else:
-                        marked = sel.count_set()
-                    n = marked if kind == "take" else p.nrows - marked
+                    marked = bits.count_set()
+                n = marked if kind == "take" else p.nrows - marked
                 if n:
-                    plans.append((p, part_lo, n, sel))
+                    plans.append((p, part_lo, n, bits))
                 total += n
             part_lo += p.nrows
         ids = np.empty(total, dtype=np.int64)
         out = {c: np.empty(total, dtype=dict(self.schema)[c]) for c in columns}
         o = 0
-        for p, base, n, sel in plans:
-            if kind != "in":
-                pairs = [(ids[o:o + n], None)] + [
-                    (out[c][o:o + n], p.chunks[c].reshape(-1)) for c in columns]
-                select(pairs, p.spans(), p.nrows, sel, kind == "take", base)
-            else:
-                pos, ids[o:o + n] = sel[0], sel[1]
-                for c in columns:
-                    # probed rows are inside the buffers; "raise" would
-                    # buffer out
-                    np.take(p.chunks[c].reshape(-1), pos, out=out[c][o:o + n],
-                            mode="clip")
+        for p, base, n, bits in plans:
+            pairs = [(ids[o:o + n], None)] + [
+                (out[c][o:o + n], p.chunks[c].reshape(-1)) for c in columns]
+            select(pairs, p.spans(), p.nrows, bits, kind == "take", base)
             o += n
         return ids, out
 
-    # -- block pruning ----------------------------------------------------------
+    def probe(self, column, values):
+        """Semijoin probe: (blocks_scanned, rowids, values) of the rows
+        whose int64 column holds one of the values, in rowID order.
 
-    def prune_blocks(self, column, values):
-        """The blocks of an int64 column that may hold one of the values.
-
-        A live block is kept when a value inside its [min, max] passes the
-        block's own membership filter. Only probed columns have these block
-        summaries: the first call builds the column's zone maps and filters
-        in every partition, and the mutators keep them up to date. Returns
-        (kept block count, blocks): blocks holds per partition an ascending
-        int64 array of its kept blocks' numbers, k * CHUNK_BLOCKS + j for
-        block j of chunk k, which the "in" filter of ``scan`` takes. One
-        ``Partition.prune`` per partition.
+        A live block is read only when a value inside its [min, max]
+        passes the block's own membership filter; blocks_scanned counts
+        the blocks read. Only probed columns have these block summaries:
+        the first probe builds the column's zone maps and filters in every
+        partition, and the mutators keep them up to date. One
+        ``Partition.probe`` per partition.
         """
         self._check_columns([column])
         if np.dtype(dict(self.schema)[column]) != np.int64:
-            raise ValueError(f"block pruning needs an int64 column, not {column!r}")
-        values = sort_unique(np.asarray(values, dtype=np.int64))
-        kept = [p.prune(column, values) for p in self.partitions]
-        return sum(len(b) for b in kept), kept
+            raise ValueError(f"a probe needs an int64 column, not {column!r}")
+        keys = sort_unique(np.asarray(values, dtype=np.int64))
+        scanned, ids, vals, base = 0, [], [], 0
+        for p in self.partitions:
+            kept, i, v = p.probe(column, keys, base)
+            scanned += kept
+            ids.append(i)
+            vals.append(v)
+            base += p.nrows
+        return scanned, np.concatenate(ids), np.concatenate(vals)
+
+    # -- block summaries --------------------------------------------------------
 
     def filter_bytes(self):
         """Bytes of the live chunks' membership filters."""

@@ -34,6 +34,11 @@ class GenSpec:
             raise ValueError("exception rate must be in [0, 1]")
         if self.rows < 0 or self.partitions < 1:
             raise ValueError("rows must be at least 0 and partitions at least 1")
+        if self.dup_domain < 1 or (self.value_domain is not None
+                                   and self.value_domain < 1):
+            raise ValueError("dup domain and value domain must be at least 1")
+        if self.pad_bytes < 0:
+            raise ValueError("pad bytes must be at least 0")
 
     @property
     def exception_count(self):
@@ -78,6 +83,8 @@ def generate_to_file(spec, path):
 
 def dimension_table(rows, payload_factor=7):
     """Sorted unique join keys with a payload column (the join's "X" side)."""
+    if rows < 0:
+        raise ValueError("dimension rows must be at least 0")
     keys = np.arange(rows, dtype=np.int64)
     return ColumnTable.from_partitions(
         [{"value": keys, "payload": keys * payload_factor}])

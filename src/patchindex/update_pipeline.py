@@ -5,17 +5,16 @@ last partition's chunks, so the handlers read them like any other rows;
 the insert handlers take the inserted values from the statement itself.
 The handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
-with the touched values. Block pruning restricts the scan to the blocks
-that may hold a touched value by two summaries: the block's zone map must
-hold it (the dynamic-range-propagation trick), and so must the block's
-own membership filter. Both summaries exist only for the probed column:
-its first probe builds them, and the storage keeps them up to date from
-then on, so the NSC table and the NUC key column pay for none.
-``ColumnTable.prune_blocks`` returns the kept blocks' numbers per
-partition, one compiled call each, and their count, the statement's
-``blocks_scanned``; the scan probes just those blocks,
-again one compiled call per partition, and keeps only rows holding a
-touched value. Every returned row whose value occurs at least twice
+with the touched values, pruned to the blocks that may hold one of them
+by two summaries: the block's zone map must hold it (the
+dynamic-range-propagation trick), and so must the block's own membership
+filter. Both summaries exist only for the probed column: its first probe
+builds them, and the storage keeps them up to date from then on, so the
+NSC table and the NUC key column pay for none. ``ColumnTable.probe``
+makes one compiled call per partition, which prunes each block and reads
+the kept ones, and returns the rowIDs and values of the rows holding a
+touched value and the kept block count, the statement's
+``blocks_scanned``. Every returned row whose value occurs at least twice
 becomes a patch. That equals patching both sides of every match of a
 touched row with another row: neither summary ever rules out a value the
 block holds (the storage keeps every live row's value in its own block's
@@ -83,11 +82,10 @@ def _duplicate_join(table, column, probe_ids, probe_values):
         return nulls, stats
     values = probe_values[live]
 
-    stats.blocks_scanned, blocks = table.prune_blocks(column, values)
-    rowids, cols = table.scan([column], where=("in", column, values, blocks))
-    # the scan returns only rows holding a touched value, none of them NULL
-    patches = sort_unique(np.concatenate(
-        (rowids[nuc_patch_rows(cols[column])], nulls)))
+    stats.blocks_scanned, rowids, matched = table.probe(column, values)
+    # the probe returns only rows holding a touched value, none of them NULL
+    patches = sort_unique(np.concatenate((rowids[nuc_patch_rows(matched)],
+                                          nulls)))
     stats.new_patches = len(patches)
     stats.probe_ms = _ms_since(t0)
     return patches, stats

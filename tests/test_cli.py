@@ -2,6 +2,7 @@ import pytest
 
 from patchindex import _native, bench as bench_mod, cli
 from patchindex.cli import main
+from patchindex.patch_index import NSC_ASC, NSC_DESC, NUC
 
 
 @pytest.fixture
@@ -286,7 +287,13 @@ class TestErrorContract:
     @pytest.mark.parametrize("args, words", [
         (["--rows", "-5"], "rows must be at least 0"),
         (["--rows", "10", "--partitions", "0"], "partitions at least 1"),
-        (["--rows", "10", "--exception-rate", "1.5"], "exception rate")])
+        (["--rows", "10", "--exception-rate", "1.5"], "exception rate"),
+        (["--rows", "1000", "--exception-rate", "0.2", "--dup-domain", "-5"],
+         "dup domain"),
+        (["--rows", "1000", "--exception-rate", "0.2", "--dup-domain", "0"],
+         "dup domain"),
+        (["--rows", "10", "--value-domain", "0"], "value domain"),
+        (["--rows", "10", "--pad-bytes", "-1"], "pad bytes")])
     def test_bad_dataset(self, tmp_path, capsys, args, words):
         out = tmp_path / "x.pdx"
         err = self._usage_error(["generate", "--kind", "nuc", "--out", str(out)]
@@ -307,6 +314,29 @@ class TestErrorContract:
         monkeypatch.setattr(bench_mod, "generate", generate)
         err = self._usage_error(["bench"] + args, capsys)
         assert words in err
+
+    def test_negative_dimension_rows(self, dataset, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("an index was built")
+
+        monkeypatch.setattr(cli, "_build", build)
+        err = self._usage_error(["query", "join", "--table", str(dataset),
+                                 "--dim-rows", "-1"], capsys)
+        assert "dimension rows must be at least 0" in err
+
+    @pytest.mark.parametrize("text", ["nsc:foo", "nsc:", "nuc:desc", "nuc:asc",
+                                      "unique"])
+    def test_unknown_constraint(self, dataset, capsys, text):
+        with pytest.raises(SystemExit) as e:
+            main(["update", "insert", "--table", str(dataset),
+                  "--constraint", text])
+        assert e.value.code == 2
+        assert f"unknown constraint {text!r}" in capsys.readouterr().err
+
+    def test_constraint_spellings(self):
+        assert [cli._constraint(t) for t in ("nuc", "nsc", "nsc:asc",
+                                             "nsc:desc")] == [
+            NUC, NSC_ASC, NSC_ASC, NSC_DESC]
 
     def test_corrupt_unprobed_zone_maps(self, dataset, capsys):
         # the stored zone maps of the key column, which no probe reads,

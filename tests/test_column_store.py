@@ -29,16 +29,6 @@ def make_table(values, partitions=2, block_size=64):
         block_size=block_size)
 
 
-def random_blocks(rng, t):
-    """A random ascending share of every partition's live blocks, in the
-    layout the "in" scan filter takes."""
-    out = []
-    for p in t.partitions:
-        live = np.flatnonzero(p.live)
-        out.append(live[rng.random(len(live)) < rng.random()])
-    return out
-
-
 def block_rowids(t, blocks):
     """Global rowIDs of the rows of per-partition block lists."""
     offsets = t.partition_offsets()
@@ -92,16 +82,16 @@ class TestScan:
         assert np.array_equal(ids, np.arange(100))
 
     def test_range_scan_equals_filtered_full_scan(self):
-        # keys holding every value: the blocks alone pick the rows
+        # a probe of every key of a range reads the rows whose value lies in it
         rng = np.random.default_rng(0)
         t = make_table(rng.integers(0, 50, size=500), partitions=3, block_size=4)
         full_ids, full_cols = t.scan(["value"])
         for _ in range(20):
-            blocks = random_blocks(rng, t)
-            ids, cols = t.scan(["value"], where=("in", "value", np.arange(50), blocks))
-            want = np.isin(full_ids, block_rowids(t, blocks))
+            lo, hi = np.sort(rng.integers(-5, 55, size=2)).tolist()
+            _, ids, values = t.probe("value", np.arange(lo, hi))
+            want = (full_cols["value"] >= lo) & (full_cols["value"] < hi)
             assert np.array_equal(ids, full_ids[want])
-            assert np.array_equal(cols["value"], full_cols["value"][want])
+            assert np.array_equal(values, full_cols["value"][want])
 
     def test_unknown_column(self):
         t = make_table([1, 2])
@@ -110,6 +100,9 @@ class TestScan:
 
 
 class TestFilteredScan:
+    """The semijoin probe (``ColumnTable.probe``) against filtered full
+    scans."""
+
     def test_equals_filtered_full_scan(self):
         rng = np.random.default_rng(4)
         t = make_table(rng.integers(-30, 30, size=700), partitions=3,
@@ -119,67 +112,33 @@ class TestFilteredScan:
         full_ids, full_cols = t.scan()
         for _ in range(20):
             keys = rng.integers(-35, 35, size=int(rng.integers(0, 8)))
-            blocks = random_blocks(rng, t)
-            for where, rows in ((("in", "value", keys), full_ids),
-                                (("in", "value", keys, blocks),
-                                 block_rowids(t, blocks))):
-                ids, cols = t.scan(["key", "value"], where=where)
-                want = np.isin(full_cols["value"], keys) & np.isin(full_ids, rows)
-                assert np.array_equal(ids, full_ids[want])
-                for c in ("key", "value"):
-                    assert np.array_equal(cols[c], full_cols[c][want])
-
-    @pytest.mark.parametrize("backend", ["native", "numpy"])
-    def test_bad_block_lists_rejected(self, backend, monkeypatch):
-        use_backend(backend, monkeypatch)
-        # 64-row chunks of 16 4-row blocks; deletes leave chunk 0 with 60
-        # rows (block 15 dead) and chunk 4 with 44 (blocks 75-79 dead)
-        t = make_table(np.arange(300), partitions=1, block_size=4)
-        t.delete_rows(np.array([3, 2, 1, 0]))
-        p = t.partitions[0]
-        assert p.counts.tolist() == [60, 64, 64, 64, 44]
-        for bad in ([-1], [15], [75], [80], [1000],   # not live
-                    [3, 3], [9, 4],                  # not strictly ascending
-                    [[1, 2]]):                       # not a list
-            with pytest.raises(ValueError, match="live blocks"):
-                t.scan(["value"], where=("in", "value", [1], [np.array(bad)]))
-            with pytest.raises(ValueError, match="live blocks"):  # no keys
-                t.scan(["value"], where=("in", "value", [], [np.array(bad)]))
-        with pytest.raises(ValueError):
-            t.scan(["value"], where=("in", "value", [1], [np.array([0])] * 2))
-        ids, _ = t.scan(["value"], where=("in", "value", [5, 66, 290],
-                                          [np.array([0, 16, 72])]))
-        assert ids.tolist() == [1, 62, 286]
-
-    @needs_compiler
-    def test_bad_block_list_kernel_writes_nothing(self):
-        assert _native.lib is not None, "C kernels failed to build"
-        t = make_table(np.arange(300), partitions=1, block_size=4)
-        t.delete_rows(np.array([3, 2, 1, 0]))
-        p = t.partitions[0]
-        keys = np.array([5, 70], dtype=np.int64)
-        for bad in ([0, 15], [2, 1], [0, 80], [-1]):
-            blocks = np.array(bad, dtype=np.int64)
-            pos, ids = np.full(64, -7), np.full(64, -7)
-            assert _native.lib.pi_probe_blocks(
-                p._kernel_args(), list(p.chunks).index("value"),
-                _native.address(p.counts), p.nchunks,
-                _native.address(blocks), len(blocks), _native.address(keys),
-                len(keys), 0, _native.address(pos), _native.address(ids)) == -1
-            assert (pos == -7).all() and (ids == -7).all()
+            count, ids, values = t.probe("value", keys)
+            want = np.isin(full_cols["value"], keys)
+            assert np.array_equal(ids, full_ids[want])
+            assert np.array_equal(values, full_cols["value"][want])
+            assert ids.dtype == values.dtype == np.int64
+            assert count <= t.total_blocks()
 
     def test_filter_column_need_not_be_scanned(self):
+        # the probe returns rowIDs, so another column is a gather away
         t = make_table(np.arange(100) % 10, partitions=2)
-        ids, cols = t.scan(["key"], where=("in", "value", [3]))
+        _, ids, values = t.probe("value", [3])
         assert ids.tolist() == list(range(3, 100, 10))
-        assert cols["key"].tolist() == list(range(3, 100, 10))
+        assert values.tolist() == [3] * 10
+        assert t.gather(ids, "key").tolist() == list(range(3, 100, 10))
 
     def test_bad_filter_rejected(self):
         t = make_table([1, 2])
-        with pytest.raises(ValueError):
-            t.scan(["value"], where=("interval", "value", 0, 1))
+        # scans take patch-split filters only; value sets go to probe
+        for where in (("interval", "value", 0, 1), ("in", "value", [1])):
+            with pytest.raises(ValueError, match="unknown scan filter"):
+                t.scan(["value"], where=where)
         with pytest.raises(KeyError):
-            t.scan(["value"], where=("in", "nope", [1]))
+            t.probe("nope", [1])
+        pad = ColumnTable.from_partitions(
+            [{"pad": np.array([b"a", b"b"], dtype="S2")}])
+        with pytest.raises(ValueError, match="int64 column"):
+            pad.probe("pad", [1])
 
 
 def isin_reference(values, keys):
@@ -219,16 +178,17 @@ class TestInPositions:
 class TestPrune:
     def test_outside_domain_empty(self):
         t = make_table(np.arange(1000))
-        count, blocks = t.prune_blocks("value", [5000, 6000, -1])
+        count, ids, values = t.probe("value", [5000, 6000, -1])
         assert count == 0
-        assert [b.tolist() for b in blocks] == [[], []]
+        assert len(ids) == len(values) == 0
 
     def test_full_domain_all_blocks(self):
         t = make_table(np.arange(1000))
-        count, blocks = t.prune_blocks("value", np.arange(1000))
-        assert count == t.total_blocks()
+        count, ids, values = t.probe("value", np.arange(1000))
         # 500 rows a partition: 64-row blocks 0-7 of one chunk each
-        assert [b.tolist() for b in blocks] == [list(range(8))] * 2
+        assert count == t.total_blocks() == 16
+        assert np.array_equal(ids, np.arange(1000))
+        assert np.array_equal(values, np.arange(1000))
 
     def test_superset_property_random(self):
         rng = np.random.default_rng(1)
@@ -236,23 +196,22 @@ class TestPrune:
         full_ids, full_cols = t.scan(["value"])
         for _ in range(20):
             values = rng.integers(0, 1000, size=int(rng.integers(0, 30)))
-            _, blocks = t.prune_blocks("value", values)
-            ids, _ = t.scan(["value"], where=("in", "value", values, blocks))
+            _, ids, _ = t.probe("value", values)
             assert np.array_equal(ids, full_ids[np.isin(full_cols["value"], values)])
 
     def test_value_set_predicate(self):
         t = make_table(np.arange(0, 10000, 10), partitions=2, block_size=32)
-        _, blocks = t.prune_blocks("value", np.array([500, 7770]))
-        ids, cols = t.scan(["value"], where=("in", "value", [500, 7770], blocks))
-        assert cols["value"].tolist() == [500, 7770]
-        assert len(block_rowids(t, blocks)) < 1000
+        count, ids, values = t.probe("value", np.array([500, 7770]))
+        assert values.tolist() == [500, 7770]
+        assert ids.tolist() == [50, 777]
+        assert count == 2  # of 32 blocks: the zone maps do not overlap
 
     def test_block_counting(self):
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         assert t.total_blocks() == 10
-        count, blocks = t.prune_blocks("value", [0, 150])
+        count, ids, _ = t.probe("value", [0, 150])
         assert count == 2
-        assert [b.tolist() for b in blocks] == [[0, 1]]
+        assert ids.tolist() == [0, 150]
 
 
 class TestUpdates:
@@ -286,9 +245,8 @@ class TestUpdates:
     def test_modify_updates_minmax(self):
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         t.modify_rows(np.array([5]), {"value": np.array([10_000])})
-        count, blocks = t.prune_blocks("value", [10_000])
+        count, ids, _ = t.probe("value", [10_000])
         assert count == 1
-        ids, _ = t.scan(["value"], where=("in", "value", [10_000], blocks))
         assert ids.tolist() == [5]
 
     @pytest.mark.parametrize("block_size", [16, 24])
@@ -683,9 +641,10 @@ def filter_holds(p, column, block, value):
 
 
 def prune_reference(t, column, values):
-    """prune_blocks as a loop over every block of every chunk: a block is
-    kept when its [min, max] holds a value that its own filter holds too.
-    Returns the kept count and each partition's kept block numbers."""
+    """The probe's block prune as a loop over every block of every chunk:
+    a block is kept when its [min, max] holds a value that its own filter
+    holds too. Returns the kept count and each partition's kept block
+    numbers."""
     kept = []
     for p in t.partitions:
         kept.append([])
@@ -717,12 +676,15 @@ class TestScanRangeHelpers:
             for _ in range(10):
                 values = rng.integers(-5, 205, size=int(rng.integers(0, 6)))
                 want_count, want = prune_reference(t, "value", values)
+                keys = sort_unique(values)
                 for lib in (native, None):
                     monkeypatch.setattr(_native, "lib", lib)
-                    count, blocks = t.prune_blocks("value", values)
+                    count, ids, _ = t.probe("value", values)
                     assert count == want_count, values
-                    assert all(b.dtype == np.int64 for b in blocks)
-                    assert [b.tolist() for b in blocks] == want, values
+                    assert [p.probe("value", keys)[0]
+                            for p in t.partitions] == list(map(len, want))
+                    # every matching row lies in a kept block
+                    assert np.isin(ids, block_rowids(t, want)).all(), values
 
     def test_span_scan_matches_filtered_full_scan(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -732,19 +694,12 @@ class TestScanRangeHelpers:
             full_ids, full_cols = t.scan()
             for _ in range(10):
                 keys = rng.integers(-5, 205, size=int(rng.integers(0, 8)))
-                match = np.isin(full_cols["value"], keys)
-                some = random_blocks(rng, t)
+                want = np.isin(full_cols["value"], keys)
                 for lib in (native, None):
                     monkeypatch.setattr(_native, "lib", lib)
-                    # the prune's blocks return every match; random ones
-                    # the matches they cover
-                    for blocks in (t.prune_blocks("value", keys)[1], some):
-                        ids, cols = t.scan(["key", "value"],
-                                           where=("in", "value", keys, blocks))
-                        want = match & np.isin(full_ids, block_rowids(t, blocks))
-                        assert np.array_equal(ids, full_ids[want])
-                        for c in ("key", "value"):
-                            assert np.array_equal(cols[c], full_cols[c][want])
+                    _, ids, values = t.probe("value", keys)
+                    assert np.array_equal(ids, full_ids[want])
+                    assert np.array_equal(values, full_cols["value"][want])
 
 
 def use_backend(backend, monkeypatch):
@@ -1184,9 +1139,11 @@ def check_chunked_state(t, keys, values, rng):
         assert (p.counts >= 1).all() and (p.counts <= p.capacity).all()
         assert (p.counts[:-1] + p.counts[1:] > p.capacity).all()
     for probe in (rng.integers(0, 100, size=3), rng.integers(0, 100, size=30)):
-        covered = np.zeros(len(values), dtype=bool)
-        covered[block_rowids(t, t.prune_blocks("value", probe)[1])] = True
-        assert covered[np.isin(values, probe)].all(), probe
+        count, ids, got = t.probe("value", probe)
+        want = np.flatnonzero(np.isin(values, probe))
+        assert np.array_equal(ids, want), probe
+        assert np.array_equal(got, values[want]), probe
+        assert count <= t.total_blocks()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1302,7 +1259,7 @@ def filter_stream(block_size, seed, steps=300):
     rng = np.random.default_rng(seed)
     t = make_table(rng.integers(0, 10**9, size=700), partitions=3,
                    block_size=block_size)
-    t.prune_blocks("value", [1])  # builds the filters
+    t.probe("value", [1])  # builds the filters
     yield t
     for _ in range(steps):
         n = t.row_count
@@ -1332,7 +1289,7 @@ class TestLazySummaries:
         merges = 0
         for step in range(400):
             if step == 100:
-                t.prune_blocks("value", [1])
+                t.probe("value", [1])
             n = t.row_count
             op = rng.choice(["insert", "modify", "delete"], p=[0.35, 0.3, 0.35])
             size = int(rng.integers(1, 120))
@@ -1358,7 +1315,7 @@ class TestLazySummaries:
                 assert_live_values_in_filters(t)
         assert merges > 10
         # a first probe summarizes the key column as a full rebuild would
-        t.prune_blocks("key", [1])
+        t.probe("key", [1])
         for p in t.partitions:
             assert list(p.zones) == list(p.filters) == ["value", "key"]
             assert_chunk_summaries(p, ["key"])
@@ -1424,15 +1381,17 @@ class TestFilters:
                 t = chunked_table(rng, int(rng.integers(0, 700)),
                                   block_size=block_size)
                 for size in (0, 1, 5, 60):
-                    values = rng.integers(-5, 205, size=size)
-                    got = []
-                    for lib in (native, None):
-                        monkeypatch.setattr(_native, "lib", lib)
-                        got.append(t.prune_blocks("value", values))
-                    assert got[0][0] == got[1][0]
-                    for a, b in zip(got[0][1], got[1][1]):
-                        assert a.dtype == b.dtype == np.int64
-                        assert np.array_equal(a, b)
+                    keys = sort_unique(rng.integers(-5, 205, size=size))
+                    for p, base in zip(t.partitions,
+                                       t.partition_offsets().tolist()):
+                        got = []
+                        for lib in (native, None):
+                            monkeypatch.setattr(_native, "lib", lib)
+                            got.append(p.probe("value", keys, base))
+                        assert got[0][0] == got[1][0]
+                        for a, b in zip(got[0][1:], got[1][1:]):
+                            assert a.dtype == b.dtype == np.int64
+                            assert np.array_equal(a, b)
 
     def test_built_lazily_for_value_set_probes_only(self):
         t = make_table(np.arange(3000), partitions=2, block_size=8)
@@ -1441,7 +1400,7 @@ class TestFilters:
         t.delete_rows(np.array([9]))
         assert all(not p.filters for p in t.partitions)
         assert t.filter_bytes() == 0
-        t.prune_blocks("value", [3])
+        t.probe("value", [3])
         assert all(list(p.filters) == ["value"] for p in t.partitions)
         p = t.partitions[0]
         assert t.filter_bytes() == sum(q.nchunks for q in t.partitions) \
@@ -1489,12 +1448,53 @@ class TestFilters:
         # near 0.5% false positives per block and value; twice that bounds
         # what a filter lets through
         present = values[rng.choice(len(values), size=5, replace=False)]
-        count, blocks = t.prune_blocks("value", present)
+        count, ids, _ = t.probe("value", present)
         # each present value keeps its own block, plus false positives
         assert count <= 5 + 0.01 * 5 * t.total_blocks()
-        ids, _ = t.scan(["value"], where=("in", "value", present, blocks))
         assert np.array_equal(ids, np.flatnonzero(np.isin(values, present)))
         # 20 odd values, none in the table
         absent = 2 * rng.choice(200_000, size=20, replace=False) + 1
-        kept, _ = t.prune_blocks("value", absent)
-        assert kept < 0.01 * 20 * t.total_blocks()
+        kept, ids, _ = t.probe("value", absent)
+        assert kept < 0.01 * 20 * t.total_blocks() and not len(ids)
+
+
+class TestProbe:
+    @needs_compiler
+    @pytest.mark.parametrize("block_size", [4, 24])
+    def test_kernel_matches_reference_over_stream(self, block_size,
+                                                  monkeypatch):
+        assert _native.lib is not None, "C kernels failed to build"
+        native = _native.lib
+        rng = np.random.default_rng(block_size)
+        chunks, merges = None, 0
+        for step, t in enumerate(filter_stream(block_size, 27, steps=150)):
+            now = sum(p.nchunks for p in t.partitions)
+            merges += chunks is not None and now < chunks
+            chunks = now
+            full_ids, full = t.scan(["value"])
+            values = full["value"]
+            # present keys, keys inside the zone maps that (almost surely)
+            # no row holds, and keys outside every zone map
+            size = (0, 1, 5, 60)[step % 4]
+            keys = sort_unique(np.concatenate([
+                rng.choice(values, size=size // 2),
+                rng.integers(0, 10**9, size=size // 4),
+                rng.choice([-7, -1, 10**9 + 3, 2**62],
+                           size=size - size // 2 - size // 4)]).astype(np.int64))
+            got = {}
+            for lib in (None, native):
+                monkeypatch.setattr(_native, "lib", lib)
+                got[lib] = [p.probe("value", keys, base) for p, base in zip(
+                    t.partitions, t.partition_offsets().tolist())]
+            for (kept, ids, vals), (want_kept, want_ids, want_vals) in zip(
+                    got[native], got[None]):
+                assert kept == want_kept, step
+                assert ids.dtype == vals.dtype == np.int64
+                assert np.array_equal(ids, want_ids), step
+                assert np.array_equal(vals, want_vals), step
+            want = np.isin(values, keys)
+            count, ids, vals = t.probe("value", keys)
+            assert count == sum(kept for kept, _, _ in got[native])
+            assert np.array_equal(ids, full_ids[want]), step
+            assert np.array_equal(vals, values[want]), step
+        assert merges > 0

@@ -350,11 +350,26 @@ class TestNativeLoader:
             "                                 {'value': vals[1000:]}], 64)\n"
             "t.insert_rows({'value': np.array([5, -2, 9999])})\n"
             "keys = [5, -2, 9999, 12345]\n"
-            "ids, cols = t.scan(['value'], where=('in', 'value', keys))\n"
+            "kept, ids, got = t.probe('value', keys)\n"
             "full = np.append(vals, [5, -2, 9999])\n"
             "want = np.flatnonzero(np.isin(full, keys))\n"
             "assert np.array_equal(ids, want) and len(want) == 11\n"
-            "assert np.array_equal(cols['value'], full[want])\n"
+            "assert np.array_equal(got, full[want])\n"
+            "assert 0 < kept <= t.total_blocks()\n"
+            "from patchindex.patch_index import NUC, build_index, nuc_patch_rows\n"
+            "from patchindex.update_pipeline import apply_insert, apply_modify\n"
+            "uv = np.arange(3000) * 2\n"
+            "uv[[10, 11]] = 40\n"
+            "u = ColumnTable.from_partitions([{'value': uv[:1500]},\n"
+            "                                 {'value': uv[1500:]}], 64)\n"
+            "ix = build_index([p.columns['value'] for p in u.partitions], NUC)\n"
+            "apply_insert(u, [ix], {'value': np.array([6, 7, 7, 90001])})\n"
+            "apply_modify(u, [ix], np.array([100, 2500]),\n"
+            "             {'value': np.array([4000, 11])})\n"
+            "patches = nuc_patch_rows(u.scan(['value'])[1]['value'])\n"
+            "assert patches.tolist() == [3, 10, 11, 20, 100, 2000, 3000,\n"
+            "                            3001, 3002]\n"
+            "assert np.array_equal(ix.global_patch_rows(), patches)\n"
             "from patchindex.bench import build_query_plans\n"
             "from patchindex.patch_index import NSC_ASC, build_index\n"
             "from patchindex.query_engine import execute, result_checksum\n"

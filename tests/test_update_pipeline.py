@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchindex import _native
 from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, build_index,
                                     nuc_patch_rows)
@@ -445,6 +448,47 @@ class TestHotPaths:
             vals = table_values(t)
             for p, pidx in enumerate(ix.partitions):
                 assert pidx.check_invariant(vals[offsets[p]:offsets[p + 1]])
+
+
+class KernelSpy:
+    """Stands in for the loaded kernels: forwards each call and counts the
+    calls by kernel name."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, Counter()
+
+    def __getattr__(self, name):
+        kernel = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            return kernel(*args)
+        return call
+
+
+@pytest.mark.skipif(_native.lib is None, reason="no compiled kernels")
+def test_nuc_statement_probes_once_per_partition(monkeypatch):
+    rng = np.random.default_rng(9)
+    t, idx = indexed(rng.integers(0, 5000, size=4000), NUC, partitions=4,
+                     block_size=16)
+    spy = KernelSpy(_native.lib)
+    monkeypatch.setattr(_native, "lib", spy)
+    for n in (1, 10, 1000):
+        for statement in ("insert", "modify"):
+            spy.calls.clear()
+            values = rng.integers(0, 5000, size=n)
+            if statement == "insert":
+                _, stats = insert(t, idx, values)
+            else:
+                ids = rng.choice(t.row_count, size=n, replace=False)
+                stats = apply_modify(t, [idx], ids, {"value": values})
+            # one fused prune-and-probe call per partition; the one
+            # membership pass left is nuc_patch_rows of the matched rows
+            assert spy.calls["pi_probe"] == 4, (n, statement)
+            assert spy.calls["pi_in_positions"] <= 1
+            assert 0 < stats[0].blocks_scanned <= stats[0].blocks_total
+    vals = table_values(t)
+    assert np.isin(nuc_patch_rows(vals), idx.global_patch_rows()).all()
 
 
 class TestPhaseTimings:
