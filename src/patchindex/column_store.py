@@ -25,8 +25,11 @@ from ._native import address, pointers
 MAGIC = b"PDX1"
 DEFAULT_BLOCK_SIZE = 4096
 # chunk capacity in zone-map blocks: a delete rewrites one chunk of
-# CHUNK_BLOCKS * block_size rows, not the whole partition
-CHUNK_BLOCKS = 16
+# CHUNK_BLOCKS * block_size rows, not the whole partition. In a 16/8/4/2/1
+# sweep, 10-row deletes cost about half as much at 4 as at 16 and
+# 1000-row statements no more; 2 and 1 cut deletes further, but at 2 the
+# benchmark's low-e queries read slower (see ROADMAP item 4(a))
+CHUNK_BLOCKS = 4
 # block membership filter size: 16 bits per row of block keep the
 # false-positive rate of a full block near 0.5% at 4 bits per key
 FILTER_BITS_PER_ROW = 16
@@ -318,19 +321,22 @@ class Partition:
         self._recount()
 
     def _recount(self):
-        """Refresh what follows from the chunk row counts: the row count,
-        each chunk's end row, the shift from a partition row to its
-        position in the flattened buffers, and the live blocks."""
-        self.ends = np.cumsum(self.counts)
+        """Refresh what the mutators read that follows from the chunk row
+        counts: the row count, each chunk's end row and the shift from a
+        partition row to its position in the flattened buffers."""
+        self.ends = self.counts.cumsum()
         self.nrows = int(self.ends[-1]) if self.nchunks else 0
-        self.shift = (np.arange(self.nchunks) * self.capacity
-                      - (self.ends - self.counts))
-        self.live = (np.arange(CHUNK_BLOCKS) * self.block_size
-                     < self.counts[:, None])
+        self.shift = (np.arange(0, self.nchunks * self.capacity, self.capacity)
+                      - self.ends + self.counts)
 
     @property
     def nchunks(self):
         return len(self.counts)
+
+    @property
+    def live(self):
+        """(nchunks, CHUNK_BLOCKS) mask of the blocks that hold rows."""
+        return np.arange(CHUNK_BLOCKS) * self.block_size < self.counts[:, None]
 
     def int_columns(self):
         return [c for c, a in self.chunks.items() if a.dtype == np.int64]
@@ -420,9 +426,8 @@ class Partition:
     def _blocks_live(self, blocks):
         """Whether the int64 array blocks holds strictly ascending live
         blocks, by the chunk row counts."""
-        live = np.arange(CHUNK_BLOCKS) * self.block_size < self.counts[:, None]
         return bool((np.diff(blocks) > 0).all()
-                    and np.isin(blocks, np.flatnonzero(live)).all())
+                    and np.isin(blocks, np.flatnonzero(self.live)).all())
 
     def refresh_zones(self, columns, blocks):
         """Recompute the zone maps of the given int64 columns in the given
@@ -510,14 +515,42 @@ class Partition:
 
     def modify_rows(self, local, updates):
         """Overwrite partition rows in place; updates maps column name to
-        the rows' new values."""
+        the rows' new values.
+
+        A probed column's zone maps stay exact in O(rows): each touched
+        block's min and max widen by the values the rows now hold, and
+        only a block where an overwritten value was its min or max is
+        re-scanned (``_widen_zones``).
+        """
         pos = self.positions(local)
+        probed = [c for c in updates if c in self.zones]
+        old = [self.chunks[c].reshape(-1)[pos] for c in probed]
         for c, vals in updates.items():
             self.chunks[c].reshape(-1)[pos] = vals
-        probed = [c for c in updates if c in self.zones]
         if probed:
-            self.refresh_zones(probed, sort_unique(pos // self.block_size))
+            blocks = pos // self.block_size
+            for c, was in zip(probed, old):
+                stale = self._widen_zones(c, blocks, was, pos)
+                if len(stale):
+                    self.refresh_zones([c], stale)
             self._filter_rows(pos, probed)
+
+    def _widen_zones(self, column, blocks, old, pos):
+        """Widen the zone maps of a probed column in the given blocks by
+        the values now at the buffer positions pos, which held the values
+        old before the write; returns the ascending blocks whose min or
+        max an old value was, the only ones that may now be too wide.
+
+        The new values are read back from the buffers, so a position given
+        twice widens its block by the value it kept, not by the one it
+        overwrote.
+        """
+        mins, maxs = (z.reshape(-1) for z in self.zones[column])
+        stale = blocks[(old == mins[blocks]) | (old == maxs[blocks])]
+        new = self.chunks[column].reshape(-1)[pos]
+        np.minimum.at(mins, blocks, new)
+        np.maximum.at(maxs, blocks, new)
+        return sort_unique(stale)
 
     def delete_rows(self, local):
         """Remove the strictly ascending partition rows local.
@@ -619,8 +652,9 @@ class Partition:
             if count < 0:
                 raise MemoryError("probe filter allocation failed")
             return kept.value, ids[:count], vals[:count]
-        blocks = np.flatnonzero(self.live)
-        mins, maxs = (z[:self.nchunks][self.live] for z in self.zones[column])
+        live = self.live
+        blocks = np.flatnonzero(live)
+        mins, maxs = (z[:self.nchunks][live] for z in self.zones[column])
         words, pattern = filter_hash(keys, self.filter_log2)
         passes = (filters.reshape(-1, filters.shape[-1])[blocks][:, words]
                   & pattern) == pattern
@@ -638,31 +672,45 @@ class Partition:
 
     def _condense(self):
         """Merge neighbouring chunks that fit one capacity; drop a lone
-        empty chunk. Afterwards no two neighbours fit one chunk."""
+        empty chunk. Afterwards no two neighbours fit one chunk.
+
+        Every mutator leaves no two neighbours that fit one chunk, and a
+        delete only lowers the counts of the chunks it touched, so the
+        pairs that fit now all lie next to a touched chunk. One vectorized
+        test of the neighbour pairs finds them; the merges then run from
+        each such pair, left to right, and a merged chunk takes in its
+        next neighbour too while they fit.
+        """
         before = self.nchunks
-        k = 0
-        while k + 1 < self.nchunks:
-            a, b = int(self.counts[k]), int(self.counts[k + 1])
-            if a + b > self.capacity:
-                k += 1
-                continue
-            for buf in self.chunks.values():  # chunk k + 1 joins chunk k
-                buf[k, a:a + b] = buf[k + 1, :b]
-                buf[k + 1:self.nchunks - 1] = buf[k + 2:self.nchunks]
-            for zone in self.zones.values():
-                for z in zone:
-                    z[k + 1:self.nchunks - 1] = z[k + 2:self.nchunks]
-            for f in self.filters.values():
-                f[k + 1:self.nchunks - 1] = f[k + 2:self.nchunks]
-            self.counts[k] = a + b
-            self.counts = np.delete(self.counts, k + 1)
-            self._refresh_span(k * self.capacity + a, k * self.capacity + a + b)
-            self._filter_rows(k * self.capacity + np.arange(a, a + b),
-                              self.filters)
+        c = self.counts
+        merged = k = 0  # no pair left of chunk k fits
+        for pair in np.flatnonzero(c[:-1] + c[1:] <= self.capacity).tolist():
+            k = max(k, pair - merged)
+            while k + 1 < self.nchunks:
+                a, b = int(self.counts[k]), int(self.counts[k + 1])
+                if a + b > self.capacity:
+                    break
+                n = self.nchunks
+                for buf in self.chunks.values():  # chunk k + 1 joins chunk k
+                    buf[k, a:a + b] = buf[k + 1, :b]
+                    buf[k + 1:n - 1] = buf[k + 2:n]
+                for zone in self.zones.values():
+                    for z in zone:
+                        z[k + 1:n - 1] = z[k + 2:n]
+                for f in self.filters.values():
+                    f[k + 1:n - 1] = f[k + 2:n]
+                self.counts[k] = a + b
+                self.counts = np.delete(self.counts, k + 1)
+                self._refresh_span(k * self.capacity + a,
+                                   k * self.capacity + a + b)
+                self._filter_rows(k * self.capacity + np.arange(a, a + b),
+                                  self.filters)
+                merged += 1
         if self.nchunks == 1 and not self.counts[0]:
             self.counts = self.counts[:0]
-        for f in self.filters.values():  # a reopened chunk starts empty
-            f[self.nchunks:before] = 0
+        if self.nchunks < before:
+            for f in self.filters.values():  # a reopened chunk starts empty
+                f[self.nchunks:before] = 0
 
 
 class ColumnTable:
@@ -850,13 +898,20 @@ class ColumnTable:
         """Physically remove rows; subsequent rowIDs shift down.
 
         Only the chunks holding deleted rows are rewritten, in one kernel
-        call per partition (``Partition.delete_rows``).
+        call per partition (``Partition.delete_rows``). Returns the
+        routing, a list of (partition number, that partition's deleted
+        rows, strictly descending), so that the statement's index upkeep
+        need not route the rowIDs again.
         """
         rowids = np.asarray(descending_rowids, dtype=np.int64)
         if rowids.size > 1 and not np.all(np.diff(rowids) < 0):
             raise ValueError("delete rowIDs must be strictly descending")
-        for p, _, local in self._route(rowids, "delete"):
-            p.delete_rows(local[::-1])
+        sizes = [p.nrows for p in self.partitions]
+        routed = [(p, local) for p, _, local in route_rows(rowids, sizes,
+                                                           "delete")]
+        for p, local in routed:
+            self.partitions[p].delete_rows(local[::-1])
+        return routed
 
     # -- persistence ----------------------------------------------------------------
 

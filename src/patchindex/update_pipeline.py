@@ -168,18 +168,16 @@ def handle_modify_nsc(table, index, modified_ids):
                        new_patches=new_patches)
 
 
-def handle_delete(table, index, descending_ids):
+def handle_delete(table, index, routed):
     """Drop tracking state for deleted rows; rowIDs renumber densely.
 
-    Call after the table rows were removed with the same id list. Values
-    that became unique stay patched (superset of optimal), so only the
-    sorted-run tail may need fixing.
+    Call after the table rows were removed; routed is what
+    ``ColumnTable.delete_rows`` returned, each partition's deleted rows,
+    descending. Values that became unique stay patched (superset of
+    optimal), so only the sorted-run tail may need fixing.
     """
-    descending_ids = np.asarray(descending_ids, dtype=np.int64)
-    if descending_ids.size == 0:
-        return UpdateStats(blocks_total=table.total_blocks())
     nsc = index.constraint.kind is ConstraintKind.NEARLY_SORTED
-    for p, local in index.split_global(descending_ids):
+    for p, local in routed:
         pidx = index.partitions[p]
         tail_dropped = False
         if nsc:
@@ -247,9 +245,11 @@ def apply_modify(table, indexes, rowids, updates):
 
 
 def apply_delete(table, indexes, descending_ids):
+    """Delete rows from the table, then from each index, by one routing of
+    the rowIDs over the partitions."""
     t0 = time.perf_counter_ns()
-    table.delete_rows(descending_ids)
+    routed = table.delete_rows(descending_ids)
     storage_ms = _ms_since(t0)
     stats = _maintain(indexes, lambda ix: _DELETE_HANDLERS[ix.constraint.kind](
-        table, ix, descending_ids))
+        table, ix, routed))
     return _charge_storage(stats, storage_ms)

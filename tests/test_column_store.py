@@ -308,6 +308,33 @@ class TestUpdates:
                 assert_chunk_summaries(p)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_modify_stream_keeps_exact_zone_maps(self, backend, monkeypatch):
+        """Modifies widen the zone maps and re-scan only the blocks whose
+        min or max they overwrote, which 8-row blocks make common. Rows
+        given twice, unsorted rows and uneven chunks with partial blocks
+        included."""
+        use_backend(backend, monkeypatch)
+        rng = np.random.default_rng(25)
+        t = summarize(make_table(rng.integers(0, 10**6, size=3000),
+                                 partitions=3, block_size=8))
+        t.delete_rows(np.flatnonzero(rng.random(3000) < 0.05)[::-1])
+        # a row given twice keeps its second value: the first may not widen
+        # the zone maps of block 0, whose min and max the row does not hold
+        row = int(np.argsort(t.scan(["value"])[1]["value"][:8])[3])
+        t.modify_rows(np.array([row, row]), {"value": np.array([-1, 10**7])})
+        assert_chunk_summaries(t.partitions[0])
+        for step in range(120):
+            n = t.row_count
+            k = int(rng.choice([1, 3, 10, 100, 1000]))
+            ids = rng.choice(n, size=k, replace=step % 3 == 0)
+            if step % 2:
+                ids = np.sort(ids)
+            vals = rng.integers(-10**5, 11 * 10**5, size=k)
+            t.modify_rows(ids, {"value": vals})
+            for p in t.partitions:
+                assert_chunk_summaries(p)
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_bad_columns_change_nothing(self, backend, monkeypatch):
         # the last chunk is full, so an append would open a new one
         use_backend(backend, monkeypatch)
@@ -403,24 +430,30 @@ class TestZoneRefresh:
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_bad_block_lists_change_nothing(self, backend, monkeypatch):
         use_backend(backend, monkeypatch)
-        # 64-row chunks of 16 4-row blocks; deletes leave chunk 0 with 60
-        # rows (block 15 dead) and chunk 4 with 44 (blocks 75-79 dead)
-        t = summarize(make_table(np.arange(300), partitions=1, block_size=4))
+        # chunks of cb 4-row blocks; deletes leave chunk 0 with cap - 4
+        # rows (block cb - 1 dead) and chunk 4 with cap - 4 (block 5 cb - 1
+        # dead)
+        cb = CHUNK_BLOCKS
+        cap = 4 * cb
+        t = summarize(make_table(np.arange(5 * cap - 4), partitions=1,
+                                 block_size=4))
         t.delete_rows(np.array([3, 2, 1, 0]))
         p = t.partitions[0]
-        assert p.counts.tolist() == [60, 64, 64, 64, 44]
+        assert p.counts.tolist() == [cap - 4, cap, cap, cap, cap - 4]
         for buf in p.chunks.values():  # so any refreshed block would change
             buf[:] = -5
         before = all_zones(p)
-        for bad in ([0, 15], [0, 75], [0, 80], [-1, 0], [0, 1000],  # not live
+        for bad in ([0, cb - 1], [0, 5 * cb - 1], [0, 5 * cb], [-1, 0],
+                    [0, 1000],                       # not live
                     [2, 1], [3, 3],                  # not strictly ascending
                     [[1, 2]]):                       # not a list
             with pytest.raises(ValueError, match="live blocks"):
                 p.refresh_zones(["key", "value"], np.array(bad))
             for a, b in zip(all_zones(p), before):
                 assert np.array_equal(a, b), bad
-        p.refresh_zones(["value"], [0, 74])
-        assert p.zones["value"][0][0, 0] == -5 and p.zones["value"][1][4, 10] == -5
+        p.refresh_zones(["value"], [0, 5 * cb - 2])
+        assert (p.zones["value"][0][0, 0] == -5
+                and p.zones["value"][1][4, cb - 2] == -5)
 
 
 class Unread:
@@ -777,9 +810,10 @@ class TestCompact:
         use_backend(backend, monkeypatch)
         p = kernel_partition(4, 37)
         before = partition_state(p)
+        twice = 4 * 4 * CHUNK_BLOCKS + 2  # a row of chunk 4, given twice
         for dead, error in (([3, 1], ValueError), ([2, 2], ValueError),
                             ([-1], IndexError), ([p.nrows], IndexError),
-                            ([4, 300, 300], ValueError)):
+                            ([4, twice, twice], ValueError)):
             with pytest.raises(error):
                 p.delete_rows(np.array(dead))
             assert_states_equal(partition_state(p), before)
@@ -1065,7 +1099,9 @@ class TestDeleteKernel:
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_delete_adds_only_crossing_rows(self, backend, monkeypatch):
         use_backend(backend, monkeypatch)
-        for block_size, extra in ((4, 37), (8, 100)):
+        # chunks of 64 and 128 rows, whatever CHUNK_BLOCKS
+        for block_size, extra in ((64 // CHUNK_BLOCKS, 37),
+                                  (128 // CHUNK_BLOCKS, 100)):
             for name in ("chunk ends", "one row", "random share"):
                 p = kernel_partition(block_size, extra)
                 rows = np.array(delete_cases(p)[name], dtype=np.int64)

@@ -509,3 +509,62 @@ class TestPhaseTimings:
         assert stats[0].storage_ms > 0 and stats[0].probe_ms == 0
         assert stats[0].maintain_ms > 0
         assert apply_delete(t2, [], np.array([1])) == []
+
+
+def chunk_size_stream(seed):
+    """Run a seeded stream of 1-1000-row inserts, modifies and deletes on
+    a NUC and an NSC table in 3 partitions of 8-row blocks; returns, after
+    every statement, each table's rows, its index's patch rows and a NUC
+    probe's rowIDs and values, plus the number of chunk merges seen."""
+    rng = np.random.default_rng(seed)
+    n0 = 3000
+    tables = {"nuc": indexed(rng.integers(0, 2000, size=n0), NUC, partitions=3,
+                             block_size=8),
+              "nsc": indexed(np.sort(rng.integers(0, 10**6, size=n0)), NSC_ASC,
+                             partitions=3, block_size=8)}
+    out, merges, next_key = [], 0, n0
+    for step in range(36):
+        op = ("insert", "modify", "delete")[step % 3]
+        for name, (t, idx) in tables.items():
+            n = t.row_count
+            k = int(rng.choice([1, 10, 100, 1000]))
+            if op == "insert":
+                apply_insert(t, [idx], {"key": next_key + np.arange(k),
+                                        "value": rng.integers(0, 2000, size=k)})
+                next_key += k
+            elif op == "modify":
+                ids = rng.choice(n, size=k, replace=False)
+                apply_modify(t, [idx], ids,
+                             {"value": rng.integers(0, 2000, size=k)})
+            else:
+                chunks = sum(p.nchunks for p in t.partitions)
+                ids = np.sort(rng.choice(n, size=k, replace=False))[::-1]
+                if step % 2:  # a run of rows, which empties chunks
+                    ids = int(rng.integers(0, n - k)) + np.arange(k)[::-1]
+                apply_delete(t, [idx], ids)
+                merges += chunks - sum(p.nchunks for p in t.partitions)
+            _, cols = t.scan()
+            _, ids, vals = t.probe("value", rng.integers(0, 2000, size=50))
+            out.append((name, step, cols["key"].tobytes(),
+                        cols["value"].tobytes(),
+                        idx.global_patch_rows().tobytes(), ids.tobytes(),
+                        vals.tobytes()))
+    return out, merges
+
+
+@pytest.mark.parametrize("backend", ["native", "numpy"])
+def test_chunk_size_changes_no_result(backend, monkeypatch):
+    """Chunks of 1, 4 and 16 blocks give the same table rows, patch rows
+    and probe results after every statement, chunk merges included."""
+    from patchindex import column_store
+    if backend == "native" and _native.lib is None:
+        pytest.skip("no compiled kernels")
+    if backend == "numpy":
+        monkeypatch.setattr(_native, "lib", None)
+    runs = []
+    for chunk_blocks in (1, 4, 16):
+        monkeypatch.setattr(column_store, "CHUNK_BLOCKS", chunk_blocks)
+        out, merges = chunk_size_stream(2025)
+        assert merges > 0, chunk_blocks
+        runs.append(out)
+    assert runs[0] == runs[1] == runs[2]

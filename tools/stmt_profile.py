@@ -21,7 +21,14 @@ Prints, per statement kind and size, the median in ms of each phase:
   (``Partition.refresh_zones``). Only probed columns have them, the NUC
   table's value column here, so an NSC statement's ``zones`` reads 0. A
   compiled delete refreshes them inside its own kernel, so a delete's
-  ``zones`` holds only what its chunk condense refreshes;
+  ``zones`` holds only what its chunk condense refreshes. A modify widens
+  the touched blocks' zone maps by the new values
+  (``Partition._widen_zones``) and re-scans only the blocks whose min or
+  max it overwrote; both count here;
+- ``condense``: the share of ``part`` spent on the chunk bookkeeping
+  after a write (``Partition._condense``, which merges neighbouring
+  chunks that fit one, and ``Partition._recount``); a merge's zone
+  refresh counts here and in ``zones``;
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
 - ``blocks``: the blocks the probe read (``UpdateStats.blocks_scanned``),
@@ -51,12 +58,12 @@ from perfbench.workloads import (STATEMENTS, Scale, StatementStream,  # noqa: E4
 from plan_profile import keep_freed_memory  # noqa: E402
 
 RATE, SIZES, WARM, ROUNDS, SEED = 0.2, (10, 1000), 3, 60, 1
-PHASES = ("stmt", "route", "table", "part", "zones", "maint", "probe", "drop",
-          "bitmap")
+PHASES = ("stmt", "route", "table", "part", "zones", "condense", "maint",
+          "probe", "drop", "bitmap")
 # the phases read from UpdateStats, summed over a statement's indexes
 STATS_FIELDS = {"table": "storage_ms", "maint": "maintain_ms", "probe": "probe_ms"}
 # the printed columns: every phase in ms, with the probe's block count
-COLUMNS = PHASES[:7] + ("blocks",) + PHASES[7:]
+COLUMNS = PHASES[:8] + ("blocks",) + PHASES[8:]
 
 _spent = dict.fromkeys(PHASES, 0)
 
@@ -93,7 +100,10 @@ def instrument():
     column_store.route_rows = patch_index.route_rows = route
     for name in ("append", "modify_rows", "delete_rows"):
         setattr(Partition, name, _timed("part", getattr(Partition, name)))
-    Partition.refresh_zones = _timed("zones", Partition.refresh_zones)
+    for name in ("refresh_zones", "_widen_zones"):
+        setattr(Partition, name, _timed("zones", getattr(Partition, name)))
+    for name in ("_condense", "_recount"):
+        setattr(Partition, name, _timed("condense", getattr(Partition, name)))
     patch_index.PatchIndex.drop_rows = _timed(
         "drop", patch_index.PatchIndex.drop_rows)
     ShardedBitmap.bulk_delete = _timed("bitmap", ShardedBitmap.bulk_delete)
