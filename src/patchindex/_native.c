@@ -2,9 +2,9 @@
  * bitmap, column membership, block Bloom filters, the merge join, the hash
  * join, the k-way merge of sorted streams, the select of a partition's
  * rows by the bits of a sharded bit set, the delete of a partition's rows
- * with its zone-map and filter upkeep, the zone-map refresh of a
- * partition's blocks, the pruned semijoin probe of a partition and
- * longest-sorted-subsequence discovery.
+ * with its zone-map and sub-block bound upkeep, the zone-map refresh of a
+ * partition's blocks, the two-level filter plan and the semijoin read of
+ * a partition's probe and longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -294,37 +294,15 @@ static inline uint64_t bloom_pattern(uint64_t h, int shift)
     return pattern;
 }
 
-/* ORs value v into the filter of 2^(64 - shift) words at filter. */
-static inline void bloom_add(uint64_t *filter, int64_t v, int shift)
-{
-    const uint64_t h = filter_slot(v, 0);
-    filter[h >> shift] |= bloom_pattern(h, shift);
-}
-
-/* OR the pattern of each values[i] into filter which[i] of the nfilters
- * contiguous filters, each 2^log2_words words long, or into the first
- * filter when which is NULL. Returns -1, before writing anything, when a
- * which[i] lies outside [0, nfilters), and 0 otherwise. */
-int64_t pi_filter_add(const int64_t *values, const int64_t *which, int64_t n,
-                      uint64_t *filters, int64_t nfilters, int log2_words)
-{
-    const int shift = 64 - log2_words;
-    for (int64_t i = 0; which != NULL && i < n; i++)
-        if ((uint64_t)which[i] >= (uint64_t)nfilters)
-            return -1;
-    for (int64_t i = 0; i < n; i++)
-        bloom_add(which == NULL ? filters : filters + (which[i] << log2_words),
-                  values[i], shift);
-    return 0;
-}
-
-/* First index i with keys[i] >= v in the ascending keys[0:k], or k. */
-static inline int64_t lower_bound(const int64_t *keys, int64_t k, int64_t v)
+/* First index i with keys[i] >= v (keys[i] > v when past is set) in the
+ * ascending keys[0:k], or k. */
+static inline int64_t bound(const int64_t *keys, int64_t k, int64_t v,
+                            int past)
 {
     int64_t lo = 0;
     while (k > 0) {
         const int64_t half = k >> 1;
-        if (keys[lo + half] < v) {
+        if (keys[lo + half] < v || (past && keys[lo + half] == v)) {
             lo += half + 1;
             k -= half + 1;
         } else {
@@ -332,6 +310,11 @@ static inline int64_t lower_bound(const int64_t *keys, int64_t k, int64_t v)
         }
     }
     return lo;
+}
+
+static inline int64_t lower_bound(const int64_t *keys, int64_t k, int64_t v)
+{
+    return bound(keys, k, v, 0);
 }
 
 /* Merge join of ascending (ties allowed) left keys lk[0:nl] against
@@ -811,20 +794,20 @@ int64_t pi_select_uses_avx512(void)
 }
 
 
-/* Zone maps of the blocks [b0, b1) of one chunk's int64 rows v[0:n]:
- * block b covers rows [b * bs, min((b + 1) * bs, n)). The build targets
- * the x86-64 baseline, which has no 64-bit integer min or max, so where
- * the compiler can clone a function for the CPU found at load time
- * (GCC's and Clang's target_clones, through glibc's ifunc), the loop gets
- * AVX-512 and AVX2 clones. Integer min and max give the same zone maps on
- * every clone. */
+/* The build targets the x86-64 baseline, which has no 64-bit integer min,
+ * max or compare, so where the compiler can clone a function for the CPU
+ * found at load time (GCC's and Clang's target_clones, through glibc's
+ * ifunc), the loops that need them get AVX-512 and AVX2 clones. Every
+ * clone computes the same result. */
 #ifdef X86_CLONES
-#define ZONE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
-#define ZONE_CLONES
+#define VECTOR_CLONES
 #endif
 
-ZONE_CLONES
+/* Zone maps of the blocks [b0, b1) of one chunk's int64 rows v[0:n]:
+ * block b covers rows [b * bs, min((b + 1) * bs, n)). */
+VECTOR_CLONES
 static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
                          int64_t b1, int64_t *mins, int64_t *maxs)
 {
@@ -841,16 +824,23 @@ static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
     }
 }
 
-/* Argument block of the partition kernels (pi_delete_rows, pi_zone_refresh
- * and pi_probe), kept per partition on the Python side and rebuilt when its
- * buffers grow or a column gets its block summaries. Mirrors
- * patchindex._native.PartitionArgs.
+/* Argument block of the partition kernels (pi_delete_rows, pi_zone_refresh,
+ * pi_filter_rows and pi_probe_plan), kept per partition on the Python side
+ * and rebuilt when its buffers grow or a column gets its block summaries.
+ * Mirrors patchindex._native.PartitionArgs.
  *
  * Block j of chunk k is block k * chunk_blocks + j; its rows are the
  * chunk's rows [j * block_size, (j + 1) * block_size), and it is live
- * when its first row is below the chunk's row count. Zone columns, the
- * columns a probe has read, have one blocked Bloom filter of
- * 2^filter_log2 words per block, block b's at word b << filter_log2. */
+ * when its first row is below the chunk's row count. Sub-block s of chunk
+ * k holds the chunk's rows [ends[s - 1], ends[s]) (row 0 for s = 0), where
+ * ends is the chunk's nsub sub-block ends, sub_ends[k * nsub:]; the ends
+ * never decrease and the last is the chunk's row count; sub_ends is NULL
+ * while no column has filters. Zone columns, the columns a probe has read,
+ * have one blocked Bloom filter of 2^chunk_log2 words per chunk, chunk k's
+ * at word k << chunk_log2, and one of 2^sub_log2 words per sub-block,
+ * stored word by word: word w of sub-block s of chunk k is word
+ * ((k << sub_log2) + w) * nsub + s, so that a key's word of every
+ * sub-block of a chunk lies in one run. */
 struct partition_args {
     char *const *bufs;          /* ncols (slots, capacity) column buffers */
     const int64_t *itemsizes;   /* bytes per item of each column */
@@ -858,9 +848,13 @@ struct partition_args {
     int64_t *const *mins;       /* nzones (slots, chunk_blocks) zone maps */
     int64_t *const *maxs;
     const int64_t *zone_cols;   /* the int64 column of each zone map */
-    uint64_t *const *filters;   /* each zone column's block filters */
+    uint64_t *const *chunk_filters; /* each zone column's chunk filters */
+    uint64_t *const *sub_filters;   /* and its sub-block filters */
     int64_t nzones;
-    int64_t filter_log2;        /* log2 of the words of one block filter */
+    int64_t *sub_ends;          /* (slots, nsub) sub-block ends, or NULL */
+    int64_t nsub;               /* sub-blocks per chunk */
+    int64_t chunk_log2;         /* log2 of the words of one chunk filter */
+    int64_t sub_log2;           /* and of one sub-block filter */
     int64_t capacity;           /* rows per chunk */
     int64_t block_size;         /* rows per zone-map block */
     int64_t chunk_blocks;       /* blocks per chunk */
@@ -899,43 +893,16 @@ int64_t pi_zone_refresh(const struct partition_args *a, int64_t z,
     return 0;
 }
 
-/* After a chunk's delete, adds each row that crossed into another block
- * to its new block's filter, and no other row. v is the compacted chunk's
- * column, filters its block 0's filter and skip[0:m] the deleted rows, as
- * partition rows of a chunk whose row 0 is partition row lo; left rows
- * remain.
- *
- * Rows only move down, so a row of new block b crossed when its old row
- * lies at or past the block's end e: the block's rows from e - D on,
- * where D counts the deleted rows below e. So a block takes at most D
- * rows, and a 10-row delete hashes about 100 values, not a chunk's
- * rows. */
-static void filter_crossings(const int64_t *v, uint64_t *filters,
-                             int64_t log2, int64_t bs, const int64_t *skip,
-                             int64_t m, int64_t lo, int64_t left)
-{
-    const int shift = 64 - (int)log2;
-    int64_t d = 0;
-    for (int64_t b = (skip[0] - lo) / bs; b * bs < left; b++) {
-        const int64_t e = (b + 1) * bs;
-        while (d < m && skip[d] - lo < e)
-            d++;
-        const int64_t to = e < left ? e : left;
-        for (int64_t r = e - d > b * bs ? e - d : b * bs; r < to; r++)
-            bloom_add(filters + (b << log2), v[r], shift);
-    }
-}
-
 /* Delete the strictly ascending partition rows rows[0:m] from a partition
  * of nchunks chunks; chunk k holds counts[k] rows at the front of its slot.
  * Checks the rows first and returns, before writing anything, -2 when
  * rows[0] < 0 or rows[m-1] >= the partition's row count and -1 when they
  * do not strictly ascend. Otherwise each chunk that holds deleted rows
  * closes their gaps in every column, in place, recomputes the zone maps
- * of its live blocks from the block of its first deleted row on, adds the
- * rows that crossed a block edge to their new blocks' filters (see
- * filter_crossings) and takes the new row count; returns 0. Emptied
- * chunks stay in place. */
+ * of its live blocks from the block of its first deleted row on, lowers
+ * each sub-block end by the deleted rows below it, if the partition has
+ * sub-blocks, and takes the new row count; returns 0. Every kept row stays in its chunk and its sub-block,
+ * so no filter changes. Emptied chunks stay in place. */
 int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
                        int64_t m, int64_t *counts, int64_t nchunks)
 {
@@ -968,10 +935,12 @@ int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
                 zone_refresh(v, left, bs, b0, b1,
                              a->mins[z] + k * a->chunk_blocks,
                              a->maxs[z] + k * a->chunk_blocks);
-                filter_crossings(v, a->filters[z] + ((k * a->chunk_blocks)
-                                                     << a->filter_log2),
-                                 a->filter_log2, bs, rows + t, t1 - t, start,
-                                 left);
+            }
+            int64_t *ends = a->sub_ends + k * a->nsub;
+            for (int64_t s = 0, d = t; a->sub_ends != NULL && s < a->nsub; s++) {
+                while (d < t1 && rows[d] - start < ends[s])
+                    d++;
+                ends[s] -= d - t;
             }
             counts[k] = left;
             t = t1;
@@ -981,67 +950,168 @@ int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
     return 0;
 }
 
-/* Semijoin probe of zone column z: the rows of its live blocks whose value
- * occurs in the strictly ascending keys[0:k]. A block is read only when a
- * key inside its [min, max] has every pattern bit set in the block's own
- * filter; its rows then pass the key bit filter that pi_in_positions uses,
- * built once per call, and a binary search confirms each hit. Writes each
- * such row's rowID, base plus its partition row, to ids and its value to
- * vals, in row order; both need room for the partition's rows. Writes the
- * count of read blocks to *kept and returns the row count, or -1 when the
- * keys' hashes or filter cannot be allocated. */
-int64_t pi_probe(const struct partition_args *a, int64_t z,
-                 const int64_t *counts, int64_t nchunks, const int64_t *keys,
-                 int64_t k, int64_t base, int64_t *ids, int64_t *vals,
-                 int64_t *kept)
+/* Marks each of the n sub-blocks whose filter has every bit of pattern
+ * set in its word: words[s] is that word of sub-block s. */
+VECTOR_CLONES
+static void sub_pass(const uint64_t *words, int64_t n, uint64_t pattern,
+                     uint8_t *mark)
 {
-    *kept = 0;
+    for (int64_t s = 0; s < n; s++)
+        mark[s] |= (words[s] & pattern) == pattern;
+}
+
+/* Adds the values of zone column z at the flattened buffer positions
+ * pos[0:n] to their chunk's filter and to the filter of the sub-block
+ * whose bounds hold them. Checks first that every position holds a live
+ * row of the nchunks chunks and returns, before writing anything, -1 when
+ * one does not; returns 0 otherwise. */
+int64_t pi_filter_rows(const struct partition_args *a, int64_t z,
+                       const int64_t *counts, int64_t nchunks,
+                       const int64_t *pos, int64_t n)
+{
+    const int64_t cap = a->capacity, nsub = a->nsub;
+    for (int64_t i = 0; i < n; i++)
+        if (pos[i] < 0 || pos[i] / cap >= nchunks
+            || pos[i] % cap >= counts[pos[i] / cap])
+            return -1;
+    const int cshift = 64 - (int)a->chunk_log2, sshift = 64 - (int)a->sub_log2;
+    const int64_t *v = (const int64_t *)a->bufs[a->zone_cols[z]];
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t c = pos[i] / cap, r = pos[i] % cap;
+        const int64_t s = bound(a->sub_ends + c * nsub, nsub, r, 1);
+        const uint64_t h = filter_slot(v[pos[i]], 0);
+        a->chunk_filters[z][(c << a->chunk_log2) + (h >> cshift)] |=
+            bloom_pattern(h, cshift);
+        a->sub_filters[z][(((c << a->sub_log2) + (h >> sshift)) * nsub) + s] |=
+            bloom_pattern(h, sshift);
+    }
+    return 0;
+}
+
+/* The plan of a semijoin probe of zone column z: the sub-blocks of the
+ * partition that may hold a value of the strictly ascending keys[0:k].
+ * Per chunk, each key inside the chunk's zone, from the least min to the
+ * greatest max of its live blocks' zone maps, is tested against the chunk
+ * filter; only the keys that pass are tested against the filters of the
+ * chunk's non-empty sub-blocks (one run of words per key, see
+ * sub_pass), and a sub-block is kept when one of them has every pattern
+ * bit set there. (Testing each key against every block's zone map, not
+ * the chunk's, took four times as long on keys that lie inside them.)
+ *
+ * Writes the kept rows as (lo, hi, row) triples to ranges: the buffer
+ * positions [lo, hi) of the column, whose first is partition row `row`,
+ * ascending, with neighbouring kept sub-blocks in one triple; ranges needs
+ * room for nchunks * nsub triples. Writes the kept row count to *rows and
+ * returns the triple count, or -1 when the keys' hashes cannot be
+ * allocated. */
+int64_t pi_probe_plan(const struct partition_args *a, int64_t z,
+                      const int64_t *counts, int64_t nchunks,
+                      const int64_t *keys, int64_t k, int64_t *ranges,
+                      int64_t *rows)
+{
+    *rows = 0;
     if (k == 0)
         return 0;
-    const int64_t bs = a->block_size, cb = a->chunk_blocks;
-    const int shift = 64 - (int)a->filter_log2;
-    /* every block filter has one width: each key's word and pattern, once */
-    uint64_t *word = malloc(2 * (size_t)k * sizeof *word);
-    struct key_filter f;
-    if (word == NULL || key_filter_build(&f, keys, k) < 0) {
-        free(word);
+    /* each key's word and pattern in a chunk and in a sub-block filter,
+     * once, room for the keys that pass one chunk's filter and a mark per
+     * sub-block */
+    const int64_t nsub = a->nsub;
+    uint64_t *word = malloc(5 * (size_t)k * sizeof *word + (size_t)nsub);
+    if (word == NULL)
         return -1;
-    }
-    uint64_t *pattern = word + k;
+    uint64_t *pattern = word + k, *sub_word = word + 2 * k;
+    uint64_t *sub_pattern = word + 3 * k;
+    int64_t *pass = (int64_t *)(word + 4 * k);
+    uint8_t *mark = (uint8_t *)(word + 5 * k);
+    const int cshift = 64 - (int)a->chunk_log2, sshift = 64 - (int)a->sub_log2;
     for (int64_t j = 0; j < k; j++) {
         const uint64_t h = filter_slot(keys[j], 0);
-        word[j] = h >> shift;
-        pattern[j] = bloom_pattern(h, shift);
+        word[j] = h >> cshift;
+        pattern[j] = bloom_pattern(h, cshift);
+        sub_word[j] = h >> sshift;
+        sub_pattern[j] = bloom_pattern(h, sshift);
     }
-    const int64_t *v = (const int64_t *)a->bufs[a->zone_cols[z]];
-    int64_t count = 0, nkept = 0, first = 0; /* first: row 0 of chunk c */
+    const int64_t bs = a->block_size, cb = a->chunk_blocks;
+    int64_t nr = 0, total = 0, first = 0; /* first: row 0 of chunk c */
     for (int64_t c = 0; c < nchunks; first += counts[c++]) {
-        const int64_t at = c * a->capacity;
-        for (int64_t lo = 0, b = c * cb; lo < counts[c]; lo += bs, b++) {
-            const uint64_t *bf = a->filters[z] + (b << a->filter_log2);
-            int64_t j = lower_bound(keys, k, a->mins[z][b]);
-            while (j < k && keys[j] <= a->maxs[z][b]
-                   && (bf[word[j]] & pattern[j]) != pattern[j])
-                j++;
-            if (j == k || keys[j] > a->maxs[z][b])
+        const int64_t *mn = a->mins[z] + c * cb, *mx = a->maxs[z] + c * cb;
+        const int64_t nb = (counts[c] + bs - 1) / bs;
+        /* the keys inside the chunk's zone, from the least min to the
+         * greatest max of its live blocks, are keys[lo:hi] */
+        int64_t lo = k, hi = 0;
+        for (int64_t j = 0; j < nb; j++) {
+            const int64_t l = lower_bound(keys, k, mn[j]);
+            const int64_t h = bound(keys, k, mx[j], 1);
+            lo = l < lo ? l : lo;
+            hi = h > hi ? h : hi;
+        }
+        const uint64_t *cf = a->chunk_filters[z] + (c << a->chunk_log2);
+        int64_t npass = 0;
+        for (int64_t t = lo; t < hi; t++) {
+            pass[npass] = t;
+            npass += (cf[word[t]] & pattern[t]) == pattern[t];
+        }
+        if (npass == 0)
+            continue;
+        const int64_t *ends = a->sub_ends + c * nsub, at = c * a->capacity;
+        const uint64_t *sf = a->sub_filters[z] + ((c * nsub) << a->sub_log2);
+        memset(mark, 0, (size_t)nsub);
+        for (int64_t i = 0; i < npass; i++)
+            sub_pass(sf + sub_word[pass[i]] * nsub, nsub, sub_pattern[pass[i]],
+                     mark);
+        for (int64_t s = 0, r = 0; s < nsub; r = ends[s++]) {
+            if (!mark[s] || ends[s] == r)
                 continue;
-            nkept++;
-            const int64_t hi = lo + bs < counts[c] ? lo + bs : counts[c];
-            /* the hits' buffer positions go to ids[count:], then each
-             * confirmed one moves down to its rowID at ids[count] */
-            const int64_t hits =
-                key_filter_pass(&f, v, at + lo, at + hi, ids + count);
-            for (int64_t t = count, end = count + hits; t < end; t++) {
-                const int64_t p = ids[t];
-                ids[count] = base + first + p - at;
-                vals[count] = v[p];
-                count += sorted_contains(keys, k, v[p]);
+            total += ends[s] - r;
+            /* buffer positions and rows run on together past a full chunk */
+            if (nr > 0 && ranges[3 * nr - 2] == at + r) {
+                ranges[3 * nr - 2] = at + ends[s];
+            } else {
+                ranges[3 * nr] = at + r;
+                ranges[3 * nr + 1] = at + ends[s];
+                ranges[3 * nr + 2] = first + r;
+                nr++;
             }
         }
     }
-    free(f.bits);
     free(word);
-    *kept = nkept;
+    *rows = total;
+    return nr;
+}
+
+/* The read of a planned probe: the rows of the n (lo, hi, row) triples of
+ * pi_probe_plan whose value in the int64 column v (its buffer positions)
+ * occurs in the strictly ascending keys[0:k]. The rows pass the key bit
+ * filter that pi_in_positions uses, built once per call, and a binary
+ * search confirms each hit. Writes each hit's rowID, base plus its
+ * partition row, to ids and its value to vals, in row order; both need
+ * room for the triples' rows. Returns the hit count, or -1 when the key
+ * filter cannot be allocated. */
+int64_t pi_probe(const int64_t *v, const int64_t *ranges, int64_t n,
+                 const int64_t *keys, int64_t k, int64_t base, int64_t *ids,
+                 int64_t *vals)
+{
+    if (k == 0 || n == 0)
+        return 0;
+    struct key_filter f;
+    if (key_filter_build(&f, keys, k) < 0)
+        return -1;
+    int64_t count = 0;
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t *range = ranges + 3 * r;
+        const int64_t shift = base + range[2] - range[0];
+        /* the hits' buffer positions go to ids[count:], then each
+         * confirmed one moves down to its rowID at ids[count] */
+        const int64_t hits = key_filter_pass(&f, v, range[0], range[1],
+                                             ids + count);
+        for (int64_t t = count, end = count + hits; t < end; t++) {
+            const int64_t p = ids[t];
+            ids[count] = shift + p;
+            vals[count] = v[p];
+            count += sorted_contains(keys, k, v[p]);
+        }
+    }
+    free(f.bits);
     return count;
 }
 

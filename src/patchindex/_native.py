@@ -11,22 +11,29 @@ grouped bulk delete, ``column_store`` its membership test
 (``in_positions``), its patch-split select (``select``), which copies a
 scan's rows by the bits of a patch store and falls back to a keep mask
 per chunk span, its partition delete, which closes one chunk's gaps at a
-time with ``np.delete`` and adds the rows that crossed a block edge to
-their block filters, its zone-map refresh (``Partition.refresh_zones``),
-which reduces each run of one chunk's blocks, its block filter build
-(``filter_add``), which falls back to ``np.bitwise_or.at``, and its
-semijoin probe (``Partition.probe``), which tests every live block's
-filter against every key inside its zone map and runs ``np.isin`` over
-the kept blocks' rows; ``query_engine`` its merge join
-(``merge_join_positions``), its hash join (``hash_join_positions``) and
-its merge of sorted streams (``merge_sorted_streams``), which falls back
-to a stable argsort of the concatenated streams, and ``patch_index`` its
-longest sorted subsequence (``lss_keep``), which falls back to the Python
-patience loop ``lss_keep_mask``.
+time with ``np.delete`` and lowers the chunk's sub-block ends, its
+zone-map refresh (``Partition.refresh_zones``), which reduces each run of
+one chunk's blocks, its filter build and upkeep of written rows
+(``Partition._filter_rows``), which finds each row's sub-block by a
+binary search over the chunks' ends and sets the bits with
+``np.bitwise_or.at``, and its semijoin probe
+(``Partition.probe``), which tests every probed key inside a chunk's zone
+against the chunk's filter and the filters of all of its sub-blocks and
+runs ``np.isin`` over the kept sub-blocks' rows; ``query_engine`` its
+merge join (``merge_join_positions``), its hash join
+(``hash_join_positions``) and its merge of sorted streams
+(``merge_sorted_streams``), which falls back to a stable argsort of the
+concatenated streams, and ``patch_index`` its longest sorted subsequence
+(``lss_keep``), which falls back to the Python patience loop
+``lss_keep_mask``.
 
 The partition kernels share one argument block (``PartitionArgs``). Its
 zone columns are the columns a probe has read, the only ones with block
-summaries, and each has both its zone maps and its block filters.
+summaries: zone maps, a filter per chunk and a filter per sub-block, whose
+moving bounds (the sub-block ends) the block holds too once any column has
+filters. The probe takes two calls per partition: ``pi_probe_plan`` finds
+the sub-blocks to read and their row count, which sizes the outputs that
+``pi_probe`` then fills.
 
 Module attributes:
 
@@ -79,13 +86,15 @@ class SelectArgs(ctypes.Structure):
 
 class PartitionArgs(ctypes.Structure):
     """Argument block of the partition kernels ``pi_delete_rows``,
-    ``pi_zone_refresh`` and ``pi_probe``; mirrors ``struct
-    partition_args``."""
+    ``pi_zone_refresh``, ``pi_filter_rows`` and ``pi_probe_plan``;
+    mirrors ``struct partition_args``."""
 
     _fields_ = [("bufs", _P), ("itemsizes", _P), ("ncols", _I),
                 ("mins", _P), ("maxs", _P), ("zone_cols", _P),
-                ("filters", _P), ("nzones", _I), ("filter_log2", _I),
-                ("capacity", _I), ("block_size", _I), ("chunk_blocks", _I)]
+                ("chunk_filters", _P), ("sub_filters", _P), ("nzones", _I),
+                ("sub_ends", _P), ("nsub", _I), ("chunk_log2", _I),
+                ("sub_log2", _I), ("capacity", _I), ("block_size", _I),
+                ("chunk_blocks", _I)]
 
 
 _PART = ctypes.POINTER(PartitionArgs)
@@ -96,7 +105,6 @@ _SIGNATURES = {
     "pi_delete": ((ctypes.POINTER(DeleteArgs),), None),
     "pi_bulk_delete": ((ctypes.POINTER(DeleteArgs), _P, _I, ctypes.c_int), _I),
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
-    "pi_filter_add": ((_P, _P, _I, _P, _I, ctypes.c_int), _I),
     "pi_merge_join": ((_P, _I, _P, _I, _P, _P), _I),
     "pi_hash_join": ((_P, _I, _P, _I, _P, _P, _I), _I),
     "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),
@@ -107,7 +115,9 @@ _SIGNATURES = {
     "pi_select_uses_avx512": ((), _I),
     "pi_delete_rows": ((_PART, _P, _I, _P, _I), _I),
     "pi_zone_refresh": ((_PART, _I, _P, _I, _P, _I), _I),
-    "pi_probe": ((_PART, _I, _P, _I, _P, _I, _I, _P, _P, _P), _I),
+    "pi_filter_rows": ((_PART, _I, _P, _I, _P, _I), _I),
+    "pi_probe_plan": ((_PART, _I, _P, _I, _P, _I, _P, _P), _I),
+    "pi_probe": ((_P, _P, _I, _P, _I, _I, _P, _P), _I),
 }
 
 

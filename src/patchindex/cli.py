@@ -238,6 +238,7 @@ def cmd_update(args):
                                               args.granularity)
     print(f"{args.op} x{args.count} at granularity {args.granularity}: "
           f"{dt/1e6:.1f} ms total, e={index.exception_rate:.4f}, "
+          f"rows_scanned={stats.rows_scanned}, "
           f"blocks_scanned={stats.blocks_scanned}, "
           f"filter_fill={table.filter_fill():.3f}, "
           f"filter_bytes_per_row={table.filter_bytes() / max(table.row_count, 1):.2f}")

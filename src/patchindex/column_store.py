@@ -4,11 +4,13 @@ Tables hold int64 (and fixed-width bytes) columns split into partitions.
 Global rowIDs are dense, assigned by partition order then position. Each
 partition stores its rows in fixed-capacity chunks, the sharded bitmap's
 layout. An int64 column probed for value sets gets, on its first probe,
-summaries on each chunk's block grid: per-block min/max (zone maps) and
-one blocked Bloom filter per block, so block pruning skips the blocks
-that cannot hold a probed value; other columns carry neither. Inserts
-append to the last partition's chunks. Deletes compact rows immediately,
-inside the chunks that hold them, shifting all subsequent rowIDs down.
+per-block min/max (zone maps) on each chunk's block grid and blocked
+Bloom filters on two levels, one per chunk and one per sub-block, whose
+bounds move with deletes like the bitmap's shard starts; a probe reads
+only the sub-blocks that may hold a probed value. Other columns carry
+neither. Inserts append to the last partition's chunks. Deletes compact
+rows immediately, inside the chunks that hold them, shifting all
+subsequent rowIDs down.
 """
 
 import ctypes
@@ -30,9 +32,13 @@ DEFAULT_BLOCK_SIZE = 4096
 # 1000-row statements no more; 2 and 1 cut deletes further, but at 2 the
 # benchmark's low-e queries read slower (see ROADMAP item 4(a))
 CHUNK_BLOCKS = 4
-# block membership filter size: 16 bits per row of block keep the
-# false-positive rate of a full block near 0.5% at 4 bits per key
+# block membership filter size: 16 bits per row keep the false-positive
+# rate of a full filter near 0.5% at 4 bits per key
 FILTER_BITS_PER_ROW = 16
+# rows of a filter sub-block at most; zone-map blocks of fewer rows make
+# sub-blocks of one block each. In a 128/256/512/1024 sweep (CHANGES.md),
+# 128 and 256 probed alike and 512 and 1024 read more rows for no less work
+FILTER_SUB_ROWS = 256
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the kernels' multiplicative hash
 
 
@@ -74,7 +80,7 @@ def in_positions(values, keys):
 
 def filter_hash(values, log2_words):
     """(word, pattern) of each int64 value in a filter of 2^log2_words
-    words: the blocked Bloom hash of ``pi_filter_add``."""
+    words: the blocked Bloom hash of the kernels' filters."""
     h = np.asarray(values, dtype=np.int64).view(np.uint64) * _GOLDEN
     shift = 64 - log2_words
     words = (h >> np.uint64(shift)).astype(np.int64)
@@ -85,49 +91,12 @@ def filter_hash(values, log2_words):
     return words, pattern
 
 
-def _filter_log2(filters):
-    """log2 of the filter width of a uint64 filter array, checked before
-    the kernels get its pointer."""
-    width = filters.shape[-1]
-    if (filters.dtype != np.uint64 or not filters.flags.c_contiguous
-            or width < 2 or width & (width - 1) or width > 1 << 40):
-        raise ValueError("filters must be contiguous uint64 rows of a "
-                         "power-of-two width")
-    return width.bit_length() - 1
-
-
-def filter_add(filters, values, which=None):
-    """OR int64 values into blocked Bloom filters.
-
-    filters is a C-contiguous uint64 array whose last axis is one filter
-    of a power-of-two word count. Value i goes into filter which[i] of a
-    2-D filters, or into the one filter of a 1-D filters when which is
-    None. The compiled kernel and the numpy reference set the same bits.
-    """
-    log2 = _filter_log2(filters)
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    bad_which = ValueError("which must name a filter row for every value")
-    if which is not None:
-        which = np.ascontiguousarray(which, dtype=np.int64)
-        if filters.ndim != 2 or len(which) != len(values):
-            raise bad_which
-    if not len(values):
-        return
-    lib = _native.lib
-    if lib is None:
-        words, pattern = filter_hash(values, log2)
-        if which is not None:
-            if which.min() < 0 or which.max() >= len(filters):
-                raise bad_which
-            words += which << log2
-        np.bitwise_or.at(filters.reshape(-1), words, pattern)
-        return
-    # the kernel checks the filter numbers before it writes
-    if lib.pi_filter_add(address(values),
-                         None if which is None else address(which),
-                         len(values), address(filters),
-                         len(filters) if filters.ndim == 2 else 1, log2) < 0:
-        raise bad_which
+def _filter_size_log2(rows):
+    """log2 of the words of a filter over rows rows: FILTER_BITS_PER_ROW
+    bits per row in a power of two words, at least 2; the hash takes at
+    most 40 bits for the word number."""
+    words = -(-rows * FILTER_BITS_PER_ROW // 64)
+    return min(max(1, (words - 1).bit_length()), 40)
 
 
 def select(pairs, spans, nrows, bits, take, base=0):
@@ -284,16 +253,29 @@ class Partition:
     the last chunk and then opens new ones. Blocks are numbered on that
     grid: block j of chunk k is block k * CHUNK_BLOCKS + j.
 
+    Once a column has filters, each chunk is also cut into nsub
+    sub-blocks of about sub_rows rows, whose bounds move like the bitmap's
+    shard starts: ``sub_ends[k]`` holds the ends of chunk k's sub-blocks,
+    non-decreasing up to the chunk's row count, and sub-block s holds the
+    rows from the end of sub-block s - 1 on. A delete lowers the ends by
+    the deleted rows below them, so every kept row stays in its chunk and
+    its sub-block; an append puts the row at chunk row r into sub-block
+    r // sub_rows, or into the sub-block of the chunk's last row when that
+    one lies further on. Without filters ``sub_ends`` is None.
+
     Only the int64 columns a probe has read have block summaries, built
     by ``filter_words``, so ``zones`` and ``filters`` have the same keys:
-    (slots, CHUNK_BLOCKS) min and max arrays and one blocked Bloom filter
-    per block, a (slots, CHUNK_BLOCKS, words) array; appends never resize
-    them. Every mutator keeps the zone maps exact and every live row's
-    value in its block's filter: appends and modifies add the new values,
-    a delete adds each row it moves into another block, and a condense
-    every row it moves. No filter bit is ever cleared, so a deleted or
-    moved-away value only leaves stale bits, and a filter may answer
-    "maybe" wrongly but never "no" wrongly.
+    (slots, CHUNK_BLOCKS) min and max arrays, and a pair of blocked Bloom
+    filter arrays, one filter per chunk, (slots, words), and one per
+    sub-block, (slots, words, nsub), word by word, so that one word of
+    every sub-block of a chunk lies together; appends never resize them.
+    Every
+    mutator keeps the zone maps exact and every live row's value in its
+    chunk's and its sub-block's filter: appends and modifies add the new
+    values, a delete adds none, and a condense rebuilds the merged chunk's
+    filters. Only a condense clears filter bits, so a deleted or
+    overwritten value leaves stale bits until then, and a filter may
+    answer "maybe" wrongly but never "no" wrongly.
     """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
@@ -311,10 +293,13 @@ class Partition:
         for c, a in columns.items():
             self.chunks[c] = np.empty((nchunks, self.capacity), dtype=a.dtype)
             self.chunks[c].reshape(-1)[:n] = a
-        # FILTER_BITS_PER_ROW bits per block row, in a power of two words,
-        # at least 2; the hash takes at most 40 bits for the word number
-        words = -(-block_size * FILTER_BITS_PER_ROW // 64)
-        self.filter_log2 = min(max(1, (words - 1).bit_length()), 40)
+        self.sub_rows = min(FILTER_SUB_ROWS, block_size)
+        self.nsub = -(-self.capacity // self.sub_rows)
+        # the sub-block ends of a chunk cut on the sub_rows grid
+        self.grid = np.arange(1, self.nsub + 1) * self.sub_rows
+        self.sub_ends = None  # cut with the first filters, see filter_words
+        self.chunk_log2 = _filter_size_log2(self.capacity)
+        self.sub_log2 = _filter_size_log2(self.sub_rows)
         self.zones = {}  # built on first request, see filter_words
         self.filters = {}
         self._args = None  # see _kernel_args
@@ -351,37 +336,81 @@ class Partition:
         return tuple(z[k, :nblocks] for z in self.zones[column])
 
     def filter_words(self, column):
-        """(nchunks, CHUNK_BLOCKS, words) membership filters of an int64
-        column's blocks: [k, j] is the filter of block j of chunk k.
+        """(chunk filters, sub-block filters) of an int64 column: an
+        (nchunks, words) array whose row k is chunk k's filter and an
+        (nchunks, words, nsub) array whose [k, :, s] is the filter of
+        sub-block s of chunk k.
 
         The first request builds the column's block summaries from the
         chunk buffers, its zone maps first and then its filters; from then
         on every mutator keeps both up to date.
         """
-        f = self.filters.get(column)
-        if f is None:
+        if column not in self.filters:
             if self.chunks[column].dtype != np.int64:  # the kernels read int64
                 raise ValueError(f"block summaries need an int64 column, "
                                  f"not {column!r}")
             slots = len(self.chunks[column])
+            if self.sub_ends is None:
+                self.sub_ends = np.zeros((slots, self.nsub), np.int64)
+                self.sub_ends[:self.nchunks] = np.minimum(
+                    self.grid, self.counts[:, None])
             self.zones[column] = tuple(np.zeros((slots, CHUNK_BLOCKS), np.int64)
                                        for _ in range(2))
-            f = self.filters[column] = np.zeros(
-                (slots, CHUNK_BLOCKS, 1 << self.filter_log2), dtype=np.uint64)
+            self.filters[column] = (
+                np.zeros((slots, 1 << self.chunk_log2), np.uint64),
+                np.zeros((slots, 1 << self.sub_log2, self.nsub), np.uint64))
             self._args = None  # the kernels' argument block names them
             self.refresh_zones([column], np.flatnonzero(self.live))
-            for k in range(self.nchunks):
-                filter_add(f[k], self.chunk(column, k),
-                           np.arange(self.counts[k]) // self.block_size)
-        return f[:self.nchunks]
+            self._fill_filters([column], range(self.nchunks))
+        return tuple(f[:self.nchunks] for f in self.filters[column])
 
     def _filter_rows(self, pos, columns):
-        """Add the rows at flattened buffer positions pos to the filters
-        their blocks keep for the given probed columns."""
+        """Add the rows at flattened buffer positions pos, live rows, to
+        their chunk's and their sub-block's filters of the given probed
+        columns: one ``pi_filter_rows`` call per column, which checks the
+        positions first, or in numpy a binary search of each row's
+        sub-block and ``filter_hash``."""
+        pos = np.ascontiguousarray(pos, dtype=np.int64)
+        lib = _native.lib
+        if lib is not None:
+            for c in columns:
+                # the kernel checks the positions before it writes
+                if lib.pi_filter_rows(
+                        self._kernel_args(), list(self.zones).index(c),
+                        address(self.counts), self.nchunks, address(pos),
+                        len(pos)) < 0:
+                    raise ValueError("filter rows must be live rows")
+            return
+        if not columns:
+            return
+        cap, nsub = self.capacity, self.nsub
+        chunk = pos // cap
+        # sub-block s of each row: the ends, offset per chunk so that they
+        # ascend over all chunks, counted up to the row
+        ends = self.sub_ends[:self.nchunks] + (
+            np.arange(self.nchunks) * (cap + 1))[:, None]
+        sub = (np.searchsorted(ends.reshape(-1), pos + chunk, side="right")
+               - chunk * nsub)
         for c in columns:
-            f = self.filters[c]
-            filter_add(f.reshape(-1, f.shape[-1]),
-                       self.chunks[c].reshape(-1)[pos], pos // self.block_size)
+            chunk_f, sub_f = self.filters[c]
+            values = self.chunks[c].reshape(-1)[pos]
+            words, pattern = filter_hash(values, self.chunk_log2)
+            np.bitwise_or.at(chunk_f, (chunk, words), pattern)
+            words, pattern = filter_hash(values, self.sub_log2)
+            np.bitwise_or.at(sub_f, (chunk, words, sub), pattern)
+
+    def _fill_filters(self, columns, chunks):
+        """Rebuild the given probed columns' filters of the given chunks
+        from their live rows, which clears their stale bits."""
+        chunks = np.asarray(chunks, dtype=np.int64)
+        for c in columns:
+            for f in self.filters[c]:
+                f[chunks] = 0
+        counts = self.counts[chunks]
+        # every live row's buffer position, chunk by chunk
+        pos = (np.repeat(chunks * self.capacity - counts.cumsum() + counts,
+                         counts) + np.arange(counts.sum()))
+        self._filter_rows(pos, columns)
 
     @property
     def columns(self):
@@ -486,9 +515,12 @@ class Partition:
                 return big
 
             self.chunks = {c: grown(b) for c, b in self.chunks.items()}
+            if self.sub_ends is not None:
+                self.sub_ends = grown(self.sub_ends)
             self.zones = {c: tuple(grown(z) for z in zone)
                           for c, zone in self.zones.items()}
-            self.filters = {c: grown(f) for c, f in self.filters.items()}
+            self.filters = {c: tuple(grown(f) for f in pair)
+                            for c, pair in self.filters.items()}
             self._args = None
         self.counts = np.concatenate(
             [self.counts, np.zeros(nchunks - self.nchunks, np.int64)])
@@ -503,14 +535,26 @@ class Partition:
         first = self.nchunks
         if first and self.counts[-1] < cap:
             first -= 1
-        start = first * cap + (int(self.counts[first]) if first < self.nchunks else 0)
+        had = int(self.counts[first]) if first < self.nchunks else 0
+        start = first * cap + had
         self._grow(-(-(start + n) // cap))
         for c, buf in self.chunks.items():
             buf.reshape(-1)[start:start + n] = rows[c]
         self.counts[first:] = cap
         self.counts[-1] = start + n - (self.nchunks - 1) * cap
+        ends = self.sub_ends
+        if ends is not None:
+            # sub-block s of the first chunk takes the new rows below its
+            # grid end, from the sub-block of the chunk's last row on (a new
+            # chunk has only empty ones); the chunks opened after it get
+            # the grid
+            tail = ends[first, int(ends[first].searchsorted(had)):]
+            np.maximum(self.grid[self.nsub - len(tail):], had, out=tail)
+            np.minimum(tail, self.counts[first], out=tail)
+            np.minimum(self.grid, self.counts[first + 1:, None],
+                       out=ends[first + 1:self.nchunks])
         self._refresh_span(start, start + n)
-        self._filter_rows(np.arange(start, start + n), self.filters)
+        self._filter_rows(np.arange(start, start + n), list(self.filters))
         self._recount()
 
     def modify_rows(self, local, updates):
@@ -557,14 +601,14 @@ class Partition:
 
         Rows outside [0, nrows) raise IndexError and rows out of order or
         repeated ValueError, before any chunk changes. Each touched chunk
-        closes the gaps in every column, in place, and recomputes the zone
+        closes the gaps in every column, in place, recomputes the zone
         maps of its live blocks from the block of its first deleted row
-        on, and adds each row that crossed into another block to that
-        block's filters; then neighbours that fit one chunk are condensed.
-        With the compiled kernels that is one call (``pi_delete_rows``)
-        for all touched chunks, whose zone-map loop ``pi_zone_refresh``
-        shares; the reference runs ``np.delete``, ``refresh_zones`` and
-        ``_filter_rows`` per chunk, and both add the same rows.
+        on, and lowers its sub-block ends by the deleted rows below them;
+        no filter changes. Then neighbours that fit one chunk are
+        condensed. With the compiled kernels that is one call
+        (``pi_delete_rows``) for all touched chunks, whose zone-map loop
+        ``pi_zone_refresh`` shares; the reference runs ``np.delete``,
+        ``refresh_zones`` and a ``np.searchsorted`` per chunk.
         """
         local = np.ascontiguousarray(local, dtype=np.int64)
         lib = _native.lib
@@ -588,27 +632,24 @@ class Partition:
         if (local[1:] <= local[:-1]).any():
             return -1
         owner = np.searchsorted(self.ends, local, side="right")
-        bs = self.block_size
         for k in sort_unique(owner).tolist():
             rows = local[owner == k] - (self.ends[k] - self.counts[k])
-            n, first = int(self.counts[k]), int(rows[0])
+            n = int(self.counts[k])
             for buf in self.chunks.values():
                 buf[k, :n - len(rows)] = np.delete(buf[k, :n], rows)
             self.counts[k] = n - len(rows)
             at = k * self.capacity
-            self._refresh_span(at + first, at + int(self.counts[k]))
-            # the kept rows from the first deleted one on, before and after
-            old = np.delete(np.arange(first, n), rows - first)
-            new = np.arange(first, first + len(old))
-            self._filter_rows(k * self.capacity + new[old // bs != new // bs],
-                              self.filters)
+            self._refresh_span(at + int(rows[0]), at + int(self.counts[k]))
+            if self.sub_ends is not None:
+                self.sub_ends[k] -= np.searchsorted(rows, self.sub_ends[k])
         return 0
 
     def _kernel_args(self):
         """The ``PartitionArgs`` block that the partition kernels (the
-        delete, the zone refresh and the probe) read for the current
-        buffers, zone maps and filters, built on first use after any of
-        them was (re)allocated; it holds the address arrays it points to."""
+        delete, the zone refresh and the probe plan) read for the current
+        buffers, sub-block ends, zone maps and filters, built on first use
+        after any of them was (re)allocated; it holds the address arrays
+        it points to."""
         if self._args is None:
             bufs = list(self.chunks.values())
             names = list(self.chunks)
@@ -618,57 +659,81 @@ class Partition:
                     pointers([self.zones[c][0] for c in zones]),
                     pointers([self.zones[c][1] for c in zones]),
                     np.array([names.index(c) for c in zones], dtype=np.int64),
-                    pointers([self.filters[c] for c in zones]))
+                    pointers([self.filters[c][0] for c in zones]),
+                    pointers([self.filters[c][1] for c in zones]))
             self._args = _native.PartitionArgs(
                 *(address(a) for a in held[:2]), len(bufs),
-                *(address(a) for a in held[2:]), len(zones), self.filter_log2,
-                self.capacity, self.block_size, CHUNK_BLOCKS)
+                *(address(a) for a in held[2:]), len(zones),
+                None if self.sub_ends is None else address(self.sub_ends),
+                self.nsub, self.chunk_log2, self.sub_log2, self.capacity,
+                self.block_size, CHUNK_BLOCKS)
             self._held = held
         return self._args
 
     def probe(self, column, keys, base=0):
-        """Semijoin probe of an int64 column: (kept, rowIDs, values) of the
-        rows whose value occurs in keys, in row order.
+        """Semijoin probe of an int64 column: (rows read, rowIDs, values)
+        of the rows whose value occurs in keys, in row order.
 
         keys is a strictly ascending int64 array (``sort_unique``); rowIDs
-        are partition rows plus base. A live block is read only when a key
-        inside its [min, max] passes the block's own filter, and kept
-        counts the blocks read. The first call builds the column's block
-        summaries (``filter_words``). One ``pi_probe`` call; the numpy
-        reference tests every key against every live block and runs
-        ``np.isin`` over the kept blocks' rows.
+        are partition rows plus base. In each chunk, the keys inside its
+        zone, from the least min to the greatest max of its live blocks,
+        are tested against the chunk's filter, the keys that pass against
+        its sub-blocks' filters, and only the sub-blocks where one passes
+        are read. The first call builds the column's block summaries
+        (``filter_words``). The compiled plan (``pi_probe_plan``) finds those sub-blocks and
+        their row count, which sizes the outputs of the compiled read
+        (``pi_probe``); the numpy reference tests every key against every
+        chunk and sub-block and runs ``np.isin`` over the kept rows.
         """
-        filters = self.filter_words(column)
+        if column not in self.filters:
+            self.filter_words(column)
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         lib = _native.lib
-        if lib is not None:
-            ids = np.empty(self.nrows, dtype=np.int64)
-            vals = np.empty(self.nrows, dtype=np.int64)
-            kept = ctypes.c_int64()
-            count = lib.pi_probe(
-                self._kernel_args(), list(self.zones).index(column),
-                address(self.counts), self.nchunks, address(keys), len(keys),
-                base, address(ids), address(vals), ctypes.byref(kept))
-            if count < 0:
-                raise MemoryError("probe filter allocation failed")
-            return kept.value, ids[:count], vals[:count]
+        if lib is None:
+            return self._probe_reference(column, keys, base)
+        ranges = np.empty((self.nchunks * self.nsub, 3), dtype=np.int64)
+        rows = ctypes.c_int64()
+        nranges = lib.pi_probe_plan(
+            self._kernel_args(), list(self.zones).index(column),
+            address(self.counts), self.nchunks, address(keys), len(keys),
+            address(ranges), ctypes.byref(rows))
+        if nranges < 0:
+            raise MemoryError("probe hash allocation failed")
+        if not nranges:  # no sub-block to read
+            return 0, np.zeros(0, np.int64), np.zeros(0, np.int64)
+        ids = np.empty(rows.value, dtype=np.int64)
+        vals = np.empty(rows.value, dtype=np.int64)
+        count = lib.pi_probe(
+            address(self.chunks[column]), address(ranges), nranges,
+            address(keys), len(keys), base, address(ids), address(vals))
+        if count < 0:
+            raise MemoryError("probe filter allocation failed")
+        return rows.value, ids[:count], vals[:count]
+
+    def _probe_reference(self, column, keys, base):
+        """``pi_probe_plan`` and ``pi_probe`` in numpy."""
+        n, cap = self.nchunks, self.capacity
+        chunk_f, sub_f = self.filter_words(column)
         live = self.live
-        blocks = np.flatnonzero(live)
-        mins, maxs = (z[:self.nchunks][live] for z in self.zones[column])
-        words, pattern = filter_hash(keys, self.filter_log2)
-        passes = (filters.reshape(-1, filters.shape[-1])[blocks][:, words]
-                  & pattern) == pattern
-        inside = (mins[:, None] <= keys) & (keys <= maxs[:, None])
-        blocks = blocks[(passes & inside).any(axis=1)]
-        # block b's rows start at buffer position b * block_size
-        bs = self.block_size
-        pos = (blocks[:, None] * bs + np.arange(bs)).reshape(-1)
-        pos = pos[pos % self.capacity < self.counts[pos // self.capacity]]
+        mins, maxs = self.zones[column][0][:n], self.zones[column][1][:n]
+        lo = np.where(live, mins, np.iinfo(np.int64).max).min(axis=1)
+        hi = np.where(live, maxs, np.iinfo(np.int64).min).max(axis=1)
+        inside = (lo[:, None] <= keys) & (keys <= hi[:, None])
+        words, pattern = filter_hash(keys, self.chunk_log2)
+        passes = inside & ((chunk_f[:, words] & pattern) == pattern)
+        words, pattern = filter_hash(keys, self.sub_log2)
+        pattern = pattern[:, None]
+        ends = self.sub_ends[:n]
+        starts = np.concatenate([np.zeros((n, 1), np.int64), ends[:, :-1]], 1)
+        kept = ((((sub_f[:, words] & pattern) == pattern)
+                 & passes[:, :, None]).any(axis=1) & (ends > starts))
+        k, s = np.nonzero(kept)
+        lo, size = k * cap + starts[k, s], ends[k, s] - starts[k, s]
+        pos = np.repeat(lo - size.cumsum() + size, size) + np.arange(size.sum())
         vals = self.chunks[column].reshape(-1)[pos]
         hit = np.isin(vals, keys)
         pos = pos[hit]
-        return (len(blocks), base + pos - self.shift[pos // self.capacity],
-                vals[hit])
+        return int(size.sum()), base + pos - self.shift[pos // cap], vals[hit]
 
     def _condense(self):
         """Merge neighbouring chunks that fit one capacity; drop a lone
@@ -679,13 +744,15 @@ class Partition:
         pairs that fit now all lie next to a touched chunk. One vectorized
         test of the neighbour pairs finds them; the merges then run from
         each such pair, left to right, and a merged chunk takes in its
-        next neighbour too while they fit.
+        next neighbour too while they fit. A merged chunk's sub-blocks are
+        cut on the grid again and its filters rebuilt.
         """
         before = self.nchunks
         c = self.counts
         merged = k = 0  # no pair left of chunk k fits
         for pair in np.flatnonzero(c[:-1] + c[1:] <= self.capacity).tolist():
             k = max(k, pair - merged)
+            joined = merged
             while k + 1 < self.nchunks:
                 a, b = int(self.counts[k]), int(self.counts[k + 1])
                 if a + b > self.capacity:
@@ -694,23 +761,30 @@ class Partition:
                 for buf in self.chunks.values():  # chunk k + 1 joins chunk k
                     buf[k, a:a + b] = buf[k + 1, :b]
                     buf[k + 1:n - 1] = buf[k + 2:n]
+                if self.sub_ends is not None:
+                    self.sub_ends[k + 1:n - 1] = self.sub_ends[k + 2:n]
                 for zone in self.zones.values():
                     for z in zone:
                         z[k + 1:n - 1] = z[k + 2:n]
-                for f in self.filters.values():
-                    f[k + 1:n - 1] = f[k + 2:n]
+                for pair_f in self.filters.values():
+                    for f in pair_f:
+                        f[k + 1:n - 1] = f[k + 2:n]
                 self.counts[k] = a + b
                 self.counts = np.delete(self.counts, k + 1)
                 self._refresh_span(k * self.capacity + a,
                                    k * self.capacity + a + b)
-                self._filter_rows(k * self.capacity + np.arange(a, a + b),
-                                  self.filters)
                 merged += 1
+            if merged > joined and self.sub_ends is not None:
+                self.sub_ends[k] = np.minimum(self.grid, self.counts[k])
+                self._fill_filters(list(self.filters), [k])
         if self.nchunks == 1 and not self.counts[0]:
             self.counts = self.counts[:0]
-        if self.nchunks < before:
-            for f in self.filters.values():  # a reopened chunk starts empty
-                f[self.nchunks:before] = 0
+        if self.nchunks < before and self.sub_ends is not None:
+            # a reopened chunk starts empty
+            self.sub_ends[self.nchunks:before] = 0
+            for pair_f in self.filters.values():
+                for f in pair_f:
+                    f[self.nchunks:before] = 0
 
 
 class ColumnTable:
@@ -812,15 +886,15 @@ class ColumnTable:
         return ids, out
 
     def probe(self, column, values):
-        """Semijoin probe: (blocks_scanned, rowids, values) of the rows
-        whose int64 column holds one of the values, in rowID order.
+        """Semijoin probe: (rows read, rowids, values) of the rows whose
+        int64 column holds one of the values, in rowID order.
 
-        A live block is read only when a value inside its [min, max]
-        passes the block's own membership filter; blocks_scanned counts
-        the blocks read. Only probed columns have these block summaries:
-        the first probe builds the column's zone maps and filters in every
-        partition, and the mutators keep them up to date. One
-        ``Partition.probe`` per partition.
+        Each partition reads only the sub-blocks whose filter passes a
+        value that its chunk's zone maps and filter let through (see
+        ``Partition.probe``); the first count is the rows of those
+        sub-blocks. Only probed columns have these block summaries: the
+        first probe builds the column's zone maps and filters in every
+        partition, and the mutators keep them up to date.
         """
         self._check_columns([column])
         if np.dtype(dict(self.schema)[column]) != np.int64:
@@ -828,8 +902,8 @@ class ColumnTable:
         keys = sort_unique(np.asarray(values, dtype=np.int64))
         scanned, ids, vals, base = 0, [], [], 0
         for p in self.partitions:
-            kept, i, v = p.probe(column, keys, base)
-            scanned += kept
+            rows, i, v = p.probe(column, keys, base)
+            scanned += rows
             ids.append(i)
             vals.append(v)
             base += p.nrows
@@ -838,20 +912,25 @@ class ColumnTable:
     # -- block summaries --------------------------------------------------------
 
     def filter_bytes(self):
-        """Bytes of the live chunks' membership filters."""
+        """Bytes of the live chunks' membership filters, both levels."""
         return sum(f[:p.nchunks].nbytes for p in self.partitions
-                   for f in p.filters.values())
+                   for pair in p.filters.values() for f in pair)
 
     def filter_fill(self):
-        """Share of set bits in the live blocks' membership filters, or 0.0
-        without filters. Deletes add the rows they move and never clear a
-        bit, so stale bits show as a rising share."""
+        """Share of set bits in the membership filters of the live chunks
+        and of their non-empty sub-blocks, or 0.0 without filters. Deletes
+        and modifies leave the old values' bits until a condense rebuilds
+        a chunk's filters, so stale bits show as a rising share."""
         bits = words = 0
         for p in self.partitions:
-            for f in p.filters.values():
-                live = f[:p.nchunks][p.live]
-                bits += int(np.bitwise_count(live).sum())
-                words += live.size
+            if not p.filters:
+                continue
+            held = np.diff(p.sub_ends[:p.nchunks], axis=1, prepend=0) > 0
+            for c in p.filters:
+                chunk_f, sub_f = p.filter_words(c)
+                for live in (chunk_f[p.counts > 0], sub_f.transpose(0, 2, 1)[held]):
+                    bits += int(np.bitwise_count(live).sum())
+                    words += live.size
         return bits / (64 * words) if words else 0.0
 
     def total_blocks(self):

@@ -468,6 +468,24 @@ class TableIndex:
         for p, local in self.split_global(descending_rows):
             self.partitions[p].drop_rows(local)
 
+    def check_invariant(self, values):
+        """Full-scan validation over the whole table's column values, in
+        rowID order: every partition's own invariant, and for NUC the
+        DISTINCT rewrite's global one, that the non-patch values are unique
+        across partitions and that no patch row holds any of them."""
+        values = np.asarray(values, dtype=np.int64)
+        offsets = self._offsets()
+        assert len(values) == offsets[-1]
+        if not all(p.check_invariant(values[lo:hi]) for p, lo, hi in
+                   zip(self.partitions, offsets[:-1], offsets[1:])):
+            return False
+        if self.constraint.kind is not ConstraintKind.NEARLY_UNIQUE:
+            return True
+        patch = self.global_patch_mask()
+        good = values[~patch]
+        return (len(sort_unique(good)) == len(good)
+                and not np.isin(good, values[patch]).any())
+
     def grow_last(self, new_rows):
         """Extend the final partition; inserts append at the table end."""
         self.partitions[-1].grow(new_rows)

@@ -5,21 +5,24 @@ last partition's chunks, so the handlers read them like any other rows;
 the insert handlers take the inserted values from the statement itself.
 The handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
-with the touched values, pruned to the blocks that may hold one of them
-by two summaries: the block's zone map must hold it (the
-dynamic-range-propagation trick), and so must the block's own membership
-filter. Both summaries exist only for the probed column: its first probe
-builds them, and the storage keeps them up to date from then on, so the
-NSC table and the NUC key column pay for none. ``ColumnTable.probe``
-makes one compiled call per partition, which prunes each block and reads
-the kept ones, and returns the rowIDs and values of the rows holding a
-touched value and the kept block count, the statement's
-``blocks_scanned``. Every returned row whose value occurs at least twice
-becomes a patch. That equals patching both sides of every match of a
-touched row with another row: neither summary ever rules out a value the
-block holds (the storage keeps every live row's value in its own block's
-filter, across deletes too), so all rows holding a touched value lie in
-unpruned blocks, and the touched rows are in the table themselves. The
+with the touched values, pruned in two steps per chunk of rows: the
+touched values inside the chunk's zone, from the least min to the
+greatest max of its blocks' zone maps (the dynamic-range-propagation
+trick), are tested against the chunk's membership filter, and the values
+that pass against the filters of the chunk's sub-blocks of at most 256
+rows; only the sub-blocks where one passes are read. The summaries exist only for the probed column: its
+first probe builds them, and the storage keeps them up to date from then
+on, so the NSC table and the NUC key column pay for none.
+``ColumnTable.probe`` makes two compiled calls per partition, a plan of
+the sub-blocks to read and the read itself, and returns the rowIDs and
+values of the rows holding a touched value and the rows it read, the
+statement's ``rows_scanned``. Every returned row whose value occurs at
+least twice becomes a patch. That equals patching both sides of every
+match of a touched row with another row: no summary ever rules out a
+value its rows hold (the storage keeps every live row's value in its
+chunk's and its sub-block's filters, and a delete moves the sub-block
+bounds with the rows), so all rows holding a touched value lie in read
+sub-blocks, and the touched rows are in the table themselves. The
 sortedness constraint extends its sorted run for inserts and simply
 patches modified rows. Deletes drop the tracking state
 for the deleted rowIDs. The maintained patch set may grow beyond the
@@ -40,10 +43,13 @@ from .patch_index import (NULL_VALUE, ConstraintKind, SortOrder, lss_keep,
 class UpdateStats:
     """One index's share of an update statement, with per-phase time.
 
-    storage_ms is the statement's table write (insert, modify, or
-    delete); the first index's stats carry it, so summing over
-    a statement's stats counts it once. probe_ms is the duplicate semijoin,
-    maintain_ms the rest of the index's maintenance.
+    rows_scanned is the rows the duplicate probe read, and blocks_scanned
+    the same in blocks, ceil(rows_scanned / block size), so that over
+    blocks_total it is the share of the table read. storage_ms is the
+    statement's table write (insert, modify, or delete); the first
+    index's stats carry it, so summing over a statement's stats counts it
+    once. probe_ms is the duplicate semijoin, maintain_ms the rest of the
+    index's maintenance.
     """
 
     blocks_scanned: int = 0
@@ -52,6 +58,7 @@ class UpdateStats:
     storage_ms: float = 0.0
     probe_ms: float = 0.0
     maintain_ms: float = 0.0
+    rows_scanned: int = 0
 
     def merge(self, other):
         return UpdateStats(self.blocks_scanned + other.blocks_scanned,
@@ -59,7 +66,8 @@ class UpdateStats:
                            self.new_patches + other.new_patches,
                            self.storage_ms + other.storage_ms,
                            self.probe_ms + other.probe_ms,
-                           self.maintain_ms + other.maintain_ms)
+                           self.maintain_ms + other.maintain_ms,
+                           self.rows_scanned + other.rows_scanned)
 
 
 def _ms_since(t0):
@@ -82,7 +90,8 @@ def _duplicate_join(table, column, probe_ids, probe_values):
         return nulls, stats
     values = probe_values[live]
 
-    stats.blocks_scanned, rowids, matched = table.probe(column, values)
+    stats.rows_scanned, rowids, matched = table.probe(column, values)
+    stats.blocks_scanned = -(-stats.rows_scanned // table.block_size)
     # the probe returns only rows holding a touched value, none of them NULL
     patches = sort_unique(np.concatenate((rowids[nuc_patch_rows(matched)],
                                           nulls)))

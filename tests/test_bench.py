@@ -311,15 +311,18 @@ class TestStmtProfile:
     def test_blocks_column_sits_next_to_probe(self):
         tool = _load_tool("stmt_profile")
         ms = {col: [2e6, 1e6, 3e6] for col in tool.PHASES}  # ns samples
-        samples = {("nuc_insert", 10): dict(ms, blocks=[6, 4, 81]),
-                   ("nsc_delete", 10): dict(ms, blocks=[0, 0, 0])}
+        samples = {("nuc_insert", 10): dict(ms, blocks=[6, 4, 81],
+                                            rows=[1536, 1024, 20736]),
+                   ("nsc_delete", 10): dict(ms, blocks=[0, 0, 0], rows=[0, 0, 0])}
         header, nuc, nsc = tool.format_table(samples)
         names = header.split()[1:]
         assert names[names.index("probe") + 1] == "blocks"
+        assert names[names.index("blocks") + 1] == "rows"
         assert names[names.index("part") + 1] == "zones"
         assert names == list(tool.COLUMNS)
         nuc, nsc = nuc.split()[2:], nsc.split()[2:]  # past "kind x10"
         assert nuc[names.index("blocks")] == "6"
+        assert nuc[names.index("rows")] == "1536"
         assert nsc[names.index("blocks")] == "0"
         assert nuc[names.index("probe")] == "2.000"
 

@@ -161,7 +161,7 @@ class TestUpdate:
             assert main(["update", "insert", "--table", str(path), "--count",
                          "20", "--granularity", "10", "--constraint", kind]) == 0
             first = capsys.readouterr().out.splitlines()[0]
-            assert "blocks_scanned=" in first
+            assert "rows_scanned=" in first and "blocks_scanned=" in first
             value = float(first.split("filter_bytes_per_row=")[1])
             assert want(value), (kind, first)
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchindex import _native
+from patchindex import _native, column_store
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
-                                     Partition, _block_minmax, filter_add,
-                                     filter_hash, in_positions, select,
+                                     Partition, _block_minmax, filter_hash,
+                                     in_positions, select,
                                      sort_unique)
 from patchindex.datagen import GenSpec, generate_to_file
 from patchindex.patch_index import NUC, NULL_VALUE, PatchIndex, TableIndex
@@ -27,18 +27,6 @@ def make_table(values, partitions=2, block_size=64):
     return ColumnTable.from_partitions(
         [{"key": k, "value": v} for k, v in zip(keys, parts)],
         block_size=block_size)
-
-
-def block_rowids(t, blocks):
-    """Global rowIDs of the rows of per-partition block lists."""
-    offsets = t.partition_offsets()
-    out = []
-    for p, b, base in zip(t.partitions, blocks, offsets.tolist()):
-        for k, j in zip(*np.divmod(np.asarray(b, dtype=np.int64), CHUNK_BLOCKS)):
-            start = int(p.ends[k] - p.counts[k])
-            out.append(base + start + np.arange(j * p.block_size, min(
-                (j + 1) * p.block_size, int(p.counts[k]))))
-    return np.concatenate(out + [np.zeros(0, np.int64)])
 
 
 def summarize(t, columns=None):
@@ -117,7 +105,7 @@ class TestFilteredScan:
             assert np.array_equal(ids, full_ids[want])
             assert np.array_equal(values, full_cols["value"][want])
             assert ids.dtype == values.dtype == np.int64
-            assert count <= t.total_blocks()
+            assert count <= t.row_count
 
     def test_filter_column_need_not_be_scanned(self):
         # the probe returns rowIDs, so another column is a gather away
@@ -185,8 +173,10 @@ class TestPrune:
     def test_full_domain_all_blocks(self):
         t = make_table(np.arange(1000))
         count, ids, values = t.probe("value", np.arange(1000))
-        # 500 rows a partition: 64-row blocks 0-7 of one chunk each
-        assert count == t.total_blocks() == 16
+        # 500 rows a partition: 64-row blocks 0-7 of one chunk each, and
+        # every sub-block is read
+        assert t.total_blocks() == 16
+        assert count == t.row_count == 1000
         assert np.array_equal(ids, np.arange(1000))
         assert np.array_equal(values, np.arange(1000))
 
@@ -204,13 +194,14 @@ class TestPrune:
         count, ids, values = t.probe("value", np.array([500, 7770]))
         assert values.tolist() == [500, 7770]
         assert ids.tolist() == [50, 777]
-        assert count == 2  # of 32 blocks: the zone maps do not overlap
+        # two 32-row sub-blocks of 1000 rows: the zone maps do not overlap
+        assert count == 2 * 32
 
     def test_block_counting(self):
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         assert t.total_blocks() == 10
         count, ids, _ = t.probe("value", [0, 150])
-        assert count == 2
+        assert count == 2 * 100  # two sub-blocks of one block each
         assert ids.tolist() == [0, 150]
 
 
@@ -246,7 +237,7 @@ class TestUpdates:
         t = make_table(np.arange(1000), partitions=1, block_size=100)
         t.modify_rows(np.array([5]), {"value": np.array([10_000])})
         count, ids, _ = t.probe("value", [10_000])
-        assert count == 1
+        assert count == 100
         assert ids.tolist() == [5]
 
     @pytest.mark.parametrize("block_size", [16, 24])
@@ -666,28 +657,42 @@ def table_segments(t):
             offset += n
 
 
-def filter_holds(p, column, block, value):
-    """Whether a block's filter has every bit of value's pattern set."""
-    word, pattern = filter_hash([value], p.filter_log2)
-    f = p.filter_words(column).reshape(-1, 1 << p.filter_log2)
-    return (f[block, word[0]] & pattern[0]) == pattern[0]
+def filter_holds(f, log2, value):
+    """Whether the filter f of 2^log2 words has every bit of value's
+    pattern set."""
+    word, pattern = filter_hash([value], log2)
+    return (f[word[0]] & pattern[0]) == pattern[0]
+
+
+def sub_block_bounds(p, k):
+    """(first, end) chunk rows of each sub-block of chunk k."""
+    ends = p.sub_ends[k].tolist()
+    return list(zip([0] + ends[:-1], ends))
 
 
 def prune_reference(t, column, values):
-    """The probe's block prune as a loop over every block of every chunk:
-    a block is kept when its [min, max] holds a value that its own filter
-    holds too. Returns the kept count and each partition's kept block
-    numbers."""
-    kept = []
+    """The probe's two-level prune as a loop over every chunk and
+    sub-block: a chunk tests the values inside its zone, from the least
+    min to the greatest max of its live blocks, against its filter, and a
+    sub-block is read when one of the values that pass has every bit in
+    its filter too. Returns the rows read in each partition and the
+    rowIDs of all read rows."""
+    rows, read, base = [], [np.zeros(0, np.int64)], 0
     for p in t.partitions:
-        kept.append([])
+        rows.append(0)
+        chunk_f, sub_f = p.filter_words(column)
         for k in range(p.nchunks):
-            for j, (lo_v, hi_v) in enumerate(zip(*p.chunk_minmax(column, k))):
-                b = k * CHUNK_BLOCKS + j
-                if any(lo_v <= v <= hi_v and filter_holds(p, column, b, v)
-                       for v in values):
-                    kept[-1].append(b)
-    return sum(map(len, kept)), kept
+            mins, maxs = p.chunk_minmax(column, k)
+            passing = [v for v in values if mins.min() <= v <= maxs.max()
+                       and filter_holds(chunk_f[k], p.chunk_log2, v)]
+            first = base + int(p.ends[k] - p.counts[k])
+            for s, (lo, hi) in enumerate(sub_block_bounds(p, k)):
+                if hi > lo and any(filter_holds(sub_f[k, :, s], p.sub_log2, v)
+                                   for v in passing):
+                    rows[-1] += hi - lo
+                    read.append(first + np.arange(lo, hi))
+        base += p.nrows
+    return rows, np.concatenate(read)
 
 
 def chunked_table(rng, rows, partitions=3, block_size=4):
@@ -708,16 +713,16 @@ class TestScanRangeHelpers:
                                            for _, n, _, _ in table_segments(t))
             for _ in range(10):
                 values = rng.integers(-5, 205, size=int(rng.integers(0, 6)))
-                want_count, want = prune_reference(t, "value", values)
+                want, read = prune_reference(t, "value", values)
                 keys = sort_unique(values)
                 for lib in (native, None):
                     monkeypatch.setattr(_native, "lib", lib)
                     count, ids, _ = t.probe("value", values)
-                    assert count == want_count, values
+                    assert count == sum(want), values
                     assert [p.probe("value", keys)[0]
-                            for p in t.partitions] == list(map(len, want))
-                    # every matching row lies in a kept block
-                    assert np.isin(ids, block_rowids(t, want)).all(), values
+                            for p in t.partitions] == want
+                    # every matching row lies in a read sub-block
+                    assert np.isin(ids, read).all(), values
 
     def test_span_scan_matches_filtered_full_scan(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -1039,28 +1044,16 @@ def delete_cases(p):
     }
 
 
-def crossing_positions(p, rows):
-    """Buffer positions, after a delete of the ascending partition rows,
-    of the rows it moves into another block of their chunk."""
-    out = [np.zeros(0, np.int64)]
-    bs = p.block_size
-    for k, (start, n) in enumerate(zip((p.ends - p.counts).tolist(),
-                                       p.counts.tolist())):
-        kept = np.delete(np.arange(n), rows[(rows >= start) & (rows < start + n)]
-                         - start)
-        new = np.arange(len(kept))
-        out.append(k * p.capacity + new[kept // bs != new // bs])
-    return np.concatenate(out)
-
-
 def partition_state(p):
-    """Rows, counts, filters and live zone maps of a partition."""
+    """Rows, counts, live zone maps, sub-block ends and filters of a
+    partition."""
     live = {c: [p.chunk(c, k).copy() for k in range(p.nchunks)]
             for c in p.chunks}
     zones = {c: [z.copy() for k in range(p.nchunks)
                  for z in p.chunk_minmax(c, k)] for c in p.zones}
     return (p.counts.tolist(), p.nrows, live, zones,
-            p.filter_words("value").copy())
+            p.sub_ends[:p.nchunks].copy(),
+            *(f.copy() for f in p.filter_words("value")))
 
 
 def assert_states_equal(a, b):
@@ -1070,7 +1063,8 @@ def assert_states_equal(a, b):
         for c in got:
             assert len(got[c]) == len(want[c])
             assert all(np.array_equal(x, y) for x, y in zip(got[c], want[c])), c
-    assert np.array_equal(a[4], b[4])
+    for got, want in zip(a[4:], b[4:]):
+        assert np.array_equal(got, want)
 
 
 class TestDeleteKernel:
@@ -1097,7 +1091,9 @@ class TestDeleteKernel:
             assert_states_equal(*states)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
-    def test_delete_adds_only_crossing_rows(self, backend, monkeypatch):
+    def test_delete_writes_no_filter_word(self, backend, monkeypatch):
+        """A delete lowers each sub-block end by the deleted rows below it
+        and leaves every filter word as it was."""
         use_backend(backend, monkeypatch)
         # chunks of 64 and 128 rows, whatever CHUNK_BLOCKS
         for block_size, extra in ((64 // CHUNK_BLOCKS, 37),
@@ -1105,16 +1101,19 @@ class TestDeleteKernel:
             for name in ("chunk ends", "one row", "random share"):
                 p = kernel_partition(block_size, extra)
                 rows = np.array(delete_cases(p)[name], dtype=np.int64)
-                moved = crossing_positions(p, rows)
-                want = p.filter_words("value").copy()
+                want = p.sub_ends[:p.nchunks].copy()
+                for k, (first, end) in enumerate(zip(p.ends - p.counts, p.ends)):
+                    mine = rows[(rows >= first) & (rows < end)] - first
+                    want[k] -= np.searchsorted(mine, want[k])
+                filters = [f.copy() for f in p.filter_words("value")]
                 nchunks = p.nchunks
                 p.delete_rows(rows)
                 assert p.nchunks == nchunks  # no condense moved rows
-                filter_add(want.reshape(-1, want.shape[-1]),
-                           p.chunks["value"].reshape(-1)[moved],
-                           moved // block_size)
-                assert len(moved)
-                assert np.array_equal(p.filter_words("value"), want), name
+                assert np.array_equal(p.sub_ends[:p.nchunks], want), name
+                assert (want[:, -1] == p.counts).all()
+                for got, was in zip(p.filter_words("value"), filters):
+                    assert np.array_equal(got, was), name
+                assert_live_values_in_filters(p)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_bad_rows_change_nothing(self, backend, monkeypatch):
@@ -1179,7 +1178,7 @@ def check_chunked_state(t, keys, values, rng):
         want = np.flatnonzero(np.isin(values, probe))
         assert np.array_equal(ids, want), probe
         assert np.array_equal(got, values[want]), probe
-        assert count <= t.total_blocks()
+        assert count <= t.row_count
 
 
 @settings(max_examples=40, deadline=None)
@@ -1277,14 +1276,36 @@ class TestRouting:
 # -- block membership filters ------------------------------------------------------
 
 def assert_live_values_in_filters(t, column="value"):
-    """Every live value passes its own block's filter."""
-    for p in t.partitions:
-        f = p.filter_words(column)
+    """Every live value of a table's or a partition's column passes its
+    chunk's filter and the filter of the sub-block whose bounds hold it,
+    and the sub-block ends never decrease and end at the chunk's count."""
+    for p in getattr(t, "partitions", [t]):
+        chunk_f, sub_f = p.filter_words(column)
+        ends = p.sub_ends[:p.nchunks]
+        assert (np.diff(ends, axis=1) >= 0).all() and (ends >= 0).all()
+        assert np.array_equal(ends[:, -1], p.counts)
         for k in range(p.nchunks):
             values = p.chunk(column, k)
-            words, pattern = filter_hash(values, p.filter_log2)
-            block = np.arange(len(values)) // p.block_size
-            assert ((f[k, block, words] & pattern) == pattern).all(), k
+            sub = np.searchsorted(ends[k], np.arange(len(values)), side="right")
+            words, pattern = filter_hash(values, p.chunk_log2)
+            assert ((chunk_f[k, words] & pattern) == pattern).all(), k
+            words, pattern = filter_hash(values, p.sub_log2)
+            assert ((sub_f[k, words, sub] & pattern) == pattern).all(), k
+
+
+def rebuilt_filters(p, column):
+    """A partition's filters of a column as a build from its live rows and
+    sub-block ends gives them."""
+    chunk_f, sub_f = (np.zeros_like(f) for f in p.filter_words(column))
+    for k in range(p.nchunks):
+        values = p.chunk(column, k)
+        words, pattern = filter_hash(values, p.chunk_log2)
+        np.bitwise_or.at(chunk_f[k], words, pattern)
+        sub = np.searchsorted(p.sub_ends[k], np.arange(len(values)),
+                              side="right")
+        words, pattern = filter_hash(values, p.sub_log2)
+        np.bitwise_or.at(sub_f[k], (words, sub), pattern)
+    return chunk_f, sub_f
 
 
 def filter_stream(block_size, seed, steps=300):
@@ -1355,11 +1376,9 @@ class TestLazySummaries:
         for p in t.partitions:
             assert list(p.zones) == list(p.filters) == ["value", "key"]
             assert_chunk_summaries(p, ["key"])
-            want = np.zeros_like(p.filter_words("key"))
-            for k in range(p.nchunks):
-                filter_add(want[k], p.chunk("key", k),
-                           np.arange(p.counts[k]) // p.block_size)
-            assert np.array_equal(p.filter_words("key"), want)
+            for got, want in zip(p.filter_words("key"),
+                                 rebuilt_filters(p, "key")):
+                assert np.array_equal(got, want)
 
     def test_load_summarizes_nothing(self, tmp_path):
         t = make_table(np.arange(1000), partitions=2, block_size=16)
@@ -1377,33 +1396,41 @@ class TestLazySummaries:
 class TestFilters:
     @needs_compiler
     def test_kernel_matches_numpy_reference(self, monkeypatch):
+        """``pi_filter_rows`` and the numpy reference set the same bits on
+        both levels, over filters of 2 to 512 words, edge values and
+        moved sub-block bounds; the kernel rejects a position that holds
+        no live row before it writes."""
         assert _native.lib is not None, "C kernels failed to build"
         rng = np.random.default_rng(21)
         edge = np.array([0, -1, 1, NULL_VALUE, np.iinfo(np.int64).max])
-        for log2 in (1, 3, 8, 14):
-            values = np.concatenate([edge, rng.integers(-10**12, 10**12, size=3000),
-                                     np.arange(5000)])
-            chunk = rng.integers(0, 5, size=len(values))
-            built = {}
-            for backend in ("c", "numpy"):
-                if backend == "numpy":
-                    monkeypatch.setattr(_native, "lib", None)
-                filters = np.zeros((5, 1 << log2), dtype=np.uint64)
-                filter_add(filters, values, chunk)
-                one = np.zeros(1 << log2, dtype=np.uint64)
-                filter_add(one, values)
-                built[backend] = (filters, one)
-                monkeypatch.undo()
-            for got, want in zip(built["c"], built["numpy"]):
-                assert np.array_equal(got, want), log2
-            assert built["c"][0].any()
-        for bad in (np.zeros((2, 6), np.uint64), np.zeros((2, 8), np.int64),
-                    np.zeros((8, 2), np.uint64)[:, :1]):
+        for block_size in (4, 24, 512):
+            values = np.concatenate([edge, rng.integers(-10**12, 10**12,
+                                                        size=5000)])
+            dead = np.flatnonzero(rng.random(len(values)) < 0.2)
+            rows = rng.choice(len(values) - len(dead), size=300)
+            new = rng.integers(-10**12, 10**12, size=300)
+            built = []
+            for lib in (_native.lib, None):
+                monkeypatch.setattr(_native, "lib", lib)
+                p = Partition({"value": values}, block_size)
+                p.filter_words("value")
+                p.delete_rows(dead)
+                p.modify_rows(rows, {"value": new})
+                p.append({"value": values[:700]})
+                built.append([p.sub_ends.copy(), *p.filter_words("value")])
+            for got, want in zip(*built):
+                assert np.array_equal(got, want), block_size
+            assert built[0][1].any()
+        monkeypatch.undo()
+        # 32-row chunks of 30, 24, 32 and 4 rows
+        p = summarize(Partition({"value": np.arange(100)}, block_size=8))
+        p.delete_rows(np.arange(30, 40))
+        before = [f.copy() for f in p.filter_words("value")]
+        for pos in ([-1], [30], [0, 32 + 24], [4 * 32]):
             with pytest.raises(ValueError):
-                filter_add(bad, [1, 2], [0, 1])
-        for chunk in ([0, 2], [-1, 0], [0]):
-            with pytest.raises(ValueError):
-                filter_add(np.zeros((2, 8), np.uint64), [1, 2], chunk)
+                p._filter_rows(np.array(pos), ["value"])
+            for got, was in zip(p.filter_words("value"), before):
+                assert np.array_equal(got, was), pos
 
     @needs_compiler
     def test_prune_kernel_matches_numpy_reference(self, monkeypatch):
@@ -1439,8 +1466,11 @@ class TestFilters:
         t.probe("value", [3])
         assert all(list(p.filters) == ["value"] for p in t.partitions)
         p = t.partitions[0]
+        # 16 bits per row on each level: 32-row chunks of four 8-row
+        # sub-blocks have filters of 8 and 4 * 2 words
+        assert (p.capacity, p.nsub) == (32, 4)
         assert t.filter_bytes() == sum(q.nchunks for q in t.partitions) \
-            * p.capacity * 16 // 8
+            * 2 * p.capacity * 16 // 8
         assert_live_values_in_filters(t)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
@@ -1468,8 +1498,9 @@ class TestFilters:
             assert np.array_equal(a.scan()[1]["value"], b.scan()[1]["value"])
             for p, q in zip(a.partitions, b.partitions):
                 assert p.counts.tolist() == q.counts.tolist()
-                assert p.filter_words("value").tobytes() \
-                    == q.filter_words("value").tobytes()
+                assert p.sub_ends.tobytes() == q.sub_ends.tobytes()
+                for f, g in zip(p.filter_words("value"), q.filter_words("value")):
+                    assert f.tobytes() == g.tobytes()
 
     def test_absent_values_skip_chunks(self):
         # shuffled even values: zone maps span the whole domain, so only the
@@ -1481,17 +1512,19 @@ class TestFilters:
             for k in range(p.nchunks):
                 mins, maxs = p.chunk_minmax("value", k)
                 assert (mins < 100_000).all() and (maxs > 300_000).all()
-        # near 0.5% false positives per block and value; twice that bounds
+        # near 0.5% false positives per filter and value; twice that bounds
         # what a filter lets through
         present = values[rng.choice(len(values), size=5, replace=False)]
         count, ids, _ = t.probe("value", present)
-        # each present value keeps its own block, plus false positives
-        assert count <= 5 + 0.01 * 5 * t.total_blocks()
+        # each present value keeps its own sub-block, plus false positives
+        sub_rows = t.partitions[0].sub_rows
+        assert count <= 5 * sub_rows + 0.01 * 5 * t.row_count
         assert np.array_equal(ids, np.flatnonzero(np.isin(values, present)))
-        # 20 odd values, none in the table
+        # 20 odd values, none in the table: a sub-block is read only when
+        # both of its filters let one through
         absent = 2 * rng.choice(200_000, size=20, replace=False) + 1
-        kept, ids, _ = t.probe("value", absent)
-        assert kept < 0.01 * 20 * t.total_blocks() and not len(ids)
+        rows, ids, _ = t.probe("value", absent)
+        assert rows < 0.01 ** 2 * 20 * t.row_count * 4 and not len(ids)
 
 
 class TestProbe:
@@ -1534,3 +1567,76 @@ class TestProbe:
             assert np.array_equal(ids, full_ids[want]), step
             assert np.array_equal(vals, values[want]), step
         assert merges > 0
+
+
+def summary_digest(t):
+    """Digest of every partition's chunk counts, sub-block ends and
+    filter words of the value column."""
+    digest = hashlib.sha256()
+    for p in t.partitions:
+        digest.update(p.counts.tobytes())
+        digest.update(p.sub_ends[:p.nchunks].tobytes())
+        for f in p.filter_words("value"):
+            digest.update(f.tobytes())
+    return digest.hexdigest()
+
+
+def invariant_stream(block_size, seed, steps=54):
+    """Yields a 2-partition table with its filters built after each
+    statement of a seeded stream of 1-1000-row inserts, modifies and
+    deletes. Every other delete removes a run of 1000 rows from the first
+    chunks, which empties and merges them."""
+    rng = np.random.default_rng(seed)
+    cap = column_store.CHUNK_BLOCKS * block_size
+    t = make_table(rng.integers(0, 10**6, size=2 * max(3 * cap // 2, 1500)),
+                   partitions=2, block_size=block_size)
+    t.probe("value", [1])  # builds the filters
+    for step in range(steps):
+        n = t.row_count
+        k = int(rng.choice([1, 10, 100, 1000]))
+        if step % 3 == 0:
+            t.insert_rows({"key": np.arange(k),
+                           "value": rng.integers(0, 10**6, size=k)})
+        elif step % 3 == 1:
+            ids = rng.choice(n, size=min(n, k), replace=False)
+            t.modify_rows(ids, {"value": rng.integers(0, 10**6, size=len(ids))})
+        else:
+            k = min(1000 if step % 2 else k, n - 1)
+            if step % 2:
+                ids = int(rng.integers(0, min(cap, n - k) + 1)) + np.arange(k)
+            else:
+                ids = np.sort(rng.choice(n, size=k, replace=False))
+            t.delete_rows(ids[::-1])
+        yield t
+
+
+class TestFilterInvariants:
+    @pytest.mark.parametrize("block_size", [128, 4096])
+    @pytest.mark.parametrize("chunk_blocks", [1, 4])
+    def test_seeded_stream(self, block_size, chunk_blocks, monkeypatch):
+        """After every statement, on both backends: each live value passes
+        its chunk's and its sub-block's filters, the sub-block ends never
+        decrease and end at the chunk's count, and a probe equals
+        ``np.isin`` over a scan; both backends leave byte-identical
+        filter words and ends."""
+        monkeypatch.setattr(column_store, "CHUNK_BLOCKS", chunk_blocks)
+        digests = {}
+        for lib in {_native.lib, None}:
+            monkeypatch.setattr(_native, "lib", lib)
+            rng = np.random.default_rng(block_size + chunk_blocks)
+            digests[lib], merges, chunks = [], 0, None
+            for t in invariant_stream(block_size, 31):
+                now = sum(p.nchunks for p in t.partitions)
+                merges += chunks is not None and now < chunks
+                chunks = now
+                assert_live_values_in_filters(t)
+                values = t.scan(["value"])[1]["value"]
+                keys = np.concatenate([rng.choice(values, size=25),
+                                       rng.integers(0, 10**6, size=25)])
+                _, ids, got = t.probe("value", keys)
+                want = np.isin(values, keys)
+                assert np.array_equal(ids, np.flatnonzero(want))
+                assert np.array_equal(got, values[want])
+                digests[lib].append(summary_digest(t))
+            assert merges > 0
+        assert len(set(map(tuple, digests.values()))) == 1

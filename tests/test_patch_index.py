@@ -8,7 +8,7 @@ from patchindex.patch_index import (
     CONDENSE_BELOW, NSC_ASC, NSC_DESC, NUC, NULL_VALUE, BitmapPatchStore,
     ConstraintKind, Constraint, IdentifierPatchStore, PatchIndex, SortOrder,
     build_index, discover_nsc, discover_nuc, lss_keep, lss_keep_mask,
-    nuc_patch_rows, nsc_patch_rows,
+    TableIndex, nuc_patch_rows, nsc_patch_rows,
 )
 from patchindex.update_pipeline import apply_insert
 
@@ -311,6 +311,22 @@ class TestTableIndex:
         idx = build_index(parts, NUC)
         assert idx.patch_count == 2
         assert idx.is_patch(2) and idx.is_patch(3)
+
+    def test_nuc_check_invariant_is_global(self):
+        """Every partition alone can hold unique non-patch values while
+        the table breaks the DISTINCT rewrite: a non-patch value repeated
+        in another partition, or held by a patch row elsewhere."""
+        vals = np.array([1, 2, 3, 3, 4, 5])
+        assert build_index([vals[:3], vals[3:]], NUC).check_invariant(vals)
+        for second, patches in (([3, 4], []),         # 3 unpatched twice
+                                ([3, 3, 4], [0, 1])):  # 3 patched in one
+            parts = [PatchIndex.from_patches(NUC, np.array(rows, np.int64), n)
+                     for rows, n in (([], 3), (patches, len(second)))]
+            idx = TableIndex("value", NUC, parts)
+            both = np.array([1, 2, 3] + second)
+            assert parts[0].check_invariant(both[:3])
+            assert parts[1].check_invariant(both[3:])
+            assert not idx.check_invariant(both)
 
     def test_nuc_partition_transparency(self):
         rng = np.random.default_rng(6)

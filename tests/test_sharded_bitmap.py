@@ -355,7 +355,7 @@ class TestNativeLoader:
             "want = np.flatnonzero(np.isin(full, keys))\n"
             "assert np.array_equal(ids, want) and len(want) == 11\n"
             "assert np.array_equal(got, full[want])\n"
-            "assert 0 < kept <= t.total_blocks()\n"
+            "assert 0 < kept <= t.row_count\n"
             "from patchindex.patch_index import NUC, build_index, nuc_patch_rows\n"
             "from patchindex.update_pipeline import apply_insert, apply_modify\n"
             "uv = np.arange(3000) * 2\n"

@@ -385,11 +385,8 @@ class TestMixedWorkloads:
             elif n > 10:
                 ids = np.sort(rng.choice(n, size=6, replace=False))[::-1]
                 apply_delete(t, [idx], ids)
-            vals = table_values(t)
-            offsets = t.partition_offsets()
-            for p, pidx in enumerate(idx.partitions):
-                assert pidx.check_invariant(vals[offsets[p]:offsets[p + 1]]), \
-                    f"step {step}, op {op}, partition {p}"
+            # every partition's invariant, and for NUC the global one
+            assert idx.check_invariant(table_values(t)), f"step {step}, op {op}"
 
 
 class TestHotPaths:
@@ -444,10 +441,7 @@ class TestHotPaths:
             monkeypatch.undo()
             for q, (naive, rewritten) in naive_results.items():
                 assert _results_match(q, "value", rewritten, naive), (kind, q)
-            offsets = t.partition_offsets()
-            vals = table_values(t)
-            for p, pidx in enumerate(ix.partitions):
-                assert pidx.check_invariant(vals[offsets[p]:offsets[p + 1]])
+            assert ix.check_invariant(table_values(t)), kind
 
 
 class KernelSpy:
@@ -482,13 +476,15 @@ def test_nuc_statement_probes_once_per_partition(monkeypatch):
             else:
                 ids = rng.choice(t.row_count, size=n, replace=False)
                 stats = apply_modify(t, [idx], ids, {"value": values})
-            # one fused prune-and-probe call per partition; the one
-            # membership pass left is nuc_patch_rows of the matched rows
-            assert spy.calls["pi_probe"] == 4, (n, statement)
+            # one plan per partition, and one read where it kept rows; the
+            # one membership pass left is nuc_patch_rows of the matched rows
+            assert spy.calls["pi_probe_plan"] == 4, (n, statement)
+            assert 0 < spy.calls["pi_probe"] <= 4, (n, statement)
             assert spy.calls["pi_in_positions"] <= 1
             assert 0 < stats[0].blocks_scanned <= stats[0].blocks_total
     vals = table_values(t)
     assert np.isin(nuc_patch_rows(vals), idx.global_patch_rows()).all()
+    assert idx.check_invariant(vals)
 
 
 class TestPhaseTimings:
@@ -544,6 +540,7 @@ def chunk_size_stream(seed):
                 apply_delete(t, [idx], ids)
                 merges += chunks - sum(p.nchunks for p in t.partitions)
             _, cols = t.scan()
+            assert idx.check_invariant(cols["value"]), (name, step)
             _, ids, vals = t.probe("value", rng.integers(0, 2000, size=50))
             out.append((name, step, cols["key"].tobytes(),
                         cols["value"].tobytes(),

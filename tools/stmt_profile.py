@@ -31,13 +31,16 @@ Prints, per statement kind and size, the median in ms of each phase:
   refresh counts here and in ``zones``;
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
-- ``blocks``: the blocks the probe read (``UpdateStats.blocks_scanned``),
-  a count, not ms;
+- ``blocks`` and ``rows``: the rows the probe read in blocks
+  (``UpdateStats.blocks_scanned``) and in rows (``rows_scanned``),
+  counts, not ms;
 - ``drop``: the index partitions' row drops (``PatchIndex.drop_rows``),
   and ``bitmap`` their bitmap deletes (``ShardedBitmap.bulk_delete``).
 
 A phase the statement never enters reads 0. Freed memory stays in the
-process heap, as in ``plan_profile.py``.
+process heap, as in ``plan_profile.py``. The last line gives the share of
+set bits in the NUC table's membership filters after the run
+(``ColumnTable.filter_fill``), which stale bits raise.
 
 Usage: PYTHONPATH=src python tools/stmt_profile.py
 """
@@ -62,8 +65,10 @@ PHASES = ("stmt", "route", "table", "part", "zones", "condense", "maint",
           "probe", "drop", "bitmap")
 # the phases read from UpdateStats, summed over a statement's indexes
 STATS_FIELDS = {"table": "storage_ms", "maint": "maintain_ms", "probe": "probe_ms"}
-# the printed columns: every phase in ms, with the probe's block count
-COLUMNS = PHASES[:8] + ("blocks",) + PHASES[8:]
+# the printed columns: every phase in ms, with the probe's row and block
+# counts
+COUNTS = ("blocks", "rows")
+COLUMNS = PHASES[:8] + COUNTS + PHASES[8:]
 
 _spent = dict.fromkeys(PHASES, 0)
 
@@ -138,21 +143,24 @@ def main():
                 if r >= WARM:
                     for ph in PHASES:
                         samples[kind, n][ph].append(_spent[ph])
-                    samples[kind, n]["blocks"].append(
-                        sum(s.blocks_scanned for s in stats))
+                    for col in COUNTS:
+                        samples[kind, n][col].append(
+                            sum(getattr(s, col + "_scanned") for s in stats))
     print(f"median ms of {ROUNDS} statements each, {scale.rows} rows, "
           f"{scale.partitions} partitions, e={RATE}")
     print("\n".join(format_table(samples)))
+    print(f"NUC table filter_fill after the run: "
+          f"{tables['nuc'].filter_fill():.3f}")
 
 
 def format_table(samples):
     """The header and one line per statement kind and size: the median of
-    each column's samples, ms for the phases (sampled in ns) and a count
-    for ``blocks``."""
+    each column's samples, ms for the phases (sampled in ns) and counts
+    for ``blocks`` and ``rows``."""
     lines = [f"{'statement':<16}" + "".join(f"{col:>9}" for col in COLUMNS)]
     for (kind, n), cols in samples.items():
         lines.append(f"{kind + ' x' + str(n):<16}" + "".join(
-            f"{statistics.median(cols[col]):9.0f}" if col == "blocks"
+            f"{statistics.median(cols[col]):9.0f}" if col in COUNTS
             else f"{statistics.median(cols[col]) / 1e6:9.3f}" for col in COLUMNS))
     return lines
 
