@@ -104,13 +104,13 @@ def select(pairs, spans, nrows, bits, take, base=0):
     is set (take) or clear (skip), in order, and return their count.
 
     spans is an (r, 3) int64 array of (lo, hi, at), laid out as
-    ``Partition.spans``: the partition rows [lo, hi), whose row lo is item
-    at of each source. Spans ascend without overlap inside [0, nrows).
-    bits is a ``ShardedBitmap`` of the partition's nrows rows, or None for
-    a bit set without set bits. Each (dst, src) pair copies from the 1-D
-    array src into dst, or writes the selected row numbers plus base
-    (rowIDs, int64) when src is None; each dst holds exactly the selected
-    rows.
+    ``Partition.span_table``: the partition rows [lo, hi), whose row lo is
+    item at of each source. Spans ascend without overlap inside [0,
+    nrows). bits is a ``ShardedBitmap`` of the partition's nrows rows, or
+    None for a bit set without set bits. Each (dst, src) pair copies from
+    the 1-D array src into dst, or writes the selected row numbers plus
+    base (rowIDs, int64) when src is None; each dst holds exactly the
+    selected rows.
 
     The compiled kernel (``pi_select``) walks the spans and the shards'
     words together, without unpacking the bits; the numpy reference
@@ -120,9 +120,19 @@ def select(pairs, spans, nrows, bits, take, base=0):
     than the selected rows raises ValueError.
     """
     spans = np.ascontiguousarray(spans, dtype=np.int64).reshape(-1, 3)
-    triples = spans.tolist()
-    # the items the spans read: [0, reach) of every src
-    reach = max((at + hi - lo for lo, hi, at in triples), default=0)
+    return _select(pairs, spans, _reach(spans), nrows, bits, take, base)
+
+
+def _reach(spans):
+    """The items that (r, 3) spans read of each source: [0, reach)."""
+    if not len(spans):
+        return 0
+    return int((spans[:, 2] + spans[:, 1] - spans[:, 0]).max())
+
+
+def _select(pairs, spans, reach, nrows, bits, take, base):
+    """``select`` over a contiguous (r, 3) int64 spans array whose reach
+    (``_reach``) is known."""
     cap = min(len(dst) for dst, _ in pairs)
     for dst, src in pairs:
         dtype = np.dtype(np.int64) if src is None else src.dtype
@@ -142,21 +152,25 @@ def select(pairs, spans, nrows, bits, take, base=0):
                              "int64 start values")
     lib = _native.lib
     if lib is None:
-        count = _select_reference(pairs, triples, nrows, bits, take, base, cap)
+        count = _select_reference(pairs, spans.tolist(), nrows, bits, take,
+                                  base, cap)
     else:
-        dst = pointers([d for d, _ in pairs])
-        src = np.array([0 if s is None else address(s) for _, s in pairs],
-                       dtype=np.uintp)
-        size = np.array([d.itemsize for d, _ in pairs], dtype=np.int64)
+        # one block of the kernel's dst pointers, src pointers and item
+        # sizes, each ncols long
+        k = len(pairs)
+        block = np.array([address(d) for d, _ in pairs]
+                         + [0 if s is None else address(s) for _, s in pairs]
+                         + [d.itemsize for d, _ in pairs], dtype=np.uint64)
+        at = address(block)
         if bits is None:
             bitset = (None, 0, None, 0, 0, nrows)
         else:
             bitset = (address(words), len(words), address(starts),
                       len(starts), bits.shard_size_bits >> 6,
                       bits.logical_len)
-        args = _native.SelectArgs(address(spans), len(triples), nrows,
-                                  *bitset, bool(take), base, address(dst),
-                                  address(src), address(size), len(pairs), cap)
+        args = _native.SelectArgs(address(spans), len(spans), nrows,
+                                  *bitset, bool(take), base, at, at + 8 * k,
+                                  at + 16 * k, k, cap)
         count = lib.pi_select(args)
     if count == -1:
         raise ValueError("select needs ascending spans inside the partition "
@@ -313,6 +327,7 @@ class Partition:
         self.nrows = int(self.ends[-1]) if self.nchunks else 0
         self.shift = (np.arange(0, self.nchunks * self.capacity, self.capacity)
                       - self.ends + self.counts)
+        self._spans = None  # see span_table
 
     @property
     def nchunks(self):
@@ -441,12 +456,18 @@ class Partition:
             return local + np.repeat(self.shift, per_chunk)
         return local + self.shift[np.searchsorted(self.ends, local, side="right")]
 
-    def spans(self):
-        """(r, 3) int64 array of (lo, hi, at): each chunk's partition rows
-        [lo, hi), whose row lo is item at of the flattened buffers."""
-        spans = np.column_stack((self.ends - self.counts, self.ends,
-                                 np.arange(self.nchunks) * self.capacity))
-        return spans[self.counts > 0]
+    def span_table(self):
+        """(spans, reach): spans is an (r, 3) int64 array of (lo, hi, at),
+        each chunk's partition rows [lo, hi), whose row lo is item at of
+        the flattened buffers, and the spans read [0, reach) of each
+        buffer. Kept until the row counts change, so it is not to be
+        written; every scan of the partition hands it to its select."""
+        if self._spans is None:
+            spans = np.column_stack((self.ends - self.counts, self.ends,
+                                     np.arange(self.nchunks) * self.capacity))
+            spans = np.ascontiguousarray(spans[self.counts > 0])
+            self._spans = spans, _reach(spans)
+        return self._spans
 
     def take(self, column, local):
         """Values of one column at persisted partition rows."""
@@ -831,11 +852,35 @@ class ColumnTable:
 
     # -- scans ---------------------------------------------------------------
 
+    def column_dtypes(self, columns=None):
+        """Column name to numpy dtype, of the given columns or of all; an
+        unknown column raises KeyError."""
+        columns = list(columns) if columns is not None else self.column_names
+        self._check_columns(columns)
+        schema = dict(self.schema)
+        return {c: np.dtype(schema[c]) for c in columns}
+
     def scan(self, columns=None, where=None):
         """Materialize rows as (rowids, column dict).
 
-        where is an optional patch-split filter. Each form holds one entry
-        per partition, and a None entry leaves that partition unread:
+        where is an optional patch-split filter (see ``scan_plan``). The
+        scan sizes the output arrays by the plan's row count and writes
+        each partition's rows and rowIDs straight into their slice
+        (``scan_into``).
+        """
+        dtypes = self.column_dtypes(columns)
+        plan = self.scan_plan(where)
+        ids = np.empty(plan[2], dtype=np.int64)
+        out = {c: np.empty(plan[2], dtype=d) for c, d in dtypes.items()}
+        self.scan_into(plan, ids, out)
+        return ids, out
+
+    def scan_plan(self, where=None):
+        """(take, parts, rows): what a scan with the filter where reads.
+
+        where is None, for every row, or a patch-split filter. Each form
+        holds one entry per partition, and a None entry leaves that
+        partition unread:
 
         - ("skip", bits): every row of each partition p whose bit is clear
           in bits[p], a ``ShardedBitmap`` of the partition's rows, such as
@@ -845,13 +890,11 @@ class ColumnTable:
         An entry () stands for a bit set without set bits: "skip" reads
         every row of that partition. Any other filter, a list whose length
         is not the partition count, an entry that is no bit set and a bit
-        set of another row count raise ValueError. The scan finds the row
-        count of every partition first, then sizes the output arrays and
-        writes each partition's rows and rowIDs straight into their slice,
-        with one patch-split select (``select``).
+        set of another row count raise ValueError. parts lists (partition,
+        rowID of its first row, rows kept, bit set or None) for each
+        partition with rows to keep, in order; rows is their sum, known
+        from the bit sets' popcounts before any row is read.
         """
-        columns = list(columns) if columns is not None else self.column_names
-        self._check_columns(columns)
         if where is None:
             where = ("skip", [()] * len(self.partitions))
         if len(where) != 2 or where[0] not in ("skip", "take"):
@@ -859,8 +902,7 @@ class ColumnTable:
         kind, rows = where
         if len(rows) != len(self.partitions):
             raise ValueError(f"{kind} filter needs one entry per partition")
-        # per partition: (partition, first rowID, row count, bit set)
-        plans, total, part_lo = [], 0, 0
+        parts, total, part_lo = [], 0, 0
         for p, bits in zip(self.partitions, rows):
             if bits is not None:
                 if isinstance(bits, tuple) and not bits:
@@ -872,18 +914,28 @@ class ColumnTable:
                     marked = bits.count_set()
                 n = marked if kind == "take" else p.nrows - marked
                 if n:
-                    plans.append((p, part_lo, n, bits))
+                    parts.append((p, part_lo, n, bits))
                 total += n
             part_lo += p.nrows
-        ids = np.empty(total, dtype=np.int64)
-        out = {c: np.empty(total, dtype=dict(self.schema)[c]) for c in columns}
+        return kind == "take", parts, total
+
+    def scan_into(self, plan, ids, cols):
+        """Write the rows of a ``scan_plan`` to the front of ids (their
+        rowIDs, or None for none) and of the arrays of cols (column name
+        to array); each holds at least the plan's rows and the column's
+        dtype. Returns the rows written: one patch-split select
+        (``select``) per partition writes straight into each slice."""
+        take, parts, _ = plan
         o = 0
-        for p, base, n, bits in plans:
-            pairs = [(ids[o:o + n], None)] + [
-                (out[c][o:o + n], p.chunks[c].reshape(-1)) for c in columns]
-            select(pairs, p.spans(), p.nrows, bits, kind == "take", base)
+        for p, base, n, bits in parts:
+            pairs = [(a[o:o + n], p.chunks[c].reshape(-1))
+                     for c, a in cols.items()]
+            if ids is not None:
+                pairs.append((ids[o:o + n], None))
+            if pairs:
+                _select(pairs, *p.span_table(), p.nrows, bits, take, base)
             o += n
-        return ids, out
+        return o
 
     def probe(self, column, values):
         """Semijoin probe: (rows read, rowids, values) of the rows whose
@@ -950,27 +1002,33 @@ class ColumnTable:
         self.partitions[-1].append(rows)
         return np.arange(start, self.row_count, dtype=np.int64)
 
-    def _route(self, rowids, what):
-        """``route_rows`` over this table's partitions, yielding each
-        Partition in place of its number."""
-        sizes = [p.nrows for p in self.partitions]
-        for p, sel, local in route_rows(rowids, sizes, what):
-            yield self.partitions[p], sel, local
+    def route(self, rowids, what):
+        """``route_rows`` over this table's partitions, as a list."""
+        return list(route_rows(rowids, [p.nrows for p in self.partitions],
+                               what))
 
     def modify_rows(self, rowids, updates):
-        """In-place update; updates maps column name to per-row new values."""
+        """In-place update; updates maps column name to per-row new values.
+
+        Returns the routing (``route``): (partition number, selection of
+        rowids, that partition's rows) per touched partition, so that the
+        statement's index upkeep need not route the rowIDs again.
+        """
         rowids = np.asarray(rowids, dtype=np.int64)
         updates = self._check_values(updates, len(rowids), "modify")
-        for p, sel, local in self._route(rowids, "modify"):
-            p.modify_rows(local, {c: v[sel] for c, v in updates.items()})
+        routed = self.route(rowids, "modify")
+        for p, sel, local in routed:
+            self.partitions[p].modify_rows(
+                local, {c: v[sel] for c, v in updates.items()})
+        return routed
 
     def gather(self, rowids, column):
         """Values of one column at arbitrary rowIDs, in their order; a
         rowID outside the table raises IndexError."""
         rowids = np.asarray(rowids, dtype=np.int64)
         out = np.empty(len(rowids), dtype=dict(self.schema)[column])
-        for p, sel, local in self._route(rowids, "gather"):
-            out[sel] = p.take(column, local)
+        for p, sel, local in self.route(rowids, "gather"):
+            out[sel] = self.partitions[p].take(column, local)
         return out
 
     def delete_rows(self, descending_rowids):

@@ -7,15 +7,16 @@ be exploited on the patch-free flow: distinct drops its aggregation, sort
 degrades to a merge of already-sorted partition streams, and a hash join
 becomes one merge join per partition. A plan is a DAG: a node reachable
 from two parents, such as the join rewrite's dimension subtree, is one
-object and runs once per execution. Joins materialize late: a join yields
-its inputs and matching row positions, and its columns are gathered once,
-by the union above it or by the first consumer that reads them.
+object and runs once per execution. Scans, projections, unions and joins
+pass destinations: each states a bound on its rows, then writes them into
+arrays its consumer owns, so a union hands each child its slice of the
+output and a merge join's fact scan writes straight into the join's
+slice. Scans write only the columns that their consumers read.
 Zero-branch pruning removes subtrees that cannot produce rows.
 """
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -38,37 +39,17 @@ class Relation:
     def take(self, idx):
         return Relation({c: a[idx] for c, a in self.columns.items()})
 
-    def sources(self):
-        """Column name to (array, positions): the rows are array[positions],
-        or the whole array when positions is None."""
-        return {c: (a, None) for c, a in self.columns.items()}
 
-
-class JoinResult(Relation):
-    """A join's output before its columns are gathered: both inputs and
-    the matching (left, right) row positions, left None when every left
-    row matches in order. ``columns`` gathers on first use; a union
-    gathers ``sources`` straight into its own output instead. A right
-    column whose name the left side has gets the suffix "_r"."""
-
-    def __init__(self, left, right, left_idx, right_idx):
-        self.left, self.right = left, right
-        self.left_idx, self.right_idx = left_idx, right_idx
-
-    @property
-    def nrows(self):
-        return len(self.right_idx)
-
-    def sources(self):
-        out = {c: (a, self.left_idx) for c, a in self.left.columns.items()}
-        for c, a in self.right.columns.items():
-            out[c if c not in out else c + "_r"] = (a, self.right_idx)
-        return out
-
-    @cached_property
-    def columns(self):
-        return {c: a if idx is None else a[idx]
-                for c, (a, idx) in self.sources().items()}
+@dataclass
+class Rows:
+    """A node's output before it is written: at most bound rows, of the
+    columns and dtypes in dtypes. write(dest) writes the rows to the front
+    of dest, a dict of some of those columns to arrays of their dtype and
+    at least bound rows, and returns how many rows it wrote."""
+    node: "PlanNode"
+    bound: int
+    dtypes: dict
+    write: object
 
 
 @dataclass
@@ -341,39 +322,137 @@ def _merge_sorted_reference(rels, key, order):
     return Relation(cols).take(stable_argsort(cols[key], order))
 
 
+def _columns_read(order):
+    """Node id to the columns of its output that its parents read, or None
+    for all of them, for a plan's nodes in ``_walk`` order (the root
+    last): the root's and those under a join are all read.
+
+    A projection reads its columns, a distinct its key, and a select,
+    sort or merge adds its own column to what its parents read; a union
+    reads what its parents do. A node under several parents gets the
+    union of their reads.
+    """
+    reads = {id(order[-1]): None}  # the root's
+    for node in reversed(order):  # parents before children
+        need = reads[id(node)]
+        if node.op == "project":
+            want = set(node.columns)
+        elif node.op == "distinct":
+            want = {node.key}
+        elif node.op in ("select", "sort", "merge_sorted"):
+            col = node.predicate[1] if node.op == "select" else node.key
+            want = None if need is None else need | {col}
+        elif node.op == "union":
+            want = need
+        else:  # joins
+            want = None
+        for c in node.children:
+            if id(c) in reads:
+                old = reads[id(c)]
+                reads[id(c)] = (None if old is None or want is None
+                                else old | want)
+            else:
+                reads[id(c)] = want
+    return reads
+
+
+def _join_names(left, right):
+    """Output name of each right column: its own, or with the suffix "_r"
+    when the left side has a column of that name."""
+    return {c: c if c not in left else c + "_r" for c in right}
+
+
+def _gather(columns, idx, names, dest):
+    """Write each column c of columns at positions idx to the front of
+    dest[names[c]], for the names dest holds."""
+    for c, a in columns.items():
+        if names[c] in dest:
+            # positions from the join itself are in range; "clip" writes
+            # into the slice without numpy's buffered copy
+            np.take(a, idx, out=dest[names[c]][:len(idx)], mode="clip")
+
+
 class Executor:
     """Evaluates a plan DAG; a node with several parents runs once per run.
 
     Only shared nodes are memoized, so every other intermediate result is
-    freed as soon as its parent has consumed it. The result comes back
-    with its columns gathered.
+    freed as soon as its parent has consumed it. Scans, projections,
+    unions and joins write through destinations: such a node first gives
+    its output's bound and dtypes (``Rows``), then writes its rows into
+    arrays that its consumer owns, and a node that has no consumer of
+    that kind (the root, or a child of a sort or distinct) writes into
+    arrays of its own, of the columns its parents read.
     """
 
     def __init__(self):
-        self._shared, self._memo = set(), {}
+        self._shared, self._memo, self._reads = set(), {}, {}
 
     def run(self, plan):
-        self._shared, self._memo = _walk(plan)[1], {}
-        rel = self._exec(plan)
-        return Relation(rel.columns) if isinstance(rel, JoinResult) else rel
+        order, self._shared = _walk(plan)
+        self._memo, self._reads = {}, _columns_read(order)
+        return self._exec(plan)
 
     def _exec(self, node):
+        """node's output as a Relation, memoized for a shared node."""
         rel = self._memo.get(id(node))
         if rel is None:
-            rel = getattr(self, "_op_" + node.op)(node)
+            op = getattr(self, "_op_" + node.op, None)
+            rel = op(node) if op is not None else self._materialize(node)
             if id(node) in self._shared:
                 self._memo[id(node)] = rel
         return rel
 
+    def _materialize(self, node):
+        """Write a destination-passing node into arrays of its bound's rows,
+        one per column its parents read; a view of the rows written."""
+        rows = getattr(self, "_rows_" + node.op)(node)
+        reads = self._reads[id(node)]
+        dest = {c: np.empty(rows.bound, dtype=d)
+                for c, d in rows.dtypes.items() if reads is None or c in reads}
+        n = self._write(rows, dest)
+        return Relation({c: a[:n] for c, a in dest.items()})
+
+    def _rows(self, node):
+        """node's output as ``Rows`` for a consumer that writes it into its
+        own arrays. A destination-passing node that no other parent reads
+        writes straight into them; any other node runs now and is copied
+        in."""
+        op = getattr(self, "_rows_" + node.op, None)
+        if op is not None and id(node) not in self._shared:
+            return op(node)
+        rel = self._exec(node)
+
+        def copy(dest):
+            for c, a in dest.items():
+                a[:rel.nrows] = rel.columns[c]
+            return rel.nrows
+
+        return Rows(node, rel.nrows,
+                    {c: a.dtype for c, a in rel.columns.items()}, copy)
+
+    def _write(self, rows, dest):
+        """rows.write(dest); a column of dest whose dtype is not the rows'
+        own is written through a scratch array and cast."""
+        own = {c: a if a.dtype == rows.dtypes[c]
+               else np.empty(rows.bound, dtype=rows.dtypes[c])
+               for c, a in dest.items()}
+        n = rows.write(own)
+        for c, a in dest.items():
+            if own[c] is not a:
+                a[:n] = own[c][:n]
+        return n
+
     # scans
 
-    def _op_scan(self, node):
+    def _rows_scan(self, node):
         """Scan whole partitions, optionally split by patch membership.
 
         A scan reads one partition or all of them; a partition outside
         the table raises ValueError. exclude_patches keeps the rows whose
         patch bit is clear and use_patches those whose bit is set: both
-        hand each store's bits to the scan's select as they are.
+        hand each store's bits to the scan's select as they are. The
+        bound is exact, from the bit sets' popcounts, and the scan writes
+        only the columns its destination holds, its rowIDs as "rowid".
         """
         table, index = node.table, node.index
         nparts = len(table.partitions)
@@ -387,15 +466,19 @@ class Executor:
             if sizes != [p.nrows for p in table.partitions]:
                 raise ValueError(f"index partitions cover {sizes} rows, table "
                                  f"partitions {[p.nrows for p in table.partitions]}")
+        dtypes = {"rowid": np.dtype(np.int64),
+                  **table.column_dtypes(node.columns)}
         bits = {p: () if node.mode == "all" else index.partitions[p].patch_bits()
                 for p in parts}
         kind = "take" if node.mode == "use_patches" else "skip"
         # None: a partition the scan does not read
-        ids, cols = table.scan(node.columns,
-                               where=(kind, [bits.get(p) for p in range(nparts)]))
-        out = {"rowid": ids}
-        out.update(cols)
-        return Relation(out)
+        plan = table.scan_plan((kind, [bits.get(p) for p in range(nparts)]))
+
+        def write(dest):
+            cols = {c: a for c, a in dest.items() if c != "rowid"}
+            return table.scan_into(plan, dest.get("rowid"), cols)
+
+        return Rows(node, plan[2], dtypes, write)
 
     # row-wise operators
 
@@ -419,6 +502,12 @@ class Executor:
         rel = self._exec(node.children[0])
         return Relation({c: rel.columns[c] for c in node.columns})
 
+    def _rows_project(self, node):
+        rows = self._rows(node.children[0])
+        return Rows(node, rows.bound,
+                    {c: rows.dtypes[c] for c in node.columns},
+                    lambda dest: self._write(rows, dest))
+
     def _op_distinct(self, node):
         rel = self._exec(node.children[0])
         return Relation({node.key: sort_unique(rel.columns[node.key])})
@@ -427,10 +516,12 @@ class Executor:
         rel = self._exec(node.children[0])
         return rel.take(stable_argsort(rel.columns[node.key], node.order))
 
-    # joins: both return a JoinResult, whose columns are not yet gathered
+    # joins: a right column whose name the left side has gets the suffix "_r"
 
-    def _op_hash_join(self, node):
-        """Builds the hash table on the smaller input, the left on a tie."""
+    def _rows_hash_join(self, node):
+        """Builds the hash table on the smaller input, the left on a tie;
+        the matching rows of both inputs are gathered into the
+        destination."""
         left = self._exec(node.children[0])
         right = self._exec(node.children[1])
         lkeys, rkeys = left.columns[node.left_key], right.columns[node.right_key]
@@ -438,44 +529,69 @@ class Executor:
             right_idx, left_idx = hash_join_positions(lkeys, rkeys)
         else:
             left_idx, right_idx = hash_join_positions(rkeys, lkeys)
-        return JoinResult(left, right, left_idx, right_idx)
+        lnames = {c: c for c in left.columns}
+        rnames = _join_names(left.columns, right.columns)
+        dtypes = {c: a.dtype for c, a in left.columns.items()}
+        dtypes.update((rnames[c], a.dtype) for c, a in right.columns.items())
+        n = len(right_idx)
 
-    def _op_merge_join(self, node):
-        left = self._exec(node.children[0])
+        def write(dest):
+            _gather(left.columns, left_idx, lnames, dest)
+            _gather(right.columns, right_idx, rnames, dest)
+            return n
+
+        return Rows(node, n, dtypes, write)
+
+    def _rows_merge_join(self, node):
+        """The left input writes into the destination itself, bounded by
+        its own rows (each matches at most one right row). The join reads
+        the left keys there, gathers the matching right rows beside them
+        and, when not every left row matched, compacts the left columns
+        in place."""
+        left = self._rows(node.children[0])
         right = self._exec(node.children[1])
-        left_idx, right_idx = merge_join_positions(
-            left.columns[node.left_key], right.columns[node.right_key])
-        return JoinResult(left, right, left_idx, right_idx)
+        rnames = _join_names(left.dtypes, right.columns)
+        dtypes = dict(left.dtypes)
+        dtypes.update((rnames[c], a.dtype) for c, a in right.columns.items())
+        key = node.left_key
+
+        def write(dest):
+            ldest = {c: dest[c] for c in left.dtypes if c in dest}
+            if key not in ldest:  # a key no consumer reads
+                ldest[key] = np.empty(left.bound, dtype=left.dtypes[key])
+            n = self._write(left, ldest)
+            left_idx, right_idx = merge_join_positions(
+                ldest[key][:n], right.columns[node.right_key])
+            m = len(right_idx)
+            if left_idx is not None:
+                for c, a in ldest.items():
+                    if c in dest:
+                        np.take(a[:n], left_idx, out=a[:m], mode="clip")
+            _gather(right.columns, right_idx, rnames, dest)
+            return m
+
+        return Rows(node, left.bound, dtypes, write)
 
     # stream combination
 
-    def _op_union(self, node):
+    def _rows_union(self, node):
         """The children's rows in child order, matched by column name.
 
-        Each output column is allocated once and every child writes its
-        slice of it: a join child gathers its input columns at its
-        matching positions straight into the slice, so a joined column is
-        written once.
+        The bound is the sum of the children's. Each child writes into the
+        output from where the child before it stopped, so a child that
+        yields fewer rows than its bound leaves no gap.
         """
-        rels = [self._exec(c) for c in node.children]
-        sources = [r.sources() for r in rels]
-        total = sum(r.nrows for r in rels)
-        out = {}
-        for c in sources[0]:
-            col = out[c] = np.empty(
-                total, dtype=np.result_type(*(src[c][0].dtype for src in sources)))
+        children = [self._rows(c) for c in node.children]
+        dtypes = {c: np.result_type(*(r.dtypes[c] for r in children))
+                  for c in children[0].dtypes}
+
+        def write(dest):
             o = 0
-            for rel, src in zip(rels, sources):
-                a, idx = src[c]
-                part = col[o:o + rel.nrows]
-                if idx is None:
-                    part[...] = a
-                else:
-                    # positions from the join itself are in range; "clip"
-                    # writes into out without numpy's buffered copy
-                    np.take(a, idx, out=part, mode="clip")
-                o += rel.nrows
-        return Relation(out)
+            for rows in children:
+                o += self._write(rows, {c: a[o:] for c, a in dest.items()})
+            return o
+
+        return Rows(node, sum(r.bound for r in children), dtypes, write)
 
     def _op_merge_sorted(self, node):
         return merge_sorted_streams([self._exec(c) for c in node.children],
@@ -604,9 +720,9 @@ def rewrite_join(plan, index):
     Each partition's patch-free flow is ascending on its own, so it joins
     the dimension subtree with a MergeJoin, unmerged; the patch flow joins
     it with a HashJoin. All of them read the same dimension subtree
-    object, so it runs once per execution, and a Union of the joins
-    gathers every joined column once. Requires the dimension side sorted
-    unique on the join key.
+    object, so it runs once per execution, and a Union of the joins hands
+    each join its slice of the output to write. Requires the dimension
+    side sorted unique on the join key.
     """
     flow = _rewrite_input(plan, index, "hash_join",
                           ConstraintKind.NEARLY_SORTED, plan.left_key)

@@ -146,26 +146,29 @@ def handle_insert_nsc(table, index, inserted_ids, values):
                        new_patches=len(patches))
 
 
-def handle_modify_nuc(table, index, modified_ids):
+def handle_modify_nuc(table, index, modified_ids, routed):
     """Re-evaluate modified rows: clear their patch bits, then re-join.
 
     Partner rows of the formerly duplicated values keep their patch bits
     (an accepted loss of optimality); the join re-patches everything the
-    new values collide with, on both sides.
+    new values collide with, on both sides. routed is the rowIDs' routing
+    that ``ColumnTable.modify_rows`` returned.
     """
     modified_ids = np.asarray(modified_ids, dtype=np.int64)
-    index.remove_patches(modified_ids)
-    values = table.gather(modified_ids, index.column)
+    values = np.empty(len(modified_ids), dtype=np.int64)
+    for p, sel, local in routed:
+        index.partitions[p].remove_patches(local)
+        values[sel] = table.partitions[p].take(index.column, local)
     patches, stats = _duplicate_join(table, index.column, modified_ids, values)
     index.add_patches(patches)
     return stats
 
 
-def handle_modify_nsc(table, index, modified_ids):
-    """All modified rows become patches; fix the tail value if it moved."""
-    modified_ids = np.asarray(modified_ids, dtype=np.int64)
+def handle_modify_nsc(table, index, modified_ids, routed):
+    """All modified rows become patches; fix the tail value if it moved.
+    routed is as for ``handle_modify_nuc``."""
     new_patches = 0
-    for p, local in index.split_global(modified_ids):
+    for p, _, local in routed:
         pidx = index.partitions[p]
         tail = pidx.last_non_patch()
         before = pidx.patch_count
@@ -244,12 +247,14 @@ def apply_insert(table, indexes, rows):
 
 
 def apply_modify(table, indexes, rowids, updates):
+    """Modify table rows, then re-evaluate them in each index over the
+    updated column, by one routing of the rowIDs over the partitions."""
     t0 = time.perf_counter_ns()
-    table.modify_rows(rowids, updates)
+    routed = table.modify_rows(rowids, updates)
     storage_ms = _ms_since(t0)
     stats = _maintain([ix for ix in indexes if ix.column in updates],
                       lambda ix: _MODIFY_HANDLERS[ix.constraint.kind](
-                          table, ix, rowids))
+                          table, ix, rowids, routed))
     return _charge_storage(stats, storage_ms)
 
 

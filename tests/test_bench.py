@@ -1,4 +1,5 @@
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from patchindex.bench import (CSV_HEADER, PlainBitVector, WorkloadReport,
 from patchindex.column_store import route_rows
 from patchindex.datagen import GenSpec, dimension_table, generate
 from patchindex.patch_index import NSC_ASC, NUC, build_index
-from patchindex.query_engine import explain, zero_branch_prune
+from patchindex.query_engine import (execute, explain, result_checksum,
+                                     zero_branch_prune)
 from patchindex.sharded_bitmap import ShardedBitmap
 
 
@@ -295,6 +297,29 @@ class TestPlanProfile:
             for node, line in zip(nodes, lines):
                 assert line.lstrip().startswith(self.LABELS[node.op])
 
+
+    @pytest.mark.parametrize("query", ["distinct", "sort", "join"])
+    def test_self_times_cover_every_node(self, query):
+        """Under destination passing a scan writes inside its consumer's
+        write; the profiler still gives every node a self time, none
+        negative, that together stay within the run, and its result is
+        the executor's."""
+        tool = _load_tool("plan_profile")
+        kind = "nuc" if query == "distinct" else "nsc"
+        table = generate(GenSpec(kind, 3000, 0.2, partitions=3, seed=5,
+                                 dup_domain=1000, value_domain=100))
+        index = build_index([p.columns["value"] for p in table.partitions],
+                            NUC if kind == "nuc" else NSC_ASC)
+        dim = dimension_table(100)
+        for plan in build_query_plans(query, table, index, dim):
+            ex = tool.ProfilingExecutor()
+            t0 = time.perf_counter_ns()
+            rel = ex.run(plan)
+            elapsed = time.perf_counter_ns() - t0
+            assert set(ex.self_ns) == {id(n) for n in tool.preorder(plan)}
+            assert min(ex.self_ns.values()) >= 0
+            assert sum(ex.self_ns.values()) <= elapsed
+            assert result_checksum(rel) == result_checksum(execute(plan))
 
 class TestStmtProfile:
     def test_route_wrapper_yields_what_route_rows_yields(self):

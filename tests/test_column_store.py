@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchindex import _native, column_store
+from patchindex import _native, column_store, patch_index
 from patchindex.column_store import (CHUNK_BLOCKS, MAGIC, ColumnTable,
                                      Partition, _block_minmax, filter_hash,
                                      in_positions, select,
@@ -846,10 +846,10 @@ def split_table(store, rng):
     its NUC index and, per partition, the live columns and patch mask.
 
     Partition 0 has random patches, 1 none, 2 only patches and 3 no rows.
-    Deletes empty chunk 2 of partition 0 and hit every bitmap shard, but
-    leave each bitmap above CONDENSE_BELOW, so the bitmaps have lost bits
-    at their shard ends and the chunk grid no longer lines up with the
-    shard grid."""
+    Deletes empty chunk 2 of partition 0 and hit every bitmap shard, and
+    the bitmaps keep their lost bits (a repack threshold of 0.75 holds
+    while the deletes run), so the bitmaps have lost bits at their shard
+    ends and the chunk grid no longer lines up with the shard grid."""
     sizes, parts, masks, first = (700, 300, 300, 0), [], [], 0
     for n, share in zip(sizes, (0.3, 0, 1, 0)):
         key = np.arange(first, first + n)
@@ -867,7 +867,9 @@ def split_table(store, rng):
             if n else np.zeros(0, np.int64) for p, n in enumerate(sizes)]
     rows = np.concatenate([g + o for g, o in zip(gone, offsets)])[::-1]
     t.delete_rows(rows)
-    idx.drop_rows(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patch_index, "CONDENSE_BELOW", 0.75)
+        idx.drop_rows(rows)
     live = [({c: np.delete(part[c], g) for c in SPLIT_COLUMNS}, np.delete(m, g))
             for part, m, g in zip(parts, masks, gone)]
     if store == "bitmap":

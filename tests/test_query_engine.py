@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchindex import _native, column_store
+from patchindex import _native, column_store, patch_index
 from patchindex.column_store import ColumnTable
 from patchindex.patch_index import (NSC_ASC, NUC, NULL_VALUE, SortOrder,
                                     build_index)
@@ -11,9 +11,9 @@ from patchindex import query_engine as qe
 from patchindex.query_engine import (
     Executor, annotate, distinct_node, execute, explain, hash_join_node,
     hash_join_positions, merge_join_node, merge_join_positions,
-    merge_sorted_streams, result_checksum, rewrite_distinct, rewrite_join,
-    rewrite_sort,
-    scan_node, select_node, sort_node, stable_argsort, zero_branch_prune,
+    merge_sorted_streams, project_node, result_checksum, rewrite_distinct,
+    rewrite_join, rewrite_sort, scan_node, select_node, sort_node,
+    stable_argsort, union_node, zero_branch_prune,
 )
 from patchindex.update_pipeline import apply_delete, apply_insert, apply_modify
 
@@ -237,7 +237,9 @@ def test_patch_split_scan_equals_filtered_full_scan(n, nparts, store, deletes,
     split_scan_matches_mask(t, idx)
 
 
-def test_patch_split_scan_with_lost_bits():
+def test_patch_split_scan_with_lost_bits(monkeypatch):
+    # a repack threshold of 0.75 lets the bitmaps keep their lost bits
+    monkeypatch.setattr(patch_index, "CONDENSE_BELOW", 0.75)
     rng = np.random.default_rng(4)
     t = make_table(rng.integers(0, 300, size=3000), partitions=3, block_size=64)
     idx = build_index([p.columns["value"] for p in t.partitions], NUC,
@@ -257,7 +259,8 @@ def test_patch_split_scan_with_lost_bits():
 def test_rewrites_read_partition_rows_without_routing(store, monkeypatch):
     # the patch flows hand each store's bits to the scans, so no rowID is
     # routed and no bitmap is unpacked to rows; small shards and deletes
-    # leave the bitmaps lost bits
+    # leave the bitmaps lost bits under a repack threshold of 0.75
+    monkeypatch.setattr(patch_index, "CONDENSE_BELOW", 0.75)
     rng = np.random.default_rng(11)
     n, nparts = 3000, 3
     values = {"nuc": rng.integers(0, 2000, size=n), "nsc": nearly_sorted(n, 300)}
@@ -944,14 +947,14 @@ class TestRewriteJoin:
         fact, idx, dim = self._tables(100)
         naive = fact_dim_join(fact, dim)
         rewritten = rewrite_join(naive, idx)
-        real_scan = dim.scan
+        real_scan = dim.scan_into
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real_scan(*args, **kwargs)
 
-        monkeypatch.setattr(dim, "scan", counted)
+        monkeypatch.setattr(dim, "scan_into", counted)
         rel = Executor().run(rewritten)
         assert len(calls) == 1
         monkeypatch.undo()
@@ -1063,6 +1066,132 @@ def test_join_rewrite_matches_naive(nparts, empty, patched, e, store,
     want = result_checksum(execute(naive))
     assert result_checksum(execute(rewritten)) == want
     assert result_checksum(execute(zero_branch_prune(rewritten))) == want
+
+
+def four_partition_tables(store):
+    """A NUC and an NSC fact table, each of four partitions: one with some
+    patches, one empty, one all patches and one without patches, at block
+    size 8 (32-row chunks), with their indexes and a dimension that holds
+    every other NSC value, so that some fact keys find no match."""
+    rng = np.random.default_rng(27)
+    domain = 400
+    nsc = [np.sort(rng.integers(0, domain, size=300)), np.zeros(0, np.int64),
+           rng.integers(0, domain, size=200), np.arange(0, domain, 3)]
+    wild = rng.choice(300, size=30, replace=False)
+    nsc[0][wild] = rng.integers(0, domain, size=30)
+    nuc = [rng.integers(0, 2000, size=300), np.zeros(0, np.int64),
+           rng.integers(0, 150, size=200), 5000 + np.arange(133)]
+    out = {}
+    for name, parts, constraint in (("nuc", nuc, NUC), ("nsc", nsc, NSC_ASC)):
+        first = np.cumsum([0] + [len(v) for v in parts])
+        table = ColumnTable.from_partitions(
+            [{"key": np.arange(lo, lo + len(v), dtype=np.int64),
+              "value": v.astype(np.int64)} for lo, v in zip(first, parts)],
+            block_size=8)
+        index = build_index([p.columns["value"] for p in table.partitions],
+                            constraint, store=store, shard_size_bits=64)
+        index.partitions[2].add_patches(np.arange(len(parts[2])))
+        out[name] = table, index
+    keys = np.arange(0, domain, 2, dtype=np.int64)
+    dim = ColumnTable.from_partitions([{"value": keys, "payload": keys * 7}])
+    return out, dim
+
+
+def four_partition_plans(store):
+    """query -> (naive, rewritten) plan over ``four_partition_tables``."""
+    tables, dim = four_partition_tables(store)
+    (nuc, nuc_idx), (nsc, nsc_idx) = tables["nuc"], tables["nsc"]
+    distinct = distinct_node(scan_node(nuc, ["key", "value"]), "value")
+    sort = sort_node(scan_node(nsc, ["key", "value"]), "value")
+    join = hash_join_node(scan_node(nsc, ["key", "value"]),
+                          scan_node(dim, ["value", "payload"]), "value", "value")
+    return {"distinct": (distinct, rewrite_distinct(distinct, nuc_idx)),
+            "sort": (sort, rewrite_sort(sort, nsc_idx)),
+            "join": (join, rewrite_join(join, nsc_idx))}
+
+
+# result_checksum of each query's naive and rewritten plan over
+# four_partition_tables, ordered for sort (its rewrite keeps another tie
+# order), as the executor before destination passing computed them: the
+# same for both stores and both backends, pruned or not
+PINNED = {"distinct": ("fbfe0193c5c8f0a7f47d8e8ce326ee7a",) * 2,
+          "sort": ("35187eca98faca5c016f9f02ae4fe497",
+                   "7494a16880830901bc5267ece1ce9168"),
+          "join": ("e819d30d23f45c801fa5194f30dba75a",) * 2}
+
+
+class TestDestinationPassing:
+    @pytest.mark.parametrize("store", ["bitmap", "identifiers"])
+    def test_rewrites_match_naive_and_pinned_checksums(self, store,
+                                                       join_backend):
+        for query, (naive, rewritten) in four_partition_plans(store).items():
+            ordered = query == "sort"
+            want_naive, want = PINNED[query]
+            base = execute(naive)
+            assert result_checksum(base, ordered) == want_naive, query
+            pruned = zero_branch_prune(rewritten)
+            if query != "distinct":  # the empty and all-patch partitions'
+                # patch-free streams go
+                assert len(pruned.children) == len(rewritten.children) - 2
+            for plan in (rewritten, pruned):
+                rel = execute(plan)
+                assert result_checksum(rel, ordered) == want, query
+                assert result_checksum(rel) == result_checksum(base), query
+
+    def test_union_children_write_from_where_the_last_stopped(self,
+                                                                join_backend):
+        # the merge joins find fewer rows than their fact sides' bounds, so
+        # each compacts its slice and the next child starts at the true
+        # offset: the union is the concatenation of its children
+        tables, _ = four_partition_tables("bitmap")
+        join = four_partition_plans("bitmap")["join"][1]
+        fact_rows = tables["nsc"][0].row_count
+        children = [execute(c) for c in join.children]
+        fact_scan = annotate(join.children[0].children[0])
+        assert children[0].nrows < fact_scan.est_rows
+        rel = execute(join)
+        assert rel.nrows == sum(c.nrows for c in children) < fact_rows
+        for col, a in rel.columns.items():
+            assert np.array_equal(a, np.concatenate([c.columns[col]
+                                                     for c in children])), col
+
+    def test_scans_write_only_the_columns_read(self, monkeypatch):
+        # the distinct rewrite reads one column of both flows, so neither
+        # scan writes rowIDs or the unread key; a join at the root reads
+        # every column its scans give
+        writes = []
+        real = ColumnTable.scan_into
+
+        def recorded(self, plan, ids, cols):
+            writes.append((self, ids is not None, sorted(cols)))
+            return real(self, plan, ids, cols)
+
+        plans = four_partition_plans("bitmap")
+        monkeypatch.setattr(ColumnTable, "scan_into", recorded)
+        execute(plans["distinct"][1])
+        assert [w[1:] for w in writes] == [(False, ["value"])] * 2
+        writes.clear()
+        naive, rewritten = plans["join"]
+        dim = naive.children[1].table
+        for plan in (naive, rewritten, zero_branch_prune(rewritten)):
+            writes.clear()
+            rel = execute(plan)
+            assert sorted(rel.columns) == ["key", "payload", "rowid",
+                                           "rowid_r", "value", "value_r"]
+            assert all(ids for _, ids, _ in writes)
+            # the shared dimension node runs once
+            assert [w[0] for w in writes].count(dim) == 1
+
+    def test_union_casts_a_child_of_another_dtype(self):
+        narrow = ColumnTable.from_partitions(
+            [{"value": np.array([5, 6], np.int32)}])
+        wide = ColumnTable.from_partitions(
+            [{"value": np.array([2**40], np.int64)}])
+        rel = execute(union_node(
+            [project_node(scan_node(t, ["value"]), ["value"])
+             for t in (narrow, wide)]))
+        assert rel.columns["value"].dtype == np.int64
+        assert rel.columns["value"].tolist() == [5, 6, 2**40]
 
 
 class TestZeroBranchPrune:

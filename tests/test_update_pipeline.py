@@ -155,7 +155,7 @@ def test_duplicate_join_matches_pairwise_oracle(base, sort_base, partitions,
     assert stats.blocks_scanned <= stats.blocks_total
 
     if modify:
-        handle_modify_nuc(t, idx, ids)
+        handle_modify_nuc(t, idx, ids, t.route(ids, "modify"))
     else:
         handle_insert_nuc(t, idx, ids, values)
     assert set(idx.global_patch_rows().tolist()) == before | set(expected)

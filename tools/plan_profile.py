@@ -5,11 +5,11 @@ fact table of 10^6 rows in 4 partitions and a 10^4-row dimension, with
 perfbench's generator settings, at exception rates 0.01 and 0.2. For each
 query (distinct, sort, join) it runs the naive and the rewritten plan
 round-robin, 2 untimed runs and then 9 timed ones each, in one process, so
-the allocator is warm as it is in perfbench. Every node's result is
-memoized for the run, so a node reached twice runs once and a node's self
-time is its own work: its elapsed time less its children's. The executor
-memoizes only shared nodes, and a timing subclass that did not memoize
-every node would run a shared child once per parent.
+the allocator is warm as it is in perfbench. A node's self time is its own
+work: the time of its calls less that of the calls nested in them. Under
+destination passing a scan or join writes its rows inside its consumer's
+write, and that time is still the scan's or the join's (see
+``ProfilingExecutor``).
 
 Freed memory stays in the process heap (glibc ``mallopt``: no trimming,
 and arrays up to 32 MiB come from the heap, not from fresh mappings), as
@@ -19,8 +19,8 @@ microseconds each, which swamp the nodes' own work.
 
 Prints, per plan, the median run time and minor page faults per run
 (``resource.getrusage``), then each node as ``explain`` shows it with its
-median self time in ms. "gather at the root" is what the run spends
-outside the nodes: gathering a join's columns when the join is the root.
+median self time in ms. "outside the nodes" is what the run spends
+outside every node's calls.
 
 Usage: PYTHONPATH=src python tools/plan_profile.py
 """
@@ -42,25 +42,39 @@ WARM, REPEATS, SEED = 2, 9, 1
 
 
 class ProfilingExecutor(Executor):
-    """An Executor that memoizes every node and times each one's own work."""
+    """An Executor that times each node's own work.
+
+    A node's work comes in up to three calls: ``_exec`` (its whole run),
+    ``_rows`` (the bound and dtypes that a destination-passing node gives
+    its consumer) and ``_write`` (its rows written into the consumer's
+    arrays, inside the consumer's own write). Each call's time less the
+    time of the calls nested in it is charged to its node, so a node's
+    self time covers its writes wherever they run.
+    """
 
     def run(self, plan):
-        self.results, self.self_ns, self._child_ns = {}, {}, []
+        self.self_ns, self._child_ns = {}, []
         return super().run(plan)
 
-    def _exec(self, node):
-        rel = self.results.get(id(node))
-        if rel is not None:
-            return rel
+    def _timed(self, node, call, *args):
         self._child_ns.append(0)
         t0 = time.perf_counter_ns()
-        rel = getattr(self, "_op_" + node.op)(node)
+        out = call(*args)
         elapsed = time.perf_counter_ns() - t0
-        self.self_ns[id(node)] = elapsed - self._child_ns.pop()
+        own = elapsed - self._child_ns.pop()
+        self.self_ns[id(node)] = self.self_ns.get(id(node), 0) + own
         if self._child_ns:
             self._child_ns[-1] += elapsed
-        self.results[id(node)] = rel
-        return rel
+        return out
+
+    def _exec(self, node):
+        return self._timed(node, super()._exec, node)
+
+    def _rows(self, node):
+        return self._timed(node, super()._rows, node)
+
+    def _write(self, rows, dest):
+        return self._timed(rows.node, super()._write, rows, dest)
 
 
 def preorder(plan):
@@ -138,7 +152,7 @@ def main():
                     note = "" if id(node) in seen else f"{ms(nodes[id(node)]):8.2f}"
                     seen.add(id(node))
                     print(f"  {line:<64}{note}")
-                print(f"  {'gather at the root':<64}{ms(nodes['root']):8.2f}")
+                print(f"  {'outside the nodes':<64}{ms(nodes['root']):8.2f}")
 
 
 if __name__ == "__main__":
