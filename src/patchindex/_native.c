@@ -1,10 +1,11 @@
 /* Compiled inner loops: shard-local bit deletion, one bulk delete per
  * bitmap, column membership, block Bloom filters, the merge join, the hash
- * join, the k-way merge of sorted streams, the select of a partition's
- * rows by the bits of a sharded bit set, the delete of a partition's rows
- * with its zone-map and sub-block bound upkeep, the zone-map refresh of a
- * partition's blocks, the two-level filter plan and the semijoin read of
- * a partition's probe and longest-sorted-subsequence discovery.
+ * join, the k-way merge and copy of sorted streams, the select of a
+ * partition's rows by the bits of a sharded bit set, the delete of a
+ * partition's rows with its zone-map and sub-block bound upkeep, the
+ * zone-map refresh of a partition's blocks, the two-level filter plan and
+ * the semijoin read of a partition's probe and longest-sorted-subsequence
+ * discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -27,6 +28,17 @@
 #if __has_attribute(target_clones)
 #define X86_CLONES 1
 #endif
+#endif
+
+/* The build targets the x86-64 baseline, which has no 64-bit integer min,
+ * max or compare, so where the compiler can clone a function for the CPU
+ * found at load time (GCC's and Clang's target_clones, through glibc's
+ * ifunc), the loops that need them get AVX-512 and AVX2 clones. Every
+ * clone computes the same result. */
+#ifdef X86_CLONES
+#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define VECTOR_CLONES
 #endif
 
 /* Delete bits at descending in-shard offsets, one word at a time.
@@ -394,21 +406,29 @@ int64_t pi_hash_join(const int64_t *bk, int64_t nb, const int64_t *pk,
     return count;
 }
 
-/* Whether key a goes strictly before key b in the merge order. */
-static inline int before(int64_t a, int64_t b, const int descending)
+/* Whether key a goes strictly before key b in the merge order (int64, so
+ * that the merge's block test vectorizes). */
+static inline int64_t before(int64_t a, int64_t b, const int descending)
 {
     return descending ? a > b : a < b;
 }
 
-/* The body of pi_merge_runs; descending is a constant at each call site,
- * so each order gets its own comparisons. */
-static inline int64_t merge_runs(const int64_t *const *keys,
-                                 const int64_t *lens, int64_t k,
-                                 const int descending, int64_t *pos,
-                                 int64_t *run_stream, int64_t *run_start,
-                                 int64_t *run_len)
+/* Whether key x stays in a run whose next head is bound: it goes before
+ * bound, or ties with it and tie_stays is set. */
+static inline int64_t in_run(int64_t x, int64_t bound, int64_t tie_stays,
+                             const int descending)
 {
-    int64_t runs = 0;
+    return before(x, bound, descending) | (tie_stays & (x == bound));
+}
+
+/* The body of pi_merge_copy; descending is a constant at each call site,
+ * so each order gets its own comparisons. */
+static inline __attribute__((always_inline)) int64_t
+merge_copy_body(const int64_t *const *keys, const int64_t *lens, int64_t k,
+                const int descending, int64_t *pos, const char *const *src,
+                const int64_t *itemsizes, int64_t ncols, char *const *dst)
+{
+    int64_t runs = 0, out = 0;
     for (;;) {
         /* the first head s and the next head s2 in (key, stream) order */
         int64_t s = -1, s2 = -1;
@@ -426,64 +446,72 @@ static inline int64_t merge_runs(const int64_t *const *keys,
         if (s < 0)
             return runs;
         /* stream s keeps the output while (key, s) stays before the next
-         * head: a tie stays in s only when s is the earlier stream */
+         * head: a tie stays in s only when s is the earlier stream; with
+         * no next head, the run takes the rest of the stream */
         const int64_t *v = keys[s];
         const int64_t n = lens[s], start = pos[s];
-        const int64_t bound = s2 < 0 ? 0 : keys[s2][pos[s2]];
-        const int tie_stays = s < s2;
-        int64_t i = start;
-        do {
-            if (i > 0 && before(v[i], v[i - 1], descending))
+        const int64_t bound = s2 >= 0 ? keys[s2][pos[s2]]
+                              : descending ? INT64_MIN : INT64_MAX;
+        const int64_t tie_stays = s2 < 0 || s < s2;
+        /* the head needs no order test: the stream's run before it ended
+         * there because the head goes after that run's bound, and so after
+         * the row before it */
+        int64_t i = start + 1;
+        /* eight rows per step while all of them stay in the run and each
+         * is in order after its predecessor; kept as a loop, not unrolled,
+         * so that the compiler vectorizes it */
+        for (; i + 8 <= n; i += 8) {
+            int64_t good = 0;
+            _Pragma("GCC unroll 1") for (int j = 0; j < 8; j++)
+                good += in_run(v[i + j], bound, tie_stays, descending)
+                        & !before(v[i + j], v[i + j - 1], descending);
+            if (good != 8)
+                break;
+        }
+        /* the block where the run ends, row by row */
+        for (; i < n && in_run(v[i], bound, tie_stays, descending); i++)
+            if (before(v[i], v[i - 1], descending))
                 return -1;
-            i++;
-        } while (i < n && (s2 < 0 || before(v[i], bound, descending)
-                           || (tie_stays && v[i] == bound)));
-        run_stream[runs] = s;
-        run_start[runs] = start;
-        run_len[runs] = i - start;
-        runs++;
+        for (int64_t c = 0; c < ncols; c++) {
+            const int64_t w = itemsizes[c];
+            memcpy(dst[c] + out * w, src[c * k + s] + start * w,
+                   (size_t)((i - start) * w));
+        }
+        out += i - start;
         pos[s] = i;
+        runs++;
     }
 }
 
 /* k-way merge of the int64 key streams keys[t][0:lens[t]], each ascending
- * (descending when descending is set), in one pass over every key.
+ * (descending when descending is set), in one pass over every key, that
+ * copies the merged rows of ncols columns as it goes: column c of stream
+ * t is the array src[c * k + t] of items of itemsizes[c] bytes, and its
+ * merged rows go to dst[c], which has room for every stream's rows.
  *
- * The merged order is written as runs: run r is the rows
- * [run_start[r], run_start[r] + run_len[r]) of stream run_stream[r]. Each
- * array needs room for the total row count, the most runs a merge can
- * make. Ties go to the earlier stream, and every stream keeps its own row
+ * The merge finds one run of rows of one stream at a time, eight keys per
+ * step, and copies the run of every column while its keys are still in
+ * cache. Ties go to the earlier stream, and every stream keeps its own row
  * order, so the result is the stable sort of the streams' concatenation.
  * Returns the number of runs; -1 when a stream is out of order, which is
- * checked for every row; -2 when the stream positions cannot be
- * allocated. */
-int64_t pi_merge_runs(const int64_t *const *keys, const int64_t *lens,
-                      int64_t k, int descending, int64_t *run_stream,
-                      int64_t *run_start, int64_t *run_len)
+ * checked for every row (columns may then be partly written); -2 when the
+ * stream positions cannot be allocated. With ncols 0 it only checks the
+ * order. */
+VECTOR_CLONES
+int64_t pi_merge_copy(const int64_t *const *keys, const int64_t *lens,
+                      int64_t k, int descending, const char *const *src,
+                      const int64_t *itemsizes, int64_t ncols,
+                      char *const *dst)
 {
     int64_t *pos = calloc((size_t)(k > 0 ? k : 1), sizeof *pos);
     if (pos == NULL)
         return -2;
     const int64_t runs =
         descending
-            ? merge_runs(keys, lens, k, 1, pos, run_stream, run_start, run_len)
-            : merge_runs(keys, lens, k, 0, pos, run_stream, run_start, run_len);
+            ? merge_copy_body(keys, lens, k, 1, pos, src, itemsizes, ncols, dst)
+            : merge_copy_body(keys, lens, k, 0, pos, src, itemsizes, ncols, dst);
     free(pos);
     return runs;
-}
-
-/* Copies the merged rows of one column into dst: run r is the run_len[r]
- * items of itemsize bytes at item run_start[r] of the array
- * src[run_stream[r]]. */
-void pi_copy_runs(const char *const *src, int64_t itemsize,
-                  const int64_t *run_stream, const int64_t *run_start,
-                  const int64_t *run_len, int64_t runs, char *dst)
-{
-    for (int64_t r = 0; r < runs; r++) {
-        const size_t bytes = (size_t)(run_len[r] * itemsize);
-        memcpy(dst, src[run_stream[r]] + run_start[r] * itemsize, bytes);
-        dst += bytes;
-    }
 }
 
 /* Below SHORT_RUN rows per deleted row, a chunk is compacted row by row,
@@ -793,17 +821,6 @@ int64_t pi_select_uses_avx512(void)
     return select_path != pi_select_scalar;
 }
 
-
-/* The build targets the x86-64 baseline, which has no 64-bit integer min,
- * max or compare, so where the compiler can clone a function for the CPU
- * found at load time (GCC's and Clang's target_clones, through glibc's
- * ifunc), the loops that need them get AVX-512 and AVX2 clones. Every
- * clone computes the same result. */
-#ifdef X86_CLONES
-#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define VECTOR_CLONES
-#endif
 
 /* Zone maps of the blocks [b0, b1) of one chunk's int64 rows v[0:n]:
  * block b covers rows [b * bs, min((b + 1) * bs, n)). */

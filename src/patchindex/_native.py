@@ -23,7 +23,9 @@ runs ``np.isin`` over the kept sub-blocks' rows; ``query_engine`` its
 merge join (``merge_join_positions``), its hash join
 (``hash_join_positions``) and its merge of sorted streams
 (``merge_sorted_streams``), which falls back to a stable argsort of the
-concatenated streams, and ``patch_index`` its longest sorted subsequence
+concatenated streams where ``pi_merge_copy`` copies each run of one
+stream's rows into every output column as its one pass over the keys
+finds the run, and ``patch_index`` its longest sorted subsequence
 (``lss_keep``), which falls back to the Python patience loop
 ``lss_keep_mask``.
 
@@ -41,7 +43,9 @@ Module attributes:
 - ``BACKEND``: ``"c"`` or ``"numpy"``, the kernel backend in use;
 - ``SELECT_PATH``: ``"avx512"`` or ``"scalar"``, the path ``pi_select``
   chose for this CPU when the library loaded, or ``"numpy"`` without it;
-- ``COMPILER``: path of the C compiler the loader uses, or None.
+- ``COMPILER``: path of the C compiler the loader uses, or None;
+- ``HEAP_KEPT``: whether the import pinned glibc's heap thresholds
+  (``keep_freed_memory``).
 
 Every wrapper hands its arrays to a kernel through ``address`` (one array)
 or ``pointers`` (an array of addresses).
@@ -107,8 +111,7 @@ _SIGNATURES = {
     "pi_in_positions": ((_P, _I, _P, _I, _P), _I),
     "pi_merge_join": ((_P, _I, _P, _I, _P, _P), _I),
     "pi_hash_join": ((_P, _I, _P, _I, _P, _P, _I), _I),
-    "pi_merge_runs": ((_P, _P, _I, ctypes.c_int, _P, _P, _P), _I),
-    "pi_copy_runs": ((_P, _I, _P, _P, _P, _I, _P), None),
+    "pi_merge_copy": ((_P, _P, _I, ctypes.c_int, _P, _P, _I, _P), _I),
     "pi_lss_keep": ((_P, _I, ctypes.c_int, _P), _I),
     "pi_select": ((ctypes.POINTER(SelectArgs),), _I),
     "pi_select_scalar": ((ctypes.POINTER(SelectArgs),), _I),
@@ -140,6 +143,23 @@ def pointers(arrays):
     takes one pointer per array. As for ``address``, the caller holds
     the result and every array by name until the kernel returns."""
     return np.array([address(a) for a in arrays], dtype=np.uintp)
+
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def keep_freed_memory():
+    """Pin glibc's heap thresholds where its own dynamic rule tops out:
+    arrays up to 32 MiB come from the heap, and freed heap goes back to
+    the system only beyond 64 MiB, whatever temporaries the process freed
+    before (README, "Install and test"). False without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no dlopen(NULL)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20)
+                and mallopt(M_TRIM_THRESHOLD, 64 << 20))
 
 
 def _cache_dir():
@@ -189,6 +209,7 @@ except (OSError, subprocess.SubprocessError) as exc:
                   f"using the slower numpy references", RuntimeWarning)
     lib = None
 
+HEAP_KEPT = keep_freed_memory()
 BACKEND = "numpy" if lib is None else "c"
 SELECT_PATH = ("numpy" if lib is None
                else "avx512" if lib.pi_select_uses_avx512() else "scalar")

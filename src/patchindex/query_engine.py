@@ -267,9 +267,11 @@ def merge_sorted_streams(rels, key, order=SortOrder.ASCENDING):
     Ties keep earlier-stream rows first and every stream keeps its row
     order, so the result is the stable sort of the streams' concatenation.
     A stream out of order raises ValueError. int64 keys with fixed-width,
-    non-object columns of one dtype per column run the compiled kernels:
-    one k-way pass over the keys that emits the merge as runs of stream
-    rows, then a run-by-run copy of each column. Anything else, or a
+    non-object columns of one dtype per column run one kernel call
+    (``pi_merge_copy``): a k-way pass over the keys that finds each run of
+    one stream's rows and copies that run of every column at once. When
+    at most one stream has rows, the call only checks the order and that
+    stream's relation passes through uncopied. Anything else, or a
     missing build, runs the numpy reference, a stable argsort of the
     concatenated streams.
     """
@@ -281,32 +283,25 @@ def merge_sorted_streams(rels, key, order=SortOrder.ASCENDING):
     cols = {c: [np.ascontiguousarray(a) for a in arrays]
             for c, arrays in cols.items()}
     lens = np.array([len(k) for k in cols[key]], dtype=np.int64)
-    total = int(lens.sum())
-    # a merge makes at most one run per row; untouched rows cost no memory
-    stream, start, length = np.empty((3, max(total, 1)), dtype=np.int64)
+    out = ({} if np.count_nonzero(lens) <= 1 else
+           {c: np.empty(int(lens.sum()), dtype=arrays[0].dtype)
+            for c, arrays in cols.items()})
     key_ptrs = pointers(cols[key])
-    count = lib.pi_merge_runs(address(key_ptrs), address(lens), len(rels),
-                              order is SortOrder.DESCENDING, address(stream),
-                              address(start), address(length))
-    if count == -1:
+    src = pointers([a for c in out for a in cols[c]])
+    itemsizes = np.array([a.itemsize for a in out.values()], dtype=np.int64)
+    dst = pointers(out.values())
+    status = lib.pi_merge_copy(address(key_ptrs), address(lens), len(rels),
+                               order is SortOrder.DESCENDING, address(src),
+                               address(itemsizes), len(out), address(dst))
+    if status == -1:
         raise ValueError("merge needs sorted streams")
-    if count < 0:
+    if status < 0:
         raise MemoryError("merge: cannot allocate the stream positions")
-    if count <= 1:  # at most one stream has rows
-        return rels[int(stream[0]) if count else 0]
-    out = {}
-    runs = address(stream), address(start), address(length)
-    for c, arrays in cols.items():
-        dst = np.empty(total, dtype=arrays[0].dtype)
-        ptrs = pointers(arrays)
-        lib.pi_copy_runs(address(ptrs), dst.itemsize, *runs, count,
-                         address(dst))
-        out[c] = dst
-    return Relation(out)
+    return Relation(out) if out else rels[int(lens.argmax())]
 
 
 def _runs_copyable(arrays):
-    """Whether pi_copy_runs may copy these per-stream arrays of a column:
+    """Whether pi_merge_copy may copy these per-stream arrays of a column:
     one fixed-width dtype holding no Python objects."""
     dtype = arrays[0].dtype
     return not dtype.hasobject and all(a.dtype == dtype for a in arrays)

@@ -321,6 +321,25 @@ class TestPlanProfile:
             assert sum(ex.self_ns.values()) <= elapsed
             assert result_checksum(rel) == result_checksum(execute(plan))
 
+    @pytest.mark.parametrize("argv,want", [
+        ([], (("distinct", "sort", "join"), (0.01, 0.2))),
+        (["sort"], (("sort",), (0.01, 0.2))),
+        (["sort", "0.01"], (("sort",), (0.01,))),
+        (["join", "0"], (("join",), (0.0,))),
+    ])
+    def test_query_and_rate_arguments(self, argv, want):
+        tool = _load_tool("plan_profile")
+        assert tool.parse_args(argv) == want
+
+    @pytest.mark.parametrize("argv", [["scan"], ["sort", "1.5"],
+                                      ["sort", "x"], ["sort", "0.1", "2"]])
+    def test_bad_arguments_exit_2(self, argv):
+        tool = _load_tool("plan_profile")
+        with pytest.raises(SystemExit) as exc:
+            tool.parse_args(argv)
+        assert exc.value.code == 2
+
+
 class TestStmtProfile:
     def test_route_wrapper_yields_what_route_rows_yields(self):
         tool = _load_tool("stmt_profile")

@@ -328,6 +328,28 @@ class TestTableIndex:
             assert parts[1].check_invariant(both[3:])
             assert not idx.check_invariant(both)
 
+    def test_nuc_invariant_fails_on_the_closure_alone(self):
+        """A patch row holds a value that an unpatched row of its own
+        partition holds. Every non-patch value is unique, within and
+        across partitions, so only the closure is broken: no unpatched
+        row may hold a value that a patch row holds."""
+        def table_index(patches):
+            return TableIndex("value", NUC, [
+                PatchIndex.from_patches(NUC, np.array(patches, np.int64), 3),
+                PatchIndex.from_patches(NUC, np.zeros(0, np.int64), 2)])
+
+        vals = np.array([1, 2, 2, 7, 8])
+        idx = table_index([2])
+        unpatched = vals[~idx.global_patch_mask()]
+        assert len(np.unique(unpatched)) == len(unpatched)
+        assert idx.partitions[0].check_invariant(vals[:3])
+        assert idx.partitions[1].check_invariant(vals[3:])
+        assert not idx.check_invariant(vals)
+        # closed again: the patch row's value held by no other row, or
+        # every row of the value patched
+        assert idx.check_invariant(np.array([1, 2, 9, 7, 8]))
+        assert table_index([1, 2]).check_invariant(vals)
+
     def test_nuc_partition_transparency(self):
         rng = np.random.default_rng(6)
         vals = rng.integers(0, 500, size=1000)

@@ -755,7 +755,7 @@ class TestMergeSortedStreams:
     def test_kernel_allocation_failure_raises_memory_error(self, monkeypatch):
         class FailingKernels:
             @staticmethod
-            def pi_merge_runs(*args):
+            def pi_merge_copy(*args):
                 return -2
 
         monkeypatch.setattr(_native, "lib", FailingKernels())
@@ -787,6 +787,155 @@ def test_merge_kernel_equals_reference_over_stream_splits(values, cuts,
     assert got.columns["value"].tolist() == keys
     assert_same_relation(got, qe._merge_sorted_reference(rels, "value", order))
 
+
+def wide_streams(keys):
+    """merge_streams' relations plus an int8 and a float64 column, so that a
+    merge copies items of 1, 4 and 8 bytes and floats."""
+    rels = merge_streams(keys)
+    for r in rels:
+        v = r.columns["value"]
+        r.columns["flag"] = (v % 7).astype(np.int8)
+        r.columns["ratio"] = v.astype(np.float64) / 3
+    return rels
+
+
+def flipped(keys):
+    """The stream keys in the other order: ~x reverses the int64 order,
+    NULL_VALUE and int64 max included, and keeps ties."""
+    return [[~x for x in k] for k in keys]
+
+
+def dealt_streams(rng, n, domain, longest, streams):
+    """n sorted keys of [0, domain) dealt to `streams` streams in runs of 1
+    to `longest` rows, each run to a random stream."""
+    keys = np.sort(rng.integers(0, domain, size=n)).tolist()
+    out = [[] for _ in range(streams)]
+    i = 0
+    while i < n:
+        run = int(rng.integers(1, longest + 1))
+        out[int(rng.integers(streams))].extend(keys[i:i + run])
+        i += run
+    return out
+
+
+@needs_compiler
+class TestMergeCopyBlocks:
+    """pi_merge_copy finds a run's end eight keys per step. These streams
+    of 20-2,000 rows put out-of-order rows, ties with the next head and
+    extreme keys at every lane of those blocks, in both orders, and check
+    the kernel against the numpy reference and the argsort oracle."""
+
+    I64 = np.iinfo(np.int64)
+
+    @staticmethod
+    def _orders(keys):
+        return ((SortOrder.ASCENDING, keys), (SortOrder.DESCENDING, flipped(keys)))
+
+    def _check(self, keys):
+        assert _native.lib is not None, "C kernels failed to build"
+        for order, k in self._orders(keys):
+            rels = wide_streams(k)
+            got = merge_sorted_streams(rels, "value", order)
+            assert_same_relation(got, qe._merge_sorted_reference(rels, "value",
+                                                                 order))
+            assert_same_relation(got, TestMergeSortedStreams._oracle(rels, order))
+
+    def _check_raises(self, keys):
+        assert _native.lib is not None, "C kernels failed to build"
+        for order, k in self._orders(keys):
+            rels = wide_streams(k)
+            for merge in (merge_sorted_streams, qe._merge_sorted_reference):
+                with pytest.raises(ValueError,
+                                   match="merge needs sorted streams"):
+                    merge(rels, "value", order)
+
+    # stream 0 holds even keys; a partner's odd key ends stream 0's first
+    # run before row run_start, so that its next run starts there and its
+    # eight-key blocks start at run_start + 1, right after the run's head.
+    # An out-of-order row always falls in its predecessor's run: it goes
+    # before a key that the run holds, so it goes before the next head too.
+    @pytest.mark.parametrize("partner", ["head", "tail", "none"])
+    @pytest.mark.parametrize("run_start", [0, 5, 13])
+    @pytest.mark.parametrize("block", [0, 2])
+    @pytest.mark.parametrize("lane", range(8))
+    def test_out_of_order_row_at_each_lane(self, partner, run_start, block,
+                                           lane):
+        a = list(range(0, 120, 2))
+        bad = run_start + 1 + 8 * block + lane
+        a[bad] = a[bad - 1] - 1 - lane % 2  # one or two below its predecessor
+        cut = [2 * run_start - 1] if run_start else []
+        if partner == "head":   # the partner holds the next head to the end
+            self._check_raises([a, cut + [10**6]])
+        elif partner == "tail":  # stream 0 is the later stream
+            self._check_raises([cut + [10**6], a])
+        else:  # stream 0 alone: the call only checks the order
+            self._check_raises([[], a] if run_start else [a])
+
+    @pytest.mark.parametrize("bad", [1, 2, 8, 9, 16, 17, 55, 58, 59])
+    def test_out_of_order_row_in_tail_and_first_rows(self, bad):
+        a = list(range(0, 120, 2))
+        a[bad] = a[bad - 1] - 1
+        self._check_raises([a, [7, 10**6]])
+        self._check_raises([[7, 10**6], a])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_out_of_order_row_raises(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = dealt_streams(rng, int(rng.integers(20, 2000)),
+                             int(rng.integers(1, 3000)), 300, 3)
+        k = max(keys, key=len)
+        p = int(rng.integers(1, len(k)))
+        k[p] = k[p - 1] - 1 - int(rng.integers(0, 3))
+        self._check_raises(keys)
+
+    # a run of 11 keys equal to the next head starts at row tie_at; when
+    # stream 0 holds them they stay in its run, when stream 1 does its run
+    # ends at the first of them
+    @pytest.mark.parametrize("tie_at", range(18))
+    @pytest.mark.parametrize("earlier", [True, False])
+    def test_keys_equal_to_the_next_head(self, tie_at, earlier):
+        t = 100
+        a = list(range(tie_at)) + [t] * 11 + list(range(t + 1, t + 30))
+        b = [t] * 3 + [t + 15] * 9 + [t + 40]
+        self._check([a, b] if earlier else [b, a])
+
+    @pytest.mark.parametrize("edge", [1, 6, 7, 8, 9, 15, 16, 17])
+    def test_extreme_keys_at_block_edges(self, edge):
+        lo, hi = NULL_VALUE, int(self.I64.max)
+        a = [lo] * edge + list(range(-5, 12)) + [hi] * (edge + 2)
+        b = [lo] * 2 + [0] * edge + [hi] * 3
+        c = [hi] * (edge + 8)
+        for keys in ([a, b, c], [c, b, a], [a, c], [[], c, []], [a]):
+            self._check(keys)
+
+    def test_columns_of_every_width(self):
+        rels = wide_streams([[1, 5], [2]])
+        widths = {a.itemsize for a in rels[0].columns.values()}
+        assert widths == {1, 4, 8}
+        assert rels[0].columns["ratio"].dtype == np.float64
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            self._check(dealt_streams(rng, 2000, 500, 200, 5))
+
+
+@needs_compiler
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(20, 2000), domain=st.integers(1, 5000),
+       longest=st.integers(1, 400), streams=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_merge_kernel_equals_reference_over_long_runs(n, domain, longest,
+                                                      streams, seed):
+    """Few streams with long runs: most steps of the kernel test a full
+    block of eight keys."""
+    keys = dealt_streams(np.random.default_rng(seed), n, domain, longest,
+                         streams)
+    for order, k in TestMergeCopyBlocks._orders(keys):
+        rels = wide_streams(k)
+        got = merge_sorted_streams(rels, "value", order)
+        assert got.columns["value"].tolist() == sorted(
+            sum(k, []), reverse=order is SortOrder.DESCENDING)
+        assert_same_relation(got, qe._merge_sorted_reference(rels, "value",
+                                                             order))
 
 class TestRewriteDistinct:
     @pytest.mark.parametrize("dup_rate", [0.0, 0.3, 0.9])

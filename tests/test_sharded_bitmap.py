@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,32 @@ class TestNativeLoader:
             package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
         assert _native.SOURCE.name in package_data["patchindex"]
         assert _native.SOURCE.exists()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's heap thresholds only")
+    def test_freed_arrays_are_reused_after_import(self):
+        """Three 8 MB arrays freed together (24 MB) stay in the heap, so a
+        third round of them takes no fresh pages; glibc's own thresholds,
+        raised to about 8 MB by the first round, would hand them back."""
+        code = ("import resource\n"
+                "import numpy as np\n"
+                "from patchindex import _native\n"
+                "faults = []\n"
+                "for _ in range(3):\n"
+                "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    arrays = [np.ones(10**6) for _ in range(3)]\n"
+                "    del arrays\n"
+                "    faults.append(resource.getrusage(resource.RUSAGE_SELF)"
+                ".ru_minflt - f0)\n"
+                "print(_native.HEAP_KEPT, faults[0], faults[2])\n")
+        src = Path(patchindex.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        kept, first, third = out.stdout.split()
+        assert kept == "True"
+        assert int(first) > 500 and int(third) < 100, (first, third)
 
     def test_address_matches_ctypes_data(self):
         writable = np.arange(10)

@@ -428,13 +428,16 @@ class TestHotPaths:
                 n = t.row_count
                 apply_insert(t, [ix], {"key": np.arange(n, n + 10),
                                        "value": rng.integers(0, 300, size=10)})
+                assert ix.check_invariant(table_values(t)), (kind, "insert")
                 # the last rows of partitions hold the sorted-run tails, so
                 # these statements also move tails
                 ids = np.append(rng.choice(n - 1, size=9, replace=False), n - 1)
                 apply_modify(t, [ix], ids, {"value": rng.integers(0, 300, size=10)})
+                assert ix.check_invariant(table_values(t)), (kind, "modify")
                 last0 = int(t.partition_offsets()[1]) - 1
                 ids = np.union1d(rng.choice(n, size=9, replace=False), [last0])
                 apply_delete(t, [ix], ids[::-1])
+                assert ix.check_invariant(table_values(t)), (kind, "delete")
             for q in queries[kind]:
                 naive, rewritten = build_query_plans(q, t, ix, dim)
                 naive_results[q] = (execute(naive), execute(rewritten))

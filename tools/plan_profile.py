@@ -11,10 +11,9 @@ destination passing a scan or join writes its rows inside its consumer's
 write, and that time is still the scan's or the join's (see
 ``ProfilingExecutor``).
 
-Freed memory stays in the process heap (glibc ``mallopt``: no trimming,
-and arrays up to 32 MiB come from the heap, not from fresh mappings), as
-it does in perfbench's long-lived process. Otherwise every run takes
-thousands of minor page faults on fresh output arrays, at several
+Freed memory stays in the process heap, as the package pins it at import
+(``_native.keep_freed_memory``). Where that pin is unavailable, every run
+takes thousands of minor page faults on fresh output arrays, at several
 microseconds each, which swamp the nodes' own work.
 
 Prints, per plan, the median run time and minor page faults per run
@@ -22,14 +21,20 @@ Prints, per plan, the median run time and minor page faults per run
 median self time in ms. "outside the nodes" is what the run spends
 outside every node's calls.
 
-Usage: PYTHONPATH=src python tools/plan_profile.py
+Usage: PYTHONPATH=src python tools/plan_profile.py [QUERY [RATE]]
+
+QUERY (distinct, sort or join) and RATE (an exception rate) narrow the
+sweep to one query, or to one plan pair, so that it runs in seconds:
+``tools/plan_profile.py sort 0.01``. With neither, every query runs at
+both rates.
 """
 
-import ctypes
+import argparse
 import resource
 import statistics
 import time
 
+from patchindex import _native
 from patchindex.bench import build_query_plans
 from patchindex.datagen import GenSpec, dimension_table, generate
 from patchindex.patch_index import NSC_ASC, NUC, build_index
@@ -111,32 +116,38 @@ def ms(ns_list):
     return statistics.median(ns_list) / 1e6
 
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+def fact_table(kind, e):
+    """perfbench's NUC or NSC fact table at exception rate e."""
+    if kind == "nuc":
+        return generate(GenSpec("nuc", ROWS, e, dup_domain=DUP_DOMAIN,
+                                partitions=PARTITIONS, seed=2 * SEED))
+    return generate(GenSpec("nsc", ROWS, e, partitions=PARTITIONS,
+                            seed=2 * SEED + 1, value_domain=DIM_ROWS))
 
 
-def keep_freed_memory():
-    """Have glibc keep freed memory for reuse; False where that fails."""
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        return bool(libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
-                    and libc.mallopt(M_TRIM_THRESHOLD, 1 << 30))
-    except (OSError, AttributeError):
-        return False
+def parse_args(argv=None):
+    """(queries, rates) to profile: the ones named, or all of them."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("query", nargs="?", choices=QUERIES)
+    parser.add_argument("rate", nargs="?", type=float)
+    args = parser.parse_args(argv)
+    if args.rate is not None and not 0 <= args.rate <= 1:
+        parser.error(f"rate must lie in [0, 1], got {args.rate}")
+    return ((args.query,) if args.query else QUERIES,
+            (args.rate,) if args.rate is not None else RATES)
 
 
-def main():
-    if not keep_freed_memory():
+def main(argv=None):
+    queries, rates = parse_args(argv)
+    if not _native.HEAP_KEPT:
         print("mallopt unavailable: page faults may dominate the times")
     dim = dimension_table(DIM_ROWS)
-    for e in RATES:
-        tables = {
-            "nuc": generate(GenSpec("nuc", ROWS, e, dup_domain=DUP_DOMAIN,
-                                    partitions=PARTITIONS, seed=2 * SEED)),
-            "nsc": generate(GenSpec("nsc", ROWS, e, partitions=PARTITIONS,
-                                    seed=2 * SEED + 1, value_domain=DIM_ROWS)),
-        }
-        for query in QUERIES:
+    for e in rates:
+        tables = {}
+        for query in queries:
             name = "nuc" if query == "distinct" else "nsc"
+            if name not in tables:
+                tables[name] = fact_table(name, e)
             table = tables[name]
             index = build_index([p.columns["value"] for p in table.partitions],
                                 NUC if name == "nuc" else NSC_ASC)

@@ -38,7 +38,7 @@ Prints, per statement kind and size, the median in ms of each phase:
   and ``bitmap`` their bitmap deletes (``ShardedBitmap.bulk_delete``).
 
 A phase the statement never enters reads 0. Freed memory stays in the
-process heap, as in ``plan_profile.py``. The last line gives the share of
+process heap, as the package pins it at import. The last line gives the share of
 set bits in the NUC table's membership filters after the run
 (``ColumnTable.filter_fill``), which stale bits raise.
 
@@ -51,14 +51,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT), str(ROOT / "tools")]
+sys.path.insert(0, str(ROOT))
 
-from patchindex import column_store, patch_index  # noqa: E402
+from patchindex import _native, column_store, patch_index  # noqa: E402
 from patchindex.column_store import Partition  # noqa: E402
 from patchindex.sharded_bitmap import ShardedBitmap  # noqa: E402
 from perfbench.workloads import (STATEMENTS, Scale, StatementStream,  # noqa: E402
                                  Tables, generate_tables, run_statement)
-from plan_profile import keep_freed_memory  # noqa: E402
 
 RATE, SIZES, WARM, ROUNDS, SEED = 0.2, (10, 1000), 3, 60, 1
 PHASES = ("stmt", "route", "table", "part", "zones", "condense", "maint",
@@ -115,7 +114,7 @@ def instrument():
 
 
 def main():
-    if not keep_freed_memory():
+    if not _native.HEAP_KEPT:
         print("mallopt unavailable: page faults may dominate the times")
     scale = Scale()
     tables, dim = generate_tables(scale, RATE, SEED)
