@@ -2,10 +2,9 @@
  * bitmap, column membership, block Bloom filters, the merge join, the hash
  * join, the k-way merge and copy of sorted streams, the select of a
  * partition's rows by the bits of a sharded bit set, the delete of a
- * partition's rows with its zone-map and sub-block bound upkeep, the
- * zone-map refresh of a partition's blocks, the two-level filter plan and
- * the semijoin read of a partition's probe and longest-sorted-subsequence
- * discovery.
+ * partition's rows with its chunk zone and sub-block bound upkeep, the
+ * two-level filter plan and the semijoin read of a partition's probe and
+ * longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -822,49 +821,44 @@ int64_t pi_select_uses_avx512(void)
 }
 
 
-/* Zone maps of the blocks [b0, b1) of one chunk's int64 rows v[0:n]:
- * block b covers rows [b * bs, min((b + 1) * bs, n)). */
+/* The zone of a chunk's int64 rows v[0:n]: their least and greatest value,
+ * or INT64_MAX and INT64_MIN when n is 0, so that no key falls inside. */
 VECTOR_CLONES
-static void zone_refresh(const int64_t *v, int64_t n, int64_t bs, int64_t b0,
-                         int64_t b1, int64_t *mins, int64_t *maxs)
+static void zone_scan(const int64_t *v, int64_t n, int64_t *mn, int64_t *mx)
 {
-    for (int64_t b = b0; b < b1; b++) {
-        const int64_t *x = v + b * bs;
-        const int64_t len = n - b * bs < bs ? n - b * bs : bs;
-        int64_t lo = x[0], hi = x[0];
-        for (int64_t i = 1; i < len; i++) {
-            lo = x[i] < lo ? x[i] : lo;
-            hi = x[i] > hi ? x[i] : hi;
-        }
-        mins[b] = lo;
-        maxs[b] = hi;
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    for (int64_t i = 0; i < n; i++) {
+        lo = v[i] < lo ? v[i] : lo;
+        hi = v[i] > hi ? v[i] : hi;
     }
+    *mn = lo;
+    *mx = hi;
 }
 
-/* Argument block of the partition kernels (pi_delete_rows, pi_zone_refresh,
- * pi_filter_rows and pi_probe_plan), kept per partition on the Python side
- * and rebuilt when its buffers grow or a column gets its block summaries.
- * Mirrors patchindex._native.PartitionArgs.
+/* Argument block of the partition kernels (pi_delete_rows, pi_filter_rows
+ * and pi_probe_plan), kept per partition on the Python side and rebuilt
+ * when its buffers grow or a column gets its block summaries. Mirrors
+ * patchindex._native.PartitionArgs.
  *
- * Block j of chunk k is block k * chunk_blocks + j; its rows are the
- * chunk's rows [j * block_size, (j + 1) * block_size), and it is live
- * when its first row is below the chunk's row count. Sub-block s of chunk
- * k holds the chunk's rows [ends[s - 1], ends[s]) (row 0 for s = 0), where
- * ends is the chunk's nsub sub-block ends, sub_ends[k * nsub:]; the ends
- * never decrease and the last is the chunk's row count; sub_ends is NULL
- * while no column has filters. Zone columns, the columns a probe has read,
- * have one blocked Bloom filter of 2^chunk_log2 words per chunk, chunk k's
- * at word k << chunk_log2, and one of 2^sub_log2 words per sub-block,
- * stored word by word: word w of sub-block s of chunk k is word
- * ((k << sub_log2) + w) * nsub + s, so that a key's word of every
- * sub-block of a chunk lies in one run. */
+ * Zone columns, the columns a probe has read, have one zone per chunk:
+ * mins[z][k] and maxs[z][k] are the least and greatest value of chunk k's
+ * rows, INT64_MAX and INT64_MIN for an empty or unused slot. Sub-block s of
+ * chunk k holds the chunk's rows [ends[s - 1], ends[s]) (row 0 for s = 0),
+ * where ends is the chunk's nsub sub-block ends, sub_ends[k * nsub:]; the
+ * ends never decrease and the last is the chunk's row count; sub_ends is
+ * NULL while no column has filters. Each zone column has one blocked Bloom
+ * filter of 2^chunk_log2 words per chunk, chunk k's at word k <<
+ * chunk_log2, and one of 2^sub_log2 words per sub-block, stored word by
+ * word: word w of sub-block s of chunk k is word ((k << sub_log2) + w) *
+ * nsub + s, so that a key's word of every sub-block of a chunk lies in one
+ * run. */
 struct partition_args {
     char *const *bufs;          /* ncols (slots, capacity) column buffers */
     const int64_t *itemsizes;   /* bytes per item of each column */
     int64_t ncols;
-    int64_t *const *mins;       /* nzones (slots, chunk_blocks) zone maps */
+    int64_t *const *mins;       /* nzones (slots,) chunk zones */
     int64_t *const *maxs;
-    const int64_t *zone_cols;   /* the int64 column of each zone map */
+    const int64_t *zone_cols;   /* the int64 column of each zone */
     uint64_t *const *chunk_filters; /* each zone column's chunk filters */
     uint64_t *const *sub_filters;   /* and its sub-block filters */
     int64_t nzones;
@@ -873,53 +867,20 @@ struct partition_args {
     int64_t chunk_log2;         /* log2 of the words of one chunk filter */
     int64_t sub_log2;           /* and of one sub-block filter */
     int64_t capacity;           /* rows per chunk */
-    int64_t block_size;         /* rows per zone-map block */
-    int64_t chunk_blocks;       /* blocks per chunk */
 };
-
-/* Whether blocks[0:nb] are strictly ascending live block numbers. */
-static int blocks_live(const struct partition_args *a, const int64_t *counts,
-                       int64_t nchunks, const int64_t *blocks, int64_t nb)
-{
-    const int64_t bs = a->block_size, cb = a->chunk_blocks;
-    for (int64_t i = 0; i < nb; i++) {
-        const int64_t b = blocks[i];
-        if (b < 0 || b / cb >= nchunks || b % cb * bs >= counts[b / cb]
-            || (i > 0 && b <= blocks[i - 1]))
-            return 0;
-    }
-    return 1;
-}
-
-/* Recomputes the zone maps of zone column z in the blocks blocks[0:nb],
- * which must be strictly ascending live blocks; returns -1, before writing
- * anything, when they are not, and 0 otherwise. */
-int64_t pi_zone_refresh(const struct partition_args *a, int64_t z,
-                        const int64_t *counts, int64_t nchunks,
-                        const int64_t *blocks, int64_t nb)
-{
-    if (!blocks_live(a, counts, nchunks, blocks, nb))
-        return -1;
-    const int64_t cb = a->chunk_blocks;
-    for (int64_t i = 0; i < nb; i++) {
-        const int64_t k = blocks[i] / cb, j = blocks[i] % cb;
-        zone_refresh((const int64_t *)a->bufs[a->zone_cols[z]] + k * a->capacity,
-                     counts[k], a->block_size, j, j + 1, a->mins[z] + k * cb,
-                     a->maxs[z] + k * cb);
-    }
-    return 0;
-}
 
 /* Delete the strictly ascending partition rows rows[0:m] from a partition
  * of nchunks chunks; chunk k holds counts[k] rows at the front of its slot.
  * Checks the rows first and returns, before writing anything, -2 when
  * rows[0] < 0 or rows[m-1] >= the partition's row count and -1 when they
  * do not strictly ascend. Otherwise each chunk that holds deleted rows
- * closes their gaps in every column, in place, recomputes the zone maps
- * of its live blocks from the block of its first deleted row on, lowers
- * each sub-block end by the deleted rows below it, if the partition has
- * sub-blocks, and takes the new row count; returns 0. Every kept row stays in its chunk and its sub-block,
- * so no filter changes. Emptied chunks stay in place. */
+ * closes their gaps in every column, in place, lowers each sub-block end
+ * by the deleted rows below it, if the partition has sub-blocks, and takes
+ * the new row count; returns 0. A zone stays exact as long as no deleted
+ * value was its min or max: before the gap copy each zone is tested, and
+ * only one where a deleted value was is re-scanned from the kept rows.
+ * Every kept row stays in its chunk and its sub-block, so no filter
+ * changes. Emptied chunks stay in place, with an empty zone. */
 int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
                        int64_t m, int64_t *counts, int64_t nchunks)
 {
@@ -933,26 +894,35 @@ int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
     for (int64_t t = 1; t < m; t++)
         if (rows[t] <= rows[t - 1])
             return -1;
-    const int64_t bs = a->block_size;
     int64_t t = 0, start = 0;
     for (int64_t k = 0; k < nchunks && t < m; k++) {
         const int64_t end = start + counts[k];
         const int64_t t1 = t + lower_bound(rows + t, m - t, end);
         if (t1 > t) {
+            /* a zone whose min or max goes is marked empty (min above max),
+             * which no chunk with rows has, for the re-scan below */
+            for (int64_t z = 0; z < a->nzones; z++) {
+                const int64_t *v = (const int64_t *)a->bufs[a->zone_cols[z]]
+                                   + k * a->capacity;
+                int64_t *mn = a->mins[z] + k, *mx = a->maxs[z] + k;
+                for (int64_t d = t; d < t1; d++)
+                    if (v[rows[d] - start] == *mn || v[rows[d] - start] == *mx) {
+                        *mn = INT64_MAX;
+                        *mx = INT64_MIN;
+                        break;
+                    }
+            }
             /* the chunk's rows [start, end) are items 0.. of its slot */
             const int64_t left = counts[k] - (t1 - t);
             for (int64_t c = 0; c < a->ncols; c++) {
                 char *slot = a->bufs[c] + k * a->capacity * a->itemsizes[c];
                 gap_copy(slot, a->itemsizes[c], start, end, rows + t, t1 - t);
             }
-            const int64_t b0 = (rows[t] - start) / bs, b1 = (left + bs - 1) / bs;
-            for (int64_t z = 0; z < a->nzones; z++) {
-                const int64_t *v = (const int64_t *)a->bufs[a->zone_cols[z]]
-                                   + k * a->capacity;
-                zone_refresh(v, left, bs, b0, b1,
-                             a->mins[z] + k * a->chunk_blocks,
-                             a->maxs[z] + k * a->chunk_blocks);
-            }
+            for (int64_t z = 0; z < a->nzones; z++)
+                if (a->mins[z][k] > a->maxs[z][k])
+                    zone_scan((const int64_t *)a->bufs[a->zone_cols[z]]
+                              + k * a->capacity, left, a->mins[z] + k,
+                              a->maxs[z] + k);
             int64_t *ends = a->sub_ends + k * a->nsub;
             for (int64_t s = 0, d = t; a->sub_ends != NULL && s < a->nsub; s++) {
                 while (d < t1 && rows[d] - start < ends[s])
@@ -1007,13 +977,11 @@ int64_t pi_filter_rows(const struct partition_args *a, int64_t z,
 
 /* The plan of a semijoin probe of zone column z: the sub-blocks of the
  * partition that may hold a value of the strictly ascending keys[0:k].
- * Per chunk, each key inside the chunk's zone, from the least min to the
- * greatest max of its live blocks' zone maps, is tested against the chunk
- * filter; only the keys that pass are tested against the filters of the
- * chunk's non-empty sub-blocks (one run of words per key, see
- * sub_pass), and a sub-block is kept when one of them has every pattern
- * bit set there. (Testing each key against every block's zone map, not
- * the chunk's, took four times as long on keys that lie inside them.)
+ * Per chunk, each key inside the chunk's zone, from its min to its max,
+ * is tested against the chunk filter; only the keys that pass are tested
+ * against the filters of the chunk's non-empty sub-blocks (one run of
+ * words per key, see sub_pass), and a sub-block is kept when one of them
+ * has every pattern bit set there.
  *
  * Writes the kept rows as (lo, hi, row) triples to ranges: the buffer
  * positions [lo, hi) of the column, whose first is partition row `row`,
@@ -1048,20 +1016,11 @@ int64_t pi_probe_plan(const struct partition_args *a, int64_t z,
         sub_word[j] = h >> sshift;
         sub_pattern[j] = bloom_pattern(h, sshift);
     }
-    const int64_t bs = a->block_size, cb = a->chunk_blocks;
     int64_t nr = 0, total = 0, first = 0; /* first: row 0 of chunk c */
     for (int64_t c = 0; c < nchunks; first += counts[c++]) {
-        const int64_t *mn = a->mins[z] + c * cb, *mx = a->maxs[z] + c * cb;
-        const int64_t nb = (counts[c] + bs - 1) / bs;
-        /* the keys inside the chunk's zone, from the least min to the
-         * greatest max of its live blocks, are keys[lo:hi] */
-        int64_t lo = k, hi = 0;
-        for (int64_t j = 0; j < nb; j++) {
-            const int64_t l = lower_bound(keys, k, mn[j]);
-            const int64_t h = bound(keys, k, mx[j], 1);
-            lo = l < lo ? l : lo;
-            hi = h > hi ? h : hi;
-        }
+        /* the keys inside the chunk's zone are keys[lo:hi] */
+        const int64_t lo = lower_bound(keys, k, a->mins[z][c]);
+        const int64_t hi = bound(keys, k, a->maxs[z][c], 1);
         const uint64_t *cf = a->chunk_filters[z] + (c << a->chunk_log2);
         int64_t npass = 0;
         for (int64_t t = lo; t < hi; t++) {

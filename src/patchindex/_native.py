@@ -11,9 +11,9 @@ grouped bulk delete, ``column_store`` its membership test
 (``in_positions``), its patch-split select (``select``), which copies a
 scan's rows by the bits of a patch store and falls back to a keep mask
 per chunk span, its partition delete, which closes one chunk's gaps at a
-time with ``np.delete`` and lowers the chunk's sub-block ends, its
-zone-map refresh (``Partition.refresh_zones``), which reduces each run of
-one chunk's blocks, its filter build and upkeep of written rows
+time with ``np.delete``, re-scans a chunk's zone only where a deleted
+value was its min or max (``Partition._rescan_zones``) and lowers the
+chunk's sub-block ends, its filter build and upkeep of written rows
 (``Partition._filter_rows``), which finds each row's sub-block by a
 binary search over the chunks' ends and sets the bits with
 ``np.bitwise_or.at``, and its semijoin probe
@@ -31,11 +31,11 @@ finds the run, and ``patch_index`` its longest sorted subsequence
 
 The partition kernels share one argument block (``PartitionArgs``). Its
 zone columns are the columns a probe has read, the only ones with block
-summaries: zone maps, a filter per chunk and a filter per sub-block, whose
-moving bounds (the sub-block ends) the block holds too once any column has
-filters. The probe takes two calls per partition: ``pi_probe_plan`` finds
-the sub-blocks to read and their row count, which sizes the outputs that
-``pi_probe`` then fills.
+summaries: a zone (min and max) per chunk, a filter per chunk and a filter
+per sub-block, whose moving bounds (the sub-block ends) the block holds
+too once any column has filters. The probe takes two calls per partition:
+``pi_probe_plan`` finds the sub-blocks to read and their row count, which
+sizes the outputs that ``pi_probe`` then fills.
 
 Module attributes:
 
@@ -90,15 +90,14 @@ class SelectArgs(ctypes.Structure):
 
 class PartitionArgs(ctypes.Structure):
     """Argument block of the partition kernels ``pi_delete_rows``,
-    ``pi_zone_refresh``, ``pi_filter_rows`` and ``pi_probe_plan``;
-    mirrors ``struct partition_args``."""
+    ``pi_filter_rows`` and ``pi_probe_plan``; mirrors ``struct
+    partition_args``."""
 
     _fields_ = [("bufs", _P), ("itemsizes", _P), ("ncols", _I),
                 ("mins", _P), ("maxs", _P), ("zone_cols", _P),
                 ("chunk_filters", _P), ("sub_filters", _P), ("nzones", _I),
                 ("sub_ends", _P), ("nsub", _I), ("chunk_log2", _I),
-                ("sub_log2", _I), ("capacity", _I), ("block_size", _I),
-                ("chunk_blocks", _I)]
+                ("sub_log2", _I), ("capacity", _I)]
 
 
 _PART = ctypes.POINTER(PartitionArgs)
@@ -117,7 +116,6 @@ _SIGNATURES = {
     "pi_select_scalar": ((ctypes.POINTER(SelectArgs),), _I),
     "pi_select_uses_avx512": ((), _I),
     "pi_delete_rows": ((_PART, _P, _I, _P, _I), _I),
-    "pi_zone_refresh": ((_PART, _I, _P, _I, _P, _I), _I),
     "pi_filter_rows": ((_PART, _I, _P, _I, _P, _I), _I),
     "pi_probe_plan": ((_PART, _I, _P, _I, _P, _I, _P, _P), _I),
     "pi_probe": ((_P, _P, _I, _P, _I, _I, _P, _P), _I),

@@ -4,10 +4,10 @@ Tables hold int64 (and fixed-width bytes) columns split into partitions.
 Global rowIDs are dense, assigned by partition order then position. Each
 partition stores its rows in fixed-capacity chunks, the sharded bitmap's
 layout. An int64 column probed for value sets gets, on its first probe,
-per-block min/max (zone maps) on each chunk's block grid and blocked
-Bloom filters on two levels, one per chunk and one per sub-block, whose
-bounds move with deletes like the bitmap's shard starts; a probe reads
-only the sub-blocks that may hold a probed value. Other columns carry
+one min/max per chunk (its zone) and blocked Bloom filters on two
+levels, one per chunk and one per sub-block, whose bounds move with
+deletes like the bitmap's shard starts; a probe reads only the
+sub-blocks that may hold a probed value. Other columns carry
 neither. Inserts append to the last partition's chunks. Deletes compact
 rows immediately, inside the chunks that hold them, shifting all
 subsequent rowIDs down.
@@ -26,7 +26,7 @@ from ._native import address, pointers
 
 MAGIC = b"PDX1"
 DEFAULT_BLOCK_SIZE = 4096
-# chunk capacity in zone-map blocks: a delete rewrites one chunk of
+# chunk capacity in blocks: a delete rewrites one chunk of
 # CHUNK_BLOCKS * block_size rows, not the whole partition. In a 16/8/4/2/1
 # sweep, 10-row deletes cost about half as much at 4 as at 16 and
 # 1000-row statements no more; 2 and 1 cut deletes further, but at 2 the
@@ -35,11 +35,13 @@ CHUNK_BLOCKS = 4
 # block membership filter size: 16 bits per row keep the false-positive
 # rate of a full filter near 0.5% at 4 bits per key
 FILTER_BITS_PER_ROW = 16
-# rows of a filter sub-block at most; zone-map blocks of fewer rows make
+# rows of a filter sub-block at most; blocks of fewer rows make
 # sub-blocks of one block each. In a 128/256/512/1024 sweep (CHANGES.md),
 # 128 and 256 probed alike and 512 and 1024 read more rows for no less work
 FILTER_SUB_ROWS = 256
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the kernels' multiplicative hash
+# the zone (min, max) of a chunk without rows: no key falls inside it
+_EMPTY_ZONE = (np.iinfo(np.int64).max, np.iinfo(np.int64).min)
 
 
 def sort_unique(values):
@@ -262,10 +264,8 @@ class Partition:
     (slots, capacity) buffer: chunk k holds its counts[k] rows at the front
     of buffer row k, the chunks follow each other in rowID order, and the
     rows of a chunk start where the rows of the chunks before it end. The
-    capacity is CHUNK_BLOCKS blocks, so every chunk has its own block
-    grid. A delete compacts the touched chunks only, and an append fills
-    the last chunk and then opens new ones. Blocks are numbered on that
-    grid: block j of chunk k is block k * CHUNK_BLOCKS + j.
+    capacity is CHUNK_BLOCKS blocks. A delete compacts the touched chunks
+    only, and an append fills the last chunk and then opens new ones.
 
     Once a column has filters, each chunk is also cut into nsub
     sub-blocks of about sub_rows rows, whose bounds move like the bitmap's
@@ -279,17 +279,22 @@ class Partition:
 
     Only the int64 columns a probe has read have block summaries, built
     by ``filter_words``, so ``zones`` and ``filters`` have the same keys:
-    (slots, CHUNK_BLOCKS) min and max arrays, and a pair of blocked Bloom
-    filter arrays, one filter per chunk, (slots, words), and one per
-    sub-block, (slots, words, nsub), word by word, so that one word of
-    every sub-block of a chunk lies together; appends never resize them.
-    Every
-    mutator keeps the zone maps exact and every live row's value in its
-    chunk's and its sub-block's filter: appends and modifies add the new
-    values, a delete adds none, and a condense rebuilds the merged chunk's
-    filters. Only a condense clears filter bits, so a deleted or
-    overwritten value leaves stale bits until then, and a filter may
-    answer "maybe" wrongly but never "no" wrongly.
+    a pair of (slots,) arrays, each chunk's least and greatest live value
+    (its zone; ``_EMPTY_ZONE`` in a slot without rows), and a pair of
+    blocked Bloom filter arrays, one filter per chunk, (slots, words), and
+    one per sub-block, (slots, words, nsub), word by word, so that one
+    word of every sub-block of a chunk lies together; appends never
+    resize them.
+
+    Every mutator keeps the zones exact by widening: appends and modifies
+    fold the new values into their chunks' zones, a merge of two chunks
+    takes the union of their zones, and only a chunk where a deleted or
+    overwritten value was the min or max is re-scanned. Every live row's
+    value is in its chunk's and its sub-block's filter: appends and
+    modifies add the new values, a delete adds none, and a condense
+    rebuilds the merged chunk's filters. Only a condense clears filter
+    bits, so a deleted or overwritten value leaves stale bits until then,
+    and a filter may answer "maybe" wrongly but never "no" wrongly.
     """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
@@ -333,22 +338,12 @@ class Partition:
     def nchunks(self):
         return len(self.counts)
 
-    @property
-    def live(self):
-        """(nchunks, CHUNK_BLOCKS) mask of the blocks that hold rows."""
-        return np.arange(CHUNK_BLOCKS) * self.block_size < self.counts[:, None]
-
     def int_columns(self):
         return [c for c, a in self.chunks.items() if a.dtype == np.int64]
 
     def chunk(self, column, k):
         """The live rows of chunk k (a view)."""
         return self.chunks[column][k, :self.counts[k]]
-
-    def chunk_minmax(self, column, k):
-        """Zone maps of chunk k's live blocks (views)."""
-        nblocks = -(-int(self.counts[k]) // self.block_size)
-        return tuple(z[k, :nblocks] for z in self.zones[column])
 
     def filter_words(self, column):
         """(chunk filters, sub-block filters) of an int64 column: an
@@ -357,8 +352,8 @@ class Partition:
         sub-block s of chunk k.
 
         The first request builds the column's block summaries from the
-        chunk buffers, its zone maps first and then its filters; from then
-        on every mutator keeps both up to date.
+        chunk buffers, its zones first and then its filters; from then on
+        every mutator keeps both up to date.
         """
         if column not in self.filters:
             if self.chunks[column].dtype != np.int64:  # the kernels read int64
@@ -369,13 +364,13 @@ class Partition:
                 self.sub_ends = np.zeros((slots, self.nsub), np.int64)
                 self.sub_ends[:self.nchunks] = np.minimum(
                     self.grid, self.counts[:, None])
-            self.zones[column] = tuple(np.zeros((slots, CHUNK_BLOCKS), np.int64)
-                                       for _ in range(2))
+            self.zones[column] = tuple(np.full(slots, e, np.int64)
+                                       for e in _EMPTY_ZONE)
             self.filters[column] = (
                 np.zeros((slots, 1 << self.chunk_log2), np.uint64),
                 np.zeros((slots, 1 << self.sub_log2, self.nsub), np.uint64))
             self._args = None  # the kernels' argument block names them
-            self.refresh_zones([column], np.flatnonzero(self.live))
+            self._rescan_zones([column], range(self.nchunks))
             self._fill_filters([column], range(self.nchunks))
         return tuple(f[:self.nchunks] for f in self.filters[column])
 
@@ -473,55 +468,36 @@ class Partition:
         """Values of one column at persisted partition rows."""
         return self.chunks[column].reshape(-1)[self.positions(local)]
 
-    def _blocks_live(self, blocks):
-        """Whether the int64 array blocks holds strictly ascending live
-        blocks, by the chunk row counts."""
-        return bool((np.diff(blocks) > 0).all()
-                    and np.isin(blocks, np.flatnonzero(self.live)).all())
+    def _rescan_zones(self, columns, chunks):
+        """Set the zones of the given probed columns in the given chunks to
+        the least and greatest of their live rows, ``_EMPTY_ZONE`` for a
+        chunk without rows."""
+        for c in columns:
+            mins, maxs = self.zones[c]
+            for k in chunks:
+                rows = self.chunk(c, k)
+                mins[k], maxs[k] = ((rows.min(), rows.max()) if len(rows)
+                                    else _EMPTY_ZONE)
 
-    def refresh_zones(self, columns, blocks):
-        """Recompute the zone maps of the given int64 columns in the given
-        blocks, a strictly ascending array of live block numbers, from
-        their live rows; every mutator calls this. A list that does not
-        ascend, repeats a block or names a block that is not live raises
-        ValueError before any zone map changes. One ``pi_zone_refresh``
-        call per column; the numpy reference reduces each run of
-        consecutive blocks of one chunk where its rows lie.
+    def _widen_zones(self, column, pos, old=None):
+        """Widen the zones of a probed column by the values now at the
+        flattened buffer positions pos. old, for a modify, holds the
+        values at pos before the write: returns the ascending chunks whose
+        min or max an old value was, the only ones that may now be too
+        wide (none without old).
+
+        The new values are read back from the buffers, so a position given
+        twice widens its chunk by the value it kept, not by the one it
+        overwrote.
         """
-        bad = ValueError("zone blocks must be strictly ascending live "
-                         "blocks of the partition")
-        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-        if blocks.ndim != 1:
-            raise bad
-        lib = _native.lib
-        if lib is not None:
-            for c in columns:
-                # the kernel checks the blocks before it writes
-                if lib.pi_zone_refresh(
-                        self._kernel_args(), list(self.zones).index(c),
-                        address(self.counts), self.nchunks, address(blocks),
-                        len(blocks)) < 0:
-                    raise bad
-            return
-        if not self._blocks_live(blocks):
-            raise bad
-        cut = np.flatnonzero((np.diff(blocks) != 1)
-                             | (blocks[1:] % CHUNK_BLOCKS == 0)) + 1
-        bs = self.block_size
-        for run in np.split(blocks, cut) if len(blocks) else ():
-            k, first = divmod(int(run[0]), CHUNK_BLOCKS)
-            end = min((first + len(run)) * bs, int(self.counts[k]))
-            for c in columns:
-                rows = self.chunks[c][k, first * bs:end]
-                for zone, values in zip(self.zones[c], _block_minmax(rows, bs)):
-                    zone[k, first:first + len(values)] = values
-
-    def _refresh_span(self, start, end):
-        """``refresh_zones`` of every zone column over the blocks that hold
-        the flattened buffer positions [start, end), live rows of one or
-        more chunks."""
-        bs = self.block_size
-        self.refresh_zones(self.zones, np.arange(start // bs, -(-end // bs)))
+        chunks = pos // self.capacity
+        mins, maxs = self.zones[column]
+        stale = (() if old is None else sort_unique(
+            chunks[(old == mins[chunks]) | (old == maxs[chunks])]))
+        new = self.chunks[column].reshape(-1)[pos]
+        np.minimum.at(mins, chunks, new)
+        np.maximum.at(maxs, chunks, new)
+        return stale
 
     def _grow(self, nchunks):
         """Open empty chunks up to nchunks; the buffers double their slots
@@ -530,15 +506,17 @@ class Partition:
         if nchunks > slots:
             slots = max(nchunks, 2 * slots)
 
-            def grown(buf):
+            def grown(buf, fill=0):
                 big = np.zeros((slots,) + buf.shape[1:], buf.dtype)
                 big[:self.nchunks] = buf[:self.nchunks]
+                if fill:
+                    big[self.nchunks:] = fill
                 return big
 
             self.chunks = {c: grown(b) for c, b in self.chunks.items()}
             if self.sub_ends is not None:
                 self.sub_ends = grown(self.sub_ends)
-            self.zones = {c: tuple(grown(z) for z in zone)
+            self.zones = {c: tuple(map(grown, zone, _EMPTY_ZONE))
                           for c, zone in self.zones.items()}
             self.filters = {c: tuple(grown(f) for f in pair)
                             for c, pair in self.filters.items()}
@@ -574,18 +552,20 @@ class Partition:
             np.minimum(tail, self.counts[first], out=tail)
             np.minimum(self.grid, self.counts[first + 1:, None],
                        out=ends[first + 1:self.nchunks])
-        self._refresh_span(start, start + n)
-        self._filter_rows(np.arange(start, start + n), list(self.filters))
+        pos = np.arange(start, start + n)
+        for c in self.zones:
+            self._widen_zones(c, pos)
+        self._filter_rows(pos, list(self.filters))
         self._recount()
 
     def modify_rows(self, local, updates):
         """Overwrite partition rows in place; updates maps column name to
         the rows' new values.
 
-        A probed column's zone maps stay exact in O(rows): each touched
-        block's min and max widen by the values the rows now hold, and
-        only a block where an overwritten value was its min or max is
-        re-scanned (``_widen_zones``).
+        A probed column's zones stay exact in O(rows): each touched
+        chunk's min and max widen by the values the rows now hold, and
+        only a chunk where an overwritten value was its min or max is
+        re-scanned (``_widen_zones``, ``_rescan_zones``).
         """
         pos = self.positions(local)
         probed = [c for c in updates if c in self.zones]
@@ -593,43 +573,26 @@ class Partition:
         for c, vals in updates.items():
             self.chunks[c].reshape(-1)[pos] = vals
         if probed:
-            blocks = pos // self.block_size
             for c, was in zip(probed, old):
-                stale = self._widen_zones(c, blocks, was, pos)
+                stale = self._widen_zones(c, pos, was)
                 if len(stale):
-                    self.refresh_zones([c], stale)
+                    self._rescan_zones([c], stale.tolist())
             self._filter_rows(pos, probed)
-
-    def _widen_zones(self, column, blocks, old, pos):
-        """Widen the zone maps of a probed column in the given blocks by
-        the values now at the buffer positions pos, which held the values
-        old before the write; returns the ascending blocks whose min or
-        max an old value was, the only ones that may now be too wide.
-
-        The new values are read back from the buffers, so a position given
-        twice widens its block by the value it kept, not by the one it
-        overwrote.
-        """
-        mins, maxs = (z.reshape(-1) for z in self.zones[column])
-        stale = blocks[(old == mins[blocks]) | (old == maxs[blocks])]
-        new = self.chunks[column].reshape(-1)[pos]
-        np.minimum.at(mins, blocks, new)
-        np.maximum.at(maxs, blocks, new)
-        return sort_unique(stale)
 
     def delete_rows(self, local):
         """Remove the strictly ascending partition rows local.
 
         Rows outside [0, nrows) raise IndexError and rows out of order or
         repeated ValueError, before any chunk changes. Each touched chunk
-        closes the gaps in every column, in place, recomputes the zone
-        maps of its live blocks from the block of its first deleted row
-        on, and lowers its sub-block ends by the deleted rows below them;
-        no filter changes. Then neighbours that fit one chunk are
-        condensed. With the compiled kernels that is one call
-        (``pi_delete_rows``) for all touched chunks, whose zone-map loop
-        ``pi_zone_refresh`` shares; the reference runs ``np.delete``,
-        ``refresh_zones`` and a ``np.searchsorted`` per chunk.
+        closes the gaps in every column, in place, and lowers its
+        sub-block ends by the deleted rows below them; no filter changes.
+        Its zones stay as they were unless a deleted value was a zone's
+        min or max, which is tested before the gaps close; only such a
+        zone is re-scanned from the kept rows. Then neighbours that fit
+        one chunk are condensed. With the compiled kernels that is one
+        call (``pi_delete_rows``) for all touched chunks; the reference
+        runs ``np.delete``, ``_rescan_zones`` and a ``np.searchsorted``
+        per chunk.
         """
         local = np.ascontiguousarray(local, dtype=np.int64)
         lib = _native.lib
@@ -656,19 +619,20 @@ class Partition:
         for k in sort_unique(owner).tolist():
             rows = local[owner == k] - (self.ends[k] - self.counts[k])
             n = int(self.counts[k])
+            stale = [c for c, (mn, mx) in self.zones.items()
+                     if np.isin([mn[k], mx[k]], self.chunks[c][k, rows]).any()]
             for buf in self.chunks.values():
                 buf[k, :n - len(rows)] = np.delete(buf[k, :n], rows)
             self.counts[k] = n - len(rows)
-            at = k * self.capacity
-            self._refresh_span(at + int(rows[0]), at + int(self.counts[k]))
+            self._rescan_zones(stale, [k])
             if self.sub_ends is not None:
                 self.sub_ends[k] -= np.searchsorted(rows, self.sub_ends[k])
         return 0
 
     def _kernel_args(self):
         """The ``PartitionArgs`` block that the partition kernels (the
-        delete, the zone refresh and the probe plan) read for the current
-        buffers, sub-block ends, zone maps and filters, built on first use
+        delete, the filter upkeep and the probe plan) read for the current
+        buffers, sub-block ends, zones and filters, built on first use
         after any of them was (re)allocated; it holds the address arrays
         it points to."""
         if self._args is None:
@@ -686,8 +650,7 @@ class Partition:
                 *(address(a) for a in held[:2]), len(bufs),
                 *(address(a) for a in held[2:]), len(zones),
                 None if self.sub_ends is None else address(self.sub_ends),
-                self.nsub, self.chunk_log2, self.sub_log2, self.capacity,
-                self.block_size, CHUNK_BLOCKS)
+                self.nsub, self.chunk_log2, self.sub_log2, self.capacity)
             self._held = held
         return self._args
 
@@ -697,11 +660,11 @@ class Partition:
 
         keys is a strictly ascending int64 array (``sort_unique``); rowIDs
         are partition rows plus base. In each chunk, the keys inside its
-        zone, from the least min to the greatest max of its live blocks,
-        are tested against the chunk's filter, the keys that pass against
-        its sub-blocks' filters, and only the sub-blocks where one passes
-        are read. The first call builds the column's block summaries
-        (``filter_words``). The compiled plan (``pi_probe_plan``) finds those sub-blocks and
+        zone, from its min to its max, are tested against the chunk's
+        filter, the keys that pass against its sub-blocks' filters, and
+        only the sub-blocks where one passes are read. The first call
+        builds the column's block summaries (``filter_words``). The
+        compiled plan (``pi_probe_plan``) finds those sub-blocks and
         their row count, which sizes the outputs of the compiled read
         (``pi_probe``); the numpy reference tests every key against every
         chunk and sub-block and runs ``np.isin`` over the kept rows.
@@ -735,10 +698,7 @@ class Partition:
         """``pi_probe_plan`` and ``pi_probe`` in numpy."""
         n, cap = self.nchunks, self.capacity
         chunk_f, sub_f = self.filter_words(column)
-        live = self.live
-        mins, maxs = self.zones[column][0][:n], self.zones[column][1][:n]
-        lo = np.where(live, mins, np.iinfo(np.int64).max).min(axis=1)
-        hi = np.where(live, maxs, np.iinfo(np.int64).min).max(axis=1)
+        lo, hi = (z[:n] for z in self.zones[column])
         inside = (lo[:, None] <= keys) & (keys <= hi[:, None])
         words, pattern = filter_hash(keys, self.chunk_log2)
         passes = inside & ((chunk_f[:, words] & pattern) == pattern)
@@ -765,8 +725,9 @@ class Partition:
         pairs that fit now all lie next to a touched chunk. One vectorized
         test of the neighbour pairs finds them; the merges then run from
         each such pair, left to right, and a merged chunk takes in its
-        next neighbour too while they fit. A merged chunk's sub-blocks are
-        cut on the grid again and its filters rebuilt.
+        next neighbour too while they fit. A merged chunk's zones are the
+        union of the two, its sub-blocks are cut on the grid again and its
+        filters rebuilt.
         """
         before = self.nchunks
         c = self.counts
@@ -784,16 +745,16 @@ class Partition:
                     buf[k + 1:n - 1] = buf[k + 2:n]
                 if self.sub_ends is not None:
                     self.sub_ends[k + 1:n - 1] = self.sub_ends[k + 2:n]
-                for zone in self.zones.values():
-                    for z in zone:
-                        z[k + 1:n - 1] = z[k + 2:n]
+                for mins, maxs in self.zones.values():
+                    mins[k] = min(mins[k], mins[k + 1])
+                    maxs[k] = max(maxs[k], maxs[k + 1])
+                    mins[k + 1:n - 1] = mins[k + 2:n]
+                    maxs[k + 1:n - 1] = maxs[k + 2:n]
                 for pair_f in self.filters.values():
                     for f in pair_f:
                         f[k + 1:n - 1] = f[k + 2:n]
                 self.counts[k] = a + b
                 self.counts = np.delete(self.counts, k + 1)
-                self._refresh_span(k * self.capacity + a,
-                                   k * self.capacity + a + b)
                 merged += 1
             if merged > joined and self.sub_ends is not None:
                 self.sub_ends[k] = np.minimum(self.grid, self.counts[k])
@@ -806,6 +767,52 @@ class Partition:
             for pair_f in self.filters.values():
                 for f in pair_f:
                     f[self.nchunks:before] = 0
+            for zone in self.zones.values():
+                for z, empty in zip(zone, _EMPTY_ZONE):
+                    z[self.nchunks:before] = empty
+
+
+def _read_header(buf, path):
+    """(schema, partition row counts, block size, offset of the rows) of
+    the PDX1 file bytes buf. A file without the magic, or with a header
+    other than ``save`` writes, raises ValueError naming path. The header
+    is a JSON object whose ``schema`` is a list of [name, dtype] pairs of
+    numpy dtypes, whose ``partitions`` is a non-empty list of ints >= 0
+    and whose ``block_size`` is an int >= 1."""
+    def bad(what):
+        return ValueError(f"{path}: bad table header: {what}")
+
+    def whole(x, least):
+        return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+    if buf[:4] != MAGIC:
+        raise ValueError(f"{path}: not a table file (bad magic)")
+    if len(buf) < 8:
+        raise bad("the file ends before the header length")
+    (hlen,) = struct.unpack("<I", buf[4:8])
+    try:
+        header = json.loads(buf[8:8 + hlen].decode())
+    except ValueError as exc:  # JSON and UTF-8 decoding errors
+        raise bad(f"not JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise bad("not a JSON object")
+    schema = header.get("schema")
+    if not (isinstance(schema, list)
+            and all(isinstance(c, list) and len(c) == 2
+                    and all(isinstance(x, str) for x in c) for c in schema)):
+        raise bad("schema is not a list of [name, dtype] pairs")
+    for name, dtype in schema:
+        try:
+            np.dtype(dtype)
+        except (TypeError, ValueError):
+            raise bad(f"unknown dtype {dtype!r} of column {name!r}") from None
+    sizes = header.get("partitions")
+    if not (isinstance(sizes, list) and sizes
+            and all(whole(n, 0) for n in sizes)):
+        raise bad("partitions is not a non-empty list of row counts")
+    if not whole(header.get("block_size"), 1):
+        raise bad("block_size is not a positive int")
+    return [tuple(c) for c in schema], sizes, header["block_size"], 8 + hlen
 
 
 class ColumnTable:
@@ -942,10 +949,10 @@ class ColumnTable:
         int64 column holds one of the values, in rowID order.
 
         Each partition reads only the sub-blocks whose filter passes a
-        value that its chunk's zone maps and filter let through (see
+        value that its chunk's zone and filter let through (see
         ``Partition.probe``); the first count is the rows of those
         sub-blocks. Only probed columns have these block summaries: the
-        first probe builds the column's zone maps and filters in every
+        first probe builds the column's zones and filters in every
         partition, and the mutators keep them up to date.
         """
         self._check_columns([column])
@@ -1078,15 +1085,9 @@ class ColumnTable:
     def load(cls, path):
         with open(path, "rb") as f:
             buf = f.read()
-        if buf[:4] != MAGIC:
-            raise ValueError(f"{path}: not a table file (bad magic)")
-        (hlen,) = struct.unpack("<I", buf[4:8])
-        header = json.loads(buf[8:8 + hlen].decode())
-        schema = [(name, dtype) for name, dtype in header["schema"]]
-        block_size = header["block_size"]
-        pos = 8 + hlen
+        schema, sizes, block_size, pos = _read_header(buf, path)
         raw_parts = []
-        for nrows in header["partitions"]:
+        for nrows in sizes:
             cols = {}
             for name, dtype in schema:
                 cols[name] = np.frombuffer(buf, dtype=dtype, count=nrows,

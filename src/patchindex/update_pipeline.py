@@ -6,11 +6,11 @@ the insert handlers take the inserted values from the statement itself.
 The handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
 with the touched values, pruned in two steps per chunk of rows: the
-touched values inside the chunk's zone, from the least min to the
-greatest max of its blocks' zone maps (the dynamic-range-propagation
-trick), are tested against the chunk's membership filter, and the values
-that pass against the filters of the chunk's sub-blocks of at most 256
-rows; only the sub-blocks where one passes are read. The summaries exist only for the probed column: its
+touched values inside the chunk's zone, its least and greatest value
+(the dynamic-range-propagation trick), are tested against the chunk's
+membership filter, and the values that pass against the filters of the
+chunk's sub-blocks of at most 256 rows; only the sub-blocks where one
+passes are read. The summaries exist only for the probed column: its
 first probe builds them, and the storage keeps them up to date from then
 on, so the NSC table and the NUC key column pay for none.
 ``ColumnTable.probe`` makes two compiled calls per partition, a plan of

@@ -1,8 +1,34 @@
+import json
+import struct
+
 import pytest
 
 from patchindex import _native, bench as bench_mod, cli
 from patchindex.cli import main
+from patchindex.column_store import MAGIC
 from patchindex.patch_index import NSC_ASC, NSC_DESC, NUC
+
+
+def pdx1(header):
+    """A PDX1 file of the given header and no rows."""
+    blob = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob
+
+
+GOOD_HEADER = {"schema": [["key", "<i8"], ["value", "<i8"]],
+               "partitions": [0, 0], "block_size": 4096}
+BAD_HEADERS = {
+    "short": b"PDX1\x01",
+    "empty object": pdx1({}),
+    "list": pdx1([1, 2]),
+    "block_size 0": pdx1(dict(GOOD_HEADER, block_size=0)),
+    "block_size true": pdx1(dict(GOOD_HEADER, block_size=True)),
+    "no partitions": pdx1(dict(GOOD_HEADER, partitions=[])),
+    "negative rows": pdx1(dict(GOOD_HEADER, partitions=[5, -1])),
+    "unknown dtype": pdx1(dict(GOOD_HEADER, schema=[["key", "zz"]])),
+    "schema not pairs": pdx1(dict(GOOD_HEADER, schema=[["key"]])),
+    "not JSON": MAGIC + struct.pack("<I", 3) + b"{no",
+}
 
 
 @pytest.fixture
@@ -230,6 +256,18 @@ class TestErrorContract:
         path.write_bytes(b"not a table")
         err = self._usage_error(["index", "stats", "--table", str(path)], capsys)
         assert "bad magic" in err
+
+    @pytest.mark.parametrize("blob", BAD_HEADERS.values(), ids=BAD_HEADERS)
+    def test_bad_header(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.pdx"
+        path.write_bytes(blob)
+        err = self._usage_error(["index", "stats", "--table", str(path)], capsys)
+        assert str(path) in err and "header" in err
+
+    def test_good_header_of_empty_partitions_loads(self, tmp_path):
+        path = tmp_path / "empty.pdx"
+        path.write_bytes(pdx1(GOOD_HEADER))
+        assert main(["index", "stats", "--table", str(path)]) == 0
 
     def test_corrupt_zone_maps(self, dataset, capsys):
         buf = bytearray(dataset.read_bytes())

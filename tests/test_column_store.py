@@ -39,15 +39,26 @@ def summarize(t, columns=None):
     return t
 
 
+# the zone of a chunk slot without rows
+EMPTY_ZONE = (np.iinfo(np.int64).max, np.iinfo(np.int64).min)
+
+
+def chunk_zone(p, column, k):
+    """(min, max) of chunk k's zone of a probed column, as ints."""
+    return tuple(int(z[k]) for z in p.zones[column])
+
+
 def assert_chunk_summaries(p, columns=None):
-    """Every chunk's zone maps of the int64 columns, or of the given ones,
-    equal the summaries of its live rows."""
+    """Every chunk's zone of the int64 columns, or of the given ones, is
+    the least and greatest of its live rows, and every free slot holds
+    the empty zone."""
     for c in p.int_columns() if columns is None else columns:
         for k in range(p.nchunks):
-            got = p.chunk_minmax(c, k)
-            want = _block_minmax(p.chunk(c, k), p.block_size)
-            assert np.array_equal(got[0], want[0]), (c, k)
-            assert np.array_equal(got[1], want[1]), (c, k)
+            rows = p.chunk(c, k)
+            want = (int(rows.min()), int(rows.max())) if len(rows) else EMPTY_ZONE
+            assert chunk_zone(p, c, k) == want, (c, k)
+        for z, empty in zip(p.zones[c], EMPTY_ZONE):
+            assert (z[p.nchunks:] == empty).all(), c
 
 
 class TestScan:
@@ -353,98 +364,100 @@ class TestUpdates:
             for p in t.partitions:
                 assert_chunk_summaries(p)
 
-    def test_rebuild_no_blocks_is_noop(self):
-        t = summarize(make_table(np.arange(100), partitions=1, block_size=16),
-                      ["value"])
-        before = [a.copy() for a in t.partitions[0].zones["value"]]
-        t.partitions[0].refresh_zones(["value"], [])
-        for a, b in zip(before, t.partitions[0].zones["value"]):
-            assert np.array_equal(a, b)
 
-
-def stale_partition(block_size, seed):
-    """A partition of uneven chunks with partial last blocks, whose rows
-    were all overwritten without a zone refresh."""
+def zone_stream(block_size, seed, steps=80):
+    """Yields a one-partition table with both int64 columns summarized,
+    first as built and then after each statement of a seeded stream:
+    appends that fill the last chunk and open new ones, modifies with one
+    row given twice, deletes of a whole chunk, which empty it and merge
+    it into a neighbour, and deletes of a random share. Values come from a
+    small domain, so deletes and modifies often remove a chunk's min or
+    max, sometimes while another row still holds it."""
     rng = np.random.default_rng(seed)
-    n = 5 * CHUNK_BLOCKS * block_size + 7
-    p = Partition({"value": rng.integers(-10**6, 10**6, size=n),
-                   "key": np.arange(n)}, block_size)
-    summarize(p)
-    p.delete_rows(np.flatnonzero(rng.random(n) < 0.1))
-    for buf in p.chunks.values():
-        buf[:] = rng.integers(-10**6, 10**6, size=buf.shape)
-    return p
+    cap = CHUNK_BLOCKS * block_size
+    t = summarize(make_table(rng.integers(0, 100, size=5 * cap + 7),
+                             partitions=1, block_size=block_size))
+    yield t
+    for step in range(steps):
+        p, n = t.partitions[0], t.row_count
+        kind = step % 4 if n else 0
+        if kind == 0:
+            k = int(rng.integers(1, 2 * cap))
+            t.insert_rows({"key": rng.integers(0, 100, size=k),
+                           "value": rng.integers(-10, 110, size=k)})
+        elif kind == 1:
+            ids = rng.choice(n, size=min(n, int(rng.integers(1, 40))),
+                             replace=False)
+            ids = np.append(ids, ids[0])
+            t.modify_rows(ids, {"value": rng.integers(-10, 110, size=len(ids))})
+        elif kind == 2:
+            k = int(rng.integers(0, p.nchunks))
+            t.delete_rows(np.arange(p.ends[k] - p.counts[k], p.ends[k])[::-1])
+        else:
+            t.delete_rows(np.flatnonzero(rng.random(n) < 0.1)[::-1])
+        yield t
 
 
-def all_zones(p):
-    return [z.copy() for c in sorted(p.zones) for z in p.zones[c]]
+class TestChunkZones:
+    """A probed column's zone per chunk: its live rows' least and greatest
+    value after every mutator, on both backends."""
 
-
-class TestZoneRefresh:
-    """``Partition.refresh_zones``: ``pi_zone_refresh`` and the numpy
-    reference."""
-
-    @needs_compiler
     @pytest.mark.parametrize("block_size", [16, 24])
     def test_kernel_matches_reference(self, block_size, monkeypatch):
-        assert _native.lib is not None, "C kernels failed to build"
-        native = _native.lib
-        for seed in range(40):
-            results = []
-            for lib in (native, None):
-                monkeypatch.setattr(_native, "lib", lib)
-                p = stale_partition(block_size, seed)
-                assert (p.counts % block_size).any()  # partial last blocks
-                live = np.flatnonzero(p.live)
-                rng = np.random.default_rng([block_size, seed])
-                blocks = live[rng.random(len(live))
-                              < rng.choice([0, 0.05, 0.5, 1])]
-                before = all_zones(p)
-                p.refresh_zones(["key", "value"], blocks)
-                after = all_zones(p)
-                results.append(b"".join(z.tobytes() for z in after))
-                # the given blocks hold their live rows' min and max, and no
-                # other block changed
-                refreshed = np.isin(np.arange(p.nchunks * CHUNK_BLOCKS), blocks)
-                for i, c in enumerate(sorted(p.zones)):
-                    for z in (0, 1):
-                        got = after[2 * i + z][:p.nchunks].reshape(-1)
-                        old = before[2 * i + z][:p.nchunks].reshape(-1)
-                        assert np.array_equal(got[~refreshed], old[~refreshed])
-                        for b in blocks.tolist():
-                            k, j = divmod(b, CHUNK_BLOCKS)
-                            rows = p.chunks[c][k, j * block_size:min(
-                                (j + 1) * block_size, int(p.counts[k]))]
-                            assert got[b] == (rows.max() if z else rows.min())
-            assert results[0] == results[1], seed
+        """After every statement of a seeded stream each live chunk's zone
+        is exact and every free slot holds the empty zone; both backends
+        leave byte-identical zones."""
+        digests = {}
+        for lib in {_native.lib, None}:
+            monkeypatch.setattr(_native, "lib", lib)
+            digest, merges, chunks = hashlib.sha256(), 0, None
+            for t in zone_stream(block_size, block_size):
+                p = t.partitions[0]
+                merges += chunks is not None and p.nchunks < chunks
+                chunks = p.nchunks
+                assert_chunk_summaries(p)
+                for c in ("key", "value"):
+                    for z in p.zones[c]:
+                        digest.update(z[:p.nchunks].tobytes())
+            assert merges > 10
+            digests[lib] = digest.hexdigest()
+        assert len(set(digests.values())) == 1
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
-    def test_bad_block_lists_change_nothing(self, backend, monkeypatch):
+    def test_min_and_max_rows_rescanned(self, backend, monkeypatch):
+        """Deleting, then overwriting, the rows that hold a chunk's min and
+        max narrows its zone to the rows left; removing one of two rows
+        that hold the min keeps it."""
         use_backend(backend, monkeypatch)
-        # chunks of cb 4-row blocks; deletes leave chunk 0 with cap - 4
-        # rows (block cb - 1 dead) and chunk 4 with cap - 4 (block 5 cb - 1
-        # dead)
-        cb = CHUNK_BLOCKS
-        cap = 4 * cb
-        t = summarize(make_table(np.arange(5 * cap - 4), partitions=1,
-                                 block_size=4))
-        t.delete_rows(np.array([3, 2, 1, 0]))
+        rng = np.random.default_rng(27)
+        values = np.concatenate([rng.integers(0, 10**6, size=64),
+                                 100 + rng.permutation(64),
+                                 rng.integers(0, 10**6, size=64)])
+        t = summarize(make_table(values, partitions=1, block_size=16))
         p = t.partitions[0]
-        assert p.counts.tolist() == [cap - 4, cap, cap, cap, cap - 4]
-        for buf in p.chunks.values():  # so any refreshed block would change
-            buf[:] = -5
-        before = all_zones(p)
-        for bad in ([0, cb - 1], [0, 5 * cb - 1], [0, 5 * cb], [-1, 0],
-                    [0, 1000],                       # not live
-                    [2, 1], [3, 3],                  # not strictly ascending
-                    [[1, 2]]):                       # not a list
-            with pytest.raises(ValueError, match="live blocks"):
-                p.refresh_zones(["key", "value"], np.array(bad))
-            for a, b in zip(all_zones(p), before):
-                assert np.array_equal(a, b), bad
-        p.refresh_zones(["value"], [0, 5 * cb - 2])
-        assert (p.zones["value"][0][0, 0] == -5
-                and p.zones["value"][1][4, cb - 2] == -5)
+        assert p.counts.tolist() == [64, 64, 64]
+
+        def row(value):  # the rowID of chunk 1's first row holding value
+            return int(p.ends[0]) + int(np.flatnonzero(p.chunk("value", 1)
+                                                       == value)[0])
+
+        def check(want):
+            assert chunk_zone(p, "value", 1) == want
+            assert_chunk_summaries(p)
+
+        check((100, 163))
+        t.delete_rows(np.array([row(100)]))
+        check((101, 163))
+        t.delete_rows(np.array([row(163)]))
+        check((101, 162))
+        t.modify_rows(np.array([row(101)]), {"value": np.array([150])})
+        check((102, 162))
+        t.modify_rows(np.array([row(162)]), {"value": np.array([120])})
+        check((102, 161))
+        t.modify_rows(np.array([row(130)]), {"value": np.array([102])})
+        t.delete_rows(np.array([row(102)]))
+        check((102, 161))
+        assert p.counts.tolist() == [64, 61, 64]
 
 
 class Unread:
@@ -608,9 +621,8 @@ class TestPersistence:
         for p, q in zip(t.partitions, loaded.partitions):
             assert p.nchunks == q.nchunks
             for c in p.int_columns():
-                for k in range(p.nchunks):
-                    for a, b in zip(p.chunk_minmax(c, k), q.chunk_minmax(c, k)):
-                        assert np.array_equal(a, b)
+                for a, b in zip(p.zones[c], q.zones[c]):
+                    assert np.array_equal(a[:p.nchunks], b[:q.nchunks])
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.pdx"
@@ -646,14 +658,13 @@ class TestPersistence:
 # -- chunked storage -------------------------------------------------------------
 
 def table_segments(t):
-    """(first rowID, rows, column arrays, zone maps) of every chunk with
-    rows, in rowID order."""
+    """(first rowID, rows, column arrays) of every chunk with rows, in
+    rowID order."""
     offset = 0
     for p in t.partitions:
         for k in range(p.nchunks):
             n = int(p.counts[k])
-            yield (offset, n, {c: p.chunk(c, k) for c in p.chunks},
-                   {c: p.chunk_minmax(c, k) for c in p.int_columns()})
+            yield offset, n, {c: p.chunk(c, k) for c in p.chunks}
             offset += n
 
 
@@ -672,9 +683,8 @@ def sub_block_bounds(p, k):
 
 def prune_reference(t, column, values):
     """The probe's two-level prune as a loop over every chunk and
-    sub-block: a chunk tests the values inside its zone, from the least
-    min to the greatest max of its live blocks, against its filter, and a
-    sub-block is read when one of the values that pass has every bit in
+    sub-block: a chunk tests the values inside its zone, from its min to
+    its max, against its filter, and a sub-block is read when one of the values that pass has every bit in
     its filter too. Returns the rows read in each partition and the
     rowIDs of all read rows."""
     rows, read, base = [], [np.zeros(0, np.int64)], 0
@@ -682,8 +692,8 @@ def prune_reference(t, column, values):
         rows.append(0)
         chunk_f, sub_f = p.filter_words(column)
         for k in range(p.nchunks):
-            mins, maxs = p.chunk_minmax(column, k)
-            passing = [v for v in values if mins.min() <= v <= maxs.max()
+            lo, hi = chunk_zone(p, column, k)
+            passing = [v for v in values if lo <= v <= hi
                        and filter_holds(chunk_f[k], p.chunk_log2, v)]
             first = base + int(p.ends[k] - p.counts[k])
             for s, (lo, hi) in enumerate(sub_block_bounds(p, k)):
@@ -710,7 +720,7 @@ class TestScanRangeHelpers:
         for _ in range(20):
             t = summarize(chunked_table(rng, int(rng.integers(0, 700))))
             assert t.total_blocks() == sum(-(-n // t.block_size)
-                                           for _, n, _, _ in table_segments(t))
+                                           for _, n, _ in table_segments(t))
             for _ in range(10):
                 values = rng.integers(-5, 205, size=int(rng.integers(0, 6)))
                 want, read = prune_reference(t, "value", values)
@@ -1047,12 +1057,12 @@ def delete_cases(p):
 
 
 def partition_state(p):
-    """Rows, counts, live zone maps, sub-block ends and filters of a
+    """Rows, counts, live chunk zones, sub-block ends and filters of a
     partition."""
     live = {c: [p.chunk(c, k).copy() for k in range(p.nchunks)]
             for c in p.chunks}
-    zones = {c: [z.copy() for k in range(p.nchunks)
-                 for z in p.chunk_minmax(c, k)] for c in p.zones}
+    zones = {c: [chunk_zone(p, c, k) for k in range(p.nchunks)]
+             for c in p.zones}
     return (p.counts.tolist(), p.nrows, live, zones,
             p.sub_ends[:p.nchunks].copy(),
             *(f.copy() for f in p.filter_words("value")))
@@ -1143,7 +1153,7 @@ class TestDeleteKernel:
         rows = np.array([1, ends[0] + 2, ends[2] + 3, ends[4] - 1])
         want = np.delete(p.columns["value"], rows)
         monkeypatch.setattr(Partition, "_delete_rows_reference", forbidden)
-        monkeypatch.setattr(Partition, "refresh_zones", forbidden)
+        monkeypatch.setattr(Partition, "_rescan_zones", forbidden)
         p.delete_rows(rows)  # no two neighbours fit one chunk: no condense
         assert np.array_equal(p.columns["value"], want)
         assert_chunk_summaries(p)
@@ -1505,15 +1515,15 @@ class TestFilters:
                     assert f.tobytes() == g.tobytes()
 
     def test_absent_values_skip_chunks(self):
-        # shuffled even values: zone maps span the whole domain, so only the
-        # filters can rule blocks out
+        # shuffled even values: zones span the whole domain, so only the
+        # filters can rule chunks out
         rng = np.random.default_rng(23)
         values = 2 * rng.permutation(200_000)
         t = summarize(make_table(values, partitions=4, block_size=256), ["value"])
         for p in t.partitions:
             for k in range(p.nchunks):
-                mins, maxs = p.chunk_minmax("value", k)
-                assert (mins < 100_000).all() and (maxs > 300_000).all()
+                lo, hi = chunk_zone(p, "value", k)
+                assert lo < 100_000 and hi > 300_000
         # near 0.5% false positives per filter and value; twice that bounds
         # what a filter lets through
         present = values[rng.choice(len(values), size=5, replace=False)]

@@ -17,18 +17,17 @@ Prints, per statement kind and size, the median in ms of each phase:
 - ``table``: the table write (``UpdateStats.storage_ms``), and ``part``
   its partition calls (``Partition.append``, ``modify_rows`` and
   ``delete_rows``);
-- ``zones``: the share of ``part`` spent refreshing zone maps
-  (``Partition.refresh_zones``). Only probed columns have them, the NUC
-  table's value column here, so an NSC statement's ``zones`` reads 0. A
-  compiled delete refreshes them inside its own kernel, so a delete's
-  ``zones`` holds only what its chunk condense refreshes. A modify widens
-  the touched blocks' zone maps by the new values
-  (``Partition._widen_zones``) and re-scans only the blocks whose min or
-  max it overwrote; both count here;
+- ``zones``: the share of ``part`` spent on the probed columns' chunk
+  zones (min and max per chunk): widening them by the new values of an
+  append or modify (``Partition._widen_zones``) and re-scanning a chunk
+  whose min or max a modify overwrote (``Partition._rescan_zones``). Only
+  probed columns have zones, the NUC table's value column here, so an NSC
+  statement's ``zones`` reads 0. A compiled delete tests and re-scans
+  its chunks' zones inside its own kernel, so a delete's ``zones`` reads
+  0, and a chunk merge takes the union of two zones in ``condense``;
 - ``condense``: the share of ``part`` spent on the chunk bookkeeping
   after a write (``Partition._condense``, which merges neighbouring
-  chunks that fit one, and ``Partition._recount``); a merge's zone
-  refresh counts here and in ``zones``;
+  chunks that fit one, and ``Partition._recount``);
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
 - ``blocks`` and ``rows``: the rows the probe read in blocks
@@ -104,7 +103,7 @@ def instrument():
     column_store.route_rows = patch_index.route_rows = route
     for name in ("append", "modify_rows", "delete_rows"):
         setattr(Partition, name, _timed("part", getattr(Partition, name)))
-    for name in ("refresh_zones", "_widen_zones"):
+    for name in ("_widen_zones", "_rescan_zones"):
         setattr(Partition, name, _timed("zones", getattr(Partition, name)))
     for name in ("_condense", "_recount"):
         setattr(Partition, name, _timed("condense", getattr(Partition, name)))
