@@ -300,7 +300,6 @@ class Partition:
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
         """Copy whole-partition arrays into chunks; the caller's arrays are
         never written."""
-        self.block_size = block_size
         self.capacity = CHUNK_BLOCKS * block_size
         columns = {c: np.asarray(a) for c, a in columns.items()}
         n = len(next(iter(columns.values()))) if columns else 0
