@@ -55,7 +55,8 @@ def assert_chunk_summaries(p, columns=None):
     for c in p.int_columns() if columns is None else columns:
         for k in range(p.nchunks):
             rows = p.chunk(c, k)
-            want = (int(rows.min()), int(rows.max())) if len(rows) else EMPTY_ZONE
+            want = ((int(rows.min()), int(rows.max())) if len(rows)
+                    else EMPTY_ZONE)
             assert chunk_zone(p, c, k) == want, (c, k)
         for z, empty in zip(p.zones[c], EMPTY_ZONE):
             assert (z[p.nchunks:] == empty).all(), c
@@ -684,9 +685,9 @@ def sub_block_bounds(p, k):
 def prune_reference(t, column, values):
     """The probe's two-level prune as a loop over every chunk and
     sub-block: a chunk tests the values inside its zone, from its min to
-    its max, against its filter, and a sub-block is read when one of the values that pass has every bit in
-    its filter too. Returns the rows read in each partition and the
-    rowIDs of all read rows."""
+    its max, against its filter, and a sub-block is read when one of the
+    values that pass has every bit in its filter too. Returns the rows
+    read in each partition and the rowIDs of all read rows."""
     rows, read, base = [], [np.zeros(0, np.int64)], 0
     for p in t.partitions:
         rows.append(0)
