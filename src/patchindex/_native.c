@@ -880,7 +880,9 @@ struct partition_args {
  * value was its min or max: before the gap copy each zone is tested, and
  * only one where a deleted value was is re-scanned from the kept rows.
  * Every kept row stays in its chunk and its sub-block, so no filter
- * changes. Emptied chunks stay in place, with an empty zone. */
+ * changes. Emptied chunks stay in place, with an empty zone, and freed
+ * slots stay unused until the caller repacks the partition, which it does
+ * once too few of its slots hold rows (Partition._condense). */
 int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
                        int64_t m, int64_t *counts, int64_t nchunks)
 {

@@ -10,7 +10,8 @@ deletes like the bitmap's shard starts; a probe reads only the
 sub-blocks that may hold a probed value. Other columns carry
 neither. Inserts append to the last partition's chunks. Deletes compact
 rows immediately, inside the chunks that hold them, shifting all
-subsequent rowIDs down.
+subsequent rowIDs down; a partition left with fewer than CONDENSE_BELOW
+of its slots live repacks, as the sharded bitmap condenses.
 """
 
 import ctypes
@@ -39,6 +40,14 @@ FILTER_BITS_PER_ROW = 16
 # sub-blocks of one block each. In a 128/256/512/1024 sweep (CHANGES.md),
 # 128 and 256 probed alike and 512 and 1024 read more rows for no less work
 FILTER_SUB_ROWS = 256
+# a partition repacks its chunks, and a bitmap patch store its bitmap,
+# after a delete that leaves fewer of their slots live than this share, so
+# deletes cannot grow them without bound. A high share keeps the index size
+# and the table's chunk fill nearly flat under a stream of deletes and
+# appends: a repack of a 250k-bit partition's bitmap costs about 0.14 ms,
+# of a 250k-row partition with one probed column about 5 ms, each about
+# once every 50 1000-row deletes at 0.95
+CONDENSE_BELOW = 0.95
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the kernels' multiplicative hash
 # the zone (min, max) of a chunk without rows: no key falls inside it
 _EMPTY_ZONE = (np.iinfo(np.int64).max, np.iinfo(np.int64).min)
@@ -265,7 +274,11 @@ class Partition:
     of buffer row k, the chunks follow each other in rowID order, and the
     rows of a chunk start where the rows of the chunks before it end. The
     capacity is CHUNK_BLOCKS blocks. A delete compacts the touched chunks
-    only, and an append fills the last chunk and then opens new ones.
+    only, and an append fills the last chunk and then opens new ones. The
+    free slots of every chunk but the last are lost, like the dead bits
+    of the bitmap's shards, until a delete leaves fewer than
+    CONDENSE_BELOW of the slots live and the partition repacks
+    (``_condense``); an emptied chunk keeps its slot until then.
 
     Once a column has filters, each chunk is also cut into nsub
     sub-blocks of about sub_rows rows, whose bounds move like the bitmap's
@@ -287,20 +300,30 @@ class Partition:
     resize them.
 
     Every mutator keeps the zones exact by widening: appends and modifies
-    fold the new values into their chunks' zones, a merge of two chunks
-    takes the union of their zones, and only a chunk where a deleted or
-    overwritten value was the min or max is re-scanned. Every live row's
-    value is in its chunk's and its sub-block's filter: appends and
-    modifies add the new values, a delete adds none, and a condense
-    rebuilds the merged chunk's filters. Only a condense clears filter
-    bits, so a deleted or overwritten value leaves stale bits until then,
-    and a filter may answer "maybe" wrongly but never "no" wrongly.
+    fold the new values into their chunks' zones, and only a chunk where
+    a deleted or overwritten value was the min or max is re-scanned. Every
+    live row's value is in its chunk's and its sub-block's filter: appends
+    and modifies add the new values, a delete adds none, and a repack
+    builds every summary again from the live rows. Only a repack clears
+    filter bits, so a deleted or overwritten value leaves stale bits until
+    then, and a filter may answer "maybe" wrongly but never "no" wrongly.
     """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
         """Copy whole-partition arrays into chunks; the caller's arrays are
         never written."""
         self.capacity = CHUNK_BLOCKS * block_size
+        self.sub_rows = min(FILTER_SUB_ROWS, block_size)
+        self.nsub = -(-self.capacity // self.sub_rows)
+        # the sub-block ends of a chunk cut on the sub_rows grid
+        self.grid = np.arange(1, self.nsub + 1) * self.sub_rows
+        self.chunk_log2 = _filter_size_log2(self.capacity)
+        self.sub_log2 = _filter_size_log2(self.sub_rows)
+        self._layout(columns)
+
+    def _layout(self, columns):
+        """Copy whole-partition arrays into full chunks, the last one
+        partly filled, without block summaries."""
         columns = {c: np.asarray(a) for c, a in columns.items()}
         n = len(next(iter(columns.values()))) if columns else 0
         nchunks = -(-n // self.capacity)
@@ -311,13 +334,7 @@ class Partition:
         for c, a in columns.items():
             self.chunks[c] = np.empty((nchunks, self.capacity), dtype=a.dtype)
             self.chunks[c].reshape(-1)[:n] = a
-        self.sub_rows = min(FILTER_SUB_ROWS, block_size)
-        self.nsub = -(-self.capacity // self.sub_rows)
-        # the sub-block ends of a chunk cut on the sub_rows grid
-        self.grid = np.arange(1, self.nsub + 1) * self.sub_rows
         self.sub_ends = None  # cut with the first filters, see filter_words
-        self.chunk_log2 = _filter_size_log2(self.capacity)
-        self.sub_log2 = _filter_size_log2(self.sub_rows)
         self.zones = {}  # built on first request, see filter_words
         self.filters = {}
         self._args = None  # see _kernel_args
@@ -427,8 +444,8 @@ class Partition:
 
         Views of the chunk buffers while every chunk but the last is full
         (as after a load), copies otherwise; a view changes with later
-        updates. For index discovery and inspection only: no query or
-        update path reads it.
+        updates. For index discovery, inspection and a repack
+        (``_condense``) only: no query reads it.
         """
         contiguous = bool((self.counts[:-1] == self.capacity).all())
         out = {}
@@ -478,12 +495,11 @@ class Partition:
                 mins[k], maxs[k] = ((rows.min(), rows.max()) if len(rows)
                                     else _EMPTY_ZONE)
 
-    def _widen_zones(self, column, pos, old=None):
-        """Widen the zones of a probed column by the values now at the
-        flattened buffer positions pos. old, for a modify, holds the
-        values at pos before the write: returns the ascending chunks whose
-        min or max an old value was, the only ones that may now be too
-        wide (none without old).
+    def _widen_zones(self, column, pos, old):
+        """Widen the zones of a probed column by the values a modify wrote
+        at the flattened buffer positions pos; old holds the values at pos
+        before the write. Returns the ascending chunks whose min or max an
+        old value was, the only ones that may now be too wide.
 
         The new values are read back from the buffers, so a position given
         twice widens its chunk by the value it kept, not by the one it
@@ -491,8 +507,7 @@ class Partition:
         """
         chunks = pos // self.capacity
         mins, maxs = self.zones[column]
-        stale = (() if old is None else sort_unique(
-            chunks[(old == mins[chunks]) | (old == maxs[chunks])]))
+        stale = sort_unique(chunks[(old == mins[chunks]) | (old == maxs[chunks])])
         new = self.chunks[column].reshape(-1)[pos]
         np.minimum.at(mins, chunks, new)
         np.maximum.at(maxs, chunks, new)
@@ -551,11 +566,21 @@ class Partition:
             np.minimum(tail, self.counts[first], out=tail)
             np.minimum(self.grid, self.counts[first + 1:, None],
                        out=ends[first + 1:self.nchunks])
-        pos = np.arange(start, start + n)
-        for c in self.zones:
-            self._widen_zones(c, pos)
-        self._filter_rows(pos, list(self.filters))
+        self._widen_run(first, start, n)
+        self._filter_rows(np.arange(start, start + n), list(self.filters))
         self._recount()
+
+    def _widen_run(self, first, start, n):
+        """Widen the probed columns' zones of chunks first.. by the n rows
+        appended at flattened buffer position start: one min and max of
+        the run's slice in each chunk it reaches."""
+        cap = self.capacity
+        for c, (mins, maxs) in self.zones.items():
+            flat = self.chunks[c].reshape(-1)
+            for k in range(first, self.nchunks):
+                run = flat[max(start, k * cap):min(start + n, (k + 1) * cap)]
+                mins[k] = min(mins[k], run.min())
+                maxs[k] = max(maxs[k], run.max())
 
     def modify_rows(self, local, updates):
         """Overwrite partition rows in place; updates maps column name to
@@ -587,11 +612,11 @@ class Partition:
         sub-block ends by the deleted rows below them; no filter changes.
         Its zones stay as they were unless a deleted value was a zone's
         min or max, which is tested before the gaps close; only such a
-        zone is re-scanned from the kept rows. Then neighbours that fit
-        one chunk are condensed. With the compiled kernels that is one
-        call (``pi_delete_rows``) for all touched chunks; the reference
-        runs ``np.delete``, ``_rescan_zones`` and a ``np.searchsorted``
-        per chunk.
+        zone is re-scanned from the kept rows. With the compiled kernels
+        that is one call (``pi_delete_rows``) for all touched chunks; the
+        reference runs ``np.delete``, ``_rescan_zones`` and a
+        ``np.searchsorted`` per chunk. Then the partition repacks if too
+        few of its slots are live (``_condense``).
         """
         local = np.ascontiguousarray(local, dtype=np.int64)
         lib = _native.lib
@@ -605,8 +630,8 @@ class Partition:
             raise IndexError("delete row out of range")
         if rc < 0:
             raise ValueError("delete rows must ascend without repeats")
-        self._condense()
         self._recount()
+        self._condense()
 
     def _delete_rows_reference(self, local):
         """``pi_delete_rows`` in numpy, with its return codes."""
@@ -627,6 +652,22 @@ class Partition:
             if self.sub_ends is not None:
                 self.sub_ends[k] -= np.searchsorted(rows, self.sub_ends[k])
         return 0
+
+    def _condense(self):
+        """Repack the chunks when fewer than CONDENSE_BELOW of the slots
+        up to the last row are live, or none is: the sharded bitmap's
+        condense. The lost slots are the free ones of every chunk but the
+        last, which appends fill. The repack lays the live rows out as the
+        constructor does and builds each probed column's block summaries
+        again as its first probe did, which clears their stale filter
+        bits; a partition without rows keeps no chunk."""
+        if self.nrows and self.nrows >= CONDENSE_BELOW * (
+                (self.nchunks - 1) * self.capacity + int(self.counts[-1])):
+            return
+        probed = list(self.filters)
+        self._layout(self.columns)
+        for c in probed:
+            self.filter_words(c)
 
     def _kernel_args(self):
         """The ``PartitionArgs`` block that the partition kernels (the
@@ -714,61 +755,6 @@ class Partition:
         hit = np.isin(vals, keys)
         pos = pos[hit]
         return int(size.sum()), base + pos - self.shift[pos // cap], vals[hit]
-
-    def _condense(self):
-        """Merge neighbouring chunks that fit one capacity; drop a lone
-        empty chunk. Afterwards no two neighbours fit one chunk.
-
-        Every mutator leaves no two neighbours that fit one chunk, and a
-        delete only lowers the counts of the chunks it touched, so the
-        pairs that fit now all lie next to a touched chunk. One vectorized
-        test of the neighbour pairs finds them; the merges then run from
-        each such pair, left to right, and a merged chunk takes in its
-        next neighbour too while they fit. A merged chunk's zones are the
-        union of the two, its sub-blocks are cut on the grid again and its
-        filters rebuilt.
-        """
-        before = self.nchunks
-        c = self.counts
-        merged = k = 0  # no pair left of chunk k fits
-        for pair in np.flatnonzero(c[:-1] + c[1:] <= self.capacity).tolist():
-            k = max(k, pair - merged)
-            joined = merged
-            while k + 1 < self.nchunks:
-                a, b = int(self.counts[k]), int(self.counts[k + 1])
-                if a + b > self.capacity:
-                    break
-                n = self.nchunks
-                for buf in self.chunks.values():  # chunk k + 1 joins chunk k
-                    buf[k, a:a + b] = buf[k + 1, :b]
-                    buf[k + 1:n - 1] = buf[k + 2:n]
-                if self.sub_ends is not None:
-                    self.sub_ends[k + 1:n - 1] = self.sub_ends[k + 2:n]
-                for mins, maxs in self.zones.values():
-                    mins[k] = min(mins[k], mins[k + 1])
-                    maxs[k] = max(maxs[k], maxs[k + 1])
-                    mins[k + 1:n - 1] = mins[k + 2:n]
-                    maxs[k + 1:n - 1] = maxs[k + 2:n]
-                for pair_f in self.filters.values():
-                    for f in pair_f:
-                        f[k + 1:n - 1] = f[k + 2:n]
-                self.counts[k] = a + b
-                self.counts = np.delete(self.counts, k + 1)
-                merged += 1
-            if merged > joined and self.sub_ends is not None:
-                self.sub_ends[k] = np.minimum(self.grid, self.counts[k])
-                self._fill_filters(list(self.filters), [k])
-        if self.nchunks == 1 and not self.counts[0]:
-            self.counts = self.counts[:0]
-        if self.nchunks < before and self.sub_ends is not None:
-            # a reopened chunk starts empty
-            self.sub_ends[self.nchunks:before] = 0
-            for pair_f in self.filters.values():
-                for f in pair_f:
-                    f[self.nchunks:before] = 0
-            for zone in self.zones.values():
-                for z, empty in zip(zone, _EMPTY_ZONE):
-                    z[self.nchunks:before] = empty
 
 
 def _read_header(buf, path):
@@ -977,8 +963,8 @@ class ColumnTable:
     def filter_fill(self):
         """Share of set bits in the membership filters of the live chunks
         and of their non-empty sub-blocks, or 0.0 without filters. Deletes
-        and modifies leave the old values' bits until a condense rebuilds
-        a chunk's filters, so stale bits show as a rising share."""
+        and modifies leave the old values' bits until a repack rebuilds
+        the partition's filters, so stale bits show as a rising share."""
         bits = words = 0
         for p in self.partitions:
             if not p.filters:
@@ -1085,6 +1071,14 @@ class ColumnTable:
         with open(path, "rb") as f:
             buf = f.read()
         schema, sizes, block_size, pos = _read_header(buf, path)
+        # the rows, then two int64 zone-map entries per block of each
+        # int64 column, partition by partition
+        dtypes = [np.dtype(dtype) for _, dtype in schema]
+        need = pos + sum(n * d.itemsize + (d == np.int64) * 16
+                         * -(-n // block_size) for n in sizes for d in dtypes)
+        if len(buf) != need:
+            raise ValueError(f"{path}: the file holds {len(buf)} bytes, "
+                             f"its header needs {need}")
         raw_parts = []
         for nrows in sizes:
             cols = {}

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .column_store import in_positions, route_rows, select, sort_unique
+from .column_store import (CONDENSE_BELOW, in_positions, route_rows, select,
+                           sort_unique)
 from .sharded_bitmap import (DEFAULT_SHARD_BITS, ShardedBitmap, _worker_pool,
                              default_threads)
 
@@ -22,12 +23,6 @@ from .sharded_bitmap import (DEFAULT_SHARD_BITS, ShardedBitmap, _worker_pool,
 NULL_VALUE = int(np.iinfo(np.int64).min)
 
 _STORE_HEADER_BYTES = 48
-# a bitmap store repacks its bitmap after a drop that leaves fewer of its
-# slots live than this share, so deletes cannot grow it without bound. A
-# high share keeps the index size nearly flat under a stream of deletes
-# and appends: a repack of a 250k-bit partition's bitmap costs about 0.14
-# ms, about once every 50 1000-row statements at 0.95
-CONDENSE_BELOW = 0.95
 
 
 class ConstraintKind(enum.Enum):

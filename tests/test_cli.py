@@ -269,6 +269,20 @@ class TestErrorContract:
         path.write_bytes(pdx1(GOOD_HEADER))
         assert main(["index", "stats", "--table", str(path)]) == 0
 
+    @pytest.mark.parametrize("cut", ["truncated", "trailing bytes"])
+    def test_file_length_checked(self, tmp_path, capsys, cut):
+        path = tmp_path / "t.pdx"
+        assert main(["generate", "--kind", "nuc", "--rows", "100",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        buf = path.read_bytes()
+        bad = buf[:200] if cut == "truncated" else buf + bytes(16)
+        path.write_bytes(bad)
+        err = self._usage_error(["index", "stats", "--table", str(path)],
+                                capsys)
+        assert str(path) in err
+        assert f"holds {len(bad)} bytes" in err and f"needs {len(buf)}" in err
+
     def test_corrupt_zone_maps(self, dataset, capsys):
         buf = bytearray(dataset.read_bytes())
         buf[-1] ^= 0x01  # the last partition's last zone-map entry

@@ -62,6 +62,17 @@ def assert_chunk_summaries(p, columns=None):
             assert (z[p.nchunks:] == empty).all(), c
 
 
+def assert_condensed(p):
+    """The repack invariant a partition meets after every delete: at
+    least CONDENSE_BELOW of its slots are live, where the lost slots are
+    the free ones of every chunk but the last; no chunk holds more rows
+    than its capacity, and a partition without rows holds no chunk."""
+    assert (p.counts >= 0).all() and (p.counts <= p.capacity).all()
+    lost = int((p.capacity - p.counts[:-1]).sum())
+    assert p.nrows >= column_store.CONDENSE_BELOW * (p.nrows + lost)
+    assert p.nrows or not p.nchunks
+
+
 class TestScan:
     def test_empty_table(self):
         t = make_table([], partitions=1)
@@ -370,8 +381,8 @@ def zone_stream(block_size, seed, steps=80):
     """Yields a one-partition table with both int64 columns summarized,
     first as built and then after each statement of a seeded stream:
     appends that fill the last chunk and open new ones, modifies with one
-    row given twice, deletes of a whole chunk, which empty it and merge
-    it into a neighbour, and deletes of a random share. Values come from a
+    row given twice, deletes of a whole chunk, which empty it and repack
+    the partition, and deletes of a random share. Values come from a
     small domain, so deletes and modifies often remove a chunk's min or
     max, sometimes while another row still holds it."""
     rng = np.random.default_rng(seed)
@@ -411,16 +422,16 @@ class TestChunkZones:
         digests = {}
         for lib in {_native.lib, None}:
             monkeypatch.setattr(_native, "lib", lib)
-            digest, merges, chunks = hashlib.sha256(), 0, None
+            digest, repacks, chunks = hashlib.sha256(), 0, None
             for t in zone_stream(block_size, block_size):
                 p = t.partitions[0]
-                merges += chunks is not None and p.nchunks < chunks
+                repacks += chunks is not None and p.nchunks < chunks
                 chunks = p.nchunks
                 assert_chunk_summaries(p)
                 for c in ("key", "value"):
                     for z in p.zones[c]:
                         digest.update(z[:p.nchunks].tobytes())
-            assert merges > 10
+            assert repacks > 10
             digests[lib] = digest.hexdigest()
         assert len(set(digests.values())) == 1
 
@@ -707,9 +718,17 @@ def prune_reference(t, column, values):
 
 
 def chunked_table(rng, rows, partitions=3, block_size=4):
+    """A table whose chunks are of uneven fill: each partition loses a
+    random 4% of its rows, too few for a repack, and then an insert
+    appends 50 rows."""
     t = make_table(rng.integers(0, 200, size=rows), partitions, block_size)
-    # deletes and an insert give chunks of uneven fill
-    t.delete_rows(np.sort(rng.choice(rows, size=rows // 3, replace=False))[::-1])
+    offsets = t.partition_offsets().tolist()
+    dead = np.concatenate([lo + rng.choice(hi - lo, size=(hi - lo) // 25,
+                                           replace=False)
+                           for lo, hi in zip(offsets, offsets[1:])])
+    t.delete_rows(np.sort(dead)[::-1])
+    if rows >= 300:
+        assert any((p.counts[:-1] < p.capacity).any() for p in t.partitions)
     t.insert_rows({"key": np.arange(50), "value": rng.integers(0, 200, size=50)})
     return t
 
@@ -812,13 +831,15 @@ class TestCompact:
                 {"pad": rng.integers(0, 1000, size=n).astype(dtype),
                  "key": np.arange(n)}, block_size=4))
             first = np.flatnonzero(rng.random(n) < rng.random())
-            p.delete_rows(first)  # chunks of uneven fill
+            with monkeypatch.context() as m:  # chunks of uneven fill
+                m.setattr(column_store, "CONDENSE_BELOW", 0)
+                p.delete_rows(first)
             live = {c: a.copy() for c, a in p.columns.items()}
             dead = random_skips(rng, p.nrows)
             p.delete_rows(dead)
             for c, a in live.items():
                 assert np.array_equal(p.columns[c], np.delete(a, dead)), c
-            assert (p.counts >= 1).all() and (p.counts <= p.capacity).all()
+            assert_condensed(p)
             assert_chunk_summaries(p)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
@@ -1121,7 +1142,7 @@ class TestDeleteKernel:
                 filters = [f.copy() for f in p.filter_words("value")]
                 nchunks = p.nchunks
                 p.delete_rows(rows)
-                assert p.nchunks == nchunks  # no condense moved rows
+                assert p.nchunks == nchunks  # no repack moved rows
                 assert np.array_equal(p.sub_ends[:p.nchunks], want), name
                 assert (want[:, -1] == p.counts).all()
                 for got, was in zip(p.filter_words("value"), filters):
@@ -1155,9 +1176,115 @@ class TestDeleteKernel:
         want = np.delete(p.columns["value"], rows)
         monkeypatch.setattr(Partition, "_delete_rows_reference", forbidden)
         monkeypatch.setattr(Partition, "_rescan_zones", forbidden)
-        p.delete_rows(rows)  # no two neighbours fit one chunk: no condense
+        p.delete_rows(rows)  # 4 of 357 rows: no repack
         assert np.array_equal(p.columns["value"], want)
         assert_chunk_summaries(p)
+
+
+def repacked(p):
+    """A fresh partition of p's live rows with p's probed columns
+    summarized in p's order, as a repack leaves it."""
+    q = Partition(p.columns, p.capacity // column_store.CHUNK_BLOCKS)
+    for c in p.filters:
+        q.filter_words(c)
+    return q
+
+
+def assert_same_layout(p, q):
+    """Byte-identical counts, live rows, sub-block ends, zones and both
+    filter levels."""
+    assert p.counts.tobytes() == q.counts.tobytes()
+    for c in p.chunks:
+        for k in range(p.nchunks):
+            assert p.chunk(c, k).tobytes() == q.chunk(c, k).tobytes(), (c, k)
+    assert list(p.zones) == list(q.zones) == list(p.filters) == list(q.filters)
+    assert (p.sub_ends is None) == (q.sub_ends is None)
+    if p.sub_ends is not None:
+        assert p.sub_ends.tobytes() == q.sub_ends.tobytes()
+    for c in p.zones:
+        for a, b in zip(p.zones[c] + p.filters[c], q.zones[c] + q.filters[c]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), c
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(0, 400), block_size=st.sampled_from([4, 24]),
+       probed=st.sampled_from([(), ("value",), ("value", "key")]),
+       statements=st.lists(st.tuples(
+           st.sampled_from(["insert", "modify", "delete", "empty chunk"]),
+           st.integers(0, 60)), max_size=25),
+       seed=st.integers(0, 2**16))
+def test_delete_repacks_as_a_fresh_partition(rows, block_size, probed,
+                                             statements, seed):
+    """On both backends, after every delete the partition meets the repack
+    invariant and holds the rows left; a delete that crosses
+    CONDENSE_BELOW leaves it byte-identical to a fresh partition of its
+    rows whose probed columns have been probed, and any other delete
+    leaves each chunk's other rows where they were. Deletes of a whole
+    chunk leave emptied chunks in the middle, which probes skip."""
+    native = _native.lib
+    finals = []
+    try:
+        for lib in {native, None}:
+            _native.lib = lib
+            rng = np.random.default_rng(seed)
+            values = rng.integers(0, 50, size=rows)
+            keys = np.arange(rows)
+            p = Partition({"value": values, "key": keys,
+                           "pad": values.astype("S3")}, block_size)
+            for c in probed:
+                p.filter_words(c)
+            for op, size in statements:
+                n = p.nrows
+                if op == "insert":
+                    new = rng.integers(0, 50, size=size)
+                    added = np.arange(keys.size, keys.size + size)
+                    p.append({"value": new, "key": added,
+                              "pad": new.astype("S3")})
+                    values = np.concatenate([values, new])
+                    keys = np.concatenate([keys, added])
+                    continue
+                if op == "modify":
+                    ids = rng.choice(n, size=min(n, size), replace=False)
+                    new = rng.integers(0, 50, size=len(ids))
+                    p.modify_rows(ids, {"value": new, "pad": new.astype("S3")})
+                    values[ids] = new
+                    continue
+                if op == "delete":
+                    dead = np.sort(rng.choice(n, size=min(n, size),
+                                              replace=False))
+                else:
+                    k = int(rng.integers(0, max(p.nchunks, 1)))
+                    dead = (np.arange(p.ends[k] - p.counts[k], p.ends[k])
+                            if p.nchunks else np.zeros(0, np.int64))
+                # the counts the gap copy alone leaves
+                left = p.counts - np.bincount(
+                    np.searchsorted(p.ends, dead, side="right"),
+                    minlength=p.nchunks)
+                lost = int((p.capacity - left[:-1]).sum())
+                crosses = (not left.sum() or left.sum()
+                           < column_store.CONDENSE_BELOW * (left.sum() + lost))
+                p.delete_rows(dead)
+                values, keys = np.delete(values, dead), np.delete(keys, dead)
+                assert_condensed(p)
+                if crosses:
+                    assert_same_layout(p, repacked(p))
+                else:
+                    assert p.counts.tolist() == left.tolist()
+                assert np.array_equal(p.columns["value"], values)
+                assert np.array_equal(p.columns["key"], keys)
+                assert_chunk_summaries(p, probed)
+                if "value" in probed:
+                    assert_live_values_in_filters(p)
+                    probe = sort_unique(rng.integers(0, 55, size=6))
+                    _, ids, got = p.probe("value", probe)
+                    want = np.flatnonzero(np.isin(values, probe))
+                    assert np.array_equal(ids, want)
+                    assert np.array_equal(got, values[want])
+            finals.append(p)
+    finally:
+        _native.lib = native
+    if len(finals) == 2:
+        assert_same_layout(*finals)
 
 
 def contiguous_pdx1(t):
@@ -1184,8 +1311,7 @@ def check_chunked_state(t, keys, values, rng):
     assert np.array_equal(cols["value"], values)
     for p in t.partitions:
         assert_chunk_summaries(p)
-        assert (p.counts >= 1).all() and (p.counts <= p.capacity).all()
-        assert (p.counts[:-1] + p.counts[1:] > p.capacity).all()
+        assert_condensed(p)
     for probe in (rng.integers(0, 100, size=3), rng.integers(0, 100, size=30)):
         count, ids, got = t.probe("value", probe)
         want = np.flatnonzero(np.isin(values, probe))
@@ -1200,8 +1326,8 @@ def check_chunked_state(t, keys, values, rng):
                                      st.integers(1, 90)), max_size=25),
        seed=st.integers(0, 2**16))
 def test_chunked_updates_match_shadow(rows, statements, seed):
-    # block_size 4 makes chunks of 64 rows, so statements cross chunk edges,
-    # open chunks and condense them
+    # block_size 4 makes chunks of 16 rows, so statements cross chunk edges,
+    # open chunks and repack them
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 100, size=sum(rows))
     keys = np.arange(len(values), dtype=np.int64)
@@ -1324,8 +1450,8 @@ def rebuilt_filters(p, column):
 def filter_stream(block_size, seed, steps=300):
     """Yields a 3-partition table with its filters built, then after each
     statement of a seeded stream of inserts, modifies and deletes. Block
-    sizes 4 and 8 make chunks of 64 and 128 rows, so statements open,
-    condense and reopen chunks."""
+    sizes 4 and 8 make chunks of 16 and 32 rows, so statements open
+    chunks and repack partitions."""
     rng = np.random.default_rng(seed)
     t = make_table(rng.integers(0, 10**9, size=700), partitions=3,
                    block_size=block_size)
@@ -1356,7 +1482,7 @@ class TestLazySummaries:
         rng = np.random.default_rng(26)
         t = make_table(rng.integers(0, 10**9, size=700), partitions=3,
                        block_size=4)
-        merges = 0
+        repacks = 0
         for step in range(400):
             if step == 100:
                 t.probe("value", [1])
@@ -1375,15 +1501,15 @@ class TestLazySummaries:
                 ids = np.sort(rng.choice(n, size=min(n - 1, size), replace=False))
                 chunks = sum(p.nchunks for p in t.partitions)
                 t.delete_rows(ids[::-1])
-                # fewer chunks after a delete: neighbours were merged
-                merges += sum(p.nchunks for p in t.partitions) < chunks
+                # fewer chunks after a delete: a partition repacked
+                repacks += sum(p.nchunks for p in t.partitions) < chunks
             probed = ["value"] if step >= 100 else []
             for p in t.partitions:
                 assert list(p.zones) == list(p.filters) == probed
                 assert_chunk_summaries(p, probed)
             if probed:
                 assert_live_values_in_filters(t)
-        assert merges > 10
+        assert repacks > 10
         # a first probe summarizes the key column as a full rebuild would
         t.probe("key", [1])
         for p in t.partitions:
@@ -1419,7 +1545,9 @@ class TestFilters:
         for block_size in (4, 24, 512):
             values = np.concatenate([edge, rng.integers(-10**12, 10**12,
                                                         size=5000)])
-            dead = np.flatnonzero(rng.random(len(values)) < 0.2)
+            # 4% of the rows, too few for a repack, move the bounds
+            dead = np.sort(rng.choice(len(values), size=len(values) // 25,
+                                      replace=False))
             rows = rng.choice(len(values) - len(dead), size=300)
             new = rng.integers(-10**12, 10**12, size=300)
             built = []
@@ -1435,11 +1563,12 @@ class TestFilters:
                 assert np.array_equal(got, want), block_size
             assert built[0][1].any()
         monkeypatch.undo()
-        # 32-row chunks of 30, 24, 32 and 4 rows
+        # 32-row chunks of 30, 30, 32 and 4 rows: 4% lost, no repack
         p = summarize(Partition({"value": np.arange(100)}, block_size=8))
-        p.delete_rows(np.arange(30, 40))
+        p.delete_rows(np.array([30, 31, 40, 41]))
+        assert p.counts.tolist() == [30, 30, 32, 4]
         before = [f.copy() for f in p.filter_words("value")]
-        for pos in ([-1], [30], [0, 32 + 24], [4 * 32]):
+        for pos in ([-1], [30], [0, 32 + 30], [3 * 32 + 4], [4 * 32]):
             with pytest.raises(ValueError):
                 p._filter_rows(np.array(pos), ["value"])
             for got, was in zip(p.filter_words("value"), before):
@@ -1494,7 +1623,7 @@ class TestFilters:
             for t in filter_stream(block_size, 22):
                 chunk_counts.add(t.partitions[-1].nchunks)
                 assert_live_values_in_filters(t)
-            assert len(chunk_counts) > 3  # chunks were opened and condensed
+            assert len(chunk_counts) > 3  # chunks were opened and repacked
 
     @needs_compiler
     def test_backends_leave_identical_filters(self, monkeypatch):
@@ -1548,10 +1677,10 @@ class TestProbe:
         assert _native.lib is not None, "C kernels failed to build"
         native = _native.lib
         rng = np.random.default_rng(block_size)
-        chunks, merges = None, 0
+        chunks, repacks = None, 0
         for step, t in enumerate(filter_stream(block_size, 27, steps=150)):
             now = sum(p.nchunks for p in t.partitions)
-            merges += chunks is not None and now < chunks
+            repacks += chunks is not None and now < chunks
             chunks = now
             full_ids, full = t.scan(["value"])
             values = full["value"]
@@ -1579,7 +1708,7 @@ class TestProbe:
             assert count == sum(kept for kept, _, _ in got[native])
             assert np.array_equal(ids, full_ids[want]), step
             assert np.array_equal(vals, values[want]), step
-        assert merges > 0
+        assert repacks > 0
 
 
 def summary_digest(t):
@@ -1598,7 +1727,7 @@ def invariant_stream(block_size, seed, steps=54):
     """Yields a 2-partition table with its filters built after each
     statement of a seeded stream of 1-1000-row inserts, modifies and
     deletes. Every other delete removes a run of 1000 rows from the first
-    chunks, which empties and merges them."""
+    chunks, which empties them and repacks the partition."""
     rng = np.random.default_rng(seed)
     cap = column_store.CHUNK_BLOCKS * block_size
     t = make_table(rng.integers(0, 10**6, size=2 * max(3 * cap // 2, 1500)),
@@ -1637,10 +1766,10 @@ class TestFilterInvariants:
         for lib in {_native.lib, None}:
             monkeypatch.setattr(_native, "lib", lib)
             rng = np.random.default_rng(block_size + chunk_blocks)
-            digests[lib], merges, chunks = [], 0, None
+            digests[lib], repacks, chunks = [], 0, None
             for t in invariant_stream(block_size, 31):
                 now = sum(p.nchunks for p in t.partitions)
-                merges += chunks is not None and now < chunks
+                repacks += chunks is not None and now < chunks
                 chunks = now
                 assert_live_values_in_filters(t)
                 values = t.scan(["value"])[1]["value"]
@@ -1651,5 +1780,5 @@ class TestFilterInvariants:
                 assert np.array_equal(ids, np.flatnonzero(want))
                 assert np.array_equal(got, values[want])
                 digests[lib].append(summary_digest(t))
-            assert merges > 0
+            assert repacks > 0
         assert len(set(map(tuple, digests.values()))) == 1

@@ -18,16 +18,20 @@ Prints, per statement kind and size, the median in ms of each phase:
   its partition calls (``Partition.append``, ``modify_rows`` and
   ``delete_rows``);
 - ``zones``: the share of ``part`` spent on the probed columns' chunk
-  zones (min and max per chunk): widening them by the new values of an
-  append or modify (``Partition._widen_zones``) and re-scanning a chunk
-  whose min or max a modify overwrote (``Partition._rescan_zones``). Only
-  probed columns have zones, the NUC table's value column here, so an NSC
-  statement's ``zones`` reads 0. A compiled delete tests and re-scans
-  its chunks' zones inside its own kernel, so a delete's ``zones`` reads
-  0, and a chunk merge takes the union of two zones in ``condense``;
+  zones (min and max per chunk): widening them by the rows an append
+  adds (``Partition._widen_run``) or by the new values of a modify
+  (``Partition._widen_zones``), and re-scanning a chunk whose min or max
+  a modify overwrote (``Partition._rescan_zones``). Only probed columns
+  have zones, the NUC table's value column here, so an NSC statement's
+  ``zones`` reads 0. A compiled delete tests and re-scans its chunks'
+  zones inside its own kernel, so a delete's ``zones`` reads 0; a repack
+  builds the zones again inside ``condense``;
 - ``condense``: the share of ``part`` spent on the chunk bookkeeping
-  after a write (``Partition._condense``, which merges neighbouring
-  chunks that fit one, and ``Partition._recount``);
+  after a write (``Partition._recount``, and after a delete
+  ``Partition._condense``: the test whether too few slots are live and
+  the repack, with its new summaries, when they are). A call of the
+  ``zones`` or ``condense`` methods made inside another one counts only
+  to the outer call's phase;
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
 - ``blocks`` and ``rows``: the rows the probe read in blocks
@@ -69,6 +73,7 @@ COUNTS = ("blocks", "rows")
 COLUMNS = PHASES[:8] + COUNTS + PHASES[8:]
 
 _spent = dict.fromkeys(PHASES, 0)
+_inside = []  # the running calls of the shares of part, see _share
 
 
 def _timed(phase, fn):
@@ -78,6 +83,22 @@ def _timed(phase, fn):
             return fn(*args, **kwargs)
         finally:
             _spent[phase] += time.perf_counter_ns() - t0
+    return wrapper
+
+
+def _share(phase, fn):
+    """Like _timed for a share of ``part`` (``zones``, ``condense``): a
+    call made inside another such call counts only to the outer one."""
+    timed = _timed(phase, fn)
+
+    def wrapper(*args, **kwargs):
+        if _inside:
+            return fn(*args, **kwargs)
+        _inside.append(phase)
+        try:
+            return timed(*args, **kwargs)
+        finally:
+            _inside.pop()
     return wrapper
 
 
@@ -103,10 +124,10 @@ def instrument():
     column_store.route_rows = patch_index.route_rows = route
     for name in ("append", "modify_rows", "delete_rows"):
         setattr(Partition, name, _timed("part", getattr(Partition, name)))
-    for name in ("_widen_zones", "_rescan_zones"):
-        setattr(Partition, name, _timed("zones", getattr(Partition, name)))
+    for name in ("_widen_run", "_widen_zones", "_rescan_zones"):
+        setattr(Partition, name, _share("zones", getattr(Partition, name)))
     for name in ("_condense", "_recount"):
-        setattr(Partition, name, _timed("condense", getattr(Partition, name)))
+        setattr(Partition, name, _share("condense", getattr(Partition, name)))
     patch_index.PatchIndex.drop_rows = _timed(
         "drop", patch_index.PatchIndex.drop_rows)
     ShardedBitmap.bulk_delete = _timed("bitmap", ShardedBitmap.bulk_delete)
