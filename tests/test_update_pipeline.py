@@ -169,7 +169,7 @@ def test_duplicate_join_on_shuffled_values_matches_pairwise_oracle():
     rng = np.random.default_rng(10)
     values = rng.permutation(np.concatenate(
         [p.columns["value"] for p in gen.partitions]))
-    # block_size 4 gives 64-row chunks, so deletes condense chunks
+    # block_size 4 gives 16-row chunks, so deletes repack partitions
     t = make_table(values, partitions=3, block_size=4)
     pruned = 0
     for step in range(40):
@@ -514,14 +514,14 @@ def chunk_size_stream(seed):
     """Run a seeded stream of 1-1000-row inserts, modifies and deletes on
     a NUC and an NSC table in 3 partitions of 8-row blocks; returns, after
     every statement, each table's rows, its index's patch rows and a NUC
-    probe's rowIDs and values, plus the number of chunk merges seen."""
+    probe's rowIDs and values, plus the chunks that repacks removed."""
     rng = np.random.default_rng(seed)
     n0 = 3000
     tables = {"nuc": indexed(rng.integers(0, 2000, size=n0), NUC, partitions=3,
                              block_size=8),
               "nsc": indexed(np.sort(rng.integers(0, 10**6, size=n0)), NSC_ASC,
                              partitions=3, block_size=8)}
-    out, merges, next_key = [], 0, n0
+    out, repacked, next_key = [], 0, n0
     for step in range(36):
         op = ("insert", "modify", "delete")[step % 3]
         for name, (t, idx) in tables.items():
@@ -541,7 +541,7 @@ def chunk_size_stream(seed):
                 if step % 2:  # a run of rows, which empties chunks
                     ids = int(rng.integers(0, n - k)) + np.arange(k)[::-1]
                 apply_delete(t, [idx], ids)
-                merges += chunks - sum(p.nchunks for p in t.partitions)
+                repacked += chunks - sum(p.nchunks for p in t.partitions)
             _, cols = t.scan()
             assert idx.check_invariant(cols["value"]), (name, step)
             _, ids, vals = t.probe("value", rng.integers(0, 2000, size=50))
@@ -549,13 +549,13 @@ def chunk_size_stream(seed):
                         cols["value"].tobytes(),
                         idx.global_patch_rows().tobytes(), ids.tobytes(),
                         vals.tobytes()))
-    return out, merges
+    return out, repacked
 
 
 @pytest.mark.parametrize("backend", ["native", "numpy"])
 def test_chunk_size_changes_no_result(backend, monkeypatch):
     """Chunks of 1, 4 and 16 blocks give the same table rows, patch rows
-    and probe results after every statement, chunk merges included."""
+    and probe results after every statement, repacks included."""
     from patchindex import column_store
     if backend == "native" and _native.lib is None:
         pytest.skip("no compiled kernels")
@@ -564,7 +564,7 @@ def test_chunk_size_changes_no_result(backend, monkeypatch):
     runs = []
     for chunk_blocks in (1, 4, 16):
         monkeypatch.setattr(column_store, "CHUNK_BLOCKS", chunk_blocks)
-        out, merges = chunk_size_stream(2025)
-        assert merges > 0, chunk_blocks
+        out, repacked = chunk_size_stream(2025)
+        assert repacked > 0, chunk_blocks
         runs.append(out)
     assert runs[0] == runs[1] == runs[2]
