@@ -2,9 +2,9 @@
  * bitmap, column membership, block Bloom filters, the merge join, the hash
  * join, the k-way merge and copy of sorted streams, the select of a
  * partition's rows by the bits of a sharded bit set, the delete of a
- * partition's rows with its chunk zone and sub-block bound upkeep, the
- * two-level filter plan and the semijoin read of a partition's probe and
- * longest-sorted-subsequence discovery.
+ * partition's rows with its sub-block bound upkeep, the zone and filter
+ * upkeep of written rows, the two-level filter plan and the semijoin read
+ * of a partition's probe and longest-sorted-subsequence discovery.
  *
  * The shift kernels operate on a flat uint64 word array and touch only the
  * word range of one shard per delete, so concurrent calls on disjoint shards
@@ -821,32 +821,21 @@ int64_t pi_select_uses_avx512(void)
 }
 
 
-/* The zone of a chunk's int64 rows v[0:n]: their least and greatest value,
- * or INT64_MAX and INT64_MIN when n is 0, so that no key falls inside. */
-VECTOR_CLONES
-static void zone_scan(const int64_t *v, int64_t n, int64_t *mn, int64_t *mx)
-{
-    int64_t lo = INT64_MAX, hi = INT64_MIN;
-    for (int64_t i = 0; i < n; i++) {
-        lo = v[i] < lo ? v[i] : lo;
-        hi = v[i] > hi ? v[i] : hi;
-    }
-    *mn = lo;
-    *mx = hi;
-}
-
 /* Argument block of the partition kernels (pi_delete_rows, pi_filter_rows
  * and pi_probe_plan), kept per partition on the Python side and rebuilt
  * when its buffers grow or a column gets its block summaries. Mirrors
  * patchindex._native.PartitionArgs.
  *
  * Zone columns, the columns a probe has read, have one zone per chunk:
- * mins[z][k] and maxs[z][k] are the least and greatest value of chunk k's
- * rows, INT64_MAX and INT64_MIN for an empty or unused slot. Sub-block s of
- * chunk k holds the chunk's rows [ends[s - 1], ends[s]) (row 0 for s = 0),
- * where ends is the chunk's nsub sub-block ends, sub_ends[k * nsub:]; the
- * ends never decrease and the last is the chunk's row count; sub_ends is
- * NULL while no column has filters. Each zone column has one blocked Bloom
+ * mins[z][k] <= every live value of chunk k <= maxs[z][k], INT64_MAX and
+ * INT64_MIN for a slot that has held no row since the last rebuild.
+ * pi_filter_rows widens a zone by each written value, and only the
+ * caller's rebuild from the live rows (Partition._fill_filters) narrows
+ * one. Sub-block s of chunk k holds the
+ * chunk's rows [ends[s - 1], ends[s]) (row 0 for s = 0), where ends is the
+ * chunk's nsub sub-block ends, sub_ends[k * nsub:]; the ends never
+ * decrease and the last is the chunk's row count; sub_ends is NULL while
+ * no column has filters. Each zone column has one blocked Bloom
  * filter of 2^chunk_log2 words per chunk, chunk k's at word k <<
  * chunk_log2, and one of 2^sub_log2 words per sub-block, stored word by
  * word: word w of sub-block s of chunk k is word ((k << sub_log2) + w) *
@@ -876,13 +865,11 @@ struct partition_args {
  * do not strictly ascend. Otherwise each chunk that holds deleted rows
  * closes their gaps in every column, in place, lowers each sub-block end
  * by the deleted rows below it, if the partition has sub-blocks, and takes
- * the new row count; returns 0. A zone stays exact as long as no deleted
- * value was its min or max: before the gap copy each zone is tested, and
- * only one where a deleted value was is re-scanned from the kept rows.
- * Every kept row stays in its chunk and its sub-block, so no filter
- * changes. Emptied chunks stay in place, with an empty zone, and freed
- * slots stay unused until the caller repacks the partition, which it does
- * once too few of its slots hold rows (Partition._condense). */
+ * the new row count; returns 0. Every kept row stays in its chunk and its
+ * sub-block, so no zone or filter changes: each still covers the kept
+ * rows. Emptied chunks stay in place and freed slots stay unused until
+ * the caller repacks the partition, which it does once too few of its
+ * slots hold rows (Partition._condense). */
 int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
                        int64_t m, int64_t *counts, int64_t nchunks)
 {
@@ -901,37 +888,18 @@ int64_t pi_delete_rows(const struct partition_args *a, const int64_t *rows,
         const int64_t end = start + counts[k];
         const int64_t t1 = t + lower_bound(rows + t, m - t, end);
         if (t1 > t) {
-            /* a zone whose min or max goes is marked empty (min above max),
-             * which no chunk with rows has, for the re-scan below */
-            for (int64_t z = 0; z < a->nzones; z++) {
-                const int64_t *v = (const int64_t *)a->bufs[a->zone_cols[z]]
-                                   + k * a->capacity;
-                int64_t *mn = a->mins[z] + k, *mx = a->maxs[z] + k;
-                for (int64_t d = t; d < t1; d++)
-                    if (v[rows[d] - start] == *mn || v[rows[d] - start] == *mx) {
-                        *mn = INT64_MAX;
-                        *mx = INT64_MIN;
-                        break;
-                    }
-            }
             /* the chunk's rows [start, end) are items 0.. of its slot */
-            const int64_t left = counts[k] - (t1 - t);
             for (int64_t c = 0; c < a->ncols; c++) {
                 char *slot = a->bufs[c] + k * a->capacity * a->itemsizes[c];
                 gap_copy(slot, a->itemsizes[c], start, end, rows + t, t1 - t);
             }
-            for (int64_t z = 0; z < a->nzones; z++)
-                if (a->mins[z][k] > a->maxs[z][k])
-                    zone_scan((const int64_t *)a->bufs[a->zone_cols[z]]
-                              + k * a->capacity, left, a->mins[z] + k,
-                              a->maxs[z] + k);
             int64_t *ends = a->sub_ends + k * a->nsub;
             for (int64_t s = 0, d = t; a->sub_ends != NULL && s < a->nsub; s++) {
                 while (d < t1 && rows[d] - start < ends[s])
                     d++;
                 ends[s] -= d - t;
             }
-            counts[k] = left;
+            counts[k] -= t1 - t;
             t = t1;
         }
         start = end;
@@ -950,10 +918,10 @@ static void sub_pass(const uint64_t *words, int64_t n, uint64_t pattern,
 }
 
 /* Adds the values of zone column z at the flattened buffer positions
- * pos[0:n] to their chunk's filter and to the filter of the sub-block
- * whose bounds hold them. Checks first that every position holds a live
- * row of the nchunks chunks and returns, before writing anything, -1 when
- * one does not; returns 0 otherwise. */
+ * pos[0:n] to their chunk's zone and filter and to the filter of the
+ * sub-block whose bounds hold them. Checks first that every position holds
+ * a live row of the nchunks chunks and returns, before writing anything,
+ * -1 when one does not; returns 0 otherwise. */
 int64_t pi_filter_rows(const struct partition_args *a, int64_t z,
                        const int64_t *counts, int64_t nchunks,
                        const int64_t *pos, int64_t n)
@@ -968,7 +936,10 @@ int64_t pi_filter_rows(const struct partition_args *a, int64_t z,
     for (int64_t i = 0; i < n; i++) {
         const int64_t c = pos[i] / cap, r = pos[i] % cap;
         const int64_t s = bound(a->sub_ends + c * nsub, nsub, r, 1);
-        const uint64_t h = filter_slot(v[pos[i]], 0);
+        const int64_t x = v[pos[i]];
+        const uint64_t h = filter_slot(x, 0);
+        a->mins[z][c] = x < a->mins[z][c] ? x : a->mins[z][c];
+        a->maxs[z][c] = x > a->maxs[z][c] ? x : a->maxs[z][c];
         a->chunk_filters[z][(c << a->chunk_log2) + (h >> cshift)] |=
             bloom_pattern(h, cshift);
         a->sub_filters[z][(((c << a->sub_log2) + (h >> sshift)) * nsub) + s] |=

@@ -11,12 +11,11 @@ grouped bulk delete, ``column_store`` its membership test
 (``in_positions``), its patch-split select (``select``), which copies a
 scan's rows by the bits of a patch store and falls back to a keep mask
 per chunk span, its partition delete, which closes one chunk's gaps at a
-time with ``np.delete``, re-scans a chunk's zone only where a deleted
-value was its min or max (``Partition._rescan_zones``) and lowers the
-chunk's sub-block ends, its filter build and upkeep of written rows
-(``Partition._filter_rows``), which finds each row's sub-block by a
-binary search over the chunks' ends and sets the bits with
-``np.bitwise_or.at``, and its semijoin probe
+time with ``np.delete`` and lowers the chunk's sub-block ends, its zone
+and filter build and upkeep of written rows (``Partition._filter_rows``),
+which finds each row's sub-block by a binary search over the chunks'
+ends, widens the zones with ``np.minimum.at`` and ``np.maximum.at`` and
+sets the bits with ``np.bitwise_or.at``, and its semijoin probe
 (``Partition.probe``), which tests every probed key inside a chunk's zone
 against the chunk's filter and the filters of all of its sub-blocks and
 runs ``np.isin`` over the kept sub-blocks' rows; ``query_engine`` its
@@ -31,9 +30,9 @@ finds the run, and ``patch_index`` its longest sorted subsequence
 
 The partition kernels share one argument block (``PartitionArgs``). Its
 zone columns are the columns a probe has read, the only ones with block
-summaries: a zone (min and max) per chunk, a filter per chunk and a filter
-per sub-block, whose moving bounds (the sub-block ends) the block holds
-too once any column has filters. The probe takes two calls per partition:
+summaries: a zone (a min and max that cover the chunk's values) per
+chunk, a filter per chunk and a filter per sub-block, whose moving bounds
+(the sub-block ends) the block holds too once any column has filters. The probe takes two calls per partition:
 ``pi_probe_plan`` finds the sub-blocks to read and their row count, which
 sizes the outputs that ``pi_probe`` then fills.
 

@@ -272,10 +272,12 @@ def bench_query_suite(rows=10**6, rates=(0.0, 0.01, 0.2, 0.5, 0.99), seed=0,
 # -- update benchmarks ----------------------------------------------------------------
 
 def _prepared_updates(op, row_count, count, seed, key_start):
-    """Deterministic update workload, splittable at any granularity."""
+    """Deterministic update workload, splittable at any granularity.
+    Inserts draw their values from [0, row_count), or from [0, count)
+    into an empty table."""
     rng = np.random.default_rng(seed)
     if op == "insert":
-        return {"values": rng.integers(0, row_count, size=count),
+        return {"values": rng.integers(0, row_count or count, size=count),
                 "keys": key_start + np.arange(count)}
     if op == "modify":
         return {"ids": rng.choice(row_count, size=count, replace=False),

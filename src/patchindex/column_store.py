@@ -27,6 +27,10 @@ from ._native import address, pointers
 
 MAGIC = b"PDX1"
 DEFAULT_BLOCK_SIZE = 4096
+# rows of a block at most: a chunk of CHUNK_BLOCKS such blocks takes 32 MiB
+# of each int64 column, 256 times a default chunk, so a block size from a
+# malformed file header cannot ask for terabytes (check_block_size)
+MAX_BLOCK_SIZE = 1 << 20
 # chunk capacity in blocks: a delete rewrites one chunk of
 # CHUNK_BLOCKS * block_size rows, not the whole partition. In a 16/8/4/2/1
 # sweep, 10-row deletes cost about half as much at 4 as at 16 and
@@ -255,6 +259,18 @@ def route_rows(rowids, sizes, what):
         yield p, sel, rowids[sel] - offsets[p]
 
 
+def check_block_size(block_size):
+    """Return block_size, an int in [1, MAX_BLOCK_SIZE]; anything else
+    raises ValueError. Every partition and every loaded file header
+    passes through this check."""
+    if (not isinstance(block_size, (int, np.integer))
+            or isinstance(block_size, bool)
+            or not 1 <= block_size <= MAX_BLOCK_SIZE):
+        raise ValueError(f"block_size {block_size!r} is not an int in "
+                         f"[1, {MAX_BLOCK_SIZE}]")
+    return block_size
+
+
 def _block_minmax(values, block_size):
     n = len(values)
     if n == 0:
@@ -292,27 +308,28 @@ class Partition:
 
     Only the int64 columns a probe has read have block summaries, built
     by ``filter_words``, so ``zones`` and ``filters`` have the same keys:
-    a pair of (slots,) arrays, each chunk's least and greatest live value
-    (its zone; ``_EMPTY_ZONE`` in a slot without rows), and a pair of
-    blocked Bloom filter arrays, one filter per chunk, (slots, words), and
-    one per sub-block, (slots, words, nsub), word by word, so that one
-    word of every sub-block of a chunk lies together; appends never
-    resize them.
+    a pair of (slots,) arrays, a min and a max per chunk (its zone;
+    ``_EMPTY_ZONE`` in a slot that has held no row since the last
+    rebuild), and a pair of blocked Bloom filter arrays, one filter per
+    chunk, (slots, words), and one per sub-block, (slots, words, nsub),
+    word by word, so that one word of every sub-block of a chunk lies
+    together; appends never resize them.
 
-    Every mutator keeps the zones exact by widening: appends and modifies
-    fold the new values into their chunks' zones, and only a chunk where
-    a deleted or overwritten value was the min or max is re-scanned. Every
-    live row's value is in its chunk's and its sub-block's filter: appends
-    and modifies add the new values, a delete adds none, and a repack
-    builds every summary again from the live rows. Only a repack clears
-    filter bits, so a deleted or overwritten value leaves stale bits until
-    then, and a filter may answer "maybe" wrongly but never "no" wrongly.
+    Zones and filters follow one rule. A write adds: appends and modifies
+    widen the zone and set the filter bits of each value they write
+    (``_filter_rows``). A delete changes nothing. A rebuild, on the first
+    probe or a repack, makes every summary again from the live rows
+    (``_fill_filters``). So a zone covers every live value of its chunk,
+    exactly so after a rebuild, and a filter holds every one; a deleted
+    or overwritten value may leave a zone too wide and stale filter bits
+    until the next repack, so a probe may read a sub-block for nothing
+    but never skips a row it needs.
     """
 
     def __init__(self, columns, block_size=DEFAULT_BLOCK_SIZE):
         """Copy whole-partition arrays into chunks; the caller's arrays are
         never written."""
-        self.capacity = CHUNK_BLOCKS * block_size
+        self.capacity = CHUNK_BLOCKS * check_block_size(block_size)
         self.sub_rows = min(FILTER_SUB_ROWS, block_size)
         self.nsub = -(-self.capacity // self.sub_rows)
         # the sub-block ends of a chunk cut on the sub_rows grid
@@ -368,8 +385,8 @@ class Partition:
         sub-block s of chunk k.
 
         The first request builds the column's block summaries from the
-        chunk buffers, its zones first and then its filters; from then on
-        every mutator keeps both up to date.
+        chunk buffers (``_fill_filters``); from then on every write widens
+        them.
         """
         if column not in self.filters:
             if self.chunks[column].dtype != np.int64:  # the kernels read int64
@@ -386,16 +403,16 @@ class Partition:
                 np.zeros((slots, 1 << self.chunk_log2), np.uint64),
                 np.zeros((slots, 1 << self.sub_log2, self.nsub), np.uint64))
             self._args = None  # the kernels' argument block names them
-            self._rescan_zones([column], range(self.nchunks))
             self._fill_filters([column], range(self.nchunks))
         return tuple(f[:self.nchunks] for f in self.filters[column])
 
     def _filter_rows(self, pos, columns):
         """Add the rows at flattened buffer positions pos, live rows, to
-        their chunk's and their sub-block's filters of the given probed
-        columns: one ``pi_filter_rows`` call per column, which checks the
-        positions first, or in numpy a binary search of each row's
-        sub-block and ``filter_hash``."""
+        their chunk's zone and to their chunk's and their sub-block's
+        filters of the given probed columns: one ``pi_filter_rows`` call
+        per column, which checks the positions first, or in numpy a binary
+        search of each row's sub-block, ``np.minimum.at`` and
+        ``np.maximum.at`` and ``filter_hash``."""
         pos = np.ascontiguousarray(pos, dtype=np.int64)
         lib = _native.lib
         if lib is not None:
@@ -420,16 +437,21 @@ class Partition:
         for c in columns:
             chunk_f, sub_f = self.filters[c]
             values = self.chunks[c].reshape(-1)[pos]
+            np.minimum.at(self.zones[c][0], chunk, values)
+            np.maximum.at(self.zones[c][1], chunk, values)
             words, pattern = filter_hash(values, self.chunk_log2)
             np.bitwise_or.at(chunk_f, (chunk, words), pattern)
             words, pattern = filter_hash(values, self.sub_log2)
             np.bitwise_or.at(sub_f, (chunk, words, sub), pattern)
 
     def _fill_filters(self, columns, chunks):
-        """Rebuild the given probed columns' filters of the given chunks
-        from their live rows, which clears their stale bits."""
+        """Rebuild the given probed columns' zones and filters of the given
+        chunks from their live rows, which narrows the zones to exact and
+        clears the filters' stale bits."""
         chunks = np.asarray(chunks, dtype=np.int64)
         for c in columns:
+            for z, empty in zip(self.zones[c], _EMPTY_ZONE):
+                z[chunks] = empty
             for f in self.filters[c]:
                 f[chunks] = 0
         counts = self.counts[chunks]
@@ -484,35 +506,6 @@ class Partition:
         """Values of one column at persisted partition rows."""
         return self.chunks[column].reshape(-1)[self.positions(local)]
 
-    def _rescan_zones(self, columns, chunks):
-        """Set the zones of the given probed columns in the given chunks to
-        the least and greatest of their live rows, ``_EMPTY_ZONE`` for a
-        chunk without rows."""
-        for c in columns:
-            mins, maxs = self.zones[c]
-            for k in chunks:
-                rows = self.chunk(c, k)
-                mins[k], maxs[k] = ((rows.min(), rows.max()) if len(rows)
-                                    else _EMPTY_ZONE)
-
-    def _widen_zones(self, column, pos, old):
-        """Widen the zones of a probed column by the values a modify wrote
-        at the flattened buffer positions pos; old holds the values at pos
-        before the write. Returns the ascending chunks whose min or max an
-        old value was, the only ones that may now be too wide.
-
-        The new values are read back from the buffers, so a position given
-        twice widens its chunk by the value it kept, not by the one it
-        overwrote.
-        """
-        chunks = pos // self.capacity
-        mins, maxs = self.zones[column]
-        stale = sort_unique(chunks[(old == mins[chunks]) | (old == maxs[chunks])])
-        new = self.chunks[column].reshape(-1)[pos]
-        np.minimum.at(mins, chunks, new)
-        np.maximum.at(maxs, chunks, new)
-        return stale
-
     def _grow(self, nchunks):
         """Open empty chunks up to nchunks; the buffers double their slots
         when they run out, so the copy of the old chunks is amortized."""
@@ -566,42 +559,18 @@ class Partition:
             np.minimum(tail, self.counts[first], out=tail)
             np.minimum(self.grid, self.counts[first + 1:, None],
                        out=ends[first + 1:self.nchunks])
-        self._widen_run(first, start, n)
         self._filter_rows(np.arange(start, start + n), list(self.filters))
         self._recount()
 
-    def _widen_run(self, first, start, n):
-        """Widen the probed columns' zones of chunks first.. by the n rows
-        appended at flattened buffer position start: one min and max of
-        the run's slice in each chunk it reaches."""
-        cap = self.capacity
-        for c, (mins, maxs) in self.zones.items():
-            flat = self.chunks[c].reshape(-1)
-            for k in range(first, self.nchunks):
-                run = flat[max(start, k * cap):min(start + n, (k + 1) * cap)]
-                mins[k] = min(mins[k], run.min())
-                maxs[k] = max(maxs[k], run.max())
-
     def modify_rows(self, local, updates):
         """Overwrite partition rows in place; updates maps column name to
-        the rows' new values.
-
-        A probed column's zones stay exact in O(rows): each touched
-        chunk's min and max widen by the values the rows now hold, and
-        only a chunk where an overwritten value was its min or max is
-        re-scanned (``_widen_zones``, ``_rescan_zones``).
-        """
+        the rows' new values. A probed column's zones and filters take the
+        new values (``_filter_rows``) and keep the old ones until a
+        repack."""
         pos = self.positions(local)
-        probed = [c for c in updates if c in self.zones]
-        old = [self.chunks[c].reshape(-1)[pos] for c in probed]
         for c, vals in updates.items():
             self.chunks[c].reshape(-1)[pos] = vals
-        if probed:
-            for c, was in zip(probed, old):
-                stale = self._widen_zones(c, pos, was)
-                if len(stale):
-                    self._rescan_zones([c], stale.tolist())
-            self._filter_rows(pos, probed)
+        self._filter_rows(pos, [c for c in updates if c in self.zones])
 
     def delete_rows(self, local):
         """Remove the strictly ascending partition rows local.
@@ -609,14 +578,12 @@ class Partition:
         Rows outside [0, nrows) raise IndexError and rows out of order or
         repeated ValueError, before any chunk changes. Each touched chunk
         closes the gaps in every column, in place, and lowers its
-        sub-block ends by the deleted rows below them; no filter changes.
-        Its zones stay as they were unless a deleted value was a zone's
-        min or max, which is tested before the gaps close; only such a
-        zone is re-scanned from the kept rows. With the compiled kernels
-        that is one call (``pi_delete_rows``) for all touched chunks; the
-        reference runs ``np.delete``, ``_rescan_zones`` and a
-        ``np.searchsorted`` per chunk. Then the partition repacks if too
-        few of its slots are live (``_condense``).
+        sub-block ends by the deleted rows below them; no zone or filter
+        changes, so each still covers the kept rows. With the compiled
+        kernels that is one call (``pi_delete_rows``) for all touched
+        chunks; the reference runs ``np.delete`` and a ``np.searchsorted``
+        per chunk. Then the partition repacks if too few of its slots are
+        live (``_condense``).
         """
         local = np.ascontiguousarray(local, dtype=np.int64)
         lib = _native.lib
@@ -643,12 +610,9 @@ class Partition:
         for k in sort_unique(owner).tolist():
             rows = local[owner == k] - (self.ends[k] - self.counts[k])
             n = int(self.counts[k])
-            stale = [c for c, (mn, mx) in self.zones.items()
-                     if np.isin([mn[k], mx[k]], self.chunks[c][k, rows]).any()]
             for buf in self.chunks.values():
                 buf[k, :n - len(rows)] = np.delete(buf[k, :n], rows)
             self.counts[k] = n - len(rows)
-            self._rescan_zones(stale, [k])
             if self.sub_ends is not None:
                 self.sub_ends[k] -= np.searchsorted(rows, self.sub_ends[k])
         return 0
@@ -659,8 +623,9 @@ class Partition:
         condense. The lost slots are the free ones of every chunk but the
         last, which appends fill. The repack lays the live rows out as the
         constructor does and builds each probed column's block summaries
-        again as its first probe did, which clears their stale filter
-        bits; a partition without rows keeps no chunk."""
+        again as its first probe did, which narrows their zones and clears
+        their stale filter bits; a partition without rows keeps no
+        chunk."""
         if self.nrows and self.nrows >= CONDENSE_BELOW * (
                 (self.nchunks - 1) * self.capacity + int(self.counts[-1])):
             return
@@ -762,13 +727,14 @@ def _read_header(buf, path):
     the PDX1 file bytes buf. A file without the magic, or with a header
     other than ``save`` writes, raises ValueError naming path. The header
     is a JSON object whose ``schema`` is a list of [name, dtype] pairs of
-    numpy dtypes, whose ``partitions`` is a non-empty list of ints >= 0
-    and whose ``block_size`` is an int >= 1."""
+    numpy dtypes and distinct names, whose ``partitions`` is a non-empty
+    list of ints >= 0 and whose ``block_size`` passes
+    ``check_block_size``."""
     def bad(what):
         return ValueError(f"{path}: bad table header: {what}")
 
-    def whole(x, least):
-        return isinstance(x, int) and not isinstance(x, bool) and x >= least
+    def count(x):
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
     if buf[:4] != MAGIC:
         raise ValueError(f"{path}: not a table file (bad magic)")
@@ -791,12 +757,18 @@ def _read_header(buf, path):
             np.dtype(dtype)
         except (TypeError, ValueError):
             raise bad(f"unknown dtype {dtype!r} of column {name!r}") from None
+    names = [name for name, _ in schema]
+    for name in names:
+        if names.count(name) > 1:
+            raise bad(f"schema lists column {name!r} twice")
     sizes = header.get("partitions")
     if not (isinstance(sizes, list) and sizes
-            and all(whole(n, 0) for n in sizes)):
+            and all(map(count, sizes))):
         raise bad("partitions is not a non-empty list of row counts")
-    if not whole(header.get("block_size"), 1):
-        raise bad("block_size is not a positive int")
+    try:
+        check_block_size(header.get("block_size"))
+    except ValueError as exc:
+        raise bad(str(exc)) from None
     return [tuple(c) for c in schema], sizes, header["block_size"], 8 + hlen
 
 
@@ -938,7 +910,7 @@ class ColumnTable:
         ``Partition.probe``); the first count is the rows of those
         sub-blocks. Only probed columns have these block summaries: the
         first probe builds the column's zones and filters in every
-        partition, and the mutators keep them up to date.
+        partition, and written rows widen them from then on.
         """
         self._check_columns([column])
         if np.dtype(dict(self.schema)[column]) != np.int64:

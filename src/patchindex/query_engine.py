@@ -493,10 +493,6 @@ class Executor:
             raise ValueError(f"unknown predicate {node.predicate!r}")
         return rel.take(mask)
 
-    def _op_project(self, node):
-        rel = self._exec(node.children[0])
-        return Relation({c: rel.columns[c] for c in node.columns})
-
     def _rows_project(self, node):
         rows = self._rows(node.children[0])
         return Rows(node, rows.bound,

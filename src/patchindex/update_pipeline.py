@@ -6,26 +6,27 @@ the insert handlers take the inserted values from the statement itself.
 The handlers never recompute an index and never materialize the full
 table. The uniqueness constraint is maintained by a semijoin of the table
 with the touched values, pruned in two steps per chunk of rows: the
-touched values inside the chunk's zone, its least and greatest value
-(the dynamic-range-propagation trick), are tested against the chunk's
-membership filter, and the values that pass against the filters of the
-chunk's sub-blocks of at most 256 rows; only the sub-blocks where one
-passes are read. The summaries exist only for the probed column: its
-first probe builds them, and the storage keeps them up to date from then
-on, so the NSC table and the NUC key column pay for none.
+touched values inside the chunk's zone, a min and max that cover its
+values (the dynamic-range-propagation trick), are tested against the
+chunk's membership filter, and the values that pass against the filters
+of the chunk's sub-blocks of at most 256 rows; only the sub-blocks where
+one passes are read. The summaries exist only for the probed column: its
+first probe builds them, and from then on every written row widens its
+chunk's zone and sets its filter bits, so the NSC table and the NUC key
+column pay for none.
 ``ColumnTable.probe`` makes two compiled calls per partition, a plan of
 the sub-blocks to read and the read itself, and returns the rowIDs and
 values of the rows holding a touched value and the rows it read, the
 statement's ``rows_scanned``. Every returned row whose value occurs at
 least twice becomes a patch. That equals patching both sides of every
 match of a touched row with another row: no summary ever rules out a
-value its rows hold (the storage keeps every live row's value in its
-chunk's and its sub-block's filters, and a delete moves the sub-block
-bounds with the rows), so all rows holding a touched value lie in read
-sub-blocks, and the touched rows are in the table themselves. The
-sortedness constraint extends its sorted run for inserts and simply
-patches modified rows. Deletes drop the tracking state
-for the deleted rowIDs. The maintained patch set may grow beyond the
+value its rows hold (the storage keeps every live row's value inside its
+chunk's zone and in its chunk's and its sub-block's filters, and a delete
+moves the sub-block bounds with the rows), so all rows holding a touched
+value lie in read sub-blocks, and the touched rows are in the table
+themselves. The sortedness constraint extends its sorted run for inserts
+and simply patches modified rows. Deletes drop the tracking state for the
+deleted rowIDs. The maintained patch set may grow beyond the
 minimal one, but the non-patch rows always satisfy the constraint.
 """
 

@@ -1,11 +1,12 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from patchindex import _native, bench as bench_mod, cli
 from patchindex.cli import main
-from patchindex.column_store import MAGIC
+from patchindex.column_store import MAGIC, ColumnTable
 from patchindex.patch_index import NSC_ASC, NSC_DESC, NUC
 
 
@@ -27,6 +28,8 @@ BAD_HEADERS = {
     "negative rows": pdx1(dict(GOOD_HEADER, partitions=[5, -1])),
     "unknown dtype": pdx1(dict(GOOD_HEADER, schema=[["key", "zz"]])),
     "schema not pairs": pdx1(dict(GOOD_HEADER, schema=[["key"]])),
+    "block_size 2^40": pdx1(dict(GOOD_HEADER, block_size=2**40)),
+    "column twice": pdx1(dict(GOOD_HEADER, schema=[["value", "<i8"]] * 2)),
     "not JSON": MAGIC + struct.pack("<I", 3) + b"{no",
 }
 
@@ -203,6 +206,17 @@ class TestUpdate:
             assert low <= fill <= high, (kind, first)
             assert first.index("filter_fill=") < first.index("filter_bytes_per_row=")
 
+    def test_insert_into_empty_table(self, tmp_path, capsys):
+        path = tmp_path / "empty.pdx"
+        assert main(["generate", "--kind", "nuc", "--rows", "0",
+                     "--out", str(path)]) == 0
+        assert main(["update", "insert", "--table", str(path),
+                     "--count", "5"]) == 0
+        assert main(["bench", "update", "--rows", "0", "--count", "5",
+                     "--granularities", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "insert x5" in out and "update_insert,5,bitmap," in out
+
     def test_nsc_update(self, sorted_dataset):
         assert main(["update", "insert", "--table", str(sorted_dataset),
                      "--count", "30", "--granularity", "5",
@@ -262,6 +276,25 @@ class TestErrorContract:
         path = tmp_path / "bad.pdx"
         path.write_bytes(blob)
         err = self._usage_error(["index", "stats", "--table", str(path)], capsys)
+        assert str(path) in err and "header" in err
+
+    @pytest.mark.parametrize("change", [{"block_size": 2**40},
+                                        {"schema": [["value", "<i8"]] * 2}],
+                             ids=["block_size 2^40", "column twice"])
+    def test_bad_header_of_a_table(self, tmp_path, capsys, change):
+        """A 5-row table whose header is rewritten; both columns hold the
+        same rows, so the file still holds the bytes, and the zone maps,
+        that the header needs."""
+        path = tmp_path / "t.pdx"
+        rows = np.arange(5, dtype=np.int64)
+        ColumnTable.from_partitions([{"key": rows, "value": rows}]).save(path)
+        buf = path.read_bytes()
+        (hlen,) = struct.unpack("<I", buf[4:8])
+        header = json.loads(buf[8:8 + hlen])
+        assert header["schema"] == [["key", "<i8"], ["value", "<i8"]]
+        path.write_bytes(pdx1(dict(header, **change)) + buf[8 + hlen:])
+        err = self._usage_error(["index", "stats", "--table", str(path)],
+                                capsys)
         assert str(path) in err and "header" in err
 
     def test_good_header_of_empty_partitions_loads(self, tmp_path):

@@ -48,16 +48,23 @@ def chunk_zone(p, column, k):
     return tuple(int(z[k]) for z in p.zones[column])
 
 
-def assert_chunk_summaries(p, columns=None):
-    """Every chunk's zone of the int64 columns, or of the given ones, is
-    the least and greatest of its live rows, and every free slot holds
+def assert_chunk_summaries(p, columns=None, exact=False):
+    """Every chunk's zone of the int64 columns, or of the given ones,
+    covers its live rows: its min is at most their least and its max at
+    least their greatest. With exact, as right after a rebuild (a first
+    probe or a repack), each zone is the least and greatest of its live
+    rows, the empty zone for a chunk without rows. Every free slot holds
     the empty zone."""
     for c in p.int_columns() if columns is None else columns:
         for k in range(p.nchunks):
             rows = p.chunk(c, k)
-            want = ((int(rows.min()), int(rows.max())) if len(rows)
-                    else EMPTY_ZONE)
-            assert chunk_zone(p, c, k) == want, (c, k)
+            lo, hi = chunk_zone(p, c, k)
+            if exact:
+                want = ((int(rows.min()), int(rows.max())) if len(rows)
+                        else EMPTY_ZONE)
+                assert (lo, hi) == want, (c, k)
+            elif len(rows):
+                assert lo <= rows.min() and hi >= rows.max(), (c, k)
         for z, empty in zip(p.zones[c], EMPTY_ZONE):
             assert (z[p.nchunks:] == empty).all(), c
 
@@ -274,7 +281,8 @@ class TestUpdates:
             if k:
                 t.insert_rows({"key": np.arange(k),
                                "value": rng.integers(-500, 2000, size=k)})
-            assert_chunk_summaries(t.partitions[0])
+            # appends only widen, so zones exact after the build stay exact
+            assert_chunk_summaries(t.partitions[0], exact=True)
 
     def test_interleaved_updates_match_array_oracle(self):
         rng = np.random.default_rng(2)
@@ -320,22 +328,26 @@ class TestUpdates:
             t.modify_rows(np.sort(ids), {"value": vals[np.argsort(ids)]})
             for p in t.partitions:
                 assert_chunk_summaries(p)
+                assert_covers_fresh_summaries(p)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
-    def test_modify_stream_keeps_exact_zone_maps(self, backend, monkeypatch):
-        """Modifies widen the zone maps and re-scan only the blocks whose
-        min or max they overwrote, which 8-row blocks make common. Rows
-        given twice, unsorted rows and uneven chunks with partial blocks
-        included."""
+    def test_modify_stream_keeps_zone_maps_covering(self, backend, monkeypatch):
+        """Modifies widen the zone maps by the values they write and never
+        narrow them, so each zone still covers its chunk's rows after a
+        chunk's min or max is overwritten, which 8-row blocks make common.
+        Rows given twice, unsorted rows and uneven chunks with partial
+        blocks included."""
         use_backend(backend, monkeypatch)
         rng = np.random.default_rng(25)
         t = summarize(make_table(rng.integers(0, 10**6, size=3000),
                                  partitions=3, block_size=8))
         t.delete_rows(np.flatnonzero(rng.random(3000) < 0.05)[::-1])
         # a row given twice keeps its second value: the first may not widen
-        # the zone maps of block 0, whose min and max the row does not hold
+        # the zone of chunk 0, whose min the row does not hold
         row = int(np.argsort(t.scan(["value"])[1]["value"][:8])[3])
+        was = chunk_zone(t.partitions[0], "value", 0)
         t.modify_rows(np.array([row, row]), {"value": np.array([-1, 10**7])})
+        assert chunk_zone(t.partitions[0], "value", 0) == (was[0], 10**7)
         assert_chunk_summaries(t.partitions[0])
         for step in range(120):
             n = t.row_count
@@ -411,35 +423,40 @@ def zone_stream(block_size, seed, steps=80):
 
 
 class TestChunkZones:
-    """A probed column's zone per chunk: its live rows' least and greatest
-    value after every mutator, on both backends."""
+    """A probed column's zone per chunk covers its live rows after every
+    mutator, on both backends: writes widen it, and only a rebuild (a
+    first probe or a repack) narrows it to its rows."""
 
     @pytest.mark.parametrize("block_size", [16, 24])
     def test_kernel_matches_reference(self, block_size, monkeypatch):
         """After every statement of a seeded stream each live chunk's zone
-        is exact and every free slot holds the empty zone; both backends
-        leave byte-identical zones."""
+        covers its rows, exactly so after the build and after a repack
+        that drops chunks, and every free slot holds the empty zone; both
+        backends leave byte-identical zones and filters."""
         digests = {}
         for lib in {_native.lib, None}:
             monkeypatch.setattr(_native, "lib", lib)
             digest, repacks, chunks = hashlib.sha256(), 0, None
             for t in zone_stream(block_size, block_size):
                 p = t.partitions[0]
-                repacks += chunks is not None and p.nchunks < chunks
+                repacked_now = chunks is None or p.nchunks < chunks
+                repacks += repacked_now
                 chunks = p.nchunks
-                assert_chunk_summaries(p)
+                assert_chunk_summaries(p, exact=repacked_now)
                 for c in ("key", "value"):
-                    for z in p.zones[c]:
-                        digest.update(z[:p.nchunks].tobytes())
+                    for a in p.zones[c] + p.filter_words(c):
+                        digest.update(a[:p.nchunks].tobytes())
             assert repacks > 10
             digests[lib] = digest.hexdigest()
         assert len(set(digests.values())) == 1
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
-    def test_min_and_max_rows_rescanned(self, backend, monkeypatch):
+    def test_min_and_max_rows_leave_zone_covering(self, backend, monkeypatch):
         """Deleting, then overwriting, the rows that hold a chunk's min and
-        max narrows its zone to the rows left; removing one of two rows
-        that hold the min keeps it."""
+        max leaves its zone as wide as it was, and a probe still returns
+        exactly the rows that a filtered full scan finds; a value written
+        outside the zone widens it, and a repack narrows it to the rows
+        left."""
         use_backend(backend, monkeypatch)
         rng = np.random.default_rng(27)
         values = np.concatenate([rng.integers(0, 10**6, size=64),
@@ -456,20 +473,28 @@ class TestChunkZones:
         def check(want):
             assert chunk_zone(p, "value", 1) == want
             assert_chunk_summaries(p)
+            keys = np.arange(95, 205)
+            _, ids, got = t.probe("value", keys)
+            scanned = t.scan(["value"])[1]["value"]
+            assert np.array_equal(ids, np.flatnonzero(np.isin(scanned, keys)))
+            assert np.array_equal(got, scanned[ids])
 
         check((100, 163))
         t.delete_rows(np.array([row(100)]))
-        check((101, 163))
+        check((100, 163))
         t.delete_rows(np.array([row(163)]))
-        check((101, 162))
+        check((100, 163))
         t.modify_rows(np.array([row(101)]), {"value": np.array([150])})
-        check((102, 162))
-        t.modify_rows(np.array([row(162)]), {"value": np.array([120])})
-        check((102, 161))
-        t.modify_rows(np.array([row(130)]), {"value": np.array([102])})
-        t.delete_rows(np.array([row(102)]))
-        check((102, 161))
-        assert p.counts.tolist() == [64, 61, 64]
+        check((100, 163))
+        t.modify_rows(np.array([row(162)]), {"value": np.array([200])})
+        check((100, 200))
+        assert p.counts.tolist() == [64, 62, 64]
+        # 8 more deletes leave 182 of 192 slots live: a repack
+        t.delete_rows(np.arange(8)[::-1])
+        assert p.counts.tolist() == [64, 64, 54]
+        assert_chunk_summaries(p, exact=True)
+        assert_same_layout(p, repacked(p))
+        check(chunk_zone(p, "value", 1))
 
 
 class Unread:
@@ -1127,7 +1152,7 @@ class TestDeleteKernel:
     @pytest.mark.parametrize("backend", ["native", "numpy"])
     def test_delete_writes_no_filter_word(self, backend, monkeypatch):
         """A delete lowers each sub-block end by the deleted rows below it
-        and leaves every filter word as it was."""
+        and leaves every zone and filter word as it was."""
         use_backend(backend, monkeypatch)
         # chunks of 64 and 128 rows, whatever CHUNK_BLOCKS
         for block_size, extra in ((64 // CHUNK_BLOCKS, 37),
@@ -1139,14 +1164,16 @@ class TestDeleteKernel:
                 for k, (first, end) in enumerate(zip(p.ends - p.counts, p.ends)):
                     mine = rows[(rows >= first) & (rows < end)] - first
                     want[k] -= np.searchsorted(mine, want[k])
-                filters = [f.copy() for f in p.filter_words("value")]
+                summaries = [a.copy() for a in p.zones["value"]
+                             + p.filter_words("value")]
                 nchunks = p.nchunks
                 p.delete_rows(rows)
                 assert p.nchunks == nchunks  # no repack moved rows
                 assert np.array_equal(p.sub_ends[:p.nchunks], want), name
                 assert (want[:, -1] == p.counts).all()
-                for got, was in zip(p.filter_words("value"), filters):
-                    assert np.array_equal(got, was), name
+                for got, was in zip(p.zones["value"] + p.filter_words("value"),
+                                    summaries):
+                    assert np.array_equal(got[:nchunks], was[:nchunks]), name
                 assert_live_values_in_filters(p)
 
     @pytest.mark.parametrize("backend", ["native", "numpy"])
@@ -1175,7 +1202,6 @@ class TestDeleteKernel:
         rows = np.array([1, ends[0] + 2, ends[2] + 3, ends[4] - 1])
         want = np.delete(p.columns["value"], rows)
         monkeypatch.setattr(Partition, "_delete_rows_reference", forbidden)
-        monkeypatch.setattr(Partition, "_rescan_zones", forbidden)
         p.delete_rows(rows)  # 4 of 357 rows: no repack
         assert np.array_equal(p.columns["value"], want)
         assert_chunk_summaries(p)
@@ -1204,6 +1230,21 @@ def assert_same_layout(p, q):
     for c in p.zones:
         for a, b in zip(p.zones[c] + p.filters[c], q.zones[c] + q.filters[c]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), c
+
+
+def assert_covers_fresh_summaries(p):
+    """p's chunks are those of a fresh partition of its rows
+    (``repacked``), each of p's zones contains the fresh zone of its chunk
+    and p's filters hold every bit of the fresh filters."""
+    q = repacked(p)
+    assert p.counts.tobytes() == q.counts.tobytes()
+    assert p.sub_ends[:p.nchunks].tobytes() == q.sub_ends[:q.nchunks].tobytes()
+    n = p.nchunks
+    for c in q.zones:
+        (lo, hi), (want_lo, want_hi) = p.zones[c], q.zones[c]
+        assert (lo[:n] <= want_lo[:n]).all() and (hi[:n] >= want_hi[:n]).all(), c
+        for got, want in zip(p.filters[c], q.filters[c]):
+            assert not (want[:n] & ~got[:n]).any(), c
 
 
 @settings(max_examples=40, deadline=None)
@@ -1514,7 +1555,7 @@ class TestLazySummaries:
         t.probe("key", [1])
         for p in t.partitions:
             assert list(p.zones) == list(p.filters) == ["value", "key"]
-            assert_chunk_summaries(p, ["key"])
+            assert_chunk_summaries(p, ["key"], exact=True)
             for got, want in zip(p.filter_words("key"),
                                  rebuilt_filters(p, "key")):
                 assert np.array_equal(got, want)

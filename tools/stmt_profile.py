@@ -17,21 +17,20 @@ Prints, per statement kind and size, the median in ms of each phase:
 - ``table``: the table write (``UpdateStats.storage_ms``), and ``part``
   its partition calls (``Partition.append``, ``modify_rows`` and
   ``delete_rows``);
-- ``zones``: the share of ``part`` spent on the probed columns' chunk
-  zones (min and max per chunk): widening them by the rows an append
-  adds (``Partition._widen_run``) or by the new values of a modify
-  (``Partition._widen_zones``), and re-scanning a chunk whose min or max
-  a modify overwrote (``Partition._rescan_zones``). Only probed columns
-  have zones, the NUC table's value column here, so an NSC statement's
-  ``zones`` reads 0. A compiled delete tests and re-scans its chunks'
-  zones inside its own kernel, so a delete's ``zones`` reads 0; a repack
-  builds the zones again inside ``condense``;
+- ``summary``: the share of ``part`` spent on the probed columns' block
+  summaries of the rows an append or a modify writes
+  (``Partition._filter_rows``): widening each row's chunk zone (min and
+  max per chunk) and setting its bits in its chunk's and its
+  sub-block's filters. Only probed columns have summaries, the NUC
+  table's value column here, so an NSC statement's ``summary`` reads 0;
+  a delete changes no summary, so its ``summary`` reads 0 too, and a
+  repack builds the summaries again inside ``condense``;
 - ``condense``: the share of ``part`` spent on the chunk bookkeeping
   after a write (``Partition._recount``, and after a delete
   ``Partition._condense``: the test whether too few slots are live and
   the repack, with its new summaries, when they are). A call of the
-  ``zones`` or ``condense`` methods made inside another one counts only
-  to the outer call's phase;
+  ``summary`` or ``condense`` methods made inside another one counts
+  only to the outer call's phase;
 - ``maint`` and ``probe``: index maintenance and the duplicate probe
   (``UpdateStats.maintain_ms`` and ``probe_ms``);
 - ``blocks`` and ``rows``: the rows the probe read in blocks
@@ -63,7 +62,7 @@ from perfbench.workloads import (STATEMENTS, Scale, StatementStream,  # noqa: E4
                                  Tables, generate_tables, run_statement)
 
 RATE, SIZES, WARM, ROUNDS, SEED = 0.2, (10, 1000), 3, 60, 1
-PHASES = ("stmt", "route", "table", "part", "zones", "condense", "maint",
+PHASES = ("stmt", "route", "table", "part", "summary", "condense", "maint",
           "probe", "drop", "bitmap")
 # the phases read from UpdateStats, summed over a statement's indexes
 STATS_FIELDS = {"table": "storage_ms", "maint": "maintain_ms", "probe": "probe_ms"}
@@ -87,7 +86,7 @@ def _timed(phase, fn):
 
 
 def _share(phase, fn):
-    """Like _timed for a share of ``part`` (``zones``, ``condense``): a
+    """Like _timed for a share of ``part`` (``summary``, ``condense``): a
     call made inside another such call counts only to the outer one."""
     timed = _timed(phase, fn)
 
@@ -124,8 +123,7 @@ def instrument():
     column_store.route_rows = patch_index.route_rows = route
     for name in ("append", "modify_rows", "delete_rows"):
         setattr(Partition, name, _timed("part", getattr(Partition, name)))
-    for name in ("_widen_run", "_widen_zones", "_rescan_zones"):
-        setattr(Partition, name, _share("zones", getattr(Partition, name)))
+    Partition._filter_rows = _share("summary", Partition._filter_rows)
     for name in ("_condense", "_recount"):
         setattr(Partition, name, _share("condense", getattr(Partition, name)))
     patch_index.PatchIndex.drop_rows = _timed(
