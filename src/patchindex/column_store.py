@@ -413,6 +413,8 @@ class Partition:
         per column, which checks the positions first, or in numpy a binary
         search of each row's sub-block, ``np.minimum.at`` and
         ``np.maximum.at`` and ``filter_hash``."""
+        if not columns:
+            return
         pos = np.ascontiguousarray(pos, dtype=np.int64)
         lib = _native.lib
         if lib is not None:
@@ -423,8 +425,6 @@ class Partition:
                         address(self.counts), self.nchunks, address(pos),
                         len(pos)) < 0:
                     raise ValueError("filter rows must be live rows")
-            return
-        if not columns:
             return
         cap, nsub = self.capacity, self.nsub
         chunk = pos // cap
