@@ -830,7 +830,7 @@ int64_t pi_select_uses_avx512(void)
  * mins[z][k] <= every live value of chunk k <= maxs[z][k], INT64_MAX and
  * INT64_MIN for a slot that has held no row since the last rebuild.
  * pi_filter_rows widens a zone by each written value, and only the
- * caller's rebuild from the live rows (Partition._fill_filters) narrows
+ * caller's rebuild from the live rows (Partition.filter_words) narrows
  * one. Sub-block s of chunk k holds the
  * chunk's rows [ends[s - 1], ends[s]) (row 0 for s = 0), where ends is the
  * chunk's nsub sub-block ends, sub_ends[k * nsub:]; the ends never

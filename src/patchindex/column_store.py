@@ -319,7 +319,7 @@ class Partition:
     widen the zone and set the filter bits of each value they write
     (``_filter_rows``). A delete changes nothing. A rebuild, on the first
     probe or a repack, makes every summary again from the live rows
-    (``_fill_filters``). So a zone covers every live value of its chunk,
+    (``filter_words``). So a zone covers every live value of its chunk,
     exactly so after a rebuild, and a filter holds every one; a deleted
     or overwritten value may leave a zone too wide and stale filter bits
     until the next repack, so a probe may read a sub-block for nothing
@@ -384,9 +384,9 @@ class Partition:
         (nchunks, words, nsub) array whose [k, :, s] is the filter of
         sub-block s of chunk k.
 
-        The first request builds the column's block summaries from the
-        chunk buffers (``_fill_filters``); from then on every write widens
-        them.
+        The first request builds the column's block summaries: empty
+        zones and filters, to which ``_fill_filters`` adds every live row;
+        from then on every write widens them.
         """
         if column not in self.filters:
             if self.chunks[column].dtype != np.int64:  # the kernels read int64
@@ -445,15 +445,11 @@ class Partition:
             np.bitwise_or.at(sub_f, (chunk, words, sub), pattern)
 
     def _fill_filters(self, columns, chunks):
-        """Rebuild the given probed columns' zones and filters of the given
-        chunks from their live rows, which narrows the zones to exact and
-        clears the filters' stale bits."""
+        """Add the live rows of the given chunks to the given probed
+        columns' zones and filters, which ``filter_words`` has just made
+        empty: the rebuild that leaves each zone exact and each filter
+        without stale bits."""
         chunks = np.asarray(chunks, dtype=np.int64)
-        for c in columns:
-            for z, empty in zip(self.zones[c], _EMPTY_ZONE):
-                z[chunks] = empty
-            for f in self.filters[c]:
-                f[chunks] = 0
         counts = self.counts[chunks]
         # every live row's buffer position, chunk by chunk
         pos = (np.repeat(chunks * self.capacity - counts.cumsum() + counts,
