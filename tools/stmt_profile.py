@@ -22,9 +22,10 @@ Prints, per statement kind and size, the median in ms of each phase:
   (``Partition._filter_rows``): widening each row's chunk zone (min and
   max per chunk) and setting its bits in its chunk's and its
   sub-block's filters. Only probed columns have summaries, the NUC
-  table's value column here, so an NSC statement's ``summary`` reads 0;
-  a delete changes no summary, so its ``summary`` reads 0 too, and a
-  repack builds the summaries again inside ``condense``;
+  table's value column here, so an NSC statement's ``summary`` reads
+  only the timing wrapper's own cost, about 0.001 ms; a delete changes
+  no summary, so its ``summary`` reads 0, and a repack builds the
+  summaries again inside ``condense``;
 - ``condense``: the share of ``part`` spent on the chunk bookkeeping
   after a write (``Partition._recount``, and after a delete
   ``Partition._condense``: the test whether too few slots are live and
